@@ -57,6 +57,8 @@ off.  ``compare`` also takes a comma-separated case-id list and
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -72,9 +74,10 @@ from .bench import (
     run_compare_campaign,
 )
 from .bench import summary as bench_summary
+from .core.pipeline import RunConfig, RunPipeline
 from .core.pruning import DEFAULT_RADIUS
 from .core.report import ReproductionScript
-from .failures import all_cases, get_case
+from .failures import UnknownCaseError, all_cases, get_case
 from .obs import TraceRecorder, build_plan_provenance, ledger, write_report
 from .obs import bus as event_bus
 from .obs import watch as watch_view
@@ -112,73 +115,53 @@ def _append_ledger(entries: list, args) -> None:
     print(f"[ledger: {len(entries)} entr(ies) -> {path}]", file=sys.stderr)
 
 
-def _configure_cache(args) -> None:
-    """Install the run cache per ``--cache``/``--no-cache``/``--cache-dir``.
-
-    The choice is exported through ``REPRO_CACHE``/``REPRO_CACHE_DIR`` so
-    spawn-method worker processes (campaign cells, speculative rounds)
-    reconstruct the same configuration; the on-disk tier is what they
-    actually share.
-    """
-    if getattr(args, "cache", True):
-        cache_dir = getattr(args, "cache_dir", None) or runcache.default_disk_dir()
-        runcache.configure(enabled=True, disk_dir=cache_dir)
-        os.environ["REPRO_CACHE"] = "1"
-        os.environ["REPRO_CACHE_DIR"] = cache_dir
-    else:
-        runcache.configure(enabled=False)
-        os.environ["REPRO_CACHE"] = "0"
-        os.environ.pop("REPRO_CACHE_DIR", None)
-
-
-def _configure_early_verdict(args) -> None:
-    """Export ``--early-verdict`` through ``REPRO_EARLY_VERDICT``.
-
-    Campaign pool workers and spawn-method speculative workers see no
-    parent globals, so the switch travels the same way as
-    ``REPRO_CACHE``/``REPRO_FAULT_DIMS``.
-    """
-    os.environ["REPRO_EARLY_VERDICT"] = (
-        "1" if getattr(args, "early_verdict", False) else "0"
+def _run_config(args) -> RunConfig:
+    """This invocation's one :class:`RunConfig`, from its flags (a command
+    without a knob's flag runs with that knob off).  Nothing is exported
+    to the environment: worker processes receive the config as their
+    pool initializer's argument (DESIGN §5.4)."""
+    cache = getattr(args, "cache", False)
+    cache_dir = getattr(args, "cache_dir", None) or runcache.default_disk_dir()
+    return RunConfig(
+        cache=cache,
+        cache_dir=cache_dir if cache else None,
+        checkpoint=getattr(args, "checkpoint", False),
+        early_verdict=getattr(args, "early_verdict", False),
+        events=getattr(args, "events", False),
+        jobs=resolve_jobs(args.jobs) if hasattr(args, "jobs") else 1,
     )
 
 
-def _configure_events(args):
-    """Install the live event bus per ``--events``/``--events-out``.
+@contextlib.contextmanager
+def _event_stream(config: RunConfig, args):
+    """The live event bus per ``--events``/``--events-out``, for a block.
 
-    Returns the installed :class:`~repro.obs.bus.EventBus` (or ``None``
-    when events are off or the stream path is unwritable).  The choice
-    is exported through ``REPRO_EVENTS`` so campaign pool workers know
-    to capture-and-ship their events (see :mod:`repro.bench.parallel`).
-    The stream file is truncated per campaign so ``repro watch`` always
+    Yields the installed :class:`~repro.obs.bus.EventBus` (or ``None``
+    when events are off or the stream path is unwritable).  Campaign pool
+    workers capture-and-ship their events exactly when this process has
+    a bus to forward them to (see :mod:`repro.bench.parallel`).  The
+    stream file is truncated per campaign so ``repro watch`` always
     tails the run in progress.
     """
-    if not getattr(args, "events", True):
-        os.environ["REPRO_EVENTS"] = "0"
-        return None
-    path = getattr(args, "events_out", None) or event_bus.DEFAULT_PATH
+    bus = None
+    if config.events:
+        path = getattr(args, "events_out", None) or event_bus.DEFAULT_PATH
+        try:
+            bus = event_bus.EventBus([event_bus.JsonlSink(path, append=False)])
+        except OSError as error:
+            print(
+                f"warning: cannot open event stream {path}: {error}",
+                file=sys.stderr,
+            )
+        else:
+            event_bus.set_active_bus(bus)
+            print(f"[events -> {path}]", file=sys.stderr)
     try:
-        sink = event_bus.JsonlSink(path, append=False)
-    except OSError as error:
-        print(
-            f"warning: cannot open event stream {path}: {error}",
-            file=sys.stderr,
-        )
-        os.environ["REPRO_EVENTS"] = "0"
-        return None
-    bus = event_bus.EventBus([sink])
-    event_bus.set_active_bus(bus)
-    os.environ["REPRO_EVENTS"] = "1"
-    print(f"[events -> {path}]", file=sys.stderr)
-    return bus
-
-
-def _teardown_events(bus) -> None:
-    """Uninstall and close the CLI's event bus (no-op when off)."""
-    if bus is not None:
-        event_bus.set_active_bus(None)
-        os.environ.pop("REPRO_EVENTS", None)
-        bus.close()
+        yield bus
+    finally:
+        if bus is not None:
+            event_bus.set_active_bus(None)
+            bus.close()
 
 
 def _print_cache_stats() -> None:
@@ -245,30 +228,26 @@ def _print_profile(recorder) -> None:
 
 
 def cmd_reproduce(args) -> int:
-    _configure_cache(args)
-    _configure_early_verdict(args)
-    bus = _configure_events(args)
-    try:
-        return _cmd_reproduce_body(args, bus)
-    finally:
-        _teardown_events(bus)
+    config = _run_config(args)
+    config.install()
+    with _event_stream(config, args) as bus:
+        return _cmd_reproduce_body(args, config, bus)
 
 
-def _cmd_reproduce_body(args, bus) -> int:
-    case = get_case(args.case_id)
-    _apply_fault_dims(args, [case])
+def _cmd_reproduce_body(args, config: RunConfig, bus) -> int:
+    case = _with_fault_dims(args, get_case(args.case_id))
     print(f"{case.issue}: {case.title}")
     print(f"oracle: {case.oracle.description}")
     recorder = TraceRecorder() if args.profile else None
-    jobs = resolve_jobs(args.jobs)
+    jobs = config.jobs
     explorer = case.explorer(
         max_rounds=args.max_rounds,
         jobs=jobs,
         recorder=recorder,
         track_coverage=True,
         prune=args.prune,
-        checkpoint=args.checkpoint,
-        early_verdict=args.early_verdict,
+        checkpoint=config.checkpoint,
+        early_verdict=config.early_verdict,
     )
     if bus is not None:
         # A single reproduce is a one-cell campaign to the event stream,
@@ -356,14 +335,11 @@ def cmd_replay(args) -> int:
     case = get_case(args.case_id)
     with open(args.script, encoding="utf-8") as handle:
         script = ReproductionScript.from_json(handle.read())
-    monitor = None
-    if args.early_verdict:
-        from .core.verdict import compile_cutoff
-
-        verdict = compile_cutoff(case.oracle)
-        if verdict is not None:
-            monitor = verdict.factory()
-    result = script.replay(case.workload, monitor=monitor)
+    pipeline = RunPipeline(
+        case.workload, script.horizon, script.seed, case.oracle,
+        _run_config(args),
+    )
+    result = script.replay(case.workload, monitor=pipeline.monitor())
     # A truncated replay is oracle-equivalent to the full run: cutoff
     # fires only once the verdict is decided TRUE independent of the
     # remainder, so the post-hoc check below reads the same either way.
@@ -380,43 +356,38 @@ def _resolve_compare_cases(spec: str) -> list:
 
 
 def cmd_compare(args) -> int:
-    _configure_cache(args)
-    _configure_early_verdict(args)
-    bus = _configure_events(args)
-    try:
-        # The campaign engine (repro.bench.parallel.run_tasks) emits the
-        # campaign/case lifecycle events and forwards worker-captured
-        # round events through the active bus installed above.
-        return _cmd_compare_body(args)
-    finally:
-        _teardown_events(bus)
+    config = _run_config(args)
+    config.install()
+    # The campaign engine (repro.bench.parallel.run_tasks) emits the
+    # campaign/case lifecycle events and forwards worker-captured round
+    # events through the active bus installed here.
+    with _event_stream(config, args):
+        return _cmd_compare_body(args, config)
 
 
-def _cmd_compare_body(args) -> int:
-    jobs = resolve_jobs(args.jobs)
+def _cmd_compare_body(args, config: RunConfig) -> int:
+    jobs = config.jobs
     cases = _resolve_compare_cases(args.case_id)
     if not cases:
         print(f"error: no case ids in {args.case_id!r}", file=sys.stderr)
         return 2
-    _apply_fault_dims(args, cases)
+    # Cells address cases by id, so every per-cell setting — the runner
+    # knobs and a --fault-dims override alike — rides in the task options.
+    cell_options = dict(
+        max_rounds=args.max_rounds,
+        checkpoint=config.checkpoint,
+        early_verdict=config.early_verdict,
+    )
+    if args.fault_dims:
+        cell_options["fault_dims"] = args.fault_dims
     strategies = list(ALL_STRATEGIES)
     started = time.perf_counter()
     anduril_by_case, cells = run_compare_campaign(
         cases,
         strategies,
         jobs=jobs,
-        anduril_options=dict(
-            max_rounds=args.max_rounds,
-            profile=args.profile,
-            checkpoint=args.checkpoint,
-            early_verdict=args.early_verdict,
-        ),
-        strategy_options=dict(
-            max_rounds=args.max_rounds,
-            max_seconds=60.0,
-            checkpoint=args.checkpoint,
-            early_verdict=args.early_verdict,
-        ),
+        anduril_options=dict(cell_options, profile=args.profile),
+        strategy_options=dict(cell_options, max_seconds=60.0),
     )
     elapsed = time.perf_counter() - started
     if len(cases) == 1:
@@ -643,8 +614,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    case = get_case(args.case_id)
-    _apply_fault_dims(args, [case])
+    case = _with_fault_dims(args, get_case(args.case_id))
     prepared = case.explorer().prepare()
     print(f"{case.issue}: {case.title}")
     print(f"failure log lines: {len(case.failure_log())}")
@@ -692,16 +662,14 @@ def cmd_lint(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _configure_cache(args)
-    try:
-        cases = _resolve_compare_cases(args.case_id)
-    except KeyError as error:
-        print(f"error: unknown case id {error.args[0]!r}", file=sys.stderr)
-        return 2
+    _run_config(args).install()
+    cases = [
+        _with_fault_dims(args, case)
+        for case in _resolve_compare_cases(args.case_id)
+    ]
     if not cases:
         print(f"error: no case ids in {args.case_id!r}", file=sys.stderr)
         return 2
-    _apply_fault_dims(args, cases)
     case_docs: dict[str, dict] = {}
     total_contradictions = 0
     for case in cases:
@@ -791,19 +759,14 @@ def _add_fault_dims_option(subparser) -> None:
     )
 
 
-def _apply_fault_dims(args, cases) -> None:
-    """Apply a ``--fault-dims`` override to each case in this run.
+def _with_fault_dims(args, case):
+    """``case`` under this run's ``--fault-dims`` override, if any.
 
-    The override is also exported through ``REPRO_FAULT_DIMS`` so
-    spawn-method campaign workers — which re-import the registry and look
-    cases up by id — reconstruct it (the same relay as ``REPRO_CACHE``).
+    The override is a parameter of this search, so it goes on a copy;
+    the catalog's case keeps its own setting.
     """
     dims = getattr(args, "fault_dims", None)
-    if not dims:
-        return
-    os.environ["REPRO_FAULT_DIMS"] = dims
-    for case in cases:
-        case.fault_dims = dims
+    return dataclasses.replace(case, fault_dims=dims) if dims else case
 
 
 def _add_cache_options(subparser) -> None:
@@ -1082,7 +1045,11 @@ def main(argv=None) -> int:
         "lint": cmd_lint,
         "analyze": cmd_analyze,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except UnknownCaseError as error:
+        print(f"error: unknown case id {error.args[0]!r}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

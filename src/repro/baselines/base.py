@@ -28,7 +28,7 @@ from ..analysis.system_model import SystemModel
 from ..core.alignment import TimelineMap
 from ..core.observables import ObservableSet
 from ..core.oracle import Oracle
-from ..core.verdict import compile_cutoff
+from ..core.pipeline import RunConfig, RunPipeline
 from ..injection.fir import InjectionPlan, TraceEvent, dedupe_instances
 from ..injection.sites import FaultInstance
 from ..logs.diff import LogComparator
@@ -202,21 +202,6 @@ class StrategyRunner:
         started = time.perf_counter()
         context = build_context(case)
         strategy.prepare(context)
-        verdict = compile_cutoff(case.oracle) if self.early_verdict else None
-        pool = None
-        runner = execute_workload
-        if self.checkpoint:
-            from ..sim.checkpoint import CheckpointPool, checkpoint_supported
-
-            if checkpoint_supported():
-                pool = CheckpointPool(
-                    case.workload,
-                    case.horizon,
-                    case.seed,
-                    context.normal_run.trace,
-                    monitor_factory=None if verdict is None else verdict.factory,
-                )
-                runner = pool.runner
         coverage = NULL_COVERAGE
         if self.track_coverage:
             coverage = CoverageTracker(
@@ -240,7 +225,16 @@ class StrategyRunner:
             )
 
         bus = self._bus if self._bus is not None else active_bus()
-        try:
+        with RunPipeline(
+            case.workload,
+            case.horizon,
+            case.seed,
+            case.oracle,
+            RunConfig.here(
+                checkpoint=self.checkpoint, early_verdict=self.early_verdict
+            ),
+        ) as pipeline:
+            pipeline.arm(context.normal_run.trace)
             while rounds < self.max_rounds:
                 round_started = time.perf_counter()
                 if (
@@ -268,15 +262,7 @@ class StrategyRunner:
                 # under two exceptions; only the first is armable per run.
                 plan = InjectionPlan.of(dedupe_instances(window))
                 run_started = time.perf_counter()
-                result = cached_execute(
-                    case.workload,
-                    horizon=case.horizon,
-                    seed=case.seed,
-                    plan=plan,
-                    runner=runner,
-                    monitor_factory=None if verdict is None else verdict.factory,
-                    monitor_key=None if verdict is None else verdict.key,
-                )
+                result = pipeline.run(case.seed, plan)
                 feedback_started = time.perf_counter()
                 injected = result.injected_instance
                 satisfied = False
@@ -339,6 +325,3 @@ class StrategyRunner:
                 if satisfied:
                     return finish(True, injected, "reproduced")
             return finish(False, None, "round budget exhausted")
-        finally:
-            if pool is not None:
-                pool.close()

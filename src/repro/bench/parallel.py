@@ -7,21 +7,24 @@ module distributes those cells over a :class:`ProcessPoolExecutor` and
 reassembles results **in submission order**, so every table a campaign
 renders is byte-identical regardless of worker count.
 
-Workers receive only case *ids* and primitive options; each worker
-process resolves the case from the registry and rebuilds its own model /
-failure-log caches.  Oracles (which may close over lambdas) and workload
-state therefore never cross a process boundary.
+Workers receive only case *ids* and primitive options, plus — once per
+worker, as the pool initializer's argument — the parent's
+:class:`~repro.core.pipeline.RunConfig`; each worker process resolves the
+case from the registry and rebuilds its own model / failure-log caches.
+Oracles (which may close over lambdas) and workload state therefore
+never cross a process boundary, and nothing travels through the
+environment.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Optional, Sequence
 
+from ..core.pipeline import RunConfig
 from ..core.speculate import default_jobs
 from ..obs import metrics as obs_metrics
 from ..obs.bus import (
@@ -33,17 +36,13 @@ from ..obs.bus import (
 )
 from .harness import AndurilOutcome, StrategyOutcome, run_anduril, run_baseline
 
-#: Environment relay for the events switch (mirrors ``REPRO_CACHE``):
-#: spawn-method campaign workers see no parent globals, so the CLI
-#: exports ``REPRO_EVENTS=1`` and workers capture-and-ship accordingly.
-EVENTS_ENV = "REPRO_EVENTS"
-
-#: True in campaign pool worker processes (set by the pool initializer).
-_IN_POOL_WORKER = False
+#: The parent's config in campaign pool worker processes (set by the
+#: pool initializer); ``None`` in every other process.
+_worker_config: Optional[RunConfig] = None
 
 
-def _pool_worker_init() -> None:
-    """Mark this process as a campaign pool worker.
+def _pool_worker_init(config: RunConfig) -> None:
+    """Run this campaign pool worker under the parent's config.
 
     Fork-started workers inherit the parent's active bus — including an
     open :class:`~repro.obs.bus.JsonlSink` handle whose writes would
@@ -52,9 +51,11 @@ def _pool_worker_init() -> None:
     :func:`execute_task` installs a memory-capture bus per cell whose
     events ship back on the pickled outcome.
     """
-    global _IN_POOL_WORKER
-    _IN_POOL_WORKER = True
+    global _worker_config
+    _worker_config = config
+    config.install()
     set_active_bus(None)
+
 
 #: ``repro.obs.metrics`` counter bumped once per campaign cell that had
 #: to be re-run inline because its worker failed (see :func:`run_tasks`).
@@ -114,23 +115,14 @@ def execute_task(task: CampaignTask):
     from ..failures import get_case
 
     case = get_case(task.case_id)
-    # The CLI's --fault-dims override travels to spawn-method workers via
-    # the environment (mirrors REPRO_CACHE): workers look cases up by id
-    # from a freshly-imported registry, so a parent-side attribute change
-    # alone would not reach them.
-    dims = os.environ.get("REPRO_FAULT_DIMS")
-    if dims:
-        case.fault_dims = dims
     options = dict(task.options)
-    # The CLI's --early-verdict switch travels the same way: the option is
-    # honored when the campaign spelled it out per cell, with the
-    # environment as the spawn-worker fallback.
-    if "early_verdict" not in options:
-        verdict_env = os.environ.get("REPRO_EARLY_VERDICT")
-        if verdict_env is not None:
-            options["early_verdict"] = verdict_env == "1"
+    # A fault-dims override is a search parameter of this cell, not a
+    # property of the catalog: apply it to a copy of the case.
+    dims = options.pop("fault_dims", None)
+    if dims:
+        case = dataclasses.replace(case, fault_dims=dims)
     capture = None
-    if _IN_POOL_WORKER and os.environ.get(EVENTS_ENV) == "1":
+    if _worker_config is not None and _worker_config.events:
         capture = MemorySink()
         set_active_bus(EventBus([capture]))
     before = obs_metrics.snapshot()
@@ -219,6 +211,7 @@ def run_tasks(
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(tasks)),
                 initializer=_pool_worker_init,
+                initargs=(RunConfig.here(jobs=jobs),),
             ) as pool:
                 futures = {
                     pool.submit(execute_task, task): index

@@ -174,6 +174,22 @@ def _plan_key(plan) -> tuple:
     return plan.key() if plan is not None else ((), ())
 
 
+def _run(runner, workload, horizon, seed, plan, monitor_factory):
+    """Execute for real, under a fresh monitor when the caller has one.
+
+    ``monitor=`` is passed only then, so unmonitored runners (and test
+    doubles of ``execute_workload``) keep their plain signature.
+    """
+    if runner is None:
+        from ..sim.cluster import execute_workload as runner
+    if monitor_factory is None:
+        return runner(workload, horizon=horizon, seed=seed, plan=plan)
+    return runner(
+        workload, horizon=horizon, seed=seed, plan=plan,
+        monitor=monitor_factory(),
+    )
+
+
 # -------------------------------------------------------------------- cache
 
 
@@ -385,15 +401,14 @@ class RunCache:
         poisoning the plain entry.
         """
         key = self._key(workload, horizon, seed, plan)
-        if key is None:
-            return
-        if getattr(result, "truncated_at", None) is not None:
-            if monitor_key:
-                self._store_truncated(
-                    self._verdict_key(key, monitor_key), result
-                )
-            return
-        self._store(key, plan, result)
+        if key is not None:
+            self._put(key, plan, result, monitor_key)
+
+    def _put(self, key: tuple, plan, result, monitor_key) -> None:
+        if getattr(result, "truncated_at", None) is None:
+            self._store(key, plan, result)
+        elif monitor_key:
+            self._store_truncated(self._verdict_key(key, monitor_key), result)
 
     def _store(self, key: tuple, plan, result) -> None:
         self.stats.stores += 1
@@ -443,28 +458,14 @@ class RunCache:
         monkeypatched test doubles in charge of actual execution.
 
         ``monitor_factory``/``monitor_key`` enable early-verdict cutoff:
-        a miss runs under a fresh monitor (passed via ``monitor=`` only
-        then, so unmonitored runners keep their plain signature), and a
-        truncated result is stored under — and may later be served from —
-        the monitor-extended key.  The plain key is always probed first.
+        a miss runs under a fresh monitor, and a truncated result is
+        stored under — and may later be served from — the
+        monitor-extended key.  The plain key is always probed first.
         """
         key = self._key(workload, horizon, seed, plan)
-        if runner is None:
-            from ..sim.cluster import execute_workload as runner
         if key is None:
-            if monitor_factory is not None:
-                return (
-                    runner(
-                        workload,
-                        horizon=horizon,
-                        seed=seed,
-                        plan=plan,
-                        monitor=monitor_factory(),
-                    ),
-                    UNCACHED,
-                )
             return (
-                runner(workload, horizon=horizon, seed=seed, plan=plan),
+                _run(runner, workload, horizon, seed, plan, monitor_factory),
                 UNCACHED,
             )
         result, from_disk = self._lookup(key)
@@ -489,30 +490,14 @@ class RunCache:
             return result, ALIAS
         self.stats.misses += 1
         obs_metrics.increment("cache.misses")
-        if monitor_factory is not None:
-            result = runner(
-                workload,
-                horizon=horizon,
-                seed=seed,
-                plan=plan,
-                monitor=monitor_factory(),
-            )
-        else:
-            result = runner(workload, horizon=horizon, seed=seed, plan=plan)
-        if getattr(result, "truncated_at", None) is not None:
-            if monitor_key:
-                self._store_truncated(
-                    self._verdict_key(key, monitor_key), result
-                )
-        else:
-            self._store(key, plan, result)
+        result = _run(runner, workload, horizon, seed, plan, monitor_factory)
+        self._put(key, plan, result, monitor_key)
         return result, MISS
 
 
 # ---------------------------------------------------------- process global
 
 _active: Optional[RunCache] = None
-_configured = False
 
 
 def configure(
@@ -522,39 +507,26 @@ def configure(
 ) -> Optional[RunCache]:
     """Install (or remove) the process-wide cache and return it.
 
-    Does not touch the environment; callers that fan out worker
-    processes (the CLI) export ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``
-    themselves so spawn-method workers reconstruct the same config.
+    Worker processes are configured the same way: the pools ship a
+    :class:`repro.core.pipeline.RunConfig` as their initializer argument
+    and each worker installs it.
     """
-    global _active, _configured
-    _configured = True
+    global _active
     _active = RunCache(capacity=capacity, disk_dir=disk_dir) if enabled else None
     return _active
 
 
 def active() -> Optional[RunCache]:
-    """The process-wide cache, lazily initialized from the environment.
-
-    Unconfigured processes default to *no* cache: library consumers and
-    tests that stub out ``execute_workload`` must opt in explicitly
-    (``configure`` or ``REPRO_CACHE=1``).
-    """
-    global _active, _configured
-    if not _configured:
-        _configured = True
-        flag = os.environ.get("REPRO_CACHE", "").strip().lower()
-        if flag and flag not in ("0", "false", "no", "off"):
-            _active = RunCache(
-                disk_dir=os.environ.get("REPRO_CACHE_DIR") or None
-            )
+    """The process-wide cache; ``None`` until :func:`configure` enables
+    one, so library consumers and tests that stub out
+    ``execute_workload`` must opt in explicitly."""
     return _active
 
 
 def reset() -> None:
-    """Drop the process-wide cache and forget any configuration."""
-    global _active, _configured
+    """Drop the process-wide cache."""
+    global _active
     _active = None
-    _configured = False
 
 
 def cached_execute(
@@ -569,18 +541,8 @@ def cached_execute(
 ):
     """Run through the active cache, or directly when no cache is active."""
     cache = active()
-    if runner is None:
-        from ..sim.cluster import execute_workload as runner
     if cache is None:
-        if monitor_factory is not None:
-            return runner(
-                workload,
-                horizon=horizon,
-                seed=seed,
-                plan=plan,
-                monitor=monitor_factory(),
-            )
-        return runner(workload, horizon=horizon, seed=seed, plan=plan)
+        return _run(runner, workload, horizon, seed, plan, monitor_factory)
     result, _outcome = cache.execute(
         workload,
         horizon=horizon,

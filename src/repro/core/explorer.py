@@ -30,7 +30,6 @@ from ..analysis.model import (
     graph_fault_candidates,
 )
 from ..analysis.system_model import SystemModel, analyze_package
-from ..cache import cached_execute
 from ..cache.flowcache import cached_propagation_graph
 from ..injection.fir import InjectionPlan, dedupe_instances
 from ..injection.sites import FaultInstance
@@ -45,15 +44,15 @@ from ..obs.coverage import (
 )
 from ..logs.diff import LogComparator
 from ..logs.record import LogFile
-from ..sim.cluster import RunResult, WorkloadFn, execute_workload
+from ..sim.cluster import RunResult, WorkloadFn
 from .alignment import TimelineMap
 from .observables import ObservableSet
 from .oracle import Oracle
 from .priority import FaultPriorityPool, WindowEntry
+from .pipeline import RunConfig, RunPipeline
 from .pruning import DEFAULT_RADIUS, StaticPruner
 from .report import ReproductionScript
 from .speculate import SpeculativeExecutor, default_jobs, run_key
-from .verdict import compile_cutoff
 
 
 @dataclasses.dataclass
@@ -277,38 +276,11 @@ class Explorer:
         #: itself is byte-identical with pruning on or off.
         self.prune = prune
         self.prune_radius = prune_radius
-        #: Process-level checkpoint/fork (``repro.sim.checkpoint``): run
-        #: each round's candidate from a holder parked at the plan's
-        #: first possible firing position instead of replaying the
-        #: fault-free prefix.  Library-level opt-in; outcome-invariant
-        #: (fork-served runs are byte-identical to full replays) and
-        #: composed *under* the run cache, so cache keys and stored
-        #: results are unchanged.  Ignored on platforms without
-        #: ``os.fork`` and on traced (recorder-attached) searches.
-        self.checkpoint = bool(checkpoint)
-        self._checkpoint_pool = None
-        #: Early-verdict cutoff (``repro.core.verdict``): round runs are
-        #: verdict-monitored and stop the moment the oracle's outcome is
-        #: decided.  Library-level opt-in (CLI default on); only
-        #: *satisfied* runs can truncate, so the log-diff feedback loop
-        #: always sees full logs and ``signature()`` is invariant (the
-        #: masked ``injection_requests`` field above is the sole
-        #: truncation-visible round field).  ``compile_cutoff`` returns
-        #: ``None`` for oracles that can never decide early, in which
-        #: case runs are not monitored at all.
-        self.early_verdict = bool(early_verdict)
-        self._verdict = compile_cutoff(oracle) if self.early_verdict else None
         #: Fault dimensions the search enumerates candidates over:
         #: ``exceptions`` (legacy raise specs only — the default, which
         #: keeps pre-existing campaigns byte-identical), ``soft`` (value
         #: corruptions only), or ``all``.
         self.fault_dims = fault_dims
-        #: Round-level speculation: with ``jobs > 1`` worker processes
-        #: pre-execute predicted future rounds while the committed round
-        #: runs inline.  ``jobs=0``/``None`` means "one per CPU".  The
-        #: search outcome is invariant in ``jobs`` (see §determinism in
-        #: DESIGN.md) — only wall-clock time changes.
-        self.jobs = default_jobs() if not jobs or jobs < 1 else int(jobs)
         #: ``repro.obs`` recorder.  Default off: the NULL_RECORDER no-op
         #: path records nothing, samples no clocks, and leaves the search
         #: byte-identical to an untraced one (see the equivalence tests).
@@ -328,85 +300,31 @@ class Explorer:
         self._coverage = NULL_COVERAGE
         self._prepared: Optional[PreparedSearch] = None
         self._trace_order: dict[tuple[str, int], int] = {}
+        #: Round-level speculation: with ``jobs > 1`` worker processes
+        #: pre-execute predicted future rounds while the committed round
+        #: runs inline.  ``jobs=0``/``None`` means "one per CPU".
+        self.jobs = default_jobs() if not jobs or jobs < 1 else int(jobs)
+        #: Every run of this search goes through here (DESIGN §5.4).
+        #: ``jobs`` and the other two runner knobs are outcome-invariant:
+        #: ``checkpoint`` forks each round's run off a holder parked at
+        #: the plan's first possible firing position instead of replaying
+        #: the fault-free prefix (``repro.sim.checkpoint``);
+        #: ``early_verdict`` stops a round run the moment the oracle's
+        #: outcome is decided (``repro.core.verdict``) — only *satisfied*
+        #: runs can truncate, so the log-diff feedback loop always sees
+        #: full logs, and the masked ``injection_requests`` field above
+        #: is the sole truncation-visible round field.
+        self._pipeline = RunPipeline(
+            workload, horizon, seed, oracle,
+            RunConfig.here(
+                checkpoint=bool(checkpoint),
+                early_verdict=bool(early_verdict),
+                jobs=self.jobs,
+            ),
+            recorder=self._obs, base_faults=self.base_faults,
+        )
 
     # ----------------------------------------------------------------- prepare
-
-    def _run_inline(
-        self,
-        seed: int,
-        plan: Optional[InjectionPlan],
-        monitored: bool = False,
-    ) -> RunResult:
-        """One inline workload run; recorder attached only when tracing.
-
-        The ``recorder`` kwarg is passed only on the traced path so test
-        doubles of ``execute_workload`` (and the untraced hot path) keep
-        their historical signature.  ``monitored`` opts a round run into
-        early-verdict cutoff; the probe run never is — observables and
-        fork points need the full fault-free log and trace.
-        """
-        if self._obs.enabled:
-            # Traced runs bypass the run cache: the recorder must observe
-            # real execution (and timings), not a memoized result.
-            return execute_workload(
-                self.workload,
-                horizon=self.horizon,
-                seed=seed,
-                plan=plan,
-                recorder=self._obs,
-            )
-        verdict = self._verdict if monitored else None
-        return cached_execute(
-            self.workload,
-            horizon=self.horizon,
-            seed=seed,
-            plan=plan,
-            runner=self._runner(),
-            monitor_factory=None if verdict is None else verdict.factory,
-            monitor_key=None if verdict is None else verdict.key,
-        )
-
-    def _runner(self):
-        """The cache-miss executor: the checkpoint pool when active."""
-        pool = self._checkpoint_pool
-        if pool is not None and not pool.broken:
-            return pool.runner
-        return execute_workload
-
-    def _open_checkpoint_pool(self) -> None:
-        """Build the fork ladder from the probe trace, when enabled.
-
-        Requires a completed :meth:`prepare` (the fork points come from
-        the probe trace).  Traced searches are excluded: their runs
-        bypass the cache and must execute in-process so the recorder
-        observes them.
-        """
-        if (
-            not self.checkpoint
-            or self._checkpoint_pool is not None
-            or self._obs.enabled
-            or self._prepared is None
-        ):
-            return
-        from ..sim.checkpoint import CheckpointPool, checkpoint_supported
-
-        if not checkpoint_supported():
-            return
-        self._checkpoint_pool = CheckpointPool(
-            self.workload,
-            self.horizon,
-            self.seed,
-            self._prepared.normal_run.trace,
-            base_faults=self.base_faults,
-            monitor_factory=None
-            if self._verdict is None
-            else self._verdict.factory,
-        )
-
-    def _close_checkpoint_pool(self) -> None:
-        pool, self._checkpoint_pool = self._checkpoint_pool, None
-        if pool is not None:
-            pool.close()
 
     def prepare(self) -> PreparedSearch:
         """Steps 1–2: probe run, observables, causal graph, priorities."""
@@ -425,7 +343,7 @@ class Explorer:
             if self.base_faults
             else None
         )
-        normal_run = self._run_inline(self.seed, probe_plan)
+        normal_run = self._pipeline.probe(probe_plan)
         normal_log = normal_run.log
 
         observables = ObservableSet(
@@ -546,29 +464,17 @@ class Explorer:
         result's :meth:`ExplorationResult.signature` is identical for every
         worker count.
         """
-        jobs = self.jobs if jobs is None else max(int(jobs), 1)
-        # Prepare first: the checkpoint pool's fork points come from the
-        # probe trace, and the engine's miss path should share the pool.
-        self.prepare()
-        self._open_checkpoint_pool()
-        engine: Optional[SpeculativeExecutor] = None
-        if jobs > 1:
-            verdict = self._verdict
-            engine = SpeculativeExecutor(
-                self.workload,
-                self.horizon,
-                jobs,
-                runner=self._runner(),
-                monitor_factory=None if verdict is None else verdict.factory,
-                monitor_key=None if verdict is None else verdict.key,
-                verdict_spec=None if verdict is None else verdict.spec,
-            )
+        pipeline = self._pipeline
+        jobs = pipeline.jobs(jobs)
+        engine = SpeculativeExecutor(pipeline, jobs) if jobs > 1 else None
         try:
+            # The fork points come from the probe trace.
+            pipeline.arm(self.prepare().normal_run.trace)
             return self._explore(engine)
         finally:
             if engine is not None:
                 engine.shutdown()
-            self._close_checkpoint_pool()
+            pipeline.close()
 
     def _explore(self, engine: Optional[SpeculativeExecutor]) -> ExplorationResult:
         started = time.perf_counter()
@@ -666,10 +572,10 @@ class Explorer:
                 )
                 result, spec_hit = engine.run(run_seed, plan)
             else:
-                result = self._run_inline(run_seed, plan, monitored=True)
+                result = self._pipeline.run(run_seed, plan)
             # §6: retry the round under perturbed seeds when nothing in the
             # window occurred (only useful in nondeterministic setups).
-            # Truncated runs always carry a fired instance (the monitor
+            # Truncated runs always carry a fired instance (the cutoff
             # waits for the injection when the window is armed), so the
             # retry condition reads the same under cutoff.
             sub_run = 0
@@ -682,7 +588,7 @@ class Explorer:
                 if engine is not None:
                     result, _ = engine.run(run_seed, plan)
                 else:
-                    result = self._run_inline(run_seed, plan, monitored=True)
+                    result = self._pipeline.run(run_seed, plan)
             workload_seconds = time.perf_counter() - workload_started
             if obs.enabled:
                 obs.add_span(

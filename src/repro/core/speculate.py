@@ -9,10 +9,13 @@ merely wasted: the round falls back to an inline run and the stale
 speculations are flushed.
 
 This module is deliberately unaware of priorities and feedback; the
-Explorer owns the prediction policy (see ``Explorer._speculate``) while
-the :class:`SpeculativeExecutor` owns the process pool, the in-flight
-cache, and the hit/miss bookkeeping that surfaces as the speculation
-hit-rate and worker-utilization metrics.
+Explorer owns the prediction policy (see ``Explorer._predict_plans``)
+while the :class:`SpeculativeExecutor` owns the process pool, the
+in-flight set, and the hit/miss bookkeeping that surfaces as the
+speculation hit-rate and worker-utilization metrics.  How a run executes
+is the :class:`~repro.core.pipeline.RunPipeline`'s business: committed
+runs go through it, and the workers are initialised from its
+:class:`~repro.core.pipeline.RunConfig`.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Optional
 
-from ..cache import active as active_cache
 from ..cache import cached_execute
 from ..injection.fir import InjectionPlan
 from ..obs.bus import active_bus
 from ..sim.cluster import RunResult, WorkloadFn, execute_workload
+from .pipeline import RunConfig, RunPipeline
 
 
 def default_jobs() -> int:
@@ -54,10 +57,10 @@ def _worker_run(
 ) -> RunResult:
     """Process-pool entry point: rebuild the plan and execute the run.
 
-    Runs through :func:`repro.cache.cached_execute`: spawn workers
-    reconstruct the parent's cache config from ``REPRO_CACHE`` /
-    ``REPRO_CACHE_DIR``, so speculative runs both consult and feed the
-    shared on-disk tier (a no-op when the cache is off).
+    Runs through :func:`repro.cache.cached_execute`: the pool
+    initializer installed the parent's :class:`RunConfig` in this
+    process, so speculative runs both consult and feed the shared
+    on-disk tier (a no-op when the cache is off).
 
     ``verdict_spec`` is the parent's picklable oracle spec (oracles
     themselves close over predicates and cannot cross the spawn
@@ -82,37 +85,18 @@ def _worker_run(
 
 
 class SpeculativeExecutor:
-    """A run cache fed by a process pool of speculative executions."""
+    """A run pipeline fed by a process pool of speculative executions."""
 
-    def __init__(
-        self,
-        workload: WorkloadFn,
-        horizon: float,
-        jobs: int,
-        runner=None,
-        bus=None,
-        monitor_factory=None,
-        monitor_key=None,
-        verdict_spec=None,
-    ) -> None:
-        self.workload = workload
-        self.horizon = horizon
+    def __init__(self, pipeline: RunPipeline, jobs: int, bus=None) -> None:
+        #: Committed (inline) runs go through the pipeline, so they fork
+        #: off its checkpoint pool; workers always replay from t=0 in
+        #: their own processes (the results are byte-identical, so neither
+        #: path is ever double-counted).
+        self._pipeline = pipeline
         self.jobs = max(int(jobs), 1)
-        #: Early-verdict plumbing: the factory/key ride the committed
-        #: (inline) path through the cache; the picklable spec ships to
-        #: spawn workers, which rebuild their own (weaker) monitors.
-        self._monitor_factory = monitor_factory
-        self._monitor_key = monitor_key
-        self._verdict_spec = verdict_spec
         #: Live event bus; ``None`` means "the process-active bus".
         self._bus = bus
         self._last_heartbeat = 0.0
-        #: Inline executor for cache misses on the committed path.  The
-        #: Explorer passes its checkpoint-pool runner here so committed
-        #: runs fork off a parked prefix; workers always do full replays
-        #: in their own processes (their results are byte-identical, so
-        #: neither path is ever double-counted).
-        self._runner = runner if runner is not None else execute_workload
         self.hits = 0
         self.misses = 0
         self.submitted = 0
@@ -125,7 +109,11 @@ class SpeculativeExecutor:
     def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
         if self._pool is None and not self._broken and self.jobs > 1:
             try:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs - 1)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs - 1,
+                    initializer=RunConfig.install,
+                    initargs=(self._pipeline.config,),
+                )
             except OSError:
                 # No subprocess support (sandbox, resource limits): degrade
                 # to purely inline execution rather than failing the search.
@@ -143,11 +131,8 @@ class SpeculativeExecutor:
         key = run_key(seed, plan)
         if key in self._pending or len(self._pending) >= self.jobs:
             return key in self._pending
-        cache = active_cache()
-        if cache is not None and cache.peek(
-            self.workload, self.horizon, seed, plan,
-            monitor_key=self._monitor_key,
-        ) is not None:
+        pipeline = self._pipeline
+        if pipeline.cached(seed, plan) is not None:
             # The committed path will be served from the run cache anyway;
             # don't burn a worker slot re-executing it.
             return False
@@ -157,8 +142,8 @@ class SpeculativeExecutor:
         payload = plan.to_payload() if plan is not None else None
         try:
             future = pool.submit(
-                _worker_run, self.workload, self.horizon, seed, payload,
-                self._verdict_spec,
+                _worker_run, pipeline.workload, pipeline.horizon, seed,
+                payload, pipeline.verdict_spec,
             )
         except Exception:
             # Unpicklable workload or a broken pool: stop speculating.
@@ -186,27 +171,13 @@ class SpeculativeExecutor:
                 pass
             else:
                 self.hits += 1
-                cache = active_cache()
-                if cache is not None:
-                    # The worker's own cache tier lives in its process;
-                    # store the shipped result here too so later rounds
-                    # (and the disk tier) see it without re-executing.
-                    cache.put(
-                        self.workload, self.horizon, seed, plan, result,
-                        monitor_key=self._monitor_key,
-                    )
+                # The worker's own cache tier lives in its process; store
+                # the shipped result here too so later rounds (and the
+                # disk tier) see it without re-executing.
+                self._pipeline.remember(seed, plan, result)
                 return result, True
         self.misses += 1
-        result = cached_execute(
-            self.workload,
-            horizon=self.horizon,
-            seed=seed,
-            plan=plan,
-            runner=self._runner,
-            monitor_factory=self._monitor_factory,
-            monitor_key=self._monitor_key,
-        )
-        return result, False
+        return self._pipeline.run(seed, plan), False
 
     def sync(
         self,

@@ -8,6 +8,7 @@ from .case import (
     CATALOG,
     FailureCase,
     GroundTruth,
+    UnknownCaseError,
     all_cases,
     clear_failure_log_cache,
     get_case,
@@ -25,6 +26,7 @@ __all__ = [
     "CATALOG",
     "FailureCase",
     "GroundTruth",
+    "UnknownCaseError",
     "all_cases",
     "clear_failure_log_cache",
     "get_case",

@@ -205,8 +205,15 @@ def register(case: FailureCase) -> FailureCase:
     return case
 
 
+class UnknownCaseError(KeyError):
+    """:func:`get_case` was asked for an id the catalog does not hold."""
+
+
 def get_case(case_id: str) -> FailureCase:
-    return CATALOG[case_id]
+    try:
+        return CATALOG[case_id]
+    except KeyError:
+        raise UnknownCaseError(case_id) from None
 
 
 def all_cases() -> list[FailureCase]:

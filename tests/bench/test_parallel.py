@@ -209,10 +209,9 @@ class TestEventForwarding:
 
     CASES = [get_case(cid) for cid in ("f1", "f3")]
 
-    def _run_with_bus(self, jobs, monkeypatch):
+    def _run_with_bus(self, jobs):
         from repro.obs.bus import EventBus, MemorySink, set_active_bus
 
-        monkeypatch.setenv(parallel.EVENTS_ENV, "1")
         capture = MemorySink()
         set_active_bus(EventBus([capture], heartbeat_interval=0.0))
         try:
@@ -222,8 +221,8 @@ class TestEventForwarding:
         return outcomes, capture.events
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_stream_is_complete_serial_and_parallel(self, jobs, monkeypatch):
-        outcomes, events = self._run_with_bus(jobs, monkeypatch)
+    def test_stream_is_complete_serial_and_parallel(self, jobs):
+        outcomes, events = self._run_with_bus(jobs)
         types = [e["type"] for e in events]
         assert types[0] == "campaign.start"
         assert types[-1] == "campaign.done"
@@ -238,18 +237,18 @@ class TestEventForwarding:
             ("f1", True, 1), ("f3", True, 1),
         ]
 
-    def test_bus_off_leaves_outcomes_identical(self, monkeypatch):
+    def test_bus_off_leaves_outcomes_identical(self):
         plain = run_anduril_many(self.CASES, jobs=2, max_rounds=50)
-        with_bus, events = self._run_with_bus(2, monkeypatch)
+        with_bus, events = self._run_with_bus(2)
         assert events
         assert [o.deterministic_cell for o in with_bus] == [
             o.deterministic_cell for o in plain
         ]
 
-    def test_worker_histograms_merge_into_parent(self, monkeypatch):
+    def test_worker_histograms_merge_into_parent(self):
         obs_metrics.reset()
         try:
-            self._run_with_bus(2, monkeypatch)
+            self._run_with_bus(2)
             snap = obs_metrics.histograms_snapshot()
             assert "latency.round_seconds" in snap
             assert snap["latency.round_seconds"]["count"] >= 2

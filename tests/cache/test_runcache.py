@@ -312,14 +312,14 @@ def test_memory_tier_evicts_least_recently_used():
 # --------------------------------------------------- process-global wiring
 
 
-def test_active_defaults_to_off_and_reads_env(monkeypatch):
+def test_active_defaults_to_off_and_ignores_the_environment(monkeypatch):
+    """Only ``configure`` turns the cache on: worker processes get their
+    configuration as a pickled RunConfig, never from ``REPRO_CACHE``."""
     assert active() is None
-    reset()
     monkeypatch.setenv("REPRO_CACHE", "1")
-    assert active() is not None
     reset()
-    monkeypatch.setenv("REPRO_CACHE", "0")
     assert active() is None
+    assert configure(enabled=True) is active()
 
 
 def test_cached_execute_without_cache_uses_runner_directly():

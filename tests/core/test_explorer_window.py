@@ -10,6 +10,7 @@ import dataclasses
 import pytest
 
 import repro.core.explorer as explorer_module
+import repro.core.pipeline as pipeline_module
 from repro.failures import get_case
 from repro.logs.record import LogFile
 from repro.sim.cluster import RunResult
@@ -38,7 +39,7 @@ def no_injection_explorer(monkeypatch):
     def stubbed_execute(workload, horizon, seed=0, plan=None, tracing=True):
         return empty_run_result()
 
-    monkeypatch.setattr(explorer_module, "execute_workload", stubbed_execute)
+    monkeypatch.setattr(pipeline_module, "execute_workload", stubbed_execute)
     return explorer
 
 
@@ -94,7 +95,7 @@ class TestWindowShrink:
         def stubbed_execute(workload, horizon, seed=0, plan=None, tracing=True):
             return next(script)
 
-        monkeypatch.setattr(explorer_module, "execute_workload", stubbed_execute)
+        monkeypatch.setattr(pipeline_module, "execute_workload", stubbed_execute)
         result = explorer.explore()
         assert not result.success
         assert requested_sizes == [1, 2, 1]

@@ -1,11 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import re
 
 import pytest
 
 from repro.__main__ import main
-from repro.failures import all_cases
+from repro.failures import all_cases, get_case
 from repro.obs import bus as event_bus
 from repro.obs import ledger
 
@@ -25,7 +27,6 @@ def isolated_events(tmp_path, monkeypatch):
     write the repository's benchmarks/out/events.jsonl."""
     path = tmp_path / "events.jsonl"
     monkeypatch.setattr(event_bus, "DEFAULT_PATH", str(path))
-    monkeypatch.delenv("REPRO_EVENTS", raising=False)
     yield path
     event_bus.set_active_bus(None)
 
@@ -84,9 +85,23 @@ class TestReproduceAndReplay:
         assert code == 0
         assert "oracle satisfied: True" in out
 
-    def test_unknown_case_raises(self, capsys):
-        with pytest.raises(KeyError):
-            run_cli(capsys, "inspect", "f99")
+
+class TestUnknownCase:
+    @pytest.mark.parametrize(
+        "command",
+        ["compare", "reproduce", "replay", "inspect", "trace", "explain", "analyze"],
+    )
+    def test_exits_two_with_one_line(self, capsys, tmp_path, command):
+        argv = [command, "f99"]
+        if command == "replay":
+            argv.append(str(tmp_path / "never-read.json"))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.strip().splitlines()[-1] == (
+            "error: unknown case id 'f99'"
+        )
+        assert "Traceback" not in captured.err
 
 
 class TestTrace:
@@ -272,6 +287,47 @@ class TestProfile:
         assert "mean FIR decision" in captured.err
 
 
+class TestFaultDimsOverride:
+    """``--fault-dims`` is a parameter of one campaign: it travels in the
+    task options, and neither the catalog nor the environment remembers
+    it (nor any other runner flag) once ``main`` returns."""
+
+    FLAGS = ("--jobs", "1", "--no-cache", "--no-ledger", "--no-events")
+
+    def rounds_by_strategy(self, capsys, *extra):
+        code, out = run_cli(capsys, "compare", "f1", *self.FLAGS, *extra)
+        assert code == 0
+        return dict(re.findall(r"^(\S+)\s+\| (\d+)/", out, re.M))
+
+    def test_override_does_not_leak_into_later_campaigns(self, capsys):
+        environment = dict(os.environ)
+        default = self.rounds_by_strategy(capsys)
+        widened = self.rounds_by_strategy(capsys, "--fault-dims", "all")
+        assert widened["exhaustive"] != default["exhaustive"]
+        assert self.rounds_by_strategy(capsys) == default
+        assert get_case("f1").fault_dims == "exceptions"
+        assert {
+            key: value
+            for key, value in os.environ.items()
+            if key.startswith("REPRO_")
+        } == {
+            key: value
+            for key, value in environment.items()
+            if key.startswith("REPRO_")
+        }
+
+    def test_override_reaches_pool_workers(self, capsys):
+        widened = self.rounds_by_strategy(capsys, "--fault-dims", "all")
+        code, out = run_cli(
+            capsys, "compare", "f1,f3", "--jobs", "2", *self.FLAGS[2:],
+            "--fault-dims", "all",
+        )
+        assert code == 0
+        row = re.search(r"^f1 \(.*?\)\s*\|(.*)$", out, re.M).group(1)
+        cells = [cell.strip() for cell in row.split("|")]
+        assert cells[:2] == [widened["anduril"], widened["exhaustive"]]
+
+
 class TestLint:
     def test_text_report_exits_zero(self, capsys):
         code, out = run_cli(capsys, "lint", "repro.systems.minihbase")
@@ -420,12 +476,6 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert code == 2
         assert "cannot write analysis" in captured.err
-
-    def test_unknown_case_exits_two(self, capsys):
-        code = main(["analyze", "f99"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "unknown case id" in captured.err
 
 
 class TestParser:
