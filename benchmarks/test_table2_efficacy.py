@@ -36,7 +36,7 @@ def compute_table2(anduril_outcomes):
             outcome = run_baseline(name, case, **BUDGET)
             # Coverage fractions land next to ANDURIL's in the summary's
             # "coverage" section, so bench_summary.json compares them.
-            bench_summary.record_strategy_outcome(outcome)
+            bench_summary.record_outcome(outcome)
             row.append(outcome.cell)
             if outcome.success:
                 successes[name] += 1

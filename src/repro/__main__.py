@@ -57,6 +57,7 @@ off.  ``compare`` also takes a comma-separated case-id list and
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import json
@@ -80,6 +81,7 @@ from .core.report import ReproductionScript
 from .failures import UnknownCaseError, all_cases, get_case
 from .obs import TraceRecorder, build_plan_provenance, ledger, write_report
 from .obs import bus as event_bus
+from .obs import metrics as obs_metrics
 from .obs import watch as watch_view
 
 
@@ -164,45 +166,46 @@ def _event_stream(config: RunConfig, args):
             bus.close()
 
 
-def _print_cache_stats() -> None:
-    """One stderr line of run-cache movement (silent when off/idle)."""
-    stats = bench_summary.cache_section()
-    if not stats:
-        return
-    print(
-        f"[cache: {stats.get('hits', 0)} hit(s), "
-        f"{stats.get('alias_hits', 0)} alias(es), "
-        f"{stats.get('misses', 0)} miss(es), "
-        f"hit rate {stats.get('hit_rate', 0.0):.1%}]",
-        file=sys.stderr,
-    )
+#: One stderr line per runner section that moved; missing keys render
+#: as 0.
+_STATS_LINES = {
+    "cache": "[cache: {hits} hit(s), {alias_hits} alias(es), "
+    "{misses} miss(es), hit rate {hit_rate:.1%}]",
+    "checkpoint": "[checkpoint: {opens} snapshot(s), {forks} fork(s), "
+    "{fallbacks} fallback(s), {requests_saved} prefix request(s) skipped]",
+    "verdict": "[early-verdict: {cutoffs} cutoff(s), "
+    "{virtual_seconds_saved} virtual second(s) and "
+    "{events_saved} event(s) saved]",
+}
+
+#: What the end-of-run ``[degraded: ...]`` line lists: (section, key,
+#: label), with the campaign engine's fallback count as one more section.
+_DEGRADED = (
+    ("campaign", "inline_fallbacks", "cell(s) re-run inline after worker failures"),
+    ("checkpoint", "retired", "checkpoint pool(s) retired as slower than inline"),
+    ("checkpoint", "errors", "checkpoint fork error(s)"),
+    ("cache", "disk_errors", "cache disk error(s)"),
+)
 
 
-def _print_checkpoint_stats() -> None:
-    """One stderr line of checkpoint/fork movement (silent when off/idle)."""
-    stats = bench_summary.checkpoint_section()
-    if not stats:
-        return
-    print(
-        f"[checkpoint: {stats.get('opens', 0)} snapshot(s), "
-        f"{stats.get('forks', 0)} fork(s), "
-        f"{stats.get('fallbacks', 0)} fallback(s), "
-        f"{stats.get('requests_saved', 0)} prefix request(s) skipped]",
-        file=sys.stderr,
-    )
-
-
-def _print_verdict_stats() -> None:
-    """One stderr line of early-verdict movement (silent when off/idle)."""
-    stats = bench_summary.verdict_section()
-    if not stats:
-        return
-    print(
-        f"[early-verdict: {stats.get('cutoffs', 0)} cutoff(s), "
-        f"{stats.get('virtual_seconds_saved', 0)} virtual second(s) and "
-        f"{stats.get('events_saved', 0)} event(s) saved]",
-        file=sys.stderr,
-    )
+def _print_runner_stats() -> None:
+    """The run's bookkeeping on stderr, from the one reducer: a line per
+    runner section that moved, then one ``[degraded: ...]`` line naming
+    every fallback the run took (silent when clean)."""
+    stats = obs_metrics.runner_stats()
+    for section, values in stats.items():
+        print(
+            _STATS_LINES[section].format_map(collections.defaultdict(int, values)),
+            file=sys.stderr,
+        )
+    stats["campaign"] = {"inline_fallbacks": inline_fallback_count()}
+    degraded = [
+        f"{stats[section][key]} {label}"
+        for section, key, label in _DEGRADED
+        if stats.get(section, {}).get(key)
+    ]
+    if degraded:
+        print(f"[degraded: {', '.join(degraded)}]", file=sys.stderr)
 
 
 def cmd_list(_args) -> int:
@@ -230,11 +233,11 @@ def _print_profile(recorder) -> None:
 def cmd_reproduce(args) -> int:
     config = _run_config(args)
     config.install()
-    with _event_stream(config, args) as bus:
-        return _cmd_reproduce_body(args, config, bus)
+    with _event_stream(config, args):
+        return _cmd_reproduce_body(args, config)
 
 
-def _cmd_reproduce_body(args, config: RunConfig, bus) -> int:
+def _cmd_reproduce_body(args, config: RunConfig) -> int:
     case = _with_fault_dims(args, get_case(args.case_id))
     print(f"{case.issue}: {case.title}")
     print(f"oracle: {case.oracle.description}")
@@ -249,33 +252,17 @@ def _cmd_reproduce_body(args, config: RunConfig, bus) -> int:
         checkpoint=config.checkpoint,
         early_verdict=config.early_verdict,
     )
-    if bus is not None:
-        # A single reproduce is a one-cell campaign to the event stream,
-        # so the same watch view covers both commands.
-        bus.emit(
-            "campaign.start",
-            cases=[case.case_id],
-            strategies=["anduril"],
-            jobs=jobs,
-            cells=1,
-        )
-        bus.emit("case.start", case_id=case.case_id, strategy="anduril")
+    # A single reproduce is a one-cell campaign to the event stream, so
+    # the same watch view covers both commands.
+    bus = event_bus.active_bus()
+    reporter = event_bus.RoundReporter(bus, case.case_id, "anduril")
+    event_bus.campaign_start(bus, [(case.case_id, "anduril")], jobs)
+    reporter.start()
     result = explorer.explore()
-    if bus is not None:
-        bus.emit(
-            "case.done",
-            case_id=case.case_id,
-            strategy="anduril",
-            success=result.success,
-            rounds=result.rounds,
-            seconds=round(result.elapsed_seconds, 6),
-        )
-        bus.emit(
-            "campaign.done",
-            cells=1,
-            successes=int(result.success),
-            seconds=round(result.elapsed_seconds, 6),
-        )
+    reporter.done(result.success, result.rounds, result.elapsed_seconds)
+    event_bus.campaign_done(
+        bus, 1, int(result.success), result.elapsed_seconds
+    )
     if recorder is not None:
         _print_profile(recorder)
     coverage = result.coverage.to_dict() if result.coverage else None
@@ -312,9 +299,7 @@ def _cmd_reproduce_body(args, config: RunConfig, bus) -> int:
         ],
         args,
     )
-    _print_cache_stats()
-    _print_checkpoint_stats()
-    _print_verdict_stats()
+    _print_runner_stats()
     if not result.success:
         print(f"NOT reproduced: {result.message} ({result.rounds} rounds)")
         return 1
@@ -423,13 +408,6 @@ def _cmd_compare_body(args, config: RunConfig) -> int:
         f"jobs={jobs}, {elapsed:.1f}s]",
         file=sys.stderr,
     )
-    fallbacks = inline_fallback_count()
-    if fallbacks:
-        print(
-            f"[campaign: {fallbacks} cell(s) re-run inline after worker "
-            f"failures]",
-            file=sys.stderr,
-        )
     entries = [
         ledger.entry_from_outcome(
             anduril_by_case[case.case_id],
@@ -444,21 +422,17 @@ def _cmd_compare_body(args, config: RunConfig) -> int:
             cells[(name, case.case_id)],
             strategy=name,
             seed=case.seed,
+            jobs=jobs,
         )
         for name in strategies
         for case in cases
     )
     _append_ledger(entries, args)
-    _print_cache_stats()
-    _print_checkpoint_stats()
-    _print_verdict_stats()
+    _print_runner_stats()
     if args.summary_out:
         bench_summary.clear()
-        for case in cases:
-            bench_summary.record_outcome(anduril_by_case[case.case_id])
-        for name in strategies:
-            for case in cases:
-                bench_summary.record_strategy_outcome(cells[(name, case.case_id)])
+        for outcome in (*anduril_by_case.values(), *cells.values()):
+            bench_summary.record_outcome(outcome)
         try:
             path = bench_summary.write_bench_summary(args.summary_out)
         except OSError as error:
@@ -737,7 +711,7 @@ def cmd_analyze(args) -> int:
         print(f"analysis written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(payload)
-    _print_cache_stats()
+    _print_runner_stats()
     if total_contradictions:
         print(
             f"error: {total_contradictions} dynamic contradiction(s) — the "

@@ -33,8 +33,7 @@ from ..injection.fir import InjectionPlan, TraceEvent, dedupe_instances
 from ..injection.sites import FaultInstance
 from ..logs.diff import LogComparator
 from ..logs.record import LogFile
-from ..obs import metrics
-from ..obs.bus import active_bus, heartbeat_stats
+from ..obs.bus import RoundReporter
 from ..obs.coverage import (
     NULL_COVERAGE,
     CoverageSummary,
@@ -175,7 +174,6 @@ class StrategyRunner:
         self.max_seconds = max_seconds
         #: Live event bus; ``None`` means "the process-active bus".
         self._bus = bus
-        self._last_heartbeat = 0.0
         #: Fault-space coverage accounting (off by default; the shared
         #: NULL_COVERAGE no-op tracker keeps the default path unchanged).
         self.track_coverage = track_coverage
@@ -224,7 +222,7 @@ class StrategyRunner:
                 coverage=coverage.summary(),
             )
 
-        bus = self._bus if self._bus is not None else active_bus()
+        reporter = RoundReporter(self._bus, case_id, strategy.name)
         with RunPipeline(
             case.workload,
             case.horizon,
@@ -251,13 +249,7 @@ class StrategyRunner:
                 if not window:
                     return finish(False, None, "fault space exhausted")
                 rounds += 1
-                if bus.enabled:
-                    bus.emit(
-                        "round.begin",
-                        case_id=case_id,
-                        strategy=strategy.name,
-                        round=rounds,
-                    )
+                reporter.begin(rounds)
                 # A strategy's window may offer the same (site, occurrence)
                 # under two exceptions; only the first is armable per run.
                 plan = InjectionPlan.of(dedupe_instances(window))
@@ -280,48 +272,16 @@ class StrategyRunner:
                 coverage.record_round(rounds, plan.instances, injected)
                 strategy.observe(result, injected, satisfied)
                 round_ended = time.perf_counter()
-                metrics.observe(
-                    "latency.run_seconds", feedback_started - run_started
+                reporter.end(
+                    rounds,
+                    injected,
+                    satisfied,
+                    None,
+                    len(window),
+                    run_seconds=feedback_started - run_started,
+                    feedback_seconds=round_ended - feedback_started,
+                    round_seconds=round_ended - round_started,
                 )
-                metrics.observe(
-                    "latency.feedback_seconds", round_ended - feedback_started
-                )
-                metrics.observe(
-                    "latency.round_seconds", round_ended - round_started
-                )
-                if bus.enabled:
-                    if injected is not None:
-                        bus.emit(
-                            "plan.fired",
-                            case_id=case_id,
-                            strategy=strategy.name,
-                            round=rounds,
-                            site=injected.site_id,
-                            spec=injected.spec,
-                            occurrence=injected.occurrence,
-                            satisfied=satisfied,
-                        )
-                    bus.emit(
-                        "round.end",
-                        case_id=case_id,
-                        strategy=strategy.name,
-                        round=rounds,
-                        injected=str(injected) if injected is not None else None,
-                        satisfied=satisfied,
-                        rank=None,
-                        window_size=len(window),
-                    )
-                    now = time.monotonic()
-                    if now - self._last_heartbeat >= bus.heartbeat_interval:
-                        self._last_heartbeat = now
-                        bus.emit(
-                            "heartbeat",
-                            source="baseline",
-                            case_id=case_id,
-                            strategy=strategy.name,
-                            round=rounds,
-                            **heartbeat_stats(),
-                        )
                 if satisfied:
                     return finish(True, injected, "reproduced")
             return finish(False, None, "round budget exhausted")

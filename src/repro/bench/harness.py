@@ -38,28 +38,12 @@ class AndurilOutcome:
     metrics: dict = dataclasses.field(default_factory=dict)
     #: Fault-space coverage accounting dict (``None`` when disabled).
     coverage: Optional[dict] = None
-    #: ``repro.obs.metrics`` counter movement attributable to this cell,
-    #: captured in whatever process ran it so campaign parents can merge
-    #: worker-side counters back into their own registry.
-    worker_counters: dict = dataclasses.field(default_factory=dict)
-    #: Run-cache movement attributable to this cell (hits/misses/
-    #: alias_hits/... plus ``hit_rate``); empty when the cache is off.
-    cache_stats: dict = dataclasses.field(default_factory=dict)
-    #: Checkpoint/fork movement attributable to this cell (opens/forks/
-    #: fallbacks/...); empty when checkpointing is off.
-    checkpoint_stats: dict = dataclasses.field(default_factory=dict)
-    #: Early-verdict cutoff movement attributable to this cell (cutoffs/
-    #: virtual_seconds_saved/events_saved); empty when cutoff is off or
-    #: never fired.
-    verdict_stats: dict = dataclasses.field(default_factory=dict)
-    #: ``repro.obs.bus`` events captured in the worker process that ran
-    #: this cell (plain dicts), forwarded by the campaign parent to its
-    #: own sinks next to the counter-delta channel.  Empty when events
-    #: are off or the cell ran inline (inline cells stream live).
-    worker_events: list = dataclasses.field(default_factory=list)
-    #: ``repro.obs.metrics`` histogram movement attributable to this
-    #: cell (raw log-bucket form), merged like :attr:`worker_counters`.
-    worker_histograms: dict = dataclasses.field(default_factory=dict)
+    #: This cell's :func:`repro.obs.metrics.capture` envelope — counter
+    #: and histogram movement, plus the bus events captured when a pool
+    #: worker ran it — attached by ``execute_task`` in whatever process
+    #: ran the cell so a campaign parent can merge it.  Per-cell runner
+    #: stats are ``runner_stats(telemetry["counters"])``.
+    telemetry: dict = dataclasses.field(default_factory=dict)
 
     @property
     def cell(self) -> str:
@@ -80,18 +64,8 @@ class StrategyOutcome:
     seconds: float
     #: Fault-space coverage accounting dict (``None`` when disabled).
     coverage: Optional[dict] = None
-    #: See :attr:`AndurilOutcome.worker_counters`.
-    worker_counters: dict = dataclasses.field(default_factory=dict)
-    #: See :attr:`AndurilOutcome.cache_stats`.
-    cache_stats: dict = dataclasses.field(default_factory=dict)
-    #: See :attr:`AndurilOutcome.checkpoint_stats`.
-    checkpoint_stats: dict = dataclasses.field(default_factory=dict)
-    #: See :attr:`AndurilOutcome.verdict_stats`.
-    verdict_stats: dict = dataclasses.field(default_factory=dict)
-    #: See :attr:`AndurilOutcome.worker_events`.
-    worker_events: list = dataclasses.field(default_factory=list)
-    #: See :attr:`AndurilOutcome.worker_histograms`.
-    worker_histograms: dict = dataclasses.field(default_factory=dict)
+    #: See :attr:`AndurilOutcome.telemetry`.
+    telemetry: dict = dataclasses.field(default_factory=dict)
 
     @property
     def cell(self) -> str:
@@ -101,52 +75,6 @@ class StrategyOutcome:
     def deterministic_cell(self) -> str:
         """Wall-clock-free cell — byte-identical across runs and job counts."""
         return str(self.rounds) if self.success else "-"
-
-
-def _cache_delta(before: dict[str, float]) -> dict:
-    """Run-cache counter movement since ``before`` (empty when inactive)."""
-    stats = {
-        name.split(".", 1)[1]: int(value)
-        for name, value in obs_metrics.delta_since(before).items()
-        if name.startswith("cache.")
-    }
-    if not stats:
-        return {}
-    served = stats.get("hits", 0) + stats.get("alias_hits", 0)
-    lookups = served + stats.get("misses", 0)
-    stats["hit_rate"] = round(served / lookups, 6) if lookups else 0.0
-    return stats
-
-
-def _checkpoint_delta(before: dict[str, float]) -> dict:
-    """Checkpoint counter movement since ``before`` (empty when off).
-
-    Fork cost is accounted only in the process that drove the pool —
-    grandchildren die with their counters — so campaign merges never
-    double-count a fork-served run.
-    """
-    return {
-        name.split(".", 2)[2]: int(value)
-        for name, value in obs_metrics.delta_since(before).items()
-        if name.startswith("sim.checkpoint.")
-    }
-
-
-def _verdict_delta(before: dict[str, float]) -> dict:
-    """Early-verdict counter movement since ``before`` (empty when off).
-
-    ``virtual_seconds_saved`` is a float (virtual time); the cutoff and
-    event counters stay integers.
-    """
-    stats: dict = {}
-    for name, value in obs_metrics.delta_since(before).items():
-        if not name.startswith("verdict."):
-            continue
-        rounded = round(float(value), 6)
-        stats[name.split(".", 1)[1]] = (
-            int(rounded) if rounded.is_integer() else rounded
-        )
-    return stats
 
 
 def run_anduril(
@@ -171,7 +99,6 @@ def run_anduril(
     invariant in all three knobs (``prune="none"`` restores the raw
     space).
     """
-    counters_before = obs_metrics.snapshot()
     recorder = TraceRecorder() if profile else None
     explorer = case.explorer(
         max_rounds=max_rounds,
@@ -213,9 +140,6 @@ def run_anduril(
         worker_utilization=result.worker_utilization,
         metrics=metrics,
         coverage=result.coverage.to_dict() if result.coverage else None,
-        cache_stats=_cache_delta(counters_before),
-        checkpoint_stats=_checkpoint_delta(counters_before),
-        verdict_stats=_verdict_delta(counters_before),
     )
 
 
@@ -236,7 +160,6 @@ def run_baseline(
     strategy knobs, so they are named parameters here; everything in
     ``strategy_kwargs`` goes to the strategy constructor.
     """
-    counters_before = obs_metrics.snapshot()
     strategy = ALL_STRATEGIES[name](**strategy_kwargs)
     runner = StrategyRunner(
         max_rounds=max_rounds,
@@ -255,7 +178,4 @@ def run_baseline(
         rounds=result.rounds,
         seconds=result.elapsed_seconds,
         coverage=result.coverage.to_dict() if result.coverage else None,
-        cache_stats=_cache_delta(counters_before),
-        checkpoint_stats=_checkpoint_delta(counters_before),
-        verdict_stats=_verdict_delta(counters_before),
     )

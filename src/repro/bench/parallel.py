@@ -30,7 +30,10 @@ from ..obs import metrics as obs_metrics
 from ..obs.bus import (
     EventBus,
     MemorySink,
+    RoundReporter,
     active_bus,
+    campaign_done,
+    campaign_start,
     heartbeat_stats,
     set_active_bus,
 )
@@ -49,7 +52,7 @@ def _pool_worker_init(config: RunConfig) -> None:
     interleave with the parent's.  Workers therefore never emit to
     inherited sinks: the active bus is reset here, and
     :func:`execute_task` installs a memory-capture bus per cell whose
-    events ship back on the pickled outcome.
+    events ship back in the outcome's telemetry envelope.
     """
     global _worker_config
     _worker_config = config
@@ -103,12 +106,13 @@ class CampaignTask:
 def execute_task(task: CampaignTask):
     """Run one campaign cell (also the process-pool entry point).
 
-    The cell's ``repro.obs.metrics`` counter movement is captured as a
-    delta and attached to the outcome (``worker_counters``), so a parent
-    process that receives the pickled result can merge worker-side
-    counters back into its own registry — without double counting when a
-    worker process runs several cells, and without losing anything when
-    the cell runs inline.
+    The cell's ``repro.obs.metrics`` movement — and, in a pool worker
+    of an events-on campaign, the bus events it emitted — is captured as
+    one envelope and attached to the outcome (``telemetry``), so a parent
+    that receives the pickled result can merge it into its own registry
+    and sinks without double counting when a worker process runs several
+    cells.  Inline cells carry the same envelope (it is what per-cell
+    stats are read from); the parent just never merges it.
     """
     # Imported here, not at module top: workers started with the "spawn"
     # method import this module before the failure registry is populated.
@@ -125,8 +129,7 @@ def execute_task(task: CampaignTask):
     if _worker_config is not None and _worker_config.events:
         capture = MemorySink()
         set_active_bus(EventBus([capture]))
-    before = obs_metrics.snapshot()
-    before_hist = obs_metrics.histograms_raw()
+    before = obs_metrics.capture()
     try:
         if task.strategy is None:
             outcome = run_anduril(case, **options)
@@ -135,26 +138,10 @@ def execute_task(task: CampaignTask):
     finally:
         if capture is not None:
             set_active_bus(None)
-    outcome.worker_counters = obs_metrics.delta_since(before)
-    outcome.worker_histograms = obs_metrics.histograms_delta(before_hist)
-    if capture is not None:
-        outcome.worker_events = capture.events
-    return outcome
-
-
-def _task_strategy(task: CampaignTask) -> str:
-    return task.strategy if task.strategy is not None else "anduril"
-
-
-def _emit_case_done(bus, task: CampaignTask, outcome) -> None:
-    bus.emit(
-        "case.done",
-        case_id=task.case_id,
-        strategy=_task_strategy(task),
-        success=bool(getattr(outcome, "success", False)),
-        rounds=int(getattr(outcome, "rounds", 0)),
-        seconds=round(float(getattr(outcome, "seconds", 0.0)), 6),
+    outcome.telemetry = obs_metrics.capture(
+        since=before, events=capture.events if capture is not None else ()
     )
+    return outcome
 
 
 def run_tasks(
@@ -170,40 +157,32 @@ def run_tasks(
     ``campaign.inline_fallbacks`` counter in ``repro.obs.metrics`` so
     campaign output can surface how much of the sweep was serialized.
 
-    Counters bumped *inside* worker processes are not dropped: every
-    result returned by a pool future carries its cell's counter delta
-    (see :func:`execute_task`), which is merged into this process's
-    ``repro.obs.metrics`` registry here.  Inline cells bump the registry
-    directly, so their deltas are deliberately not merged again.
+    Telemetry from *inside* worker processes is not dropped: every
+    result returned by a pool future carries its cell's envelope (see
+    :func:`execute_task`), which is merged into this process's registry
+    and forwarded to its bus here.  Inline cells bump the registry and
+    stream directly, so their envelopes are deliberately not merged.
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
     bus = active_bus()
     campaign_started = time.perf_counter()
     last_heartbeat = 0.0
-    if bus.enabled and tasks:
-        bus.emit(
-            "campaign.start",
-            cases=list(dict.fromkeys(task.case_id for task in tasks)),
-            strategies=list(
-                dict.fromkeys(_task_strategy(task) for task in tasks)
-            ),
-            jobs=jobs,
-            cells=len(tasks),
-        )
+    cells = [(task.case_id, task.strategy or "anduril") for task in tasks]
+    reporters = [RoundReporter(bus, *cell) for cell in cells]
+    if tasks:
+        campaign_start(bus, cells, jobs)
+
+    def run_inline(index: int):
+        outcome = execute_task(tasks[index])
+        reporters[index].done(outcome.success, outcome.rounds, outcome.seconds)
+        return outcome
+
     if jobs <= 1 or len(tasks) <= 1:
         results = []
-        for task in tasks:
-            if bus.enabled:
-                bus.emit(
-                    "case.start",
-                    case_id=task.case_id,
-                    strategy=_task_strategy(task),
-                )
-            outcome = execute_task(task)
-            results.append(outcome)
-            if bus.enabled:
-                _emit_case_done(bus, task, outcome)
+        for index, reporter in enumerate(reporters):
+            reporter.start()
+            results.append(run_inline(index))
     else:
         results = [None] * len(tasks)
         failed: list[int] = []
@@ -217,39 +196,22 @@ def run_tasks(
                     pool.submit(execute_task, task): index
                     for index, task in enumerate(tasks)
                 }
-                if bus.enabled:
-                    # Submission is the pool-side "start" moment; workers
-                    # capture their round events and ship them on the
-                    # outcome, so case.start is emitted here.
-                    for task in tasks:
-                        bus.emit(
-                            "case.start",
-                            case_id=task.case_id,
-                            strategy=_task_strategy(task),
-                        )
+                # Submission is the pool-side "start" moment; workers
+                # capture their round events and ship them in the
+                # outcome's envelope, so case.start is emitted here.
+                for reporter in reporters:
+                    reporter.start()
                 pending = set(futures)
                 while pending:
                     done, pending = wait(pending, return_when=FIRST_COMPLETED)
                     for future in done:
                         index = futures[future]
                         try:
-                            results[index] = future.result()
-                            obs_metrics.merge(
-                                getattr(results[index], "worker_counters", {})
+                            outcome = results[index] = future.result()
+                            obs_metrics.merge(outcome.telemetry, bus.forward)
+                            reporters[index].done(
+                                outcome.success, outcome.rounds, outcome.seconds
                             )
-                            obs_metrics.merge_histograms(
-                                getattr(
-                                    results[index], "worker_histograms", {}
-                                )
-                            )
-                            if bus.enabled:
-                                for event in getattr(
-                                    results[index], "worker_events", ()
-                                ):
-                                    bus.forward(event)
-                                _emit_case_done(
-                                    bus, tasks[index], results[index]
-                                )
                         except Exception as error:
                             failed.append(index)
                             warnings.warn(
@@ -286,17 +248,13 @@ def run_tasks(
         if failed:
             obs_metrics.increment(INLINE_FALLBACK_COUNTER, len(failed))
         for index in failed:
-            results[index] = execute_task(tasks[index])
-            if bus.enabled:
-                _emit_case_done(bus, tasks[index], results[index])
-    if bus.enabled and tasks:
-        bus.emit(
-            "campaign.done",
-            cells=len(tasks),
-            successes=sum(
-                1 for outcome in results if getattr(outcome, "success", False)
-            ),
-            seconds=round(time.perf_counter() - campaign_started, 6),
+            results[index] = run_inline(index)
+    if tasks:
+        campaign_done(
+            bus,
+            len(tasks),
+            sum(1 for outcome in results if outcome.success),
+            time.perf_counter() - campaign_started,
         )
     return results
 

@@ -26,7 +26,9 @@ _STRATEGY_OUTCOMES: dict[tuple[str, str], dict] = {}
 
 
 def record_outcome(outcome) -> None:
-    """Record one per-case ANDURIL outcome (latest write wins)."""
+    """Record one cell's outcome — ANDURIL per case, a baseline strategy
+    (anything with a ``strategy`` attribute) per (strategy, case);
+    latest write wins."""
     entry = {
         "success": bool(outcome.success),
         "rounds": int(outcome.rounds),
@@ -43,44 +45,16 @@ def record_outcome(outcome) -> None:
     case_coverage = getattr(outcome, "coverage", None)
     if case_coverage:
         entry["coverage"] = case_coverage
-    case_cache = getattr(outcome, "cache_stats", None)
-    if case_cache:
-        # Present only when the run cache was active; the equivalence
-        # checker strips "cache" keys before comparing on/off summaries.
-        entry["cache"] = case_cache
-    case_checkpoint = getattr(outcome, "checkpoint_stats", None)
-    if case_checkpoint:
-        # Same contract as "cache": accounting only, stripped by the
-        # equivalence checker so checkpoint on/off summaries compare.
-        entry["checkpoint"] = case_checkpoint
-    case_verdict = getattr(outcome, "verdict_stats", None)
-    if case_verdict:
-        # Early-verdict cutoff accounting; stripped by the equivalence
-        # checker so cutoff on/off summaries compare.
-        entry["verdict"] = case_verdict
-    _OUTCOMES[outcome.case_id] = entry
-
-
-def record_strategy_outcome(outcome) -> None:
-    """Record one baseline-strategy outcome (latest write wins)."""
-    entry = {
-        "success": bool(outcome.success),
-        "rounds": int(outcome.rounds),
-        "seconds": round(float(outcome.seconds), 6),
-    }
-    case_coverage = getattr(outcome, "coverage", None)
-    if case_coverage:
-        entry["coverage"] = case_coverage
-    case_cache = getattr(outcome, "cache_stats", None)
-    if case_cache:
-        entry["cache"] = case_cache
-    case_checkpoint = getattr(outcome, "checkpoint_stats", None)
-    if case_checkpoint:
-        entry["checkpoint"] = case_checkpoint
-    case_verdict = getattr(outcome, "verdict_stats", None)
-    if case_verdict:
-        entry["verdict"] = case_verdict
-    _STRATEGY_OUTCOMES[(outcome.strategy, outcome.case_id)] = entry
+    # The cell's runner sections: each present only when its knob moved
+    # a counter, and stripped by the equivalence checker, so knob on/off
+    # summaries compare.
+    telemetry = getattr(outcome, "telemetry", None) or {}
+    entry.update(obs_metrics.runner_stats(telemetry.get("counters", {})))
+    strategy = getattr(outcome, "strategy", None)
+    if strategy is None:
+        _OUTCOMES[outcome.case_id] = entry
+    else:
+        _STRATEGY_OUTCOMES[(strategy, outcome.case_id)] = entry
 
 
 def clear() -> None:
@@ -109,29 +83,21 @@ def summarize(outcomes: Optional[dict[str, dict]] = None) -> dict:
         "median_rounds": statistics.median(rounds) if rounds else 0,
         "total_seconds": round(sum(seconds), 6),
     }
-    counters = obs_metrics.snapshot()
-    if counters:
-        # Operational counters (e.g. campaign.inline_fallbacks) for
-        # post-hoc inspection; not part of the regression gate.  Run-cache
-        # and checkpoint counters get their own sections below so that
-        # summaries with those knobs on and off stay identical outside of
-        # them.
-        plain = {
-            key: counters[key]
-            for key in sorted(counters)
-            if not key.startswith(("cache.", "sim.checkpoint.", "verdict."))
-        }
-        if plain:
-            document["counters"] = plain
-    cache = cache_section(counters)
-    if cache:
-        document["cache"] = cache
-    checkpoint = checkpoint_section(counters)
-    if checkpoint:
-        document["checkpoint"] = checkpoint
-    verdict = verdict_section(counters)
-    if verdict:
-        document["verdict"] = verdict
+    counters = dict(sorted(obs_metrics.snapshot().items()))
+    # Operational counters (e.g. campaign.inline_fallbacks) for post-hoc
+    # inspection; not part of the regression gate.  The runner knobs'
+    # counters get their own sections (this process plus merged workers),
+    # each absent when its knob never moved one, so that summaries with
+    # those knobs on and off stay identical outside of them.
+    runner_prefixes = tuple(obs_metrics.RUNNER_SECTIONS.values())
+    plain = {
+        key: value
+        for key, value in counters.items()
+        if not key.startswith(runner_prefixes)
+    }
+    if plain:
+        document["counters"] = plain
+    document.update(obs_metrics.runner_stats(counters))
     coverage = coverage_section(ordered)
     if coverage:
         document["coverage"] = coverage
@@ -139,64 +105,6 @@ def summarize(outcomes: Optional[dict[str, dict]] = None) -> dict:
     if latency:
         document["latency"] = latency
     return document
-
-
-def cache_section(counters: Optional[dict[str, float]] = None) -> dict:
-    """Aggregate run-cache counters (this process plus merged workers).
-
-    Empty when the cache never served or stored anything — an inactive
-    cache must leave the summary without a ``cache`` section at all.
-    """
-    if counters is None:
-        counters = obs_metrics.snapshot()
-    stats = {
-        key.split(".", 1)[1]: int(value)
-        for key, value in sorted(counters.items())
-        if key.startswith("cache.")
-    }
-    if not stats:
-        return {}
-    served = stats.get("hits", 0) + stats.get("alias_hits", 0)
-    lookups = served + stats.get("misses", 0)
-    stats["hit_rate"] = round(served / lookups, 6) if lookups else 0.0
-    return stats
-
-
-def checkpoint_section(counters: Optional[dict[str, float]] = None) -> dict:
-    """Aggregate checkpoint/fork counters (``sim.checkpoint.*``).
-
-    Empty when checkpointing never ran — like the cache section, an
-    inactive feature must leave the summary without the section at all so
-    that on/off summaries stay byte-identical outside of it.
-    """
-    if counters is None:
-        counters = obs_metrics.snapshot()
-    return {
-        key.split(".", 2)[2]: int(value)
-        for key, value in sorted(counters.items())
-        if key.startswith("sim.checkpoint.")
-    }
-
-
-def verdict_section(counters: Optional[dict[str, float]] = None) -> dict:
-    """Aggregate early-verdict cutoff counters (``verdict.*``).
-
-    Empty when the cutoff never fired — an inactive (or never-deciding)
-    monitor must leave the summary without the section at all so that
-    cutoff on/off summaries stay byte-identical outside of it.
-    ``virtual_seconds_saved`` is a float; the rest are integers.
-    """
-    if counters is None:
-        counters = obs_metrics.snapshot()
-    stats: dict = {}
-    for key, value in sorted(counters.items()):
-        if not key.startswith("verdict."):
-            continue
-        rounded = round(float(value), 6)
-        stats[key.split(".", 1)[1]] = (
-            int(rounded) if rounded.is_integer() else rounded
-        )
-    return stats
 
 
 def latency_section() -> dict:

@@ -33,8 +33,8 @@ from ..analysis.system_model import SystemModel, analyze_package
 from ..cache.flowcache import cached_propagation_graph
 from ..injection.fir import InjectionPlan, dedupe_instances
 from ..injection.sites import FaultInstance
-from ..obs import NULL_RECORDER, WALL, metrics
-from ..obs.bus import active_bus, heartbeat_stats
+from ..obs import NULL_RECORDER, WALL
+from ..obs.bus import RoundReporter
 from ..obs.coverage import (
     NULL_COVERAGE,
     CoverageSummary,
@@ -292,7 +292,6 @@ class Explorer:
         #: emits nothing and leaves signatures byte-identical (see
         #: tests/core/test_bus_equivalence.py).
         self._bus = bus
-        self._last_heartbeat = 0.0
         #: Fault-space coverage accounting.  Off by default: the shared
         #: NULL_COVERAGE no-op tracker keeps the untracked path free of
         #: set bookkeeping (same pattern as NULL_RECORDER).
@@ -482,18 +481,11 @@ class Explorer:
         pool = prepared.pool
         observables = prepared.observables
         obs = self._obs
-        bus = self._bus if self._bus is not None else active_bus()
+        reporter = RoundReporter(self._bus, self.case_id, "anduril")
         records: list[RoundRecord] = []
         window_size = self.initial_window
 
         for round_number in range(1, self.max_rounds + 1):
-            if bus.enabled:
-                bus.emit(
-                    "round.begin",
-                    case_id=self.case_id,
-                    strategy="anduril",
-                    round=round_number,
-                )
             if (
                 self.max_seconds is not None
                 and time.perf_counter() - started > self.max_seconds
@@ -551,6 +543,7 @@ class Explorer:
                 return self._finish(
                     False, records, started, engine, message="fault space exhausted"
                 )
+            reporter.begin(round_number)
 
             run_seed = self.seed + round_number if self.vary_seed else self.seed
             # Distinct candidates can offer the same (site, occurrence)
@@ -618,12 +611,6 @@ class Explorer:
             else:
                 window_size = min(window_size * 2, max(pool.candidate_count, 1))
             feedback_seconds = time.perf_counter() - feedback_started
-            metrics.observe("latency.run_seconds", workload_seconds)
-            metrics.observe("latency.feedback_seconds", feedback_seconds)
-            metrics.observe(
-                "latency.round_seconds",
-                feedback_started + feedback_seconds - init_started,
-            )
             if obs.enabled:
                 obs.add_span(
                     "round.feedback",
@@ -656,48 +643,17 @@ class Explorer:
                             observable=entry.chosen_observable,
                             satisfied=satisfied,
                         )
-            if bus.enabled:
-                if injected is not None:
-                    bus.emit(
-                        "plan.fired",
-                        case_id=self.case_id,
-                        strategy="anduril",
-                        round=round_number,
-                        site=injected.site_id,
-                        spec=injected.spec,
-                        occurrence=injected.occurrence,
-                        satisfied=satisfied,
-                    )
-                bus.emit(
-                    "round.end",
-                    case_id=self.case_id,
-                    strategy="anduril",
-                    round=round_number,
-                    injected=str(injected) if injected is not None else None,
-                    satisfied=satisfied,
-                    rank=rank,
-                    window_size=len(window),
-                )
-                now = time.monotonic()
-                if now - self._last_heartbeat >= bus.heartbeat_interval:
-                    self._last_heartbeat = now
-                    stats = heartbeat_stats()
-                    if engine is not None:
-                        stats["speculation"] = {
-                            "hits": engine.hits,
-                            "misses": engine.misses,
-                            "submitted": engine.submitted,
-                            "in_flight": engine.in_flight,
-                        }
-                        stats["workers"] = {"jobs": engine.jobs}
-                    bus.emit(
-                        "heartbeat",
-                        source="explorer",
-                        case_id=self.case_id,
-                        strategy="anduril",
-                        round=round_number,
-                        **stats,
-                    )
+            reporter.end(
+                round_number,
+                injected,
+                satisfied,
+                rank,
+                len(window),
+                run_seconds=workload_seconds,
+                feedback_seconds=feedback_seconds,
+                round_seconds=feedback_started + feedback_seconds - init_started,
+                engine=engine,
+            )
             self._coverage.record_round(round_number, plan.instances, injected)
 
             records.append(

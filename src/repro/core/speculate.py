@@ -21,13 +21,11 @@ runs go through it, and the workers are initialised from its
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Optional
 
 from ..cache import cached_execute
 from ..injection.fir import InjectionPlan
-from ..obs.bus import active_bus
 from ..sim.cluster import RunResult, WorkloadFn, execute_workload
 from .pipeline import RunConfig, RunPipeline
 
@@ -87,16 +85,13 @@ def _worker_run(
 class SpeculativeExecutor:
     """A run pipeline fed by a process pool of speculative executions."""
 
-    def __init__(self, pipeline: RunPipeline, jobs: int, bus=None) -> None:
+    def __init__(self, pipeline: RunPipeline, jobs: int) -> None:
         #: Committed (inline) runs go through the pipeline, so they fork
         #: off its checkpoint pool; workers always replay from t=0 in
         #: their own processes (the results are byte-identical, so neither
         #: path is ever double-counted).
         self._pipeline = pipeline
         self.jobs = max(int(jobs), 1)
-        #: Live event bus; ``None`` means "the process-active bus".
-        self._bus = bus
-        self._last_heartbeat = 0.0
         self.hits = 0
         self.misses = 0
         self.submitted = 0
@@ -199,32 +194,6 @@ class SpeculativeExecutor:
                 self._pending.pop(key).cancel()
         for seed, plan in predictions:
             self.prefetch(seed, plan)
-        self._maybe_heartbeat()
-
-    def _maybe_heartbeat(self) -> None:
-        """Throttled engine-health heartbeat (speculation + worker pool)."""
-        bus = self._bus if self._bus is not None else active_bus()
-        if not bus.enabled:
-            return
-        now = time.monotonic()
-        if now - self._last_heartbeat < bus.heartbeat_interval:
-            return
-        self._last_heartbeat = now
-        bus.emit(
-            "heartbeat",
-            source="speculate",
-            speculation={
-                "hits": self.hits,
-                "misses": self.misses,
-                "submitted": self.submitted,
-                "hit_rate": round(self.hit_rate, 4),
-                "in_flight": self.in_flight,
-            },
-            workers={
-                "jobs": self.jobs,
-                "pool_alive": self._pool is not None and not self._broken,
-            },
-        )
 
     # ------------------------------------------------------------- lifecycle
 
@@ -251,3 +220,19 @@ class SpeculativeExecutor:
     def utilization(self) -> float:
         """Fraction of speculative submissions whose result was committed."""
         return self.hits / self.submitted if self.submitted else 0.0
+
+    def stats(self) -> dict:
+        """Engine health, as the sections it adds to a search heartbeat."""
+        return {
+            "speculation": {
+                "hits": self.hits,
+                "misses": self.misses,
+                "submitted": self.submitted,
+                "hit_rate": round(self.hit_rate, 4),
+                "in_flight": self.in_flight,
+            },
+            "workers": {
+                "jobs": self.jobs,
+                "pool_alive": self._pool is not None and not self._broken,
+            },
+        }

@@ -357,30 +357,119 @@ def validate_event(event) -> list[str]:
 
 
 def heartbeat_stats() -> dict:
-    """Operational stats for a ``heartbeat`` event, from the metrics
-    registry: cache hit rate, checkpoint pool counters, and the latency
-    histogram snapshot.  Sources add their own (speculation, workers)."""
-    counters = metrics.snapshot()
-    cache_hits = counters.get("cache.hits", 0.0) + counters.get(
-        "cache.alias_hits", 0.0
-    )
-    cache_misses = counters.get("cache.misses", 0.0)
-    cache_total = cache_hits + cache_misses
-    stats = {
-        "cache": {
-            "hits": cache_hits,
-            "misses": cache_misses,
-            "hit_rate": round(cache_hits / cache_total, 4)
-            if cache_total
-            else 0.0,
-        },
-        "checkpoint": {
-            key.split(".", 2)[2]: value
-            for key, value in sorted(counters.items())
-            if key.startswith("sim.checkpoint.")
-        },
-    }
+    """Operational stats for a ``heartbeat`` event: the registry's
+    runner sections (:func:`repro.obs.metrics.runner_stats`) plus the
+    latency histogram snapshot.  Sources add their own (speculation,
+    workers)."""
+    stats = metrics.runner_stats()
     latency = metrics.histograms_snapshot()
     if latency:
         stats["latency"] = latency
     return stats
+
+
+def campaign_start(bus, cells: list[tuple[str, str]], jobs: int) -> None:
+    """Announce a campaign of ``(case_id, strategy)`` cells, in order."""
+    bus.emit(
+        "campaign.start",
+        cases=list(dict.fromkeys(case_id for case_id, _ in cells)),
+        strategies=list(dict.fromkeys(strategy for _, strategy in cells)),
+        jobs=jobs,
+        cells=len(cells),
+    )
+
+
+def campaign_done(bus, cells: int, successes: int, seconds: float) -> None:
+    bus.emit(
+        "campaign.done",
+        cells=cells,
+        successes=successes,
+        seconds=round(seconds, 6),
+    )
+
+
+class RoundReporter:
+    """One campaign cell's voice on the bus.
+
+    Owns what every search loop used to hand-copy: the lifecycle events'
+    field layout, the per-round latency observes, and the throttled
+    heartbeat.  Built per search, so the first finished round always
+    heartbeats.  ``bus=None`` means the process-active bus.
+    """
+
+    def __init__(self, bus, case_id: str, strategy: str) -> None:
+        self.bus = active_bus() if bus is None else bus
+        self._cell = {"case_id": case_id, "strategy": strategy}
+        self._source = "explorer" if strategy == "anduril" else "baseline"
+        self._next_heartbeat = 0.0
+
+    def start(self) -> None:
+        self.bus.emit("case.start", **self._cell)
+
+    def begin(self, round_number: int) -> None:
+        """A round that will run; every ``begin`` is closed by an ``end``."""
+        if self.bus.enabled:
+            self.bus.emit("round.begin", round=round_number, **self._cell)
+
+    def end(
+        self,
+        round_number: int,
+        injected,
+        satisfied: bool,
+        rank: Optional[int],
+        window_size: int,
+        run_seconds: float,
+        feedback_seconds: float,
+        round_seconds: float,
+        engine=None,
+    ) -> None:
+        """Close a round: latencies, ``plan.fired`` when something fired,
+        ``round.end``, and a heartbeat when one is due — carrying
+        ``engine.stats()`` sections when the search has an engine."""
+        metrics.observe("latency.run_seconds", run_seconds)
+        metrics.observe("latency.feedback_seconds", feedback_seconds)
+        metrics.observe("latency.round_seconds", round_seconds)
+        bus = self.bus
+        if not bus.enabled:
+            return
+        if injected is not None:
+            bus.emit(
+                "plan.fired",
+                round=round_number,
+                site=injected.site_id,
+                spec=injected.spec,
+                occurrence=injected.occurrence,
+                satisfied=satisfied,
+                **self._cell,
+            )
+        bus.emit(
+            "round.end",
+            round=round_number,
+            injected=str(injected) if injected is not None else None,
+            satisfied=satisfied,
+            rank=rank,
+            window_size=window_size,
+            **self._cell,
+        )
+        now = time.monotonic()
+        if now >= self._next_heartbeat:
+            self._next_heartbeat = now + bus.heartbeat_interval
+            stats = heartbeat_stats()
+            if engine is not None:
+                stats.update(engine.stats())
+            bus.emit(
+                "heartbeat",
+                source=self._source,
+                round=round_number,
+                **self._cell,
+                **stats,
+            )
+
+    def done(self, success: bool, rounds: int, seconds: float) -> None:
+        self.bus.emit(
+            "case.done",
+            success=bool(success),
+            rounds=int(rounds),
+            seconds=round(float(seconds), 6),
+            **self._cell,
+        )

@@ -3,24 +3,26 @@
 A tiny metrics registry for infrastructure-level signals that do not
 belong to any single run's :class:`~repro.obs.trace.TraceRecorder` —
 e.g. how often the campaign process pool degraded to inline execution.
-Counters are process-local, but not process-lost: campaign workers
-capture a per-task :func:`delta_since` snapshot that rides back on the
-pickled result, and the parent :func:`merge`\\ s it into its own registry
-— so campaign-level totals survive the process boundary.  Bumps are
-cheap enough to do unconditionally.
+Bumps are cheap enough to do unconditionally.  The registry is
+process-local, but not process-lost: a campaign worker :func:`capture`\\ s
+each cell's movement (counters, histogram buckets, and the bus events
+it collected) as one picklable envelope that rides back on the result,
+and the parent :func:`merge`\\ s it — so campaign-level totals survive the
+process boundary.  :func:`runner_stats` is the one reducer every report
+of the runner knobs' bookkeeping reads.
 
-Alongside the counters, :func:`observe` feeds streaming histograms of
-latency distributions (round latency, run latency, feedback seconds).
-They use fixed logarithmic buckets — ~15 % relative resolution, a few
-dozen buckets over the microsecond-to-hour range — so quantiles
+:func:`observe` feeds streaming histograms of latency distributions
+(round latency, run latency, feedback seconds).  They use fixed
+logarithmic buckets — ~15 % relative resolution, a few dozen buckets
+over the microsecond-to-hour range — so quantiles
 (:func:`histograms_snapshot`) are computed without retaining samples,
-and worker histograms merge exactly (bucket-wise addition) across the
-process boundary next to the counter deltas.
+and worker histograms merge exactly (bucket-wise addition).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Optional
 
 _counters: dict[str, float] = {}
 
@@ -51,26 +53,49 @@ def snapshot() -> dict[str, float]:
     return dict(_counters)
 
 
-def delta_since(baseline: dict[str, float]) -> dict[str, float]:
-    """Counter movement since a previous :func:`snapshot` (zeros omitted).
+def _number(value: float):
+    """A counter value as it is reported: an ``int`` when it is one."""
+    rounded = round(float(value), 6)
+    return int(rounded) if rounded.is_integer() else rounded
 
-    This is the worker side of cross-process aggregation: snapshot before
-    a task, run it, and ship ``delta_since(before)`` with the result so
-    the parent can :func:`merge` exactly this task's contribution even
-    when one worker process runs many tasks.
+
+#: The runner knobs' bookkeeping: report section -> counter prefix.  A
+#: new knob's counters become a section everywhere — per-cell stats,
+#: summaries, heartbeats, the CLI's stderr lines, the HTML report — by
+#: adding its prefix here.
+RUNNER_SECTIONS = {
+    "cache": "cache.",
+    "checkpoint": "sim.checkpoint.",
+    "verdict": "verdict.",
+}
+
+
+def runner_stats(counters: Optional[dict[str, float]] = None) -> dict:
+    """Reduce counters (default: this registry) to the runner sections.
+
+    ``{"cache": {...}, "checkpoint": {...}, "verdict": {...}}`` with the
+    prefix stripped, keys in the order given, integral values as
+    ``int`` and the rest rounded to microseconds.  A section whose knob
+    never moved a counter is omitted, so on/off documents differ only
+    by whole sections.  ``cache`` also carries the derived ``hit_rate``.
     """
-    delta: dict[str, float] = {}
-    for name, value in _counters.items():
-        moved = value - baseline.get(name, 0.0)
-        if moved:
-            delta[name] = moved
-    return delta
-
-
-def merge(counters: dict[str, float]) -> None:
-    """Add another registry's counters (or a delta) into this process."""
-    for name, value in counters.items():
-        _counters[name] = _counters.get(name, 0.0) + value
+    if counters is None:
+        counters = _counters
+    stats: dict[str, dict] = {}
+    for section, prefix in RUNNER_SECTIONS.items():
+        values = {
+            name[len(prefix):]: _number(value)
+            for name, value in counters.items()
+            if name.startswith(prefix)
+        }
+        if values:
+            stats[section] = values
+    cache = stats.get("cache")
+    if cache:
+        served = cache.get("hits", 0) + cache.get("alias_hits", 0)
+        lookups = served + cache.get("misses", 0)
+        cache["hit_rate"] = round(served / lookups, 6) if lookups else 0.0
+    return stats
 
 
 def _bucket_index(value: float) -> int:
@@ -82,12 +107,17 @@ def _bucket_upper(index: int) -> float:
     return _BUCKET_BASE ** (index + 1)
 
 
-def observe(name: str, value: float) -> None:
-    """Record one sample into the streaming histogram ``name``."""
+def _histogram(name: str) -> dict:
     histogram = _histograms.get(name)
     if histogram is None:
         histogram = {"count": 0, "sum": 0.0, "buckets": {}}
         _histograms[name] = histogram
+    return histogram
+
+
+def observe(name: str, value: float) -> None:
+    """Record one sample into the streaming histogram ``name``."""
+    histogram = _histogram(name)
     index = _bucket_index(value)
     histogram["count"] += 1
     histogram["sum"] += value
@@ -127,68 +157,68 @@ def histograms_snapshot() -> dict[str, dict]:
     return summary
 
 
-def histograms_raw() -> dict[str, dict]:
-    """Raw bucket state, picklable/JSON-able — the worker-shipping form.
+_NO_HISTOGRAM = {"count": 0, "sum": 0.0, "buckets": {}}
 
-    Bucket indices are stringified so the payload survives a JSON round
-    trip unchanged; :func:`merge_histograms` accepts either form.
+
+def capture(since: Optional[dict] = None, events=()) -> dict:
+    """This registry as one picklable envelope — the worker→parent form.
+
+    ``{"counters", "histograms", "events"}``: counter values, raw
+    histogram buckets, and the bus ``events`` the caller collected
+    alongside.  With ``since`` (an earlier capture) only the movement
+    after it is kept and unmoved names are omitted, so a worker that
+    runs many cells ships exactly each cell's contribution and the
+    parent's :func:`merge` never double counts.
     """
-    return {
-        name: {
-            "count": histogram["count"],
-            "sum": histogram["sum"],
-            "buckets": {
-                str(index): count
-                for index, count in sorted(histogram["buckets"].items())
-            },
+    base_counters = since["counters"] if since else {}
+    base_histograms = since["histograms"] if since else {}
+    counters = {}
+    for name, value in _counters.items():
+        moved = value - base_counters.get(name, 0.0)
+        if moved:
+            counters[name] = moved
+    histograms = {}
+    for name, histogram in _histograms.items():
+        base = base_histograms.get(name, _NO_HISTOGRAM)
+        base_buckets = base["buckets"]
+        buckets = {
+            index: count - base_buckets.get(index, 0)
+            for index, count in histogram["buckets"].items()
+            if count != base_buckets.get(index, 0)
         }
-        for name, histogram in sorted(_histograms.items())
+        if buckets:
+            histograms[name] = {
+                "count": histogram["count"] - base["count"],
+                "sum": histogram["sum"] - base["sum"],
+                "buckets": buckets,
+            }
+    return {
+        "counters": counters,
+        "histograms": histograms,
+        "events": list(events),
     }
 
 
-def histograms_delta(baseline: dict[str, dict]) -> dict[str, dict]:
-    """Histogram movement since a :func:`histograms_raw` snapshot.
+def merge(envelope: dict, forward: Optional[Callable[[dict], None]] = None) -> None:
+    """Fold a :func:`capture` envelope into this process.
 
-    The worker side of cross-process aggregation, mirroring
-    :func:`delta_since`: empty movements are omitted, and the result
-    feeds :func:`merge_histograms` in the parent.
+    Counters add; log buckets add bucket-wise, which loses nothing, so
+    campaign-level quantiles equal what one process would have seen;
+    the captured events go to ``forward`` (the parent bus's) in the
+    order they were emitted.
     """
-    delta: dict[str, dict] = {}
-    for name, raw in histograms_raw().items():
-        base = baseline.get(name, {})
-        base_buckets = base.get("buckets", {})
-        buckets = {
-            index: count - int(base_buckets.get(index, 0))
-            for index, count in raw["buckets"].items()
-            if count - int(base_buckets.get(index, 0))
-        }
-        if not buckets:
-            continue
-        delta[name] = {
-            "count": raw["count"] - int(base.get("count", 0)),
-            "sum": raw["sum"] - float(base.get("sum", 0.0)),
-            "buckets": buckets,
-        }
-    return delta
-
-
-def merge_histograms(histograms: dict[str, dict]) -> None:
-    """Fold another registry's :func:`histograms_raw` into this process.
-
-    Log buckets merge exactly: bucket-wise count addition loses nothing,
-    so campaign-level quantiles equal what one process would have seen.
-    """
-    for name, incoming in histograms.items():
-        histogram = _histograms.get(name)
-        if histogram is None:
-            histogram = {"count": 0, "sum": 0.0, "buckets": {}}
-            _histograms[name] = histogram
-        histogram["count"] += int(incoming.get("count", 0))
-        histogram["sum"] += float(incoming.get("sum", 0.0))
+    for name, value in envelope["counters"].items():
+        _counters[name] = _counters.get(name, 0.0) + value
+    for name, incoming in envelope["histograms"].items():
+        histogram = _histogram(name)
+        histogram["count"] += incoming["count"]
+        histogram["sum"] += incoming["sum"]
         buckets = histogram["buckets"]
-        for index, count in incoming.get("buckets", {}).items():
-            index = int(index)
-            buckets[index] = buckets.get(index, 0) + int(count)
+        for index, count in incoming["buckets"].items():
+            buckets[index] = buckets.get(index, 0) + count
+    if forward is not None:
+        for event in envelope["events"]:
+            forward(event)
 
 
 def reset() -> None:

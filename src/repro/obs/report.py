@@ -22,6 +22,7 @@ import os
 from typing import Optional
 
 from . import ledger as ledger_mod
+from . import metrics
 
 #: Sections rendered from plain-text table artifacts, in display order.
 _TABLE_FILES = [
@@ -278,19 +279,20 @@ def _stats_table(stats: dict) -> str:
 
 
 def _render_runner_stats(summary: Optional[dict]) -> str:
-    """Cache, checkpoint-pool, and latency sections of the summary.
+    """The runner sections and the latency section of the summary.
 
-    These sections only exist when the corresponding runner knob was on
-    (see ``repro.bench.summary``), so each block renders conditionally.
+    A runner section only exists when its knob moved a counter (see
+    ``repro.obs.metrics.runner_stats``), so each block renders
+    conditionally.
     """
     summary = summary or {}
     blocks: list[str] = []
-    cache = summary.get("cache")
-    if isinstance(cache, dict) and cache:
-        blocks.append("<h3>Run cache</h3>" + _stats_table(cache))
-    checkpoint = summary.get("checkpoint")
-    if isinstance(checkpoint, dict) and checkpoint:
-        blocks.append("<h3>Checkpoint pool</h3>" + _stats_table(checkpoint))
+    for section in metrics.RUNNER_SECTIONS:
+        stats = summary.get(section)
+        if isinstance(stats, dict) and stats:
+            blocks.append(
+                f"<h3>{html.escape(section)}</h3>" + _stats_table(stats)
+            )
     latency = summary.get("latency")
     if isinstance(latency, dict) and latency:
         rows = []
@@ -314,7 +316,7 @@ def _render_runner_stats(summary: Optional[dict]) -> str:
         )
     if not blocks:
         return _empty(
-            "no cache/checkpoint/latency sections in bench_summary.json — "
+            "no runner-stats or latency sections in bench_summary.json — "
             "produced by campaigns run with those runner knobs on."
         )
     return "".join(blocks)

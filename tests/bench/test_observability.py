@@ -5,7 +5,7 @@ import dataclasses
 
 from repro.bench import summary as bench_summary
 from repro.bench.harness import run_anduril, run_baseline
-from repro.bench.parallel import run_anduril_many
+from repro.bench.parallel import CampaignTask, execute_task, run_anduril_many
 from repro.failures import get_case
 from repro.obs import metrics as obs_metrics
 
@@ -56,10 +56,95 @@ class TestWorkerCounterAggregation:
         assert serial == 2
 
     def test_outcomes_carry_their_cell_delta(self):
-        outcome = run_anduril(get_case("f1"), max_rounds=120)
-        # run_anduril itself doesn't populate worker_counters (that's
-        # execute_task's job), but the field must exist for pickling.
-        assert outcome.worker_counters == {}
+        obs_metrics.increment("campaign.anduril_runs", 7)  # an earlier cell
+        try:
+            outcome = execute_task(CampaignTask.anduril("f1", max_rounds=120))
+        finally:
+            obs_metrics.reset()
+        # The envelope holds this cell's movement only, whatever the
+        # process had counted before it.
+        counters = outcome.telemetry["counters"]
+        assert counters["campaign.anduril_runs"] == 1
+        assert counters["campaign.rounds"] == outcome.rounds
+        assert outcome.telemetry["histograms"]["latency.round_seconds"][
+            "count"
+        ] == outcome.rounds
+        # run_anduril itself attaches nothing (that's execute_task's
+        # job), but the field exists so either outcome pickles alike.
+        assert run_anduril(get_case("f1"), max_rounds=120).telemetry == {}
+
+
+class TestRunnerStatsViews:
+    """Heartbeat, per-cell and summary are one reducer over one registry."""
+
+    #: A fixed registry state, in bump order (the summary sorts it).
+    COUNTERS = [
+        ("cache.misses", 538), ("cache.stores", 530), ("cache.hits", 70),
+        ("cache.alias_hits", 7), ("sim.checkpoint.fallbacks", 69),
+        ("sim.checkpoint.opens", 26),
+        ("sim.checkpoint.open_seconds", 0.0312345678),
+        ("sim.checkpoint.fork_seconds", 0.4123456789),
+        ("sim.checkpoint.forks", 133), ("verdict.cutoffs", 8),
+        ("verdict.virtual_seconds_saved", 79.5573734),
+        ("verdict.events_saved", 171), ("campaign.rounds", 42),
+    ]
+
+    def setup_method(self):
+        bench_summary.clear()
+        obs_metrics.reset()
+
+    teardown_method = setup_method
+
+    def test_sections_keep_their_committed_shape(self):
+        """cache/verdict exactly as every summary so far has had them;
+        checkpoint too, except that its seconds are no longer 0."""
+        import json
+
+        for name, value in self.COUNTERS:
+            obs_metrics.increment(name, value)
+        document = bench_summary.summarize({})
+        assert json.dumps(document["cache"]) == (
+            '{"alias_hits": 7, "hits": 70, "misses": 538, "stores": 530, '
+            '"hit_rate": 0.125203}'
+        )
+        assert json.dumps(document["verdict"]) == (
+            '{"cutoffs": 8, "events_saved": 171, '
+            '"virtual_seconds_saved": 79.557373}'
+        )
+        assert json.dumps(document["checkpoint"]) == (
+            '{"fallbacks": 69, "fork_seconds": 0.412346, "forks": 133, '
+            '"open_seconds": 0.031235, "opens": 26}'
+        )
+        assert document["counters"] == {"campaign.rounds": 42.0}
+        # Per-cell blocks keep the cell's own bump order.
+        cell = obs_metrics.runner_stats(obs_metrics.capture()["counters"])
+        assert list(cell["cache"]) == [
+            "misses", "stores", "hits", "alias_hits", "hit_rate"
+        ]
+
+    def test_views_agree_after_a_fork_served_search(self):
+        from repro.obs.bus import heartbeat_stats
+        from repro.sim.checkpoint import checkpoint_supported
+
+        outcome = execute_task(
+            CampaignTask.anduril(
+                "f6", max_rounds=40, checkpoint=True, early_verdict=True
+            )
+        )
+        bench_summary.record_outcome(outcome)
+        document = bench_summary.summarize()
+        heartbeat = heartbeat_stats()
+        views = [document, document["cases"]["f6"], heartbeat]
+        for section in obs_metrics.RUNNER_SECTIONS:
+            assert all(
+                view.get(section) == heartbeat.get(section) for view in views
+            ), section
+        if checkpoint_supported():
+            checkpoint = document["checkpoint"]
+            assert checkpoint["forks"] > 0
+            assert isinstance(checkpoint["forks"], int)
+            assert checkpoint["fork_seconds"] > 0
+            assert checkpoint["open_seconds"] > 0
 
 
 class TestHarnessCoverage:
@@ -100,7 +185,7 @@ class TestSummaryCoverageSection:
             outcome = run_baseline(
                 name, get_case("f1"), max_rounds=120, max_seconds=20.0
             )
-            bench_summary.record_strategy_outcome(outcome)
+            bench_summary.record_outcome(outcome)
         document = bench_summary.summarize()
         coverage = document["coverage"]
         assert set(coverage) == {"anduril", "exhaustive", "fate"}
@@ -110,7 +195,7 @@ class TestSummaryCoverageSection:
 
     def test_stub_outcomes_without_coverage_still_record(self):
         bench_summary.record_outcome(StubOutcome("f1"))
-        bench_summary.record_strategy_outcome(
+        bench_summary.record_outcome(
             StubStrategyOutcome("random", "f1")
         )
         document = bench_summary.summarize()
@@ -118,7 +203,7 @@ class TestSummaryCoverageSection:
         assert "coverage" not in document
 
     def test_clear_resets_strategy_registry(self):
-        bench_summary.record_strategy_outcome(
+        bench_summary.record_outcome(
             StubStrategyOutcome("random", "f1", coverage={"space": 1})
         )
         bench_summary.clear()
@@ -141,7 +226,7 @@ class TestSummaryCoverageSection:
             "noop_fraction": 0.0,
             "rounds": [[1, 1, 1, 0, 1], [2, 1, 2, 1, 1]],
         }
-        bench_summary.record_strategy_outcome(
+        bench_summary.record_outcome(
             StubStrategyOutcome("random", "f1", coverage=coverage)
         )
         bench_summary.record_outcome(StubOutcome("f1"))

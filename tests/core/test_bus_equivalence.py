@@ -10,6 +10,7 @@ re-checks end to end over full campaign summaries."""
 
 import pytest
 
+from repro.baselines import ALL_STRATEGIES, StrategyRunner
 from repro.failures import get_case
 from repro.obs.bus import EventBus, MemorySink, set_active_bus
 
@@ -82,3 +83,42 @@ def test_round_end_events_carry_the_rank_trajectory():
     assert fired and fired[-1]["satisfied"] is True
     assert fired[-1]["site"] == result.injected.site_id
     assert fired[-1]["spec"] == result.injected.spec
+
+
+def _open_rounds(events) -> list:
+    """``(case, strategy, round)`` of every begin no end closed."""
+    opened = []
+    for event in events:
+        key = (event.get("case_id"), event.get("strategy"), event.get("round"))
+        if event["type"] == "round.begin":
+            opened.append(key)
+        elif event["type"] == "round.end":
+            opened.remove(key)
+    return opened
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        dict(max_seconds=0.0),  # out of time before round 1
+        dict(max_rounds=3),  # round budget
+        dict(max_rounds=400),  # reproduced
+    ],
+    ids=["no-time", "round-budget", "reproduced"],
+)
+def test_every_round_begin_is_closed_by_a_round_end(budget):
+    """A search that stops between rounds — time budget, exhausted
+    window — must not announce a round it will never run, or the live
+    view shows one round more than the result."""
+    case = get_case("f1")
+    capture = MemorySink()
+    bus = EventBus([capture])
+    anduril = case.explorer(bus=bus, **budget).explore()
+    baseline = StrategyRunner(bus=bus, **budget).run(
+        ALL_STRATEGIES["exhaustive"](), case
+    )
+    assert _open_rounds(capture.events) == []
+    begins = [e for e in capture.events if e["type"] == "round.begin"]
+    assert len(begins) == anduril.rounds + baseline.rounds
+    if budget.get("max_seconds") == 0.0:
+        assert anduril.rounds == baseline.rounds == 0 and not begins

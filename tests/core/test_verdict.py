@@ -634,20 +634,20 @@ def test_checkpointed_search_reports_cutoff_metrics():
     if not checkpoint_supported():
         pytest.skip("requires os.fork (POSIX)")
     case = get_case("f24")
-    inline_base = metrics.snapshot()
+    inline_base = metrics.capture()
     result = case.explorer(
         jobs=1, checkpoint=False, early_verdict=True
     ).explore()
     assert result.success
-    inline = metrics.delta_since(inline_base)
+    inline = metrics.capture(since=inline_base)["counters"]
     assert inline.get("verdict.cutoffs", 0) > 0
 
-    forked_base = metrics.snapshot()
+    forked_base = metrics.capture()
     result = case.explorer(
         jobs=1, checkpoint=True, early_verdict=True
     ).explore()
     assert result.success
-    forked = metrics.delta_since(forked_base)
+    forked = metrics.capture(since=forked_base)["counters"]
     for name in (
         "verdict.cutoffs",
         "verdict.virtual_seconds_saved",

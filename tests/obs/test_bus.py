@@ -176,16 +176,18 @@ def test_validate_event_flags_missing_fields():
 
 
 def test_heartbeat_stats_reflects_counters_and_histograms():
-    # Latency only appears once something was observed.
-    assert "latency" not in heartbeat_stats()
+    # Nothing moved: no runner section, no latency.
+    assert heartbeat_stats() == {}
     metrics.increment("cache.hits", 3)
     metrics.increment("cache.misses", 1)
     metrics.increment("sim.checkpoint.forks", 5)
     metrics.observe("latency.round_seconds", 0.01)
     stats = heartbeat_stats()
-    assert stats["cache"]["hits"] == 3
-    assert stats["cache"]["hit_rate"] == pytest.approx(0.75)
-    assert stats["checkpoint"]["forks"] == 5
+    # Counts are ints, exactly as summaries report them.
+    assert stats["cache"] == {"hits": 3, "misses": 1, "hit_rate": 0.75}
+    assert isinstance(stats["cache"]["hits"], int)
+    assert stats["checkpoint"] == {"forks": 5}
+    assert "verdict" not in stats
     assert stats["latency"]["latency.round_seconds"]["count"] == 1
 
 
@@ -206,29 +208,20 @@ def test_histogram_quantiles_are_monotone_and_close():
 
 def test_histogram_delta_and_merge_round_trip():
     metrics.observe("latency.run_seconds", 0.1)
-    baseline = metrics.histograms_raw()
+    baseline = metrics.capture()
     metrics.observe("latency.run_seconds", 0.2)
     metrics.observe("latency.feedback_seconds", 0.05)
-    delta = metrics.histograms_delta(baseline)
+    delta = metrics.capture(since=baseline)["histograms"]
     # The delta carries only what happened after the baseline.
     assert sum(delta["latency.run_seconds"]["buckets"].values()) == 1
     assert sum(delta["latency.feedback_seconds"]["buckets"].values()) == 1
 
     metrics.reset()
     metrics.observe("latency.run_seconds", 0.1)
-    metrics.merge_histograms(delta)
+    metrics.merge({"counters": {}, "histograms": delta, "events": []})
     snap = metrics.histograms_snapshot()
     assert snap["latency.run_seconds"]["count"] == 2
     assert snap["latency.feedback_seconds"]["count"] == 1
-
-
-def test_histograms_raw_is_json_safe():
-    metrics.observe("latency.round_seconds", 0.01)
-    raw = metrics.histograms_raw()
-    parsed = json.loads(json.dumps(raw))
-    metrics.reset()
-    metrics.merge_histograms(parsed)
-    assert metrics.histograms_snapshot()["latency.round_seconds"]["count"] == 1
 
 
 def test_reset_clears_histograms():

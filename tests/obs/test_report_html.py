@@ -214,6 +214,7 @@ class TestRunnerStats:
         summary = {
             "cache": {"hits": 10, "misses": 5, "hit_rate": 0.666667},
             "checkpoint": {"forks": 12, "pool_hits": 9},
+            "verdict": {"cutoffs": 3, "virtual_seconds_saved": 1.5},
             "latency": {
                 "latency.round_seconds": {
                     "count": 40, "mean": 0.012,
@@ -223,12 +224,14 @@ class TestRunnerStats:
         }
         html_text = render_report(self._inputs(summary))
         assert "Runner stats" in html_text
-        assert "Run cache" in html_text and "66.7%" in html_text
-        assert "Checkpoint pool" in html_text and "pool_hits" in html_text
+        # One block per reducer section, named as the reducer names it.
+        assert "<h3>cache</h3>" in html_text and "66.7%" in html_text
+        assert "<h3>checkpoint</h3>" in html_text and "pool_hits" in html_text
+        assert "<h3>verdict</h3>" in html_text and "cutoffs" in html_text
         assert "Latency histograms" in html_text
         assert "latency.round_seconds" in html_text
 
     def test_absent_sections_render_an_empty_note(self):
         html_text = render_report(self._inputs({"case_count": 1}))
-        assert "no cache/checkpoint/latency sections" in html_text
-        assert "Checkpoint pool" not in html_text
+        assert "no runner-stats or latency sections" in html_text
+        assert "<h3>checkpoint</h3>" not in html_text

@@ -208,6 +208,65 @@ class TestLedger:
         assert all(entry["case_id"] == "f1" for entry in entries)
 
 
+    def test_compare_rows_all_carry_the_campaign_jobs(
+        self, capsys, isolated_ledger
+    ):
+        """ANDURIL and baseline rows of one campaign share its ``jobs``,
+        so compaction and the watch ETA key them alike."""
+        code, _ = run_cli(capsys, "compare", "f1", "--jobs", "2", "--no-cache")
+        assert code == 0
+        entries = ledger.read_entries(str(isolated_ledger))
+        assert len(entries) >= 3
+        assert {entry["jobs"] for entry in entries} == {2}
+
+
+class TestRunnerStatsLines:
+    """The end-of-run stderr bookkeeping, read through the one reducer."""
+
+    @pytest.fixture(autouse=True)
+    def clean_registry(self):
+        from repro.obs import metrics
+
+        metrics.reset()
+        yield metrics
+        metrics.reset()
+
+    def _lines(self, capsys):
+        from repro.__main__ import _print_runner_stats
+
+        _print_runner_stats()
+        return capsys.readouterr().err.splitlines()
+
+    def test_silent_when_nothing_moved(self, capsys):
+        assert self._lines(capsys) == []
+
+    def test_one_line_per_section_and_no_degraded_line_when_clean(
+        self, capsys, clean_registry
+    ):
+        clean_registry.increment("cache.hits", 3)
+        clean_registry.increment("cache.misses", 1)
+        clean_registry.increment("sim.checkpoint.forks", 2)
+        clean_registry.increment("verdict.virtual_seconds_saved", 1.5)
+        assert self._lines(capsys) == [
+            "[cache: 3 hit(s), 0 alias(es), 1 miss(es), hit rate 75.0%]",
+            "[checkpoint: 0 snapshot(s), 2 fork(s), 0 fallback(s), "
+            "0 prefix request(s) skipped]",
+            "[early-verdict: 0 cutoff(s), 1.5 virtual second(s) and "
+            "0 event(s) saved]",
+        ]
+
+    def test_degraded_line_names_every_fallback(self, capsys, clean_registry):
+        clean_registry.increment("campaign.inline_fallbacks", 2)
+        clean_registry.increment("sim.checkpoint.retired")
+        clean_registry.increment("cache.disk_errors", 4)
+        lines = self._lines(capsys)
+        assert lines[-1] == (
+            "[degraded: 2 cell(s) re-run inline after worker failures, "
+            "1 checkpoint pool(s) retired as slower than inline, "
+            "4 cache disk error(s)]"
+        )
+
+
 class TestExplain:
     def test_prints_a_chain_for_the_injected_instance(self, capsys):
         code, out = run_cli(capsys, "explain", "f4")

@@ -20,30 +20,34 @@ byte-identical, pairwise against the first.  Exit codes: 0 equivalent,
 from __future__ import annotations
 
 import json
+import os
 import sys
 
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+)
+
+from repro.obs.metrics import RUNNER_SECTIONS  # noqa: E402
+
 #: Keys that may legitimately differ between equivalent campaigns.
-#: Wall-clock fields move with machine load; ``cache``/``checkpoint``
-#: sections exist only when those runner knobs are on (and fork counts
-#: move with scheduling); ``counters``/``metrics`` hold operational
-#: telemetry (speculation hit rates, fallback counts) that varies with
-#: scheduling; ``latency`` holds wall-clock histogram quantiles;
-#: ``verdict`` sections exist only when early-verdict cutoff is on (and
-#: record how much simulated time the cutoff saved, which is exactly
-#: what may differ between cutoff-on and cutoff-off campaigns).
-#: Everything else must match exactly.
+#: Wall-clock fields move with machine load; ``counters``/``metrics``
+#: hold operational telemetry (speculation hit rates, fallback counts)
+#: that varies with scheduling; ``latency`` holds wall-clock histogram
+#: quantiles; and the runner knobs' bookkeeping sections — whatever the
+#: reducer names them, so a new knob's section is volatile the day it is
+#: added — exist only when their knob is on and record exactly what may
+#: differ between knob-on and knob-off campaigns (fork counts, simulated
+#: time the cutoff saved).  Everything else must match exactly.
 VOLATILE_KEYS = frozenset(
     {
         "seconds",
         "median_seconds",
         "total_seconds",
         "prepare_seconds",
-        "cache",
-        "checkpoint",
         "counters",
         "metrics",
         "latency",
-        "verdict",
+        *RUNNER_SECTIONS,
     }
 )
 
