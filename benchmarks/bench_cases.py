@@ -2,8 +2,9 @@
 
 The catalog cases (``repro.failures``) are deliberately tiny so the unit
 suite stays fast — most replay in under 5 ms, where the fixed cost of a
-checkpoint fork (~1-2 ms of fork + pipe + pickle on a small host) buries
-the prefix it eliminates.  The paper's subject systems are the opposite
+checkpoint fork (measured at 7-8 ms end to end on a small host, DESIGN
+§10.5) buries the prefix it eliminates, and the pool's cost model keeps
+every run inline.  The paper's subject systems are the opposite
 regime: executions run for seconds and the triggering fault fires *deep*
 into the run, after the system has done substantial work (that is what
 makes their reproduction expensive, and what prefix elimination is for).

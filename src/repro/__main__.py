@@ -172,7 +172,8 @@ _STATS_LINES = {
     "cache": "[cache: {hits} hit(s), {alias_hits} alias(es), "
     "{misses} miss(es), hit rate {hit_rate:.1%}]",
     "checkpoint": "[checkpoint: {opens} snapshot(s), {forks} fork(s), "
-    "{fallbacks} fallback(s), {requests_saved} prefix request(s) skipped]",
+    "{declined} run(s) kept inline by the cost model, "
+    "{requests_saved} prefix request(s) skipped]",
     "verdict": "[early-verdict: {cutoffs} cutoff(s), "
     "{virtual_seconds_saved} virtual second(s) and "
     "{events_saved} event(s) saved]",
@@ -182,8 +183,7 @@ _STATS_LINES = {
 #: label), with the campaign engine's fallback count as one more section.
 _DEGRADED = (
     ("campaign", "inline_fallbacks", "cell(s) re-run inline after worker failures"),
-    ("checkpoint", "retired", "checkpoint pool(s) retired as slower than inline"),
-    ("checkpoint", "errors", "checkpoint fork error(s)"),
+    ("checkpoint", "fallbacks", "failed checkpoint fork(s) re-run inline"),
     ("cache", "disk_errors", "cache disk error(s)"),
 )
 

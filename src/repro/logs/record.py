@@ -108,7 +108,8 @@ class LogFile:
     def __iter__(self) -> Iterator[LogRecord]:
         return iter(self._records)
 
-    def __getitem__(self, index: int) -> LogRecord:
+    def __getitem__(self, index):
+        """The record at an ``int`` index, or a list of them for a slice."""
         return self._records[index]
 
     def append(self, record: LogRecord) -> None:

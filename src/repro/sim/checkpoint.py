@@ -21,8 +21,9 @@ of the scheduler cannot resume tasks (see ``Simulator.capture``).  What
    the candidate plan in (:meth:`~repro.injection.fir.FIR.swap_plan`,
    which preserves prefix state) and simply returns from the trigger:
    the run continues from request ``K`` as if the plan had been active
-   all along.  The grandchild pickles its :class:`RunResult` back to the
-   parent over a pipe and exits.
+   all along.  The grandchild ships back only what it computed — the
+   log and trace *after* the fork point plus the scalar fields; the
+   parent already holds the shared prefix from the holder's ready frame.
 3. The parent keeps a small ladder of holders ("rungs") at different
    depths and serves each plan from the deepest rung at or before the
    plan's first possible firing position.
@@ -33,16 +34,22 @@ plan semantics up to ``K``), and the trigger fires after the request is
 counted and traced but before its injection decision, so the grandchild
 makes exactly the decisions a full replay would.
 
-Everything degrades gracefully: platforms without ``os.fork``, foreign
-workloads/seeds/horizons, recorder-attached runs, and any pipe or child
-failure all fall back to inline execution (counted under
-``sim.checkpoint.fallbacks``).
+Whether a plan forks at all is a measured decision (:class:`ForkCost`):
+only when the prefix a rung skips costs more inline than a fork costs on
+this host.  Runs the policy keeps inline count under
+``sim.checkpoint.declined``.  Everything else degrades gracefully:
+platforms without ``os.fork``, foreign workloads/seeds/horizons and
+recorder-attached runs execute inline, and a fork that was attempted and
+failed (pipe, child, torn or inconsistent frame) is re-run inline and
+counted under ``sim.checkpoint.fallbacks``.
 """
 
 from __future__ import annotations
 
+import collections
 import gc
 import hashlib
+import math
 import os
 import pickle
 import signal
@@ -52,7 +59,7 @@ import time
 import warnings
 from typing import Optional
 
-from ..injection.fir import FIR, InjectionPlan, TraceEvent
+from ..injection.fir import InjectionPlan, TraceEvent
 from ..logs.record import Level, LogFile, LogRecord, SourceRef
 from ..obs import metrics as obs_metrics
 from .cluster import Cluster, RunResult, execute_workload
@@ -75,16 +82,6 @@ _VERDICT_METRICS = (
     "verdict.events_saved",
 )
 
-#: Opening a rung shallower than this saves too little to pay the fork
-#: plumbing for; such plans run inline.
-MIN_PREFIX_REQUESTS = 8
-#: ... and the same in relative terms: a fork shallower than this
-#: fraction of the probe trace replays most of the run anyway, so the
-#: fixed fork cost (fork + pipe + pickle, ~1-2 ms) eats the saving.
-#: With grid rungs the gap replayed above the rung is bounded, so even
-#: moderately shallow forks still skip their prefix; the floor only has
-#: to keep the fixed cost from dominating.
-MIN_PREFIX_FRACTION = 0.15
 #: Rungs held live per pool.  Each rung is one parked holder process,
 #: and rung depths are quantized to a grid of this many steps across
 #: the trace: a plan forks from the grid rung at or just below its fork
@@ -95,15 +92,9 @@ MAX_RUNGS = 8
 OPEN_BUDGET = 12
 #: Pipe failures tolerated before the whole pool stops forking.
 MAX_POOL_ERRORS = 2
-#: Deep forks (prefix >= half of the trace) timed against a duplicate
-#: inline replay before the pool trusts that forking pays on this
-#: workload/host; if the median fork loses, the pool retires itself.
-#: Only genuinely deep forks count — near the eligibility floor a fork
-#: roughly ties inline replay, and a tie there says nothing about the
-#: deep forks the pool exists for.
-CALIBRATION_RUNS = 2
-#: Minimum prefix fraction for a fork to count as a calibration sample.
-CALIBRATION_MIN_FRACTION = 0.5
+
+#: The wall clock of the cost model (one name, so tests can drive it).
+_clock = time.perf_counter
 
 
 def checkpoint_supported() -> bool:
@@ -183,36 +174,62 @@ def _read_message(fd: int) -> tuple:
     return pickle.loads(_read_exact(fd, length))
 
 
+def _log_rows(records) -> list:
+    return [
+        (
+            record.time,
+            record.thread,
+            int(record.level),
+            record.message,
+            None
+            if record.source is None
+            else (
+                record.source.file,
+                record.source.line,
+                record.source.function,
+            ),
+        )
+        for record in records
+    ]
+
+
+def _trace_rows(events) -> list:
+    return [
+        (event.site_id, event.occurrence, event.time, event.log_index)
+        for event in events
+    ]
+
+
+def _log_records(rows) -> list[LogRecord]:
+    return [
+        LogRecord(
+            when,
+            thread,
+            Level(level),
+            message,
+            None if source is None else SourceRef(*source),
+        )
+        for when, thread, level, message, source in rows
+    ]
+
+
+def _trace_events(rows) -> list[TraceEvent]:
+    return [TraceEvent(*row) for row in rows]
+
+
 def _encode_result(result: RunResult) -> tuple:
-    """Flatten a :class:`RunResult` for the response pipe.
+    """Flatten a :class:`RunResult` to primitives (run cache disk tier,
+    and — on a result cut down to its post-fork suffix — the fork pipe).
 
     Generic pickling of a result spends most of its time reducing the
     thousands of small ``LogRecord``/``TraceEvent`` dataclass instances
     one by one; flattening them to primitive tuples first makes the
-    frame several times cheaper to serialize on the fork critical path.
-    The remaining fields are small and ship as-is.
+    frame several times cheaper to serialize.  The remaining fields are
+    small and ship as-is.
     """
     return (
-        [
-            (
-                record.time,
-                record.thread,
-                int(record.level),
-                record.message,
-                None
-                if record.source is None
-                else (
-                    record.source.file,
-                    record.source.line,
-                    record.source.function,
-                ),
-            )
-            for record in result.log
-        ],
-        [
-            (event.site_id, event.occurrence, event.time, event.log_index)
-            for event in result.trace
-        ],
+        _log_rows(result.log),
+        _trace_rows(result.trace),
         result.injected,
         result.injected_instance,
         result.stuck,
@@ -245,17 +262,8 @@ def _decode_result(payload: tuple) -> RunResult:
         truncated_at,
     ) = payload
     return RunResult(
-        log=LogFile(
-            LogRecord(
-                when,
-                thread,
-                Level(level),
-                message,
-                None if source is None else SourceRef(*source),
-            )
-            for when, thread, level, message, source in records
-        ),
-        trace=[TraceEvent(*event) for event in trace],
+        log=LogFile(_log_records(records)),
+        trace=_trace_events(trace),
         injected=injected,
         injected_instance=injected_instance,
         stuck=stuck,
@@ -295,7 +303,7 @@ def _run_with_trigger(
     trigger,
     monitor_factory=None,
 ) -> RunResult:
-    """``execute_workload`` with a FIR trigger armed before the run.
+    """``execute_workload`` with ``trigger(cluster)`` armed at a request.
 
     With ``monitor_factory``, the run is verdict-monitored — but cutoff
     stays *disabled* until the trigger has returned.  The holder runs
@@ -312,13 +320,13 @@ def _run_with_trigger(
         monitor = monitor_factory()
         monitor.disable_cutoff()
         monitor.attach(cluster)
-        inner_trigger = trigger
 
-        def trigger(fir: FIR) -> None:
-            inner_trigger(fir)
+    def at_trigger(_fir) -> None:
+        trigger(cluster)
+        if monitor is not None:
             monitor.enable_cutoff()
 
-    cluster.fir.set_trigger(at_request, trigger)
+    cluster.fir.set_trigger(at_request, at_trigger)
     workload(cluster)
     return cluster.run(horizon, monitor=monitor)
 
@@ -335,22 +343,28 @@ def _holder_main(
 ) -> None:
     """Body of the holder process; every path ends in ``os._exit``.
 
-    The holder runs the prefix to request ``at_request`` and parks in
+    The holder runs the prefix to request ``at_request``, ships the log
+    and trace it has produced so far in the ready frame, and parks in
     the trigger serving fork requests.  A forked grandchild returns from
     the trigger with the candidate plan swapped in, finishes the run,
-    and writes the sole success frame; the holder reports grandchild
-    failures (it writes only ``err`` frames, and only after ``waitpid``,
-    so the two writers never interleave).
+    and writes the sole success frame — only what lies past the fork
+    point; the holder reports grandchild failures (it writes only
+    ``err`` frames, and only after ``waitpid``, so the two writers never
+    interleave).
     """
-    role = {"fork": False}
+    #: Set in a grandchild only: how many log records the parked prefix
+    #: held, and its trace.  The inherited trace list is kept so that it
+    #: is never freed — freeing it would write to every inherited event.
+    forked: list = []
 
-    def trigger(fir: FIR) -> None:
+    def trigger(cluster: Cluster) -> None:
         # Park the cyclic collector: a collection in holder or grandchild
         # would walk the whole inherited heap and fault in copy-on-write
         # pages wholesale.  (No gc.collect()/gc.freeze() here — both walk
         # every tracked object, which IS that wholesale copy.)
         gc.disable()
-        _write_message(resp_w, ("ready",))
+        fir, log = cluster.fir, cluster.collector.log
+        _write_message(resp_w, ("ready", _log_rows(log), _trace_rows(fir.trace)))
         while True:
             try:
                 message = _read_message(req_r)
@@ -362,9 +376,14 @@ def _holder_main(
                 os._exit(4)
             pid = _fork()
             if pid == 0:
-                role["fork"] = True
+                # Grandchild: resume the run under the candidate plan,
+                # collecting the trace suffix in a list of its own.  The
+                # prefix objects are then never touched again, so their
+                # pages stay shared with the holder.
+                forked.extend((len(log), fir.trace))
+                fir.trace = []
                 fir.swap_plan(InjectionPlan.from_payload(message[1]))
-                return  # grandchild: resume the run under the candidate plan
+                return
             _, status = os.waitpid(pid, 0)
             if status != 0:
                 _write_message(
@@ -378,40 +397,38 @@ def _holder_main(
             monitor_factory=monitor_factory,
         )
     except BaseException:
-        os._exit(3 if role["fork"] else 4)
-    if role["fork"]:
-        verdict_deltas = {
-            name: obs_metrics.get(name) - verdict_base[name]
-            for name in _VERDICT_METRICS
-            if obs_metrics.get(name) != verdict_base[name]
-        }
-        try:
-            blob = pickle.dumps(
-                ("ok", _encode_result(result), verdict_deltas),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception:
-            os._exit(3)
-        _write_frame(resp_w, blob)
-        os._exit(0)
-    # The run finished without reaching the trigger (should not happen
-    # for fork points derived from the probe trace); refuse politely.
-    _write_message(resp_w, ("ready",))
-    while True:
-        try:
-            message = _read_message(req_r)
-        except (EOFError, OSError):
-            os._exit(0)
-        if message[0] == "close":
-            os._exit(0)
+        os._exit(3 if forked else 4)
+    if not forked:
+        # The run finished without reaching the trigger (should not
+        # happen for fork points derived from the probe trace): the
+        # handshake fails and the checkpoint is born closed.
         _write_message(resp_w, ("err", "checkpoint trigger never reached"))
+        os._exit(0)
+    verdict_deltas = {
+        name: obs_metrics.get(name) - verdict_base[name]
+        for name in _VERDICT_METRICS
+        if obs_metrics.get(name) != verdict_base[name]
+    }
+    log_prefix, inherited_trace = forked
+    totals = (len(result.log), len(inherited_trace) + len(result.trace))
+    result.log = LogFile(result.log[log_prefix:])
+    try:
+        blob = pickle.dumps(
+            ("ok", _encode_result(result), verdict_deltas, totals),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+    except Exception:
+        os._exit(3)
+    _write_frame(resp_w, blob)
+    os._exit(0)
 
 
 class Checkpoint:
     """One parked holder process: the run frozen at request ``at_request``.
 
     ``run(plan)`` forks a grandchild off the holder that finishes the run
-    under ``plan`` and returns its :class:`RunResult`, or ``None`` on any
+    under ``plan``, and returns the :class:`RunResult` — the rung's
+    prefix plus the suffix the grandchild shipped — or ``None`` on any
     failure (after which the checkpoint is closed and unusable).
     """
 
@@ -446,13 +463,18 @@ class Checkpoint:
         self._resp_r = resp_r
         # Wait for the holder to finish the prefix and park in the trigger,
         # so open cost stays in open() and run() times pure fork+suffix —
-        # the pool's calibration depends on that separation.
+        # the pool's cost model depends on that separation.  The ready
+        # frame carries the prefix's log and trace, decoded once here and
+        # shared (records and events are frozen) by every result forked
+        # off this rung.
         try:
             ready = _read_message(self._resp_r)
-        except (OSError, EOFError, pickle.PickleError):
-            self.close()
-            return
-        if not isinstance(ready, tuple) or ready[0] != "ready":
+            if ready[0] != "ready":
+                raise ValueError(ready)
+            self._log_prefix = _log_records(ready[1])
+            self._trace_prefix = _trace_events(ready[2])
+        except (OSError, EOFError, pickle.PickleError, TypeError, ValueError,
+                IndexError):
             self.close()
 
     def run(self, plan: InjectionPlan) -> Optional[RunResult]:
@@ -461,25 +483,25 @@ class Checkpoint:
             return None
         try:
             _write_message(self._req_w, ("run", plan.to_payload()))
-            response = _read_message(self._resp_r)
-        except (OSError, EOFError, pickle.PickleError):
-            self.close()
-            return None
-        if not isinstance(response, tuple) or response[0] != "ok":
-            self.close()
-            return None
-        try:
-            result = _decode_result(response[1])
-        except (TypeError, ValueError):
+            status, payload, verdict_deltas, totals = _read_message(self._resp_r)
+            if status != "ok":
+                raise ValueError(status)
+            result = _decode_result(payload)
+            result.log = LogFile(self._log_prefix + result.log.records)
+            result.trace = self._trace_prefix + result.trace
+            # A frame that does not add up to the run the grandchild
+            # finished is torn, whatever its pickle says.
+            if (len(result.log), len(result.trace)) != tuple(totals):
+                raise ValueError("fork frame disagrees with the parked prefix")
+        except (OSError, EOFError, pickle.PickleError, TypeError, ValueError):
             self.close()
             return None
         # Replay the grandchild's early-verdict counters here: they were
         # incremented in a process that has already exited.
-        if len(response) > 2:
-            for name in _VERDICT_METRICS:
-                delta = response[2].get(name, 0.0)
-                if delta:
-                    obs_metrics.increment(name, delta)
+        for name in _VERDICT_METRICS:
+            delta = verdict_deltas.get(name, 0.0)
+            if delta:
+                obs_metrics.increment(name, delta)
         return result
 
     def close(self) -> None:
@@ -502,6 +524,46 @@ class Checkpoint:
             pass
 
 
+# ----------------------------------------------------------------- cost model
+
+
+class ForkCost:
+    """Seconds a fork costs beyond the requests it replays, on this host.
+
+    One estimate per process — the cost belongs to the host and to the
+    size of the forking process, not to a workload, so pools share what
+    they learn.  It starts at the floor, one bare fork + exit + wait
+    (measured on first use), and is thereafter the mean overhead the
+    last few real forks showed, never below that floor.
+    """
+
+    def __init__(self) -> None:
+        self._floor: Optional[float] = None
+        self._observed: collections.deque = collections.deque(maxlen=8)
+
+    @staticmethod
+    def _bare_fork() -> float:
+        started = _clock()
+        pid = _fork()
+        if pid == 0:
+            os._exit(0)
+        os.waitpid(pid, 0)
+        return _clock() - started
+
+    def seconds(self) -> float:
+        if self._floor is None:
+            self._floor = min(self._bare_fork() for _ in range(3))
+        if not self._observed:
+            return self._floor
+        return max(self._floor, statistics.fmean(self._observed))
+
+    def observe(self, overhead_seconds: float) -> None:
+        self._observed.append(overhead_seconds)
+
+
+_fork_cost = ForkCost()
+
+
 # ----------------------------------------------------------------------- pool
 
 
@@ -515,6 +577,13 @@ class CheckpointPool:
     fire.  The pool keeps up to :data:`MAX_RUNGS` holders at distinct
     depths and serves each plan from the deepest rung at or before its
     firing position, opening deeper rungs while budget lasts.
+
+    A plan forks only where forking wins.  The pool times the inline
+    runs it makes anyway (the first eligible plan always runs inline),
+    which prices a request; a rung at depth ``d`` saves ``d`` requests
+    and costs one :class:`ForkCost`, so only rungs deeper than the
+    break-even depth are opened or used, and a pool whose whole trace
+    is shallower than that goes ``broken`` — its owner stops asking.
 
     ``runner`` matches the executor contract of
     :func:`repro.cache.runcache.cached_execute`, so checkpointing
@@ -553,10 +622,11 @@ class CheckpointPool:
         self._rungs: dict[int, Checkpoint] = {}
         self._opens_left = OPEN_BUDGET
         self._errors = 0
-        #: ``(fork_seconds, inline_seconds)`` pairs for deep forks; once
-        #: :data:`CALIBRATION_RUNS` are in, the pool keeps forking only
-        #: if the fork path actually wins on this workload and host.
-        self._calibration: list[tuple[float, float]] = []
+        #: Wall seconds one request of an inline run costs (the least
+        #: seen: a shared host only ever adds), and the rung depth, in
+        #: requests, past which skipping the prefix beats the fork cost.
+        self._request_seconds = math.inf
+        self._break_even = math.inf
         self.broken = not checkpoint_supported() or self._total_requests == 0
 
     # ------------------------------------------------------------- fork points
@@ -596,7 +666,7 @@ class CheckpointPool:
         recorder=None,
         monitor=None,
     ) -> RunResult:
-        """Drop-in for ``execute_workload``; forks when safe, else inline.
+        """Drop-in for ``execute_workload``; forks when it pays, else inline.
 
         A grandchild carries the *pool's* monitor (inherited through the
         holder fork with its prefix latches intact), so a caller-supplied
@@ -604,6 +674,7 @@ class CheckpointPool:
         never serves an unmonitored call from a fork: the grandchild
         could truncate, and this caller expects a full run.
         """
+        fork_point = None
         if (
             not self.broken
             and recorder is None
@@ -615,11 +686,18 @@ class CheckpointPool:
             and plan.instances
             and (self._monitor_factory is None or monitor is not None)
         ):
-            result = self._run_forked(plan)
-            if result is not None:
-                return result
-            obs_metrics.increment("sim.checkpoint.fallbacks")
-        return execute_workload(
+            fork_point = self.fork_point(plan)
+        if fork_point is not None:
+            rung = self._pick_rung(fork_point)
+            if rung is None:
+                obs_metrics.increment("sim.checkpoint.declined")
+            else:
+                result = self._run_forked(rung, plan)
+                if result is not None:
+                    return result
+                obs_metrics.increment("sim.checkpoint.fallbacks")
+        started = _clock()
+        result = execute_workload(
             workload,
             horizon=horizon,
             seed=seed,
@@ -628,19 +706,26 @@ class CheckpointPool:
             recorder=recorder,
             monitor=monitor,
         )
+        if fork_point is not None:
+            self._learn(
+                (_clock() - started) / max(result.injection_requests, 1)
+            )
+        return result
 
-    def _run_forked(self, plan: InjectionPlan) -> Optional[RunResult]:
-        fork_point = self.fork_point(plan)
-        if fork_point is None or fork_point < max(
-            MIN_PREFIX_REQUESTS, self._total_requests * MIN_PREFIX_FRACTION
-        ):
-            return None
-        rung = self._pick_rung(fork_point)
-        if rung is None:
-            return None
-        started = time.perf_counter()
+    def _learn(self, request_seconds: float = math.inf) -> None:
+        """Fold in a measurement; re-derive the break-even depth."""
+        self._request_seconds = min(self._request_seconds, request_seconds)
+        self._break_even = _fork_cost.seconds() / self._request_seconds
+        if self._total_requests <= self._break_even:
+            self.broken = True
+            self.close()
+
+    def _run_forked(
+        self, rung: Checkpoint, plan: InjectionPlan
+    ) -> Optional[RunResult]:
+        started = _clock()
         result = rung.run(plan)
-        fork_seconds = time.perf_counter() - started
+        fork_seconds = _clock() - started
         obs_metrics.increment("sim.checkpoint.fork_seconds", fork_seconds)
         if result is None:
             self._rungs.pop(rung.at_request, None)
@@ -654,90 +739,53 @@ class CheckpointPool:
         obs_metrics.increment(
             "sim.checkpoint.requests_saved", rung.at_request - 1
         )
-        self._calibrate(plan, fork_point, fork_seconds)
+        # What the fork cost beyond the requests its grandchild replayed.
+        replayed = max(result.injection_requests - rung.at_request, 0)
+        _fork_cost.observe(fork_seconds - replayed * self._request_seconds)
+        self._learn()
         return result
 
-    def _calibrate(
-        self, plan: InjectionPlan, fork_point: int, fork_seconds: float
-    ) -> None:
-        """Retire the pool when forking loses to plain replay.
-
-        Mini systems can be so cheap to replay that fork-and-pickle
-        overhead outweighs the skipped prefix.  The first few *deep*
-        forks (prefix >= :data:`CALIBRATION_MIN_FRACTION` of the trace —
-        a shallow fork losing proves nothing) each pay for one duplicate
-        inline replay of the same plan; deterministic execution makes
-        the duplicate free of side effects, and its wall clock is the
-        ground truth.  If the median deep fork is not faster, the pool
-        closes and every later run falls back inline (counted under
-        ``sim.checkpoint.retired``).
-        """
-        if len(self._calibration) >= CALIBRATION_RUNS:
-            return
-        if fork_point < self._total_requests * CALIBRATION_MIN_FRACTION:
-            return
-        started = time.perf_counter()
-        # Arm the same monitoring the fork path enjoys, so the timing
-        # comparison is like against like (a monitored fork that cut the
-        # tail must not be judged against an unmonitored full replay).
-        execute_workload(
-            self.workload,
-            horizon=self.horizon,
-            seed=self.seed,
-            plan=plan,
-            monitor=None
-            if self._monitor_factory is None
-            else self._monitor_factory(),
-        )
-        inline_seconds = time.perf_counter() - started
-        obs_metrics.increment(
-            "sim.checkpoint.calibration_seconds", inline_seconds
-        )
-        self._calibration.append((fork_seconds, inline_seconds))
-        if len(self._calibration) < CALIBRATION_RUNS:
-            return
-        forked = statistics.median(f for f, _ in self._calibration)
-        inline = statistics.median(i for _, i in self._calibration)
-        if forked >= inline:
-            self.broken = True
-            obs_metrics.increment("sim.checkpoint.retired")
-            self.close()
-
     def _pick_rung(self, fork_point: int) -> Optional[Checkpoint]:
-        """Deepest usable rung for ``fork_point``, opening one if worth it.
+        """Deepest rung for ``fork_point`` that beats inline, if any.
 
         Rung depths sit on a fixed grid (:data:`MAX_RUNGS` steps across
         the trace).  Serving a plan from the grid rung at or just below
         its fork point bounds the replayed gap to one grid step; opening
         at the plan's exact depth instead would let an early shallow
         rung capture every later, deeper plan and waste most of the
-        prefix it could have skipped.
+        prefix it could have skipped.  No rung at or below the
+        break-even depth is opened or used.
         """
         step = max(1, self._total_requests // MAX_RUNGS)
-        target = max((fork_point // step) * step, MIN_PREFIX_REQUESTS)
+        target = (fork_point // step) * step
         best: Optional[Checkpoint] = None
         for depth, rung in self._rungs.items():
-            if depth <= fork_point and (best is None or depth > best.at_request):
+            if self._break_even < depth <= fork_point and (
+                best is None or depth > best.at_request
+            ):
                 best = rung
-        if best is not None and best.at_request >= target:
-            return best
-        if self._opens_left <= 0 or len(self._rungs) >= MAX_RUNGS:
+        if (
+            target <= self._break_even
+            or (best is not None and best.at_request >= target)
+            or self._opens_left <= 0
+            or len(self._rungs) >= MAX_RUNGS
+        ):
             return best
         self._opens_left -= 1
         obs_metrics.increment("sim.checkpoint.opens")
-        started = time.perf_counter()
+        started = _clock()
         rung = Checkpoint(
             self.workload, self.horizon, self.seed, self._base_plan, target,
             monitor_factory=self._monitor_factory,
         )
         obs_metrics.increment(
-            "sim.checkpoint.open_seconds", time.perf_counter() - started
+            "sim.checkpoint.open_seconds", _clock() - started
         )
         self._rungs[target] = rung
         return rung
 
     def close(self) -> None:
-        """Kill every holder; the pool keeps falling back inline after."""
+        """Kill every holder; the pool keeps running inline after."""
         rungs, self._rungs = list(self._rungs.values()), {}
         for rung in rungs:
             rung.close()

@@ -122,19 +122,19 @@ class TestRunnerStatsViews:
             "misses", "stores", "hits", "alias_hits", "hit_rate"
         ]
 
-    def test_views_agree_after_a_fork_served_search(self):
+    def test_views_agree_after_a_fork_served_search(self, free_forks):
         from repro.obs.bus import heartbeat_stats
         from repro.sim.checkpoint import checkpoint_supported
 
         outcome = execute_task(
             CampaignTask.anduril(
-                "f6", max_rounds=40, checkpoint=True, early_verdict=True
+                "f11", max_rounds=40, checkpoint=True, early_verdict=True
             )
         )
         bench_summary.record_outcome(outcome)
         document = bench_summary.summarize()
         heartbeat = heartbeat_stats()
-        views = [document, document["cases"]["f6"], heartbeat]
+        views = [document, document["cases"]["f11"], heartbeat]
         for section in obs_metrics.RUNNER_SECTIONS:
             assert all(
                 view.get(section) == heartbeat.get(section) for view in views

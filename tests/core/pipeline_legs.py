@@ -6,6 +6,8 @@ helped or hidden by whatever else the test process has running.
 
 * ``leak-explorer`` / ``leak-strategy`` — raise out of the round loop
   while a checkpoint holder is parked, then look for surviving children.
+  On a late-failing ``-xl`` case: the pool's cost model parks no holder
+  for the millisecond runs of the catalog.
 * ``worker-config DIR`` — a two-cell campaign over *spawn*-started pool
   workers, which share nothing with this process but their arguments.
 """
@@ -16,13 +18,15 @@ import multiprocessing
 import os
 import sys
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", ".."))
+
 from repro.baselines import ALL_STRATEGIES, StrategyRunner
 from repro.bench.parallel import CampaignTask, inline_fallback_count, run_tasks
 from repro.core.oracle import Oracle
 from repro.core.pipeline import RunConfig
-from repro.failures import get_case
 from repro.obs import metrics
 from repro.obs.bus import EventBus, MemorySink, set_active_bus
+from tests.bench_xl import xl_case
 
 
 class Boom(Exception):
@@ -52,7 +56,7 @@ def surviving_children() -> bool:
 
 
 def leak(search) -> dict:
-    case = get_case("f6")
+    case = xl_case("f1-xl")
     case.failure_log()  # generated (and cached per id) under the real oracle
     oracle = ExplodesOnceForked()
     try:
@@ -69,7 +73,7 @@ def leak_explorer(case, oracle) -> None:
 
 def leak_strategy(case, oracle) -> None:
     StrategyRunner(max_rounds=20, checkpoint=True).run(
-        ALL_STRATEGIES["exhaustive"](),
+        ALL_STRATEGIES["multiply-feedback"](),
         dataclasses.replace(case, oracle=oracle),
     )
 

@@ -620,7 +620,7 @@ def test_explore_signature_identical_cutoff_on_off_jobs4(case_id):
     assert on.success and off.success
 
 
-def test_checkpointed_search_reports_cutoff_metrics():
+def test_checkpointed_search_reports_cutoff_metrics(free_forks):
     """Fork-served cutoffs must reach the parent's ``verdict.*`` counters.
 
     The grandchild increments them in its own process and exits; the
@@ -648,6 +648,7 @@ def test_checkpointed_search_reports_cutoff_metrics():
     ).explore()
     assert result.success
     forked = metrics.capture(since=forked_base)["counters"]
+    assert forked.get("sim.checkpoint.forks", 0) > 0
     for name in (
         "verdict.cutoffs",
         "verdict.virtual_seconds_saved",

@@ -213,7 +213,7 @@ class TestRunnerStats:
     def test_sections_render_as_tables(self):
         summary = {
             "cache": {"hits": 10, "misses": 5, "hit_rate": 0.666667},
-            "checkpoint": {"forks": 12, "pool_hits": 9},
+            "checkpoint": {"forks": 12, "declined": 140, "fallbacks": 0},
             "verdict": {"cutoffs": 3, "virtual_seconds_saved": 1.5},
             "latency": {
                 "latency.round_seconds": {
@@ -226,7 +226,11 @@ class TestRunnerStats:
         assert "Runner stats" in html_text
         # One block per reducer section, named as the reducer names it.
         assert "<h3>cache</h3>" in html_text and "66.7%" in html_text
-        assert "<h3>checkpoint</h3>" in html_text and "pool_hits" in html_text
+        # Policy decisions (declined) and failed forks (fallbacks) are
+        # separate rows: a healthy run shows the first and a zero second.
+        assert "<h3>checkpoint</h3>" in html_text
+        assert '<td class="name">declined</td><td>140</td>' in html_text
+        assert '<td class="name">fallbacks</td><td>0</td>' in html_text
         assert "<h3>verdict</h3>" in html_text and "cutoffs" in html_text
         assert "Latency histograms" in html_text
         assert "latency.round_seconds" in html_text

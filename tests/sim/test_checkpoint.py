@@ -4,23 +4,35 @@ Three layers of guarantees, bottom up:
 
 * every sim component's ``capture``/``restore`` round-trips its data
   state exactly (the fingerprints the equivalence checks build on);
-* a ``Checkpoint`` fork-served run is byte-identical to a full inline
-  replay — fixed cases, plus a hypothesis sweep over random workloads,
-  seeds, and fork depths;
-* the ``CheckpointPool`` runner composes with the Explorer without
-  changing any outcome: ``ExplorationResult.signature()`` matches
-  checkpoint on/off at jobs 1 and 4.
+* a ``Checkpoint`` fork-served run equals a full inline replay field by
+  field — fixed cases, plus a hypothesis sweep over random workloads,
+  seeds, fork depths and plan kinds;
+* the ``CheckpointPool`` cost model forks exactly when a fork pays
+  (driven here by a fake clock), and its runner composes with the
+  Explorer without changing any outcome: ``ExplorationResult.
+  signature()`` matches checkpoint on/off at jobs 1 and 4.
 
-Everything process-level skips on platforms without ``os.fork``.
+Catalog cases are too cheap for the model to fork, so the equivalence
+tests on them run under ``free_forks`` (``tests/conftest.py``) and the
+``xl`` tests run the real model on a late-failing bench case; each
+asserts that forks actually happened.  Everything process-level skips
+on platforms without ``os.fork``.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.oracle import LogMessageOracle, Oracle
+from repro.core.verdict import compile_cutoff
 from repro.failures import get_case
-from repro.injection.fir import InjectionPlan
+from repro.injection.fir import InjectionPlan, TraceEvent
 from repro.injection.sites import FaultInstance
+from repro.logs.record import LogFile
+from repro.obs import metrics
+from repro.sim import checkpoint as checkpoint_module
 from repro.sim import (
     Checkpoint,
     CheckpointPool,
@@ -30,7 +42,9 @@ from repro.sim import (
     snapshot_fingerprint,
 )
 from repro.sim.checkpoint import _decode_result, _encode_result
+from repro.sim.cluster import RunResult
 from repro.sim.errors import IOException
+from tests.bench_xl import xl_case
 
 needs_fork = pytest.mark.skipif(
     not checkpoint_supported(), reason="requires os.fork (POSIX)"
@@ -38,19 +52,19 @@ needs_fork = pytest.mark.skipif(
 
 
 def run_signature(result):
-    """Everything a run produced, minus wall-clock measurements."""
-    return (
-        result.log.to_text(),
-        tuple(result.trace),
-        result.injected,
-        result.injected_instance,
-        result.injection_requests,
-        tuple(sorted(result.site_counts.items())),
-        tuple(result.stuck),
-        tuple(result.crashed),
-        result.end_time,
-        tuple(result.base_faults_fired),
-    )
+    """Every field of a run but its wall-clock measurement, by name."""
+    fields = {
+        field.name: getattr(result, field.name)
+        for field in dataclasses.fields(result)
+        if field.name != "decision_seconds"
+    }
+    fields["log"] = result.log.records
+    fields["log_text"] = result.log.to_text()
+    return fields
+
+
+def forks() -> float:
+    return metrics.get("sim.checkpoint.forks")
 
 
 # ----------------------------------------------------------- capture/restore
@@ -251,12 +265,13 @@ class TestCheckpointPool:
             assert pool.fork_point(foreign) is None
             assert pool.fork_point(None) is None
 
-    def test_runner_matches_inline(self):
-        case = get_case("f1")
+    def assert_runner_matches_inline(self, case, depths):
+        """Every plan equals inline; all but the first are fork-served."""
         pool, probe = self.make_pool(case)
+        before = forks()
         with pool:
-            for index in (len(probe.trace) // 2, len(probe.trace) - 1):
-                event = probe.trace[index]
+            for depth in depths:
+                event = probe.trace[int(len(probe.trace) * depth) - 1]
                 plan = InjectionPlan.single(
                     FaultInstance(
                         event.site_id, "IOException", event.occurrence
@@ -275,6 +290,38 @@ class TestCheckpointPool:
                     plan=plan,
                 )
                 assert run_signature(served) == run_signature(inline)
+        assert forks() - before == len(depths) - 1
+
+    def test_runner_matches_inline(self, free_forks):
+        self.assert_runner_matches_inline(get_case("f1"), (0.5, 0.5, 1.0))
+
+    def test_xl_runner_matches_inline(self):
+        """The measured model, unaided, forks a late-failing case."""
+        self.assert_runner_matches_inline(xl_case("f1-xl"), (0.9, 0.8, 0.95))
+
+    def test_inconsistent_frame_is_rejected_and_rerun_inline(self, free_forks):
+        """Prefix + suffix must add up to the run the grandchild finished."""
+        case = get_case("f1")
+        pool, probe = self.make_pool(case)
+        event = probe.trace[-1]
+        plan = InjectionPlan.single(
+            FaultInstance(event.site_id, "IOException", event.occurrence)
+        )
+        run = dict(horizon=case.horizon, seed=case.seed, plan=plan)
+        inline = execute_workload(case.workload, **run)
+        before = metrics.capture()
+        with pool:
+            pool.runner(case.workload, **run)  # the inline measurement
+            pool.runner(case.workload, **run)  # opens the rung, forks
+            (rung,) = pool._rungs.values()
+            rung._log_prefix.pop()
+            served = pool.runner(case.workload, **run)
+            assert rung.closed and not pool._rungs
+        assert run_signature(served) == run_signature(inline)
+        moved = metrics.capture(since=before)["counters"]
+        assert moved["sim.checkpoint.forks"] == 1
+        assert moved["sim.checkpoint.errors"] == 1
+        assert moved["sim.checkpoint.fallbacks"] == 1
 
     def test_runner_falls_back_on_foreign_context(self):
         case = get_case("f1")
@@ -301,6 +348,134 @@ class TestCheckpointPool:
                 case.workload, horizon=case.horizon, seed=case.seed
             )
             assert run_signature(free) == run_signature(probe_again)
+
+
+# ---------------------------------------------------------------- cost model
+
+
+class FakeHost:
+    """A clock, an inline run and rungs whose costs the test dictates.
+
+    Stands in for everything the pool's cost model measures: a run of
+    ``requests`` requests takes ``run_seconds`` inline; a fork replays
+    the requests past its rung at the same rate plus ``fork_overhead``.
+    Nothing real runs, so every decision is a function of these numbers.
+    """
+
+    def __init__(
+        self, monkeypatch, run_seconds, floor, fork_overhead=None,
+        requests=1000,
+    ):
+        self.now = 0.0
+        self.requests = requests
+        self.run_seconds = run_seconds
+        self.fork_overhead = floor if fork_overhead is None else fork_overhead
+        self.inline_runs = 0
+        self.opened = []
+        self.forked_from = []
+        host = self
+
+        class Rung:
+            closed = False
+
+            def __init__(self, workload, horizon, seed, base_plan, at_request,
+                         monitor_factory=None):
+                self.at_request = at_request
+                host.opened.append(at_request)
+
+            def run(self, plan):
+                host.forked_from.append(self.at_request)
+                replayed = (host.requests - self.at_request) / host.requests
+                host.now += host.fork_overhead + replayed * host.run_seconds
+                return host.result()
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(checkpoint_module, "_clock", lambda: self.now)
+        monkeypatch.setattr(checkpoint_module, "execute_workload", self.execute)
+        monkeypatch.setattr(checkpoint_module, "Checkpoint", Rung)
+        monkeypatch.setattr(
+            checkpoint_module.ForkCost, "_bare_fork", staticmethod(lambda: floor)
+        )
+        monkeypatch.setattr(
+            checkpoint_module, "_fork_cost", checkpoint_module.ForkCost()
+        )
+        self.pool = CheckpointPool(
+            self.workload, 10.0, 0,
+            [TraceEvent(f"s{i}", 1, 0.0, 0) for i in range(1, requests + 1)],
+        )
+
+    @staticmethod
+    def workload(cluster):
+        raise AssertionError("the fake host never builds a cluster")
+
+    def result(self):
+        return RunResult(
+            log=LogFile(), trace=[], injected=False, injected_instance=None,
+            stuck=[], crashed=[], state={}, end_time=0.0, site_counts={},
+            injection_requests=self.requests,
+        )
+
+    def execute(self, workload, **kwargs):
+        self.inline_runs += 1
+        self.now += self.run_seconds
+        return self.result()
+
+    def run(self, depth):
+        """One runner call for a plan first firing at request ``depth``."""
+        plan = InjectionPlan.single(FaultInstance(f"s{depth}", "IOException", 1))
+        return self.pool.runner(self.workload, 10.0, seed=0, plan=plan)
+
+
+@needs_fork
+class TestCostModel:
+    def test_run_cheaper_than_a_fork_never_forks(self, monkeypatch):
+        host = FakeHost(monkeypatch, run_seconds=0.001, floor=0.002)
+        host.run(900)
+        assert host.pool.broken
+        for depth in (900, 950, 1000):
+            host.run(depth)
+        assert host.opened == [] and host.forked_from == []
+        assert host.inline_runs == 4
+
+    def test_long_run_forks_from_the_second_eligible_plan_on(self, monkeypatch):
+        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002)
+        for depth in (900, 900, 910, 1000):
+            host.run(depth)
+        # The first eligible plan is the measurement, never a duplicate:
+        # one inline run, and every later plan fork-served.
+        assert host.inline_runs == 1
+        assert host.forked_from == [875, 875, 1000]
+        assert not host.pool.broken
+
+    def test_every_run_not_fork_served_executes_exactly_once(self, monkeypatch):
+        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002)
+        depths = (900, 10, 900, 5, 640, 10, 1000, 900)
+        for depth in depths:
+            host.run(depth)
+        host.pool.runner(host.workload, 10.0, seed=1, plan=None)  # foreign
+        assert host.inline_runs + len(host.forked_from) == len(depths) + 1
+        # 2 ms of fork against 0.1 ms a request: break-even at 20
+        # requests, so the plans firing at requests 5 and 10 stay inline.
+        assert host.inline_runs == 1 + 3 + 1
+
+    def test_a_losing_rung_is_dropped_and_deeper_rungs_live_on(self, monkeypatch):
+        # Forks turn out to cost 40 ms, not the 2 ms floor: worth 400 of
+        # this run's requests.
+        host = FakeHost(
+            monkeypatch, run_seconds=0.100, floor=0.002, fork_overhead=0.040
+        )
+        host.run(300)                     # measurement
+        host.run(300)                     # rung 250 opens; its fork shows 40 ms
+        assert host.forked_from == [250]
+        host.run(300)                     # 250 requests no longer pay
+        host.run(260)
+        assert host.forked_from == [250] and host.inline_runs == 3
+        host.run(900)                     # 875 still do
+        host.run(900)
+        assert host.forked_from == [250, 875, 875]
+        assert host.opened == [250, 875] and not host.pool.broken
 
 
 # ------------------------------------------------------- hypothesis property
@@ -363,28 +538,51 @@ ACTIONS = st.lists(
 )
 
 
+#: What kind of plan forks: a raised exception; the same on top of an
+#: always-on base fault; a soft fault (the op succeeds with a corrupted
+#: value); a raise under a verdict monitor that cuts the run short the
+#: moment the fault's log line appears — right after the fork point.
+PLAN_KINDS = ("raise", "always", "corrupt", "verdict")
+FAULT_LOGGED = compile_cutoff(LogMessageOracle("failed|dropped"))
+
+
 @needs_fork
 @given(
     spec=ACTIONS,
     seed=st.integers(0, 50),
-    depth=st.floats(0.1, 1.0),
+    # 1.0 forks at the last request: the trace suffix is empty.
+    depth=st.one_of(st.just(1.0), st.floats(0.1, 1.0)),
+    kind=st.sampled_from(PLAN_KINDS),
 )
-@settings(max_examples=20, deadline=None)
-def test_fork_suffix_equals_full_replay(spec, seed, depth):
-    """For any workload, seed, and fork depth: forked == inline, exactly."""
+@settings(max_examples=40, deadline=None)
+def test_fork_suffix_equals_full_replay(spec, seed, depth, kind):
+    """For any workload, seed, fork depth and plan kind: prefix + shipped
+    suffix == the inline run, field by field."""
     workload = make_workload(spec)
-    probe = execute_workload(workload, horizon=5.0, seed=seed)
+    base = []
+    if kind == "always":
+        first = execute_workload(workload, horizon=5.0, seed=seed).trace[:1]
+        base = [FaultInstance(e.site_id, "IOException", e.occurrence) for e in first]
+    base_plan = InjectionPlan.of([], always=base)
+    probe = execute_workload(workload, horizon=5.0, seed=seed, plan=base_plan)
     if len(probe.trace) < 2:
         return
     fork_point = max(1, min(len(probe.trace), int(len(probe.trace) * depth)))
     target = probe.trace[fork_point - 1]
-    plan = InjectionPlan.single(
-        FaultInstance(target.site_id, "IOException", target.occurrence)
+    fault = "corrupt:bitflip_field" if kind == "corrupt" else "IOException"
+    plan = InjectionPlan.of(
+        [FaultInstance(target.site_id, fault, target.occurrence)], always=base
     )
-    checkpoint = Checkpoint(workload, 5.0, seed, None, fork_point)
+    factory = FAULT_LOGGED.factory if kind == "verdict" else None
+    checkpoint = Checkpoint(
+        workload, 5.0, seed, base_plan, fork_point, monitor_factory=factory
+    )
     try:
         forked = checkpoint.run(plan)
-        inline = execute_workload(workload, horizon=5.0, seed=seed, plan=plan)
+        inline = execute_workload(
+            workload, horizon=5.0, seed=seed, plan=plan,
+            monitor=factory and factory(),
+        )
         assert forked is not None
         assert run_signature(forked) == run_signature(inline)
     finally:
@@ -394,17 +592,49 @@ def test_fork_suffix_equals_full_replay(spec, seed, depth):
 # ----------------------------------------------------------------- explorer
 
 
+class NeverSatisfied(Oracle):
+    """Keeps a search going for its whole round budget.
+
+    Most catalog cases reproduce in round one, and a pool's first plan
+    always runs inline — a search has to last for its rounds to fork.
+    """
+
+    description = "never satisfied"
+
+    def satisfied(self, result) -> bool:
+        return False
+
+
 @needs_fork
 class TestExplorerEquivalence:
-    @pytest.mark.parametrize("case_id", ["f1", "f9", "f13", "f19", "f22"])
-    def test_signature_identical_checkpoint_on_off(self, case_id):
-        case = get_case(case_id)
-        plain = case.explorer(max_rounds=40).explore(jobs=1)
-        forked = case.explorer(max_rounds=40, checkpoint=True).explore(jobs=1)
+    def assert_signature_identical(self, case, jobs=1, **search):
+        case.failure_log()  # generated (and cached per id) under the real oracle
+        plain = case.explorer(**search).explore(jobs=1)
+        before = forks()
+        forked = case.explorer(checkpoint=True, **search).explore(jobs=jobs)
+        # Speculation workers replay from t=0 and serve nearly every
+        # round, so only a serial search is sure to fork in this process.
+        assert jobs > 1 or forks() > before, "no run was fork-served"
         assert forked.signature() == plain.signature()
 
-    def test_signature_identical_checkpoint_jobs4(self):
-        case = get_case("f1")
-        plain = case.explorer(max_rounds=40).explore(jobs=1)
-        forked = case.explorer(max_rounds=40, checkpoint=True).explore(jobs=4)
-        assert forked.signature() == plain.signature()
+    @pytest.mark.parametrize("case_id", ["f1", "f9", "f13", "f19", "f22"])
+    def test_signature_identical_checkpoint_on_off(self, case_id, free_forks):
+        self.assert_signature_identical(
+            get_case(case_id), max_rounds=12, oracle=NeverSatisfied()
+        )
+
+    def test_signature_identical_checkpoint_jobs4(self, free_forks):
+        self.assert_signature_identical(
+            get_case("f1"), jobs=4, max_rounds=12, oracle=NeverSatisfied()
+        )
+
+    def test_reproducing_run_is_fork_served(self, free_forks):
+        """f9 reproduces in round two: the run the script is cut from."""
+        self.assert_signature_identical(get_case("f9"), max_rounds=40)
+
+    def test_xl_signature_identical_checkpoint_on_off(self):
+        """The measured model, unaided: each round after the first forks
+        off a rung three quarters into a 90 ms run."""
+        self.assert_signature_identical(
+            xl_case("f1-xl"), max_rounds=5, oracle=NeverSatisfied()
+        )

@@ -246,10 +246,12 @@ class TestRunnerStatsLines:
         clean_registry.increment("cache.hits", 3)
         clean_registry.increment("cache.misses", 1)
         clean_registry.increment("sim.checkpoint.forks", 2)
+        clean_registry.increment("sim.checkpoint.declined", 5)
         clean_registry.increment("verdict.virtual_seconds_saved", 1.5)
         assert self._lines(capsys) == [
             "[cache: 3 hit(s), 0 alias(es), 1 miss(es), hit rate 75.0%]",
-            "[checkpoint: 0 snapshot(s), 2 fork(s), 0 fallback(s), "
+            "[checkpoint: 0 snapshot(s), 2 fork(s), "
+            "5 run(s) kept inline by the cost model, "
             "0 prefix request(s) skipped]",
             "[early-verdict: 0 cutoff(s), 1.5 virtual second(s) and "
             "0 event(s) saved]",
@@ -257,12 +259,12 @@ class TestRunnerStatsLines:
 
     def test_degraded_line_names_every_fallback(self, capsys, clean_registry):
         clean_registry.increment("campaign.inline_fallbacks", 2)
-        clean_registry.increment("sim.checkpoint.retired")
+        clean_registry.increment("sim.checkpoint.fallbacks")
         clean_registry.increment("cache.disk_errors", 4)
         lines = self._lines(capsys)
         assert lines[-1] == (
             "[degraded: 2 cell(s) re-run inline after worker failures, "
-            "1 checkpoint pool(s) retired as slower than inline, "
+            "1 failed checkpoint fork(s) re-run inline, "
             "4 cache disk error(s)]"
         )
 
