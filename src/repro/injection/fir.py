@@ -49,9 +49,15 @@ def dedupe_instances(instances: Iterable[FaultInstance]) -> list[FaultInstance]:
     return unique
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(slots=True, unsafe_hash=True)
 class TraceEvent:
-    """One dynamic execution of a fault site."""
+    """One dynamic execution of a fault site.
+
+    Immutable by convention, not by ``frozen=True``: one is built per
+    site execution and per decoded cache or fork row, and a frozen
+    ``__init__`` pays four ``object.__setattr__`` calls for it.  Nothing
+    assigns to an event after construction.
+    """
 
     site_id: str
     occurrence: int
@@ -202,15 +208,25 @@ class FIR:
         #: candidate runs that continue with a swapped-in plan.
         self._trigger: Optional[Callable[["FIR"], None]] = None
         self._trigger_at = 0
-        self._log_index_fn: Callable[[], int] = lambda: 0
-        self._clock: Callable[[], float] = lambda: 0.0
+        # Unbound, every event reads log index 0 at time 0.0.
+        self._log_index_fn: Callable[[], int] = int
+        self._clock: Callable[[], float] = float
 
     def bind(
         self,
         log_index_fn: Callable[[], int],
         clock: Callable[[], float],
     ) -> None:
-        """Attach the run's log counter and virtual clock."""
+        """Attach the run's log counter and virtual clock.
+
+        ``on_site`` calls both once per traced request, so a cluster
+        binds them straight to the objects that hold the answers, which
+        stay valid for its whole life (see ``Cluster.__init__``).
+        ``on_site`` holds no other reference across calls: ``trace`` and
+        ``counts`` are read off ``self`` each time, because
+        :meth:`restore` and the checkpoint grandchild replace those
+        objects mid-run.
+        """
         self._log_index_fn = log_index_fn
         self._clock = clock
 
@@ -300,10 +316,7 @@ class FIR:
         if self.tracing:
             self.trace.append(
                 TraceEvent(
-                    site_id,
-                    occurrence,
-                    self._clock(),
-                    self._log_index_fn(),
+                    site_id, occurrence, self._clock(), self._log_index_fn()
                 )
             )
         if self._trigger is not None and self.request_count == self._trigger_at:
@@ -316,10 +329,11 @@ class FIR:
         instance = None
         is_base_fault = False
         if plan is not None:
-            instance = plan.match_always(site_id, occurrence)
-            if instance is not None:
-                is_base_fault = True
-            elif self.fired is None:
+            # The usual plan carries no base faults: skip their probe.
+            if plan._always_by_key:
+                instance = plan.match_always(site_id, occurrence)
+                is_base_fault = instance is not None
+            if instance is None and self.fired is None:
                 instance = plan.match(site_id, occurrence)
         if recorder is not None:
             self.decision_seconds += time.perf_counter() - started

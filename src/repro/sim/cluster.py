@@ -9,6 +9,7 @@ failure oracles inspect.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Generator, Optional
 
 from ..injection.fir import FIR, InjectionPlan, TraceEvent
@@ -17,7 +18,7 @@ from ..obs import VIRTUAL
 from ..obs import metrics as obs_metrics
 from .env import Env
 from .network import Network
-from .scheduler import Simulator, Task, TaskState
+from .scheduler import Simulator, Sleep, Task, TaskState
 from .slog import LogCollector, SimLogger
 from .storage import Disk
 from .sync import Condition, Executor, Future, Lock, Queue, SerialExecutor
@@ -82,9 +83,12 @@ class Cluster:
         self.net = Network(self.sim)
         self.disk = Disk()
         self.fir = fir if fir is not None else FIR()
+        # Bound straight to the two objects that hold the answers, with no
+        # Python frame in between; both live as long as the cluster
+        # (``restore`` refills the record list in place).
         self.fir.bind(
-            log_index_fn=lambda: len(self.collector),
-            clock=lambda: self.sim.now,
+            log_index_fn=self.collector.records.__len__,
+            clock=functools.partial(getattr, self.sim, "now"),
         )
         self.env = Env(self)
         #: Free-form state registry the systems publish into for oracles.
@@ -118,9 +122,7 @@ class Cluster:
     def serial_executor(self, name: str) -> SerialExecutor:
         return SerialExecutor(self.sim, name)
 
-    def sleep(self, delay: float):
-        from .scheduler import Sleep
-
+    def sleep(self, delay: float) -> Sleep:
         return Sleep(delay)
 
     # -------------------------------------------------------------------- runs

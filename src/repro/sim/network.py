@@ -78,19 +78,20 @@ class Network:
         if inbox is None:
             raise ConnectException(f"connection refused by {message.dst}")
         self.sent_count += 1
+        self._sim.call_at(
+            self._sim.now + self._latency, self._deliver, inbox, message
+        )
 
-        def deliver() -> None:
-            self.delivered_count += 1
-            inbox.put_nowait(message)
-
-        self._sim.call_at(self._sim.now + self._latency, deliver)
+    def _deliver(self, inbox: Queue, message: Message) -> None:
+        self.delivered_count += 1
+        inbox.put_nowait(message)
 
     # ------------------------------------------------------------- checkpoint
 
     def capture(self) -> dict:
         """Snapshot the network's restorable state.
 
-        In-flight messages (scheduled ``deliver`` callbacks) belong to the
+        In-flight messages (scheduled ``_deliver`` callbacks) belong to the
         scheduler heap and are not part of this snapshot; inbox contents
         are captured through each inbox queue.
         """

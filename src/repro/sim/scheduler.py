@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import heapq
+import operator
 import random
 import traceback
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -59,7 +61,7 @@ class Sleep:
         self.delay = delay
 
     def subscribe(self, sim: "Simulator", task: "Task") -> None:
-        sim.resume_at(sim.now + self.delay, task)
+        task._timer = sim.resume_at(sim.now + self.delay, task)
 
 
 class Task:
@@ -73,7 +75,8 @@ class Task:
         "error",
         "error_traceback",
         "waiting_on",
-        "_cancel_wakeup",
+        "_parked_in",
+        "_timer",
         "_watchers",
     )
 
@@ -84,11 +87,15 @@ class Task:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self.error_traceback: str = ""
-        #: What the task is currently blocked on (effect object), if any.
+        #: The effect the task last yielded: what it is blocked on while
+        #: ``BLOCKED``; ``None`` before its first yield and once finished.
         self.waiting_on: Any = None
-        #: Set while blocked; calling it revokes the pending wakeup (used by
-        #: interrupt and by timeout races).
-        self._cancel_wakeup: Optional[Callable[[], None]] = None
+        #: The park record, set by the effect's ``subscribe`` and undone on
+        #: every wakeup (signal, timeout, interrupt, kill): the waiter
+        #: collection the task sits in, and the heap entry of its pending
+        #: timed wakeup.  Both are ``None`` whenever the task is not blocked.
+        self._parked_in: Any = None
+        self._timer: Optional[list] = None
         #: Callbacks to run when the task finishes (used by join()).
         self._watchers: list[Callable[["Task"], None]] = []
 
@@ -145,10 +152,13 @@ class Join:
 
 
 #: Heap-entry sentinel marking a task wakeup scheduled by ``resume_at``.
-#: The run loop dispatches these straight into ``Simulator._resume``
-#: instead of through a per-wakeup closure — wakeups are by far the most
-#: common event, and the closure allocations dominated the hot loop.
+#: The run loop wakes, steps and parks the task in its own body instead of
+#: through a per-wakeup closure — wakeups are by far the most common event.
 _RESUME: Any = object()
+
+_BLOCKED = TaskState.BLOCKED
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
 
 
 class Simulator:
@@ -159,35 +169,41 @@ class Simulator:
         self.random = random.Random(seed)
         self.current_task: Optional[Task] = None
         self.tasks: list[Task] = []
-        #: Scheduler events popped off the heap (a run-level counter the
-        #: ``repro.obs`` layer reports; deterministic per ``(seed, plan)``).
+        #: Heap entries popped by :meth:`run`, cancelled ones included (a
+        #: cancelled timer is still popped and counted; only what it would
+        #: have done is skipped).  A pure function of ``(workload, seed,
+        #: plan)`` and of nothing in the kernel's implementation: it is the
+        #: ``sim.events_executed`` recorder counter and the numerator of
+        #: the benchmark's ``sim.events_per_s``, so a kernel change may
+        #: make events cheaper but never fewer.
         self.events_executed = 0
-        #: Entries are 6-slot lists ``[when, seq, fn, task, value, exc]``.
-        #: ``fn`` is ``None`` for a cancelled entry (cancellation mutates
-        #: the entry in place instead of wrapping ``fn`` in a guard
-        #: closure) and ``_RESUME`` for a task wakeup.  ``seq`` is unique,
-        #: so heap comparisons never reach the non-orderable slots.
+        #: Entries are 6-slot lists ``[when, seq, fn, task, value, exc]``:
+        #: ``fn`` is ``_RESUME`` for a task wakeup (slots 3–5 say whom and
+        #: with what), a callable for a ``call_at`` callback (slot 3 holds
+        #: its argument tuple), and ``None`` once cancelled.  Slot 2 is the
+        #: only slot ever mutated, and only to ``None``: by the canceller
+        #: ``call_at`` returns, or — for the entry ``resume_at`` hands back
+        #: — by whoever undoes the park record that holds it.  ``seq`` is
+        #: unique, so heap comparisons never reach the non-orderable slots.
         self._heap: list[list] = []
         self._seq = 0
         self._crash_handlers: list[Callable[[Task], None]] = []
 
     # ------------------------------------------------------------------ events
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> Callable[[], None]:
-        """Schedule ``fn`` at virtual time ``when``; returns a canceller."""
+    def call_at(
+        self, when: float, fn: Callable[..., None], *args: Any
+    ) -> Callable[[], None]:
+        """Schedule ``fn(*args)`` at virtual time ``when``; returns a canceller."""
         if when < self.now:
             when = self.now
         self._seq += 1
-        entry = [when, self._seq, fn, None, None, None]
+        entry = [when, self._seq, fn, args, None, None]
         heapq.heappush(self._heap, entry)
+        return functools.partial(operator.setitem, entry, 2, None)
 
-        def cancel() -> None:
-            entry[2] = None
-
-        return cancel
-
-    def call_soon(self, fn: Callable[[], None]) -> Callable[[], None]:
-        return self.call_at(self.now, fn)
+    def call_soon(self, fn: Callable[..., None], *args: Any) -> Callable[[], None]:
+        return self.call_at(self.now, fn, *args)
 
     def resume_at(
         self,
@@ -195,25 +211,26 @@ class Simulator:
         task: Task,
         value: Any = None,
         exc: Optional[BaseException] = None,
-    ) -> Callable[[], None]:
-        """Schedule ``_resume(task, value, exc)`` without a closure."""
+    ) -> list:
+        """Schedule a wakeup of ``task`` with ``value`` (or ``exc`` thrown).
+
+        Returns the heap entry, which is the cancellation handle:
+        ``entry[2] = None`` revokes the wakeup (the entry is still popped
+        and counted).
+        """
         if when < self.now:
             when = self.now
         self._seq += 1
         entry = [when, self._seq, _RESUME, task, value, exc]
         heapq.heappush(self._heap, entry)
-
-        def cancel() -> None:
-            entry[2] = None
-
-        return cancel
+        return entry
 
     def resume_soon(
         self,
         task: Task,
         value: Any = None,
         exc: Optional[BaseException] = None,
-    ) -> Callable[[], None]:
+    ) -> list:
         return self.resume_at(self.now, task, value, exc)
 
     # ------------------------------------------------------------------- tasks
@@ -224,7 +241,7 @@ class Simulator:
             raise TypeError(f"spawn() expects a generator, got {type(gen).__name__}")
         task = Task(name, gen)
         self.tasks.append(task)
-        self.call_soon(lambda: self._step(task, value=None, first=True))
+        self.call_soon(self._step, task)
         return task
 
     def on_task_crash(self, handler: Callable[[Task], None]) -> None:
@@ -233,17 +250,13 @@ class Simulator:
 
     def interrupt(self, task: Task) -> None:
         """Throw :class:`InterruptedException` into a blocked task."""
-        if task.state is not TaskState.BLOCKED:
-            return
         self._resume(task, exc=InterruptedException(f"{task.name} interrupted"))
 
     def kill(self, task: Task) -> None:
         """Terminate a task without running its handlers (crash analog)."""
         if not task.alive:
             return
-        if task._cancel_wakeup is not None:
-            task._cancel_wakeup()
-            task._cancel_wakeup = None
+        self._unpark(task)
         task.state = TaskState.KILLED
         task.gen.close()
         self._notify_watchers(task)
@@ -256,49 +269,58 @@ class Simulator:
         ``monitor`` (a :class:`repro.core.verdict.VerdictMonitor`) is
         polled after each dispatched event; when it reports the verdict
         decided, the loop exits *without* advancing ``now`` to ``until``
-        and returns ``True``.  The unmonitored path is a separate loop so
-        the common case pays nothing for the hook.
+        and returns ``True``.
+
+        A task wakeup is dispatched in the loop body itself — undo the
+        park record, ``send`` into the generator, let the yielded effect
+        park the task again — so the common event costs one heap pop, one
+        generator step and one ``subscribe``; everything rarer (a task
+        finishing or crashing, a non-effect yielded) goes through the
+        same helpers :meth:`_step` uses.
         """
         heap = self._heap
         pop = heapq.heappop
-        if monitor is None:
-            while heap:
-                when = heap[0][0]
-                if when > until:
-                    break
-                entry = pop(heap)
-                if when > self.now:
-                    self.now = when
-                # Cancelled entries still count: the pre-rewrite loop executed
-                # them as guarded no-ops, and ``events_executed`` feeds the
-                # deterministic run signature.
-                self.events_executed += 1
-                fn = entry[2]
-                if fn is None:
-                    continue
-                if fn is _RESUME:
-                    self._resume(entry[3], value=entry[4], exc=entry[5])
-                else:
-                    fn()
-            self.now = max(self.now, until)
-            return False
-        should_stop = monitor.should_stop
+        should_stop = None if monitor is None else monitor.should_stop
         while heap:
-            when = heap[0][0]
+            entry = heap[0]
+            when = entry[0]
             if when > until:
                 break
-            entry = pop(heap)
+            pop(heap)
             if when > self.now:
                 self.now = when
             self.events_executed += 1
             fn = entry[2]
             if fn is None:
                 continue
-            if fn is _RESUME:
-                self._resume(entry[3], value=entry[4], exc=entry[5])
+            if fn is not _RESUME:
+                fn(*entry[3])
             else:
-                fn()
-            if should_stop():
+                task = entry[3]
+                if task.state is _BLOCKED:
+                    if task._parked_in is not None or task._timer is not None:
+                        self._unpark(task)
+                    self.current_task = task
+                    task.state = _RUNNING
+                    try:
+                        exc = entry[5]
+                        if exc is None:
+                            effect = task.gen.send(entry[4])
+                        else:
+                            effect = task.gen.throw(exc)
+                    except BaseException as error:  # noqa: BLE001 - task end
+                        self._finish(task, error)
+                    else:
+                        task.state = _BLOCKED
+                        task.waiting_on = effect
+                        try:
+                            subscribe = effect.subscribe
+                        except AttributeError:
+                            self._reject(task, effect)
+                        else:
+                            subscribe(self, task)
+                    self.current_task = None
+            if should_stop is not None and should_stop():
                 return True
         self.now = max(self.now, until)
         return False
@@ -347,59 +369,83 @@ class Simulator:
         value: Any = None,
         exc: Optional[BaseException] = None,
     ) -> None:
-        """Wake a blocked task with a value or an exception."""
-        if task.state is not TaskState.BLOCKED:
+        """Wake a blocked task *now*, from inside another event (``Join``
+        completion, ``interrupt``); scheduled wakeups never come here."""
+        if task.state is not _BLOCKED:
             return  # raced with another wakeup (e.g. timeout vs signal)
-        if task._cancel_wakeup is not None:
-            task._cancel_wakeup()
-            task._cancel_wakeup = None
-        task.waiting_on = None
-        task.state = TaskState.READY
-        self._step(task, value=value, exc=exc)
+        self._unpark(task)
+        task.state = _READY
+        self._step(task, value, exc)
 
     def _step(
         self,
         task: Task,
         value: Any = None,
         exc: Optional[BaseException] = None,
-        first: bool = False,
     ) -> None:
-        """Advance the task's generator by one yield."""
-        if task.state is not TaskState.READY:
-            return  # killed or already resumed through another path
+        """Advance the task's generator by one yield (a task's first step,
+        and the nested steps of :meth:`_resume`; :meth:`run` steps woken
+        tasks itself)."""
+        if task.state is not _READY:
+            return  # killed before it ever ran
         previous = self.current_task
         self.current_task = task
-        task.state = TaskState.RUNNING
+        task.state = _RUNNING
         try:
             if exc is not None:
                 effect = task.gen.throw(exc)
             else:
                 effect = task.gen.send(value)
-        except StopIteration as stop:
+        except BaseException as error:  # noqa: BLE001 - task end
+            self._finish(task, error)
+        else:
+            task.state = _BLOCKED
+            task.waiting_on = effect
+            try:
+                subscribe = effect.subscribe
+            except AttributeError:
+                self._reject(task, effect)
+            else:
+                subscribe(self, task)
+        self.current_task = previous
+
+    def _unpark(self, task: Task) -> None:
+        """Undo the park record: leave the waiter collection, revoke the
+        timed wakeup.  The one place either is undone, whoever wakes the
+        task; a signaller that already popped the task, or a timer that is
+        the entry being dispatched, makes its half a no-op."""
+        waiters = task._parked_in
+        if waiters is not None:
+            task._parked_in = None
+            if task in waiters:
+                waiters.remove(task)
+        timer = task._timer
+        if timer is not None:
+            task._timer = None
+            timer[2] = None
+
+    def _finish(self, task: Task, error: BaseException) -> None:
+        """The generator ended: by returning, or by an unhandled error.
+
+        Runs with ``current_task`` still set, so crash handlers (and the
+        records they log) are attributed to the crashing task.
+        """
+        task.waiting_on = None
+        if isinstance(error, StopIteration):
             task.state = TaskState.DONE
-            task.result = stop.value
-            self._notify_watchers(task)
-            return
-        except BaseException as error:  # noqa: BLE001 - task crash boundary
+            task.result = error.value
+        else:
             task.state = TaskState.FAILED
             task.error = error
             task.error_traceback = traceback.format_exc()
             for handler in self._crash_handlers:
                 handler(task)
-            self._notify_watchers(task)
-            return
-        finally:
-            self.current_task = previous
+        self._notify_watchers(task)
 
-        task.state = TaskState.BLOCKED
-        task.waiting_on = effect
-        subscribe = getattr(effect, "subscribe", None)
-        if subscribe is None:
-            task.state = TaskState.FAILED
-            task.error = TypeError(f"task {task.name} yielded {effect!r}")
-            self._notify_watchers(task)
-            return
-        subscribe(self, task)
+    def _reject(self, task: Task, effect: Any) -> None:
+        task.state = TaskState.FAILED
+        task.error = TypeError(f"task {task.name} yielded {effect!r}")
+        self._notify_watchers(task)
 
     def _notify_watchers(self, task: Task) -> None:
         watchers, task._watchers = task._watchers, []

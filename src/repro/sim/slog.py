@@ -26,6 +26,10 @@ class LogCollector:
 
     def __init__(self) -> None:
         self.log = LogFile()
+        #: The log's backing list.  ``restore`` refills it in place, so it
+        #: is the same object for the collector's whole life and the FIR
+        #: can bind its ``__len__`` as the log-index reader.
+        self.records = self.log._records  # noqa: SLF001 - owned container
         #: Emission watchpoints (e.g. the early-verdict monitor's log
         #: leaves); empty on the common path so ``append`` stays cheap.
         self._listeners: list = []
@@ -38,7 +42,7 @@ class LogCollector:
         self._listeners.append(listener)
 
     def append(self, record: LogRecord) -> None:
-        self.log.append(record)
+        self.records.append(record)
         if self._listeners:
             for listener in self._listeners:
                 listener(record)
@@ -50,10 +54,7 @@ class LogCollector:
         return {"records": list(self.log)}
 
     def restore(self, snapshot: dict) -> None:
-        log = LogFile()
-        for record in snapshot["records"]:
-            log.append(record)
-        self.log = log
+        self.records[:] = snapshot["records"]
 
 
 def render_stack_trace(exc: BaseException, limit: int = 12) -> str:

@@ -1,9 +1,16 @@
 """Synchronization primitives for simulated tasks.
 
 All primitives are effects: a task blocks by ``yield``-ing the object the
-primitive returns.  Wakeups are always scheduled through ``call_soon`` so
+primitive returns.  Wakeups are always scheduled through ``resume_soon`` so
 that execution never recurses through generator frames, keeping the run
 order a deterministic function of the event queue.
+
+An effect that has to block *parks* the task: it appends the task to the
+primitive's FIFO waiter deque (a plain list on :class:`Future`, which only
+ever wakes everyone) and records that collection, and the heap entry of a
+timeout if any, on the task — ``Task._parked_in`` / ``Task._timer``.
+That record is plain data; ``Simulator._unpark`` undoes it on any wakeup.
+Signallers just ``popleft`` the next waiter and ``resume_soon`` it.
 
 The :class:`Future`/:class:`Executor` pair matters beyond plumbing: the
 paper's exception analysis explicitly models cross-thread exception
@@ -21,34 +28,6 @@ from .errors import ExecutionException, IllegalStateException
 from .scheduler import Simulator, Task
 
 
-class _WaitEffect:
-    """Base for effects that park the task on a waiter list."""
-
-    def __init__(self) -> None:
-        self._task: Optional[Task] = None
-
-    def _park(
-        self,
-        sim: Simulator,
-        task: Task,
-        unregister: Callable[[], None],
-        timeout: Optional[float] = None,
-        on_timeout: Any = None,
-    ) -> None:
-        """Register cleanup and (optionally) a timeout wakeup."""
-        cancel_timer: Callable[[], None] = lambda: None
-        if timeout is not None:
-            cancel_timer = sim.resume_at(
-                sim.now + timeout, task, value=on_timeout
-            )
-
-        def cleanup() -> None:
-            unregister()
-            cancel_timer()
-
-        task._cancel_wakeup = cleanup
-
-
 class Condition:
     """Java-style condition variable.
 
@@ -60,47 +39,37 @@ class Condition:
     def __init__(self, sim: Simulator, name: str = "cond") -> None:
         self._sim = sim
         self.name = name
-        self._waiters: list[Task] = []
+        self._waiters: collections.deque[Task] = collections.deque()
 
     def wait(self, timeout: Optional[float] = None) -> "_ConditionWait":
         return _ConditionWait(self, timeout)
 
     def notify_all(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for task in waiters:
-            self._sim.resume_soon(task, value=True)
+        waiters = self._waiters
+        while waiters:
+            self._sim.resume_soon(waiters.popleft(), True)
 
     def notify(self) -> None:
         if self._waiters:
-            task = self._waiters.pop(0)
-            self._sim.resume_soon(task, value=True)
-
-    def _discard(self, task: Task) -> None:
-        try:
-            self._waiters.remove(task)
-        except ValueError:
-            pass
+            self._sim.resume_soon(self._waiters.popleft(), True)
 
     def capture(self) -> dict:
         """Snapshot for fingerprinting (waiters referenced by name)."""
         return {"name": self.name, "waiters": [t.name for t in self._waiters]}
 
 
-class _ConditionWait(_WaitEffect):
+class _ConditionWait:
+    __slots__ = ("_condition", "_timeout")
+
     def __init__(self, condition: Condition, timeout: Optional[float]) -> None:
-        super().__init__()
         self._condition = condition
         self._timeout = timeout
 
     def subscribe(self, sim: Simulator, task: Task) -> None:
-        self._condition._waiters.append(task)
-        self._park(
-            sim,
-            task,
-            unregister=lambda: self._condition._discard(task),
-            timeout=self._timeout,
-            on_timeout=False,
-        )
+        task._parked_in = waiters = self._condition._waiters
+        waiters.append(task)
+        if self._timeout is not None:
+            task._timer = sim.resume_at(sim.now + self._timeout, task, False)
 
 
 class Lock:
@@ -110,7 +79,7 @@ class Lock:
         self._sim = sim
         self.name = name
         self._holder: Optional[Task] = None
-        self._waiters: list[Task] = []
+        self._waiters: collections.deque[Task] = collections.deque()
 
     @property
     def held(self) -> bool:
@@ -128,20 +97,13 @@ class Lock:
             raise IllegalStateException(f"lock {self.name} released while free")
         self._holder = None
         if self._waiters:
-            task = self._waiters.pop(0)
-            self._holder = task
-            self._sim.resume_soon(task, value=True)
+            self._holder = task = self._waiters.popleft()
+            self._sim.resume_soon(task, True)
 
     def force_release(self) -> None:
         """Drop the lock regardless of holder (crash-cleanup analog)."""
         if self._holder is not None:
             self.release()
-
-    def _discard(self, task: Task) -> None:
-        try:
-            self._waiters.remove(task)
-        except ValueError:
-            pass
 
     def capture(self) -> dict:
         """Snapshot for fingerprinting (tasks referenced by name)."""
@@ -152,19 +114,20 @@ class Lock:
         }
 
 
-class _LockAcquire(_WaitEffect):
+class _LockAcquire:
+    __slots__ = ("_lock",)
+
     def __init__(self, lock: Lock) -> None:
-        super().__init__()
         self._lock = lock
 
     def subscribe(self, sim: Simulator, task: Task) -> None:
-        if self._lock._holder is None:
-            self._lock._holder = task
-            sim.resume_soon(task, value=True)
-            task._cancel_wakeup = None
+        lock = self._lock
+        if lock._holder is None:
+            lock._holder = task
+            sim.resume_soon(task, True)
             return
-        self._lock._waiters.append(task)
-        self._park(sim, task, unregister=lambda: self._lock._discard(task))
+        task._parked_in = lock._waiters
+        lock._waiters.append(task)
 
 
 class Queue:
@@ -182,8 +145,10 @@ class Queue:
         self.name = name
         self.capacity = capacity
         self._items: collections.deque[Any] = collections.deque()
-        self._getters: list[Task] = []
-        self._putters: list[tuple[Task, Any]] = []
+        self._getters: collections.deque[Task] = collections.deque()
+        #: Blocked putters; each one's item rides on its ``_QueuePut``
+        #: effect (``task.waiting_on``) until the queue admits it.
+        self._putters: collections.deque[Task] = collections.deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -227,8 +192,7 @@ class Queue:
     def _deliver(self, item: Any) -> None:
         """Hand an item to a waiting getter or store it."""
         if self._getters:
-            getter = self._getters.pop(0)
-            self._sim.resume_soon(getter, value=item)
+            self._sim.resume_soon(self._getters.popleft(), item)
         else:
             self._items.append(item)
 
@@ -236,9 +200,9 @@ class Queue:
         if self._putters and (
             self.capacity is None or len(self._items) < self.capacity
         ):
-            putter, item = self._putters.pop(0)
-            self._items.append(item)
-            self._sim.resume_soon(putter, value=None)
+            putter = self._putters.popleft()
+            self._items.append(putter.waiting_on._item)
+            self._sim.resume_soon(putter)
 
     # ------------------------------------------------------------- checkpoint
 
@@ -249,7 +213,7 @@ class Queue:
             "capacity": self.capacity,
             "items": list(self._items),
             "getters": [t.name for t in self._getters],
-            "putters": [t.name for t, _ in self._putters],
+            "putters": [t.name for t in self._putters],
         }
 
     def restore(self, snapshot: dict) -> None:
@@ -257,19 +221,11 @@ class Queue:
         self.capacity = snapshot["capacity"]
         self._items = collections.deque(snapshot["items"])
 
-    def _discard_getter(self, task: Task) -> None:
-        try:
-            self._getters.remove(task)
-        except ValueError:
-            pass
 
-    def _discard_putter(self, task: Task) -> None:
-        self._putters = [(t, i) for t, i in self._putters if t is not task]
+class _QueuePut:
+    __slots__ = ("_queue", "_item")
 
-
-class _QueuePut(_WaitEffect):
     def __init__(self, queue: Queue, item: Any) -> None:
-        super().__init__()
         self._queue = queue
         self._item = item
 
@@ -277,16 +233,16 @@ class _QueuePut(_WaitEffect):
         queue = self._queue
         if queue.capacity is None or len(queue._items) < queue.capacity or queue._getters:
             queue._deliver(self._item)
-            sim.resume_soon(task, value=None)
-            task._cancel_wakeup = None
+            sim.resume_soon(task)
             return
-        queue._putters.append((task, self._item))
-        self._park(sim, task, unregister=lambda: queue._discard_putter(task))
+        task._parked_in = queue._putters
+        queue._putters.append(task)
 
 
-class _QueueGet(_WaitEffect):
+class _QueueGet:
+    __slots__ = ("_queue", "_timeout")
+
     def __init__(self, queue: Queue, timeout: Optional[float]) -> None:
-        super().__init__()
         self._queue = queue
         self._timeout = timeout
 
@@ -295,17 +251,12 @@ class _QueueGet(_WaitEffect):
         if queue._items:
             item = queue._items.popleft()
             queue._admit_putter()
-            sim.resume_soon(task, value=item)
-            task._cancel_wakeup = None
+            sim.resume_soon(task, item)
             return
-        queue._getters.append(task)
-        self._park(
-            sim,
-            task,
-            unregister=lambda: queue._discard_getter(task),
-            timeout=self._timeout,
-            on_timeout=None,
-        )
+        task._parked_in = getters = queue._getters
+        getters.append(task)
+        if self._timeout is not None:
+            task._timer = sim.resume_at(sim.now + self._timeout, task)
 
 
 class Future:
@@ -322,6 +273,8 @@ class Future:
         self._done = False
         self._result: Any = None
         self._exception: Optional[BaseException] = None
+        #: A list, not a deque: a future is made per submission, woken
+        #: once and all at a time, and an empty deque is a 64-slot block.
         self._waiters: list[Task] = []
 
     @property
@@ -352,17 +305,9 @@ class Future:
     def subscribe(self, sim: Simulator, task: Task) -> None:
         if self._done:
             self._schedule_wake(task)
-            task._cancel_wakeup = None
             return
+        task._parked_in = self._waiters
         self._waiters.append(task)
-
-        def unregister() -> None:
-            try:
-                self._waiters.remove(task)
-            except ValueError:
-                pass
-
-        task._cancel_wakeup = unregister
 
     def _wake_all(self) -> None:
         waiters, self._waiters = self._waiters, []

@@ -113,6 +113,30 @@ class TestClusterRuns:
         )
         assert any("FileNotFoundException" in m for m in result.log.messages())
 
+    def test_crash_record_carries_the_crashing_tasks_thread_name(self):
+        def workload(cluster):
+            env = cluster.env
+
+            def bad(delay):
+                if delay:
+                    yield cluster.sleep(delay)
+                env.disk_read("/missing")
+                yield cluster.sleep(1)
+
+            cluster.spawn("bad-at-once", bad(0))   # crashes on its first step
+            cluster.spawn("bad-later", bad(1.0))   # crashes on a wakeup
+
+        result = execute_workload(workload, horizon=5.0)
+        crash_records = {
+            record.thread: record.message.splitlines()[0]
+            for record in result.log
+            if record.message.startswith("Unhandled exception")
+        }
+        assert crash_records == {
+            "bad-at-once": "Unhandled exception in thread bad-at-once",
+            "bad-later": "Unhandled exception in thread bad-later",
+        }
+
 
 class TestEnvOps:
     def test_disk_round_trip(self):
@@ -211,3 +235,28 @@ class TestFirAccounting:
         cluster.env.disk_write("/x", b"")
         assert cluster.fir.trace == []
         assert cluster.fir.request_count == 1
+
+    def test_site_bindings_survive_restore_and_a_trace_swap(self):
+        """``on_site`` reads the clock and the log index through direct
+        references; they must follow a cluster restore (the speculation
+        pool) and a swapped-in trace list (the checkpoint grandchild)."""
+        cluster = Cluster()
+        disk_workload(cluster)
+        cluster.sim.run(until=0.15)
+        snapshot = cluster.capture()
+        records, requests = len(cluster.collector), cluster.fir.request_count
+        assert records == 2 and requests == 2
+
+        cluster.sim.run(until=10.0)
+        assert len(cluster.collector) > records
+        cluster.restore(snapshot)
+        cluster.env.disk_write("/after-restore", b"")
+        event = cluster.fir.trace[-1]
+        assert len(cluster.fir.trace) == requests + 1
+        assert (event.time, event.log_index) == (snapshot["sim"]["now"], records)
+
+        prefix, cluster.fir.trace = cluster.fir.trace, []
+        cluster.logger().info("suffix record")
+        cluster.env.disk_write("/after-swap", b"")
+        assert len(prefix) == requests + 1
+        assert [e.log_index for e in cluster.fir.trace] == [records + 1]

@@ -207,3 +207,133 @@ def test_yielding_garbage_fails_task():
     sim.run(until=1.0)
     assert task.state is TaskState.FAILED
     assert isinstance(task.error, TypeError)
+
+
+# ----------------------------------------------------- park records as data
+
+
+def test_interrupted_sleeper_is_not_woken_by_its_stale_timer():
+    """The sleep's timer is the park record's timer: interrupting the
+    sleeper revokes it, so it cannot later wake the task out of an
+    unrelated, untimed wait."""
+    from repro.sim.sync import Queue
+
+    sim = Simulator()
+    queue = Queue(sim)
+    outcome = []
+
+    def sleeper():
+        try:
+            yield Sleep(5.0)
+        except InterruptedException:
+            outcome.append(("interrupted", sim.now))
+        item = yield queue.get()
+        outcome.append(("got", item, sim.now))
+
+    task = sim.spawn("s", sleeper())
+    sim.call_at(1.0, lambda: sim.interrupt(task))
+    sim.run(until=10.0)
+    assert outcome == [("interrupted", 1.0)]
+    assert task.state is TaskState.BLOCKED
+    queue.put_nowait("late")
+    sim.run(until=20.0)
+    assert outcome == [("interrupted", 1.0), ("got", "late", 10.0)]
+
+
+def test_killed_sleepers_timer_does_not_touch_a_same_named_successor():
+    from repro.sim.sync import Queue
+
+    sim = Simulator()
+    queue = Queue(sim)
+    outcome = []
+
+    def first():
+        yield Sleep(5.0)
+        outcome.append("first woke")
+
+    def second():
+        item = yield queue.get()
+        outcome.append(("second got", item, sim.now))
+
+    def replace(task):
+        sim.kill(task)
+        sim.spawn("worker", second())
+
+    task = sim.spawn("worker", first())
+    sim.call_at(1.0, lambda: replace(task))
+    sim.run(until=10.0)
+    assert task.state is TaskState.KILLED
+    assert outcome == []
+    assert [t.state for t in sim.tasks] == [TaskState.KILLED, TaskState.BLOCKED]
+
+
+def test_events_executed_counts_cancelled_entries():
+    """``events_executed`` is heap entries popped — a cancelled timer is
+    popped (and counted) like any other; only its action is skipped."""
+    sim = Simulator()
+    fired = []
+    sim.call_at(1.0, lambda: fired.append("kept"))
+    sim.call_at(2.0, lambda: fired.append("cancelled"))()
+    entry = sim.resume_at(3.0, sim.spawn("idle", iter_forever()))
+    entry[2] = None
+    sim.run(until=2.5)
+    assert fired == ["kept"]
+    assert sim.events_executed == 3  # the spawn, "kept", cancelled "cancelled"
+    sim.run(until=5.0)
+    assert sim.events_executed == 4  # the cancelled wakeup at 3.0 too
+
+
+def iter_forever():
+    while True:
+        yield Sleep(1000.0)
+
+
+def test_cancelled_timeout_is_still_popped_and_counted():
+    from repro.sim.sync import Condition
+
+    def events(signal: bool) -> int:
+        sim = Simulator()
+        cond = Condition(sim)
+
+        def waiter():
+            yield cond.wait(timeout=2.0)
+
+        sim.spawn("w", waiter())
+        if signal:
+            sim.call_at(1.0, cond.notify)
+        sim.run(until=10.0)
+        return sim.events_executed
+
+    # spawn + timeout, against spawn + notify callback + wakeup + the
+    # revoked timeout entry.
+    assert events(signal=False) == 2
+    assert events(signal=True) == 4
+
+
+def test_crash_handlers_run_as_the_crashing_task():
+    sim = Simulator()
+    seen = []
+    sim.on_task_crash(lambda task: seen.append((task.name, sim.current_task)))
+
+    def bad():
+        yield Sleep(0.1)
+        raise ValueError("boom")
+
+    def bad_at_once():
+        raise ValueError("boom on the first step")
+        yield  # pragma: no cover - makes this a generator
+
+    first = sim.spawn("first-step", bad_at_once())
+    task = sim.spawn("bad", bad())
+    sim.run(until=1.0)
+    assert seen == [("first-step", first), ("bad", task)]
+    assert sim.current_task is None
+
+
+def test_call_at_passes_arguments():
+    sim = Simulator()
+    fired = []
+    sim.call_at(1.0, lambda *args: fired.append(args), "a", 2)
+    sim.call_soon(fired.append, "soon")
+    sim.run(until=5.0)
+    assert fired == ["soon", ("a", 2)]

@@ -350,3 +350,184 @@ class TestExecutors:
         run(sim)
         assert done == []  # quick never ran: the worker is stuck
         assert pool.worker.blocked_in("blocker")
+
+
+class TestWakeOrder:
+    """Ordering the data-driven park records must keep."""
+
+    def test_condition_notify_wakes_in_arrival_order(self):
+        sim = Simulator()
+        cond = Condition(sim)
+        woken = []
+
+        def waiter(i):
+            yield cond.wait()
+            woken.append(i)
+
+        for i in range(4):
+            sim.spawn(f"w{i}", waiter(i))
+        for when in (1.0, 2.0, 3.0):
+            sim.call_at(when, cond.notify)
+        run(sim)
+        assert woken == [0, 1, 2]
+        assert cond.capture()["waiters"] == ["w3"]
+
+    def test_lock_release_hands_over_in_arrival_order(self):
+        sim = Simulator()
+        lock = Lock(sim)
+        order = []
+
+        def worker(i):
+            yield lock.acquire()
+            order.append(i)
+            yield Sleep(1.0)
+            lock.release()
+
+        for i in range(4):
+            sim.spawn(f"w{i}", worker(i))
+        run(sim)
+        assert order == [0, 1, 2, 3]
+
+    def test_queue_getters_and_putters_are_served_in_arrival_order(self):
+        sim = Simulator()
+        queue = Queue(sim, capacity=1)
+        got, put = [], []
+
+        def getter(i):
+            got.append((i, (yield queue.get())))
+
+        def putter(i):
+            yield queue.put(f"item{i}")
+            put.append(i)
+
+        for i in range(3):
+            sim.spawn(f"g{i}", getter(i))
+        run(sim, until=1.0)
+        for i in range(5):
+            sim.spawn(f"p{i}", putter(i))
+        run(sim, until=2.0)
+        # Three items go straight to the waiting getters, the fourth
+        # fills the queue, the fifth blocks.
+        assert got == [(0, "item0"), (1, "item1"), (2, "item2")]
+        assert put == [0, 1, 2, 3]
+        assert queue.capture()["putters"] == ["p4"]
+        assert queue.get_nowait() == "item3"
+        run(sim, until=3.0)
+        assert put == [0, 1, 2, 3, 4] and queue.peek() == "item4"
+
+    def test_wakeup_ahead_of_the_timer_at_the_same_timestamp_wins(self):
+        """Same ``when``: ``seq`` decides.  The signal's wakeup entry was
+        pushed first, so the task gets the value; the timer entry is
+        revoked but still popped and counted."""
+        sim = Simulator()
+        cond = Condition(sim)
+        outcome = []
+
+        def waiter():
+            outcome.append((yield cond.wait(timeout=2.0)))
+            yield cond.wait()  # would expose a second, stale wakeup
+
+        task = sim.spawn("w", waiter())
+        signal = sim.resume_at(2.0, task, "signal")  # seq ahead of the timer's
+        run(sim, until=1.0)
+        timer = task._timer
+        assert (timer[0], signal[0]) == (2.0, 2.0) and signal[1] < timer[1]
+        before = sim.events_executed
+        run(sim, until=5.0)
+        assert outcome == ["signal"]
+        assert timer[2] is None
+        assert sim.events_executed == before + 2
+        assert task.state.value == "blocked" and list(cond._waiters) == [task]
+
+    def test_timer_ahead_of_the_wakeup_at_the_same_timestamp_wins(self):
+        """The reverse: a signal issued at the very instant the timeout is
+        due arrives behind the timer entry, so the task times out and has
+        left the waiter set before anyone can pop it."""
+        sim = Simulator()
+        cond = Condition(sim)
+        outcome = []
+
+        def waiter():
+            outcome.append((yield cond.wait(timeout=2.0)))
+
+        def check_then_notify():
+            outcome.append(list(cond._waiters))
+            cond.notify()
+
+        task = sim.spawn("w", waiter())
+        run(sim, until=1.0)
+        sim.call_at(2.0, check_then_notify)  # seq behind the timer's
+        run(sim, until=5.0)
+        assert outcome == [False, []]
+        assert task.state.value == "done"
+
+    def test_notify_all_and_future_completion_wake_each_task_once(self):
+        sim = Simulator()
+        cond = Condition(sim)
+        future = Future(sim)
+        wakeups = []
+
+        def cond_waiter(i):
+            wakeups.append(("cond", i, (yield cond.wait(timeout=5.0))))
+            yield Sleep(100.0)  # a second wakeup would cut this short
+            wakeups.append(("cond-slept", i))
+
+        def future_waiter(i):
+            wakeups.append(("future", i, (yield future)))
+            yield Sleep(100.0)
+            wakeups.append(("future-slept", i))
+
+        for i in range(3):
+            sim.spawn(f"c{i}", cond_waiter(i))
+            sim.spawn(f"f{i}", future_waiter(i))
+
+        def signal_everything_twice():
+            cond.notify_all()
+            cond.notify_all()
+            cond.notify()
+            future.set_result("done")
+            future.set_result("again")
+
+        sim.call_at(1.0, signal_everything_twice)
+        run(sim, until=50.0)
+        assert sorted(wakeups) == (
+            [("cond", i, True) for i in range(3)]
+            + [("future", i, "done") for i in range(3)]
+        )
+        assert not cond._waiters and not future._waiters
+
+    def test_interrupted_waiter_leaves_every_kind_of_waiter_set(self):
+        from repro.sim.errors import InterruptedException
+
+        sim = Simulator()
+        cond, lock, future = Condition(sim), Lock(sim), Future(sim)
+        getq, putq = Queue(sim), Queue(sim, capacity=0)
+        effects = {
+            "cond": cond.wait,
+            "lock": lock.acquire,
+            "future": lambda: future,
+            "get": getq.get,
+            "put": lambda: putq.put("x"),
+        }
+        caught = []
+
+        def holder():
+            yield lock.acquire()
+            yield Sleep(100.0)
+
+        def victim(kind):
+            try:
+                yield effects[kind]()
+            except InterruptedException:
+                caught.append(kind)
+
+        sim.spawn("holder", holder())
+        victims = [sim.spawn(kind, victim(kind)) for kind in effects]
+        sim.call_at(1.0, lambda: [sim.interrupt(task) for task in victims])
+        run(sim, until=2.0)
+        assert caught == list(effects)
+        for waiters in (
+            cond._waiters, lock._waiters, future._waiters,
+            getq._getters, putq._putters,
+        ):
+            assert not waiters
