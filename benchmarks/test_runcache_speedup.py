@@ -22,6 +22,7 @@ import time
 from conftest import emit
 
 from repro import cache as runcache
+from repro.analysis.system_model import clear_facts_cache
 from repro.baselines import ALL_STRATEGIES
 from repro.bench import format_table, run_anduril, run_baseline
 from repro.bench.tables import OUT_DIR
@@ -34,6 +35,9 @@ CASE_IDS = ("f1", "f5", "f13", "f19", "f22")
 
 def run_sweep():
     """One ``compare``-equivalent pass; returns its outcome signature."""
+    # A pass stands for one `compare` process: it starts without the
+    # per-model memos and prepared cases of the pass before it.
+    clear_facts_cache()
     cells = []
     for case_id in CASE_IDS:
         case = get_case(case_id)

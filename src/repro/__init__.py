@@ -20,8 +20,8 @@ Quick start::
 See ``examples/`` for applying the tool to your own simulated system.
 """
 
+from ._lazy import lazy_exports
 from .core.explorer import ExplorationResult, Explorer
-from .core.iterative import IterativeExplorer, IterativeResult
 from .core.oracle import (
     AllOf,
     AnyOf,
@@ -34,10 +34,18 @@ from .core.oracle import (
 from .core.report import ReproductionScript
 from .injection.fir import FIR, InjectionPlan
 from .injection.sites import FaultCandidate, FaultInstance, SiteRef
-from .obs import TraceRecorder
 from .sim.cluster import Cluster, RunResult, execute_workload
 
 __version__ = "1.0.0"
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "IterativeExplorer": ".core.iterative",
+        "IterativeResult": ".core.iterative",
+        "TraceRecorder": ".obs.trace",
+    },
+)
 
 __all__ = [
     "AllOf",

@@ -66,7 +66,6 @@ import sys
 import time
 
 from . import cache as runcache
-from .analysis import lint_package, registered_rules
 from .baselines import ALL_STRATEGIES
 from .bench import (
     format_table,
@@ -74,15 +73,17 @@ from .bench import (
     resolve_jobs,
     run_compare_campaign,
 )
-from .bench import summary as bench_summary
 from .core.pipeline import RunConfig, RunPipeline
 from .core.pruning import DEFAULT_RADIUS
 from .core.report import ReproductionScript
 from .failures import UnknownCaseError, all_cases, get_case
-from .obs import TraceRecorder, build_plan_provenance, ledger, write_report
 from .obs import bus as event_bus
+from .obs import ledger
 from .obs import metrics as obs_metrics
-from .obs import watch as watch_view
+
+# What only one command needs (recorder, provenance, watch view, HTML
+# report, lint pass, summary writer) is imported where it is used: every
+# process compiles its imports from source.
 
 
 def _write_text(path: str, payload: str, what: str = "output") -> bool:
@@ -241,7 +242,11 @@ def _cmd_reproduce_body(args, config: RunConfig) -> int:
     case = _with_fault_dims(args, get_case(args.case_id))
     print(f"{case.issue}: {case.title}")
     print(f"oracle: {case.oracle.description}")
-    recorder = TraceRecorder() if args.profile else None
+    recorder = None
+    if args.profile:
+        from .obs import TraceRecorder
+
+        recorder = TraceRecorder()
     jobs = config.jobs
     explorer = case.explorer(
         max_rounds=args.max_rounds,
@@ -430,6 +435,8 @@ def _cmd_compare_body(args, config: RunConfig) -> int:
     _append_ledger(entries, args)
     _print_runner_stats()
     if args.summary_out:
+        from .bench import summary as bench_summary
+
         bench_summary.clear()
         for outcome in (*anduril_by_case.values(), *cells.values()):
             bench_summary.record_outcome(outcome)
@@ -455,6 +462,8 @@ def _cmd_compare_body(args, config: RunConfig) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .obs import TraceRecorder
+
     case = get_case(args.case_id)
     recorder = TraceRecorder()
     explorer = case.explorer(max_rounds=args.max_rounds, recorder=recorder)
@@ -481,6 +490,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from .obs import TraceRecorder, build_plan_provenance
+
     case = get_case(args.case_id)
     recorder = TraceRecorder()
     explorer = case.explorer(
@@ -511,8 +522,7 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _render_watch(state, history, is_tty: bool) -> None:
-    output = watch_view.render(state, history)
+def _write_frame(output: str, is_tty: bool) -> None:
     if is_tty:
         # Clear and home between frames so the table redraws in place.
         sys.stdout.write("\x1b[2J\x1b[H" + output + "\n")
@@ -522,6 +532,8 @@ def _render_watch(state, history, is_tty: bool) -> None:
 
 
 def cmd_watch(args) -> int:
+    from .obs import watch as watch_view
+
     path = args.path or event_bus.DEFAULT_PATH
     if not args.follow and not os.path.exists(path):
         print(f"error: no event stream at {path}", file=sys.stderr)
@@ -567,13 +579,15 @@ def cmd_watch(args) -> int:
         now = time.monotonic()
         if now - last_render >= args.interval:
             last_render = now
-            _render_watch(state, history, is_tty)
+            _write_frame(watch_view.render(state, history), is_tty)
     # Final frame: the stream ended (campaign.done or timeout).
-    _render_watch(state, history, is_tty)
+    _write_frame(watch_view.render(state, history), is_tty)
     return 0
 
 
 def cmd_report(args) -> int:
+    from .obs import write_report
+
     systems = {case.case_id: case.system for case in all_cases()}
     try:
         path = write_report(
@@ -606,6 +620,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_lint(args) -> int:
+    from .analysis import lint_package
+
     rules = None
     if args.rules:
         rules = [rule_id.strip() for rule_id in args.rules.split(",") if rule_id.strip()]
@@ -741,6 +757,18 @@ def _with_fault_dims(args, case):
     """
     dims = getattr(args, "fault_dims", None)
     return dataclasses.replace(case, fault_dims=dims) if dims else case
+
+
+class _RulesHelp(str):
+    """Help text whose ``%(rules)s`` is the rule catalog, loaded only
+    when argparse renders it (``lint --help``)."""
+
+    def __mod__(self, params):
+        from .analysis import registered_rules
+
+        return str.__mod__(
+            self, dict(params, rules=", ".join(sorted(registered_rules())))
+        )
 
 
 def _add_cache_options(subparser) -> None:
@@ -962,8 +990,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=("text", "json"), default="text")
     lint.add_argument(
         "--rules",
-        help="comma-separated rule ids to run "
-        f"(default: all of {', '.join(sorted(registered_rules()))})",
+        help=_RulesHelp(
+            "comma-separated rule ids to run (default: all of %(rules)s)"
+        ),
     )
     lint.add_argument(
         "--min-severity",

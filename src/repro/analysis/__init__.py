@@ -7,6 +7,7 @@ Pipeline: ``analyze_package`` extracts AST facts into a ``SystemModel``;
 each round.
 """
 
+from .._lazy import lazy_exports
 from .ast_facts import (
     AssignFact,
     CallFact,
@@ -31,8 +32,6 @@ from .flow import (
     reachability_weights,
     task_root_closure,
 )
-from .lint import LintReport, lint_package, run_lint
-from .rules import Finding, LintContext, registered_rules
 from .model import (
     CausalGraph,
     Node,
@@ -44,6 +43,21 @@ from .model import (
     graph_fault_candidates,
 )
 from .system_model import SystemModel, analyze_package
+
+# The lint pass and its rule catalog load only for `repro lint`, the
+# lint prior, or a caller naming them.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "LintReport": ".lint",
+        "lint_package": ".lint",
+        "run_lint": ".lint",
+        "Finding": ".rules",
+        "LintContext": ".rules",
+        "registered_rules": ".rules",
+    },
+    submodules=("lint", "rules"),
+)
 
 __all__ = [
     "AnalysisTimings",

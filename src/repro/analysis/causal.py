@@ -78,7 +78,7 @@ class CausalGraphBuilder:
         self.model = model
         self.timings = AnalysisTimings()
         if analysis is None:
-            analysis = ExceptionAnalysis(model)
+            analysis = ExceptionAnalysis.of(model)
         self.analysis = analysis
         self.timings.exception_seconds = analysis.elapsed_seconds
         #: Which fault dimensions to enumerate candidates for:

@@ -64,6 +64,12 @@ class ExceptionAnalysis:
         self.elapsed_seconds = 0.0
         self._run()
 
+    @classmethod
+    def of(cls, model: SystemModel) -> "ExceptionAnalysis":
+        """The model's one analysis: the fixpoint runs on first request
+        and ``elapsed_seconds`` keeps reporting that run (Table 7)."""
+        return model.memo(cls, lambda: cls(model))
+
     # ------------------------------------------------------------------ public
 
     def escaping_points(

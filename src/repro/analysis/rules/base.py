@@ -141,7 +141,7 @@ class LintContext:
         self, model: SystemModel, analysis: Optional[ExceptionAnalysis] = None
     ) -> None:
         self.model = model
-        self.analysis = analysis if analysis is not None else ExceptionAnalysis(model)
+        self.analysis = analysis if analysis is not None else ExceptionAnalysis.of(model)
 
     # ------------------------------------------------------------ span queries
 

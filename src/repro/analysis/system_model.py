@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import pickle
 import pkgutil
 import warnings
-from typing import Iterable, Optional
+import weakref
+from typing import Callable, Iterable, Optional
 
 from ..logs.sanitize import LogTemplate, TemplateMatcher
+from ..obs.ledger import git_sha
 from ..sim import errors as sim_errors
 from .ast_facts import (
     AssignFact,
@@ -31,6 +34,12 @@ from .ast_facts import (
     TryFact,
     extract_module_facts,
 )
+
+
+#: model -> {key: value}: everything memoised per :class:`SystemModel`
+#: (exception analysis, template matcher, prepared cases).  A table dies
+#: with its model; :func:`clear_facts_cache` drops them all.
+_MODEL_MEMOS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class SystemModel:
@@ -89,6 +98,17 @@ class SystemModel:
             self._returns_by_function.setdefault(return_fact.function, []).append(
                 return_fact
             )
+
+    def memo(self, key, build: Callable[[], object]):
+        """``build()``, once per model and hashable ``key``.
+
+        A model is immutable after construction, so whatever is derived
+        from it alone can be shared by every search over it.
+        """
+        table = _MODEL_MEMOS.setdefault(self, {})
+        if key not in table:
+            table[key] = build()
+        return table[key]
 
     # ------------------------------------------------------------------ lookups
 
@@ -241,7 +261,11 @@ class SystemModel:
         ]
 
     def template_matcher(self) -> TemplateMatcher:
-        return TemplateMatcher(self.log_templates())
+        """The model's matcher, regexes compiled once (its message-key
+        cache is a pure memo, so sharing it only warms it)."""
+        return self.memo(
+            TemplateMatcher, lambda: TemplateMatcher(self.log_templates())
+        )
 
     def total_fault_candidates(self) -> int:
         """All static (site, exception) pairs in the system — Table 1 'Total'."""
@@ -292,9 +316,16 @@ def analyze_package(
 #: re-parses, an unchanged one is a dict lookup).
 _FACTS_CACHE: dict[str, tuple[str, ModuleFacts]] = {}
 
+#: Bumped when :class:`ModuleFacts` changes shape.
+_FACTS_VERSION = 1
+
 
 def clear_facts_cache() -> None:
+    """Forget every memoised analysis product — module facts and what
+    was derived per model — so the next analysis is a cold one (the
+    ``facts/`` disk tier, if any, still serves unchanged sources)."""
     _FACTS_CACHE.clear()
+    _MODEL_MEMOS.clear()
 
 
 def _facts_for_module(module_name: str) -> Optional[ModuleFacts]:
@@ -314,6 +345,26 @@ def _facts_for_module(module_name: str) -> Optional[ModuleFacts]:
     cached = _FACTS_CACHE.get(module_name)
     if cached is not None and cached[0] == digest:
         return cached[1]
-    facts = extract_module_facts(module_name, file_path, source)
+    # Not at module top: repro.cache imports repro.analysis.flow.
+    from ..cache import runcache
+
+    cache = runcache.active()
+    tier = None if cache is None else cache.tier("facts")
+    # Facts embed the file path and the extractor changes with the
+    # commit: an entry stamped otherwise is stale, and simply overwritten.
+    stamp = (_FACTS_VERSION, git_sha(), file_path, digest)
+
+    def decode(data: bytes) -> Optional[ModuleFacts]:
+        entry_stamp, facts = pickle.loads(data)
+        return facts if entry_stamp == stamp else None
+
+    facts = None if tier is None else tier.read(f"{module_name}.pkl", decode)
+    if facts is None:
+        facts = extract_module_facts(module_name, file_path, source)
+        if tier is not None:
+            tier.write(
+                f"{module_name}.pkl",
+                lambda: pickle.dumps((stamp, facts), pickle.HIGHEST_PROTOCOL),
+            )
     _FACTS_CACHE[module_name] = (digest, facts)
     return facts

@@ -15,33 +15,22 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Optional, Protocol
+from typing import Mapping, Optional, Protocol, Sequence
 
-from ..analysis.causal import CausalGraphBuilder, DistanceIndex
-from ..cache import cached_execute
-from ..analysis.model import (
-    SourceInfo,
-    filter_candidates_by_dims,
-    graph_fault_candidates,
-)
+from ..analysis.causal import DistanceIndex
+from ..analysis.model import SourceInfo
 from ..analysis.system_model import SystemModel
 from ..core.alignment import TimelineMap
 from ..core.observables import ObservableSet
 from ..core.oracle import Oracle
 from ..core.pipeline import RunConfig, RunPipeline
+from ..core.prepared import prepared_case
 from ..injection.fir import InjectionPlan, TraceEvent, dedupe_instances
 from ..injection.sites import FaultInstance
-from ..logs.diff import LogComparator
 from ..logs.record import LogFile
 from ..obs.bus import RoundReporter
-from ..obs.coverage import (
-    NULL_COVERAGE,
-    CoverageSummary,
-    CoverageTracker,
-    enumerate_fault_space,
-    occurrences_from_trace,
-)
-from ..sim.cluster import RunResult, WorkloadFn, execute_workload
+from ..obs.coverage import NULL_COVERAGE, CoverageSummary, CoverageTracker
+from ..sim.cluster import RunResult, WorkloadFn
 
 
 class CaseLike(Protocol):
@@ -63,64 +52,44 @@ class SearchContext:
     case: CaseLike
     model: SystemModel
     observables: ObservableSet
-    candidates: list[SourceInfo]
+    candidates: Sequence[SourceInfo]
     index: DistanceIndex
     timeline: TimelineMap
     normal_run: RunResult
-    instances_by_site: dict[str, list[TraceEvent]]
+    instances_by_site: Mapping[str, Sequence[TraceEvent]]
+    #: Every injectable triple of the case (coverage's denominator).
+    fault_space: frozenset
 
-    def instances_of(self, site_id: str) -> list[TraceEvent]:
-        return self.instances_by_site.get(site_id, [])
+    def instances_of(self, site_id: str) -> Sequence[TraceEvent]:
+        return self.instances_by_site.get(site_id, ())
 
 
 def build_context(case: CaseLike) -> SearchContext:
-    """Run the probe and build the static artifacts (Explorer steps 1–2)."""
+    """The case's shared prepared artefact (Explorer steps 1–2) plus a
+    fresh observable set, the one piece of it a strategy's feedback may
+    write to.
+
+    The probe run is identical across every strategy sharing a case — it
+    is also the noop run that alias-serves never-firing windows — so it
+    is made once, with the prepared case, through the run cache.
+    """
     model = case.model()
-    matcher = model.template_matcher()
-    comparator = LogComparator(matcher)
-    failure_log = case.failure_log()
-    # The probe run is identical across every strategy sharing a case, so
-    # it is the run cache's highest-value entry (it is also the noop run
-    # that alias-serves never-firing windows).
-    normal_run = cached_execute(
-        case.workload,
-        horizon=case.horizon,
-        seed=case.seed,
-        runner=execute_workload,
-    )
-
-    observables = ObservableSet(
-        comparator,
-        failure_log,
-        known_template_ids={t.template_id for t in matcher.templates},
-    )
-    initial = observables.initialize(normal_run.log)
-
     # Strategies search the same fault dimensions as the case's Explorer
     # would (CaseLike is a Protocol, so reach for the attribute politely).
-    fault_dims = getattr(case, "fault_dims", "exceptions")
-    graph = CausalGraphBuilder(model, fault_dims=fault_dims).build(
-        observables.mapped_keys()
+    prepared = prepared_case(
+        model, case.workload, case.horizon, case.seed, case.failure_log(),
+        fault_dims=getattr(case, "fault_dims", "exceptions"),
     )
-    index = DistanceIndex(graph)
-    candidates = filter_candidates_by_dims(
-        graph_fault_candidates(graph), fault_dims
-    )
-    timeline = TimelineMap(initial.matched, len(normal_run.log), len(failure_log))
-
-    instances_by_site: dict[str, list[TraceEvent]] = {}
-    for event in normal_run.trace:
-        instances_by_site.setdefault(event.site_id, []).append(event)
-
     return SearchContext(
         case=case,
         model=model,
-        observables=observables,
-        candidates=candidates,
-        index=index,
-        timeline=timeline,
-        normal_run=normal_run,
-        instances_by_site=instances_by_site,
+        observables=prepared.observables(),
+        candidates=prepared.candidates,
+        index=prepared.index,
+        timeline=prepared.timeline,
+        normal_run=prepared.normal_run,
+        instances_by_site=prepared.instances_by_site,
+        fault_space=prepared.fault_space,
     )
 
 
@@ -202,12 +171,7 @@ class StrategyRunner:
         strategy.prepare(context)
         coverage = NULL_COVERAGE
         if self.track_coverage:
-            coverage = CoverageTracker(
-                enumerate_fault_space(
-                    context.candidates,
-                    occurrences_from_trace(context.normal_run.trace),
-                )
-            )
+            coverage = CoverageTracker(context.fault_space)
         tried: set[tuple[str, str, int]] = set()
         rounds = 0
 

@@ -1,6 +1,7 @@
 """Experiment harness: run strategies over the failure dataset and format
 paper-style tables, serially or fanned out across worker processes."""
 
+from .._lazy import lazy_exports
 from .harness import (
     AndurilOutcome,
     StrategyOutcome,
@@ -16,8 +17,13 @@ from .parallel import (
     run_compare_campaign,
     run_tasks,
 )
-from .summary import record_outcome, write_bench_summary
 from .tables import format_table, write_table
+
+__getattr__ = lazy_exports(
+    __name__,
+    {"record_outcome": ".summary", "write_bench_summary": ".summary"},
+    submodules=("summary",),
+)
 
 __all__ = [
     "AndurilOutcome",

@@ -7,13 +7,20 @@ cannot reproduce within them gets a "-" in the tables.
 from __future__ import annotations
 
 import dataclasses
-import statistics
 from typing import Optional
 
 from ..baselines import ALL_STRATEGIES, StrategyRunner
 from ..failures.case import FailureCase
-from ..obs import TraceRecorder
 from ..obs import metrics as obs_metrics
+
+
+def _median(values: list) -> float:
+    """``statistics.median``, without importing its numeric tower."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 @dataclasses.dataclass
@@ -99,7 +106,11 @@ def run_anduril(
     invariant in all three knobs (``prune="none"`` restores the raw
     space).
     """
-    recorder = TraceRecorder() if profile else None
+    recorder = None
+    if profile:
+        from ..obs import TraceRecorder
+
+        recorder = TraceRecorder()
     explorer = case.explorer(
         max_rounds=max_rounds,
         max_seconds=max_seconds,
@@ -131,10 +142,10 @@ def run_anduril(
         seconds=result.elapsed_seconds,
         prepare_seconds=prepared.prepare_seconds,
         rank_trajectory=result.rank_trajectory,
-        median_requests=int(statistics.median(requests)),
+        median_requests=int(_median(requests)),
         mean_decision_us=mean_decision_us,
-        median_init_ms=statistics.median(inits) * 1e3,
-        median_workload_ms=statistics.median(workloads) * 1e3,
+        median_init_ms=_median(inits) * 1e3,
+        median_workload_ms=_median(workloads) * 1e3,
         jobs=result.jobs,
         speculation_hit_rate=result.speculation_hit_rate,
         worker_utilization=result.worker_utilization,

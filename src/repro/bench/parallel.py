@@ -21,11 +21,9 @@ from __future__ import annotations
 import dataclasses
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Optional, Sequence
 
-from ..core.pipeline import RunConfig
-from ..core.speculate import default_jobs
+from ..core.pipeline import RunConfig, default_jobs
 from ..obs import metrics as obs_metrics
 from ..obs.bus import (
     EventBus,
@@ -184,6 +182,9 @@ def run_tasks(
             reporter.start()
             results.append(run_inline(index))
     else:
+        # The pool machinery loads only for a campaign that fans out.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         results = [None] * len(tasks)
         failed: list[int] = []
         try:

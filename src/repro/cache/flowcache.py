@@ -11,57 +11,35 @@ never be served to another, with zero extra bookkeeping.
 Two tiers, mirroring the run cache:
 
 * an in-process memo (always on), keyed on the fingerprint — or, for
-  unfingerprintable workloads, a ``WeakKeyDictionary`` on the
+  unfingerprintable workloads, the per-model memo of the
   :class:`~repro.analysis.system_model.SystemModel` itself; and
-* an optional on-disk tier of JSON documents under
-  ``benchmarks/out/flowcache/``, active under the same conditions as
-  the run cache's (``repro.cache.active()`` has a disk tier).  Writes
-  are atomic (temp file + ``os.replace``); corrupt entries are skipped
-  with one ``RuntimeWarning`` per process and removed.
+* an on-disk tier of JSON documents in the ``flow/`` sub-tier of the
+  active run cache's directory (:meth:`RunCache.tier`), so it exists
+  exactly when the run cache has a disk tier, moves with
+  ``--cache-dir``, and degrades like it.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-import warnings
-import weakref
 from typing import Optional
 
 from ..analysis.flow import PropagationGraph, build_propagation_graph
-from .runcache import _REPO_ROOT, active, workload_fingerprint
+from .runcache import active, workload_fingerprint
 
 SCHEMA_VERSION = 1
 
 _MEMO: dict[str, PropagationGraph] = {}
-_MODEL_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_warned_corrupt = False
 
 
-def default_disk_dir() -> str:
-    """The on-disk tier's default location, next to the run cache's."""
-    return os.path.join(_REPO_ROOT, "benchmarks", "out", "flowcache")
-
-
-def _disk_enabled() -> bool:
-    """Disk persistence rides the run cache's configuration: a process
-    that opted into a disk-backed run cache gets a disk-backed flow
-    cache too; everything else stays in memory."""
+def _tier():
     cache = active()
-    return cache is not None and cache.disk_dir is not None
+    return None if cache is None else cache.tier("flow")
 
 
-def _entry_path(fingerprint: str) -> str:
-    return os.path.join(default_disk_dir(), f"{fingerprint}.json")
-
-
-def _disk_get(fingerprint: str) -> Optional[PropagationGraph]:
-    global _warned_corrupt
-    path = _entry_path(fingerprint)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+def _disk_get(tier, fingerprint: str) -> Optional[PropagationGraph]:
+    def decode(data: bytes) -> PropagationGraph:
+        payload = json.loads(data)
         if (
             not isinstance(payload, dict)
             or payload.get("version") != SCHEMA_VERSION
@@ -69,52 +47,22 @@ def _disk_get(fingerprint: str) -> Optional[PropagationGraph]:
         ):
             raise ValueError("flow-cache entry key/version mismatch")
         return PropagationGraph.from_dict(payload["graph"])
-    except FileNotFoundError:
-        return None
-    except Exception as error:
-        if not _warned_corrupt:
-            _warned_corrupt = True
-            warnings.warn(
-                f"skipping corrupt flow-cache entry {path} "
-                f"({type(error).__name__}: {error}); further corrupt "
-                f"entries are skipped silently",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return None
+
+    return tier.read(f"{fingerprint}.json", decode)
 
 
-def _disk_store(fingerprint: str, graph: PropagationGraph) -> None:
-    directory = default_disk_dir()
-    path = _entry_path(fingerprint)
-    try:
-        os.makedirs(directory, exist_ok=True)
-        payload = json.dumps(
+def _disk_store(tier, fingerprint: str, graph: PropagationGraph) -> None:
+    tier.write(
+        f"{fingerprint}.json",
+        lambda: json.dumps(
             {
                 "version": SCHEMA_VERSION,
                 "fingerprint": fingerprint,
                 "graph": graph.to_dict(),
             },
             separators=(",", ":"),
-        )
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.remove(temp_path)
-            except OSError:
-                pass
-            raise
-    except Exception:
-        # Unwritable directory: the memory tier still works.
-        pass
+        ).encode("utf-8"),
+    )
 
 
 def cached_propagation_graph(
@@ -128,39 +76,25 @@ def cached_propagation_graph(
     """
     fingerprint = workload_fingerprint(workload) if workload is not None else None
     if fingerprint is None:
-        try:
-            graph = _MODEL_MEMO.get(model)
-        except TypeError:
-            graph = None
-        if graph is None:
-            graph = build_propagation_graph(model, package=package)
-            try:
-                _MODEL_MEMO[model] = graph
-            except TypeError:
-                pass
-        return graph
+        return model.memo(
+            PropagationGraph,
+            lambda: build_propagation_graph(model, package=package),
+        )
 
     graph = _MEMO.get(fingerprint)
     if graph is not None:
         return graph
-    if _disk_enabled():
-        graph = _disk_get(fingerprint)
-        if graph is not None:
-            _MEMO[fingerprint] = graph
-            return graph
-    graph = build_propagation_graph(model, package=package)
+    tier = _tier()
+    if tier is not None:
+        graph = _disk_get(tier, fingerprint)
+    if graph is None:
+        graph = build_propagation_graph(model, package=package)
+        if tier is not None:
+            _disk_store(tier, fingerprint, graph)
     _MEMO[fingerprint] = graph
-    if _disk_enabled():
-        _disk_store(fingerprint, graph)
     return graph
 
 
 def reset() -> None:
     """Drop the in-process memo (tests)."""
-    global _warned_corrupt
     _MEMO.clear()
-    try:
-        _MODEL_MEMO.clear()
-    except Exception:
-        pass
-    _warned_corrupt = False

@@ -13,12 +13,15 @@ workflow and the campaign engine.
 Two tiers:
 
 * an in-process LRU (always on when the cache is active); and
-* an optional on-disk tier, one pickled entry per key under
+* an optional on-disk tier, one entry per key under
   ``benchmarks/out/runcache/`` by default, shared between campaign
-  worker processes.  Writes are atomic (temp file + ``os.replace``);
+  worker processes (:class:`~repro.cache.disk.DiskTier`: atomic writes;
   corrupt or truncated entries are *skipped* — never fatal — with one
-  ``RuntimeWarning`` per cache instance, the same degrade-gracefully
-  policy as the run ledger.
+  ``RuntimeWarning`` per cache instance).  An entry is a checksummed
+  ``sim.checkpoint`` row encoding, not a pickled object graph, and a hit
+  decodes only what is read (DESIGN §8.1).  The other per-commit
+  artefacts (flow graphs, module facts) persist in sub-tiers of the same
+  directory (:meth:`RunCache.tier`), so ``--cache-dir`` relocates them all.
 
 Noop-plan aliasing
 ------------------
@@ -56,15 +59,15 @@ import inspect
 import json
 import os
 import pickle
-import tempfile
-import warnings
 import weakref
+import zlib
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ..obs import metrics as obs_metrics
 from ..obs.ledger import git_sha
+from .disk import DiskTier
 
 # Version 2: TraceEvent and other run-record dataclasses grew
 # ``slots=True``, which changes their pickle state shape — version-1
@@ -75,7 +78,9 @@ from ..obs.ledger import git_sha
 # entries would deserialize with the spec under the old attribute name.
 # Version 5: the result codec grew ``truncated_at`` (early-verdict
 # cutoff); version-4 entries would decode without the field.
-PAYLOAD_VERSION = 5
+# Version 6: ``result`` became a checksummed ``body`` whose trace rows
+# are a nested blob, unpickled only when ``RunResult.trace`` is read.
+PAYLOAD_VERSION = 6
 
 #: Lookup/served outcomes reported by :meth:`RunCache.execute`.
 HIT = "hit"
@@ -208,7 +213,31 @@ class RunCache:
         #: noop key -> frozenset of (site_id, occurrence) pairs executed
         #: by that noop run; the alias-prediction index.
         self._noop_pairs: dict[tuple, frozenset] = {}
-        self._warned_corrupt = False
+        self._disk = (
+            DiskTier(disk_dir, "run-cache", self._disk_error)
+            if disk_dir is not None
+            else None
+        )
+        self._tiers: dict[str, DiskTier] = {}
+
+    def _disk_error(self) -> None:
+        self.stats.disk_errors += 1
+        obs_metrics.increment("cache.disk_errors")
+
+    def tier(self, name: str) -> Optional[DiskTier]:
+        """The persistent tier ``<disk_dir>/<name>/`` of another artefact
+        that is stale under the same conditions as a run (the flow graph,
+        module facts), or ``None`` without a disk tier.  Its failures
+        count as this cache's ``disk_errors``."""
+        if self.disk_dir is None:
+            return None
+        tier = self._tiers.get(name)
+        if tier is None:
+            tier = self._tiers[name] = DiskTier(
+                os.path.join(self.disk_dir, name), f"{name}-cache",
+                self._disk_error,
+            )
+        return tier
 
     # ------------------------------------------------------------------ keys
 
@@ -250,43 +279,26 @@ class RunCache:
         return result
 
     def _disk_get(self, key: tuple):
-        if self.disk_dir is None:
+        if self._disk is None:
             return None
-        path = os.path.join(self.disk_dir, self._entry_name(key))
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
+        from ..sim.checkpoint import _decode_result
+
+        def decode(data: bytes):
+            payload = pickle.loads(data)
             if (
                 not isinstance(payload, dict)
                 or payload.get("version") != PAYLOAD_VERSION
                 or payload.get("key") != key
             ):
                 raise ValueError("run-cache entry key/version mismatch")
-            from ..sim.checkpoint import _decode_result
+            body = payload["body"]
+            # The trace blob inside is unpickled lazily, long after this
+            # read returned: only a checksum can vouch for it now.
+            if zlib.crc32(body) != payload["crc"]:
+                raise ValueError("run-cache entry checksum mismatch")
+            return _decode_result(pickle.loads(body))
 
-            return _decode_result(payload["result"])
-        except FileNotFoundError:
-            return None
-        except Exception as error:
-            # Corrupt, truncated, or written by an incompatible pickler:
-            # skip the entry (and drop the file so the cost is paid once)
-            # with a single warning per cache — the ledger's policy.
-            self.stats.disk_errors += 1
-            obs_metrics.increment("cache.disk_errors")
-            if not self._warned_corrupt:
-                self._warned_corrupt = True
-                warnings.warn(
-                    f"skipping corrupt run-cache entry {path} "
-                    f"({type(error).__name__}: {error}); further corrupt "
-                    f"entries are skipped silently",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return None
+        return self._disk.read(self._entry_name(key), decode)
 
     def _lookup(self, key: tuple):
         """Memory-then-disk probe; promotes disk entries into memory."""
@@ -356,42 +368,29 @@ class RunCache:
             self._memory.popitem(last=False)
 
     def _disk_store(self, key: tuple, result) -> None:
-        if self.disk_dir is None:
+        if self._disk is None:
             return
-        path = os.path.join(self.disk_dir, self._entry_name(key))
-        try:
-            os.makedirs(self.disk_dir, exist_ok=True)
-            # Flatten the result first: pickling thousands of small
-            # LogRecord/TraceEvent dataclasses one by one costs ~10x the
-            # primitive-tuple encoding (see sim.checkpoint's codec, shared
-            # here so fork frames and cache entries stay byte-compatible).
-            from ..sim.checkpoint import _encode_result
+        # Flatten the result first: pickling thousands of small
+        # LogRecord/TraceEvent dataclasses one by one costs ~10x the
+        # primitive-tuple encoding (see sim.checkpoint's codec, shared
+        # here so fork frames and cache entries stay byte-compatible).
+        from ..sim.checkpoint import _encode_result
 
-            payload = pickle.dumps(
+        def encode() -> bytes:
+            body = pickle.dumps(
+                _encode_result(result), protocol=pickle.HIGHEST_PROTOCOL
+            )
+            return pickle.dumps(
                 {
                     "version": PAYLOAD_VERSION,
                     "key": key,
-                    "result": _encode_result(result),
-                }
+                    "crc": zlib.crc32(body),
+                    "body": body,
+                },
+                protocol=pickle.HIGHEST_PROTOCOL,
             )
-            fd, temp_path = tempfile.mkstemp(
-                dir=self.disk_dir, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(temp_path, path)
-            except BaseException:
-                try:
-                    os.remove(temp_path)
-                except OSError:
-                    pass
-                raise
-        except Exception:
-            # Unpicklable result or unwritable directory: the memory
-            # tier still works, so degrade silently beyond the counter.
-            self.stats.disk_errors += 1
-            obs_metrics.increment("cache.disk_errors")
+
+        self._disk.write(self._entry_name(key), encode)
 
     def put(self, workload, horizon, seed, plan, result, monitor_key=None) -> None:
         """Store a completed run (plus its noop alias when applicable).

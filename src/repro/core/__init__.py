@@ -6,6 +6,7 @@ fault space and, on success, returns a deterministic
 :class:`ReproductionScript`.
 """
 
+from .._lazy import lazy_exports
 from .alignment import TimelineMap, temporal_distance
 from .explorer import (
     ExplorationResult,
@@ -13,7 +14,6 @@ from .explorer import (
     PreparedSearch,
     RoundRecord,
 )
-from .iterative import IterativeExplorer, IterativeResult
 from .observables import Observable, ObservableSet
 from .oracle import (
     AllOf,
@@ -27,6 +27,12 @@ from .oracle import (
 )
 from .priority import FaultPriorityPool, WindowEntry
 from .report import ReproductionScript
+
+__getattr__ = lazy_exports(
+    __name__,
+    {"IterativeExplorer": ".iterative", "IterativeResult": ".iterative"},
+    submodules=("iterative", "speculate"),
+)
 
 __all__ = [
     "AllOf",

@@ -19,16 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..analysis.causal import CausalGraphBuilder, DistanceIndex
+from ..analysis.causal import DistanceIndex
 from ..analysis.flow import PropagationGraph, reachability_weights
-from ..analysis.lint import run_lint
-from ..analysis.model import (
-    CausalGraph,
-    filter_candidates_by_dims,
-    graph_fault_candidates,
-)
+from ..analysis.model import CausalGraph
 from ..analysis.system_model import SystemModel, analyze_package
 from ..cache.flowcache import cached_propagation_graph
 from ..injection.fir import InjectionPlan, dedupe_instances
@@ -40,19 +35,20 @@ from ..obs.coverage import (
     CoverageSummary,
     CoverageTracker,
     enumerate_fault_space,
-    occurrences_from_trace,
 )
-from ..logs.diff import LogComparator
 from ..logs.record import LogFile
 from ..sim.cluster import RunResult, WorkloadFn
 from .alignment import TimelineMap
 from .observables import ObservableSet
 from .oracle import Oracle
 from .priority import FaultPriorityPool, WindowEntry
-from .pipeline import RunConfig, RunPipeline
+from .pipeline import RunConfig, RunPipeline, default_jobs
+from .prepared import prepared_case
 from .pruning import DEFAULT_RADIUS, StaticPruner
 from .report import ReproductionScript
-from .speculate import SpeculativeExecutor, default_jobs, run_key
+
+if TYPE_CHECKING:  # the pool machinery loads only for a jobs > 1 search
+    from .speculate import SpeculativeExecutor
 
 
 @dataclasses.dataclass
@@ -326,46 +322,26 @@ class Explorer:
     # ----------------------------------------------------------------- prepare
 
     def prepare(self) -> PreparedSearch:
-        """Steps 1–2: probe run, observables, causal graph, priorities."""
+        """Steps 1–2: the shared prepared case (probe run, observables,
+        causal graph), then this search's own priorities."""
         if self._prepared is not None:
             return self._prepared
         obs = self._obs
         started = time.perf_counter()
-        matcher = self.model.template_matcher()
-        comparator = LogComparator(matcher)
-
-        # The probe includes any fixed base faults: in the iterative
-        # multi-fault workflow they are part of the workload now, so their
-        # log footprint must not be re-chased as "missing" observables.
-        probe_plan = (
-            InjectionPlan.of([], always=self.base_faults)
-            if self.base_faults
-            else None
+        case = prepared_case(
+            self.model, self.workload, self.horizon, self.seed,
+            self.failure_log, fault_dims=self.fault_dims,
+            base_faults=self.base_faults, pipeline=self._pipeline,
         )
-        normal_run = self._pipeline.probe(probe_plan)
-        normal_log = normal_run.log
+        obtained = time.perf_counter()
+        normal_run, candidates = case.normal_run, case.candidates
+        index, timeline = case.index, case.timeline
+        observables = case.observables(self.adjustment, obs)
 
-        observables = ObservableSet(
-            comparator,
-            self.failure_log,
-            adjustment=self.adjustment,
-            known_template_ids={t.template_id for t in matcher.templates},
-            recorder=obs,
-        )
-        initial_compare = observables.initialize(normal_log)
-
-        builder = CausalGraphBuilder(self.model, fault_dims=self.fault_dims)
-        graph = builder.build(observables.mapped_keys())
-        index = DistanceIndex(graph)
-        candidates = filter_candidates_by_dims(
-            graph_fault_candidates(graph), self.fault_dims
-        )
-
-        timeline = TimelineMap(
-            initial_compare.matched, len(normal_log), len(self.failure_log)
-        )
         prior_weights = None
         if self.lint_prior:
+            from ..analysis.lint import run_lint
+
             prior_weights = run_lint(self.model).site_weights()
         flow_graph = None
         if self.prune == "static" or self.reachability_prior:
@@ -400,14 +376,18 @@ class Explorer:
             for position, event in enumerate(normal_run.trace)
         }
         if self.track_coverage:
-            # Enumerate the full injectable fault space from the same
-            # inputs the pool uses (graph candidates x probe occurrences),
-            # so coverage fractions are comparable across strategies.
-            occurrences = occurrences_from_trace(normal_run.trace)
-            space = enumerate_fault_space(
-                candidates,
-                occurrences,
-                max_instances_per_site=self.max_instances_per_site,
+            # The full injectable fault space comes from the same inputs
+            # the pool uses (graph candidates x probe occurrences), so
+            # coverage fractions are comparable across strategies.
+            occurrences = case.occurrences
+            space = (
+                case.fault_space
+                if self.max_instances_per_site is None
+                else enumerate_fault_space(
+                    candidates,
+                    occurrences,
+                    max_instances_per_site=self.max_instances_per_site,
+                )
             )
             pruned_space = None
             if self.prune == "static" and flow_graph is not None:
@@ -428,7 +408,9 @@ class Explorer:
                     pruner=pruner,
                 )
             self._coverage = CoverageTracker(space, pruned_space=pruned_space)
-        prepare_seconds = time.perf_counter() - started
+        # Tables 4/8 report what preparing this search costs: a shared
+        # case counts at its recorded build time, not at the memo hit's.
+        prepare_seconds = case.build_seconds + time.perf_counter() - obtained
         obs.add_span(
             "prepare",
             "explorer",
@@ -440,11 +422,11 @@ class Explorer:
         )
         self._prepared = PreparedSearch(
             model=self.model,
-            graph=graph,
+            graph=case.graph,
             index=index,
             observables=observables,
             pool=pool,
-            normal_log=normal_log,
+            normal_log=normal_run.log,
             normal_run=normal_run,
             prepare_seconds=prepare_seconds,
             timeline=timeline,
@@ -465,7 +447,11 @@ class Explorer:
         """
         pipeline = self._pipeline
         jobs = pipeline.jobs(jobs)
-        engine = SpeculativeExecutor(pipeline, jobs) if jobs > 1 else None
+        engine = None
+        if jobs > 1:
+            from .speculate import SpeculativeExecutor
+
+            engine = SpeculativeExecutor(pipeline, jobs)
         try:
             # The fork points come from the probe trace.
             pipeline.arm(self.prepare().normal_run.trace)
@@ -561,7 +547,7 @@ class Explorer:
                 # workers overlap with it.
                 engine.sync(
                     self._predict_plans(pool, round_number, window, engine.jobs),
-                    keep=run_key(run_seed, plan),
+                    keep=(run_seed, plan),
                 )
                 result, spec_hit = engine.run(run_seed, plan)
             else:

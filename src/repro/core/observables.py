@@ -33,19 +33,23 @@ class ObservableSet:
 
     def __init__(
         self,
-        comparator: LogComparator,
+        comparator: "LogComparator | PreparedComparator",
         failure_log: LogFile,
         adjustment: int = 1,
         known_template_ids: Optional[set[str]] = None,
         recorder=None,
     ) -> None:
-        self._comparator = comparator
         self._failure_log = failure_log
         #: The failure log is fixed for the life of this set, and every
         #: round diffs a fresh run log against it — the prepared
         #: comparator groups/interns that fixed side once and memoizes
-        #: unchanged per-thread diffs across rounds.
-        self._prepared = PreparedComparator(comparator, failure_log)
+        #: unchanged per-thread diffs across rounds.  A prepared case
+        #: hands every set over it the same one (its memo is pure).
+        self._prepared = (
+            comparator
+            if isinstance(comparator, PreparedComparator)
+            else PreparedComparator(comparator, failure_log)
+        )
         self._adjustment = adjustment
         self._known = known_template_ids or set()
         self._observables: dict[str, Observable] = {}
@@ -59,7 +63,11 @@ class ObservableSet:
 
     def initialize(self, normal_log: LogFile) -> CompareResult:
         """Compute initial relevant observables from the fault-free run."""
-        result = self._prepared.compare(normal_log)
+        return self.seed(self._prepared.compare(normal_log))
+
+    def seed(self, result: CompareResult) -> CompareResult:
+        """Take the initial observables from an already computed
+        ``COMPARE(normal log, failure log)``; ``result`` is only read."""
         for occurrence in result.failure_only:
             observable = self._observables.get(occurrence.key)
             if observable is None:

@@ -18,6 +18,7 @@ all a worker process needs from its parent.
 from __future__ import annotations
 
 import dataclasses
+import os
 from typing import Optional
 
 from ..cache import runcache
@@ -26,6 +27,17 @@ from ..obs.bus import active_bus
 from ..sim.checkpoint import CheckpointPool, checkpoint_supported
 from ..sim.cluster import RunResult, execute_workload
 from .verdict import compile_cutoff
+
+
+def default_jobs() -> int:
+    """Worker count when the user asked for parallelism without a number."""
+    env = os.environ.get("REPRO_JOBS")
+    if env:
+        try:
+            return max(int(env), 1)
+        except ValueError:
+            pass
+    return max(os.cpu_count() or 1, 1)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,25 +20,13 @@ runs go through it, and the workers are initialised from its
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Optional
 
 from ..cache import cached_execute
 from ..injection.fir import InjectionPlan
 from ..sim.cluster import RunResult, WorkloadFn, execute_workload
-from .pipeline import RunConfig, RunPipeline
-
-
-def default_jobs() -> int:
-    """Worker count when the user asked for parallelism without a number."""
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            pass
-    return max(os.cpu_count() or 1, 1)
+from .pipeline import RunConfig, RunPipeline, default_jobs  # noqa: F401
 
 
 def run_key(seed: int, plan: Optional[InjectionPlan]) -> tuple:
@@ -177,18 +165,18 @@ class SpeculativeExecutor:
     def sync(
         self,
         predictions: list[tuple[int, Optional[InjectionPlan]]],
-        keep: Optional[tuple] = None,
+        keep: Optional[tuple[int, Optional[InjectionPlan]]] = None,
     ) -> None:
         """Reconcile the in-flight set with this round's predictions.
 
-        Pending runs not among ``predictions`` (nor the ``keep`` key of the
-        round being committed) were speculated down a path the search did
-        not take; they are dropped so their slots free up.  Predictions not
-        yet in flight are submitted, oldest-first, up to the worker cap.
+        Pending runs not among ``predictions`` (nor the ``keep`` pair of
+        the round being committed) were speculated down a path the search
+        did not take; they are dropped so their slots free up.  Predictions
+        not yet in flight are submitted, oldest-first, up to the worker cap.
         """
         wanted = {run_key(seed, plan) for seed, plan in predictions}
         if keep is not None:
-            wanted.add(keep)
+            wanted.add(run_key(*keep))
         for key in list(self._pending):
             if key not in wanted:
                 self._pending.pop(key).cancel()

@@ -5,6 +5,7 @@ the bench harness, so it must stay dependency-free within ``repro``
 (it imports nothing from sibling packages).
 """
 
+from .._lazy import lazy_exports
 from . import ledger, metrics
 from .bus import (
     NULL_BUS,
@@ -28,21 +29,24 @@ from .coverage import (
     enumerate_fault_space,
     occurrences_from_trace,
 )
-from .provenance import (
-    PlanProvenance,
-    ProvenanceChain,
-    ProvenanceStep,
-    build_plan_provenance,
-)
-from .report import render_report, write_report
-from .trace import (
-    NULL_RECORDER,
-    VIRTUAL,
-    WALL,
-    Event,
-    NullRecorder,
-    Span,
-    TraceRecorder,
+from .null import NULL_RECORDER, VIRTUAL, WALL, NullRecorder
+
+# The recorder proper, the provenance builder, the HTML report and the
+# watch view load on first use: most processes hold NULL_RECORDER only.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "Event": ".trace",
+        "Span": ".trace",
+        "TraceRecorder": ".trace",
+        "PlanProvenance": ".provenance",
+        "ProvenanceChain": ".provenance",
+        "ProvenanceStep": ".provenance",
+        "build_plan_provenance": ".provenance",
+        "render_report": ".report",
+        "write_report": ".report",
+    },
+    submodules=("provenance", "report", "trace", "watch"),
 )
 
 __all__ = [

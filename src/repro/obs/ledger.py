@@ -27,7 +27,6 @@ from __future__ import annotations
 import datetime
 import json
 import os
-import subprocess
 import warnings
 from typing import Iterable, Optional
 
@@ -42,25 +41,60 @@ DEFAULT_PATH = os.path.join(_REPO_ROOT, "benchmarks", "out", "ledger.jsonl")
 _GIT_SHA: Optional[str] = None
 
 
+def _read_head_sha() -> Optional[str]:
+    """HEAD's SHA read from the enclosing ``.git`` directory (loose ref
+    or ``packed-refs``); ``""`` when no ancestor holds one, ``None`` when
+    the layout is another (a worktree's ``.git`` file) and git must be asked."""
+    root = _REPO_ROOT
+    while not os.path.exists(os.path.join(root, ".git")):
+        parent = os.path.dirname(root)
+        if parent == root:
+            return ""
+        root = parent
+    git_dir = os.path.join(root, ".git")
+    sha = None
+    try:
+        with open(os.path.join(git_dir, "HEAD"), encoding="ascii") as handle:
+            sha = handle.read().strip()
+        if sha.startswith("ref: "):
+            ref, sha = sha[len("ref: "):], None
+            try:
+                with open(os.path.join(git_dir, ref), encoding="ascii") as handle:
+                    sha = handle.read().strip()
+            except FileNotFoundError:
+                with open(os.path.join(git_dir, "packed-refs")) as handle:
+                    for line in handle:
+                        if line.rstrip().endswith(" " + ref):
+                            sha = line.split()[0]
+        int(sha, 16)
+    except (OSError, ValueError, TypeError):
+        return None
+    return sha if len(sha) >= 40 else None
+
+
 def git_sha() -> str:
     """Best-effort short SHA of the checked-out commit (cached).
 
-    Falls back to ``"unknown"`` outside a git checkout so the ledger
-    still works from an installed package or an exported tree.
+    It keys every cache fingerprint in every process and pool worker,
+    so it is read from ``.git`` directly (seven digits, git's default
+    abbreviation); ``git rev-parse`` is only the fallback.  ``"unknown"``
+    outside a git checkout, so the ledger still works from an installed
+    package or an exported tree.
     """
     global _GIT_SHA
     if _GIT_SHA is None:
-        try:
-            _GIT_SHA = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=_REPO_ROOT,
-                capture_output=True,
-                text=True,
-                timeout=5,
-                check=True,
-            ).stdout.strip() or "unknown"
-        except (OSError, subprocess.SubprocessError):
-            _GIT_SHA = "unknown"
+        sha = _read_head_sha()
+        if sha is None:
+            import subprocess
+
+            try:
+                sha = subprocess.run(
+                    ["git", "rev-parse", "--short", "HEAD"], cwd=_REPO_ROOT,
+                    capture_output=True, text=True, timeout=5, check=True,
+                ).stdout.strip()
+            except (OSError, subprocess.SubprocessError):
+                sha = ""
+        _GIT_SHA = sha[:7] or "unknown"
     return _GIT_SHA
 
 

@@ -53,7 +53,6 @@ import math
 import os
 import pickle
 import signal
-import statistics
 import struct
 import time
 import warnings
@@ -62,7 +61,7 @@ from typing import Optional
 from ..injection.fir import InjectionPlan, TraceEvent
 from ..logs.record import Level, LogFile, LogRecord, SourceRef
 from ..obs import metrics as obs_metrics
-from .cluster import Cluster, RunResult, execute_workload
+from .cluster import Cluster, PackedTrace, RunResult, execute_workload
 
 __all__ = [
     "Checkpoint",
@@ -200,17 +199,35 @@ def _trace_rows(events) -> list:
     ]
 
 
+#: Decoded row -> the one (frozen) record built for it: a campaign's
+#: runs repeat each other's logs (a warm ``compare`` decodes 18,873 rows,
+#: 2,262 distinct).  Bounded by wholesale clearing, like the comparator memo.
+_RECORDS: dict[tuple, LogRecord] = {}
+_SOURCES: dict[tuple, SourceRef] = {}
+_LEVELS = {int(level): level for level in Level}
+_INTERN_LIMIT = 1 << 16
+
+
 def _log_records(rows) -> list[LogRecord]:
-    return [
-        LogRecord(
-            when,
-            thread,
-            Level(level),
-            message,
-            None if source is None else SourceRef(*source),
-        )
-        for when, thread, level, message, source in rows
-    ]
+    records = _RECORDS
+    if len(records) > _INTERN_LIMIT:
+        records.clear()
+        _SOURCES.clear()
+    out = []
+    for row in rows:
+        record = records.get(row)
+        if record is None:
+            when, thread, level, message, source = row
+            if source is not None:
+                ref = _SOURCES.get(source)
+                if ref is None:
+                    ref = _SOURCES[source] = SourceRef(*source)
+                source = ref
+            record = records[row] = LogRecord(
+                when, thread, _LEVELS[level], message, source
+            )
+        out.append(record)
+    return out
 
 
 def _trace_events(rows) -> list[TraceEvent]:
@@ -224,12 +241,15 @@ def _encode_result(result: RunResult) -> tuple:
     Generic pickling of a result spends most of its time reducing the
     thousands of small ``LogRecord``/``TraceEvent`` dataclass instances
     one by one; flattening them to primitive tuples first makes the
-    frame several times cheaper to serialize.  The remaining fields are
+    frame several times cheaper to serialize.  Trace rows travel as
+    ``(count, pickled rows)`` so the decoder can leave them packed
+    (:class:`~repro.sim.cluster.PackedTrace`).  The remaining fields are
     small and ship as-is.
     """
+    trace = result.trace
     return (
         _log_rows(result.log),
-        _trace_rows(result.trace),
+        (len(trace), pickle.dumps(_trace_rows(trace), pickle.HIGHEST_PROTOCOL)),
         result.injected,
         result.injected_instance,
         result.stuck,
@@ -244,8 +264,9 @@ def _encode_result(result: RunResult) -> tuple:
     )
 
 
-def _decode_result(payload: tuple) -> RunResult:
-    """Rebuild the :class:`RunResult` flattened by :func:`_encode_result`."""
+def _decode_result(payload: tuple, log_prefix=(), trace_prefix=()) -> RunResult:
+    """Rebuild the :class:`RunResult` flattened by :func:`_encode_result`,
+    behind a fork rung's already-decoded prefix when there is one."""
     (
         records,
         trace,
@@ -261,9 +282,10 @@ def _decode_result(payload: tuple) -> RunResult:
         base_faults_fired,
         truncated_at,
     ) = payload
+    records = _log_records(records)
     return RunResult(
-        log=LogFile(_log_records(records)),
-        trace=_trace_events(trace),
+        log=LogFile(log_prefix + records if log_prefix else records),
+        trace=PackedTrace(*trace, prefix=trace_prefix),
         injected=injected,
         injected_instance=injected_instance,
         stuck=stuck,
@@ -486,12 +508,10 @@ class Checkpoint:
             status, payload, verdict_deltas, totals = _read_message(self._resp_r)
             if status != "ok":
                 raise ValueError(status)
-            result = _decode_result(payload)
-            result.log = LogFile(self._log_prefix + result.log.records)
-            result.trace = self._trace_prefix + result.trace
+            result = _decode_result(payload, self._log_prefix, self._trace_prefix)
             # A frame that does not add up to the run the grandchild
             # finished is torn, whatever its pickle says.
-            if (len(result.log), len(result.trace)) != tuple(totals):
+            if (len(result.log), len(result._trace)) != tuple(totals):
                 raise ValueError("fork frame disagrees with the parked prefix")
         except (OSError, EOFError, pickle.PickleError, TypeError, ValueError):
             self.close()
@@ -555,7 +575,7 @@ class ForkCost:
             self._floor = min(self._bare_fork() for _ in range(3))
         if not self._observed:
             return self._floor
-        return max(self._floor, statistics.fmean(self._observed))
+        return max(self._floor, math.fsum(self._observed) / len(self._observed))
 
     def observe(self, overhead_seconds: float) -> None:
         self._observed.append(overhead_seconds)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Callable, Generator, Optional
+import pickle
+from typing import Any, Callable, Generator, Optional, Sequence
 
 from ..injection.fir import FIR, InjectionPlan, TraceEvent
 from ..logs.record import LogFile
@@ -38,9 +39,30 @@ class TaskSummary:
         return self.state == TaskState.BLOCKED.value and function in self.stack
 
 
+@dataclasses.dataclass(slots=True)
+class PackedTrace:
+    """A trace still in codec form: ``prefix`` (a fork rung's events,
+    already built) then ``count`` rows pickled in ``blob``.  Cache and
+    fork frames decode to this; only a read of :attr:`RunResult.trace`
+    — the probe's, the noop run's — ever builds the events."""
+
+    count: int
+    blob: bytes
+    prefix: Sequence[TraceEvent] = ()
+
+    def __len__(self) -> int:
+        return len(self.prefix) + self.count
+
+    def events(self) -> list[TraceEvent]:
+        return list(self.prefix) + [
+            TraceEvent(*row) for row in pickle.loads(self.blob)
+        ]
+
+
 @dataclasses.dataclass
 class RunResult:
-    """Everything one run produced."""
+    """Everything one run produced (``trace`` may be given as a
+    :class:`PackedTrace`; it reads back as the event list)."""
 
     log: LogFile
     trace: list[TraceEvent]
@@ -71,6 +93,19 @@ class RunResult:
 
     def log_contains(self, fragment: str) -> bool:
         return any(fragment in record.message for record in self.log)
+
+
+def _unpacked_trace(result: RunResult) -> list[TraceEvent]:
+    trace = result._trace
+    if type(trace) is PackedTrace:
+        trace = result._trace = trace.events()
+    return trace
+
+
+# After ``@dataclass`` ran: in the class body it would be the field's default.
+RunResult.trace = property(
+    _unpacked_trace, lambda result, trace: setattr(result, "_trace", trace)
+)
 
 
 class Cluster:

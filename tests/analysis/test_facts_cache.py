@@ -95,3 +95,86 @@ class TestFactsCache:
         assert set(facts_by_module(model)) == {"factscachepkg.alpha"}
         assert {env.op for env in model.env_calls} == {"disk_read"}
         assert model.functions_named("read")
+
+
+class TestFactsDiskTier:
+    """The ``facts/`` tier of the run cache's directory: a warm process
+    skips the AST walk, a changed source does not."""
+
+    @pytest.fixture
+    def disk_cache(self, tmp_path):
+        from repro.cache import runcache
+
+        cache = runcache.configure(enabled=True, disk_dir=str(tmp_path / "cache"))
+        yield cache
+        runcache.reset()
+
+    @pytest.fixture
+    def extractions(self, monkeypatch):
+        from repro.analysis import system_model
+
+        seen = []
+        real = system_model.extract_module_facts
+
+        def counting(module_name, file_path, source):
+            seen.append(module_name)
+            return real(module_name, file_path, source)
+
+        monkeypatch.setattr(system_model, "extract_module_facts", counting)
+        return seen
+
+    def test_cold_process_is_served_from_disk(
+        self, temp_package, disk_cache, extractions
+    ):
+        first = facts_by_module(analyze_package("factscachepkg"))
+        assert sorted(extractions) == ["factscachepkg.alpha", "factscachepkg.beta"]
+        entries = sorted(p.name for p in (disk_cache_dir(disk_cache) / "facts").iterdir())
+        assert entries == ["factscachepkg.alpha.pkl", "factscachepkg.beta.pkl"]
+        clear_facts_cache()  # what a fresh process starts with
+        del extractions[:]
+        second = facts_by_module(analyze_package("factscachepkg"))
+        assert extractions == []
+        assert second == first and second["factscachepkg.alpha"] is not first["factscachepkg.alpha"]
+
+    def test_edited_source_is_reextracted_and_overwrites(
+        self, temp_package, disk_cache, extractions
+    ):
+        analyze_package("factscachepkg")
+        (temp_package / "alpha.py").write_text(
+            "class Alpha:\n    def sync(self):\n        self.env.disk_sync('/a2')\n"
+        )
+        clear_facts_cache()
+        del extractions[:]
+        model = analyze_package("factscachepkg")
+        assert extractions == ["factscachepkg.alpha"]
+        assert {call.op for call in model.env_calls} == {"disk_sync", "disk_write"}
+        clear_facts_cache()
+        del extractions[:]
+        analyze_package("factscachepkg")
+        assert extractions == []
+
+    def test_corrupt_entry_degrades_with_one_warning(
+        self, temp_package, disk_cache, extractions
+    ):
+        first = facts_by_module(analyze_package("factscachepkg"))
+        for entry in (disk_cache_dir(disk_cache) / "facts").iterdir():
+            entry.write_bytes(b"not a pickle")
+        clear_facts_cache()
+        del extractions[:]
+        with pytest.warns(RuntimeWarning, match="corrupt facts-cache entry") as caught:
+            second = facts_by_module(analyze_package("factscachepkg"))
+        assert len([w for w in caught if "facts-cache" in str(w.message)]) == 1
+        assert sorted(extractions) == ["factscachepkg.alpha", "factscachepkg.beta"]
+        assert second == first
+        assert disk_cache.stats.disk_errors == 2
+
+    def test_no_disk_cache_no_files(self, temp_package, tmp_path, extractions):
+        analyze_package("factscachepkg")
+        assert not (tmp_path / "cache").exists()
+        assert len(extractions) == 2
+
+
+def disk_cache_dir(cache):
+    import pathlib
+
+    return pathlib.Path(cache.disk_dir)

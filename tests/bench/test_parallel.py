@@ -1,10 +1,11 @@
 """Tests for the campaign-level parallel runner and the bench summary."""
 
+import concurrent.futures
 import json
 
 import pytest
 
-from repro.bench import parallel, summary
+from repro.bench import summary
 from repro.bench.parallel import INLINE_FALLBACK_COUNTER, inline_fallback_count
 from repro.obs import metrics as obs_metrics
 from repro.bench.parallel import (
@@ -79,7 +80,7 @@ class TestRunTasksOrdering:
             def __init__(self, *args, **kwargs):
                 raise OSError("no subprocesses here")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", ExplodingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ExplodingPool)
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
             outcomes = run_anduril_many(self.CASES, jobs=4, max_rounds=50)
         assert campaign_signature(outcomes) == [
@@ -111,8 +112,8 @@ class TestRunTasksOrdering:
         def fake_wait(pending, return_when=None):
             return set(pending), set()
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", DoomedPool)
-        monkeypatch.setattr(parallel, "wait", fake_wait)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DoomedPool)
+        monkeypatch.setattr(concurrent.futures, "wait", fake_wait)
         obs_metrics.reset()
         try:
             with pytest.warns(RuntimeWarning) as warned:

@@ -49,14 +49,13 @@ def test_no_workload_memoizes_per_model_object(model):
     assert cached_propagation_graph(other) is not first
 
 
-def test_disk_tier_follows_run_cache_configuration(model, tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        flowcache, "default_disk_dir", lambda: str(tmp_path / "flow")
-    )
+def test_disk_tier_follows_run_cache_configuration(model, tmp_path):
+    # The flow tier lives *under* the run cache's directory, so the one
+    # --cache-dir flag relocates it too.
     configure(enabled=True, disk_dir=str(tmp_path / "run"))
     graph = cached_propagation_graph(model, workload=workload_a)
     fingerprint = workload_fingerprint(workload_a)
-    entry = tmp_path / "flow" / f"{fingerprint}.json"
+    entry = tmp_path / "run" / "flow" / f"{fingerprint}.json"
     assert entry.exists()
     # A fresh process (cleared memo) is served from disk.
     flowcache._MEMO.clear()
@@ -67,38 +66,34 @@ def test_disk_tier_follows_run_cache_configuration(model, tmp_path, monkeypatch)
 
 
 def test_without_disk_cache_nothing_is_persisted(model, tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        flowcache, "default_disk_dir", lambda: str(tmp_path / "flow")
-    )
+    monkeypatch.chdir(tmp_path)
+    cache = configure(enabled=True, disk_dir=None)
     cached_propagation_graph(model, workload=workload_a)
-    assert not (tmp_path / "flow").exists()
+    assert cache.tier("flow") is None
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_corrupt_entry_warns_once_and_rebuilds(model, tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        flowcache, "default_disk_dir", lambda: str(tmp_path / "flow")
-    )
-    configure(enabled=True, disk_dir=str(tmp_path / "run"))
+def test_corrupt_entry_warns_once_and_rebuilds(model, tmp_path):
+    cache = configure(enabled=True, disk_dir=str(tmp_path / "run"))
     graph = cached_propagation_graph(model, workload=workload_a)
     fingerprint = workload_fingerprint(workload_a)
-    entry = tmp_path / "flow" / f"{fingerprint}.json"
+    entry = tmp_path / "run" / "flow" / f"{fingerprint}.json"
     entry.write_text("{not json")
     flowcache._MEMO.clear()
     with pytest.warns(RuntimeWarning, match="corrupt flow-cache entry"):
         rebuilt = cached_propagation_graph(model, workload=workload_a)
     assert rebuilt.paths == graph.paths
-    # The corrupt file was replaced by the rebuilt entry.
+    # The corrupt file was replaced by the rebuilt entry, and the
+    # degradation shows where the run cache's own does.
     assert json.loads(entry.read_text())["fingerprint"] == fingerprint
+    assert cache.stats.disk_errors == 1
 
 
-def test_fingerprint_mismatch_entry_rejected(model, tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        flowcache, "default_disk_dir", lambda: str(tmp_path / "flow")
-    )
+def test_fingerprint_mismatch_entry_rejected(model, tmp_path):
     configure(enabled=True, disk_dir=str(tmp_path / "run"))
     graph = cached_propagation_graph(model, workload=workload_a)
     fingerprint = workload_fingerprint(workload_a)
-    entry = tmp_path / "flow" / f"{fingerprint}.json"
+    entry = tmp_path / "run" / "flow" / f"{fingerprint}.json"
     payload = json.loads(entry.read_text())
     payload["fingerprint"] = "someone-else"
     entry.write_text(json.dumps(payload))
@@ -108,13 +103,10 @@ def test_fingerprint_mismatch_entry_rejected(model, tmp_path, monkeypatch):
     assert rebuilt.paths == graph.paths
 
 
-def test_unwritable_disk_dir_degrades_to_memory(model, tmp_path, monkeypatch):
+def test_unwritable_disk_dir_degrades_to_memory(model, tmp_path):
     blocked = tmp_path / "blocked"
     blocked.write_text("not a directory")
-    monkeypatch.setattr(
-        flowcache, "default_disk_dir", lambda: str(blocked / "flow")
-    )
-    configure(enabled=True, disk_dir=str(tmp_path / "run"))
+    configure(enabled=True, disk_dir=str(blocked))
     with pytest.warns(RuntimeWarning):
         first = cached_propagation_graph(model, workload=workload_a)
     assert cached_propagation_graph(model, workload=workload_a) is first

@@ -2,6 +2,7 @@
 and the hard invariant that caching never changes a search outcome.
 """
 
+import dataclasses
 import os
 import pickle
 import warnings
@@ -20,7 +21,7 @@ from repro.cache.runcache import ALIAS, HIT, MISS, UNCACHED, PAYLOAD_VERSION
 from repro.failures import get_case
 from repro.injection.fir import InjectionPlan
 from repro.injection.sites import FaultInstance
-from repro.sim.cluster import execute_workload
+from repro.sim.cluster import PackedTrace, execute_workload
 
 
 @pytest.fixture(autouse=True)
@@ -224,6 +225,131 @@ def test_stale_version_entry_rejected(tmp_path):
     with pytest.warns(RuntimeWarning):
         _result, outcome = fresh.execute(workload_a, 1.0, seed=1, runner=runner)
     assert outcome == MISS
+
+
+# ------------------------------------------------------------ entry codec
+
+
+def _stored_then_read(tmp_path, case, plan):
+    """``(original, decoded)``: a real run, and what a cold process reads
+    back from the entry that run wrote."""
+    writer = RunCache(disk_dir=str(tmp_path))
+    original, outcome = writer.execute(
+        case.workload, case.horizon, case.seed, plan, execute_workload
+    )
+    assert outcome == MISS
+    reader = RunCache(disk_dir=str(tmp_path))
+    decoded, outcome = reader.execute(
+        case.workload, case.horizon, case.seed, plan, execute_workload
+    )
+    assert outcome == HIT and reader.stats.disk_hits == 1
+    return original, decoded
+
+
+@pytest.mark.parametrize("with_plan", [False, True])
+def test_entry_round_trip_equals_the_original_result(tmp_path, with_plan):
+    case = get_case("f11")
+    plan = InjectionPlan.single(case.ground_truth_instance()) if with_plan else None
+    original, decoded = _stored_then_read(tmp_path, case, plan)
+    assert decoded is not original
+    # The trace stays packed until somebody reads it ...
+    assert isinstance(decoded._trace, PackedTrace)
+    assert len(decoded._trace) == len(original.trace) > 0
+    assert decoded.log.records == original.log.records
+    # ... and reads back as the events the run recorded, once and for all.
+    assert decoded.trace == original.trace
+    assert decoded.trace is decoded.trace
+    # (LogFile compares by identity; its records were compared above.)
+    assert dataclasses.replace(decoded, log=original.log) == original
+    shipped = pickle.loads(pickle.dumps(decoded))
+    assert shipped.trace == original.trace
+
+
+def test_decoded_log_records_are_interned(tmp_path):
+    case = get_case("f11")
+    truth = case.ground_truth_instance()
+    _, noop = _stored_then_read(tmp_path / "noop", case, None)
+    _, faulty = _stored_then_read(tmp_path / "fault", case, InjectionPlan.single(truth))
+    shared = {id(record) for record in noop.log} & {id(record) for record in faulty.log}
+    # The two runs log the same prefix: one record object serves both.
+    assert shared
+    assert all(record.level.name for record in faulty.log)
+    sources = {id(r.source): r.source for r in noop.log if r.source is not None}
+    assert len(sources) == len(set(sources.values()))
+
+
+def test_alias_prediction_from_a_lazily_decoded_noop_entry(tmp_path):
+    case = get_case("f1")
+    truth = case.ground_truth_instance()
+    RunCache(disk_dir=str(tmp_path)).execute(
+        case.workload, case.horizon, case.seed, None, execute_workload
+    )
+    runner, calls = counting_runner()
+    cold = RunCache(disk_dir=str(tmp_path))
+    ghost = plan_of((truth.site_id, truth.exception, 10**6))
+    result, outcome = cold.execute(case.workload, case.horizon, case.seed, ghost, runner)
+    assert outcome == ALIAS and not calls
+    firing = plan_of((truth.site_id, truth.exception, truth.occurrence))
+    _result, outcome = cold.execute(case.workload, case.horizon, case.seed, firing, runner)
+    assert outcome == MISS and len(calls) == 1
+    reference = execute_workload(case.workload, case.horizon, case.seed)
+    assert result.trace == reference.trace
+
+
+def _flip_bit(data: bytes, needle: bytes) -> bytes:
+    """``data`` with one bit flipped in the middle of ``needle``."""
+    at = data.index(needle) + len(needle) // 2
+    return data[:at] + bytes([data[at] ^ 0x10]) + data[at + 1:]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "trace blob", "log text", "empty"])
+def test_damaged_entry_is_skipped_and_removed(tmp_path, damage):
+    case = get_case("f1")
+    RunCache(disk_dir=str(tmp_path)).execute(
+        case.workload, case.horizon, case.seed, None, execute_workload
+    )
+    (entry,) = [path for path in tmp_path.iterdir() if path.is_file()]
+    data = entry.read_bytes()
+    body = pickle.loads(data)["body"]
+    log_rows, (_count, trace_blob), *_rest = pickle.loads(body)
+    if damage == "truncated":
+        data = data[: len(data) // 2]
+    elif damage == "trace blob":
+        # Nothing unpickles this part at read time: only the checksum
+        # stands between the flip and a wrong trace read much later.
+        data = _flip_bit(data, trace_blob[len(trace_blob) // 2:][:16])
+    elif damage == "log text":
+        data = _flip_bit(data, log_rows[0][3].encode())
+    else:
+        data = b""
+    entry.write_bytes(data)
+
+    runner, calls = counting_runner()
+    cold = RunCache(disk_dir=str(tmp_path))
+    with pytest.warns(RuntimeWarning, match="corrupt run-cache entry"):
+        _result, outcome = cold.execute(
+            case.workload, case.horizon, case.seed, None, runner
+        )
+    assert outcome == MISS and len(calls) == 1
+    assert cold.stats.disk_errors == 1
+    # Removed, then rewritten whole by the miss.
+    assert pickle.loads(entry.read_bytes())["version"] == PAYLOAD_VERSION
+
+
+def test_cache_dir_relocates_every_persistent_tier(tmp_path):
+    from repro.analysis.system_model import analyze_package, clear_facts_cache
+    from repro.cache import flowcache
+
+    flowcache.reset()
+    clear_facts_cache()
+    configure(enabled=True, disk_dir=str(tmp_path))
+    analyze_package("repro.systems.minizk")
+    get_case("f1").explorer(prune="static", max_rounds=2).explore()
+    entries = {path.name for path in tmp_path.iterdir()}
+    assert {"flow", "facts"} <= entries
+    assert any(name.endswith(".pkl") for name in entries)
+    assert list((tmp_path / "flow").glob("*.json"))
+    assert list((tmp_path / "facts").glob("repro.systems.minizk.*.pkl"))
 
 
 # ------------------------------------------------------------ noop aliasing

@@ -83,6 +83,95 @@ class TestMakeEntry:
         assert ledger.git_sha() is ledger.git_sha()
 
 
+class TestGitSha:
+    """``git_sha`` keys every cache fingerprint in every process, so it
+    reads ``.git`` itself; ``git rev-parse`` is only the fallback."""
+
+    SHA = "0123456789abcdef0123456789abcdef01234567"
+
+    @pytest.fixture
+    def checkout(self, tmp_path, monkeypatch):
+        """A source tree two levels under a bare-bones ``.git``."""
+        import subprocess
+
+        root = tmp_path / "checkout"
+        (root / "pkg" / "src").mkdir(parents=True)
+        monkeypatch.setattr(ledger, "_REPO_ROOT", str(root / "pkg" / "src"))
+        monkeypatch.setattr(ledger, "_GIT_SHA", None)
+        asked = []
+
+        def fake_run(argv, **kwargs):
+            asked.append(argv)
+            raise OSError("no git here")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        return root, asked
+
+    def test_loose_ref(self, checkout):
+        root, asked = checkout
+        (root / ".git" / "refs" / "heads").mkdir(parents=True)
+        (root / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+        (root / ".git" / "refs" / "heads" / "main").write_text(self.SHA + "\n")
+        assert ledger.git_sha() == self.SHA[:7]
+        assert asked == []
+
+    def test_packed_ref(self, checkout):
+        root, asked = checkout
+        (root / ".git").mkdir()
+        (root / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+        (root / ".git" / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{'f' * 40} refs/heads/other\n{self.SHA} refs/heads/main\n"
+        )
+        assert ledger.git_sha() == self.SHA[:7]
+        assert asked == []
+
+    def test_detached_head(self, checkout):
+        root, asked = checkout
+        (root / ".git").mkdir()
+        (root / ".git" / "HEAD").write_text(self.SHA + "\n")
+        assert ledger.git_sha() == self.SHA[:7]
+        assert asked == []
+
+    def test_unfamiliar_layout_asks_git_then_gives_up(self, checkout):
+        root, asked = checkout
+        # A worktree's ``.git`` is a file pointing elsewhere.
+        (root / ".git").write_text("gitdir: /somewhere/else\n")
+        assert ledger.git_sha() == "unknown"
+        assert [argv[:2] for argv in asked] == [["git", "rev-parse"]]
+
+    def test_unborn_branch_asks_git(self, checkout):
+        root, asked = checkout
+        (root / ".git").mkdir()
+        (root / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+        (root / ".git" / "packed-refs").write_text("")
+        assert ledger.git_sha() == "unknown"
+        assert len(asked) == 1
+
+    def test_outside_a_checkout_is_unknown_without_asking(self, checkout, tmp_path):
+        _root, asked = checkout
+        # No ancestor of the temp tree holds a ``.git``.
+        probe = tmp_path
+        while str(probe) != probe.anchor:
+            if (probe / ".git").exists():
+                pytest.skip("the temp directory sits inside a checkout")
+            probe = probe.parent
+        assert ledger.git_sha() == "unknown"
+        assert asked == []
+
+    def test_agrees_with_git_in_this_checkout(self):
+        import subprocess
+
+        try:
+            short = subprocess.run(
+                ["git", "rev-parse", "--short=7", "HEAD"],
+                cwd=ledger._REPO_ROOT, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            pytest.skip("not a git checkout")
+        assert ledger._read_head_sha()[:7] == short
+
+
 class TestAppendAndRead:
     def _entry(self, case_id="f1", **overrides):
         fields = dict(
