@@ -10,7 +10,7 @@ Commands:
   row) or the whole dataset, fanned out over ``--jobs`` worker processes.
 * ``watch [EVENTS.jsonl]`` — render a campaign's live event stream
   (``repro.obs.bus``): per-cell status and rounds, ground-truth rank
-  movement, cache/checkpoint/speculation rates, and an ETA from the run
+  movement, cache/checkpoint/worker rates, and an ETA from the run
   ledger.  ``--follow`` tails a concurrently running campaign until its
   ``campaign.done`` event; ``--format jsonl`` re-emits validated events.
 * ``inspect <case_id>`` — show the prepared search state (observables,
@@ -122,7 +122,7 @@ def _run_config(args) -> RunConfig:
     """This invocation's one :class:`RunConfig`, from its flags (a command
     without a knob's flag runs with that knob off).  Nothing is exported
     to the environment: worker processes receive the config as their
-    pool initializer's argument (DESIGN §5.4)."""
+    pool initializer's argument (DESIGN §5.3)."""
     cache = getattr(args, "cache", False)
     cache_dir = getattr(args, "cache_dir", None) or runcache.default_disk_dir()
     return RunConfig(
@@ -247,10 +247,8 @@ def _cmd_reproduce_body(args, config: RunConfig) -> int:
         from .obs import TraceRecorder
 
         recorder = TraceRecorder()
-    jobs = config.jobs
     explorer = case.explorer(
         max_rounds=args.max_rounds,
-        jobs=jobs,
         recorder=recorder,
         track_coverage=True,
         prune=args.prune,
@@ -261,7 +259,7 @@ def _cmd_reproduce_body(args, config: RunConfig) -> int:
     # the same watch view covers both commands.
     bus = event_bus.active_bus()
     reporter = event_bus.RoundReporter(bus, case.case_id, "anduril")
-    event_bus.campaign_start(bus, [(case.case_id, "anduril")], jobs)
+    event_bus.campaign_start(bus, [(case.case_id, "anduril")], config.jobs)
     reporter.start()
     result = explorer.explore()
     reporter.done(result.success, result.rounds, result.elapsed_seconds)
@@ -297,7 +295,7 @@ def _cmd_reproduce_body(args, config: RunConfig) -> int:
                 rounds=result.rounds,
                 seconds=result.elapsed_seconds,
                 seed=case.seed,
-                jobs=jobs,
+                jobs=config.jobs,
                 coverage=coverage,
                 metrics=recorder.metrics() if recorder is not None else None,
             )
@@ -844,12 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("case_id")
     reproduce.add_argument("--max-rounds", type=int, default=800)
     reproduce.add_argument("--output", "-o", help="write the script to a file")
-    reproduce.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="speculative round workers (default 1 = serial; 0 = one per CPU)",
-    )
     reproduce.add_argument(
         "--profile",
         action="store_true",

@@ -37,10 +37,6 @@ class AndurilOutcome:
     mean_decision_us: float
     median_init_ms: float
     median_workload_ms: float
-    #: Parallel-engine accounting (defaults describe a serial search).
-    jobs: int = 1
-    speculation_hit_rate: float = 0.0
-    worker_utilization: float = 0.0
     #: Flat ``repro.obs`` metrics dict (empty unless profiled).
     metrics: dict = dataclasses.field(default_factory=dict)
     #: Fault-space coverage accounting dict (``None`` when disabled).
@@ -88,7 +84,6 @@ def run_anduril(
     case: FailureCase,
     max_rounds: int = 600,
     max_seconds: Optional[float] = 60.0,
-    jobs: int = 1,
     profile: bool = False,
     coverage: bool = True,
     prune: str = "static",
@@ -114,7 +109,6 @@ def run_anduril(
     explorer = case.explorer(
         max_rounds=max_rounds,
         max_seconds=max_seconds,
-        jobs=jobs,
         recorder=recorder,
         track_coverage=coverage,
         prune=prune,
@@ -146,9 +140,6 @@ def run_anduril(
         mean_decision_us=mean_decision_us,
         median_init_ms=_median(inits) * 1e3,
         median_workload_ms=_median(workloads) * 1e3,
-        jobs=result.jobs,
-        speculation_hit_rate=result.speculation_hit_rate,
-        worker_utilization=result.worker_utilization,
         metrics=metrics,
         coverage=result.coverage.to_dict() if result.coverage else None,
     )

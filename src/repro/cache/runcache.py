@@ -1,13 +1,12 @@
 """The run cache: content-addressed memoization of workload runs.
 
 One simulated run is a pure function of ``(workload, horizon, seed,
-plan)`` — the determinism invariant the parallel engine (PR 3) already
-relies on.  This module turns that invariant into a cache: the
-:class:`RunCache` keys completed :class:`~repro.sim.cluster.RunResult`\\ s
-on ``(workload fingerprint, seed, horizon, canonical plan key)`` and
-serves them back to every consumer of ``execute_workload`` — the
-Explorer's inline rounds, the speculative executor, the baseline
-strategy runner, and (through all of those) the iterative multi-fault
+plan)`` — the determinism invariant campaign fan-out already relies on.
+This module turns that invariant into a cache: the :class:`RunCache`
+keys completed :class:`~repro.sim.cluster.RunResult`\\ s on ``(workload
+fingerprint, seed, horizon, canonical plan key)`` and serves them back
+to every consumer of ``execute_workload`` — the Explorer's rounds, the
+baseline strategy runner, and (through both) the iterative multi-fault
 workflow and the campaign engine.
 
 Two tiers:
@@ -342,22 +341,6 @@ class RunCache:
             return None
         noop_result, _ = self._lookup(noop_key)
         return noop_result
-
-    def peek(self, workload, horizon, seed, plan, monitor_key=None):
-        """A cached (or alias-predictable) result, without stats movement.
-
-        Used by the speculative executor to avoid burning worker slots
-        on runs the committed path will serve from cache anyway.
-        """
-        key = self._key(workload, horizon, seed, plan)
-        if key is None:
-            return None
-        result, _ = self._lookup(key)
-        if result is None and monitor_key:
-            result, _ = self._lookup(self._verdict_key(key, monitor_key))
-        if result is not None:
-            return result
-        return self._alias_lookup(key, plan)
 
     # ----------------------------------------------------------------- store
 

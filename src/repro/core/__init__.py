@@ -31,7 +31,7 @@ from .report import ReproductionScript
 __getattr__ = lazy_exports(
     __name__,
     {"IterativeExplorer": ".iterative", "IterativeResult": ".iterative"},
-    submodules=("iterative", "speculate"),
+    submodules=("iterative",),
 )
 
 __all__ = [

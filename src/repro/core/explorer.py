@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..analysis.causal import DistanceIndex
 from ..analysis.flow import PropagationGraph, reachability_weights
@@ -41,14 +41,11 @@ from ..sim.cluster import RunResult, WorkloadFn
 from .alignment import TimelineMap
 from .observables import ObservableSet
 from .oracle import Oracle
-from .priority import FaultPriorityPool, WindowEntry
-from .pipeline import RunConfig, RunPipeline, default_jobs
+from .priority import FaultPriorityPool
+from .pipeline import RunConfig, RunPipeline
 from .prepared import prepared_case
 from .pruning import DEFAULT_RADIUS, StaticPruner
 from .report import ReproductionScript
-
-if TYPE_CHECKING:  # the pool machinery loads only for a jobs > 1 search
-    from .speculate import SpeculativeExecutor
 
 
 @dataclasses.dataclass
@@ -63,8 +60,6 @@ class RoundRecord:
     injection_requests: int
     decision_seconds: float
     present_observables: int = 0
-    #: Whether this round's run was served by a speculative worker.
-    speculative_hit: bool = False
 
 
 @dataclasses.dataclass
@@ -77,14 +72,8 @@ class ExplorationResult:
     round_records: list[RoundRecord]
     message: str = ""
     final_run: Optional[RunResult] = None
-    #: Parallelism accounting (all zero for a serial search).
-    jobs: int = 1
-    speculation_hits: int = 0
-    speculation_misses: int = 0
-    speculation_submitted: int = 0
     #: Fault-space coverage accounting (``None`` unless the search ran
-    #: with ``track_coverage=True``).  Derived from the committed rounds
-    #: only, so it is byte-identical across ``jobs`` counts.
+    #: with ``track_coverage=True``).
     coverage: Optional[CoverageSummary] = None
 
     @property
@@ -96,27 +85,14 @@ class ExplorationResult:
             if record.root_site_rank is not None
         ]
 
-    @property
-    def speculation_hit_rate(self) -> float:
-        total = self.speculation_hits + self.speculation_misses
-        return self.speculation_hits / total if total else 0.0
-
-    @property
-    def worker_utilization(self) -> float:
-        """Committed speculative runs over submitted speculative runs."""
-        if not self.speculation_submitted:
-            return 0.0
-        return self.speculation_hits / self.speculation_submitted
-
     def signature(self) -> tuple:
         """Semantic identity of the search outcome, excluding wall times.
 
-        ``explore`` with ``jobs=1`` and ``jobs=N`` must produce equal
-        signatures — the determinism invariant of the parallel engine.
-        The same holds for early-verdict cutoff on/off: a satisfied
-        round's run may be truncated, shrinking its ``injection_requests``
-        count, so that one field is masked on satisfied rounds
-        (unconditionally, keeping both configurations byte-identical).
+        A pure function of (case, seed, search parameters): no runner
+        knob may move it.  Early-verdict cutoff may truncate a satisfied
+        round's run, shrinking its ``injection_requests`` count, so that
+        one field is masked on satisfied rounds (unconditionally, keeping
+        cutoff on and off byte-identical).
         Every other round field is cutoff-invariant: feedback — and so
         ``present_observables`` — only runs on unsatisfied rounds, which
         never truncate.
@@ -226,6 +202,11 @@ class Explorer:
             raise ValueError("prune must be 'none' or 'static'")
         if fault_dims not in ("exceptions", "soft", "all"):
             raise ValueError("fault_dims must be 'exceptions', 'soft', or 'all'")
+        if jobs != 1:
+            raise ValueError(
+                "a search runs its rounds serially (jobs must be 1); "
+                "parallelism lives in campaign fan-out: compare --jobs"
+            )
         if model is None:
             if package is None:
                 raise ValueError("either package or model is required")
@@ -294,13 +275,8 @@ class Explorer:
         self.track_coverage = track_coverage
         self._coverage = NULL_COVERAGE
         self._prepared: Optional[PreparedSearch] = None
-        self._trace_order: dict[tuple[str, int], int] = {}
-        #: Round-level speculation: with ``jobs > 1`` worker processes
-        #: pre-execute predicted future rounds while the committed round
-        #: runs inline.  ``jobs=0``/``None`` means "one per CPU".
-        self.jobs = default_jobs() if not jobs or jobs < 1 else int(jobs)
-        #: Every run of this search goes through here (DESIGN §5.4).
-        #: ``jobs`` and the other two runner knobs are outcome-invariant:
+        #: Every run of this search goes through here (DESIGN §5.3).
+        #: Both runner knobs are outcome-invariant:
         #: ``checkpoint`` forks each round's run off a holder parked at
         #: the plan's first possible firing position instead of replaying
         #: the fault-free prefix (``repro.sim.checkpoint``);
@@ -314,7 +290,6 @@ class Explorer:
             RunConfig.here(
                 checkpoint=bool(checkpoint),
                 early_verdict=bool(early_verdict),
-                jobs=self.jobs,
             ),
             recorder=self._obs, base_faults=self.base_faults,
         )
@@ -367,14 +342,6 @@ class Explorer:
             reach_weights=reach_weights,
             reach_scale=self.reach_bonus,
         )
-        # Execution-order index of the probe trace: before any single-shot
-        # injection fires, a round's run replays the probe deterministically,
-        # so the armed instance executed *earliest in the probe* is the one
-        # that will fire.  This is the speculation engine's predictor.
-        self._trace_order = {
-            (event.site_id, event.occurrence): position
-            for position, event in enumerate(normal_run.trace)
-        }
         if self.track_coverage:
             # The full injectable fault space comes from the same inputs
             # the pool uses (graph candidates x probe occurrences), so
@@ -436,32 +403,18 @@ class Explorer:
 
     # ----------------------------------------------------------------- explore
 
-    def explore(self, jobs: Optional[int] = None) -> ExplorationResult:
-        """Run the search; ``jobs`` overrides the configured worker count.
-
-        With ``jobs > 1`` a :class:`SpeculativeExecutor` pre-executes
-        predicted future rounds in worker processes.  Speculative results
-        are committed only on an exact ``(seed, plan)`` match, so the
-        result's :meth:`ExplorationResult.signature` is identical for every
-        worker count.
-        """
+    def explore(self) -> ExplorationResult:
+        """Run the search, one round after another: round r+1's window is
+        ranked from round r's feedback."""
         pipeline = self._pipeline
-        jobs = pipeline.jobs(jobs)
-        engine = None
-        if jobs > 1:
-            from .speculate import SpeculativeExecutor
-
-            engine = SpeculativeExecutor(pipeline, jobs)
         try:
             # The fork points come from the probe trace.
             pipeline.arm(self.prepare().normal_run.trace)
-            return self._explore(engine)
+            return self._explore()
         finally:
-            if engine is not None:
-                engine.shutdown()
             pipeline.close()
 
-    def _explore(self, engine: Optional[SpeculativeExecutor]) -> ExplorationResult:
+    def _explore(self) -> ExplorationResult:
         started = time.perf_counter()
         prepared = self.prepare()
         pool = prepared.pool
@@ -477,7 +430,7 @@ class Explorer:
                 and time.perf_counter() - started > self.max_seconds
             ):
                 return self._finish(
-                    False, records, started, engine, message="time budget exhausted"
+                    False, records, started, message="time budget exhausted"
                 )
             init_started = time.perf_counter()
             window = pool.window(window_size)
@@ -527,7 +480,7 @@ class Explorer:
                 )
             if not window:
                 return self._finish(
-                    False, records, started, engine, message="fault space exhausted"
+                    False, records, started, message="fault space exhausted"
                 )
             reporter.begin(round_number)
 
@@ -540,18 +493,7 @@ class Explorer:
                 always=self.base_faults,
             )
             workload_started = time.perf_counter()
-            spec_hit = False
-            if engine is not None:
-                # Queue predicted future rounds (and retire speculations
-                # the search bypassed) before the committed run, so the
-                # workers overlap with it.
-                engine.sync(
-                    self._predict_plans(pool, round_number, window, engine.jobs),
-                    keep=(run_seed, plan),
-                )
-                result, spec_hit = engine.run(run_seed, plan)
-            else:
-                result = self._pipeline.run(run_seed, plan)
+            result = self._pipeline.run(run_seed, plan)
             # §6: retry the round under perturbed seeds when nothing in the
             # window occurred (only useful in nondeterministic setups).
             # Truncated runs always carry a fired instance (the cutoff
@@ -564,10 +506,7 @@ class Explorer:
             ):
                 sub_run += 1
                 run_seed = self.seed + round_number * 1009 + sub_run
-                if engine is not None:
-                    result, _ = engine.run(run_seed, plan)
-                else:
-                    result = self._pipeline.run(run_seed, plan)
+                result = self._pipeline.run(run_seed, plan)
             workload_seconds = time.perf_counter() - workload_started
             if obs.enabled:
                 obs.add_span(
@@ -578,7 +517,6 @@ class Explorer:
                     duration=workload_seconds,
                     round=round_number,
                     seed=run_seed,
-                    speculative_hit=spec_hit,
                 )
 
             feedback_started = time.perf_counter()
@@ -638,7 +576,6 @@ class Explorer:
                 run_seconds=workload_seconds,
                 feedback_seconds=feedback_seconds,
                 round_seconds=feedback_started + feedback_seconds - init_started,
-                engine=engine,
             )
             self._coverage.record_round(round_number, plan.instances, injected)
 
@@ -654,7 +591,6 @@ class Explorer:
                     injection_requests=result.injection_requests,
                     decision_seconds=result.decision_seconds,
                     present_observables=present_count,
-                    speculative_hit=spec_hit,
                 )
             )
 
@@ -672,7 +608,6 @@ class Explorer:
                     True,
                     records,
                     started,
-                    engine,
                     script=script,
                     injected=injected,
                     final_run=result,
@@ -680,76 +615,8 @@ class Explorer:
                 )
 
         return self._finish(
-            False, records, started, engine, message="round budget exhausted"
+            False, records, started, message="round budget exhausted"
         )
-
-    # -------------------------------------------------------------- speculation
-
-    def _predict_fired(self, window: list[WindowEntry]) -> Optional[FaultInstance]:
-        """The armed instance predicted to fire: earliest in the probe trace."""
-        best: Optional[FaultInstance] = None
-        best_position: Optional[int] = None
-        for entry in window:
-            instance = entry.instance
-            position = self._trace_order.get(
-                (instance.site_id, instance.occurrence)
-            )
-            if position is None:
-                continue
-            if best_position is None or position < best_position:
-                best, best_position = instance, position
-        return best
-
-    def _predict_plans(
-        self,
-        pool: FaultPriorityPool,
-        round_number: int,
-        window: list[WindowEntry],
-        depth: int,
-    ) -> list[tuple[int, InjectionPlan]]:
-        """Predict the next ``depth`` rounds' ``(seed, plan)`` pairs.
-
-        The prediction advances the pool along the serial algorithm's path
-        under one assumption: the committed rounds' feedback will not
-        re-order the ranking (``mark_tried`` is simulated, observable
-        priorities are frozen).  When the assumption holds the predicted
-        rounds become cache hits; when it breaks they are discarded as
-        misses.  Either way the committed search path is exactly serial.
-        """
-        predictions: list[tuple[int, InjectionPlan]] = []
-        snapshot = pool.snapshot()
-        try:
-            current_window = window
-            future_round = round_number
-            for _depth in range(max(depth, 1)):
-                fired = self._predict_fired(current_window)
-                if fired is None:
-                    # Predicted dry round: the serial path would double the
-                    # window and perturb seeds; stop speculating here.
-                    break
-                pool.mark_tried(fired)
-                future_round += 1
-                if future_round > self.max_rounds:
-                    break
-                # After a fired round the Explorer restores the configured
-                # window (see _explore), so predicted rounds use it too.
-                next_window = pool.window(self.initial_window)
-                if not next_window:
-                    break
-                seed = (
-                    self.seed + future_round if self.vary_seed else self.seed
-                )
-                # Mirror the committed round's dedup exactly: speculative
-                # cache keys must match the plans _explore will build.
-                plan = InjectionPlan.of(
-                    dedupe_instances(entry.instance for entry in next_window),
-                    always=self.base_faults,
-                )
-                predictions.append((seed, plan))
-                current_window = next_window
-        finally:
-            pool.restore(snapshot)
-        return predictions
 
     # ------------------------------------------------------------------ finish
 
@@ -758,7 +625,6 @@ class Explorer:
         success: bool,
         records: list[RoundRecord],
         started: float,
-        engine: Optional[SpeculativeExecutor] = None,
         script: Optional[ReproductionScript] = None,
         injected: Optional[FaultInstance] = None,
         final_run: Optional[RunResult] = None,
@@ -773,9 +639,5 @@ class Explorer:
             round_records=records,
             message=message,
             final_run=final_run,
-            jobs=engine.jobs if engine is not None else 1,
-            speculation_hits=engine.hits if engine is not None else 0,
-            speculation_misses=engine.misses if engine is not None else 0,
-            speculation_submitted=engine.submitted if engine is not None else 0,
             coverage=self._coverage.summary(),
         )

@@ -1,4 +1,4 @@
-"""The run pipeline: the one way to run a workload under a plan (DESIGN §5.4).
+"""The run pipeline: the one way to run a workload under a plan (DESIGN §5.3).
 
 ANDURIL's loop has one primitive — "run the workload under this plan"
 (§3, step 3).  :class:`RunPipeline` is that primitive with every runner
@@ -8,11 +8,11 @@ accelerator stacked behind it, in one fixed order::
                         no  -> run cache -> checkpoint pool -> verdict monitor
                                          -> execute_workload
 
-The Explorer, the baseline ``StrategyRunner``, the ``SpeculativeExecutor``
-and the CLI's confirmation replay all call it; none of them names a
-cache, a pool or a monitor.  :class:`RunConfig` says *how* to run — the
-six runner knobs, none of which may change a search's outcome — and is
-all a worker process needs from its parent.
+The Explorer, the baseline ``StrategyRunner`` and the CLI's confirmation
+replay all call it; none of them names a cache, a pool or a monitor.
+:class:`RunConfig` says *how* to run — the six runner knobs, none of
+which may change a search's outcome — and is all a worker process needs
+from its parent.
 """
 
 from __future__ import annotations
@@ -30,13 +30,17 @@ from .verdict import compile_cutoff
 
 
 def default_jobs() -> int:
-    """Worker count when the user asked for parallelism without a number."""
+    """Worker count when the user asked for parallelism without a number:
+    ``REPRO_JOBS``, else one per core this process may run on (under
+    ``taskset`` or a cgroup cpuset that is fewer than are installed)."""
     env = os.environ.get("REPRO_JOBS")
     if env:
         try:
             return max(int(env), 1)
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):
+        return max(len(os.sched_getaffinity(0)), 1)
     return max(os.cpu_count() or 1, 1)
 
 
@@ -90,7 +94,7 @@ class RunPipeline:
         #: The recorder rule, stated once: a traced pipeline executes
         #: every run in this process with the recorder attached, so the
         #: recorder observes real execution — such a pipeline is never
-        #: cached, forked, or speculated.
+        #: cached or forked.
         self.traced = recorder is not None and recorder.enabled
         self._recorder = recorder
         self._base_faults = tuple(base_faults)
@@ -99,9 +103,6 @@ class RunPipeline:
         verdict = compile_cutoff(oracle) if config.early_verdict else None
         self._monitor_factory = None if verdict is None else verdict.factory
         self._monitor_key = None if verdict is None else verdict.key
-        #: Picklable oracle spec from which a speculative worker rebuilds
-        #: its own (conservatively weaker) monitor; ``None`` = unmonitored.
-        self.verdict_spec = None if verdict is None else verdict.spec
         self._pool: Optional[CheckpointPool] = None
 
     def _execute(self, seed, plan, runner, monitor_factory=None, monitor_key=None):
@@ -135,30 +136,6 @@ class RunPipeline:
         (a confirmation replay), or ``None`` when runs are unmonitored."""
         factory = self._monitor_factory
         return None if factory is None else factory()
-
-    def jobs(self, requested: Optional[int] = None) -> int:
-        """Processes a search over this pipeline may keep busy."""
-        if self.traced:
-            return 1
-        return self.config.jobs if requested is None else max(int(requested), 1)
-
-    def cached(self, seed: int, plan: Optional[InjectionPlan]):
-        """What the cache would serve :meth:`run` for this key, if anything."""
-        cache = runcache.active()
-        if cache is None:
-            return None
-        return cache.peek(
-            self.workload, self.horizon, seed, plan, monitor_key=self._monitor_key
-        )
-
-    def remember(self, seed: int, plan: Optional[InjectionPlan], result) -> None:
-        """Cache a result that was produced outside :meth:`run`."""
-        cache = runcache.active()
-        if cache is not None:
-            cache.put(
-                self.workload, self.horizon, seed, plan, result,
-                monitor_key=self._monitor_key,
-            )
 
     def arm(self, probe_trace) -> None:
         """Open the checkpoint pool over the probe trace — iff checkpointing

@@ -1,4 +1,4 @@
-"""The prepared case: steps 1–2 of the search, built once (DESIGN §5.5).
+"""The prepared case: steps 1–2 of the search, built once (DESIGN §5.4).
 
 Before its first round every search over a case needs the same things:
 the fault-free probe run, its per-thread diff against the failure log,

@@ -257,27 +257,6 @@ class FaultPriorityPool:
         ):
             candidate.tried.add(instance.occurrence)
 
-    # -------------------------------------------------------------- speculation
-
-    def snapshot(self) -> list[set[int]]:
-        """Copy the mutable tried-state, one set per candidate.
-
-        The speculative round executor advances the pool along a predicted
-        future (``mark_tried`` only — observable feedback is unknown until
-        the committed run completes), prefetches the predicted plans, then
-        :meth:`restore`\\ s this snapshot before the real round commits.
-        """
-        return [set(candidate.tried) for candidate in self._candidates]
-
-    def restore(self, snapshot: list[set[int]]) -> None:
-        if len(snapshot) != len(self._candidates):
-            raise ValueError(
-                "snapshot does not match this pool "
-                f"({len(snapshot)} != {len(self._candidates)} candidates)"
-            )
-        for candidate, tried in zip(self._candidates, snapshot):
-            candidate.tried = set(tried)
-
     # ------------------------------------------------------------------- ranks
 
     def site_ranking(self) -> list[str]:

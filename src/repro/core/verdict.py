@@ -43,11 +43,9 @@ pending.
 :func:`compile_cutoff` is the entry point: it returns ``None`` whenever
 the oracle can never be decided early (a pure stuck-task oracle, say), in
 which case callers skip monitoring entirely and pay zero overhead.  The
-compiled form also carries a picklable ``spec`` tree and a stable
-``key`` digest so spawn workers (which cannot pickle state predicates)
-can rebuild an equivalent — conservatively weaker — monitor via
-:func:`runtime_from_spec`, and so the run cache can segregate truncated
-entries under a monitor-specific key.
+compiled form also carries a stable ``key`` digest of the oracle's spec
+tree, so the run cache can segregate truncated entries under a
+monitor-specific key.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ __all__ = [
     "compile_cutoff",
     "monitor_key",
     "oracle_spec",
-    "runtime_from_spec",
 ]
 
 
@@ -82,8 +79,8 @@ __all__ = [
 #   ("all", (spec, ...)) / ("any", (spec, ...)) / ("not", spec)
 #   ("opaque", class_name, description)
 #
-# Specs contain only primitives, so they pickle to spawn workers and
-# hash stably into the cache's monitor key.
+# Specs contain only primitives, so they hash stably into the cache's
+# monitor key.
 
 
 def oracle_spec(node: "_oracle.Oracle") -> tuple:
@@ -108,27 +105,27 @@ def oracle_spec(node: "_oracle.Oracle") -> tuple:
 
 def monitor_key(spec: tuple) -> str:
     """A short stable digest of a spec (cache-key extension for
-    truncated entries; identical in the parent and its spawn workers)."""
+    truncated entries; identical in every process)."""
     return hashlib.sha256(repr(spec).encode("utf-8")).hexdigest()[:16]
 
 
-def _can_true(spec: tuple, trust_state: bool) -> bool:
+def _can_true(spec: tuple) -> bool:
     """Whether this subtree can ever be decided ``True`` mid-run."""
     kind = spec[0]
     if kind in ("log", "crash"):
         return True
     if kind == "state":
-        return trust_state and bool(spec[2])
+        return bool(spec[2])
     if kind == "not":
-        return _can_false(spec[1], trust_state)
+        return _can_false(spec[1])
     if kind == "all":
-        return all(_can_true(sub, trust_state) for sub in spec[1])
+        return all(_can_true(sub) for sub in spec[1])
     if kind == "any":
-        return any(_can_true(sub, trust_state) for sub in spec[1])
+        return any(_can_true(sub) for sub in spec[1])
     return False  # stuck / opaque
 
 
-def _can_false(spec: tuple, trust_state: bool) -> bool:
+def _can_false(spec: tuple) -> bool:
     """Whether this subtree can ever be decided ``False`` mid-run.
 
     Leaves never can: they latch ``True`` or stay undecided (absence is
@@ -137,11 +134,11 @@ def _can_false(spec: tuple, trust_state: bool) -> bool:
     """
     kind = spec[0]
     if kind == "not":
-        return _can_true(spec[1], trust_state)
+        return _can_true(spec[1])
     if kind == "all":
-        return any(_can_false(sub, trust_state) for sub in spec[1])
+        return any(_can_false(sub) for sub in spec[1])
     if kind == "any":
-        return all(_can_false(sub, trust_state) for sub in spec[1])
+        return all(_can_false(sub) for sub in spec[1])
     return False
 
 
@@ -435,36 +432,12 @@ def _build_from_oracle(node: "_oracle.Oracle", logs, crashes, states):
     return _OpaqueLeaf()  # stuck / non-monotone state / unknown subclass
 
 
-def _build_from_spec(spec: tuple, logs, crashes):
-    kind = spec[0]
-    if kind == "log":
-        leaf = _LogLeaf(spec[1], spec[2])
-        logs.append(leaf)
-        return leaf
-    if kind == "crash":
-        leaf = _CrashLeaf(spec[1], spec[2])
-        crashes.append(leaf)
-        return leaf
-    if kind == "all":
-        return _AllNode(_build_from_spec(sub, logs, crashes) for sub in spec[1])
-    if kind == "any":
-        return _AnyNode(_build_from_spec(sub, logs, crashes) for sub in spec[1])
-    if kind == "not":
-        return _NotNode(_build_from_spec(spec[1], logs, crashes))
-    # State predicates do not survive pickling, so workers treat them —
-    # like stuck/opaque leaves — as never-latching.  Strictly weaker than
-    # the parent's monitor: a worker may miss a cutoff, never invent one.
-    return _OpaqueLeaf()
-
-
 @dataclasses.dataclass(frozen=True)
 class CompiledVerdict:
-    """A compiled oracle: a monitor factory plus its cache key and the
-    picklable spec spawn workers rebuild from."""
+    """A compiled oracle: a monitor factory plus its cache key."""
 
     factory: Callable[[], VerdictMonitor]
     key: str
-    spec: tuple
 
 
 def compile_cutoff(oracle: "_oracle.Oracle") -> Optional[CompiledVerdict]:
@@ -472,7 +445,7 @@ def compile_cutoff(oracle: "_oracle.Oracle") -> Optional[CompiledVerdict]:
     can never be decided mid-run (callers then skip monitoring and pay
     nothing)."""
     spec = oracle_spec(oracle)
-    if not _can_true(spec, trust_state=True):
+    if not _can_true(spec):
         return None
     key = monitor_key(spec)
 
@@ -483,29 +456,4 @@ def compile_cutoff(oracle: "_oracle.Oracle") -> Optional[CompiledVerdict]:
         root = _build_from_oracle(oracle, logs, crashes, states)
         return VerdictMonitor(root, logs, crashes, states, key)
 
-    return CompiledVerdict(factory=factory, key=key, spec=spec)
-
-
-def runtime_from_spec(
-    spec: Optional[tuple],
-) -> tuple[Optional[Callable[[], VerdictMonitor]], Optional[str]]:
-    """Worker-side rebuild: ``(factory_or_None, key_or_None)``.
-
-    The key is the *parent's* key (same spec), so worker-stored truncated
-    cache entries land where the parent expects them, even though the
-    worker's monitor is weaker (opaque state leaves) and may simply never
-    cut off.
-    """
-    if spec is None:
-        return None, None
-    key = monitor_key(spec)
-    if not _can_true(spec, trust_state=False):
-        return None, key
-
-    def factory() -> VerdictMonitor:
-        logs: list = []
-        crashes: list = []
-        root = _build_from_spec(spec, logs, crashes)
-        return VerdictMonitor(root, logs, crashes, [], key)
-
-    return factory, key
+    return CompiledVerdict(factory=factory, key=key)

@@ -127,11 +127,10 @@ class InjectionPlan:
 
     # ------------------------------------------------------------ serialization
     #
-    # Plans cross process boundaries in the parallel engine: campaign
-    # workers and the Explorer's speculative round executors each receive
-    # a plan payload of plain tuples.  ``key()`` is the canonical identity
-    # used to index speculative run caches — two plans with equal keys
-    # drive byte-identical runs of the deterministic simulator.
+    # Plans cross a process boundary on their way to a checkpoint holder,
+    # as a payload of plain tuples.  ``key()`` is the canonical identity
+    # the run cache indexes by — two plans with equal keys drive
+    # byte-identical runs of the deterministic simulator.
 
     def to_payload(self) -> dict:
         # A raise spec's canonical form is the bare exception name, so
@@ -222,10 +221,9 @@ class FIR:
         ``on_site`` calls both once per traced request, so a cluster
         binds them straight to the objects that hold the answers, which
         stay valid for its whole life (see ``Cluster.__init__``).
-        ``on_site`` holds no other reference across calls: ``trace`` and
-        ``counts`` are read off ``self`` each time, because
-        :meth:`restore` and the checkpoint grandchild replace those
-        objects mid-run.
+        ``on_site`` holds no other reference across calls: ``trace`` is
+        read off ``self`` each time, because the checkpoint grandchild
+        replaces it mid-run.
         """
         self._log_index_fn = log_index_fn
         self._clock = clock
@@ -259,38 +257,6 @@ class FIR:
             raise ValueError("at_request is a 1-based request ordinal")
         self._trigger_at = int(at_request)
         self._trigger = callback
-
-    def capture(self) -> dict:
-        """Data snapshot of the runtime's per-run state.
-
-        ``tracing`` and the checkpoint trigger (``_trigger`` /
-        ``_trigger_at``) are part of that state: a speculation-pool
-        snapshot/restore cycle across an armed trigger must neither lose
-        the pending callback nor leak it into an unrelated run.
-        """
-        return {
-            "counts": dict(self.counts),
-            "trace": list(self.trace),
-            "fired": self.fired,
-            "always_fired": list(self.always_fired),
-            "request_count": self.request_count,
-            "decision_seconds": self.decision_seconds,
-            "tracing": self.tracing,
-            "trigger": self._trigger,
-            "trigger_at": self._trigger_at,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Restore the per-run state captured by :meth:`capture`."""
-        self.counts = dict(snapshot["counts"])
-        self.trace = list(snapshot["trace"])
-        self.fired = snapshot["fired"]
-        self.always_fired = list(snapshot["always_fired"])
-        self.request_count = snapshot["request_count"]
-        self.decision_seconds = snapshot["decision_seconds"]
-        self.tracing = snapshot["tracing"]
-        self._trigger = snapshot["trigger"]
-        self._trigger_at = snapshot["trigger_at"]
 
     def on_site(self, site: SiteRef) -> Optional[Callable[[Any], Any]]:
         """Trace this execution of ``site`` and inject if the plan says so.

@@ -7,8 +7,8 @@ cell, the bus streams typed progress events *while a campaign runs*:
 * lifecycle — ``campaign.start`` / ``case.start`` / ``round.begin`` /
   ``round.end`` / ``plan.fired`` / ``case.done`` / ``campaign.done``;
 * ``heartbeat`` — periodic operational stats (cache hit rate, checkpoint
-  pool counters, speculation hit rate, worker liveness, and streaming
-  latency histograms from :mod:`repro.obs.metrics`).
+  pool counters, worker liveness, and streaming latency histograms from
+  :mod:`repro.obs.metrics`).
 
 Events are plain dicts stamped with ``schema`` (the versioning rules of
 DESIGN.md §7.2 apply: writers stamp :data:`SCHEMA_VERSION`, readers skip
@@ -359,8 +359,7 @@ def validate_event(event) -> list[str]:
 def heartbeat_stats() -> dict:
     """Operational stats for a ``heartbeat`` event: the registry's
     runner sections (:func:`repro.obs.metrics.runner_stats`) plus the
-    latency histogram snapshot.  Sources add their own (speculation,
-    workers)."""
+    latency histogram snapshot.  The campaign pool adds ``workers``."""
     stats = metrics.runner_stats()
     latency = metrics.histograms_snapshot()
     if latency:
@@ -421,11 +420,9 @@ class RoundReporter:
         run_seconds: float,
         feedback_seconds: float,
         round_seconds: float,
-        engine=None,
     ) -> None:
         """Close a round: latencies, ``plan.fired`` when something fired,
-        ``round.end``, and a heartbeat when one is due — carrying
-        ``engine.stats()`` sections when the search has an engine."""
+        ``round.end``, and a heartbeat when one is due."""
         metrics.observe("latency.run_seconds", run_seconds)
         metrics.observe("latency.feedback_seconds", feedback_seconds)
         metrics.observe("latency.round_seconds", round_seconds)
@@ -454,15 +451,12 @@ class RoundReporter:
         now = time.monotonic()
         if now >= self._next_heartbeat:
             self._next_heartbeat = now + bus.heartbeat_interval
-            stats = heartbeat_stats()
-            if engine is not None:
-                stats.update(engine.stats())
             bus.emit(
                 "heartbeat",
                 source=self._source,
                 round=round_number,
                 **self._cell,
-                **stats,
+                **heartbeat_stats(),
             )
 
     def done(self, success: bool, rounds: int, seconds: float) -> None:

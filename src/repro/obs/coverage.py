@@ -21,9 +21,9 @@ Tracking is **off by default** and follows the ``NULL_RECORDER`` pattern:
 call sites hold either a real :class:`CoverageTracker` or the shared
 :data:`NULL_COVERAGE` singleton whose methods return immediately, so the
 untracked hot path allocates nothing and the ``(seed, plan)`` determinism
-is untouched.  All recorded quantities derive from the committed search
-path only (window contents and the injected instance), so the accounting
-is byte-identical for ``explore(jobs=1)`` and ``explore(jobs=N)``.
+is untouched.  All recorded quantities derive from the search path only
+(window contents and the injected instance), so the accounting is
+byte-identical under every runner knob.
 """
 
 from __future__ import annotations

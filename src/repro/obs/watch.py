@@ -4,7 +4,7 @@
 ``--follow`` tail against a concurrently running campaign — through a
 :class:`WatchState` reducer and renders a compact TTY table: per-cell
 status and round counts, rank-of-ground-truth movement, the operational
-rates carried by heartbeats (cache/checkpoint/speculation), and an ETA
+rates carried by heartbeats (cache/checkpoint/workers), and an ETA
 estimated from the rolling ledger history.
 
 Like the rest of ``repro.obs``, this module imports nothing from
@@ -226,7 +226,7 @@ def _heartbeat_line(state: WatchState) -> Optional[str]:
     parts: list[str] = []
     merged: dict[str, dict] = {}
     for event in state.heartbeats.values():
-        for section in ("cache", "checkpoint", "speculation", "workers"):
+        for section in ("cache", "checkpoint", "workers"):
             if isinstance(event.get(section), dict):
                 merged[section] = event[section]
     cache = merged.get("cache")
@@ -239,16 +239,6 @@ def _heartbeat_line(state: WatchState) -> Optional[str]:
         forks = checkpoint.get("forks")
         if isinstance(forks, (int, float)):
             parts.append(f"checkpoint forks {int(forks)}")
-    speculation = merged.get("speculation")
-    if speculation:
-        hits = speculation.get("hits", 0)
-        misses = speculation.get("misses", 0)
-        total = (hits or 0) + (misses or 0)
-        rate = _rate(speculation)
-        if rate is None and total:
-            rate = f"{hits / total * 100:.0f}%"
-        if rate is not None:
-            parts.append(f"speculation {rate} hit")
     workers = merged.get("workers")
     if workers and isinstance(workers.get("jobs"), int):
         live = f"workers {workers['jobs']}"

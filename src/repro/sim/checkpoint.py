@@ -7,9 +7,8 @@ that prefix from t=0 for each candidate is the dominant cost on a
 single-CPU box, and it is pure waste.
 
 Generators cannot be pickled or deep-copied, so an in-process snapshot
-of the scheduler cannot resume tasks (see ``Simulator.capture``).  What
-*can* clone a pile of live generator frames, exactly and cheaply, is
-``os.fork``.  The scheme:
+of the scheduler cannot resume tasks.  What *can* clone a pile of live
+generator frames, exactly and cheaply, is ``os.fork``.  The scheme:
 
 1. A **holder** process forks off the parent and runs the workload under
    the round's base-only plan, with an :meth:`~repro.injection.fir.FIR.
@@ -120,11 +119,11 @@ def _canonical(value):
 
 
 def snapshot_fingerprint(snapshot: dict) -> str:
-    """Digest of a :meth:`Cluster.capture` snapshot.
+    """Order-insensitive digest of a nested dict of run data.
 
-    Two runs with equal fingerprints at the same request ordinal are in
-    identical data states; the equivalence tests compare these across
-    fork and full-replay executions.
+    The e2e benchmark digests each replay's ``RunResult`` fields with it
+    (``benchmarks/e2e/leg.py``): two runs with equal fingerprints ended
+    in identical data states.
     """
     text = repr(_canonical(snapshot))
     return hashlib.sha256(text.encode()).hexdigest()[:24]
@@ -303,10 +302,11 @@ def _decode_result(payload: tuple, log_prefix=(), trace_prefix=()) -> RunResult:
 def _fork() -> int:
     """``os.fork`` with the multi-threaded-process warning suppressed.
 
-    The parallel engine keeps a ``ProcessPoolExecutor`` management thread
-    alive, which makes CPython ≥3.12 warn on every fork.  The forked
-    children here never touch thread state — they run the single-threaded
-    sim and exit — so the warning is noise for this use.
+    A process that also hosts a ``ProcessPoolExecutor`` keeps its
+    management thread alive, which makes CPython ≥3.12 warn on every
+    fork.  The forked children here never touch thread state — they run
+    the single-threaded sim and exit — so the warning is noise for this
+    use.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)

@@ -119,8 +119,7 @@ class Cluster:
         self.disk = Disk()
         self.fir = fir if fir is not None else FIR()
         # Bound straight to the two objects that hold the answers, with no
-        # Python frame in between; both live as long as the cluster
-        # (``restore`` refills the record list in place).
+        # Python frame in between; both live as long as the cluster.
         self.fir.bind(
             log_index_fn=self.collector.records.__len__,
             clock=functools.partial(getattr, self.sim, "now"),
@@ -234,37 +233,6 @@ class Cluster:
             task.name,
             exc=task.error,
         )
-
-    # ------------------------------------------------------------- checkpoint
-
-    def capture(self) -> dict:
-        """Aggregate snapshot of every component's restorable state.
-
-        Live generator frames (tasks, pending scheduler events) cannot be
-        serialized, so this is not a resumable image — process forking
-        (:mod:`repro.sim.checkpoint`) is what clones those.  It *is* a
-        complete picture of the data state, which the round-trip tests
-        and :func:`snapshot_fingerprint` build on.
-        """
-        return {
-            "seed": self.seed,
-            "sim": self.sim.capture(),
-            "fir": self.fir.capture(),
-            "disk": self.disk.capture(),
-            "net": self.net.capture(),
-            "slog": self.collector.capture(),
-            "state": dict(self.state),
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Restore the data state captured by :meth:`capture`."""
-        self.seed = snapshot["seed"]
-        self.sim.restore(snapshot["sim"])
-        self.fir.restore(snapshot["fir"])
-        self.disk.restore(snapshot["disk"])
-        self.net.restore(snapshot["net"])
-        self.collector.restore(snapshot["slog"])
-        self.state = dict(snapshot["state"])
 
 
 WorkloadFn = Callable[[Cluster], Any]

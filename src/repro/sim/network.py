@@ -85,40 +85,3 @@ class Network:
     def _deliver(self, inbox: Queue, message: Message) -> None:
         self.delivered_count += 1
         inbox.put_nowait(message)
-
-    # ------------------------------------------------------------- checkpoint
-
-    def capture(self) -> dict:
-        """Snapshot the network's restorable state.
-
-        In-flight messages (scheduled ``_deliver`` callbacks) belong to the
-        scheduler heap and are not part of this snapshot; inbox contents
-        are captured through each inbox queue.
-        """
-        return {
-            "latency": self._latency,
-            "partitioned": set(self._partitioned),
-            "sent_count": self.sent_count,
-            "delivered_count": self.delivered_count,
-            "inboxes": {
-                name: queue.capture() for name, queue in self._inboxes.items()
-            },
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Restore partitions, counters, and queued inbox items.
-
-        Endpoints registered after the snapshot are dropped so a
-        capture/restore round-trip is exact.
-        """
-        self._latency = snapshot["latency"]
-        self._partitioned = set(snapshot["partitioned"])
-        self.sent_count = snapshot["sent_count"]
-        self.delivered_count = snapshot["delivered_count"]
-        for name in list(self._inboxes):
-            if name not in snapshot["inboxes"]:
-                del self._inboxes[name]
-        for name, queue_snapshot in snapshot["inboxes"].items():
-            inbox = self._inboxes.get(name)
-            if inbox is not None:
-                inbox.restore(queue_snapshot)

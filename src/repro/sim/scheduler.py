@@ -325,36 +325,6 @@ class Simulator:
         self.now = max(self.now, until)
         return False
 
-    # ------------------------------------------------------------- checkpoint
-
-    def capture(self) -> dict:
-        """Snapshot the scheduler's restorable scalar state.
-
-        Tasks and pending heap entries wrap live generators, which cannot
-        be serialized or rebuilt in-process — process-level forking (see
-        :mod:`repro.sim.checkpoint`) is what snapshots those.  This
-        captures everything else, plus a digest of the pending schedule
-        for fingerprinting.
-        """
-        return {
-            "now": self.now,
-            "seq": self._seq,
-            "events_executed": self.events_executed,
-            "rng_state": self.random.getstate(),
-            "task_states": [(task.name, task.state.value) for task in self.tasks],
-            "pending": [(entry[0], entry[1]) for entry in self._heap],
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Restore the scalar state captured by :meth:`capture`.
-
-        Does not touch tasks or the event heap (see :meth:`capture`).
-        """
-        self.now = snapshot["now"]
-        self._seq = snapshot["seq"]
-        self.events_executed = snapshot["events_executed"]
-        self.random.setstate(snapshot["rng_state"])
-
     def blocked_tasks(self) -> list[Task]:
         return [task for task in self.tasks if task.state is TaskState.BLOCKED]
 

@@ -26,9 +26,9 @@ class LogCollector:
 
     def __init__(self) -> None:
         self.log = LogFile()
-        #: The log's backing list.  ``restore`` refills it in place, so it
-        #: is the same object for the collector's whole life and the FIR
-        #: can bind its ``__len__`` as the log-index reader.
+        #: The log's backing list: the same object for the collector's
+        #: whole life, so the FIR can bind its ``__len__`` as the
+        #: log-index reader.
         self.records = self.log._records  # noqa: SLF001 - owned container
         #: Emission watchpoints (e.g. the early-verdict monitor's log
         #: leaves); empty on the common path so ``append`` stays cheap.
@@ -46,15 +46,6 @@ class LogCollector:
         if self._listeners:
             for listener in self._listeners:
                 listener(record)
-
-    # ------------------------------------------------------------- checkpoint
-
-    def capture(self) -> dict:
-        """Snapshot the records emitted so far (records are immutable)."""
-        return {"records": list(self.log)}
-
-    def restore(self, snapshot: dict) -> None:
-        self.records[:] = snapshot["records"]
 
 
 def render_stack_trace(exc: BaseException, limit: int = 12) -> str:

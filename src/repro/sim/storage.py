@@ -42,16 +42,3 @@ class Disk:
 
     def truncate(self, path: str, length: int) -> None:
         self._files[path] = self.read(path)[:length]
-
-    def snapshot(self) -> dict[str, bytes]:
-        """A copy of the store; used by oracles checking external state."""
-        return dict(self._files)
-
-    # ------------------------------------------------------------- checkpoint
-
-    def capture(self) -> dict:
-        """Snapshot the full store (bytes values are immutable)."""
-        return {"files": dict(self._files)}
-
-    def restore(self, snapshot: dict) -> None:
-        self._files = dict(snapshot["files"])

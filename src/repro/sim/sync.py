@@ -53,10 +53,6 @@ class Condition:
         if self._waiters:
             self._sim.resume_soon(self._waiters.popleft(), True)
 
-    def capture(self) -> dict:
-        """Snapshot for fingerprinting (waiters referenced by name)."""
-        return {"name": self.name, "waiters": [t.name for t in self._waiters]}
-
 
 class _ConditionWait:
     __slots__ = ("_condition", "_timeout")
@@ -104,14 +100,6 @@ class Lock:
         """Drop the lock regardless of holder (crash-cleanup analog)."""
         if self._holder is not None:
             self.release()
-
-    def capture(self) -> dict:
-        """Snapshot for fingerprinting (tasks referenced by name)."""
-        return {
-            "name": self.name,
-            "holder": self.holder_name,
-            "waiters": [t.name for t in self._waiters],
-        }
 
 
 class _LockAcquire:
@@ -203,23 +191,6 @@ class Queue:
             putter = self._putters.popleft()
             self._items.append(putter.waiting_on._item)
             self._sim.resume_soon(putter)
-
-    # ------------------------------------------------------------- checkpoint
-
-    def capture(self) -> dict:
-        """Snapshot the queue's restorable state (items) plus waiter names."""
-        return {
-            "name": self.name,
-            "capacity": self.capacity,
-            "items": list(self._items),
-            "getters": [t.name for t in self._getters],
-            "putters": [t.name for t in self._putters],
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Restore the stored items (waiters are live tasks; not restored)."""
-        self.capacity = snapshot["capacity"]
-        self._items = collections.deque(snapshot["items"])
 
 
 class _QueuePut:
@@ -321,24 +292,6 @@ class Future:
             self._sim.resume_soon(task, exc=ExecutionException(self._exception))
         else:
             self._sim.resume_soon(task, value=self._result)
-
-    # ------------------------------------------------------------- checkpoint
-
-    def capture(self) -> dict:
-        """Snapshot the future's restorable state plus waiter names."""
-        return {
-            "name": self.name,
-            "done": self._done,
-            "result": self._result,
-            "exception": self._exception,
-            "waiters": [t.name for t in self._waiters],
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Restore completion state (waiters are live tasks; not restored)."""
-        self._done = snapshot["done"]
-        self._result = snapshot["result"]
-        self._exception = snapshot["exception"]
 
 
 GenFn = Callable[..., Generator[Any, Any, Any]]

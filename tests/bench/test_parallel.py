@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -31,6 +32,18 @@ class TestResolveJobs:
     def test_none_and_zero_mean_cpu_count(self):
         assert resolve_jobs(None) >= 1
         assert resolve_jobs(0) >= 1
+
+    def test_the_default_counts_usable_cores_not_installed_ones(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 3}, raising=False
+        )
+        assert resolve_jobs(None) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_jobs(None) == 8
+        monkeypatch.setenv("REPRO_JOBS", "5")
+        assert resolve_jobs(None) == 5
 
 
 class TestCampaignTask:

@@ -1,38 +1,11 @@
 """Coverage accounting is deterministic and purely observational.
 
-Two invariants, checked on one case per mini system:
-
-* ``explore(jobs=N)`` produces **byte-identical** coverage to
-  ``explore(jobs=1)`` — coverage derives only from committed rounds, so
-  speculation must not leak into it;
-* tracking coverage does not change the search itself (same signature as
-  an untracked run), mirroring the traced-vs-untraced equivalence.
+Tracking coverage does not change the search itself (same signature as
+an untracked run), mirroring the traced-vs-untraced equivalence, and the
+accounting covers exactly the rounds the search ran.
 """
 
-import json
-
-import pytest
-
-from repro.failures import all_cases, get_case
-
-
-def one_case_per_system():
-    chosen = {}
-    for case in all_cases():
-        chosen.setdefault(case.system, case.case_id)
-    return sorted(chosen.values())
-
-
-@pytest.mark.parametrize("case_id", one_case_per_system())
-def test_parallel_coverage_matches_serial_byte_for_byte(case_id):
-    case = get_case(case_id)
-    serial = case.explorer(max_rounds=40, track_coverage=True).explore(jobs=1)
-    parallel = case.explorer(max_rounds=40, track_coverage=True).explore(jobs=4)
-    assert serial.coverage is not None
-    assert parallel.coverage is not None
-    assert json.dumps(parallel.coverage.to_dict(), sort_keys=True) == \
-        json.dumps(serial.coverage.to_dict(), sort_keys=True)
-    assert parallel.signature() == serial.signature()
+from repro.failures import get_case
 
 
 def test_coverage_tracking_leaves_the_search_unchanged():

@@ -19,7 +19,6 @@ import repro.core.pipeline as pipeline_module
 from repro.cache import runcache
 from repro.core.oracle import LogMessageOracle
 from repro.core.pipeline import RunConfig, RunPipeline
-from repro.core.speculate import SpeculativeExecutor
 from repro.failures import get_case
 from repro.injection.fir import InjectionPlan
 from repro.injection.sites import FaultInstance
@@ -127,14 +126,14 @@ def test_hit_serves_without_running_and_miss_runs_once(runs):
 
 
 def test_truncated_result_is_stored_only_under_the_verdict_key(runs):
-    cache = runcache.configure(enabled=True)
+    runcache.configure(enabled=True)
     monitored = boom_pipeline(early_verdict=True)
     cut = monitored.run(1, None)
     assert cut.truncated_at is not None
     assert "monitor" in runs[0]
+    assert monitored.run(1, None) is cut
+    assert len(runs) == 1
     # A full-run consumer can never be served the truncated entry ...
-    assert cache.peek(boom_workload, 10.0, 1, None) is None
-    assert monitored.cached(1, None) is cut
     full = boom_pipeline().run(1, None)
     assert full.truncated_at is None
     assert len(runs) == 2 and "monitor" not in runs[1]
@@ -150,7 +149,7 @@ def test_probe_is_never_monitored_and_never_fork_served(runs, monkeypatch):
         case.workload, case.horizon, case.seed, case.oracle,
         RunConfig(checkpoint=True, early_verdict=True),
     ) as pipeline:
-        assert pipeline.verdict_spec is not None
+        assert pipeline.monitor() is not None
         probe = pipeline.probe()
         assert runs == [{}]
         assert probe.truncated_at is None
@@ -199,22 +198,15 @@ def test_a_retired_pool_is_bypassed(fake_pool, runs):
     assert len(runs) == 1
 
 
+def test_a_search_runs_its_rounds_serially():
+    case = get_case("f1")
+    case.explorer()
+    case.explorer(jobs=1)
+    with pytest.raises(ValueError, match="compare --jobs"):
+        case.explorer(jobs=2)
+
+
 # ---------------------------------------------------------- the recorder rule
-
-
-def test_traced_search_is_never_speculated():
-    """``--profile --jobs 2`` used to record the probe and nothing else:
-    round runs went to workers the recorder cannot see."""
-    case = get_case("f20")
-
-    def traced(jobs):
-        recorder = TraceRecorder()
-        result = case.explorer(max_rounds=40, recorder=recorder).explore(jobs=jobs)
-        return result.signature(), recorder.metrics()["fir.requests"]
-
-    serial = traced(1)
-    assert serial[1] > 0
-    assert traced(2) == serial
 
 
 def test_traced_pipeline_bypasses_the_cache(runs):
@@ -228,33 +220,9 @@ def test_traced_pipeline_bypasses_the_cache(runs):
     pipeline.run(1, None)
     assert runs == [{"recorder": recorder}] * 2
     assert runcache.active().stats.lookups == 0
-    assert pipeline.jobs(4) == 1
 
 
 # ------------------------------------------------- across a process boundary
-
-
-def _worker_cache_dir():
-    cache = runcache.active()
-    return cache.disk_dir if cache is not None else None
-
-
-def test_speculative_workers_install_the_pipeline_config(tmp_path):
-    """The pool ships the config as ``initargs``: the worker's cache is
-    the pipeline's, not whatever this process happens to have active."""
-    assert runcache.active() is None
-    pipeline = RunPipeline(
-        boom_workload, 10.0, 1, BOOM,
-        RunConfig(cache=True, cache_dir=str(tmp_path), jobs=2),
-    )
-    engine = SpeculativeExecutor(pipeline, 2)
-    try:
-        pool = engine._ensure_pool()
-        if pool is None:
-            pytest.skip("no subprocess support in this environment")
-        assert pool.submit(_worker_cache_dir).result(timeout=60) == str(tmp_path)
-    finally:
-        engine.shutdown()
 
 
 def run_leg(*argv):

@@ -1,4 +1,4 @@
-"""The prepared case (DESIGN §5.5): one artefact shared by every search
+"""The prepared case (DESIGN §5.4): one artefact shared by every search
 over a case, mutable state fresh per search.
 
 The property: running a case's ten cells — ANDURIL and the nine

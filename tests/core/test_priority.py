@@ -1,7 +1,5 @@
 """Tests for the two-level priority pool and the flexible window."""
 
-import pytest
-
 from repro.analysis.model import SourceInfo
 from repro.core.alignment import TimelineMap
 from repro.core.observables import ObservableSet
@@ -242,37 +240,3 @@ class TestWindowAndRanks:
             pool.mark_tried(entries[0].instance)
         assert pool.remaining_instances() == 0
         assert pool.window(5) == []
-
-
-class TestSnapshotRestore:
-    """snapshot()/restore() back the speculative look-ahead: predicting
-    future windows marks instances tried on a copy, then rewinds."""
-
-    def _pool(self):
-        return TestWindowAndRanks._pool(TestWindowAndRanks())
-
-    def test_restore_rewinds_tried_marks(self):
-        pool, _ = self._pool()
-        saved = pool.snapshot()
-        before = [entry.instance for entry in pool.ranked_entries()]
-        pool.mark_tried(before[0])
-        pool.mark_tried(before[1])
-        assert pool.remaining_instances() < len(before)
-        pool.restore(saved)
-        after = [entry.instance for entry in pool.ranked_entries()]
-        assert after == before
-
-    def test_snapshot_is_independent_copy(self):
-        pool, _ = self._pool()
-        saved = pool.snapshot()
-        pool.mark_tried(pool.ranked_entries()[0].instance)
-        # Mutating the pool after the snapshot must not leak into it.
-        remaining_after_mark = pool.remaining_instances()
-        pool.restore(saved)
-        assert pool.remaining_instances() == remaining_after_mark + 1
-
-    def test_restore_rejects_mismatched_snapshot(self):
-        pool, _ = self._pool()
-        saved = pool.snapshot()
-        with pytest.raises(ValueError):
-            pool.restore(saved[:-1])

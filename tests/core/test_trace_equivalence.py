@@ -65,13 +65,3 @@ def test_recorder_counters_cover_scheduler_and_network():
     assert counters["net.messages_delivered"] > 0
     assert counters["fir.requests"] > 0
     assert counters["fir.decision_seconds"] >= 0.0
-
-
-def test_parallel_search_unchanged_by_tracing():
-    """The parallel engine's invariant holds with a recorder attached."""
-    case = get_case("f20")
-    plain = case.explorer(max_rounds=40).explore(jobs=4)
-    traced = case.explorer(
-        max_rounds=40, recorder=TraceRecorder()
-    ).explore(jobs=4)
-    assert traced.signature() == plain.signature()

@@ -16,7 +16,6 @@ Four layers, bottom up:
   tying the incremental verdict to post-hoc ``Oracle.satisfied``.
 """
 
-import concurrent.futures
 from types import SimpleNamespace
 
 import pytest
@@ -37,7 +36,6 @@ from repro.core.verdict import (
     compile_cutoff,
     monitor_key,
     oracle_spec,
-    runtime_from_spec,
 )
 from repro.failures import get_case
 from repro.injection.fir import InjectionPlan
@@ -117,29 +115,6 @@ class TestCompileDecidability:
         assert compile_cutoff(get_case("f18").oracle) is None
 
 
-class TestRuntimeFromSpec:
-    def test_none_spec_is_disabled(self):
-        assert runtime_from_spec(None) == (None, None)
-
-    def test_state_only_spec_cannot_latch_in_workers(self):
-        # Predicates don't pickle, so a worker-side monitor treats state
-        # leaves as opaque; a state-only tree degrades to no monitor at
-        # all — but the key survives so cache entries still line up.
-        spec = oracle_spec(MONO)
-        factory, key = runtime_from_spec(spec)
-        assert factory is None
-        assert key == monitor_key(spec)
-
-    def test_mixed_spec_keeps_log_and_crash_leaves(self):
-        spec = oracle_spec(LOG | MONO)
-        factory, key = runtime_from_spec(spec)
-        assert key == monitor_key(spec)
-        monitor = factory()
-        assert not monitor._state_leaves
-        monitor._on_log(LogRecord(0.5, "main", Level.INFO, "boom happened"))
-        assert monitor.should_stop()
-
-
 # ------------------------------------------------------------- monitor unit
 
 
@@ -209,11 +184,10 @@ class TestVerdictMonitor:
         assert monitor.should_stop()
 
     def test_undecided_branch_blocks_all_of(self):
-        # Worker-side monitors turn state leaves opaque: inside the
-        # AllOf the opaque branch pins it at undecided even though its
-        # sibling latched; only the crash branch can decide the AnyOf.
-        monitor_factory, _ = runtime_from_spec(oracle_spec((LOG & MONO) | CRASH))
-        monitor = monitor_factory()
+        # A stuck-task leaf never decides mid-run: inside the AllOf it
+        # pins the branch at undecided even though its sibling latched;
+        # only the crash branch can decide the AnyOf.
+        monitor = compile_cutoff((LOG & STUCK) | CRASH).factory()
         monitor._on_log(record("boom happened"))
         assert monitor.verdict() is None
         assert not monitor.should_stop()
@@ -407,7 +381,9 @@ class TestCacheRouting:
         )
         assert cut.truncated_at is not None
         cache.put(boom_workload, 10.0, 1, None, cut)
-        assert cache.peek(boom_workload, 10.0, 1, None) is None
+        assert cache.stats.stores == 0
+        _, outcome = cache.execute(boom_workload, horizon=10.0, seed=1)
+        assert outcome == "miss"
 
     def test_distinct_monitors_do_not_share_truncated_entries(self):
         cache = RunCache()
@@ -420,10 +396,14 @@ class TestCacheRouting:
             monitor_key=cv.key,
         )
         other = compile_cutoff(LogMessageOracle("write ok"))
-        assert (
-            cache.peek(boom_workload, 10.0, 1, None, monitor_key=other.key)
-            is None
+        _, outcome = cache.execute(
+            boom_workload,
+            horizon=10.0,
+            seed=1,
+            monitor_factory=other.factory,
+            monitor_key=other.key,
         )
+        assert outcome == "miss"
 
 
 # --------------------------------------------------------- property sweeps
@@ -591,31 +571,11 @@ def test_cutoff_runs_are_oracle_equivalent_prefixes(spec, seed, oracle):
 # ------------------------------------------------- explorer byte-identity
 
 
-def subprocesses_available() -> bool:
-    try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
-            pool.submit(int, 1).result()
-        return True
-    except OSError:
-        return False
-
-
 @pytest.mark.parametrize("case_id", ["f1", "f5", "f12"])
 def test_explore_signature_identical_cutoff_on_off_jobs1(case_id):
     case = get_case(case_id)
-    off = case.explorer(checkpoint=False, early_verdict=False).explore(jobs=1)
-    on = case.explorer(checkpoint=False, early_verdict=True).explore(jobs=1)
-    assert on.signature() == off.signature()
-    assert on.success and off.success
-
-
-@pytest.mark.parametrize("case_id", ["f1", "f5"])
-def test_explore_signature_identical_cutoff_on_off_jobs4(case_id):
-    if not subprocesses_available():
-        pytest.skip("no subprocess support in this environment")
-    case = get_case(case_id)
-    off = case.explorer(checkpoint=False, early_verdict=False).explore(jobs=4)
-    on = case.explorer(checkpoint=False, early_verdict=True).explore(jobs=4)
+    off = case.explorer(checkpoint=False, early_verdict=False).explore()
+    on = case.explorer(checkpoint=False, early_verdict=True).explore()
     assert on.signature() == off.signature()
     assert on.success and off.success
 
@@ -635,17 +595,13 @@ def test_checkpointed_search_reports_cutoff_metrics(free_forks):
         pytest.skip("requires os.fork (POSIX)")
     case = get_case("f24")
     inline_base = metrics.capture()
-    result = case.explorer(
-        jobs=1, checkpoint=False, early_verdict=True
-    ).explore()
+    result = case.explorer(checkpoint=False, early_verdict=True).explore()
     assert result.success
     inline = metrics.capture(since=inline_base)["counters"]
     assert inline.get("verdict.cutoffs", 0) > 0
 
     forked_base = metrics.capture()
-    result = case.explorer(
-        jobs=1, checkpoint=True, early_verdict=True
-    ).explore()
+    result = case.explorer(checkpoint=True, early_verdict=True).explore()
     assert result.success
     forked = metrics.capture(since=forked_base)["counters"]
     assert forked.get("sim.checkpoint.forks", 0) > 0

@@ -112,55 +112,6 @@ class TestSoftFaultFir:
         assert fir.on_site(corrupt_site) is None
 
 
-class TestFirCaptureRestore:
-    """Regression: capture()/restore() must round-trip ``tracing`` and the
-    checkpoint trigger — losing either corrupts a speculation-pool
-    snapshot cycle across an armed trigger."""
-
-    def test_roundtrip_tracing_and_trigger(self):
-        fir = FIR()
-        fir.bind(log_index_fn=lambda: 0, clock=lambda: 0.0)
-        callback = lambda f: None  # noqa: E731
-        fir.set_trigger(5, callback)
-        fir.tracing = False
-        fir.on_site(make_site())
-        snapshot = fir.capture()
-
-        # Mutate everything the snapshot should shield.
-        fir.tracing = True
-        fir._trigger = None
-        fir._trigger_at = 0
-        fir.on_site(make_site())
-
-        fir.restore(snapshot)
-        assert fir.tracing is False
-        assert fir._trigger is callback
-        assert fir._trigger_at == 5
-        assert fir.request_count == 1
-
-    def test_restore_does_not_leak_trigger_into_unrelated_run(self):
-        fir = FIR()
-        fir.bind(log_index_fn=lambda: 0, clock=lambda: 0.0)
-        clean = fir.capture()  # no trigger armed
-        fir.set_trigger(3, lambda f: None)
-        fir.restore(clean)
-        assert fir._trigger is None
-        assert fir._trigger_at == 0
-
-    def test_armed_trigger_fires_after_restore(self):
-        fir = FIR()
-        fir.bind(log_index_fn=lambda: 0, clock=lambda: 0.0)
-        seen = []
-        fir.set_trigger(2, seen.append)
-        snapshot = fir.capture()
-        fir._trigger = None  # simulate the holder consuming it elsewhere
-        fir.restore(snapshot)
-        fir.on_site(make_site())
-        assert seen == []
-        fir.on_site(make_site())
-        assert seen == [fir]
-
-
 # ----------------------------------------------------------- hypothesis
 
 SPEC_STRATEGY = st.one_of(

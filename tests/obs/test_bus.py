@@ -18,6 +18,7 @@ from repro.obs.bus import (
     JsonlSink,
     MemorySink,
     NullBus,
+    RoundReporter,
     active_bus,
     heartbeat_stats,
     read_events,
@@ -189,6 +190,26 @@ def test_heartbeat_stats_reflects_counters_and_histograms():
     assert stats["checkpoint"] == {"forks": 5}
     assert "verdict" not in stats
     assert stats["latency"]["latency.round_seconds"]["count"] == 1
+
+
+def test_a_round_heartbeat_carries_exactly_the_heartbeat_stats_sections():
+    metrics.increment("cache.hits", 3)
+    metrics.increment("cache.misses", 1)
+    capture = MemorySink()
+    reporter = RoundReporter(
+        EventBus([capture], heartbeat_interval=0.0), "f1", "anduril"
+    )
+    timings = dict(run_seconds=0.01, feedback_seconds=0.0, round_seconds=0.01)
+    reporter.end(1, None, False, None, 4, **timings)
+    (beat,) = [e for e in capture.events if e["type"] == "heartbeat"]
+    stats = heartbeat_stats()
+    assert set(stats) == {"cache", "latency"}
+    envelope = {"schema", "t", "type", "source", "round", "case_id", "strategy"}
+    assert set(beat) - envelope == set(stats)
+    assert {section: beat[section] for section in stats} == stats
+    # A search has no engine whose stats could ride along.
+    with pytest.raises(TypeError):
+        reporter.end(2, None, False, None, 4, engine=object(), **timings)
 
 
 # ----------------------------------------------------------------- histograms

@@ -2,15 +2,15 @@
 
 Three layers of guarantees, bottom up:
 
-* every sim component's ``capture``/``restore`` round-trips its data
-  state exactly (the fingerprints the equivalence checks build on);
+* identical runs digest to identical fingerprints (what the e2e
+  benchmark's replay check builds on);
 * a ``Checkpoint`` fork-served run equals a full inline replay field by
   field — fixed cases, plus a hypothesis sweep over random workloads,
   seeds, fork depths and plan kinds;
 * the ``CheckpointPool`` cost model forks exactly when a fork pays
   (driven here by a fake clock), and its runner composes with the
   Explorer without changing any outcome: ``ExplorationResult.
-  signature()`` matches checkpoint on/off at jobs 1 and 4.
+  signature()`` matches checkpoint on/off.
 
 Catalog cases are too cheap for the model to fork, so the equivalence
 tests on them run under ``free_forks`` (``tests/conftest.py``) and the
@@ -36,7 +36,6 @@ from repro.sim import checkpoint as checkpoint_module
 from repro.sim import (
     Checkpoint,
     CheckpointPool,
-    Cluster,
     checkpoint_supported,
     execute_workload,
     snapshot_fingerprint,
@@ -67,79 +66,35 @@ def forks() -> float:
     return metrics.get("sim.checkpoint.forks")
 
 
-# ----------------------------------------------------------- capture/restore
+# -------------------------------------------------------------- fingerprint
 
 
-def _run_cluster(case):
-    cluster = Cluster(seed=case.seed)
-    case.workload(cluster)
-    cluster.run(case.horizon)
-    return cluster
+def result_digest(result) -> str:
+    """A run's digest, taken the way ``benchmarks/e2e/leg.py`` takes it."""
+    return snapshot_fingerprint(
+        {
+            "log": result.log.to_text(),
+            "state": result.state,
+            "injected": result.injected,
+            "stuck": sorted(task.name for task in result.stuck),
+            "crashed": sorted(task.name for task in result.crashed),
+            "end_time": result.end_time,
+        }
+    )
 
 
-class TestCaptureRestore:
-    """Mutate-then-restore returns every component to its captured state."""
-
-    def test_cluster_roundtrip(self):
-        cluster = _run_cluster(get_case("f1"))
-        snapshot = cluster.capture()
-        fingerprint = snapshot_fingerprint(snapshot)
-        # Mutate every layer of the data state.
-        cluster.disk.write("/scratch", b"mutation")
-        cluster.state["mutated"] = True
-        cluster.fir.counts["bogus-site"] = 99
-        cluster.sim.now += 123.0
-        assert snapshot_fingerprint(cluster.capture()) != fingerprint
-        cluster.restore(snapshot)
-        assert snapshot_fingerprint(cluster.capture()) == fingerprint
-
-    def test_disk_roundtrip(self):
-        cluster = _run_cluster(get_case("f9"))
-        snapshot = cluster.disk.capture()
-        cluster.disk.write("/x", b"y")
-        cluster.disk.restore(snapshot)
-        assert cluster.disk.capture() == snapshot
-
-    def test_network_roundtrip(self):
-        cluster = _run_cluster(get_case("f13"))
-        snapshot = cluster.net.capture()
-        cluster.net.register("late-endpoint")
-        cluster.net.restore(snapshot)
-        assert cluster.net.capture() == snapshot
-
-    def test_fir_roundtrip(self):
-        cluster = _run_cluster(get_case("f19"))
-        snapshot = cluster.fir.capture()
-        assert snapshot["request_count"] > 0
-        cluster.fir.counts.clear()
-        cluster.fir.trace.clear()
-        cluster.fir.request_count = -1
-        cluster.fir.restore(snapshot)
-        assert cluster.fir.capture() == snapshot
-
-    def test_scheduler_roundtrip(self):
-        cluster = _run_cluster(get_case("f22"))
-        snapshot = cluster.sim.capture()
-        cluster.sim.now += 7.5
-        cluster.sim.random.random()
-        cluster.sim.restore(snapshot)
-        restored = cluster.sim.capture()
-        assert restored["now"] == snapshot["now"]
-        assert restored["rng_state"] == snapshot["rng_state"]
-        assert restored["events_executed"] == snapshot["events_executed"]
-
-    def test_slog_roundtrip(self):
-        cluster = _run_cluster(get_case("f1"))
-        snapshot = cluster.collector.capture()
-        cluster.logger().info("post-snapshot noise")
-        cluster.collector.restore(snapshot)
-        assert cluster.collector.capture() == snapshot
-
+class TestFingerprint:
     def test_identical_runs_have_identical_fingerprints(self):
         case = get_case("f1")
-        first = _run_cluster(case).capture()
-        second = _run_cluster(case).capture()
-        assert snapshot_fingerprint(first) == snapshot_fingerprint(second)
+        plan = InjectionPlan.single(case.ground_truth_instance())
+
+        def run(plan=None):
+            return execute_workload(
+                case.workload, horizon=case.horizon, seed=case.seed, plan=plan
+            )
+
+        assert result_digest(run(plan)) == result_digest(run(plan))
+        assert result_digest(run()) != result_digest(run(plan))
 
 
 # -------------------------------------------------------------------- codec
@@ -607,25 +562,18 @@ class NeverSatisfied(Oracle):
 
 @needs_fork
 class TestExplorerEquivalence:
-    def assert_signature_identical(self, case, jobs=1, **search):
+    def assert_signature_identical(self, case, **search):
         case.failure_log()  # generated (and cached per id) under the real oracle
-        plain = case.explorer(**search).explore(jobs=1)
+        plain = case.explorer(**search).explore()
         before = forks()
-        forked = case.explorer(checkpoint=True, **search).explore(jobs=jobs)
-        # Speculation workers replay from t=0 and serve nearly every
-        # round, so only a serial search is sure to fork in this process.
-        assert jobs > 1 or forks() > before, "no run was fork-served"
+        forked = case.explorer(checkpoint=True, **search).explore()
+        assert forks() > before, "no run was fork-served"
         assert forked.signature() == plain.signature()
 
     @pytest.mark.parametrize("case_id", ["f1", "f9", "f13", "f19", "f22"])
     def test_signature_identical_checkpoint_on_off(self, case_id, free_forks):
         self.assert_signature_identical(
             get_case(case_id), max_rounds=12, oracle=NeverSatisfied()
-        )
-
-    def test_signature_identical_checkpoint_jobs4(self, free_forks):
-        self.assert_signature_identical(
-            get_case("f1"), jobs=4, max_rounds=12, oracle=NeverSatisfied()
         )
 
     def test_reproducing_run_is_fork_served(self, free_forks):

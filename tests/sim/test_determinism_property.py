@@ -4,8 +4,8 @@ Random mini-workloads are generated from a hypothesis-drawn spec; two
 executions with identical inputs must produce byte-identical logs and
 traces, and different seeds must be allowed to diverge.  The same must
 hold across a process boundary — a ``ProcessPoolExecutor`` worker's run
-is interchangeable with an inline run, which is what makes the parallel
-engine's speculative commits safe.
+is interchangeable with an inline run, which is what lets a campaign fan
+its cells out over worker processes.
 """
 
 import concurrent.futures
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.speculate import _worker_run
 from repro.failures import get_case
 from repro.injection.fir import InjectionPlan
 from repro.injection.sites import FaultInstance
@@ -133,8 +132,8 @@ def test_prefix_identical_until_injection(spec):
 # Across a process boundary: a ProcessPoolExecutor worker's run must be
 # interchangeable with an inline run.  The synthetic workloads above are
 # closures (not picklable), so these use a registry case whose workload is
-# a module-level function — exactly what the parallel engine ships to
-# workers.
+# a module-level function — what a campaign worker resolves from the
+# case id it is sent.
 # --------------------------------------------------------------------------
 
 
@@ -153,11 +152,10 @@ def run_signature(result):
 
 
 def submit_to_worker(case, plan):
-    payload = plan.to_payload() if plan is not None else None
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
             return pool.submit(
-                _worker_run, case.workload, case.horizon, case.seed, payload
+                execute_workload, case.workload, case.horizon, case.seed, plan
             ).result()
     except OSError:
         pytest.skip("no subprocess support in this environment")

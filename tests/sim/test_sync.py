@@ -370,7 +370,7 @@ class TestWakeOrder:
             sim.call_at(when, cond.notify)
         run(sim)
         assert woken == [0, 1, 2]
-        assert cond.capture()["waiters"] == ["w3"]
+        assert [task.name for task in cond._waiters] == ["w3"]
 
     def test_lock_release_hands_over_in_arrival_order(self):
         sim = Simulator()
@@ -410,7 +410,7 @@ class TestWakeOrder:
         # fills the queue, the fifth blocks.
         assert got == [(0, "item0"), (1, "item1"), (2, "item2")]
         assert put == [0, 1, 2, 3]
-        assert queue.capture()["putters"] == ["p4"]
+        assert [task.name for task in queue._putters] == ["p4"]
         assert queue.get_nowait() == "item3"
         run(sim, until=3.0)
         assert put == [0, 1, 2, 3, 4] and queue.peek() == "item4"

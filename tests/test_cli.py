@@ -86,6 +86,14 @@ class TestReproduceAndReplay:
         assert "oracle satisfied: True" in out
 
 
+class TestReproduceHasNoJobs:
+    def test_jobs_is_an_unrecognised_argument(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reproduce", "f1", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 class TestUnknownCase:
     @pytest.mark.parametrize(
         "command",

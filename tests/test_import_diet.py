@@ -9,6 +9,7 @@ the hot path; they must stay out of ``sys.modules`` until used — while
 every public import path keeps resolving.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -26,7 +27,6 @@ LAZY = [
     "repro.analysis.lint",
     "repro.analysis.rules",
     "repro.analysis.rules.base",
-    "repro.core.speculate",
     "repro.core.iterative",
     "repro.bench.summary",
     "concurrent.futures",
@@ -84,7 +84,6 @@ def test_public_import_paths_still_resolve():
         "from repro.obs import watch, report\n"
         "from repro.obs.trace import NULL_RECORDER as same, NullRecorder, TraceRecorder as direct\n"
         "from repro.core import IterativeResult\n"
-        "from repro.core.speculate import default_jobs, run_key, SpeculativeExecutor\n"
         "from repro.analysis import lint_package, registered_rules, Finding\n"
         "from repro.bench import record_outcome, write_bench_summary\n"
         "missing = [n for m in (repro, repro.obs, repro.core, repro.analysis, repro.bench)\n"
@@ -106,6 +105,11 @@ def test_public_import_paths_still_resolve():
         "message": "module 'repro.obs' has no attribute 'no_such_name'",
         "submodule": "repro.obs.trace",
     }
+
+
+def test_round_level_speculation_left_no_module_behind():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.speculate")
 
 
 def test_lint_help_still_lists_the_rule_catalog():

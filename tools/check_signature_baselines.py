@@ -12,9 +12,8 @@ a committed baseline:
     PYTHONPATH=src python tools/check_signature_baselines.py --cases f1,f9
     PYTHONPATH=src python tools/check_signature_baselines.py --update
 
-Signatures are captured in the canonical single-threaded configuration
-(``jobs=1``, checkpointing off, run cache off) so they are independent
-of machine parallelism.  Only cases whose ``fault_dims`` is
+Signatures are captured in the canonical configuration (checkpointing
+off, run cache off).  Only cases whose ``fault_dims`` is
 ``exceptions`` (the pre-spec default) are gated — soft-fault cases
 explore a strictly larger space by design and are covered by their own
 reproduction tests instead.
@@ -77,7 +76,7 @@ def capture(case_ids=None, early_verdict: bool = False) -> dict:
         if case_ids is not None and case.case_id not in case_ids:
             continue
         result = case.explorer(
-            jobs=1, checkpoint=False, early_verdict=early_verdict
+            checkpoint=False, early_verdict=early_verdict
         ).explore()
         signatures[case.case_id] = canonical_signature(result)
         print(

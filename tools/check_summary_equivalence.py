@@ -31,7 +31,7 @@ from repro.obs.metrics import RUNNER_SECTIONS  # noqa: E402
 
 #: Keys that may legitimately differ between equivalent campaigns.
 #: Wall-clock fields move with machine load; ``counters``/``metrics``
-#: hold operational telemetry (speculation hit rates, fallback counts)
+#: hold operational telemetry (cache hit rates, fallback counts)
 #: that varies with scheduling; ``latency`` holds wall-clock histogram
 #: quantiles; and the runner knobs' bookkeeping sections — whatever the
 #: reducer names them, so a new knob's section is volatile the day it is
