@@ -12,13 +12,13 @@ import pytest
 
 from repro.bench import resolve_jobs, run_anduril_many
 from repro.bench import summary as bench_summary
-from repro.failures import all_cases, get_case
+from repro.failures import get_case, paper_cases
 from repro.obs import ledger
 
 
 @pytest.fixture(scope="session")
 def cases():
-    return all_cases()
+    return paper_cases()
 
 
 _ANDURIL_CACHE = {}

@@ -16,7 +16,7 @@ whole dataset and on the hard timing cases.
 from conftest import emit
 
 from repro.bench import format_table, run_anduril
-from repro.failures import all_cases
+from repro.failures import paper_cases
 
 SETTINGS = [
     ("min + messages (paper)", dict(aggregate="min", temporal_mode="messages")),
@@ -27,7 +27,7 @@ SETTINGS = [
 
 
 def compute_ablation():
-    cases = all_cases()
+    cases = paper_cases()
     rows = []
     summary = {}
     for label, overrides in SETTINGS:

@@ -16,7 +16,7 @@ reproduce within the first window.
 from conftest import emit
 
 from repro.bench import format_table, run_anduril
-from repro.failures import all_cases
+from repro.failures import paper_cases
 
 
 def first_rank(outcome):
@@ -29,7 +29,7 @@ def compute_ablation():
         "baseline": {"success": 0, "rounds": 0, "ranks": []},
         "lint prior": {"success": 0, "rounds": 0, "ranks": []},
     }
-    for case in all_cases():
+    for case in paper_cases():
         base = run_anduril(case, max_rounds=600, max_seconds=30.0)
         prior = run_anduril(
             case, max_rounds=600, max_seconds=30.0, lint_prior=True

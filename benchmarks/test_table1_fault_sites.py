@@ -12,7 +12,7 @@ import statistics
 from conftest import emit
 
 from repro.bench import format_table
-from repro.failures import all_cases
+from repro.failures import paper_cases
 from repro.failures.case import system_model
 
 SYSTEM_ORDER = ("zookeeper", "hdfs", "hbase", "kafka", "cassandra")
@@ -33,7 +33,7 @@ def loc_of_package(package: str) -> int:
 
 def compute_table1():
     per_system: dict[str, dict] = {}
-    for case in all_cases():
+    for case in paper_cases():
         prepared = case.explorer().prepare()
         # Inferred static sites and their dynamic occurrences in the probe.
         candidate_sites = {

@@ -9,7 +9,7 @@ from conftest import emit
 
 from repro.bench import format_table, run_baseline
 from repro.bench import summary as bench_summary
-from repro.failures import all_cases
+from repro.failures import paper_cases
 
 VARIANTS = (
     "exhaustive",
@@ -26,7 +26,7 @@ def compute_table2(anduril_outcomes):
     rows = []
     successes = {name: 0 for name in ("anduril", *VARIANTS, *SOTA)}
     rounds = {name: [] for name in ("anduril", *VARIANTS, *SOTA)}
-    for case in all_cases():
+    for case in paper_cases():
         anduril = anduril_outcomes[case.case_id]
         row = [f"{case.case_id} ({case.issue})", anduril.cell]
         if anduril.success:

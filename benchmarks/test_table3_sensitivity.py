@@ -8,7 +8,7 @@ budget exhausted).  The defaults (k=10, s=+1) are the highlighted rows.
 from conftest import emit
 
 from repro.bench import format_table, run_anduril
-from repro.failures import all_cases
+from repro.failures import paper_cases
 
 SETTINGS = [
     ("k=1", dict(initial_window=1, adjustment=1)),
@@ -20,7 +20,7 @@ SETTINGS = [
 
 
 def compute_table3():
-    cases = all_cases()
+    cases = paper_cases()
     rows = []
     success_counts = {}
     rounds_by_setting = {}

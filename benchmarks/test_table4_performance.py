@@ -11,7 +11,7 @@ import statistics
 from conftest import emit
 
 from repro.bench import format_table
-from repro.failures import all_cases
+from repro.failures import paper_cases
 
 SYSTEM_ORDER = ("zookeeper", "hdfs", "hbase", "kafka", "cassandra")
 
@@ -19,7 +19,7 @@ SYSTEM_ORDER = ("zookeeper", "hdfs", "hbase", "kafka", "cassandra")
 def compute_table4(anduril_outcomes):
     per_case_rows = []
     per_system: dict[str, list] = {name: [] for name in SYSTEM_ORDER}
-    for case in all_cases():
+    for case in paper_cases():
         outcome = anduril_outcomes[case.case_id]
         per_case_rows.append(
             (

@@ -9,13 +9,13 @@ the log is noisy).
 from conftest import emit
 
 from repro.bench import format_table, run_baseline
-from repro.failures import all_cases
+from repro.failures import paper_cases
 
 
 def compute_table5():
     rows = []
     successes = 0
-    for case in all_cases():
+    for case in paper_cases():
         outcome = run_baseline(
             "stacktrace", case, max_rounds=300, max_seconds=8.0
         )

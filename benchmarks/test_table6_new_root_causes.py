@@ -8,7 +8,7 @@ used to expose flaws in the original patches.
 from conftest import emit
 
 from repro.bench import format_table
-from repro.failures import all_cases
+from repro.failures import paper_cases
 from repro.injection.fir import InjectionPlan
 from repro.sim.cluster import execute_workload
 
@@ -16,7 +16,7 @@ from repro.sim.cluster import execute_workload
 def compute_table6():
     rows = []
     verified = 0
-    for case in all_cases():
+    for case in paper_cases():
         if not case.alternates:
             continue
         seed = case.failure_seed if case.failure_seed is not None else case.seed

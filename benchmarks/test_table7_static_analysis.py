@@ -16,7 +16,7 @@ from repro.analysis.causal import CausalGraphBuilder
 from repro.analysis.model import graph_fault_candidates
 from repro.bench import format_table
 from repro.core.pruning import pruner_from_prepared
-from repro.failures import all_cases
+from repro.failures import paper_cases
 from repro.failures.case import system_model
 from repro.obs.coverage import enumerate_fault_space, occurrences_from_trace
 
@@ -41,7 +41,7 @@ def compute_table7():
     totals = []
     flow_totals = []
     by_system = defaultdict(lambda: [0, 0])  # system -> [space, pruned]
-    for case in all_cases():
+    for case in paper_cases():
         model = system_model(case.package)
         builder = CausalGraphBuilder(model)
         # Build from this case's relevant observables, like the Explorer.

@@ -17,12 +17,12 @@ from conftest import emit
 
 from repro.analysis import analyze_package, run_lint
 from repro.bench import format_table
-from repro.failures import all_cases
+from repro.failures import paper_cases
 
 
 def compute_lint_tables():
     by_pkg = {}
-    for case in all_cases():
+    for case in paper_cases():
         by_pkg.setdefault(case.package, []).append(case)
 
     systems = []

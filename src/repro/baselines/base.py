@@ -1,10 +1,11 @@
 """Shared machinery for baseline and ablation injection strategies.
 
 A strategy produces, per round, a window of fault instances to arm (the
-first one that occurs is injected, mirroring the FIR semantics); the
-:class:`StrategyRunner` executes rounds against a failure case until the
-oracle is satisfied or the budget runs out, measuring the same metrics as
-the Explorer (rounds, wall time).
+first one that occurs is injected, mirroring the FIR semantics).  It is a
+policy of the one round loop, :func:`repro.core.search.search` — the same
+loop ANDURIL's Explorer runs under, so both are measured alike (rounds,
+wall time); :class:`StrategyRunner` builds a case's context and pipeline
+and wraps the loop's outcome as a :class:`StrategyResult`.
 
 Strategies receive a :class:`SearchContext` with everything ANDURIL's
 Explorer also builds in its prepare step, so ablations can reuse exactly
@@ -25,10 +26,10 @@ from ..core.observables import ObservableSet
 from ..core.oracle import Oracle
 from ..core.pipeline import RunConfig, RunPipeline
 from ..core.prepared import prepared_case
-from ..injection.fir import InjectionPlan, TraceEvent, dedupe_instances
+from ..core.search import search
+from ..injection.fir import TraceEvent
 from ..injection.sites import FaultInstance
 from ..logs.record import LogFile
-from ..obs.bus import RoundReporter
 from ..obs.coverage import NULL_COVERAGE, CoverageSummary, CoverageTracker
 from ..sim.cluster import RunResult, WorkloadFn
 
@@ -93,13 +94,22 @@ def build_context(case: CaseLike) -> SearchContext:
     )
 
 
+def _key(instance: FaultInstance) -> tuple[str, str, int]:
+    return (instance.site_id, instance.exception, instance.occurrence)
+
+
 class Strategy:
-    """Base class: subclasses implement window selection and feedback."""
+    """Base class: subclasses implement window selection
+    (:meth:`next_window`) and feedback (:meth:`observe`); the base class
+    makes them a ``search()`` policy and keeps the one :attr:`tried` set."""
 
     name = "base"
+    entries = ()  # no window provenance (nor a rank): those are ANDURIL's
 
     def prepare(self, context: SearchContext) -> None:
         self.context = context
+        #: Every ``(site, exception, occurrence)`` never to offer again.
+        self.tried: set[tuple[str, str, int]] = set()
 
     def next_window(self) -> list[FaultInstance]:
         """The instances to arm this round; empty means exhausted."""
@@ -112,6 +122,24 @@ class Strategy:
         satisfied: bool,
     ) -> None:
         """Feedback hook after each round (default: none)."""
+
+    def window(self) -> list[FaultInstance]:
+        return [
+            instance
+            for instance in self.next_window()
+            if _key(instance) not in self.tried
+        ]
+
+    def rank(self) -> None:
+        return None
+
+    def feedback(self, window, result, injected, satisfied) -> int:
+        # When none of the armed instances occurred, with a fixed seed
+        # they never will: retire the whole window.
+        retired = window if injected is None else [injected]
+        self.tried.update(_key(instance) for instance in retired)
+        self.observe(result, injected, satisfied)
+        return 0
 
 
 @dataclasses.dataclass
@@ -172,21 +200,6 @@ class StrategyRunner:
         coverage = NULL_COVERAGE
         if self.track_coverage:
             coverage = CoverageTracker(context.fault_space)
-        tried: set[tuple[str, str, int]] = set()
-        rounds = 0
-
-        def finish(
-            success: bool,
-            injected: Optional[FaultInstance],
-            message: str,
-        ) -> StrategyResult:
-            return StrategyResult(
-                strategy.name, case_id, success, rounds,
-                time.perf_counter() - started, injected, message,
-                coverage=coverage.summary(),
-            )
-
-        reporter = RoundReporter(self._bus, case_id, strategy.name)
         with RunPipeline(
             case.workload,
             case.horizon,
@@ -197,55 +210,19 @@ class StrategyRunner:
             ),
         ) as pipeline:
             pipeline.arm(context.normal_run.trace)
-            while rounds < self.max_rounds:
-                round_started = time.perf_counter()
-                if (
-                    self.max_seconds is not None
-                    and round_started - started > self.max_seconds
-                ):
-                    return finish(False, None, "time budget exhausted")
-                window = [
-                    instance
-                    for instance in strategy.next_window()
-                    if (instance.site_id, instance.exception, instance.occurrence)
-                    not in tried
-                ]
-                if not window:
-                    return finish(False, None, "fault space exhausted")
-                rounds += 1
-                reporter.begin(rounds)
-                # A strategy's window may offer the same (site, occurrence)
-                # under two exceptions; only the first is armable per run.
-                plan = InjectionPlan.of(dedupe_instances(window))
-                run_started = time.perf_counter()
-                result = pipeline.run(case.seed, plan)
-                feedback_started = time.perf_counter()
-                injected = result.injected_instance
-                satisfied = False
-                if injected is not None:
-                    tried.add(
-                        (injected.site_id, injected.exception, injected.occurrence)
-                    )
-                    satisfied = case.oracle.satisfied(result)
-                else:
-                    # None of the armed instances occurred; with a fixed seed
-                    # they never will, so retire the whole window.
-                    tried.update(
-                        (i.site_id, i.exception, i.occurrence) for i in window
-                    )
-                coverage.record_round(rounds, plan.instances, injected)
-                strategy.observe(result, injected, satisfied)
-                round_ended = time.perf_counter()
-                reporter.end(
-                    rounds,
-                    injected,
-                    satisfied,
-                    None,
-                    len(window),
-                    run_seconds=feedback_started - run_started,
-                    feedback_seconds=round_ended - feedback_started,
-                    round_seconds=round_ended - round_started,
-                )
-                if satisfied:
-                    return finish(True, injected, "reproduced")
-            return finish(False, None, "round budget exhausted")
+            found = search(
+                pipeline,
+                case.oracle,
+                strategy,
+                case_id=case_id,
+                max_rounds=self.max_rounds,
+                max_seconds=self.max_seconds,
+                started=started,
+                bus=self._bus,
+                coverage=coverage,
+            )
+        return StrategyResult(
+            strategy.name, case_id, found.success, len(found.records),
+            found.elapsed_seconds, found.injected, found.message,
+            coverage=found.coverage,
+        )

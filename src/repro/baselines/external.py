@@ -23,7 +23,6 @@ import random
 import re
 
 from ..injection.sites import FaultInstance
-from ..sim.env import ENV_OPS
 from .base import SearchContext, Strategy
 from .variants import _StaticOrderStrategy
 
@@ -163,8 +162,3 @@ class RandomInjector(_StaticOrderStrategy):
                     )
         self._rng.shuffle(space)
         return space
-
-
-def op_exception_types(op: str) -> tuple[str, ...]:
-    """Exception types an env op can raise (re-export for tooling)."""
-    return ENV_OPS[op]

@@ -12,6 +12,10 @@ Each variant removes or replaces one ingredient of the full design:
   instance (temporal) priorities; 3-instance limit.
 * ``MultiplyFeedback``      — uses both priorities but combines them as
   ``F_i × F_{i,j}`` into one rank instead of the two-level scheme.
+
+A variant says what to offer (``next_window``) and what to learn
+(``observe``); never re-offering what was tried is the base class's
+``tried`` set, which the two feedback variants' rankings also read.
 """
 
 from __future__ import annotations
@@ -122,10 +126,6 @@ class SiteFeedback(Strategy):
 
     name = "fault-site-feedback"
 
-    def prepare(self, context: SearchContext) -> None:
-        super().prepare(context)
-        self._tried: set[tuple[str, str, int]] = set()
-
     def _site_priority(self, info) -> float:
         reachable = self.context.index.observables_reachable_from(info.node_id)
         best = INFINITY
@@ -146,7 +146,7 @@ class SiteFeedback(Strategy):
                 self.context, info.site_id, INSTANCE_LIMIT
             ):
                 key = (info.site_id, info.exception, occurrence)
-                if key not in self._tried:
+                if key not in self.tried:
                     entries.append(
                         (
                             priority,
@@ -163,27 +163,14 @@ class SiteFeedback(Strategy):
         ]
 
     def observe(self, result: RunResult, injected, satisfied: bool) -> None:
-        if injected is not None:
-            self._tried.add(
-                (injected.site_id, injected.exception, injected.occurrence)
-            )
-            if not satisfied:
-                self.context.observables.apply_feedback(result.log)
-        else:
-            for instance in self.next_window():
-                self._tried.add(
-                    (instance.site_id, instance.exception, instance.occurrence)
-                )
+        if injected is not None and not satisfied:
+            self.context.observables.apply_feedback(result.log)
 
 
 class MultiplyFeedback(Strategy):
     """Full feedback, but F_i × F_{i,j} instead of the two-level scheme."""
 
     name = "multiply-feedback"
-
-    def prepare(self, context: SearchContext) -> None:
-        super().prepare(context)
-        self._tried: set[tuple[str, str, int]] = set()
 
     def next_window(self) -> list[FaultInstance]:
         observables = self.context.observables
@@ -204,7 +191,7 @@ class MultiplyFeedback(Strategy):
             positions = observables.positions(best_key)
             for event in self.context.instances_of(info.site_id) or []:
                 key = (info.site_id, info.exception, event.occurrence)
-                if key in self._tried:
+                if key in self.tried:
                     continue
                 temporal = temporal_distance(
                     self.context.timeline.to_failure(event.log_index), positions
@@ -221,14 +208,5 @@ class MultiplyFeedback(Strategy):
         ]
 
     def observe(self, result: RunResult, injected, satisfied: bool) -> None:
-        if injected is not None:
-            self._tried.add(
-                (injected.site_id, injected.exception, injected.occurrence)
-            )
-            if not satisfied:
-                self.context.observables.apply_feedback(result.log)
-        else:
-            for instance in self.next_window():
-                self._tried.add(
-                    (instance.site_id, instance.exception, instance.occurrence)
-                )
+        if injected is not None and not satisfied:
+            self.context.observables.apply_feedback(result.log)

@@ -13,6 +13,10 @@ Workflow (numbers match §3):
    script (4.a); otherwise apply the Algorithm 2 feedback and re-rank
    (4.b);
 5. stop when every instance was tried or the round budget is exhausted.
+
+:meth:`Explorer.prepare` is steps 1–2; steps 3–5 are the shared round
+loop, :func:`repro.core.search.search`, run under ANDURIL's policy
+(:class:`FeedbackPolicy`: the window, its doubling, the feedback).
 """
 
 from __future__ import annotations
@@ -26,10 +30,8 @@ from ..analysis.flow import PropagationGraph, reachability_weights
 from ..analysis.model import CausalGraph
 from ..analysis.system_model import SystemModel, analyze_package
 from ..cache.flowcache import cached_propagation_graph
-from ..injection.fir import InjectionPlan, dedupe_instances
 from ..injection.sites import FaultInstance
 from ..obs import NULL_RECORDER, WALL
-from ..obs.bus import RoundReporter
 from ..obs.coverage import (
     NULL_COVERAGE,
     CoverageSummary,
@@ -46,20 +48,7 @@ from .pipeline import RunConfig, RunPipeline
 from .prepared import prepared_case
 from .pruning import DEFAULT_RADIUS, StaticPruner
 from .report import ReproductionScript
-
-
-@dataclasses.dataclass
-class RoundRecord:
-    round_number: int
-    window_size: int
-    injected: Optional[FaultInstance]
-    satisfied: bool
-    root_site_rank: Optional[int]
-    init_seconds: float
-    workload_seconds: float
-    injection_requests: int
-    decision_seconds: float
-    present_observables: int = 0
+from .search import RoundRecord, search
 
 
 @dataclasses.dataclass
@@ -136,24 +125,45 @@ class PreparedSearch:
     flow_graph: Optional[PropagationGraph] = None
 
 
-def _window_entry_for(window, injected):
-    """Locate the fired instance in the round's window: ``(position,
-    entry)``, or ``None`` when it came from outside the window.
+class FeedbackPolicy:
+    """ANDURIL as a :func:`~repro.core.search.search` policy: the
+    flexible window over the priority pool (§5.2.5) and the Algorithm 2
+    feedback.  The pool owns what was tried (``mark_tried``)."""
 
-    Matches the full ``(site, exception, occurrence)`` identity —
-    mirroring ``repro.obs.provenance._matches`` — so two candidates
-    sharing a site and occurrence under different exceptions never swap
-    provenance.
-    """
-    for position, entry in enumerate(window, start=1):
-        instance = entry.instance
-        if (
-            instance.site_id == injected.site_id
-            and instance.exception == injected.exception
-            and instance.occurrence == injected.occurrence
-        ):
-            return position, entry
-    return None
+    name = "anduril"
+
+    def __init__(
+        self,
+        pool: FaultPriorityPool,
+        observables: ObservableSet,
+        initial_window: int,
+        ground_truth_site: Optional[str] = None,
+    ) -> None:
+        self.pool = pool
+        self.observables = observables
+        self.initial_window = self.size = initial_window
+        self.ground_truth_site = ground_truth_site
+        self.entries = ()
+
+    def window(self) -> list[FaultInstance]:
+        self.entries = self.pool.window(self.size)
+        return [entry.instance for entry in self.entries]
+
+    def rank(self) -> Optional[int]:
+        site = self.ground_truth_site
+        return self.pool.rank_of_site(site) if site else None
+
+    def feedback(self, window, result, injected, satisfied) -> int:
+        if injected is None:
+            self.size = min(self.size * 2, max(self.pool.candidate_count, 1))
+            return 0
+        self.pool.mark_tried(injected)
+        # The feedback re-ranks the pool, so the inflation past dry rounds
+        # applied no longer fits: back to the configured window.
+        self.size = self.initial_window
+        if satisfied:
+            return 0
+        return len(self.observables.apply_feedback(result.log))
 
 
 class Explorer:
@@ -404,240 +414,41 @@ class Explorer:
     # ----------------------------------------------------------------- explore
 
     def explore(self) -> ExplorationResult:
-        """Run the search, one round after another: round r+1's window is
-        ranked from round r's feedback."""
-        pipeline = self._pipeline
-        try:
-            # The fork points come from the probe trace.
-            pipeline.arm(self.prepare().normal_run.trace)
-            return self._explore()
-        finally:
-            pipeline.close()
-
-    def _explore(self) -> ExplorationResult:
-        started = time.perf_counter()
+        """Run the search: ANDURIL's policy under the shared round loop,
+        wrapped as a result plus, on success, a reproduction script."""
         prepared = self.prepare()
-        pool = prepared.pool
-        observables = prepared.observables
-        obs = self._obs
-        reporter = RoundReporter(self._bus, self.case_id, "anduril")
-        records: list[RoundRecord] = []
-        window_size = self.initial_window
-
-        for round_number in range(1, self.max_rounds + 1):
-            if (
-                self.max_seconds is not None
-                and time.perf_counter() - started > self.max_seconds
-            ):
-                return self._finish(
-                    False, records, started, message="time budget exhausted"
-                )
-            init_started = time.perf_counter()
-            window = pool.window(window_size)
-            rerank_started = time.perf_counter()
-            rank = (
-                pool.rank_of_site(self.ground_truth_site)
-                if self.ground_truth_site
-                else None
-            )
-            init_seconds = time.perf_counter() - init_started
-            if obs.enabled:
-                obs.add_span(
-                    "round.prepare",
-                    "explorer",
-                    clock=WALL,
-                    start=obs.rel(init_started),
-                    duration=rerank_started - init_started,
-                    round=round_number,
-                    window=len(window),
-                )
-                obs.add_span(
-                    "round.rerank",
-                    "explorer",
-                    clock=WALL,
-                    start=obs.rel(rerank_started),
-                    duration=init_started + init_seconds - rerank_started,
-                    round=round_number,
-                )
-                # The per-round Figure 6 sample: where the ground-truth
-                # site sits in the ranking, and what the window offered.
-                obs.event(
-                    "explorer.rerank",
-                    "explorer",
-                    round=round_number,
-                    rank=rank,
-                    window_size=len(window),
-                    top=[
-                        [
-                            entry.instance.site_id,
-                            entry.instance.exception,
-                            entry.instance.occurrence,
-                            entry.site_priority,
-                            entry.chosen_observable,
-                        ]
-                        for entry in window[:10]
-                    ],
-                )
-            if not window:
-                return self._finish(
-                    False, records, started, message="fault space exhausted"
-                )
-            reporter.begin(round_number)
-
-            run_seed = self.seed + round_number if self.vary_seed else self.seed
-            # Distinct candidates can offer the same (site, occurrence)
-            # under different exceptions; only the highest-priority one is
-            # armable in a single-shot window (the plan rejects the rest).
-            plan = InjectionPlan.of(
-                dedupe_instances(entry.instance for entry in window),
-                always=self.base_faults,
-            )
-            workload_started = time.perf_counter()
-            result = self._pipeline.run(run_seed, plan)
-            # §6: retry the round under perturbed seeds when nothing in the
-            # window occurred (only useful in nondeterministic setups).
-            # Truncated runs always carry a fired instance (the cutoff
-            # waits for the injection when the window is armed), so the
-            # retry condition reads the same under cutoff.
-            sub_run = 0
-            while (
-                result.injected_instance is None
-                and sub_run + 1 < self.runs_per_round
-            ):
-                sub_run += 1
-                run_seed = self.seed + round_number * 1009 + sub_run
-                result = self._pipeline.run(run_seed, plan)
-            workload_seconds = time.perf_counter() - workload_started
-            if obs.enabled:
-                obs.add_span(
-                    "round.run",
-                    "explorer",
-                    clock=WALL,
-                    start=obs.rel(workload_started),
-                    duration=workload_seconds,
-                    round=round_number,
-                    seed=run_seed,
-                )
-
-            feedback_started = time.perf_counter()
-            satisfied = False
-            present_count = 0
-            injected = result.injected_instance
-            if injected is not None:
-                pool.mark_tried(injected)
-                satisfied = self.oracle.satisfied(result)
-                if not satisfied:
-                    present_count = len(observables.apply_feedback(result.log))
-                # The feedback re-ranked the pool; the inflation that past
-                # dry rounds applied no longer matches the new ordering, so
-                # restore the configured window before the next round.
-                window_size = self.initial_window
-            else:
-                window_size = min(window_size * 2, max(pool.candidate_count, 1))
-            feedback_seconds = time.perf_counter() - feedback_started
-            if obs.enabled:
-                obs.add_span(
-                    "round.feedback",
-                    "explorer",
-                    clock=WALL,
-                    start=obs.rel(feedback_started),
-                    duration=feedback_seconds,
-                    round=round_number,
-                    injected=str(injected) if injected is not None else None,
-                    satisfied=satisfied,
-                    present_observables=present_count,
-                )
-                if injected is not None:
-                    # Plan-inclusion provenance: where the fired instance
-                    # sat in this round's window, and via which observable
-                    # k* it earned that position (repro.obs.provenance).
-                    located = _window_entry_for(window, injected)
-                    if located is not None:
-                        position, entry = located
-                        obs.event(
-                            "explorer.plan",
-                            "explorer",
-                            round=round_number,
-                            site=injected.site_id,
-                            exception=injected.exception,
-                            occurrence=injected.occurrence,
-                            window_position=position,
-                            window_size=len(window),
-                            priority=entry.site_priority,
-                            observable=entry.chosen_observable,
-                            satisfied=satisfied,
-                        )
-            reporter.end(
-                round_number,
-                injected,
-                satisfied,
-                rank,
-                len(window),
-                run_seconds=workload_seconds,
-                feedback_seconds=feedback_seconds,
-                round_seconds=feedback_started + feedback_seconds - init_started,
-            )
-            self._coverage.record_round(round_number, plan.instances, injected)
-
-            records.append(
-                RoundRecord(
-                    round_number=round_number,
-                    window_size=len(window),
-                    injected=injected,
-                    satisfied=satisfied,
-                    root_site_rank=rank,
-                    init_seconds=init_seconds,
-                    workload_seconds=workload_seconds,
-                    injection_requests=result.injection_requests,
-                    decision_seconds=result.decision_seconds,
-                    present_observables=present_count,
-                )
-            )
-
-            if satisfied:
-                script = ReproductionScript(
-                    case_id=self.case_id,
-                    system=self.system,
-                    instance=injected,
-                    seed=run_seed,
-                    horizon=self.horizon,
-                    oracle_description=self.oracle.description,
-                    extra_instances=self.base_faults,
-                )
-                return self._finish(
-                    True,
-                    records,
-                    started,
-                    script=script,
-                    injected=injected,
-                    final_run=result,
-                    message="reproduced",
-                )
-
-        return self._finish(
-            False, records, started, message="round budget exhausted"
+        policy = FeedbackPolicy(
+            prepared.pool, prepared.observables,
+            self.initial_window, self.ground_truth_site,
         )
-
-    # ------------------------------------------------------------------ finish
-
-    def _finish(
-        self,
-        success: bool,
-        records: list[RoundRecord],
-        started: float,
-        script: Optional[ReproductionScript] = None,
-        injected: Optional[FaultInstance] = None,
-        final_run: Optional[RunResult] = None,
-        message: str = "",
-    ) -> ExplorationResult:
+        with self._pipeline as pipeline:
+            # The fork points come from the probe trace.
+            pipeline.arm(prepared.normal_run.trace)
+            found = search(
+                pipeline, self.oracle, policy,
+                case_id=self.case_id,
+                max_rounds=self.max_rounds,
+                max_seconds=self.max_seconds,
+                vary_seed=self.vary_seed,
+                runs_per_round=self.runs_per_round,
+                base_faults=self.base_faults,
+                recorder=self._obs,
+                bus=self._bus,
+                coverage=self._coverage,
+            )
+        script = None
+        if found.success:
+            script = ReproductionScript(
+                case_id=self.case_id,
+                system=self.system,
+                instance=found.injected,
+                seed=found.run_seed,
+                horizon=self.horizon,
+                oracle_description=self.oracle.description,
+                extra_instances=self.base_faults,
+            )
         return ExplorationResult(
-            success=success,
-            rounds=len(records),
-            elapsed_seconds=time.perf_counter() - started,
-            script=script,
-            injected=injected,
-            round_records=records,
-            message=message,
-            final_run=final_run,
-            coverage=self._coverage.summary(),
+            found.success, len(found.records), found.elapsed_seconds,
+            script, found.injected, found.records, found.message,
+            found.final_run, found.coverage,
         )

@@ -53,17 +53,12 @@ class ObservableSet:
         self._adjustment = adjustment
         self._known = known_template_ids or set()
         self._observables: dict[str, Observable] = {}
-        self.rounds_applied = 0
         #: Bumped on every priority adjustment; consumers (the priority
         #: pool's site-ranking cache) invalidate when it moves.
         self.version = 0
         self._recorder = recorder if recorder is not None else NULL_RECORDER
 
     # ----------------------------------------------------------------- set up
-
-    def initialize(self, normal_log: LogFile) -> CompareResult:
-        """Compute initial relevant observables from the fault-free run."""
-        return self.seed(self._prepared.compare(normal_log))
 
     def seed(self, result: CompareResult) -> CompareResult:
         """Take the initial observables from an already computed
@@ -138,5 +133,4 @@ class ObservableSet:
         present = self.keys() - missing
         for key in sorted(present):
             self.adjust(key, self._adjustment)
-        self.rounds_applied += 1
         return present

@@ -13,7 +13,7 @@ Each site offers its best untried instance; sites are explored in
 priority order with a tried-count tie-break (the HB-16144 lesson: when
 priorities tie, spread across sites instead of exhausting one site's
 instances).  The flexible window takes the top-k such entries; the
-Explorer doubles k whenever a round injects nothing.
+Explorer's ``FeedbackPolicy`` doubles k whenever a round injects nothing.
 """
 
 from __future__ import annotations

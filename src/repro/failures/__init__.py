@@ -1,4 +1,5 @@
-"""Catalog of reproducible failure cases (the paper's 22-case dataset).
+"""Catalog of reproducible failure cases (the paper's 22-case dataset is
+:func:`paper_cases`).
 
 Import this package and call :func:`get_case`/:func:`all_cases`; the
 per-system modules register their cases on import.
@@ -12,6 +13,7 @@ from .case import (
     all_cases,
     clear_failure_log_cache,
     get_case,
+    paper_cases,
     register,
 )
 
@@ -30,5 +32,6 @@ __all__ = [
     "all_cases",
     "clear_failure_log_cache",
     "get_case",
+    "paper_cases",
     "register",
 ]

@@ -218,3 +218,9 @@ def get_case(case_id: str) -> FailureCase:
 
 def all_cases() -> list[FailureCase]:
     return sorted(CATALOG.values(), key=lambda case: int(case.case_id[1:]))
+
+
+def paper_cases() -> list[FailureCase]:
+    """The paper's dataset (Tables 1–7): the cases searched over
+    exception faults only, i.e. all but the later soft-fault additions."""
+    return [case for case in all_cases() if case.fault_dims == "exceptions"]

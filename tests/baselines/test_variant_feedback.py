@@ -37,9 +37,12 @@ class TestSiteFeedback:
         context = build_context(get_case("f17"))
         strategy = SiteFeedback()
         strategy.prepare(context)
-        first = strategy.next_window()[0]
-        strategy.observe(fake_result([]), first, satisfied=False)
-        follow_up = strategy.next_window()
+        window = strategy.window()
+        first = window[0]
+        # Tried-marking lives in the base class's feedback(), which the
+        # round loop calls; observe() only carries the variant's own state.
+        strategy.feedback(window, fake_result([]), first, False)
+        follow_up = strategy.window()
         keys = {(i.site_id, i.exception, i.occurrence) for i in follow_up}
         assert (first.site_id, first.exception, first.occurrence) not in keys
 
@@ -78,8 +81,9 @@ class TestMultiplyFeedback:
         strategy = MultiplyFeedback()
         strategy.prepare(context)
         for _ in range(2000):
-            window = strategy.next_window()
+            window = strategy.window()
             if not window:
                 break
-            strategy.observe(fake_result([]), window[0], satisfied=False)
+            strategy.feedback(window, fake_result([]), window[0], False)
+        assert strategy.window() == []
         assert strategy.next_window() == []

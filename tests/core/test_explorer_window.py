@@ -9,8 +9,8 @@ import dataclasses
 
 import pytest
 
-import repro.core.explorer as explorer_module
 import repro.core.pipeline as pipeline_module
+from repro.core.search import window_entry_for
 from repro.failures import get_case
 from repro.logs.record import LogFile
 from repro.sim.cluster import RunResult
@@ -142,9 +142,7 @@ class TestWindowEntryLookup:
             FakeEntry(FakeInstance("s1", "Timeout", 2), 3.0, "warn slow"),
             FakeEntry(FakeInstance("s1", "IOError", 2), 1.5, "error lost"),
         ]
-        located = explorer_module._window_entry_for(
-            window, FakeInstance("s1", "IOError", 2)
-        )
+        located = window_entry_for(window, FakeInstance("s1", "IOError", 2))
         assert located is not None
         position, entry = located
         assert position == 2
@@ -153,9 +151,4 @@ class TestWindowEntryLookup:
 
     def test_instance_outside_the_window_yields_none(self):
         window = [FakeEntry(FakeInstance("s1", "Timeout", 1))]
-        assert (
-            explorer_module._window_entry_for(
-                window, FakeInstance("s2", "Timeout", 1)
-            )
-            is None
-        )
+        assert window_entry_for(window, FakeInstance("s2", "Timeout", 1)) is None

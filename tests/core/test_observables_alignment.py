@@ -20,7 +20,7 @@ def make_log(messages, thread="main"):
 def observable_set(normal, failure, adjustment=1):
     comparator = LogComparator(TemplateMatcher())
     observables = ObservableSet(comparator, failure, adjustment=adjustment)
-    observables.initialize(normal)
+    observables.seed(comparator.compare(normal, failure))
     return observables
 
 

@@ -66,13 +66,11 @@ def canonical_signature(result) -> dict:
 
 def capture(case_ids=None, early_verdict: bool = False) -> dict:
     from repro.cache import runcache
-    from repro.failures import all_cases
+    from repro.failures import paper_cases
 
     runcache.configure(enabled=False)
     signatures = {}
-    for case in all_cases():
-        if case.fault_dims != "exceptions":
-            continue
+    for case in paper_cases():
         if case_ids is not None and case.case_id not in case_ids:
             continue
         result = case.explorer(
