@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import os
 import pickle
 import pkgutil
 import warnings
@@ -18,7 +19,6 @@ import weakref
 from typing import Callable, Iterable, Optional
 
 from ..logs.sanitize import LogTemplate, TemplateMatcher
-from ..obs.ledger import git_sha
 from ..sim import errors as sim_errors
 from .ast_facts import (
     AssignFact,
@@ -350,20 +350,22 @@ def _facts_for_module(module_name: str) -> Optional[ModuleFacts]:
 
     cache = runcache.active()
     tier = None if cache is None else cache.tier("facts")
-    # Facts embed the file path and the extractor changes with the
-    # commit: an entry stamped otherwise is stale, and simply overwritten.
-    stamp = (_FACTS_VERSION, git_sha(), file_path, digest)
+    # Facts embed the file path and are only as good as the extractor
+    # that made them: a record stamped otherwise is stale, and superseded
+    # by the one appended after it.
+    extractor = tier and runcache.source_digest(os.path.dirname(__file__))
+    stamp = (_FACTS_VERSION, extractor, file_path, digest)
 
     def decode(data: bytes) -> Optional[ModuleFacts]:
         entry_stamp, facts = pickle.loads(data)
         return facts if entry_stamp == stamp else None
 
-    facts = None if tier is None else tier.read(f"{module_name}.pkl", decode)
+    facts = None if tier is None else tier.read(module_name, decode)
     if facts is None:
         facts = extract_module_facts(module_name, file_path, source)
         if tier is not None:
             tier.write(
-                f"{module_name}.pkl",
+                module_name,
                 lambda: pickle.dumps((stamp, facts), pickle.HIGHEST_PROTOCOL),
             )
     _FACTS_CACHE[module_name] = (digest, facts)

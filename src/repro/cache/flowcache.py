@@ -2,18 +2,18 @@
 
 The flow pass (:mod:`repro.analysis.flow`) is a pure function of the
 analyzed package's source, and the workload fingerprint from
-:func:`repro.cache.runcache.workload_fingerprint` already folds in the
-checked-out git SHA plus the workload's module and source — exactly the
+:func:`repro.cache.runcache.workload_fingerprint` already digests the
+workload's module plus every mini system's source — exactly the
 staleness key the run cache uses.  Reusing it here means a
-:class:`~repro.analysis.flow.PropagationGraph` built for one commit can
-never be served to another, with zero extra bookkeeping.
+:class:`~repro.analysis.flow.PropagationGraph` built from one source
+tree can never be served to another, with zero extra bookkeeping.
 
 Two tiers, mirroring the run cache:
 
 * an in-process memo (always on), keyed on the fingerprint — or, for
   unfingerprintable workloads, the per-model memo of the
   :class:`~repro.analysis.system_model.SystemModel` itself; and
-* an on-disk tier of JSON documents in the ``flow/`` sub-tier of the
+* an on-disk tier of JSON records in the ``flow/`` sub-tier of the
   active run cache's directory (:meth:`RunCache.tier`), so it exists
   exactly when the run cache has a disk tier, moves with
   ``--cache-dir``, and degrades like it.
@@ -48,12 +48,12 @@ def _disk_get(tier, fingerprint: str) -> Optional[PropagationGraph]:
             raise ValueError("flow-cache entry key/version mismatch")
         return PropagationGraph.from_dict(payload["graph"])
 
-    return tier.read(f"{fingerprint}.json", decode)
+    return tier.read(fingerprint, decode)
 
 
 def _disk_store(tier, fingerprint: str, graph: PropagationGraph) -> None:
     tier.write(
-        f"{fingerprint}.json",
+        fingerprint,
         lambda: json.dumps(
             {
                 "version": SCHEMA_VERSION,

@@ -9,18 +9,17 @@ to every consumer of ``execute_workload`` — the Explorer's rounds, the
 baseline strategy runner, and (through both) the iterative multi-fault
 workflow and the campaign engine.
 
-Two tiers:
+Two tiers, one representation — the packed record of a run (the
+``sim.checkpoint`` row codec, pickled once), never a live object graph:
 
-* an in-process LRU (always on when the cache is active); and
-* an optional on-disk tier, one entry per key under
-  ``benchmarks/out/runcache/`` by default, shared between campaign
-  worker processes (:class:`~repro.cache.disk.DiskTier`: atomic writes;
-  corrupt or truncated entries are *skipped* — never fatal — with one
-  ``RuntimeWarning`` per cache instance).  An entry is a checksummed
-  ``sim.checkpoint`` row encoding, not a pickled object graph, and a hit
-  decodes only what is read (DESIGN §8.1).  The other per-commit
-  artefacts (flow graphs, module facts) persist in sub-tiers of the same
-  directory (:meth:`RunCache.tier`), so ``--cache-dir`` relocates them all.
+* an in-process LRU of records (always on when the cache is active),
+  decoded afresh on every hit; and
+* an optional on-disk tier, ``benchmarks/out/runcache/`` by default,
+  shared between campaign worker processes: each process appends its
+  records to a segment file of its own (:class:`~repro.cache.disk.
+  DiskTier`, DESIGN §8.1).  The other artefacts that go stale with the
+  code (flow graphs, module facts) persist in sub-tiers of the same
+  directory (:meth:`RunCache.tier`), so ``--cache-dir`` relocates all.
 
 Noop-plan aliasing
 ------------------
@@ -41,9 +40,10 @@ instance actually raises).  The cache exploits this twice:
   executing anything.  Baselines that keep regenerating never-firing
   windows stop paying for them.
 
-Staleness: the workload fingerprint folds in the checked-out git SHA
-and the workload function's source, so entries written by other
-commits (via the rolling CI cache) can never be served.
+Staleness: the workload fingerprint digests the source a run executes
+(the workload's module, the mini systems, the simulator, the injection
+layer), so entries written by any other code — another commit, an
+uncommitted edit — can never be served.
 
 Counters (``cache.hits`` / ``cache.misses`` / ``cache.alias_hits`` /
 ``cache.disk_hits`` / ``cache.stores`` / ``cache.disk_errors``) are
@@ -54,32 +54,17 @@ campaign worker processes like every other operational counter.
 from __future__ import annotations
 
 import hashlib
-import inspect
-import json
 import os
 import pickle
+import sys
 import weakref
-import zlib
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ..obs import metrics as obs_metrics
-from ..obs.ledger import git_sha
+from ..sim.checkpoint import _decode_result, _encode_result
 from .disk import DiskTier
-
-# Version 2: TraceEvent and other run-record dataclasses grew
-# ``slots=True``, which changes their pickle state shape — version-1
-# entries would silently deserialize with corrupt field values.
-# Version 4: fault identity generalized to (site, fault-spec) —
-# ``FaultInstance.exception`` became ``FaultInstance.spec``, changing the
-# pickled ``__dict__`` shape of every plan-bearing entry; version-3
-# entries would deserialize with the spec under the old attribute name.
-# Version 5: the result codec grew ``truncated_at`` (early-verdict
-# cutoff); version-4 entries would decode without the field.
-# Version 6: ``result`` became a checksummed ``body`` whose trace rows
-# are a nested blob, unpickled only when ``RunResult.trace`` is read.
-PAYLOAD_VERSION = 6
 
 #: Lookup/served outcomes reported by :meth:`RunCache.execute`.
 HIT = "hit"
@@ -101,16 +86,40 @@ def default_disk_dir() -> str:
 
 _FINGERPRINTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
+_PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: What runs execute besides their workload's own module (broader than
+#: any one run: a stale hit is a wrong answer, a needless miss one run).
+_RUN_CODE = ("systems", "sim", "injection", os.path.join("logs", "record.py"))
+_DIGESTS: dict[str, bytes] = {}
+
+
+def source_digest(path: str) -> bytes:
+    """Digest of the file ``path``, or of every ``*.py`` under the
+    directory ``path``; read once per process."""
+    digest = _DIGESTS.get(path)
+    if digest is None:
+        files = sorted(
+            os.path.join(folder, name)
+            for folder, _, names in os.walk(path)
+            for name in names
+            if name.endswith(".py")
+        )
+        sha = hashlib.sha256()
+        for file in files or [path]:
+            with open(file, "rb") as handle:
+                sha.update(handle.read() + b"\x00")
+        digest = _DIGESTS[path] = sha.digest()
+    return digest
+
 
 def workload_fingerprint(workload) -> Optional[str]:
     """Content fingerprint of a workload callable, or ``None`` if unsafe.
 
-    Folds together the function's dotted name, its source text (so an
-    edited workload misses), and the checked-out git SHA (so entries
-    persisted by other commits — e.g. via a rolling CI cache — can
-    never be served to this one).  Callables whose identity cannot be
-    established deterministically (no qualified name *and* no
-    retrievable source) are uncacheable and yield ``None``.
+    Folds together the function's dotted name, the source of the module
+    that defines it (workload, oracle and ground truth live there) and
+    the source of :data:`_RUN_CODE` — so an edit to anything a run
+    executes, committed or not, misses.  Callables without a qualified
+    name are uncacheable and yield ``None``.
     """
     try:
         cached = _FINGERPRINTS.get(workload)
@@ -120,19 +129,15 @@ def workload_fingerprint(workload) -> Optional[str]:
         return cached or None
     module = getattr(workload, "__module__", "")
     qualname = getattr(workload, "__qualname__", "")
-    try:
-        source = inspect.getsource(workload)
-    except (OSError, TypeError):
-        source = ""
-    if not (module and qualname) and not source:
-        fingerprint = ""
-    else:
-        digest = hashlib.sha256()
-        digest.update(git_sha().encode())
-        digest.update(b"\x00")
-        digest.update(f"{module}:{qualname}".encode())
-        digest.update(b"\x00")
-        digest.update(source.encode())
+    fingerprint = ""
+    if module and qualname:
+        digest = hashlib.sha256(f"{module}:{qualname}".encode())
+        paths = [os.path.join(_PACKAGE, part) for part in _RUN_CODE]
+        for path in (*paths, getattr(sys.modules.get(module), "__file__", None)):
+            try:
+                digest.update(source_digest(path))
+            except (OSError, TypeError):  # a module without a source file
+                digest.update(b"\x00")
         fingerprint = digest.hexdigest()[:24]
     try:
         _FINGERPRINTS[workload] = fingerprint
@@ -198,7 +203,8 @@ def _run(runner, workload, horizon, seed, plan, monitor_factory):
 
 
 class RunCache:
-    """Two-tier (memory LRU + optional disk) cache of deterministic runs."""
+    """Two-tier (memory LRU + optional disk) cache of deterministic runs,
+    each held as its packed record under the digest of its key."""
 
     def __init__(
         self, capacity: int = 1024, disk_dir: Optional[str] = None
@@ -208,16 +214,12 @@ class RunCache:
         self.capacity = capacity
         self.disk_dir = disk_dir
         self.stats = CacheStats()
-        self._memory: "OrderedDict[tuple, object]" = OrderedDict()
-        #: noop key -> frozenset of (site_id, occurrence) pairs executed
-        #: by that noop run; the alias-prediction index.
-        self._noop_pairs: dict[tuple, frozenset] = {}
-        self._disk = (
-            DiskTier(disk_dir, "run-cache", self._disk_error)
-            if disk_dir is not None
-            else None
-        )
+        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
+        #: noop entry name -> frozenset of (site_id, occurrence) pairs
+        #: executed by that noop run; the alias-prediction index.
+        self._noop_pairs: dict[str, frozenset] = {}
         self._tiers: dict[str, DiskTier] = {}
+        self._disk = self.tier("")  # run records: in the directory itself
 
     def _disk_error(self) -> None:
         self.stats.disk_errors += 1
@@ -233,10 +235,15 @@ class RunCache:
         tier = self._tiers.get(name)
         if tier is None:
             tier = self._tiers[name] = DiskTier(
-                os.path.join(self.disk_dir, name), f"{name}-cache",
+                os.path.join(self.disk_dir, name), f"{name or 'run'}-cache",
                 self._disk_error,
             )
         return tier
+
+    def close(self) -> None:
+        """Return the disk tiers' descriptors (they reopen on use)."""
+        for tier in self._tiers.values():
+            tier.close()
 
     # ------------------------------------------------------------------ keys
 
@@ -265,52 +272,30 @@ class RunCache:
         return key + (("verdict", monitor_key),)
 
     @staticmethod
-    def _entry_name(key: tuple) -> str:
-        material = json.dumps(key, separators=(",", ":"))
-        return hashlib.sha256(material.encode()).hexdigest()[:40] + ".pkl"
+    def _name(key: tuple) -> str:
+        """What both tiers call ``key``'s record; callers derive it once
+        per key and pass it on."""
+        return hashlib.blake2b(repr(key).encode(), digest_size=20).hexdigest()
 
     # ---------------------------------------------------------------- lookup
 
-    def _memory_get(self, key: tuple):
-        result = self._memory.get(key)
-        if result is not None:
-            self._memory.move_to_end(key)
-        return result
-
-    def _disk_get(self, key: tuple):
-        if self._disk is None:
-            return None
-        from ..sim.checkpoint import _decode_result
-
-        def decode(data: bytes):
-            payload = pickle.loads(data)
-            if (
-                not isinstance(payload, dict)
-                or payload.get("version") != PAYLOAD_VERSION
-                or payload.get("key") != key
-            ):
-                raise ValueError("run-cache entry key/version mismatch")
-            body = payload["body"]
-            # The trace blob inside is unpickled lazily, long after this
-            # read returned: only a checksum can vouch for it now.
-            if zlib.crc32(body) != payload["crc"]:
-                raise ValueError("run-cache entry checksum mismatch")
-            return _decode_result(pickle.loads(body))
-
-        return self._disk.read(self._entry_name(key), decode)
-
-    def _lookup(self, key: tuple):
-        """Memory-then-disk probe; promotes disk entries into memory."""
-        result = self._memory_get(key)
-        if result is not None:
-            return result, False
-        result = self._disk_get(key)
-        if result is not None:
-            self._memory_store(key, result)
-            return result, True
+    def _lookup(self, name: str):
+        """Memory-then-disk probe for a record, decoded; promotes disk
+        records into memory.  ``(result, came from disk)``."""
+        record = self._memory.get(name)
+        if record is not None:
+            self._memory.move_to_end(name)
+            return _decode_result(pickle.loads(record)), False
+        if self._disk is not None:
+            found = self._disk.read(
+                name, lambda data: (data, _decode_result(pickle.loads(data)))
+            )
+            if found is not None:
+                self._memory_store(name, found[0])
+                return found[1], True
         return None, False
 
-    def _alias_lookup(self, key: tuple, plan):
+    def _alias_lookup(self, key: tuple, name: str, plan):
         """Serve a never-firing plan from the cached noop run, if decidable.
 
         An armed instance fires iff its ``(site, occurrence)`` pair
@@ -321,59 +306,38 @@ class RunCache:
         """
         if plan is None or not plan.instances:
             return None
-        noop_key = self._noop_key(key)
-        if noop_key == key:
-            return None
-        pairs = self._noop_pairs.get(noop_key)
+        noop_name = self._name(self._noop_key(key))
+        pairs = self._noop_pairs.get(noop_name)
         if pairs is None:
-            noop_result, _ = self._lookup(noop_key)
+            noop_result, _ = self._lookup(noop_name)
             if noop_result is None:
                 return None
-            pairs = frozenset(
+            # The one read of the noop trace: every later decode of this
+            # record leaves its trace packed.
+            pairs = self._noop_pairs[noop_name] = frozenset(
                 (event.site_id, event.occurrence)
                 for event in getattr(noop_result, "trace", ())
             )
-            self._noop_pairs[noop_key] = pairs
         if any(
             (instance.site_id, instance.occurrence) in pairs
             for instance in plan.instances
         ):
             return None
-        noop_result, _ = self._lookup(noop_key)
+        noop_result, _ = self._lookup(noop_name)
+        if noop_result is not None:
+            # Remember the alias (the noop run's record, shared) so the
+            # next identical lookup is a plain memory hit without
+            # re-walking the trace index.
+            self._memory_store(name, self._memory[noop_name])
         return noop_result
 
     # ----------------------------------------------------------------- store
 
-    def _memory_store(self, key: tuple, result) -> None:
-        self._memory[key] = result
-        self._memory.move_to_end(key)
+    def _memory_store(self, name: str, record: bytes) -> None:
+        self._memory[name] = record
+        self._memory.move_to_end(name)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
-
-    def _disk_store(self, key: tuple, result) -> None:
-        if self._disk is None:
-            return
-        # Flatten the result first: pickling thousands of small
-        # LogRecord/TraceEvent dataclasses one by one costs ~10x the
-        # primitive-tuple encoding (see sim.checkpoint's codec, shared
-        # here so fork frames and cache entries stay byte-compatible).
-        from ..sim.checkpoint import _encode_result
-
-        def encode() -> bytes:
-            body = pickle.dumps(
-                _encode_result(result), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            return pickle.dumps(
-                {
-                    "version": PAYLOAD_VERSION,
-                    "key": key,
-                    "crc": zlib.crc32(body),
-                    "body": body,
-                },
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-
-        self._disk.write(self._entry_name(key), encode)
 
     def put(self, workload, horizon, seed, plan, result, monitor_key=None) -> None:
         """Store a completed run (plus its noop alias when applicable).
@@ -384,40 +348,43 @@ class RunCache:
         """
         key = self._key(workload, horizon, seed, plan)
         if key is not None:
-            self._put(key, plan, result, monitor_key)
+            self._put(key, self._name(key), plan, result, monitor_key)
 
-    def _put(self, key: tuple, plan, result, monitor_key) -> None:
-        if getattr(result, "truncated_at", None) is None:
-            self._store(key, plan, result)
-        elif monitor_key:
-            self._store_truncated(self._verdict_key(key, monitor_key), result)
-
-    def _store(self, key: tuple, plan, result) -> None:
-        self.stats.stores += 1
-        obs_metrics.increment("cache.stores")
-        self._memory_store(key, result)
-        self._disk_store(key, result)
-        if (
+    def _put(self, key: tuple, name: str, plan, result, monitor_key) -> None:
+        names = [name]
+        if getattr(result, "truncated_at", None) is not None:
+            # Under the extended key only — never the plain key, never
+            # the noop alias (a truncated run's log and counters are
+            # monitor-specific).
+            if not monitor_key:
+                return
+            names = [self._name(self._verdict_key(key, monitor_key))]
+        elif (
             plan is not None
             and plan.instances
             and getattr(result, "injected_instance", None) is None
         ):
             # Completion-time aliasing: nothing in the window fired, so
             # this run *is* the noop run for its (seed, base-fault) class.
-            noop_key = self._noop_key(key)
-            if noop_key != key and self._memory_get(noop_key) is None:
-                self._memory_store(noop_key, result)
-                self._disk_store(noop_key, result)
-
-    def _store_truncated(self, ext_key: tuple, result) -> None:
-        """Store a truncated result under its extended key only — never
-        the plain key, never the noop alias (truncated runs always have
-        a fired injection, but their log/counters are monitor-specific).
-        """
+            noop_name = self._name(self._noop_key(key))
+            if noop_name not in self._memory:
+                names.append(noop_name)
+        try:
+            # Flattened first: pickling thousands of small LogRecord and
+            # TraceEvent dataclasses one by one costs ~10x the row codec
+            # (shared with fork frames, see sim.checkpoint).
+            record = pickle.dumps(_encode_result(result), pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            # Not something the codec can pack (a test double, state
+            # that does not pickle): counted, and simply not cached.
+            self._disk_error()
+            return
         self.stats.stores += 1
         obs_metrics.increment("cache.stores")
-        self._memory_store(ext_key, result)
-        self._disk_store(ext_key, result)
+        for name in names:
+            self._memory_store(name, record)
+            if self._disk is not None:
+                self._disk.write(name, lambda: record)
 
     # --------------------------------------------------------------- execute
 
@@ -437,7 +404,8 @@ class RunCache:
         ``"alias"``, ``"miss"``, or ``"uncached"`` (unfingerprintable
         workload).  ``runner`` is the executor used on a miss; passing
         the caller's own ``execute_workload`` reference keeps
-        monkeypatched test doubles in charge of actual execution.
+        monkeypatched test doubles in charge of actual execution.  A hit
+        is decoded for this call; the cache keeps no reference to it.
 
         ``monitor_factory``/``monitor_key`` enable early-verdict cutoff:
         a miss runs under a fresh monitor, and a truncated result is
@@ -450,10 +418,11 @@ class RunCache:
                 _run(runner, workload, horizon, seed, plan, monitor_factory),
                 UNCACHED,
             )
-        result, from_disk = self._lookup(key)
+        name = self._name(key)
+        result, from_disk = self._lookup(name)
         if result is None and monitor_factory is not None and monitor_key:
             result, from_disk = self._lookup(
-                self._verdict_key(key, monitor_key)
+                self._name(self._verdict_key(key, monitor_key))
             )
         if result is not None:
             self.stats.hits += 1
@@ -462,18 +431,15 @@ class RunCache:
                 self.stats.disk_hits += 1
                 obs_metrics.increment("cache.disk_hits")
             return result, HIT
-        result = self._alias_lookup(key, plan)
+        result = self._alias_lookup(key, name, plan)
         if result is not None:
             self.stats.alias_hits += 1
             obs_metrics.increment("cache.alias_hits")
-            # Remember the alias so the next identical lookup is a plain
-            # memory hit without re-walking the trace index.
-            self._memory_store(key, result)
             return result, ALIAS
         self.stats.misses += 1
         obs_metrics.increment("cache.misses")
         result = _run(runner, workload, horizon, seed, plan, monitor_factory)
-        self._put(key, plan, result, monitor_key)
+        self._put(key, name, plan, result, monitor_key)
         return result, MISS
 
 
@@ -494,6 +460,7 @@ def configure(
     and each worker installs it.
     """
     global _active
+    reset()
     _active = RunCache(capacity=capacity, disk_dir=disk_dir) if enabled else None
     return _active
 
@@ -506,8 +473,10 @@ def active() -> Optional[RunCache]:
 
 
 def reset() -> None:
-    """Drop the process-wide cache."""
+    """Drop the process-wide cache and close its descriptors."""
     global _active
+    if _active is not None:
+        _active.close()
     _active = None
 
 

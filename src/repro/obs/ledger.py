@@ -75,8 +75,7 @@ def _read_head_sha() -> Optional[str]:
 def git_sha() -> str:
     """Best-effort short SHA of the checked-out commit (cached).
 
-    It keys every cache fingerprint in every process and pool worker,
-    so it is read from ``.git`` directly (seven digits, git's default
+    Read from ``.git`` directly (seven digits, git's default
     abbreviation); ``git rev-parse`` is only the fallback.  ``"unknown"``
     outside a git checkout, so the ledger still works from an installed
     package or an exported tree.

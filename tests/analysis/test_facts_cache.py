@@ -128,9 +128,11 @@ class TestFactsDiskTier:
     ):
         first = facts_by_module(analyze_package("factscachepkg"))
         assert sorted(extractions) == ["factscachepkg.alpha", "factscachepkg.beta"]
-        entries = sorted(p.name for p in (disk_cache_dir(disk_cache) / "facts").iterdir())
-        assert entries == ["factscachepkg.alpha.pkl", "factscachepkg.beta.pkl"]
+        (segment,) = facts_segments(disk_cache)
+        data = segment.read_bytes()
+        assert data.count(b"factscachepkg.alpha") and data.count(b"factscachepkg.beta")
         clear_facts_cache()  # what a fresh process starts with
+        disk_cache.close()
         del extractions[:]
         second = facts_by_module(analyze_package("factscachepkg"))
         assert extractions == []
@@ -144,11 +146,16 @@ class TestFactsDiskTier:
             "class Alpha:\n    def sync(self):\n        self.env.disk_sync('/a2')\n"
         )
         clear_facts_cache()
+        disk_cache.close()
         del extractions[:]
         model = analyze_package("factscachepkg")
         assert extractions == ["factscachepkg.alpha"]
         assert {call.op for call in model.env_calls} == {"disk_sync", "disk_write"}
+        # The stale record is still there; the one appended after it (in
+        # a later segment) supersedes it for every later process.
+        assert len(facts_segments(disk_cache)) == 2
         clear_facts_cache()
+        disk_cache.close()
         del extractions[:]
         analyze_package("factscachepkg")
         assert extractions == []
@@ -157,11 +164,13 @@ class TestFactsDiskTier:
         self, temp_package, disk_cache, extractions
     ):
         first = facts_by_module(analyze_package("factscachepkg"))
-        for entry in (disk_cache_dir(disk_cache) / "facts").iterdir():
-            entry.write_bytes(b"not a pickle")
+        (segment,) = facts_segments(disk_cache)
+        # Same length, so both records' headers stay where they are.
+        segment.write_bytes(segment.read_bytes().replace(b"disk_", b"risk_"))
         clear_facts_cache()
+        disk_cache.close()
         del extractions[:]
-        with pytest.warns(RuntimeWarning, match="corrupt facts-cache entry") as caught:
+        with pytest.warns(RuntimeWarning, match="skipping facts-cache entry") as caught:
             second = facts_by_module(analyze_package("factscachepkg"))
         assert len([w for w in caught if "facts-cache" in str(w.message)]) == 1
         assert sorted(extractions) == ["factscachepkg.alpha", "factscachepkg.beta"]
@@ -174,7 +183,9 @@ class TestFactsDiskTier:
         assert len(extractions) == 2
 
 
-def disk_cache_dir(cache):
+def facts_segments(cache):
     import pathlib
 
-    return pathlib.Path(cache.disk_dir)
+    from repro.cache.disk import _SUFFIX
+
+    return sorted((pathlib.Path(cache.disk_dir) / "facts").glob("*" + _SUFFIX))

@@ -8,6 +8,7 @@ from repro.analysis import analyze_package, build_propagation_graph
 from repro.cache import cached_propagation_graph, configure, workload_fingerprint
 from repro.cache import flowcache
 from repro.cache import runcache
+from repro.cache.disk import _SUFFIX
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +36,12 @@ def model():
     return analyze_package("repro.systems.minizk")
 
 
+def flow_segment(tmp_path):
+    """The one segment the flow tier of ``tmp_path/run`` holds so far."""
+    (segment,) = (tmp_path / "run" / "flow").glob("*" + _SUFFIX)
+    return segment
+
+
 def test_fingerprinted_builds_are_memoized(model):
     first = cached_propagation_graph(model, workload=workload_a)
     second = cached_propagation_graph(model, workload=workload_a)
@@ -55,8 +62,7 @@ def test_disk_tier_follows_run_cache_configuration(model, tmp_path):
     configure(enabled=True, disk_dir=str(tmp_path / "run"))
     graph = cached_propagation_graph(model, workload=workload_a)
     fingerprint = workload_fingerprint(workload_a)
-    entry = tmp_path / "run" / "flow" / f"{fingerprint}.json"
-    assert entry.exists()
+    assert fingerprint.encode() in flow_segment(tmp_path).read_bytes()
     # A fresh process (cleared memo) is served from disk.
     flowcache._MEMO.clear()
     restored = cached_propagation_graph(model, workload=workload_a)
@@ -76,16 +82,22 @@ def test_without_disk_cache_nothing_is_persisted(model, tmp_path, monkeypatch):
 def test_corrupt_entry_warns_once_and_rebuilds(model, tmp_path):
     cache = configure(enabled=True, disk_dir=str(tmp_path / "run"))
     graph = cached_propagation_graph(model, workload=workload_a)
-    fingerprint = workload_fingerprint(workload_a)
-    entry = tmp_path / "run" / "flow" / f"{fingerprint}.json"
-    entry.write_text("{not json")
+    segment = flow_segment(tmp_path)
+    data = segment.read_bytes()
+    segment.write_bytes(data.replace(b'{"version"', b'{not json '))
     flowcache._MEMO.clear()
-    with pytest.warns(RuntimeWarning, match="corrupt flow-cache entry"):
+    runcache.active().close()  # what a fresh process starts with
+    with pytest.warns(RuntimeWarning, match="skipping flow-cache entry"):
         rebuilt = cached_propagation_graph(model, workload=workload_a)
     assert rebuilt.paths == graph.paths
-    # The corrupt file was replaced by the rebuilt entry, and the
-    # degradation shows where the run cache's own does.
-    assert json.loads(entry.read_text())["fingerprint"] == fingerprint
+    # The degradation shows where the run cache's own does, and the
+    # rebuilt graph went into a later segment: the next fresh process
+    # reads that record (last wins) and never touches the corrupt one.
+    assert cache.stats.disk_errors == 1
+    assert len(list(segment.parent.iterdir())) == 2
+    flowcache._MEMO.clear()
+    runcache.active().close()
+    assert cached_propagation_graph(model, workload=workload_a).paths == graph.paths
     assert cache.stats.disk_errors == 1
 
 
@@ -93,10 +105,13 @@ def test_fingerprint_mismatch_entry_rejected(model, tmp_path):
     configure(enabled=True, disk_dir=str(tmp_path / "run"))
     graph = cached_propagation_graph(model, workload=workload_a)
     fingerprint = workload_fingerprint(workload_a)
-    entry = tmp_path / "run" / "flow" / f"{fingerprint}.json"
-    payload = json.loads(entry.read_text())
-    payload["fingerprint"] = "someone-else"
-    entry.write_text(json.dumps(payload))
+    # A record filed under this fingerprint whose document names another
+    # (a valid record: only the decoder can tell).
+    tier = runcache.active().tier("flow")
+    tier.write(fingerprint, lambda: json.dumps({
+        "version": flowcache.SCHEMA_VERSION, "fingerprint": "someone-else",
+        "graph": graph.to_dict(),
+    }).encode())
     flowcache._MEMO.clear()
     with pytest.warns(RuntimeWarning):
         rebuilt = cached_propagation_graph(model, workload=workload_a)

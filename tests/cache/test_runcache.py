@@ -1,11 +1,15 @@
 """The run cache: key hygiene, disk-tier robustness, noop aliasing,
-and the hard invariant that caching never changes a search outcome.
+that no tier retains a live result, and the hard invariant that caching
+never changes a search outcome.  (The segment store's own failure
+surface — torn tails, killed and concurrent writers, forks — is
+``test_segments.py``.)
 """
 
 import dataclasses
-import os
+import gc
 import pickle
 import warnings
+import weakref
 
 import pytest
 
@@ -17,7 +21,8 @@ from repro.cache import (
     reset,
     workload_fingerprint,
 )
-from repro.cache.runcache import ALIAS, HIT, MISS, UNCACHED, PAYLOAD_VERSION
+from repro.cache.disk import _FIELDS, _HEAD_SIZE, _SUFFIX
+from repro.cache.runcache import ALIAS, HIT, MISS, UNCACHED
 from repro.failures import get_case
 from repro.injection.fir import InjectionPlan
 from repro.injection.sites import FaultInstance
@@ -64,6 +69,20 @@ def counting_runner():
     return runner, calls
 
 
+def segments(directory):
+    """The segment files directly under ``directory``."""
+    return sorted(directory.glob("*" + _SUFFIX))
+
+
+def same_run(served, original) -> bool:
+    """Whether a result decoded from the cache equals the run stored
+    (``LogFile`` compares by identity, so its records are compared)."""
+    return (
+        served.log.records == original.log.records
+        and dataclasses.replace(served, log=original.log) == original
+    )
+
+
 def plan_of(*triples, always=()):
     return InjectionPlan.of(
         [FaultInstance(*t) for t in triples],
@@ -107,7 +126,7 @@ def test_same_inputs_hit_different_inputs_miss():
     assert outcome == MISS
     again, outcome = cache.execute(workload_a, 1.0, seed=3, **case_args)
     assert outcome == HIT
-    assert again is first
+    assert same_run(again, first)
     assert len(calls) == 1
 
     # Horizon, seed, and workload changes must each miss.
@@ -137,7 +156,7 @@ def test_distinct_plans_never_collide():
         for plan in plans
     }
     assert len(keys) == len(plans)
-    names = {RunCache._entry_name(key) for key in keys}
+    names = {RunCache._name(key) for key in keys}
     assert len(names) == len(plans)
 
 
@@ -175,19 +194,26 @@ def test_corrupt_disk_entry_is_skipped_with_one_warning(tmp_path):
     cache = RunCache(disk_dir=str(tmp_path))
     runner, calls = counting_runner()
     cache.execute(workload_a, 1.0, seed=1, runner=runner)
-    (entry,) = list(tmp_path.iterdir())
-    entry.write_bytes(b"not a pickle")
+    (segment,) = segments(tmp_path)
+    segment.write_bytes(b"not a segment record, whatever this file once was" * 8)
 
     fresh = RunCache(disk_dir=str(tmp_path))
-    with pytest.warns(RuntimeWarning, match="corrupt run-cache entry"):
+    with pytest.warns(RuntimeWarning, match="skipping run-cache entry"):
         _result, outcome = fresh.execute(workload_a, 1.0, seed=1, runner=runner)
     assert outcome == MISS  # corrupt entry never served
     assert fresh.stats.disk_errors == 1
-    # The miss re-executed and re-stored a valid entry over the corpse.
-    assert pickle.loads(entry.read_bytes())["version"] == PAYLOAD_VERSION
+    # The miss re-executed and appended a valid record to its own segment.
+    (_corpse, own) = segments(tmp_path)
+    with pytest.warns(RuntimeWarning):  # a third process skips the corpse too
+        _result, outcome = RunCache(disk_dir=str(tmp_path)).execute(
+            workload_a, 1.0, seed=1, runner=runner
+        )
+    assert outcome == HIT
 
     # Later corruption on the same cache degrades silently.
-    entry.write_bytes(b"also not a pickle")
+    data = bytearray(own.read_bytes())
+    data[-1] ^= 0x01
+    own.write_bytes(bytes(data))
     fresh._memory.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -196,35 +222,49 @@ def test_corrupt_disk_entry_is_skipped_with_one_warning(tmp_path):
     assert fresh.stats.disk_errors == 2
 
 
+def _flip(path, at: int) -> None:
+    data = bytearray(path.read_bytes())
+    data[at] ^= 0x10
+    path.write_bytes(bytes(data))
+
+
 def test_key_mismatch_entry_rejected(tmp_path):
-    # An entry whose embedded key disagrees with its filename (hash
-    # collision, or a file renamed by hand) must not be served.
+    # A record's name sits in its checksummed header: one whose name no
+    # longer matches what was written (here: a flipped bit) must not be
+    # served under either name.
     cache = RunCache(disk_dir=str(tmp_path))
     runner, calls = counting_runner()
     cache.execute(workload_a, 1.0, seed=1, runner=runner)
-    (entry,) = list(tmp_path.iterdir())
-    payload = pickle.loads(entry.read_bytes())
-    payload["key"] = ("someone-else", 9, 9.0, ((), ()))
-    entry.write_bytes(pickle.dumps(payload))
+    (segment,) = segments(tmp_path)
+    _flip(segment, _HEAD_SIZE + 3)
 
     fresh = RunCache(disk_dir=str(tmp_path))
     with pytest.warns(RuntimeWarning):
         _result, outcome = fresh.execute(workload_a, 1.0, seed=1, runner=runner)
-    assert outcome == MISS
+    assert outcome == MISS and len(calls) == 2
+    assert fresh.stats.disk_errors == 1
 
 
 def test_stale_version_entry_rejected(tmp_path):
     cache = RunCache(disk_dir=str(tmp_path))
     runner, _calls = counting_runner()
     cache.execute(workload_a, 1.0, seed=1, runner=runner)
-    (entry,) = list(tmp_path.iterdir())
-    payload = pickle.loads(entry.read_bytes())
-    payload["version"] = PAYLOAD_VERSION + 1
-    entry.write_bytes(pickle.dumps(payload))
+    (segment,) = segments(tmp_path)
+    # Segments of another format version are not even opened ...
+    other = segment.with_suffix(".seg6")
+    other.write_bytes(segment.read_bytes())
+    (tmp_path / "0123abcd.pkl").write_bytes(b"a version-6 entry")
+    # ... and a record claiming another version inside one is rejected.
+    data = bytearray(segment.read_bytes())
+    assert data[2] == 7
+    data[2] = 8
+    segment.write_bytes(bytes(data))
     fresh = RunCache(disk_dir=str(tmp_path))
     with pytest.warns(RuntimeWarning):
         _result, outcome = fresh.execute(workload_a, 1.0, seed=1, runner=runner)
     assert outcome == MISS
+    assert fresh.stats.disk_errors == 1
+    assert other.name not in fresh._disk._segments
 
 
 # ------------------------------------------------------------ entry codec
@@ -302,16 +342,27 @@ def _flip_bit(data: bytes, needle: bytes) -> bytes:
     return data[:at] + bytes([data[at] ^ 0x10]) + data[at + 1:]
 
 
-@pytest.mark.parametrize("damage", ["truncated", "trace blob", "log text", "empty"])
+#: damage -> the ``RuntimeWarning``s and ``disk_errors`` it may cost: a
+#: tail that is not (or not yet) all there is no error, just not there.
+DAMAGE = {
+    "truncated": 0, "trace blob": 1, "log text": 1, "empty": 0,
+    "header": 1, "half a header": 0,
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGE))
 def test_damaged_entry_is_skipped_and_removed(tmp_path, damage):
+    """Whatever happened to a record, it is a miss — dropped from the
+    index, never an exception — and the writer after it is unaffected."""
     case = get_case("f1")
     RunCache(disk_dir=str(tmp_path)).execute(
         case.workload, case.horizon, case.seed, None, execute_workload
     )
-    (entry,) = [path for path in tmp_path.iterdir() if path.is_file()]
-    data = entry.read_bytes()
-    body = pickle.loads(data)["body"]
-    log_rows, (_count, trace_blob), *_rest = pickle.loads(body)
+    (segment,) = segments(tmp_path)
+    data = segment.read_bytes()
+    _magic, name_size, length, _crc = _FIELDS.unpack_from(data)
+    assert len(data) == _HEAD_SIZE + name_size + length  # one record
+    log_rows, (_count, trace_blob), *_rest = pickle.loads(data[-length:])
     if damage == "truncated":
         data = data[: len(data) // 2]
     elif damage == "trace blob":
@@ -320,20 +371,32 @@ def test_damaged_entry_is_skipped_and_removed(tmp_path, damage):
         data = _flip_bit(data, trace_blob[len(trace_blob) // 2:][:16])
     elif damage == "log text":
         data = _flip_bit(data, log_rows[0][3].encode())
+    elif damage == "header":
+        data = _flip_bit(data, data[4:_HEAD_SIZE])
+    elif damage == "half a header":
+        data = data[: _HEAD_SIZE // 2]
     else:
         data = b""
-    entry.write_bytes(data)
+    segment.write_bytes(data)
 
     runner, calls = counting_runner()
     cold = RunCache(disk_dir=str(tmp_path))
-    with pytest.warns(RuntimeWarning, match="corrupt run-cache entry"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         _result, outcome = cold.execute(
             case.workload, case.horizon, case.seed, None, runner
         )
     assert outcome == MISS and len(calls) == 1
-    assert cold.stats.disk_errors == 1
-    # Removed, then rewritten whole by the miss.
-    assert pickle.loads(entry.read_bytes())["version"] == PAYLOAD_VERSION
+    assert cold.stats.disk_errors == DAMAGE[damage]
+    assert [w.category for w in caught] == [RuntimeWarning] * DAMAGE[damage]
+    # The miss appended the run, whole, to its own segment.
+    later = RunCache(disk_dir=str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the old damage is still there
+        _result, outcome = later.execute(
+            case.workload, case.horizon, case.seed, None, runner
+        )
+    assert outcome == HIT and len(calls) == 1
 
 
 def test_cache_dir_relocates_every_persistent_tier(tmp_path):
@@ -345,11 +408,12 @@ def test_cache_dir_relocates_every_persistent_tier(tmp_path):
     configure(enabled=True, disk_dir=str(tmp_path))
     analyze_package("repro.systems.minizk")
     get_case("f1").explorer(prune="static", max_rounds=2).explore()
-    entries = {path.name for path in tmp_path.iterdir()}
-    assert {"flow", "facts"} <= entries
-    assert any(name.endswith(".pkl") for name in entries)
-    assert list((tmp_path / "flow").glob("*.json"))
-    assert list((tmp_path / "facts").glob("repro.systems.minizk.*.pkl"))
+    # One segment per tier for this one writing process, and nothing else:
+    # no per-entry file, no temp file.
+    files = sorted(str(p.relative_to(tmp_path).parent) for p in tmp_path.rglob("*") if p.is_file())
+    assert files == [".", "facts", "flow"]
+    assert all(p.name.endswith(_SUFFIX) for p in tmp_path.rglob("*") if p.is_file())
+    assert b"repro.systems.minizk.node" in segments(tmp_path / "facts")[0].read_bytes()
 
 
 # ------------------------------------------------------------ noop aliasing
@@ -372,7 +436,7 @@ def test_never_firing_plan_served_from_noop_run():
         case.workload, case.horizon, case.seed, ghost, runner
     )
     assert outcome == ALIAS
-    assert result is noop
+    assert same_run(result, noop)
     assert len(calls) == 1
     assert cache.stats.alias_hits == 1
 
@@ -415,6 +479,56 @@ def test_completed_nonfiring_run_seeds_the_noop_entry():
     )
     assert outcome == HIT
     assert len(calls) == 1
+
+
+# ------------------------------------------------------------- no retention
+
+
+@pytest.mark.parametrize("disk", [False, True])
+def test_the_cache_retains_no_live_result(tmp_path, disk):
+    """Both tiers keep the packed record: once the caller lets go of a
+    result — the one a miss ran, or one a hit decoded — it is garbage."""
+    case = get_case("f1")
+    cache = RunCache(disk_dir=str(tmp_path) if disk else None)
+
+    for wanted in (MISS, HIT, HIT):
+        result, outcome = cache.execute(
+            case.workload, case.horizon, case.seed, None, execute_workload
+        )
+        assert outcome == wanted and result.log.records
+        # (a plain list takes no weak reference: the LogFile that owns
+        # the record list stands in for it)
+        result_ref, log_ref = weakref.ref(result), weakref.ref(result.log)
+        del result
+        gc.collect()
+        assert result_ref() is None and log_ref() is None
+    assert all(type(record) is bytes for record in cache._memory.values())
+
+
+def test_alias_hits_decode_the_noop_trace_once(monkeypatch):
+    """``_noop_pairs`` remembers which pairs the noop run executed, so
+    serving the next never-firing window decodes the noop record's log
+    but leaves its trace packed."""
+    from repro.sim import cluster
+
+    case = get_case("f1")
+    truth = case.ground_truth_instance()
+    cache = RunCache()
+    cache.execute(case.workload, case.horizon, case.seed, None, execute_workload)
+    unpacked = []
+    real = cluster.PackedTrace.events
+    monkeypatch.setattr(
+        cluster.PackedTrace, "events",
+        lambda self: unpacked.append(1) or real(self),
+    )
+    for occurrence in (10**6, 10**6 + 1, 10**6 + 2):
+        ghost = plan_of((truth.site_id, truth.exception, occurrence))
+        result, outcome = cache.execute(
+            case.workload, case.horizon, case.seed, ghost, execute_workload
+        )
+        assert outcome == ALIAS
+    assert unpacked == [1]
+    assert isinstance(result._trace, PackedTrace)
 
 
 # --------------------------------------------------------------- LRU bounds
@@ -461,7 +575,7 @@ def test_configured_cache_serves_cached_execute():
     runner, calls = counting_runner()
     first = cached_execute(workload_a, horizon=1.0, seed=7, runner=runner)
     second = cached_execute(workload_a, horizon=1.0, seed=7, runner=runner)
-    assert second is first
+    assert second is not first and same_run(second, first)
     assert len(calls) == 1
 
 

@@ -241,4 +241,4 @@ class TestRunCacheKeys:
             pass
 
         key = cache._key(workload, 10.0, 0, plan)
-        assert cache._entry_name(key) == cache._entry_name(key)
+        assert cache._name(key) == cache._name(key)
