@@ -106,8 +106,8 @@ def _result_signature(result) -> tuple:
     return (
         str(result.injected_instance),
         [str(record) for record in result.log],
-        [(e.site_id, e.occurrence) for e in result.trace],
         result.site_counts,
+        result.injection_requests,
         result.end_time,
         sorted(t.name for t in result.stuck),
         sorted(t.name for t in result.crashed),

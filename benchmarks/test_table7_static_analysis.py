@@ -18,7 +18,7 @@ from repro.bench import format_table
 from repro.core.pruning import pruner_from_prepared
 from repro.failures import paper_cases
 from repro.failures.case import system_model
-from repro.obs.coverage import enumerate_fault_space, occurrences_from_trace
+from repro.obs.coverage import enumerate_fault_space
 
 
 def loc_of_model(model) -> int:
@@ -55,7 +55,7 @@ def compute_table7():
         flow_totals.append(prepared.flow_graph.build_seconds)
         space = enumerate_fault_space(
             graph_fault_candidates(prepared.graph),
-            occurrences_from_trace(prepared.normal_run.trace),
+            prepared.normal_run.site_counts,
             max_instances_per_site=explorer.max_instances_per_site,
         )
         pruner = pruner_from_prepared(prepared.flow_graph, prepared)

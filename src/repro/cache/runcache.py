@@ -21,24 +21,24 @@ Two tiers, one representation — the packed record of a run (the
   code (flow graphs, module facts) persist in sub-tiers of the same
   directory (:meth:`RunCache.tier`), so ``--cache-dir`` relocates all.
 
+A record carries a trace iff its run armed nothing, because
+``execute_workload`` traces exactly those runs.
+
 Noop-plan aliasing
 ------------------
 
 A plan whose window never fires leaves the run byte-identical to the
 run with an *empty* window (the FIR only perturbs execution when an
-instance actually raises).  The cache exploits this twice:
-
-* **on completion** — a run that finished with no fired window instance
-  is additionally stored under its *noop key* (same workload/seed/
-  horizon, empty window, same base-fault set), so every never-firing
-  plan converges on one shared entry; and
-* **on lookup** — whether a window will fire is decidable *before
-  running*: an armed ``(site, occurrence)`` fires iff it appears in the
-  trace of the noop run (execution is identical up to the first
-  injection).  When the noop entry is cached and no armed pair occurs
-  in its trace, the lookup is served as an **alias hit** without
-  executing anything.  Baselines that keep regenerating never-firing
-  windows stop paying for them.
+instance actually raises).  Whether a window will fire is decidable
+*before running*: execution is identical up to the first injection, so
+an armed ``(site, occurrence)`` fires iff the noop run (same workload/
+seed/horizon, empty window, same base-fault set — its *noop key*)
+executed ``site`` at least ``occurrence`` times.  When the noop entry is
+cached and no armed pair passes that test against its ``site_counts``,
+the lookup is served as an **alias hit** without executing anything.
+Baselines that keep regenerating never-firing windows stop paying for
+them.  Nothing but a window-less run writes under a noop key, so the
+record a later probe reads there always carries its trace.
 
 Staleness: the workload fingerprint digests the source a run executes
 (the workload's module, the mini systems, the simulator, the injection
@@ -215,9 +215,9 @@ class RunCache:
         self.disk_dir = disk_dir
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, bytes]" = OrderedDict()
-        #: noop entry name -> frozenset of (site_id, occurrence) pairs
-        #: executed by that noop run; the alias-prediction index.
-        self._noop_pairs: dict[str, frozenset] = {}
+        #: noop entry name -> that noop run's ``site_counts``, decoded
+        #: once; the alias-prediction index.
+        self._noop_counts: dict[str, dict] = {}
         self._tiers: dict[str, DiskTier] = {}
         self._disk = self.tier("")  # run records: in the directory itself
 
@@ -298,36 +298,30 @@ class RunCache:
     def _alias_lookup(self, key: tuple, name: str, plan):
         """Serve a never-firing plan from the cached noop run, if decidable.
 
-        An armed instance fires iff its ``(site, occurrence)`` pair
-        appears in the noop run's trace — before the first injection the
-        perturbed run replays the noop run exactly.  No pair present
+        An armed instance fires iff the noop run executed its site at
+        least ``occurrence`` times — before the first injection the
+        perturbed run replays the noop run exactly.  No instance reached
         means no injection ever happens, so the noop result *is* this
         plan's result.
         """
         if plan is None or not plan.instances:
             return None
         noop_name = self._name(self._noop_key(key))
-        pairs = self._noop_pairs.get(noop_name)
-        if pairs is None:
+        counts = self._noop_counts.get(noop_name)
+        if counts is None:
             noop_result, _ = self._lookup(noop_name)
             if noop_result is None:
                 return None
-            # The one read of the noop trace: every later decode of this
-            # record leaves its trace packed.
-            pairs = self._noop_pairs[noop_name] = frozenset(
-                (event.site_id, event.occurrence)
-                for event in getattr(noop_result, "trace", ())
-            )
+            counts = self._noop_counts[noop_name] = noop_result.site_counts
         if any(
-            (instance.site_id, instance.occurrence) in pairs
+            0 < instance.occurrence <= counts.get(instance.site_id, 0)
             for instance in plan.instances
         ):
             return None
         noop_result, _ = self._lookup(noop_name)
         if noop_result is not None:
             # Remember the alias (the noop run's record, shared) so the
-            # next identical lookup is a plain memory hit without
-            # re-walking the trace index.
+            # next identical lookup is a plain memory hit.
             self._memory_store(name, self._memory[noop_name])
         return noop_result
 
@@ -340,7 +334,7 @@ class RunCache:
             self._memory.popitem(last=False)
 
     def put(self, workload, horizon, seed, plan, result, monitor_key=None) -> None:
-        """Store a completed run (plus its noop alias when applicable).
+        """Store a completed run under its key.
 
         Truncated results require ``monitor_key`` and are stored only
         under the extended key; without one they are dropped rather than
@@ -348,27 +342,15 @@ class RunCache:
         """
         key = self._key(workload, horizon, seed, plan)
         if key is not None:
-            self._put(key, self._name(key), plan, result, monitor_key)
+            self._put(key, self._name(key), result, monitor_key)
 
-    def _put(self, key: tuple, name: str, plan, result, monitor_key) -> None:
-        names = [name]
+    def _put(self, key: tuple, name: str, result, monitor_key) -> None:
         if getattr(result, "truncated_at", None) is not None:
-            # Under the extended key only — never the plain key, never
-            # the noop alias (a truncated run's log and counters are
-            # monitor-specific).
+            # Under the extended key only, never the plain key (a
+            # truncated run's log and counters are monitor-specific).
             if not monitor_key:
                 return
-            names = [self._name(self._verdict_key(key, monitor_key))]
-        elif (
-            plan is not None
-            and plan.instances
-            and getattr(result, "injected_instance", None) is None
-        ):
-            # Completion-time aliasing: nothing in the window fired, so
-            # this run *is* the noop run for its (seed, base-fault) class.
-            noop_name = self._name(self._noop_key(key))
-            if noop_name not in self._memory:
-                names.append(noop_name)
+            name = self._name(self._verdict_key(key, monitor_key))
         try:
             # Flattened first: pickling thousands of small LogRecord and
             # TraceEvent dataclasses one by one costs ~10x the row codec
@@ -381,10 +363,9 @@ class RunCache:
             return
         self.stats.stores += 1
         obs_metrics.increment("cache.stores")
-        for name in names:
-            self._memory_store(name, record)
-            if self._disk is not None:
-                self._disk.write(name, lambda: record)
+        self._memory_store(name, record)
+        if self._disk is not None:
+            self._disk.write(name, lambda: record)
 
     # --------------------------------------------------------------- execute
 
@@ -439,7 +420,7 @@ class RunCache:
         self.stats.misses += 1
         obs_metrics.increment("cache.misses")
         result = _run(runner, workload, horizon, seed, plan, monitor_factory)
-        self._put(key, name, plan, result, monitor_key)
+        self._put(key, name, result, monitor_key)
         return result, MISS
 
 

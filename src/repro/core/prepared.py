@@ -34,7 +34,7 @@ from ..analysis.system_model import SystemModel
 from ..injection.fir import InjectionPlan, TraceEvent
 from ..logs.diff import CompareResult, LogComparator, PreparedComparator
 from ..logs.record import LogFile
-from ..obs.coverage import enumerate_fault_space, occurrences_from_trace
+from ..obs.coverage import enumerate_fault_space
 from ..sim.cluster import RunResult
 from .alignment import TimelineMap
 from .observables import ObservableSet
@@ -141,7 +141,7 @@ def _build(model, failure_log, fault_dims, base_faults, pipeline) -> PreparedCas
     by_site: dict[str, list[TraceEvent]] = {}
     for event in normal_run.trace:
         by_site.setdefault(event.site_id, []).append(event)
-    occurrences = occurrences_from_trace(normal_run.trace)
+    occurrences = normal_run.site_counts
     return PreparedCase(
         failure_log=failure_log,
         normal_run=normal_run,

@@ -221,9 +221,6 @@ class FIR:
         ``on_site`` calls both once per traced request, so a cluster
         binds them straight to the objects that hold the answers, which
         stay valid for its whole life (see ``Cluster.__init__``).
-        ``on_site`` holds no other reference across calls: ``trace`` is
-        read off ``self`` each time, because the checkpoint grandchild
-        replaces it mid-run.
         """
         self._log_index_fn = log_index_fn
         self._clock = clock

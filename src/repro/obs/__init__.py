@@ -27,7 +27,6 @@ from .coverage import (
     NullCoverageTracker,
     RoundCoverage,
     enumerate_fault_space,
-    occurrences_from_trace,
 )
 from .null import NULL_RECORDER, VIRTUAL, WALL, NullRecorder
 
@@ -76,7 +75,6 @@ __all__ = [
     "enumerate_fault_space",
     "ledger",
     "metrics",
-    "occurrences_from_trace",
     "read_events",
     "render_report",
     "set_active_bus",

@@ -76,16 +76,6 @@ def enumerate_fault_space(
     return frozenset(space)
 
 
-def occurrences_from_trace(trace: Iterable) -> dict[str, int]:
-    """Per-site occurrence counts from a probe run's FIR trace events."""
-    counts: dict[str, int] = {}
-    for event in trace:
-        current = counts.get(event.site_id, 0)
-        if event.occurrence > current:
-            counts[event.site_id] = event.occurrence
-    return counts
-
-
 @dataclasses.dataclass(frozen=True)
 class RoundCoverage:
     """Cumulative coverage right after one round committed."""

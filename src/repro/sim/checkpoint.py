@@ -21,8 +21,8 @@ generator frames, exactly and cheaply, is ``os.fork``.  The scheme:
    which preserves prefix state) and simply returns from the trigger:
    the run continues from request ``K`` as if the plan had been active
    all along.  The grandchild ships back only what it computed — the
-   log and trace *after* the fork point plus the scalar fields; the
-   parent already holds the shared prefix from the holder's ready frame.
+   log *after* the fork point plus the scalar fields; the parent
+   already holds the shared prefix from the holder's ready frame.
 3. The parent keeps a small ladder of holders ("rungs") at different
    depths and serves each plan from the deepest rung at or before the
    plan's first possible firing position.
@@ -30,8 +30,10 @@ generator frames, exactly and cheaply, is ``os.fork``.  The scheme:
 The invariance contract: a fork-served run is byte-identical to a full
 replay.  The prefix is shared by construction (deterministic sim, same
 plan semantics up to ``K``), and the trigger fires after the request is
-counted and traced but before its injection decision, so the grandchild
-makes exactly the decisions a full replay would.
+counted but before its injection decision, so the grandchild makes
+exactly the decisions a full replay would.  Every run forked off a
+holder is armed, so the holder runs untraced like the inline replay it
+stands in for (``execute_workload`` traces only unarmed runs).
 
 Whether a plan forks at all is a measured decision (:class:`ForkCost`):
 only when the prefix a rung skips costs more inline than a fork costs on
@@ -60,7 +62,7 @@ from typing import Optional
 from ..injection.fir import InjectionPlan, TraceEvent
 from ..logs.record import Level, LogFile, LogRecord, SourceRef
 from ..obs import metrics as obs_metrics
-from .cluster import Cluster, PackedTrace, RunResult, execute_workload
+from .cluster import Cluster, RunResult, execute_workload
 
 __all__ = [
     "Checkpoint",
@@ -191,13 +193,6 @@ def _log_rows(records) -> list:
     ]
 
 
-def _trace_rows(events) -> list:
-    return [
-        (event.site_id, event.occurrence, event.time, event.log_index)
-        for event in events
-    ]
-
-
 #: Decoded row -> the one (frozen) record built for it: a campaign's
 #: runs repeat each other's logs (a warm ``compare`` decodes 18,873 rows,
 #: 2,262 distinct).  Bounded by wholesale clearing, like the comparator memo.
@@ -229,10 +224,6 @@ def _log_records(rows) -> list[LogRecord]:
     return out
 
 
-def _trace_events(rows) -> list[TraceEvent]:
-    return [TraceEvent(*row) for row in rows]
-
-
 def _encode_result(result: RunResult) -> tuple:
     """Flatten a :class:`RunResult` to primitives (run cache disk tier,
     and — on a result cut down to its post-fork suffix — the fork pipe).
@@ -240,15 +231,19 @@ def _encode_result(result: RunResult) -> tuple:
     Generic pickling of a result spends most of its time reducing the
     thousands of small ``LogRecord``/``TraceEvent`` dataclass instances
     one by one; flattening them to primitive tuples first makes the
-    frame several times cheaper to serialize.  Trace rows travel as
-    ``(count, pickled rows)`` so the decoder can leave them packed
-    (:class:`~repro.sim.cluster.PackedTrace`).  The remaining fields are
-    small and ship as-is.
+    frame several times cheaper to serialize.  The trace is rows too, or
+    ``None`` for an armed run, which records none.  The remaining fields
+    are small and ship as-is.
     """
     trace = result.trace
     return (
         _log_rows(result.log),
-        (len(trace), pickle.dumps(_trace_rows(trace), pickle.HIGHEST_PROTOCOL)),
+        None
+        if trace is None
+        else [
+            (event.site_id, event.occurrence, event.time, event.log_index)
+            for event in trace
+        ],
         result.injected,
         result.injected_instance,
         result.stuck,
@@ -263,7 +258,7 @@ def _encode_result(result: RunResult) -> tuple:
     )
 
 
-def _decode_result(payload: tuple, log_prefix=(), trace_prefix=()) -> RunResult:
+def _decode_result(payload: tuple, log_prefix=()) -> RunResult:
     """Rebuild the :class:`RunResult` flattened by :func:`_encode_result`,
     behind a fork rung's already-decoded prefix when there is one."""
     (
@@ -284,7 +279,7 @@ def _decode_result(payload: tuple, log_prefix=(), trace_prefix=()) -> RunResult:
     records = _log_records(records)
     return RunResult(
         log=LogFile(log_prefix + records if log_prefix else records),
-        trace=PackedTrace(*trace, prefix=trace_prefix),
+        trace=None if trace is None else [TraceEvent(*row) for row in trace],
         injected=injected,
         injected_instance=injected_instance,
         stuck=stuck,
@@ -325,7 +320,9 @@ def _run_with_trigger(
     trigger,
     monitor_factory=None,
 ) -> RunResult:
-    """``execute_workload`` with ``trigger(cluster)`` armed at a request.
+    """``execute_workload`` with ``trigger(cluster)`` armed at a request,
+    untraced: the trigger counts requests, and every run forked off it
+    is armed.
 
     With ``monitor_factory``, the run is verdict-monitored — but cutoff
     stays *disabled* until the trigger has returned.  The holder runs
@@ -336,6 +333,7 @@ def _run_with_trigger(
     may actually stop early.
     """
     cluster = Cluster(seed=seed)
+    cluster.fir.tracing = False
     cluster.fir.set_plan(plan)
     monitor = None
     if monitor_factory is not None:
@@ -366,17 +364,14 @@ def _holder_main(
     """Body of the holder process; every path ends in ``os._exit``.
 
     The holder runs the prefix to request ``at_request``, ships the log
-    and trace it has produced so far in the ready frame, and parks in
-    the trigger serving fork requests.  A forked grandchild returns from
-    the trigger with the candidate plan swapped in, finishes the run,
-    and writes the sole success frame — only what lies past the fork
-    point; the holder reports grandchild failures (it writes only
-    ``err`` frames, and only after ``waitpid``, so the two writers never
-    interleave).
+    it has produced so far in the ready frame, and parks in the trigger
+    serving fork requests.  A forked grandchild returns from the trigger
+    with the candidate plan swapped in, finishes the run, and writes the
+    sole success frame — only what lies past the fork point; the holder
+    reports grandchild failures (it writes only ``err`` frames, and only
+    after ``waitpid``, so the two writers never interleave).
     """
-    #: Set in a grandchild only: how many log records the parked prefix
-    #: held, and its trace.  The inherited trace list is kept so that it
-    #: is never freed — freeing it would write to every inherited event.
+    #: Set in a grandchild only: how many log records the parked prefix held.
     forked: list = []
 
     def trigger(cluster: Cluster) -> None:
@@ -386,7 +381,7 @@ def _holder_main(
         # every tracked object, which IS that wholesale copy.)
         gc.disable()
         fir, log = cluster.fir, cluster.collector.log
-        _write_message(resp_w, ("ready", _log_rows(log), _trace_rows(fir.trace)))
+        _write_message(resp_w, ("ready", _log_rows(log)))
         while True:
             try:
                 message = _read_message(req_r)
@@ -398,12 +393,8 @@ def _holder_main(
                 os._exit(4)
             pid = _fork()
             if pid == 0:
-                # Grandchild: resume the run under the candidate plan,
-                # collecting the trace suffix in a list of its own.  The
-                # prefix objects are then never touched again, so their
-                # pages stay shared with the holder.
-                forked.extend((len(log), fir.trace))
-                fir.trace = []
+                # Grandchild: resume the run under the candidate plan.
+                forked.append(len(log))
                 fir.swap_plan(InjectionPlan.from_payload(message[1]))
                 return
             _, status = os.waitpid(pid, 0)
@@ -431,12 +422,11 @@ def _holder_main(
         for name in _VERDICT_METRICS
         if obs_metrics.get(name) != verdict_base[name]
     }
-    log_prefix, inherited_trace = forked
-    totals = (len(result.log), len(inherited_trace) + len(result.trace))
-    result.log = LogFile(result.log[log_prefix:])
+    total = len(result.log)
+    result.log = LogFile(result.log[forked[0]:])
     try:
         blob = pickle.dumps(
-            ("ok", _encode_result(result), verdict_deltas, totals),
+            ("ok", _encode_result(result), verdict_deltas, total),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
     except Exception:
@@ -486,15 +476,13 @@ class Checkpoint:
         # Wait for the holder to finish the prefix and park in the trigger,
         # so open cost stays in open() and run() times pure fork+suffix —
         # the pool's cost model depends on that separation.  The ready
-        # frame carries the prefix's log and trace, decoded once here and
-        # shared (records and events are frozen) by every result forked
-        # off this rung.
+        # frame carries the prefix's log, decoded once here and shared
+        # (records are frozen) by every result forked off this rung.
         try:
             ready = _read_message(self._resp_r)
             if ready[0] != "ready":
                 raise ValueError(ready)
             self._log_prefix = _log_records(ready[1])
-            self._trace_prefix = _trace_events(ready[2])
         except (OSError, EOFError, pickle.PickleError, TypeError, ValueError,
                 IndexError):
             self.close()
@@ -505,13 +493,13 @@ class Checkpoint:
             return None
         try:
             _write_message(self._req_w, ("run", plan.to_payload()))
-            status, payload, verdict_deltas, totals = _read_message(self._resp_r)
+            status, payload, verdict_deltas, total = _read_message(self._resp_r)
             if status != "ok":
                 raise ValueError(status)
-            result = _decode_result(payload, self._log_prefix, self._trace_prefix)
+            result = _decode_result(payload, self._log_prefix)
             # A frame that does not add up to the run the grandchild
             # finished is torn, whatever its pickle says.
-            if (len(result.log), len(result._trace)) != tuple(totals):
+            if len(result.log) != total:
                 raise ValueError("fork frame disagrees with the parked prefix")
         except (OSError, EOFError, pickle.PickleError, TypeError, ValueError):
             self.close()
@@ -682,7 +670,6 @@ class CheckpointPool:
         horizon: float,
         seed: int = 0,
         plan: Optional[InjectionPlan] = None,
-        tracing: bool = True,
         recorder=None,
         monitor=None,
     ) -> RunResult:
@@ -698,7 +685,6 @@ class CheckpointPool:
         if (
             not self.broken
             and recorder is None
-            and tracing
             and workload is self.workload
             and horizon == self.horizon
             and seed == self.seed
@@ -722,7 +708,6 @@ class CheckpointPool:
             horizon=horizon,
             seed=seed,
             plan=plan,
-            tracing=tracing,
             recorder=recorder,
             monitor=monitor,
         )

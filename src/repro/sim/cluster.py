@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import pickle
-from typing import Any, Callable, Generator, Optional, Sequence
+from typing import Any, Callable, Generator, Optional
 
 from ..injection.fir import FIR, InjectionPlan, TraceEvent
 from ..logs.record import LogFile
@@ -39,33 +38,17 @@ class TaskSummary:
         return self.state == TaskState.BLOCKED.value and function in self.stack
 
 
-@dataclasses.dataclass(slots=True)
-class PackedTrace:
-    """A trace still in codec form: ``prefix`` (a fork rung's events,
-    already built) then ``count`` rows pickled in ``blob``.  Cache and
-    fork frames decode to this; only a read of :attr:`RunResult.trace`
-    — the probe's, the noop run's — ever builds the events."""
-
-    count: int
-    blob: bytes
-    prefix: Sequence[TraceEvent] = ()
-
-    def __len__(self) -> int:
-        return len(self.prefix) + self.count
-
-    def events(self) -> list[TraceEvent]:
-        return list(self.prefix) + [
-            TraceEvent(*row) for row in pickle.loads(self.blob)
-        ]
-
-
 @dataclasses.dataclass
 class RunResult:
-    """Everything one run produced (``trace`` may be given as a
-    :class:`PackedTrace`; it reads back as the event list)."""
+    """Everything one run produced.
+
+    ``trace`` is the FIR trace of a run that armed nothing (the probe,
+    the noop run) and ``None`` for an armed one: an armed run feeds back
+    through its log, and ``site_counts`` carries its per-site counts.
+    """
 
     log: LogFile
-    trace: list[TraceEvent]
+    trace: Optional[list[TraceEvent]]
     injected: bool
     injected_instance: Optional[Any]
     stuck: list[TaskSummary]
@@ -93,19 +76,6 @@ class RunResult:
 
     def log_contains(self, fragment: str) -> bool:
         return any(fragment in record.message for record in self.log)
-
-
-def _unpacked_trace(result: RunResult) -> list[TraceEvent]:
-    trace = result._trace
-    if type(trace) is PackedTrace:
-        trace = result._trace = trace.events()
-    return trace
-
-
-# After ``@dataclass`` ran: in the class body it would be the field's default.
-RunResult.trace = property(
-    _unpacked_trace, lambda result, trace: setattr(result, "_trace", trace)
-)
 
 
 class Cluster:
@@ -203,7 +173,7 @@ class Cluster:
         ]
         return RunResult(
             log=self.collector.log,
-            trace=list(self.fir.trace),
+            trace=self.fir.trace if self.fir.tracing else None,
             injected=self.fir.fired is not None,
             injected_instance=self.fir.fired,
             stuck=stuck,
@@ -243,11 +213,14 @@ def execute_workload(
     horizon: float,
     seed: int = 0,
     plan: Optional[InjectionPlan] = None,
-    tracing: bool = True,
     recorder=None,
     monitor=None,
 ) -> RunResult:
     """Run ``workload`` in a fresh cluster with an optional injection plan.
+
+    The run records its FIR trace iff ``plan`` arms no window instance:
+    only the fault-free probe's trace is ever read (site occurrences and
+    fork points), so an armed run's result carries ``trace=None``.
 
     ``recorder`` (a ``repro.obs.TraceRecorder``) enables run-level
     profiling: FIR decision timing, injection-decision events, and the
@@ -258,7 +231,7 @@ def execute_workload(
     verdict is decided.
     """
     cluster = Cluster(seed=seed)
-    cluster.fir.tracing = tracing
+    cluster.fir.tracing = plan is None or not plan.instances
     if recorder is not None and recorder.enabled:
         cluster.fir.recorder = recorder
     cluster.fir.set_plan(plan)

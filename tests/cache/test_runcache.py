@@ -26,7 +26,7 @@ from repro.cache.runcache import ALIAS, HIT, MISS, UNCACHED
 from repro.failures import get_case
 from repro.injection.fir import InjectionPlan
 from repro.injection.sites import FaultInstance
-from repro.sim.cluster import PackedTrace, execute_workload
+from repro.sim.cluster import execute_workload
 
 
 @pytest.fixture(autouse=True)
@@ -292,13 +292,12 @@ def test_entry_round_trip_equals_the_original_result(tmp_path, with_plan):
     plan = InjectionPlan.single(case.ground_truth_instance()) if with_plan else None
     original, decoded = _stored_then_read(tmp_path, case, plan)
     assert decoded is not original
-    # The trace stays packed until somebody reads it ...
-    assert isinstance(decoded._trace, PackedTrace)
-    assert len(decoded._trace) == len(original.trace) > 0
+    # A record carries a trace iff its run armed nothing.
+    if with_plan:
+        assert original.trace is None and decoded.trace is None
+    else:
+        assert decoded.trace == original.trace and len(original.trace) > 0
     assert decoded.log.records == original.log.records
-    # ... and reads back as the events the run recorded, once and for all.
-    assert decoded.trace == original.trace
-    assert decoded.trace is decoded.trace
     # (LogFile compares by identity; its records were compared above.)
     assert dataclasses.replace(decoded, log=original.log) == original
     shipped = pickle.loads(pickle.dumps(decoded))
@@ -362,13 +361,14 @@ def test_damaged_entry_is_skipped_and_removed(tmp_path, damage):
     data = segment.read_bytes()
     _magic, name_size, length, _crc = _FIELDS.unpack_from(data)
     assert len(data) == _HEAD_SIZE + name_size + length  # one record
-    log_rows, (_count, trace_blob), *_rest = pickle.loads(data[-length:])
+    log_rows, trace_rows, *_rest = pickle.loads(data[-length:])
     if damage == "truncated":
         data = data[: len(data) // 2]
     elif damage == "trace blob":
-        # Nothing unpickles this part at read time: only the checksum
-        # stands between the flip and a wrong trace read much later.
-        data = _flip_bit(data, trace_blob[len(trace_blob) // 2:][:16])
+        # A site id in the probe's trace rows: a flip that still
+        # unpickles, so only the checksum stands between it and a wrong
+        # occurrence index.
+        data = _flip_bit(data, trace_rows[0][0].encode())
     elif damage == "log text":
         data = _flip_bit(data, log_rows[0][3].encode())
     elif damage == "header":
@@ -462,23 +462,54 @@ def test_firing_plan_is_not_aliased():
     assert result.injected_instance is not None
 
 
-def test_completed_nonfiring_run_seeds_the_noop_entry():
-    # Store a run whose window never fired *without* a prior noop run;
-    # the noop key must be populated from it.
+def test_a_probe_is_never_served_an_armed_run():
+    """Only a window-less run writes under a noop key.  An armed plan
+    that never fires, run at a seed no probe has used, must leave that
+    seed's probe a miss that records the trace an uncached probe does —
+    not an alias of the armed run, which recorded none."""
     cache = RunCache()
     case = get_case("f1")
     truth = case.ground_truth_instance()
+    seed = case.seed + 101
     runner, calls = counting_runner()
     ghost = plan_of((truth.site_id, truth.exception, 10**6))
-    result, outcome = cache.execute(
-        case.workload, case.horizon, case.seed, ghost, runner
-    )
+    armed, outcome = cache.execute(case.workload, case.horizon, seed, ghost, runner)
     assert outcome == MISS
-    _noop, outcome = cache.execute(
-        case.workload, case.horizon, case.seed, None, runner
+    assert armed.injected_instance is None and armed.trace is None
+    probe, outcome = cache.execute(case.workload, case.horizon, seed, None, runner)
+    assert outcome == MISS and len(calls) == 2
+    uncached = execute_workload(case.workload, case.horizon, seed)
+    assert probe.trace == uncached.trace and len(uncached.trace) > 0
+
+
+@pytest.mark.parametrize("case_id", ["f1", "f11"])
+def test_alias_decision_from_site_counts_equals_the_noop_trace(case_id):
+    """A pair ``(site, occurrence)`` is in the noop run's trace iff
+    ``0 < occurrence <= site_counts[site]``: for every candidate of the
+    case's fault space, armed as it is (firing) and shifted past the
+    noop run's count (ghost), the cache aliases exactly the plans whose
+    pair the noop trace lacks."""
+    from repro.core.prepared import prepared_case
+
+    case = get_case(case_id)
+    space = prepared_case(
+        case.model(), case.workload, case.horizon, case.seed, case.failure_log()
+    ).fault_space
+    cache = RunCache(capacity=1 << 16)
+    noop, _ = cache.execute(
+        case.workload, case.horizon, case.seed, None, execute_workload
     )
-    assert outcome == HIT
-    assert len(calls) == 1
+    in_trace = {(event.site_id, event.occurrence) for event in noop.trace}
+    decisions = []
+    for site, spec, occurrence in sorted(space):
+        ghost = occurrence + noop.site_counts.get(site, 0)
+        for armed in (occurrence, ghost):
+            plan = plan_of((site, spec, armed))
+            key = cache._key(case.workload, case.horizon, case.seed, plan)
+            aliased = cache._alias_lookup(key, cache._name(key), plan) is not None
+            assert aliased == ((site, armed) not in in_trace), (site, armed)
+            decisions.append(aliased)
+    assert True in decisions and False in decisions
 
 
 # ------------------------------------------------------------- no retention
@@ -505,21 +536,21 @@ def test_the_cache_retains_no_live_result(tmp_path, disk):
     assert all(type(record) is bytes for record in cache._memory.values())
 
 
-def test_alias_hits_decode_the_noop_trace_once(monkeypatch):
-    """``_noop_pairs`` remembers which pairs the noop run executed, so
-    serving the next never-firing window decodes the noop record's log
-    but leaves its trace packed."""
-    from repro.sim import cluster
+def test_alias_decisions_decode_the_noop_record_once(monkeypatch):
+    """``_noop_counts`` remembers the noop run's ``site_counts``: the
+    first never-firing window decodes the noop record to learn them,
+    and every alias hit after that decodes only the result it serves."""
+    from repro.cache import runcache
 
     case = get_case("f1")
     truth = case.ground_truth_instance()
     cache = RunCache()
     cache.execute(case.workload, case.horizon, case.seed, None, execute_workload)
-    unpacked = []
-    real = cluster.PackedTrace.events
+    decoded = []
+    real = runcache._decode_result
     monkeypatch.setattr(
-        cluster.PackedTrace, "events",
-        lambda self: unpacked.append(1) or real(self),
+        runcache, "_decode_result",
+        lambda payload: decoded.append(1) or real(payload),
     )
     for occurrence in (10**6, 10**6 + 1, 10**6 + 2):
         ghost = plan_of((truth.site_id, truth.exception, occurrence))
@@ -527,8 +558,8 @@ def test_alias_hits_decode_the_noop_trace_once(monkeypatch):
             case.workload, case.horizon, case.seed, ghost, execute_workload
         )
         assert outcome == ALIAS
-    assert unpacked == [1]
-    assert isinstance(result._trace, PackedTrace)
+    assert len(decoded) == 1 + 3
+    assert list(cache._noop_counts.values()) == [result.site_counts]
 
 
 # --------------------------------------------------------------- LRU bounds

@@ -36,7 +36,7 @@ def no_injection_explorer(monkeypatch):
     explorer = case.explorer(max_rounds=8, initial_window=1)
     explorer.prepare()  # uses the real execute_workload for the probe
 
-    def stubbed_execute(workload, horizon, seed=0, plan=None, tracing=True):
+    def stubbed_execute(workload, horizon, seed=0, plan=None):
         return empty_run_result()
 
     monkeypatch.setattr(pipeline_module, "execute_workload", stubbed_execute)
@@ -92,7 +92,7 @@ class TestWindowShrink:
         # configured window, not the doubled one.
         script = iter([empty_run_result(), fired_result, empty_run_result()])
 
-        def stubbed_execute(workload, horizon, seed=0, plan=None, tracing=True):
+        def stubbed_execute(workload, horizon, seed=0, plan=None):
             return next(script)
 
         monkeypatch.setattr(pipeline_module, "execute_workload", stubbed_execute)

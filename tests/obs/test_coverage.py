@@ -10,7 +10,6 @@ from repro.obs.coverage import (
     CoverageTracker,
     NullCoverageTracker,
     enumerate_fault_space,
-    occurrences_from_trace,
 )
 
 
@@ -24,12 +23,6 @@ class Candidate:
 class Instance:
     site_id: str
     exception: str
-    occurrence: int
-
-
-@dataclasses.dataclass(frozen=True)
-class Trace:
-    site_id: str
     occurrence: int
 
 
@@ -59,15 +52,6 @@ class TestEnumerateFaultSpace:
             [Candidate("a", "IOError"), Candidate("a", "Timeout")], {"a": 2}
         )
         assert len(space) == 4
-
-
-class TestOccurrencesFromTrace:
-    def test_takes_the_max_occurrence_per_site(self):
-        trace = [Trace("a", 1), Trace("b", 1), Trace("a", 2), Trace("a", 3)]
-        assert occurrences_from_trace(trace) == {"a": 3, "b": 1}
-
-    def test_empty_trace(self):
-        assert occurrences_from_trace([]) == {}
 
 
 class TestCoverageTracker:

@@ -254,6 +254,29 @@ class TestCheckpointPool:
         """The measured model, unaided, forks a late-failing case."""
         self.assert_runner_matches_inline(xl_case("f1-xl"), (0.9, 0.8, 0.95))
 
+    def test_benchmark_replay_leg_stays_fork_served(self, free_forks):
+        """``benchmarks/e2e/leg.py``'s replay leg, call for call: a pool
+        over a default probe's trace serves the ground-truth plan from a
+        fork.  A window-less call that came back untraced would leave the
+        pool ``broken`` and the leg's fork half inline."""
+        case = xl_case("f1-xl")
+        w, h, s = case.workload, case.horizon, case.seed
+        plan = InjectionPlan.single(case.ground_truth_instance())
+        inline = execute_workload(w, horizon=h, seed=s, plan=plan)
+        assert case.oracle.satisfied(inline)
+        before = forks()
+        pool = CheckpointPool(w, h, s, execute_workload(w, horizon=h, seed=s).trace)
+        try:
+            replays = [pool.runner(w, horizon=h, seed=s, plan=plan) for _ in range(3)]
+        finally:
+            pool.close()
+        assert forks() - before == len(replays) - 1
+        for result in replays:
+            assert result.trace is None
+            assert result.log.records == inline.log.records
+            assert result_digest(result) == result_digest(inline)
+            assert case.oracle.satisfied(result)
+
     def test_inconsistent_frame_is_rejected_and_rerun_inline(self, free_forks):
         """Prefix + suffix must add up to the run the grandchild finished."""
         case = get_case("f1")
@@ -539,6 +562,9 @@ def test_fork_suffix_equals_full_replay(spec, seed, depth, kind):
             monitor=factory and factory(),
         )
         assert forked is not None
+        # Both armed, so both untraced: the fork is checked on its log,
+        # state, site counts and request count, field by field.
+        assert forked.trace is None and inline.trace is None
         assert run_signature(forked) == run_signature(inline)
     finally:
         checkpoint.close()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.failures import get_case
 from repro.injection.fir import InjectionPlan
 from repro.injection.sites import FaultInstance
-from repro.sim.cluster import execute_workload
+from repro.sim.cluster import Cluster, execute_workload
 from repro.sim.errors import IOException
 
 
@@ -109,6 +109,15 @@ def test_injection_is_deterministic(spec, seed, occurrence):
     assert a.injection_requests == b.injection_requests
 
 
+def traced_run(workload, seed, plan):
+    """An armed run with its FIR trace: on a bare ``Cluster``, whose FIR
+    traces by default (``execute_workload`` traces only unarmed runs)."""
+    cluster = Cluster(seed=seed)
+    cluster.fir.set_plan(plan)
+    workload(cluster)
+    return cluster.run(5.0)
+
+
 @given(spec=ACTIONS)
 @settings(max_examples=30, deadline=None)
 def test_prefix_identical_until_injection(spec):
@@ -122,7 +131,8 @@ def test_prefix_identical_until_injection(spec):
     plan = InjectionPlan.single(
         FaultInstance(target.site_id, "IOException", target.occurrence)
     )
-    injected = execute_workload(workload, horizon=5.0, seed=3, plan=plan)
+    injected = traced_run(workload, 3, plan)
+    assert injected.injected
     # Every trace event before the injected one matches the probe run.
     prefix_length = len(injected.trace) - 1
     assert injected.trace[:prefix_length] == probe.trace[:prefix_length]
@@ -141,7 +151,7 @@ def run_signature(result):
     """Everything a run produced, minus wall-clock measurements."""
     return (
         result.log.to_text(),
-        tuple(result.trace),
+        result.trace,
         result.injected_instance,
         result.injection_requests,
         tuple(sorted(result.site_counts.items())),
