@@ -18,55 +18,26 @@ Quick start::
     print(result.script.to_json())      # deterministic reproduction script
 
 See ``examples/`` for applying the tool to your own simulated system.
+Every export loads its module on first use, so ``python -m repro list``
+compiles none of the search stack.
 """
 
 from ._lazy import lazy_exports
-from .core.explorer import ExplorationResult, Explorer
-from .core.oracle import (
-    AllOf,
-    AnyOf,
-    CrashedTaskOracle,
-    LogMessageOracle,
-    Oracle,
-    StatePredicateOracle,
-    StuckTaskOracle,
-)
-from .core.report import ReproductionScript
-from .injection.fir import FIR, InjectionPlan
-from .injection.sites import FaultCandidate, FaultInstance, SiteRef
-from .sim.cluster import Cluster, RunResult, execute_workload
 
 __version__ = "1.0.0"
 
-__getattr__ = lazy_exports(
-    __name__,
-    {
-        "IterativeExplorer": ".core.iterative",
-        "IterativeResult": ".core.iterative",
-        "TraceRecorder": ".obs.trace",
-    },
-)
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Cluster",
-    "CrashedTaskOracle",
-    "ExplorationResult",
-    "Explorer",
-    "FIR",
-    "FaultCandidate",
-    "FaultInstance",
-    "InjectionPlan",
-    "IterativeExplorer",
-    "IterativeResult",
-    "LogMessageOracle",
-    "Oracle",
-    "ReproductionScript",
-    "RunResult",
-    "SiteRef",
-    "StatePredicateOracle",
-    "StuckTaskOracle",
-    "TraceRecorder",
-    "execute_workload",
-]
+_EXPORTS = {
+    ".core.explorer": ("ExplorationResult", "Explorer"),
+    ".core.iterative": ("IterativeExplorer", "IterativeResult"),
+    ".core.oracle": (
+        "AllOf", "AnyOf", "CrashedTaskOracle", "LogMessageOracle", "Oracle",
+        "StatePredicateOracle", "StuckTaskOracle",
+    ),
+    ".core.report": ("ReproductionScript",),
+    ".injection.fir": ("FIR", "InjectionPlan"),
+    ".injection.sites": ("FaultCandidate", "FaultInstance", "SiteRef"),
+    ".obs.trace": ("TraceRecorder",),
+    ".sim.cluster": ("Cluster", "RunResult", "execute_workload"),
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

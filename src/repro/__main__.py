@@ -2,7 +2,7 @@
 
 Commands:
 
-* ``list`` — show the 22-case failure dataset.
+* ``list`` — show the failure dataset (the catalog index alone).
 * ``reproduce <case_id>`` — run the feedback-driven search on one case
   and print the reproduction script.
 * ``replay <case_id> <script.json>`` — replay a saved reproduction script.
@@ -65,25 +65,10 @@ import os
 import sys
 import time
 
-from . import cache as runcache
-from .baselines import ALL_STRATEGIES
-from .bench import (
-    format_table,
-    inline_fallback_count,
-    resolve_jobs,
-    run_compare_campaign,
-)
-from .core.pipeline import RunConfig, RunPipeline
-from .core.pruning import DEFAULT_RADIUS
-from .core.report import ReproductionScript
-from .failures import UnknownCaseError, all_cases, get_case
-from .obs import bus as event_bus
-from .obs import ledger
-from .obs import metrics as obs_metrics
-
-# What only one command needs (recorder, provenance, watch view, HTML
-# report, lint pass, summary writer) is imported where it is used: every
-# process compiles its imports from source.
+# Each command imports what it executes, where it executes it: every
+# process compiles its imports from source, and `list` or `--help` need
+# none of the search stack.  Building the parser imports nothing either
+# (see _LazyHelp).
 
 
 def _write_text(path: str, payload: str, what: str = "output") -> bool:
@@ -108,6 +93,8 @@ def _append_ledger(entries: list, args) -> None:
     """Append run-ledger entries, honoring ``--no-ledger``/``--ledger``."""
     if getattr(args, "no_ledger", False):
         return
+    from .obs import ledger
+
     try:
         path = ledger.append_entries(
             entries, path=getattr(args, "ledger", None)
@@ -118,11 +105,14 @@ def _append_ledger(entries: list, args) -> None:
     print(f"[ledger: {len(entries)} entr(ies) -> {path}]", file=sys.stderr)
 
 
-def _run_config(args) -> RunConfig:
-    """This invocation's one :class:`RunConfig`, from its flags (a command
-    without a knob's flag runs with that knob off).  Nothing is exported
-    to the environment: worker processes receive the config as their
-    pool initializer's argument (DESIGN §5.3)."""
+def _run_config(args, jobs: int = 1):
+    """This invocation's one :class:`~repro.core.pipeline.RunConfig`, from
+    its flags (a command without a knob's flag runs with that knob off).
+    Nothing is exported to the environment: worker processes receive the
+    config as their pool initializer's argument (DESIGN §5.3)."""
+    from . import cache as runcache
+    from .core.pipeline import RunConfig
+
     cache = getattr(args, "cache", False)
     cache_dir = getattr(args, "cache_dir", None) or runcache.default_disk_dir()
     return RunConfig(
@@ -131,12 +121,12 @@ def _run_config(args) -> RunConfig:
         checkpoint=getattr(args, "checkpoint", False),
         early_verdict=getattr(args, "early_verdict", False),
         events=getattr(args, "events", False),
-        jobs=resolve_jobs(args.jobs) if hasattr(args, "jobs") else 1,
+        jobs=jobs,
     )
 
 
 @contextlib.contextmanager
-def _event_stream(config: RunConfig, args):
+def _event_stream(config, args):
     """The live event bus per ``--events``/``--events-out``, for a block.
 
     Yields the installed :class:`~repro.obs.bus.EventBus` (or ``None``
@@ -146,6 +136,8 @@ def _event_stream(config: RunConfig, args):
     stream file is truncated per campaign so ``repro watch`` always
     tails the run in progress.
     """
+    from .obs import bus as event_bus
+
     bus = None
     if config.events:
         path = getattr(args, "events_out", None) or event_bus.DEFAULT_PATH
@@ -180,12 +172,11 @@ _STATS_LINES = {
     "{events_saved} event(s) saved]",
 }
 
-#: What the end-of-run ``[degraded: ...]`` line lists: (section, key,
-#: label), with the campaign engine's fallback count as one more section.
+#: What the end-of-run ``[degraded: ...]`` line lists: (counter, label).
 _DEGRADED = (
-    ("campaign", "inline_fallbacks", "cell(s) re-run inline after worker failures"),
-    ("checkpoint", "fallbacks", "failed checkpoint fork(s) re-run inline"),
-    ("cache", "disk_errors", "cache disk error(s)"),
+    ("campaign.inline_fallbacks", "cell(s) re-run inline after worker failures"),
+    ("sim.checkpoint.fallbacks", "failed checkpoint fork(s) re-run inline"),
+    ("cache.disk_errors", "cache disk error(s)"),
 )
 
 
@@ -193,27 +184,27 @@ def _print_runner_stats() -> None:
     """The run's bookkeeping on stderr, from the one reducer: a line per
     runner section that moved, then one ``[degraded: ...]`` line naming
     every fallback the run took (silent when clean)."""
-    stats = obs_metrics.runner_stats()
-    for section, values in stats.items():
+    from .obs import metrics as obs_metrics
+
+    for section, values in obs_metrics.runner_stats().items():
         print(
             _STATS_LINES[section].format_map(collections.defaultdict(int, values)),
             file=sys.stderr,
         )
-    stats["campaign"] = {"inline_fallbacks": inline_fallback_count()}
     degraded = [
-        f"{stats[section][key]} {label}"
-        for section, key, label in _DEGRADED
-        if stats.get(section, {}).get(key)
+        f"{int(obs_metrics.get(counter))} {label}"
+        for counter, label in _DEGRADED
+        if obs_metrics.get(counter)
     ]
     if degraded:
         print(f"[degraded: {', '.join(degraded)}]", file=sys.stderr)
 
 
 def cmd_list(_args) -> int:
-    rows = [
-        (case.case_id, case.issue, case.system, case.title)
-        for case in all_cases()
-    ]
+    from .bench.tables import format_table
+    from .failures import INDEX
+
+    rows = [(case_id, *row) for case_id, row in INDEX.items()]
     print(format_table(["id", "issue", "system", "title"], rows))
     return 0
 
@@ -238,7 +229,11 @@ def cmd_reproduce(args) -> int:
         return _cmd_reproduce_body(args, config)
 
 
-def _cmd_reproduce_body(args, config: RunConfig) -> int:
+def _cmd_reproduce_body(args, config) -> int:
+    from .failures import get_case
+    from .obs import bus as event_bus
+    from .obs import ledger
+
     case = _with_fault_dims(args, get_case(args.case_id))
     print(f"{case.issue}: {case.title}")
     print(f"oracle: {case.oracle.description}")
@@ -320,6 +315,10 @@ def _cmd_reproduce_body(args, config: RunConfig) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .core.pipeline import RunPipeline
+    from .core.report import ReproductionScript
+    from .failures import get_case
+
     case = get_case(args.case_id)
     with open(args.script, encoding="utf-8") as handle:
         script = ReproductionScript.from_json(handle.read())
@@ -337,28 +336,46 @@ def cmd_replay(args) -> int:
 
 
 def _resolve_compare_cases(spec: str) -> list:
-    """``all``, one case id, or a comma-separated id list (order kept)."""
+    """``all``, one case id, or a comma-separated id list (order kept).
+    Every id is checked against the catalog index before the first case
+    module loads."""
+    from .failures import all_cases, check_case_ids, get_case
+
     if spec == "all":
         return all_cases()
-    return [get_case(case_id.strip()) for case_id in spec.split(",") if case_id.strip()]
+    case_ids = [case_id.strip() for case_id in spec.split(",") if case_id.strip()]
+    check_case_ids(case_ids)
+    return [get_case(case_id) for case_id in case_ids]
 
 
 def cmd_compare(args) -> int:
-    config = _run_config(args)
+    cases = _resolve_compare_cases(args.case_id)
+    if not cases:
+        print(f"error: no case ids in {args.case_id!r}", file=sys.stderr)
+        return 2
+    # What a cell executes is loaded before --jobs forks the pool, or
+    # each worker would compile it again: the case modules are in now,
+    # bench.parallel brings the harness, baselines, pipeline and cache,
+    # and the Explorer is the rest.
+    from .bench.parallel import resolve_jobs
+    from .core import explorer  # noqa: F401
+
+    config = _run_config(args, resolve_jobs(args.jobs))
     config.install()
     # The campaign engine (repro.bench.parallel.run_tasks) emits the
     # campaign/case lifecycle events and forwards worker-captured round
     # events through the active bus installed here.
     with _event_stream(config, args):
-        return _cmd_compare_body(args, config)
+        return _cmd_compare_body(args, config, cases)
 
 
-def _cmd_compare_body(args, config: RunConfig) -> int:
+def _cmd_compare_body(args, config, cases: list) -> int:
+    from .baselines import ALL_STRATEGIES
+    from .bench.parallel import run_compare_campaign
+    from .bench.tables import format_table
+    from .obs import ledger
+
     jobs = config.jobs
-    cases = _resolve_compare_cases(args.case_id)
-    if not cases:
-        print(f"error: no case ids in {args.case_id!r}", file=sys.stderr)
-        return 2
     # Cells address cases by id, so every per-cell setting — the runner
     # knobs and a --fault-dims override alike — rides in the task options.
     cell_options = dict(
@@ -460,6 +477,7 @@ def _cmd_compare_body(args, config: RunConfig) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .failures import get_case
     from .obs import TraceRecorder
 
     case = get_case(args.case_id)
@@ -488,6 +506,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from .failures import get_case
     from .obs import TraceRecorder, build_plan_provenance
 
     case = get_case(args.case_id)
@@ -530,6 +549,8 @@ def _write_frame(output: str, is_tty: bool) -> None:
 
 
 def cmd_watch(args) -> int:
+    from .obs import bus as event_bus
+    from .obs import ledger
     from .obs import watch as watch_view
 
     path = args.path or event_bus.DEFAULT_PATH
@@ -584,9 +605,10 @@ def cmd_watch(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .failures import INDEX
     from .obs import write_report
 
-    systems = {case.case_id: case.system for case in all_cases()}
+    systems = {case_id: system for case_id, (_, system, _) in INDEX.items()}
     try:
         path = write_report(
             path=args.out, out_dir=args.dir, systems=systems
@@ -600,6 +622,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    from .failures import get_case
+
     case = _with_fault_dims(args, get_case(args.case_id))
     prepared = case.explorer().prepare()
     print(f"{case.issue}: {case.title}")
@@ -650,7 +674,8 @@ def cmd_lint(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _run_config(args).install()
+    from .bench.tables import format_table
+
     cases = [
         _with_fault_dims(args, case)
         for case in _resolve_compare_cases(args.case_id)
@@ -658,6 +683,8 @@ def cmd_analyze(args) -> int:
     if not cases:
         print(f"error: no case ids in {args.case_id!r}", file=sys.stderr)
         return 2
+    _run_config(args).install()
+    radius = _default_radius() if args.radius is None else args.radius
     case_docs: dict[str, dict] = {}
     total_contradictions = 0
     for case in cases:
@@ -665,7 +692,7 @@ def cmd_analyze(args) -> int:
             max_rounds=args.max_rounds,
             track_coverage=True,
             prune="static",
-            prune_radius=args.radius,
+            prune_radius=radius,
         )
         result = explorer.explore()
         prepared = explorer.prepare()
@@ -685,7 +712,7 @@ def cmd_analyze(args) -> int:
             ),
         }
     document = {
-        "radius": args.radius,
+        "radius": radius,
         "case_count": len(case_docs),
         "contradictions": total_contradictions,
         "cases": case_docs,
@@ -715,7 +742,7 @@ def cmd_analyze(args) -> int:
                  "contradictions", "rounds"],
                 rows,
                 title="static fault-space pruning "
-                f"(propagation radius {args.radius:g})",
+                f"(propagation radius {radius:g})",
             )
             + "\n"
         )
@@ -757,16 +784,31 @@ def _with_fault_dims(args, case):
     return dataclasses.replace(case, fault_dims=dims) if dims else case
 
 
-class _RulesHelp(str):
-    """Help text whose ``%(rules)s`` is the rule catalog, loaded only
-    when argparse renders it (``lint --help``)."""
+class _LazyHelp(str):
+    """Help text whose ``%(name)s`` fields are computed only when argparse
+    renders it (``lint --help``, ``analyze --help``): building the parser
+    loads neither the rule catalog nor the search stack."""
+
+    def __new__(cls, text: str, **fields):
+        help_text = super().__new__(cls, text)
+        help_text.fields = fields
+        return help_text
 
     def __mod__(self, params):
-        from .analysis import registered_rules
+        computed = {name: field() for name, field in self.fields.items()}
+        return str.__mod__(self, dict(params, **computed))
 
-        return str.__mod__(
-            self, dict(params, rules=", ".join(sorted(registered_rules())))
-        )
+
+def _rule_ids() -> str:
+    from .analysis import registered_rules
+
+    return ", ".join(sorted(registered_rules()))
+
+
+def _default_radius() -> float:
+    from .core.pruning import DEFAULT_RADIUS
+
+    return DEFAULT_RADIUS
 
 
 def _add_cache_options(subparser) -> None:
@@ -982,8 +1024,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=("text", "json"), default="text")
     lint.add_argument(
         "--rules",
-        help=_RulesHelp(
-            "comma-separated rule ids to run (default: all of %(rules)s)"
+        help=_LazyHelp(
+            "comma-separated rule ids to run (default: all of %(rules)s)",
+            rules=_rule_ids,
         ),
     )
     lint.add_argument(
@@ -1016,9 +1059,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--radius",
         type=float,
-        default=DEFAULT_RADIUS,
-        help="temporal pruning radius in normal-run log lines "
-        f"(default {DEFAULT_RADIUS:g})",
+        help=_LazyHelp(
+            "temporal pruning radius in normal-run log lines (default %(radius)g)",
+            radius=_default_radius,
+        ),
     )
     _add_fault_dims_option(analyze)
     _add_cache_options(analyze)
@@ -1026,6 +1070,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .failures import UnknownCaseError
+
     args = build_parser().parse_args(argv)
     handler = {
         "list": cmd_list,

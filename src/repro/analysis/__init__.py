@@ -49,12 +49,8 @@ from .system_model import SystemModel, analyze_package
 __getattr__ = lazy_exports(
     __name__,
     {
-        "LintReport": ".lint",
-        "lint_package": ".lint",
-        "run_lint": ".lint",
-        "Finding": ".rules",
-        "LintContext": ".rules",
-        "registered_rules": ".rules",
+        ".lint": ("LintReport", "lint_package", "run_lint"),
+        ".rules": ("Finding", "LintContext", "registered_rules"),
     },
     submodules=("lint", "rules"),
 )

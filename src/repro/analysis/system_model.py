@@ -10,10 +10,11 @@ with the system's own exception classes.
 from __future__ import annotations
 
 import hashlib
-import importlib
+import importlib.util
 import os
 import pickle
 import pkgutil
+import sys
 import warnings
 import weakref
 from typing import Callable, Iterable, Optional
@@ -329,8 +330,14 @@ def clear_facts_cache() -> None:
 
 
 def _facts_for_module(module_name: str) -> Optional[ModuleFacts]:
-    module = importlib.import_module(module_name)
-    file_path = getattr(module, "__file__", None)
+    # The facts come from the source text: a module nothing imported yet
+    # (a dogfood surface no workload runs) is located, not executed.
+    module = sys.modules.get(module_name)
+    if module is not None:
+        file_path = getattr(module, "__file__", None)
+    else:
+        spec = importlib.util.find_spec(module_name)
+        file_path = spec.origin if spec is not None and spec.has_location else None
     if file_path is None:
         # Extension modules and namespace members have no parseable
         # source; skip them so packages containing them still analyze.

@@ -24,6 +24,7 @@ import warnings
 from typing import Optional, Sequence
 
 from ..core.pipeline import RunConfig, default_jobs
+from ..failures import get_case
 from ..obs import metrics as obs_metrics
 from ..obs.bus import (
     EventBus,
@@ -112,10 +113,6 @@ def execute_task(task: CampaignTask):
     cells.  Inline cells carry the same envelope (it is what per-cell
     stats are read from); the parent just never merges it.
     """
-    # Imported here, not at module top: workers started with the "spawn"
-    # method import this module before the failure registry is populated.
-    from ..failures import get_case
-
     case = get_case(task.case_id)
     options = dict(task.options)
     # A fault-dims override is a search parameter of this cell, not a

@@ -15,17 +15,18 @@ it would be for a real production log).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import TYPE_CHECKING
 
-from ..analysis.system_model import SystemModel, analyze_package
-from ..core.explorer import Explorer
 from ..core.oracle import Oracle
 from ..injection.fir import InjectionPlan
 from ..injection.sites import FaultInstance
 from ..logs.parser import KAFKA_FORMAT, LOG4J_FORMAT, LogParser
 from ..logs.record import LogFile
-from ..cache import cached_execute
 from ..sim.cluster import RunResult, WorkloadFn, execute_workload
+
+if TYPE_CHECKING:
+    from ..analysis.system_model import SystemModel
+    from ..core.explorer import Explorer
 
 _MODEL_CACHE: dict[tuple[str, tuple[str, ...]], SystemModel] = {}
 _FAILURE_LOG_CACHE: dict[str, LogFile] = {}
@@ -35,6 +36,8 @@ def system_model(
     package: str, addons: tuple[str, ...] = ()
 ) -> SystemModel:
     """Analyze a system package once per deployment and cache the model."""
+    from ..analysis.system_model import analyze_package
+
     key = (package, tuple(sorted(addons)))
     model = _MODEL_CACHE.get(key)
     if model is None:
@@ -91,11 +94,15 @@ class GroundTruth:
 
 @dataclasses.dataclass
 class FailureCase:
+    _: dataclasses.KW_ONLY
     case_id: str            # paper id, e.g. "f17"
-    issue: str              # e.g. "HBase-25905"
-    title: str
-    system: str             # e.g. "hbase"
-    package: str            # e.g. "repro.systems.minihbase"
+    #: The next four come from the catalog index row when the case is
+    #: registered (``repro.failures.INDEX``); a case the index does not
+    #: list sets them itself.
+    issue: str = ""         # e.g. "HBase-25905"
+    title: str = ""
+    system: str = ""        # e.g. "hbase"
+    package: str = ""       # e.g. "repro.systems.minihbase"
     description: str
     workload: WorkloadFn
     horizon: float
@@ -137,17 +144,17 @@ class FailureCase:
         return self.ground_truth.resolve_instance(self.model())
 
     def run_without_fault(self) -> RunResult:
-        return cached_execute(
-            self.workload,
-            horizon=self.horizon,
-            seed=self.seed,
-            runner=execute_workload,
-        )
+        return self._run(self.seed)
 
     def run_with_ground_truth(self) -> RunResult:
         """Reproduce the failure in the production configuration."""
         plan = InjectionPlan.single(self.ground_truth_instance())
         seed = self.failure_seed if self.failure_seed is not None else self.seed
+        return self._run(seed, plan)
+
+    def _run(self, seed: int, plan=None) -> RunResult:
+        from ..cache import cached_execute
+
         return cached_execute(
             self.workload,
             horizon=self.horizon,
@@ -177,6 +184,8 @@ class FailureCase:
         return cached
 
     def explorer(self, **overrides) -> Explorer:
+        from ..core.explorer import Explorer
+
         settings = dict(
             workload=self.workload,
             horizon=self.horizon,
@@ -194,33 +203,3 @@ class FailureCase:
         settings.update(overrides)
         return Explorer(**settings)
 
-
-CATALOG: dict[str, FailureCase] = {}
-
-
-def register(case: FailureCase) -> FailureCase:
-    if case.case_id in CATALOG:
-        raise ValueError(f"duplicate failure case {case.case_id}")
-    CATALOG[case.case_id] = case
-    return case
-
-
-class UnknownCaseError(KeyError):
-    """:func:`get_case` was asked for an id the catalog does not hold."""
-
-
-def get_case(case_id: str) -> FailureCase:
-    try:
-        return CATALOG[case_id]
-    except KeyError:
-        raise UnknownCaseError(case_id) from None
-
-
-def all_cases() -> list[FailureCase]:
-    return sorted(CATALOG.values(), key=lambda case: int(case.case_id[1:]))
-
-
-def paper_cases() -> list[FailureCase]:
-    """The paper's dataset (Tables 1–7): the cases searched over
-    exception faults only, i.e. all but the later soft-fault additions."""
-    return [case for case in all_cases() if case.fault_dims == "exceptions"]

@@ -17,9 +17,9 @@ from ..systems.minicass.hint_replayer import (
 from ..systems.minicass.repair import RepairCoordinator, WriteDriver
 from ..systems.minicass.replica import Replica
 from ..systems.minicass.streaming import StreamingService
-from .case import FailureCase, GroundTruth, register
+from . import register
+from .case import FailureCase, GroundTruth
 
-PACKAGE = "repro.systems.minicass"
 
 REPLICAS = ("cass1", "cass2", "cass3")
 
@@ -56,10 +56,6 @@ def hint_replay_workload(cluster: Cluster) -> None:
 register(
     FailureCase(
         case_id="f21",
-        issue="CASSANDRA-17663",
-        title="Interrupted FileStreamTask compromises the shared channel proxy",
-        system="cassandra",
-        package=PACKAGE,
         description=(
             "A stream task that fails mid-transfer never releases the "
             "shared channel proxy; the next task finds the channel busy "
@@ -87,10 +83,6 @@ register(
 register(
     FailureCase(
         case_id="f22",
-        issue="CASSANDRA-6415",
-        title="Snapshot repair blocks forever without a makeSnapshot response",
-        system="cassandra",
-        package=PACKAGE,
         description=(
             "The repair coordinator waits for a snapshot ack from every "
             "replica with no timeout; a lost request (or a replica whose "
@@ -128,10 +120,6 @@ register(
 register(
     FailureCase(
         case_id="f27",
-        issue="CASSANDRA-SOFT-27",
-        title="Short hint transfer is acknowledged as a full delivery",
-        system="cassandra",
-        package=PACKAGE,
         description=(
             "The hint replayer acknowledges delivery without comparing "
             "the transferred byte count to the hint size, so a short "

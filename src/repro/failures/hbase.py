@@ -18,9 +18,8 @@ from ..systems.minihbase.replication import (
 )
 from ..systems.minihbase.splitlog import SplitLogManager, SplitWorker
 from ..systems.minihbase.wal_trimmer import TRIMMER_ENDPOINT, WalTrimmer
-from .case import FailureCase, GroundTruth, register
-
-PACKAGE = "repro.systems.minihbase"
+from . import register
+from .case import FailureCase, GroundTruth
 
 
 def wal_workload(cluster: Cluster) -> None:
@@ -103,10 +102,6 @@ def claim_workload(cluster: Cluster) -> None:
 register(
     FailureCase(
         case_id="f12",
-        issue="HBase-18137",
-        title="Empty WAL file causes replication to get stuck",
-        system="hbase",
-        package=PACKAGE,
         description=(
             "A WAL stream that breaks before the first entry persists "
             "leaves a header-only WAL file; the replication reader can "
@@ -139,10 +134,6 @@ register(
 register(
     FailureCase(
         case_id="f13",
-        issue="HBase-19608",
-        title="Interrupted procedure mistakenly causes a failed state flag",
-        system="hbase",
-        package=PACKAGE,
         description=(
             "A transient IOException in one procedure step sets the "
             "executor's failed latch; the step retry succeeds but the "
@@ -171,10 +162,6 @@ register(
 register(
     FailureCase(
         case_id="f14",
-        issue="HBase-19876",
-        title="Exception converting pb mutation messes up the CellScanner",
-        system="hbase",
-        package=PACKAGE,
         description=(
             "A decode failure for one non-atomic mutation skips the "
             "shared cell scanner's advance; every later mutation in the "
@@ -200,10 +187,6 @@ register(
 register(
     FailureCase(
         case_id="f15",
-        issue="HBase-20583",
-        title="Failure during log split causes resubmit of the wrong task",
-        system="hbase",
-        package=PACKAGE,
         description=(
             "A worker that fails a split task triggers a resubmit of the "
             "most recently assigned task instead of the failed one; the "
@@ -229,10 +212,6 @@ register(
 register(
     FailureCase(
         case_id="f16",
-        issue="HBase-16144",
-        title="Replication queue lock lives forever after holder aborts",
-        system="hbase",
-        package=PACKAGE,
         description=(
             "A region server aborts while holding the replication queue "
             "lock; the abort path never removes the lock file, so every "
@@ -258,10 +237,6 @@ register(
 register(
     FailureCase(
         case_id="f17",
-        issue="HBase-25905",
-        title="Transient DFS failure stops WAL services permanently",
-        system="hbase",
-        package=PACKAGE,
         description=(
             "The motivating example: a broken WAL pipeline strands more "
             "than one batch of unacked appends; a log roll that arrives "
@@ -288,10 +263,6 @@ register(
 register(
     FailureCase(
         case_id="f26",
-        issue="HBASE-SOFT-26",
-        title="WAL trimmer retires the active segment after a reordered listing",
-        system="hbase",
-        package=PACKAGE,
         description=(
             "The trimmer assumes the directory listing is oldest-first "
             "and deletes its head; a reordered listing puts the active "

@@ -14,9 +14,8 @@ from ..systems.minidfs.client import DfsClient
 from ..systems.minidfs.datanode import DataNode
 from ..systems.minidfs.image_auditor import AUDITOR_ENDPOINT, ImageAuditor
 from ..systems.minidfs.namenode import NN_ENDPOINT, NameNode
-from .case import FailureCase, GroundTruth, register
-
-PACKAGE = "repro.systems.minidfs"
+from . import register
+from .case import FailureCase, GroundTruth
 
 
 def _base_cluster(cluster: Cluster, datanodes: int = 3):
@@ -89,10 +88,6 @@ def balancer_workload(cluster: Cluster) -> None:
 register(
     FailureCase(
         case_id="f5",
-        issue="HDFS-4233",
-        title="Rolling backup fails but the server keeps serving",
-        system="hdfs",
-        package=PACKAGE,
         description=(
             "A FileNotFoundException while rolling the edit log leaves the "
             "backup image invalid, but the namenode keeps serving with no "
@@ -125,10 +120,6 @@ register(
 register(
     FailureCase(
         case_id="f6",
-        issue="HDFS-12248",
-        title="Exception transferring fsimage makes checkpointing skip the backup",
-        system="hdfs",
-        package=PACKAGE,
         description=(
             "An InterruptedException during the image upload is ignored "
             "and the round is recorded as successful; since nothing new "
@@ -160,10 +151,6 @@ register(
 register(
     FailureCase(
         case_id="f7",
-        issue="HDFS-12070",
-        title="Open files remain open indefinitely if block recovery fails",
-        system="hdfs",
-        package=PACKAGE,
         description=(
             "The block-recovery RPC for an expired lease fails once and is "
             "never retried; the file stays open forever, risking data loss."
@@ -191,10 +178,6 @@ register(
 register(
     FailureCase(
         case_id="f8",
-        issue="HDFS-13039",
-        title="Data block creation leaks a socket on exception",
-        system="hdfs",
-        package=PACKAGE,
         description=(
             "When the mirror connect of a write pipeline fails, the block "
             "is abandoned and retried but the first datanode's socket is "
@@ -224,10 +207,6 @@ register(
 register(
     FailureCase(
         case_id="f9",
-        issue="HDFS-16332",
-        title="Missing handling of expired block token causes slow reads",
-        system="hdfs",
-        package=PACKAGE,
         description=(
             "A failure while fetching the block token is swallowed and the "
             "dead token cached; every read is denied and retried with "
@@ -256,10 +235,6 @@ register(
 register(
     FailureCase(
         case_id="f10",
-        issue="HDFS-14333",
-        title="Disk error during registration keeps the datanode down",
-        system="hdfs",
-        package=PACKAGE,
         description=(
             "A disk error while persisting the VERSION file during "
             "registration makes the datanode give up starting entirely."
@@ -287,10 +262,6 @@ register(
 register(
     FailureCase(
         case_id="f11",
-        issue="HDFS-15032",
-        title="Balancer crashes when it fails to contact a namenode",
-        system="hdfs",
-        package=PACKAGE,
         description=(
             "Per-datanode failures are tolerated, but a connection failure "
             "while contacting the namenode escapes the loop and kills the "
@@ -316,10 +287,6 @@ register(
 register(
     FailureCase(
         case_id="f23",
-        issue="HDFS-SOFT-23",
-        title="Truncated fsimage read-back is advertised before it is verified",
-        system="hdfs",
-        package=PACKAGE,
         description=(
             "The audit re-read of a freshly written checkpoint image "
             "verifies only the magic header before the image is "

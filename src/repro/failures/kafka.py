@@ -17,9 +17,9 @@ from ..systems.minikafka.offset_relay import (
     RELAY_FEEDER,
 )
 from ..systems.minikafka.table import INPUT_TOPIC, EmitOnChangeProcessor
-from .case import FailureCase, GroundTruth, register
+from . import register
+from .case import FailureCase, GroundTruth
 
-PACKAGE = "repro.systems.minikafka"
 
 #: (key, value) records fed to the emit-on-change table: repeated values
 #: must be suppressed; each change must be emitted exactly once.
@@ -90,10 +90,6 @@ def mirror_workload(cluster: Cluster) -> None:
 register(
     FailureCase(
         case_id="f18",
-        issue="KAFKA-12508",
-        title="Emit-on-change tables lose updates after error and restart",
-        system="kafka",
-        package=PACKAGE,
         description=(
             "The input offset is committed before the changelog flush; a "
             "flush failure restarts the task, and the already-committed "
@@ -136,10 +132,6 @@ register(
 register(
     FailureCase(
         case_id="f19",
-        issue="KAFKA-9374",
-        title="Blocked connectors disable the workers",
-        system="kafka",
-        package=PACKAGE,
         description=(
             "A failed config read parks a connector start on a condition "
             "nobody signals; the herder's only worker thread is pinned, "
@@ -166,10 +158,6 @@ register(
 register(
     FailureCase(
         case_id="f20",
-        issue="KAFKA-10048",
-        title="Consumer failover under MM2 leaves a data gap between clusters",
-        system="kafka",
-        package=PACKAGE,
         description=(
             "A failed mirrored produce is skipped with the source position "
             "advancing anyway; the record never reaches the target "
@@ -204,10 +192,6 @@ register(
 register(
     FailureCase(
         case_id="f24",
-        issue="KAFKA-SOFT-24",
-        title="Offset relay commits a stale fetched offset behind the high-water mark",
-        system="kafka",
-        package=PACKAGE,
         description=(
             "The offset relay commits whatever offset it fetched with no "
             "monotonicity check against its high-water mark, so one stale "

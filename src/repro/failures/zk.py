@@ -11,9 +11,9 @@ from ..core.oracle import (
 from ..sim.cluster import Cluster
 from ..systems.minizk import ZkClient, ZkServer
 from ..systems.minizk.snapshot_loader import LOADER_ENDPOINT, SnapshotLoader
-from .case import FailureCase, GroundTruth, register
+from . import register
+from .case import FailureCase, GroundTruth
 
-PACKAGE = "repro.systems.minizk"
 SERVER_IDS = (1, 2, 3)
 
 
@@ -64,10 +64,6 @@ def snapshot_workload(cluster: Cluster) -> None:
 register(
     FailureCase(
         case_id="f1",
-        issue="ZK-2247",
-        title="Server unavailable when leader fails to write transaction log",
-        system="zookeeper",
-        package=PACKAGE,
         description=(
             "An IOException while the leader appends to the transaction log "
             "is treated as a severe unrecoverable error: the request "
@@ -100,10 +96,6 @@ register(
 register(
     FailureCase(
         case_id="f2",
-        issue="ZK-3157",
-        title="Connection loss causes the client to fail",
-        system="zookeeper",
-        package=PACKAGE,
         description=(
             "An IOException while reading the session establishment "
             "response makes the client abandon the session instead of "
@@ -134,10 +126,6 @@ register(
 register(
     FailureCase(
         case_id="f3",
-        issue="ZK-4203",
-        title="Leader election stuck forever due to connection error",
-        system="zookeeper",
-        package=PACKAGE,
         description=(
             "An IOException while the leader accepts a follower connection "
             "kills the whole listener; no follower can ever join, and "
@@ -163,10 +151,6 @@ register(
 register(
     FailureCase(
         case_id="f4",
-        issue="ZK-3006",
-        title="Invalid disk file content causes null pointer exception",
-        system="zookeeper",
-        package=PACKAGE,
         description=(
             "An IOException while loading the currentEpoch file is "
             "'handled' by returning a null epoch; the boot path then "
@@ -192,10 +176,6 @@ register(
 register(
     FailureCase(
         case_id="f25",
-        issue="ZK-SOFT-25",
-        title="Snapshot served from the wrong epoch after a corrupt header decode",
-        system="zookeeper",
-        package=PACKAGE,
         description=(
             "The snapshot loader trusts the epoch decoded from the "
             "snapshot header without cross-checking the quorum epoch, so "

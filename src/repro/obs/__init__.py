@@ -35,15 +35,11 @@ from .null import NULL_RECORDER, VIRTUAL, WALL, NullRecorder
 __getattr__ = lazy_exports(
     __name__,
     {
-        "Event": ".trace",
-        "Span": ".trace",
-        "TraceRecorder": ".trace",
-        "PlanProvenance": ".provenance",
-        "ProvenanceChain": ".provenance",
-        "ProvenanceStep": ".provenance",
-        "build_plan_provenance": ".provenance",
-        "render_report": ".report",
-        "write_report": ".report",
+        ".trace": ("Event", "Span", "TraceRecorder"),
+        ".provenance": (
+            "PlanProvenance", "ProvenanceChain", "ProvenanceStep", "build_plan_provenance",
+        ),
+        ".report": ("render_report", "write_report"),
     },
     submodules=("provenance", "report", "trace", "watch"),
 )

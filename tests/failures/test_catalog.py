@@ -8,7 +8,9 @@ text like a production log would.
 
 import pytest
 
-from repro.failures import all_cases, get_case
+from repro.__main__ import main
+from repro.bench.tables import format_table
+from repro.failures import INDEX, SYSTEMS, all_cases, get_case
 from repro.injection.fir import InjectionPlan
 from repro.sim.cluster import execute_workload
 
@@ -18,6 +20,28 @@ CASES = all_cases()
 def test_catalog_has_27_cases():
     assert len(CASES) == 27
     assert [case.case_id for case in CASES] == [f"f{i}" for i in range(1, 28)]
+
+
+class TestIndex:
+    """The data-only index agrees with the cases the modules register."""
+
+    def test_lists_exactly_the_registered_ids(self):
+        assert list(INDEX) == [case.case_id for case in CASES]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.case_id)
+    def test_row_matches_the_case(self, case):
+        module, package = SYSTEMS[case.system]
+        assert INDEX[case.case_id] == (case.issue, case.system, case.title)
+        assert case.package == package
+        assert case.workload.__module__ == f"repro.failures.{module}"
+
+    def test_list_prints_one_row_per_case_in_id_order(self, capsys):
+        assert main(["list"]) == 0
+        expected = format_table(
+            ["id", "issue", "system", "title"],
+            [(case.case_id, case.issue, case.system, case.title) for case in CASES],
+        )
+        assert capsys.readouterr().out == expected + "\n"
 
 
 def test_five_systems_covered():

@@ -3,15 +3,20 @@
 Every ``python -m repro`` process compiles the modules it imports from
 source (the bench host sets ``PYTHONDONTWRITEBYTECODE=1``), so what
 ``import repro.__main__`` drags in is a fixed cost under every campaign.
-The modules below serve single commands (``report``, ``watch``,
+The modules in ``LAZY`` serve single commands (``report``, ``watch``,
 ``trace``/``explain``, ``lint``), the ``--jobs N`` pools, or nothing on
 the hot path; they must stay out of ``sys.modules`` until used — while
-every public import path keeps resolving.
+every public import path keeps resolving.  ``DENIED`` is what ``list``,
+``--help`` and ``import repro`` must not load at all: the search stack,
+the campaign engine and every case module (the catalog index answers
+them).  The bench job in ``ci.yml`` greps ``-X importtime`` for the same
+list.
 """
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -34,6 +39,13 @@ LAZY = [
     "statistics",
     "subprocess",
 ]
+
+
+DENIED = re.compile(
+    r"repro\.((core|sim|analysis|systems|injection|cache|obs|logs|baselines)(\.|$)"
+    r"|bench\.(harness|parallel)$|failures\.(case|zk|hdfs|hbase|kafka|cassandra)$)"
+)
+CASE_MODULES = [f"repro.failures.{name}" for name in ("zk", "hdfs", "hbase", "kafka", "cassandra")]
 
 
 def fresh_interpreter(code: str) -> dict:
@@ -121,3 +133,95 @@ def test_lint_help_still_lists_the_rule_catalog():
     assert "(default: all of abort-on-handled, await-under-lock," in " ".join(
         finished.stdout.split()
     )
+
+
+def imported_by(*argv) -> list:
+    """Every module ``python -X importtime ARGV`` imports, in order."""
+    finished = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = [line.rsplit("|", 1)[1].strip() for line in finished.stderr.splitlines()
+            if line.startswith("import time:")]
+    return rows[1:]  # past the header row
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-m", "repro", "list"], ["-m", "repro", "--help"], ["-c", "import repro"]],
+    ids=["list", "help", "import-repro"],
+)
+def test_the_cheapest_commands_load_nothing_on_the_deny_list(argv):
+    modules = imported_by(*argv)
+    assert "repro" in modules
+    assert [name for name in modules if DENIED.match(name)] == []
+
+
+def loaded_case_modules(statement: str) -> list:
+    return fresh_interpreter(
+        f"import json, sys\n{statement}\n"
+        f"print(json.dumps([name for name in {CASE_MODULES!r} if name in sys.modules]))"
+    )
+
+
+def test_get_case_imports_exactly_one_case_module():
+    assert loaded_case_modules(
+        "from repro.failures import get_case\nassert get_case('f1').case_id == 'f1'"
+    ) == ["repro.failures.zk"]
+
+
+def test_an_unknown_id_raises_before_any_case_module_loads():
+    assert loaded_case_modules(
+        "from repro.failures import UnknownCaseError, get_case\n"
+        "try:\n    get_case('f99')\n"
+        "except UnknownCaseError as error:\n    assert error.args == ('f99',)\n"
+        "else:\n    raise AssertionError('f99 resolved')"
+    ) == []
+
+
+@pytest.mark.parametrize("command", ["compare", "analyze"])
+def test_an_unknown_id_in_a_list_is_rejected_from_the_index(command):
+    loaded = loaded_case_modules(
+        "import contextlib, io\nimport repro.__main__ as cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    assert cli.main([{command!r}, 'f1,fX', '--no-cache']) == 2\n"
+        "assert err.getvalue().splitlines()[-1] == \"error: unknown case id 'fX'\""
+    )
+    assert loaded == []
+
+
+def test_a_case_registered_at_run_time_resolves():
+    resolved = fresh_interpreter(
+        "import dataclasses, json\n"
+        "from repro.failures import INDEX, all_cases, get_case, register\n"
+        "extra = register(dataclasses.replace(\n"
+        "    get_case('f1'), case_id='f99', issue='ZK-99', title='run-time case'))\n"
+        "ids = [case.case_id for case in all_cases()]\n"
+        "print(json.dumps({'same': get_case('f99') is extra, 'last': ids[-1],\n"
+        "    'count': len(ids), 'issue': extra.issue, 'indexed': 'f99' in INDEX}))"
+    )
+    assert resolved == {
+        "same": True, "last": "f99", "count": 28, "issue": "ZK-99", "indexed": False,
+    }
+
+
+def test_a_campaign_cell_imports_nothing_the_parent_did_not_load(tmp_path):
+    """``compare --jobs 2`` forks its workers after its set-up: a module a
+    cell imported first would be compiled once per worker.  Run the
+    command up to the fan-out, then one cell inline in its place."""
+    new = fresh_interpreter(
+        "import json, sys\n"
+        "import repro.__main__ as cli\n"
+        "from repro.bench import parallel\n"
+        "def fan_out(tasks, jobs=None):\n"
+        "    before = set(sys.modules)\n"
+        "    parallel.execute_task(parallel.CampaignTask.anduril('f1', max_rounds=1))\n"
+        "    print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "    raise SystemExit(0)\n"
+        "parallel.run_tasks = fan_out\n"
+        f"cli.main(['compare', 'f1,f24', '--jobs', '2', '--cache-dir', {str(tmp_path)!r},\n"
+        f"          '--events-out', {str(tmp_path / 'events.jsonl')!r}, '--no-ledger'])"
+    )
+    assert [name for name in new if name.startswith("repro")] == []
