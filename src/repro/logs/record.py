@@ -49,14 +49,16 @@ class SourceRef:
         return f"{self.file}:{self.line}({self.function})"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True, unsafe_hash=True)
 class LogRecord:
     """One log line.
 
     ``time`` is virtual seconds since the start of the run.  ``thread`` is
     the emitting task's name.  ``message`` is the fully rendered text.
     ``source`` is only present for records produced in-process by the
-    simulator's logger.
+    simulator's logger, one shared object per call site.  Immutable by
+    convention, not by ``frozen=True``, whose ``__init__`` would pay five
+    ``object.__setattr__`` calls per line; nothing assigns to a record.
     """
 
     time: float

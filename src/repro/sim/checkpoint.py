@@ -24,8 +24,8 @@ generator frames, exactly and cheaply, is ``os.fork``.  The scheme:
    log *after* the fork point plus the scalar fields; the parent
    already holds the shared prefix from the holder's ready frame.
 3. The parent keeps a small ladder of holders ("rungs") at different
-   depths and serves each plan from the deepest rung at or before the
-   plan's first possible firing position.
+   depths and serves each plan from the deepest rung at most one step
+   before the plan's first possible firing position.
 
 The invariance contract: a fork-served run is byte-identical to a full
 replay.  The prefix is shared by construction (deterministic sim, same
@@ -62,7 +62,7 @@ from typing import Optional
 from ..injection.fir import InjectionPlan, TraceEvent
 from ..logs.record import Level, LogFile, LogRecord, SourceRef
 from ..obs import metrics as obs_metrics
-from .cluster import Cluster, RunResult, execute_workload
+from .cluster import Cluster, RunResult, execute_workload, request_price
 
 __all__ = [
     "Checkpoint",
@@ -83,10 +83,10 @@ _VERDICT_METRICS = (
 )
 
 #: Rungs held live per pool.  Each rung is one parked holder process,
-#: and rung depths are quantized to a grid of this many steps across
-#: the trace: a plan forks from the grid rung at or just below its fork
-#: point, so the replayed gap is at most one grid step (~1/8 of the
-#: trace) no matter in which order plans arrive.
+#: opened at the fork point of the plan that asked for it; a plan forks
+#: only from a rung less than one step (1/this of the trace) below its
+#: fork point, so the replayed gap stays under a step no matter in which
+#: order plans arrive.
 MAX_RUNGS = 8
 #: Holder processes forked per pool lifetime (rungs are never reopened).
 OPEN_BUDGET = 12
@@ -558,12 +558,15 @@ class ForkCost:
         os.waitpid(pid, 0)
         return _clock() - started
 
-    def seconds(self) -> float:
+    def floor(self) -> float:
         if self._floor is None:
             self._floor = min(self._bare_fork() for _ in range(3))
+        return self._floor
+
+    def seconds(self) -> float:
         if not self._observed:
-            return self._floor
-        return max(self._floor, math.fsum(self._observed) / len(self._observed))
+            return self.floor()
+        return max(self.floor(), math.fsum(self._observed) / len(self._observed))
 
     def observe(self, overhead_seconds: float) -> None:
         self._observed.append(overhead_seconds)
@@ -583,15 +586,16 @@ class CheckpointPool:
     ``(site, occurrence)`` pairs — pairs absent from the probe cannot
     fire before the run diverges, and the run only diverges at the first
     fire.  The pool keeps up to :data:`MAX_RUNGS` holders at distinct
-    depths and serves each plan from the deepest rung at or before its
-    firing position, opening deeper rungs while budget lasts.
+    depths and serves each plan from the deepest rung less than a step
+    below its firing position, opening one there while budget lasts.
 
-    A plan forks only where forking wins.  The pool times the inline
-    runs it makes anyway (the first eligible plan always runs inline),
-    which prices a request; a rung at depth ``d`` saves ``d`` requests
-    and costs one :class:`ForkCost`, so only rungs deeper than the
-    break-even depth are opened or used, and a pool whose whole trace
-    is shallower than that goes ``broken`` — its owner stops asking.
+    A plan forks only where forking wins.  A rung at depth ``d`` saves
+    ``d`` requests and costs one :class:`ForkCost`, so only rungs deeper
+    than the break-even depth are opened or used, and a pool whose whole
+    trace is shallower than that goes ``broken`` — its owner stops
+    asking.  A request costs the process prior (``request_price``) until
+    an open or an inline run prices this workload's own; with no prior,
+    the first eligible plan runs inline to price one.
 
     ``runner`` matches the executor contract of
     :func:`repro.cache.runcache.cached_execute`, so checkpointing
@@ -630,12 +634,16 @@ class CheckpointPool:
         self._rungs: dict[int, Checkpoint] = {}
         self._opens_left = OPEN_BUDGET
         self._errors = 0
-        #: Wall seconds one request of an inline run costs (the least
-        #: seen: a shared host only ever adds), and the rung depth, in
-        #: requests, past which skipping the prefix beats the fork cost.
-        self._request_seconds = math.inf
+        #: Wall seconds one request costs: the prior until this workload
+        #: is priced, then the least it has shown (a shared host only
+        #: ever adds); and the rung depth, in requests, past which
+        #: skipping the prefix beats the fork cost.
+        self._request_seconds = request_price()
+        self._priced = False
         self._break_even = math.inf
         self.broken = not checkpoint_supported() or self._total_requests == 0
+        if not self.broken:
+            self._learn()
 
     # ------------------------------------------------------------- fork points
 
@@ -712,14 +720,23 @@ class CheckpointPool:
             monitor=monitor,
         )
         if fork_point is not None:
-            self._learn(
+            self._price(
                 (_clock() - started) / max(result.injection_requests, 1)
             )
+            self._learn()
         return result
 
-    def _learn(self, request_seconds: float = math.inf) -> None:
-        """Fold in a measurement; re-derive the break-even depth."""
-        self._request_seconds = min(self._request_seconds, request_seconds)
+    def _price(self, request_seconds: float) -> None:
+        """Fold in this workload's own price of a request: the first one
+        replaces the prior, later ones keep the least."""
+        if self._priced:
+            request_seconds = min(request_seconds, self._request_seconds)
+        self._request_seconds, self._priced = request_seconds, True
+
+    def _learn(self) -> None:
+        """Re-derive the break-even depth (none without a price)."""
+        if self._request_seconds == math.inf:
+            return
         self._break_even = _fork_cost.seconds() / self._request_seconds
         if self._total_requests <= self._break_even:
             self.broken = True
@@ -753,25 +770,25 @@ class CheckpointPool:
     def _pick_rung(self, fork_point: int) -> Optional[Checkpoint]:
         """Deepest rung for ``fork_point`` that beats inline, if any.
 
-        Rung depths sit on a fixed grid (:data:`MAX_RUNGS` steps across
-        the trace).  Serving a plan from the grid rung at or just below
-        its fork point bounds the replayed gap to one grid step; opening
-        at the plan's exact depth instead would let an early shallow
-        rung capture every later, deeper plan and waste most of the
-        prefix it could have skipped.  No rung at or below the
-        break-even depth is opened or used.
+        A rung serves a plan only from less than one step
+        (:data:`MAX_RUNGS` steps across the trace) below its fork point,
+        which bounds the replayed gap whatever order plans arrive in: an
+        early shallow rung cannot capture later, deeper plans.  Failing
+        that, a rung opens at the plan's own fork point, so a repeat of
+        it replays no gap at all.  No rung at or below the break-even
+        depth is opened or used.
         """
         step = max(1, self._total_requests // MAX_RUNGS)
-        target = (fork_point // step) * step
+        lowest = max(self._break_even, fork_point - step)
         best: Optional[Checkpoint] = None
         for depth, rung in self._rungs.items():
-            if self._break_even < depth <= fork_point and (
+            if lowest < depth <= fork_point and (
                 best is None or depth > best.at_request
             ):
                 best = rung
         if (
-            target <= self._break_even
-            or (best is not None and best.at_request >= target)
+            best is not None
+            or fork_point <= self._break_even
             or self._opens_left <= 0
             or len(self._rungs) >= MAX_RUNGS
         ):
@@ -780,13 +797,16 @@ class CheckpointPool:
         obs_metrics.increment("sim.checkpoint.opens")
         started = _clock()
         rung = Checkpoint(
-            self.workload, self.horizon, self.seed, self._base_plan, target,
-            monitor_factory=self._monitor_factory,
+            self.workload, self.horizon, self.seed, self._base_plan,
+            fork_point, monitor_factory=self._monitor_factory,
         )
-        obs_metrics.increment(
-            "sim.checkpoint.open_seconds", _clock() - started
-        )
-        self._rungs[target] = rung
+        seconds = _clock() - started
+        obs_metrics.increment("sim.checkpoint.open_seconds", seconds)
+        # The open replayed ``fork_point`` requests inline plus one fork:
+        # this workload's own price, which the fork is then judged by.
+        if not rung.closed and seconds > _fork_cost.floor():
+            self._price((seconds - _fork_cost.floor()) / fork_point)
+        self._rungs[fork_point] = rung
         return rung
 
     def close(self) -> None:

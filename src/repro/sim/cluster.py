@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
+import time
 from typing import Any, Callable, Generator, Optional
 
 from ..injection.fir import FIR, InjectionPlan, TraceEvent
@@ -140,7 +142,7 @@ class Cluster:
             obs_metrics.increment(
                 "verdict.virtual_seconds_saved", horizon - self.sim.now
             )
-            obs_metrics.increment("verdict.events_saved", len(self.sim._heap))
+            obs_metrics.increment("verdict.events_saved", self.sim.pending_events())
         recorder = self.fir.recorder
         if recorder is not None and recorder.enabled:
             # The whole run is one virtual-clock span (deterministic per
@@ -207,6 +209,16 @@ class Cluster:
 
 WorkloadFn = Callable[[Cluster], Any]
 
+#: The least wall seconds one FIR request has cost in any
+#: :func:`execute_workload` of this process (``inf`` before the first
+#: run that made one): the checkpoint cost model's prior (DESIGN §10.3).
+_request_seconds = math.inf
+
+
+def request_price() -> float:
+    """The process-wide prior price of a request, in wall seconds."""
+    return _request_seconds
+
 
 def execute_workload(
     workload: WorkloadFn,
@@ -228,8 +240,11 @@ def execute_workload(
     the timing-free path.  ``monitor`` (a fresh
     ``repro.core.verdict.VerdictMonitor``) attaches before the workload
     builds the system and may cut the run short once the oracle's
-    verdict is decided.
+    verdict is decided.  Every run folds its wall seconds per request
+    into :func:`request_price`.
     """
+    global _request_seconds
+    started = time.perf_counter()
     cluster = Cluster(seed=seed)
     cluster.fir.tracing = plan is None or not plan.instances
     if recorder is not None and recorder.enabled:
@@ -238,4 +253,8 @@ def execute_workload(
     if monitor is not None:
         monitor.attach(cluster)
     workload(cluster)
-    return cluster.run(horizon, monitor=monitor)
+    result = cluster.run(horizon, monitor=monitor)
+    if result.injection_requests:
+        spent = (time.perf_counter() - started) / result.injection_requests
+        _request_seconds = min(_request_seconds, spent)
+    return result

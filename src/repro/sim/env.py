@@ -43,15 +43,16 @@ ENV_OPS: dict[str, tuple[str, ...]] = {
 }
 
 
-#: Interned SiteRefs keyed by (filename, line, op).  A mini system has
-#: a few hundred static sites but executes them millions of times per
-#: campaign; reusing one SiteRef per site skips the per-call dataclass
-#: allocation and keeps its cached ``site_id`` warm.  Keying on the
-#: filename string (whose hash is computed once and cached by the str
-#: object) rather than the code object keeps entries valid across module
-#: reloads — a regenerated module gets fresh code objects but the same
-#: file/line identity — and stops the cache pinning dead code objects.
-_SITE_CACHE: dict[tuple[str, int, str], SiteRef] = {}
+#: Interned SiteRefs keyed by (filename, line, op), and ``slog``'s log
+#: SourceRefs by (filename, line).  A mini system has a few hundred
+#: static sites but executes them millions of times per campaign; reusing
+#: one ref per site skips the per-call dataclass allocation and keeps a
+#: SiteRef's cached ``site_id`` warm.  Keying on the filename string
+#: (whose hash is computed once and cached by the str object) rather than
+#: the code object keeps entries valid across module reloads — a
+#: regenerated module gets fresh code objects but the same file/line
+#: identity — and stops the cache pinning dead code objects.
+_SITE_CACHE: dict[tuple, Any] = {}
 
 
 def clear_site_cache() -> None:

@@ -19,9 +19,11 @@ from .sync import Queue
 DEFAULT_LATENCY = 0.001
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True, unsafe_hash=True)
 class Message:
-    """A network datagram."""
+    """A network datagram.  Immutable by convention, not by ``frozen=True``,
+    whose ``__init__`` would pay five ``object.__setattr__`` calls per send
+    (DESIGN §2.1); nothing assigns to a message, a corruption copies it."""
 
     src: str
     dst: str
@@ -78,9 +80,8 @@ class Network:
         if inbox is None:
             raise ConnectException(f"connection refused by {message.dst}")
         self.sent_count += 1
-        self._sim.call_at(
-            self._sim.now + self._latency, self._deliver, inbox, message
-        )
+        sim = self._sim
+        sim.post_at(sim.now + self._latency, self._deliver, inbox, message)
 
     def _deliver(self, inbox: Queue, message: Message) -> None:
         self.delivered_count += 1

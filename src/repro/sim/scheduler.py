@@ -15,6 +15,7 @@ oracles match the way a developer matches a jstack dump.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import functools
@@ -92,7 +93,7 @@ class Task:
         self.waiting_on: Any = None
         #: The park record, set by the effect's ``subscribe`` and undone on
         #: every wakeup (signal, timeout, interrupt, kill): the waiter
-        #: collection the task sits in, and the heap entry of its pending
+        #: collection the task sits in, and the queue entry of its pending
         #: timed wakeup.  Both are ``None`` whenever the task is not blocked.
         self._parked_in: Any = None
         self._timer: Optional[list] = None
@@ -151,7 +152,7 @@ class Join:
         self.task._watchers.append(on_done)
 
 
-#: Heap-entry sentinel marking a task wakeup scheduled by ``resume_at``.
+#: Queue-entry sentinel marking a task wakeup scheduled by ``resume_at``.
 #: The run loop wakes, steps and parks the task in its own body instead of
 #: through a per-wakeup closure — wakeups are by far the most common event.
 _RESUME: Any = object()
@@ -169,7 +170,7 @@ class Simulator:
         self.random = random.Random(seed)
         self.current_task: Optional[Task] = None
         self.tasks: list[Task] = []
-        #: Heap entries popped by :meth:`run`, cancelled ones included (a
+        #: Queue entries popped by :meth:`run`, cancelled ones included (a
         #: cancelled timer is still popped and counted; only what it would
         #: have done is skipped).  A pure function of ``(workload, seed,
         #: plan)`` and of nothing in the kernel's implementation: it is the
@@ -186,20 +187,32 @@ class Simulator:
         #: — by whoever undoes the park record that holds it.  ``seq`` is
         #: unique, so heap comparisons never reach the non-orderable slots.
         self._heap: list[list] = []
+        #: Entries due at ``now``, FIFO, with no ``seq`` (DESIGN §2.1):
+        #: each was scheduled after time reached ``now``, so it follows
+        #: every heap entry due at ``now`` (:meth:`run` moves those here
+        #: first), which is exactly ``(when, seq)`` order.
+        self._ready: collections.deque[list] = collections.deque()
         self._seq = 0
         self._crash_handlers: list[Callable[[Task], None]] = []
 
     # ------------------------------------------------------------------ events
 
+    def post_at(self, when: float, fn: Callable[..., None], *args: Any) -> list:
+        """:meth:`call_at` without building a canceller; returns the entry."""
+        if when <= self.now:
+            entry = [self.now, 0, fn, args, None, None]
+            self._ready.append(entry)
+            return entry
+        self._seq += 1
+        entry = [when, self._seq, fn, args, None, None]
+        heapq.heappush(self._heap, entry)
+        return entry
+
     def call_at(
         self, when: float, fn: Callable[..., None], *args: Any
     ) -> Callable[[], None]:
         """Schedule ``fn(*args)`` at virtual time ``when``; returns a canceller."""
-        if when < self.now:
-            when = self.now
-        self._seq += 1
-        entry = [when, self._seq, fn, args, None, None]
-        heapq.heappush(self._heap, entry)
+        entry = self.post_at(when, fn, *args)
         return functools.partial(operator.setitem, entry, 2, None)
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> Callable[[], None]:
@@ -214,12 +227,12 @@ class Simulator:
     ) -> list:
         """Schedule a wakeup of ``task`` with ``value`` (or ``exc`` thrown).
 
-        Returns the heap entry, which is the cancellation handle:
+        Returns the queue entry, which is the cancellation handle:
         ``entry[2] = None`` revokes the wakeup (the entry is still popped
         and counted).
         """
-        if when < self.now:
-            when = self.now
+        if when <= self.now:
+            return self.resume_soon(task, value, exc)
         self._seq += 1
         entry = [when, self._seq, _RESUME, task, value, exc]
         heapq.heappush(self._heap, entry)
@@ -231,7 +244,14 @@ class Simulator:
         value: Any = None,
         exc: Optional[BaseException] = None,
     ) -> list:
-        return self.resume_at(self.now, task, value, exc)
+        entry = [self.now, 0, _RESUME, task, value, exc]
+        self._ready.append(entry)
+        return entry
+
+    def pending_events(self) -> int:
+        """Entries still queued, heap and ready alike, cancelled ones
+        included: what a run cut short leaves undispatched."""
+        return len(self._heap) + len(self._ready)
 
     # ------------------------------------------------------------------- tasks
 
@@ -241,7 +261,7 @@ class Simulator:
             raise TypeError(f"spawn() expects a generator, got {type(gen).__name__}")
         task = Task(name, gen)
         self.tasks.append(task)
-        self.call_soon(self._step, task)
+        self.post_at(self.now, self._step, task)
         return task
 
     def on_task_crash(self, handler: Callable[[Task], None]) -> None:
@@ -273,22 +293,29 @@ class Simulator:
 
         A task wakeup is dispatched in the loop body itself — undo the
         park record, ``send`` into the generator, let the yielded effect
-        park the task again — so the common event costs one heap pop, one
-        generator step and one ``subscribe``; everything rarer (a task
-        finishing or crashing, a non-effect yielded) goes through the
-        same helpers :meth:`_step` uses.
+        park the task again — so the common event costs one ready-queue
+        pop, one generator step and one ``subscribe``; everything rarer (a
+        task finishing or crashing, a non-effect yielded) goes through the
+        same helpers :meth:`_step` uses.  Time advances only when the
+        ready queue is empty, and the heap's entries due then join it.
         """
+        if self.now > until:
+            return False
         heap = self._heap
+        ready = self._ready
         pop = heapq.heappop
+        popleft = ready.popleft
         should_stop = None if monitor is None else monitor.should_stop
-        while heap:
-            entry = heap[0]
-            when = entry[0]
-            if when > until:
+        while True:
+            if ready:
+                entry = popleft()
+            elif heap and heap[0][0] <= until:
+                entry = pop(heap)
+                now = self.now = entry[0]
+                while heap and heap[0][0] == now:
+                    ready.append(pop(heap))
+            else:
                 break
-            pop(heap)
-            if when > self.now:
-                self.now = when
             self.events_executed += 1
             fn = entry[2]
             if fn is None:

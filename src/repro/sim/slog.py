@@ -18,6 +18,7 @@ import traceback
 from typing import Any, Optional
 
 from ..logs.record import Level, LogFile, LogRecord, SourceRef
+from .env import _SITE_CACHE
 from .scheduler import Simulator
 
 
@@ -80,27 +81,20 @@ class SimLogger:
         self._collector = collector
         self._default_thread = default_thread
 
-    def _thread_name(self) -> str:
-        task = self._sim.current_task
-        return task.name if task is not None else self._default_thread
-
     def _emit(self, level: Level, template: str, args: tuple[Any, ...]) -> None:
         message = template % args if args else template
         frame = sys._getframe(2)
-        source = SourceRef(
-            file=frame.f_code.co_filename,
-            line=frame.f_lineno,
-            function=frame.f_code.co_name,
-        )
-        self._collector.append(
-            LogRecord(
-                time=self._sim.now,
-                thread=self._thread_name(),
-                level=level,
-                message=message,
-                source=source,
-            )
-        )
+        code = frame.f_code
+        # One SourceRef per logging line, interned beside the env's fault
+        # sites (a 2-tuple key never equals their 3-tuple ones).
+        key = (code.co_filename, frame.f_lineno)
+        source = _SITE_CACHE.get(key)
+        if source is None:
+            source = _SITE_CACHE[key] = SourceRef(*key, code.co_name)
+        sim = self._sim
+        task = sim.current_task
+        thread = self._default_thread if task is None else task.name
+        self._collector.append(LogRecord(sim.now, thread, level, message, source))
 
     def debug(self, template: str, *args: Any) -> None:
         self._emit(Level.DEBUG, template, args)

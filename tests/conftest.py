@@ -21,6 +21,9 @@ def isolated_run_cache(tmp_path, monkeypatch):
 class _FreeForks:
     """A fork cost of nothing, whatever real forks show."""
 
+    def floor(self) -> float:
+        return 0.0
+
     def seconds(self) -> float:
         return 0.0
 
@@ -34,7 +37,7 @@ def free_forks(monkeypatch):
 
     Catalog cases are too cheap for the measured model to ever fork, so
     tests of what a fork-served run returns on them take the cost out of
-    the decision: every eligible plan after a pool's first is then
-    fork-served.  (Forked pool workers inherit the patch.)
+    the decision: once a run has priced a request, every eligible plan
+    is then fork-served.  (Forked pool workers inherit the patch.)
     """
     monkeypatch.setattr(checkpoint, "_fork_cost", _FreeForks())

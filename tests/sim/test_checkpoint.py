@@ -20,6 +20,7 @@ on platforms without ``os.fork``.
 """
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -221,7 +222,8 @@ class TestCheckpointPool:
             assert pool.fork_point(None) is None
 
     def assert_runner_matches_inline(self, case, depths):
-        """Every plan equals inline; all but the first are fork-served."""
+        """Every plan equals inline and is fork-served: the probe priced
+        a request, so the first plan opens its rung at once."""
         pool, probe = self.make_pool(case)
         before = forks()
         with pool:
@@ -245,7 +247,7 @@ class TestCheckpointPool:
                     plan=plan,
                 )
                 assert run_signature(served) == run_signature(inline)
-        assert forks() - before == len(depths) - 1
+        assert forks() - before == len(depths)
 
     def test_runner_matches_inline(self, free_forks):
         self.assert_runner_matches_inline(get_case("f1"), (0.5, 0.5, 1.0))
@@ -256,9 +258,10 @@ class TestCheckpointPool:
 
     def test_benchmark_replay_leg_stays_fork_served(self, free_forks):
         """``benchmarks/e2e/leg.py``'s replay leg, call for call: a pool
-        over a default probe's trace serves the ground-truth plan from a
-        fork.  A window-less call that came back untraced would leave the
-        pool ``broken`` and the leg's fork half inline."""
+        over a default probe's trace serves every ground-truth replay
+        from a fork, the first included (the probe priced a request).  A
+        window-less call that came back untraced would leave the pool
+        ``broken`` and the leg's fork half inline."""
         case = xl_case("f1-xl")
         w, h, s = case.workload, case.horizon, case.seed
         plan = InjectionPlan.single(case.ground_truth_instance())
@@ -270,7 +273,7 @@ class TestCheckpointPool:
             replays = [pool.runner(w, horizon=h, seed=s, plan=plan) for _ in range(3)]
         finally:
             pool.close()
-        assert forks() - before == len(replays) - 1
+        assert forks() - before == len(replays)
         for result in replays:
             assert result.trace is None
             assert result.log.records == inline.log.records
@@ -289,7 +292,6 @@ class TestCheckpointPool:
         inline = execute_workload(case.workload, **run)
         before = metrics.capture()
         with pool:
-            pool.runner(case.workload, **run)  # the inline measurement
             pool.runner(case.workload, **run)  # opens the rung, forks
             (rung,) = pool._rungs.values()
             rung._log_prefix.pop()
@@ -335,14 +337,17 @@ class FakeHost:
     """A clock, an inline run and rungs whose costs the test dictates.
 
     Stands in for everything the pool's cost model measures: a run of
-    ``requests`` requests takes ``run_seconds`` inline; a fork replays
-    the requests past its rung at the same rate plus ``fork_overhead``.
+    ``requests`` requests takes ``run_seconds`` inline; opening a rung
+    costs a bare fork (``floor``) plus its prefix at that rate; a fork
+    replays the requests past its rung at the same rate plus
+    ``fork_overhead``.  ``prior`` is the process-wide price of a request
+    the pool starts from (``None``: nothing has priced one yet).
     Nothing real runs, so every decision is a function of these numbers.
     """
 
     def __init__(
         self, monkeypatch, run_seconds, floor, fork_overhead=None,
-        requests=1000,
+        requests=1000, prior=None,
     ):
         self.now = 0.0
         self.requests = requests
@@ -351,6 +356,8 @@ class FakeHost:
         self.inline_runs = 0
         self.opened = []
         self.forked_from = []
+        #: Per fork: requests between the rung and the plan's fork point.
+        self.gaps = []
         host = self
 
         class Rung:
@@ -360,9 +367,11 @@ class FakeHost:
                          monitor_factory=None):
                 self.at_request = at_request
                 host.opened.append(at_request)
+                host.now += floor + at_request / host.requests * host.run_seconds
 
             def run(self, plan):
                 host.forked_from.append(self.at_request)
+                host.gaps.append(int(plan.instances[0].site_id[1:]) - self.at_request)
                 replayed = (host.requests - self.at_request) / host.requests
                 host.now += host.fork_overhead + replayed * host.run_seconds
                 return host.result()
@@ -373,6 +382,10 @@ class FakeHost:
         monkeypatch.setattr(checkpoint_module, "_clock", lambda: self.now)
         monkeypatch.setattr(checkpoint_module, "execute_workload", self.execute)
         monkeypatch.setattr(checkpoint_module, "Checkpoint", Rung)
+        monkeypatch.setattr(
+            checkpoint_module, "request_price",
+            lambda: math.inf if prior is None else prior,
+        )
         monkeypatch.setattr(
             checkpoint_module.ForkCost, "_bare_fork", staticmethod(lambda: floor)
         )
@@ -406,54 +419,125 @@ class FakeHost:
         return self.pool.runner(self.workload, 10.0, seed=0, plan=plan)
 
 
+#: 0.1 s runs of 1,000 requests: 100 µs a request, so a 2 ms fork
+#: breaks even at 20 requests.
+PRICE = 0.100 / 1000
+
+
 @needs_fork
 class TestCostModel:
+    def test_with_a_prior_a_run_cheaper_than_a_fork_never_forks(
+        self, monkeypatch
+    ):
+        host = FakeHost(
+            monkeypatch, run_seconds=0.001, floor=0.002, prior=0.001 / 1000
+        )
+        assert host.pool.broken  # decided at construction
+        for depth in (900, 950, 1000):
+            host.run(depth)
+        assert host.opened == [] and host.forked_from == []
+        assert host.inline_runs == 3
+
     def test_run_cheaper_than_a_fork_never_forks(self, monkeypatch):
-        host = FakeHost(monkeypatch, run_seconds=0.001, floor=0.002)
-        host.run(900)
+        host = FakeHost(monkeypatch, run_seconds=0.001, floor=0.002)  # no prior
+        assert not host.pool.broken
+        host.run(900)  # prices a request, which breaks the pool
         assert host.pool.broken
         for depth in (900, 950, 1000):
             host.run(depth)
         assert host.opened == [] and host.forked_from == []
         assert host.inline_runs == 4
 
+    def test_with_a_prior_a_long_run_forks_from_its_first_eligible_plan(
+        self, monkeypatch
+    ):
+        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002, prior=PRICE)
+        for depth in (900, 900, 910, 1000):
+            host.run(depth)
+        # One rung at the first plan's own depth serves all four: the
+        # others lie less than a step (125 requests) above it.
+        assert host.inline_runs == 0
+        assert host.opened == [900]
+        assert host.forked_from == [900, 900, 900, 900]
+        assert not host.pool.broken
+
     def test_long_run_forks_from_the_second_eligible_plan_on(self, monkeypatch):
-        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002)
+        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002)  # no prior
         for depth in (900, 900, 910, 1000):
             host.run(depth)
         # The first eligible plan is the measurement, never a duplicate:
         # one inline run, and every later plan fork-served.
         assert host.inline_runs == 1
-        assert host.forked_from == [875, 875, 1000]
+        assert host.forked_from == [900, 900, 900]
+        assert not host.pool.broken
+
+    def test_a_repeated_fork_point_forks_from_a_rung_at_exactly_that_depth(
+        self, monkeypatch
+    ):
+        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002, prior=PRICE)
+        for depth in (640, 900, 640, 900):
+            host.run(depth)
+        assert host.opened == [640, 900]
+        assert host.forked_from == [640, 900, 640, 900]
+        assert host.gaps == [0, 0, 0, 0]
+
+    def test_the_open_prices_the_workload_not_the_prior(self, monkeypatch):
+        # The prior is a tenth of this workload's price, as when another
+        # workload's requests came cheaper.  Judged by it, each fork's
+        # 100 replayed requests would read as 9 ms of overhead and break
+        # the pool; the open's own price reads the true 2 ms.
+        host = FakeHost(
+            monkeypatch, run_seconds=0.100, floor=0.002, prior=PRICE / 10
+        )
+        for depth in (900, 800, 950, 900):
+            host.run(depth)
+        assert host.inline_runs == 0
+        assert host.forked_from == [900, 800, 900, 900]
         assert not host.pool.broken
 
     def test_every_run_not_fork_served_executes_exactly_once(self, monkeypatch):
-        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002)
+        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002, prior=PRICE)
         depths = (900, 10, 900, 5, 640, 10, 1000, 900)
         for depth in depths:
             host.run(depth)
         host.pool.runner(host.workload, 10.0, seed=1, plan=None)  # foreign
         assert host.inline_runs + len(host.forked_from) == len(depths) + 1
-        # 2 ms of fork against 0.1 ms a request: break-even at 20
-        # requests, so the plans firing at requests 5 and 10 stay inline.
-        assert host.inline_runs == 1 + 3 + 1
+        # Break-even at 20 requests: the plans firing at requests 5 and
+        # 10 stay inline, and so does the foreign run.
+        assert host.inline_runs == 3 + 1
 
     def test_a_losing_rung_is_dropped_and_deeper_rungs_live_on(self, monkeypatch):
         # Forks turn out to cost 40 ms, not the 2 ms floor: worth 400 of
         # this run's requests.
         host = FakeHost(
-            monkeypatch, run_seconds=0.100, floor=0.002, fork_overhead=0.040
+            monkeypatch, run_seconds=0.100, floor=0.002, fork_overhead=0.040,
+            prior=PRICE,
         )
-        host.run(300)                     # measurement
-        host.run(300)                     # rung 250 opens; its fork shows 40 ms
-        assert host.forked_from == [250]
-        host.run(300)                     # 250 requests no longer pay
+        host.run(300)                     # rung 300 opens; its fork shows 40 ms
+        assert host.forked_from == [300]
+        host.run(300)                     # 300 requests no longer pay
         host.run(260)
-        assert host.forked_from == [250] and host.inline_runs == 3
-        host.run(900)                     # 875 still do
+        assert host.forked_from == [300] and host.inline_runs == 2
+        host.run(900)                     # 900 still do
         host.run(900)
-        assert host.forked_from == [250, 875, 875]
-        assert host.opened == [250, 875] and not host.pool.broken
+        assert host.forked_from == [300, 900, 900]
+        assert host.opened == [300, 900] and not host.pool.broken
+
+
+@needs_fork
+@given(
+    depths=st.lists(st.integers(1, 1000), min_size=1, max_size=30),
+    prior=st.sampled_from([None, PRICE, PRICE / 10]),
+)
+@settings(max_examples=60, deadline=None)
+def test_no_served_plan_replays_a_grid_step_or_more(depths, prior):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002, prior=prior)
+        for depth in depths:
+            host.run(depth)
+    step = host.requests // checkpoint_module.MAX_RUNGS
+    assert all(0 <= gap < step for gap in host.gaps)
+    assert host.inline_runs + len(host.gaps) == len(depths)
 
 
 # ------------------------------------------------------- hypothesis property
@@ -576,8 +660,8 @@ def test_fork_suffix_equals_full_replay(spec, seed, depth, kind):
 class NeverSatisfied(Oracle):
     """Keeps a search going for its whole round budget.
 
-    Most catalog cases reproduce in round one, and a pool's first plan
-    always runs inline — a search has to last for its rounds to fork.
+    Most catalog cases reproduce in round one; a search has to last for
+    its rounds to fork from more than one rung.
     """
 
     description = "never satisfied"
@@ -607,8 +691,8 @@ class TestExplorerEquivalence:
         self.assert_signature_identical(get_case("f9"), max_rounds=40)
 
     def test_xl_signature_identical_checkpoint_on_off(self):
-        """The measured model, unaided: each round after the first forks
-        off a rung three quarters into a 90 ms run."""
+        """The measured model, unaided: each round forks off a rung
+        three quarters into a 90 ms run, priced by the probe."""
         self.assert_signature_identical(
             xl_case("f1-xl"), max_rounds=5, oracle=NeverSatisfied()
         )

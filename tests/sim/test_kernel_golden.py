@@ -69,8 +69,8 @@ def fingerprint(case, leg: str, monitored: bool) -> dict:
         "truncated_at": result.truncated_at,
         "events_executed": cluster.sim.events_executed,
         # What ``verdict.events_saved`` reports at a cutoff: entries still
-        # on the heap, cancelled ones included.
-        "events_pending": len(cluster.sim._heap),
+        # queued, cancelled ones included.
+        "events_pending": cluster.sim.pending_events(),
         "injection_requests": result.injection_requests,
     }
 

@@ -1,13 +1,18 @@
 """Property: the kernel's wake order equals a naive reference interpreter.
 
 Random small programs — sleeps, timed and untimed gets, puts on bounded
-queues, lock hand-offs, futures and one ``interrupt`` — run on the real
-:class:`Simulator` and on :class:`Reference`, the same semantics written
-the slow obvious way (an unsorted agenda scanned for its ``(when, seq)``
-minimum, plain lists for waiter sets, program counters for generators).
-They must agree on every completed operation — who, which, when, with
-what value — on each task's final state and on ``events_executed``; two
-runs of the real kernel must agree with each other.
+queues, lock hand-offs, futures, network-style sends and one
+``interrupt`` — run on the real :class:`Simulator` and on
+:class:`Reference`, the same semantics written the slow obvious way (an
+unsorted agenda scanned for its ``(when, seq)`` minimum, plain lists for
+waiter sets, program counters for generators).  A send schedules a
+delivery callback the way :class:`~repro.sim.network.Network` does —
+``post_at(now + latency)`` onto the heap, or ``call_soon`` onto the ready
+queue — so heap entries and ready entries interleave at one instant.
+They must agree on every completed operation and delivery — who, which,
+when, with what value — on each task's final state and on
+``events_executed``; two runs of the real kernel must agree with each
+other.
 """
 
 from hypothesis import given, settings
@@ -18,7 +23,7 @@ from repro.sim.scheduler import Simulator, Sleep
 from repro.sim.sync import Future, Lock, Queue
 
 HORIZON = 6.0
-CAPACITIES = (1, 2)  # queue 0, queue 1
+CAPACITIES = (1, 2, None)  # queue 0, queue 1, unbounded queue 2
 FUTURES = 2
 START, INTERRUPTED = "start", "interrupted"
 
@@ -55,9 +60,23 @@ class Reference:
             self.agenda.remove(entry)
             self.now = max(self.now, entry[0])
             self.popped += 1
-            if entry[2]:
+            if not entry[2]:
+                continue
+            if isinstance(entry[3], tuple):  # ("deliver", queue)
+                self.deliver(entry[3][1], entry[4])
+            else:
                 self.wake(entry[3], entry[4])
         return self.log, self.state, self.popped
+
+    def deliver(self, q, item):
+        """A send's callback: ``Queue.put_nowait``, dropped when full."""
+        accepted = self.room(q)
+        if accepted:
+            if self.getters[q]:
+                self.schedule(self.now, self.getters[q].pop(0), item)
+            else:
+                self.items[q].append(item)
+        self.log.append(("net", item, self.now, accepted))
 
     def wake(self, task, value):
         if (self.state[task] == "ready") != (value is START):
@@ -94,7 +113,7 @@ class Reference:
         self.parked[task] = (waiters, timer)
 
     def room(self, q):
-        return len(self.items[q]) < CAPACITIES[q]
+        return CAPACITIES[q] is None or len(self.items[q]) < CAPACITIES[q]
 
     def admit_putter(self, q):
         if self.putters[q] and self.room(q):
@@ -158,6 +177,10 @@ class Reference:
             if op[1] != task and self.state[op[1]] == "blocked":
                 self.wake(op[1], INTERRUPTED)
             return False
+        elif kind == "send":
+            item = (task, self.pc[task])
+            self.schedule(self.now + op[2], ("deliver", op[1]), item)
+            return False
         return True
 
 
@@ -167,6 +190,13 @@ def run_kernel(program):
     lock = Lock(sim)
     futures = [Future(sim, f"f{i}") for i in range(FUTURES)]
     tasks, log = [], []
+
+    def deliver(q, item):
+        queue = queues[q]
+        accepted = queue.capacity is None or len(queue) < queue.capacity
+        if accepted:
+            queue.put_nowait(item)
+        log.append(("net", item, sim.now, accepted))
 
     def body(me, ops):
         for index, op in enumerate(ops):
@@ -189,6 +219,10 @@ def run_kernel(program):
                     futures[op[1]].set_result((me, index))
                 elif kind == "interrupt" and op[1] != me:
                     sim.interrupt(tasks[op[1]])
+                elif kind == "send" and op[2]:
+                    sim.post_at(sim.now + op[2], deliver, op[1], (me, index))
+                elif kind == "send":
+                    sim.call_soon(deliver, op[1], (me, index))
             except InterruptedException:
                 value = INTERRUPTED
             log.append((me, index, sim.now, value))
@@ -209,6 +243,7 @@ OPS = st.one_of(
     st.tuples(st.just("release")),
     st.tuples(st.just("await"), st.integers(0, FUTURES - 1)),
     st.tuples(st.just("resolve"), st.integers(0, FUTURES - 1)),
+    st.tuples(st.just("send"), QUEUES, st.sampled_from([0.0, 0.5, 1.0])),
 )
 
 
@@ -250,4 +285,22 @@ def test_reference_and_kernel_agree_on_a_timeout_signal_tie():
         (0, 1, 1.0, (1, 1)),    # ... and the second get is handed the item
         (1, 1, 1.0, None),      # (its wakeup was pushed before the putter's)
     ]
+    assert states == ["done", "done"]
+
+
+def test_a_heap_entry_due_now_precedes_a_same_time_call_soon():
+    """At t=1 the sleeper's timer and a delivery sent at t=0 are both on
+    the heap; the sleeper's ``call_soon`` send, made at t=1, must still
+    deliver after that delivery, not jump the queue."""
+    program = [
+        [("sleep", 1.0), ("send", 2, 0.0)],
+        [("send", 2, 1.0), ("get", 2, None), ("get", 2, None)],
+    ]
+    log, states, events = run_kernel(program)
+    assert (log, states, events) == Reference(program).run()
+    assert [entry for entry in log if entry[0] == "net"] == [
+        ("net", (1, 0), 1.0, True),
+        ("net", (0, 1), 1.0, True),
+    ]
+    assert log[-2:] == [(1, 1, 1.0, (1, 0)), (1, 2, 1.0, (0, 1))]
     assert states == ["done", "done"]

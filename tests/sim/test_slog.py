@@ -1,7 +1,9 @@
 """Tests for the in-simulation logger and stack-trace rendering."""
 
 from repro.logs.record import Level
+from repro.sim import env as env_module
 from repro.sim.cluster import Cluster
+from repro.sim.env import clear_site_cache
 from repro.sim.errors import ExecutionException, IOException
 from repro.sim.slog import render_stack_trace
 
@@ -79,3 +81,24 @@ class TestSimLogger:
         assert source is not None
         assert source.file.endswith("test_slog.py")
         assert source.function == "test_source_ref_points_at_caller"
+
+    def test_one_call_site_shares_one_source_ref(self):
+        cluster = Cluster()
+        log = cluster.logger()
+
+        def emit(count):
+            log.info("line %d", count)
+
+        emit(1)
+        emit(2)
+        first, second = cluster.collector.log.records
+        assert first.source is second.source
+        key = (first.source.file, first.source.line)
+        assert env_module._SITE_CACHE[key] is first.source
+        # The env's site-cache reset drops the interned source too.
+        clear_site_cache()
+        assert key not in env_module._SITE_CACHE
+        emit(3)
+        third = cluster.collector.log.records[-1]
+        assert third.source == first.source
+        assert third.source is not first.source
