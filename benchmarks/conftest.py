@@ -2,10 +2,9 @@
 
 Each benchmark regenerates one table or figure of the paper; expensive
 shared artifacts (the ANDURIL runs over all 22 cases) are computed once
-per session and reused.  The campaign fans out across worker processes
-(``REPRO_JOBS`` overrides the default of one per CPU), and its per-case
-outcomes are written to ``benchmarks/out/bench_summary.json`` at session
-end for the CI regression gate.
+per session and reused.  The campaign fans out across one worker process
+per usable core, and its per-case outcomes are written to
+``benchmarks/out/bench_summary.json`` at session end for ``repro report``.
 """
 
 import pytest
@@ -39,8 +38,8 @@ def anduril_outcomes(cases):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Persist the campaign summary for tools/check_bench_regression.py,
-    and append the session's ANDURIL outcomes to the run ledger."""
+    """Persist the campaign summary for ``repro report``, and append the
+    session's ANDURIL outcomes to the run ledger."""
     if bench_summary.collected_case_count():
         path = bench_summary.write_bench_summary()
         print(f"\n[bench summary saved to {path}]")

@@ -29,7 +29,6 @@ from .flow import (
     PropagationGraph,
     PropagationPath,
     build_propagation_graph,
-    reachability_weights,
     task_root_closure,
 )
 from .model import (
@@ -91,7 +90,6 @@ __all__ = [
     "filter_candidates_by_dims",
     "graph_fault_candidates",
     "lint_package",
-    "reachability_weights",
     "registered_rules",
     "run_lint",
     "task_root_closure",

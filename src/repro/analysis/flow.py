@@ -28,9 +28,9 @@ same receiver name), and ``message`` (an env-boundary ``sock_send``
 paired with the functions that ``sock_recv``).
 
 The result is a serializable :class:`PropagationGraph`; consumers are the
-static fault-space pruner (:mod:`repro.core.pruning`), the concurrency
-rule pack (:mod:`repro.analysis.rules`), and the Explorer's reachability
-prior.  The graph is a pure function of the analyzed package's source,
+static fault-space pruner (:mod:`repro.core.pruning`) and the concurrency
+rule pack (:mod:`repro.analysis.rules`).  The graph is a pure function
+of the analyzed package's source,
 so it caches cleanly under the PR 5 workload fingerprint
 (:mod:`repro.cache.flowcache`).
 """
@@ -523,31 +523,3 @@ def task_root_closure(model: SystemModel, graph: PropagationGraph) -> dict[str, 
         closures[root] = frozenset(seen)
     return closures
 
-
-def reachability_weights(
-    graph: PropagationGraph, relevant_templates: Iterable[str]
-) -> dict[str, float]:
-    """Per-site reachability prior for the Explorer's warm start.
-
-    A site whose exception can *directly* reach a relevant observable
-    (a log template that participates in the failure's divergence) gets
-    full weight; reaching it only through a handler-callee closure gets
-    half; a pair that can only crash a task gets a quarter (the log
-    truncates, which is itself a divergence).  Per site, the best
-    exception wins.  The shape matches ``LintReport.site_weights()`` so
-    :class:`~repro.core.priority.FaultPriorityPool` can consume either.
-    """
-    relevant = frozenset(relevant_templates)
-    weights: dict[str, float] = {}
-    for (site_id, _exception), path in graph.paths.items():
-        if relevant & frozenset(path.logs):
-            weight = 1.0
-        elif relevant & frozenset(path.callee_logs):
-            weight = 0.5
-        elif path.crash:
-            weight = 0.25
-        else:
-            weight = 0.0
-        if weight > weights.get(site_id, 0.0):
-            weights[site_id] = weight
-    return {site: weight for site, weight in weights.items() if weight > 0.0}

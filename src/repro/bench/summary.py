@@ -1,10 +1,10 @@
-"""Machine-readable campaign summaries for the CI regression gate.
+"""Machine-readable campaign summaries.
 
 Every :func:`repro.bench.harness.run_anduril` outcome (serial or via the
 parallel campaign runner) is recorded here; the benchmark session writes
 the collected summary to ``benchmarks/out/bench_summary.json``, which
-``tools/check_bench_regression.py`` compares against the committed
-baseline (``benchmarks/bench_baseline.json``).
+``repro report`` renders, and ``compare --summary-out`` writes the same
+document for ``tools/check_summary_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def record_outcome(outcome) -> None:
         "seconds": round(float(outcome.seconds), 6),
     }
     # Profiled campaigns carry the flat repro.obs metrics dict; persist
-    # it alongside the gate fields (the regression gate ignores it).
+    # it alongside the outcome fields.
     case_metrics = getattr(outcome, "metrics", None)
     if case_metrics:
         entry["metrics"] = {
@@ -85,10 +85,10 @@ def summarize(outcomes: Optional[dict[str, dict]] = None) -> dict:
     }
     counters = dict(sorted(obs_metrics.snapshot().items()))
     # Operational counters (e.g. campaign.inline_fallbacks) for post-hoc
-    # inspection; not part of the regression gate.  The runner knobs'
-    # counters get their own sections (this process plus merged workers),
-    # each absent when its knob never moved one, so that summaries with
-    # those knobs on and off stay identical outside of them.
+    # inspection.  The runner knobs' counters get their own sections
+    # (this process plus merged workers), each absent when its knob never
+    # moved one, so that summaries with those knobs on and off stay
+    # identical outside of them.
     runner_prefixes = tuple(obs_metrics.RUNNER_SECTIONS.values())
     plain = {
         key: value

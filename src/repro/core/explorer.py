@@ -26,7 +26,7 @@ import time
 from typing import Optional
 
 from ..analysis.causal import DistanceIndex
-from ..analysis.flow import PropagationGraph, reachability_weights
+from ..analysis.flow import PropagationGraph
 from ..analysis.model import CausalGraph
 from ..analysis.system_model import SystemModel, analyze_package
 from ..cache.flowcache import cached_propagation_graph
@@ -120,8 +120,7 @@ class PreparedSearch:
     normal_run: RunResult
     prepare_seconds: float
     timeline: Optional[TimelineMap] = None
-    #: The flow pass's result; built only when static pruning or the
-    #: reachability prior asked for it.
+    #: The flow pass's result; built only for static pruning.
     flow_graph: Optional[PropagationGraph] = None
 
 
@@ -194,8 +193,6 @@ class Explorer:
         runs_per_round: int = 1,
         lint_prior: bool = False,
         lint_bonus: float = 2.0,
-        reachability_prior: bool = False,
-        reach_bonus: float = 1.0,
         jobs: int = 1,
         recorder=None,
         bus=None,
@@ -250,12 +247,6 @@ class Explorer:
         #: of ``lint_bonus * weight`` (see ``LintReport.site_weights``).
         self.lint_prior = lint_prior
         self.lint_bonus = lint_bonus
-        #: Flow-pass reachability prior: sites whose exceptions can
-        #: statically reach a relevant logging divergence point get an
-        #: F_i bonus of ``reach_bonus * weight`` (see
-        #: ``repro.analysis.flow.reachability_weights``).
-        self.reachability_prior = reachability_prior
-        self.reach_bonus = reach_bonus
         #: Static fault-space pruning (accounting-only; see
         #: ``repro.core.pruning``).  With ``prune="static"`` the coverage
         #: tracker additionally carries the pruned space and records any
@@ -329,14 +320,9 @@ class Explorer:
 
             prior_weights = run_lint(self.model).site_weights()
         flow_graph = None
-        if self.prune == "static" or self.reachability_prior:
+        if self.prune == "static":
             flow_graph = cached_propagation_graph(
                 self.model, workload=self.workload
-            )
-        reach_weights = None
-        if self.reachability_prior and flow_graph is not None:
-            reach_weights = reachability_weights(
-                flow_graph, observables.mapped_keys()
             )
         pool = FaultPriorityPool(
             candidates,
@@ -349,8 +335,6 @@ class Explorer:
             temporal_mode=self.temporal_mode,
             prior_weights=prior_weights,
             prior_scale=self.lint_bonus,
-            reach_weights=reach_weights,
-            reach_scale=self.reach_bonus,
         )
         if self.track_coverage:
             # The full injectable fault space comes from the same inputs

@@ -31,14 +31,8 @@ from .verdict import compile_cutoff
 
 def default_jobs() -> int:
     """Worker count when the user asked for parallelism without a number:
-    ``REPRO_JOBS``, else one per core this process may run on (under
-    ``taskset`` or a cgroup cpuset that is fewer than are installed)."""
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            pass
+    one per core this process may run on (under ``taskset`` or a cgroup
+    cpuset that is fewer than are installed)."""
     if hasattr(os, "sched_getaffinity"):
         return max(len(os.sched_getaffinity(0)), 1)
     return max(os.cpu_count() or 1, 1)

@@ -88,8 +88,6 @@ class FaultPriorityPool:
         temporal_mode: str = "messages",
         prior_weights: Optional[dict[str, float]] = None,
         prior_scale: float = 2.0,
-        reach_weights: Optional[dict[str, float]] = None,
-        reach_scale: float = 1.0,
     ) -> None:
         if aggregate not in ("min", "sum"):
             raise ValueError("aggregate must be 'min' or 'sum'")
@@ -101,13 +99,6 @@ class FaultPriorityPool:
         #: explored earlier; feedback still dominates once I_k grows.
         self._prior_weights = dict(prior_weights) if prior_weights else {}
         self._prior_scale = prior_scale
-        #: Flow-pass reachability prior: per-site weights in [0, 1] from
-        #: ``repro.analysis.flow.reachability_weights`` — sites whose
-        #: exceptions can statically reach a relevant logging divergence
-        #: point.  Applied the same way as the lint prior, as a second
-        #: independent bonus subtracted from F_i.
-        self._reach_weights = dict(reach_weights) if reach_weights else {}
-        self._reach_scale = reach_scale
         #: §5.2.4: ``min`` maximizes the chance to trigger one observable
         #: per run (the paper's choice); ``sum`` tries to trigger them all
         #: and is less sensitive to feedback.
@@ -202,7 +193,6 @@ class FaultPriorityPool:
                 best = value
                 best_key = key
         bonus = self._prior_scale * self._prior_weights.get(candidate.site_id, 0.0)
-        bonus += self._reach_scale * self._reach_weights.get(candidate.site_id, 0.0)
         if self._aggregate == "sum":
             return total - bonus, best_key
         return best - bonus, best_key

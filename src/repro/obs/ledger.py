@@ -3,8 +3,7 @@
 Every ``reproduce`` / ``compare`` / bench run appends one JSON object per
 (strategy, case) cell to ``benchmarks/out/ledger.jsonl``.  Entries are
 schema-versioned and keyed by ``(git_sha, case_id, strategy, seed,
-jobs)`` so trends survive one-shot table files: the regression gate
-(``tools/check_bench_regression.py --history``) and the HTML report read
+jobs)`` so trends survive one-shot table files: the HTML report reads
 them back to plot success and wall-clock trajectories across commits.
 
 Versioning rules (see DESIGN.md §7.2):
@@ -181,8 +180,7 @@ def compaction_key(entry: dict) -> tuple:
     ledger grows one batch per commit under CI cache restores, so a
     per-commit key would never retire anything.  Keeping the last N per
     ``(case_id, strategy, seed, jobs)`` preserves a bounded trend window
-    across commits — exactly what the report sparklines and the
-    ``--history`` regression gate consume.
+    across commits — exactly what the report sparklines consume.
     """
     return (
         entry.get("case_id", ""),

@@ -37,7 +37,6 @@ _TABLE_FILES = [
     ("Ablation — design choices", "ablation_design_choices.txt"),
     ("Ablation — lint prior", "ablation_lint_prior.txt"),
     ("Lint detectors", "table_lint_detectors.txt"),
-    ("Parallel bench", "bench_parallel.txt"),
 ]
 
 

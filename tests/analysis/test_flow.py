@@ -8,7 +8,6 @@ from repro.analysis.ast_facts import extract_module_facts
 from repro.analysis.flow import (
     PropagationGraph,
     build_propagation_graph,
-    reachability_weights,
     task_root_closure,
 )
 from repro.analysis.system_model import SystemModel
@@ -236,19 +235,3 @@ class TestSerialization:
         assert summary["live_pairs"] + summary["dead_pairs"] == summary["pairs"]
         assert set(summary["cross_edges"]) == {"spawn", "queue", "message"}
 
-
-class TestReachabilityWeights:
-    def test_direct_callee_and_crash_tiers(self, worker):
-        model, graph = worker
-        direct = reachability_weights(graph, [log_template(model, "step")])
-        assert direct[site_of(model, "disk_append")] == 1.0
-        callee = reachability_weights(graph, [log_template(model, "mark_degraded")])
-        assert callee[site_of(model, "disk_append")] == 0.5
-        # Crash-only sites keep a residual weight whatever is relevant.
-        assert direct[site_of(model, "disk_read")] == 0.25
-        assert callee[site_of(model, "disk_write")] == 0.25
-
-    def test_dead_sites_are_absent(self, worker):
-        model, graph = worker
-        weights = reachability_weights(graph, [log_template(model, "step")])
-        assert site_of(model, "disk_sync") not in weights

@@ -43,6 +43,7 @@ from repro.injection.sites import FaultInstance
 from repro.logs.record import Level, LogRecord
 from repro.sim.cluster import execute_workload
 from repro.sim.errors import IOException
+from tests.bench_xl import xl_case
 
 
 @pytest.fixture(autouse=True)
@@ -113,6 +114,22 @@ class TestCompileDecidability:
         for case_id in ("f1", "f5", "f12", "f23", "f24", "f26", "f27"):
             assert compile_cutoff(get_case(case_id).oracle) is not None, case_id
         assert compile_cutoff(get_case("f18").oracle) is None
+        # The late-failing -xl variants: f16-xl's stuck-task oracle and
+        # f18-xl's non-monotone predicate are refused; every other one's
+        # ground-truth replay latches its verdict long before the horizon.
+        for case_id in ("f16-xl", "f18-xl"):
+            assert compile_cutoff(xl_case(case_id).oracle) is None, case_id
+        for case_id in ("f1-xl", "f5-xl", "f21-xl"):
+            case = xl_case(case_id)
+            cut = execute_workload(
+                case.workload,
+                horizon=case.horizon,
+                seed=case.seed,
+                plan=InjectionPlan.single(case.ground_truth_instance()),
+                monitor=compile_cutoff(case.oracle).factory(),
+            )
+            assert cut.truncated_at is not None, case_id
+            assert cut.injected and case.oracle.satisfied(cut), case_id
 
 
 # ------------------------------------------------------------- monitor unit
@@ -571,9 +588,12 @@ def test_cutoff_runs_are_oracle_equivalent_prefixes(spec, seed, oracle):
 # ------------------------------------------------- explorer byte-identity
 
 
-@pytest.mark.parametrize("case_id", ["f1", "f5", "f12"])
+@pytest.mark.parametrize(
+    "case_id",
+    ["f1", "f5", "f12", "f23", "f24", "f25", "f26", "f27", "f1-xl", "f5-xl", "f21-xl"],
+)
 def test_explore_signature_identical_cutoff_on_off_jobs1(case_id):
-    case = get_case(case_id)
+    case = xl_case(case_id) if case_id.endswith("-xl") else get_case(case_id)
     off = case.explorer(checkpoint=False, early_verdict=False).explore()
     on = case.explorer(checkpoint=False, early_verdict=True).explore()
     assert on.signature() == off.signature()

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import pathlib
 import sys
 
 from repro.obs import report as report_mod
@@ -111,6 +112,33 @@ class TestStdlibOnly:
                 imported.add(node.module.split(".")[0])
         # Relative imports (level > 0) stay inside repro.obs by construction.
         assert imported <= set(sys.stdlib_module_names), imported
+
+
+BENCHMARKS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
+
+
+def emitted_tables() -> set[str]:
+    """Every ``<stem>.txt`` a benchmark writes through ``emit("<stem>", …)``."""
+    stems = set()
+    for path in BENCHMARKS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "emit"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                stems.add(f"{node.args[0].value}.txt")
+    return stems
+
+
+def test_every_report_table_is_written_by_a_benchmark():
+    """A report row whose table no benchmark writes renders nothing, ever."""
+    emitted = emitted_tables()
+    assert "table1_fault_sites.txt" in emitted
+    missing = [name for _, name in report_mod._TABLE_FILES if name not in emitted]
+    assert not missing, missing
 
 
 class TestRender:

@@ -680,7 +680,10 @@ class TestExplorerEquivalence:
         assert forks() > before, "no run was fork-served"
         assert forked.signature() == plain.signature()
 
-    @pytest.mark.parametrize("case_id", ["f1", "f9", "f13", "f19", "f22"])
+    @pytest.mark.parametrize(
+        "case_id",
+        ["f1", "f9", "f13", "f19", "f22", "f23", "f24", "f25", "f26", "f27"],
+    )
     def test_signature_identical_checkpoint_on_off(self, case_id, free_forks):
         self.assert_signature_identical(
             get_case(case_id), max_rounds=12, oracle=NeverSatisfied()
