@@ -27,7 +27,6 @@ from ..core.oracle import Oracle
 from ..core.pipeline import RunConfig, RunPipeline
 from ..core.prepared import prepared_case
 from ..core.search import search
-from ..injection.fir import TraceEvent
 from ..injection.sites import FaultInstance
 from ..logs.record import LogFile
 from ..obs.coverage import NULL_COVERAGE, CoverageSummary, CoverageTracker
@@ -56,13 +55,16 @@ class SearchContext:
     candidates: Sequence[SourceInfo]
     index: DistanceIndex
     timeline: TimelineMap
+    #: The probe; its trace's per-site index places each occurrence.
     normal_run: RunResult
-    instances_by_site: Mapping[str, Sequence[TraceEvent]]
+    #: Times the probe executed each site.
+    occurrences: Mapping[str, int]
     #: Every injectable triple of the case (coverage's denominator).
     fault_space: frozenset
 
-    def instances_of(self, site_id: str) -> Sequence[TraceEvent]:
-        return self.instances_by_site.get(site_id, ())
+    def occurrences_of(self, site_id: str) -> range:
+        """The site's probe occurrences, 1 … n (empty if it never ran)."""
+        return range(1, self.occurrences.get(site_id, 0) + 1)
 
 
 def build_context(case: CaseLike) -> SearchContext:
@@ -89,7 +91,7 @@ def build_context(case: CaseLike) -> SearchContext:
         index=prepared.index,
         timeline=prepared.timeline,
         normal_run=prepared.normal_run,
-        instances_by_site=prepared.instances_by_site,
+        occurrences=prepared.occurrences,
         fault_space=prepared.fault_space,
     )
 

@@ -133,12 +133,10 @@ class StacktraceInjector(_StaticOrderStrategy):
             for exc_type in env_call.exception_types:
                 if exception_types and exc_type not in exception_types:
                     continue
-                for event in context.instances_of(env_call.site_id) or []:
+                for occurrence in context.occurrences_of(env_call.site_id) or [1]:
                     queue.append(
-                        FaultInstance(env_call.site_id, exc_type, event.occurrence)
+                        FaultInstance(env_call.site_id, exc_type, occurrence)
                     )
-                if not context.instances_of(env_call.site_id):
-                    queue.append(FaultInstance(env_call.site_id, exc_type, 1))
         return queue
 
 
@@ -153,8 +151,7 @@ class RandomInjector(_StaticOrderStrategy):
     def build_queue(self, context: SearchContext):
         space: list[FaultInstance] = []
         for env_call in context.model.env_calls:
-            events = context.instances_of(env_call.site_id)
-            occurrences = [event.occurrence for event in events] or [1]
+            occurrences = context.occurrences_of(env_call.site_id) or [1]
             for exc_type in env_call.exception_types:
                 for occurrence in occurrences:
                     space.append(

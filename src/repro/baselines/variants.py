@@ -34,11 +34,7 @@ INFINITY = float("inf")
 
 def _instances(context: SearchContext, site_id: str, limit: Optional[int] = None):
     """Occurrence numbers of a site in the probe run (1 if never seen)."""
-    events = context.instances_of(site_id)
-    occurrences = [event.occurrence for event in events] or [1]
-    if limit is not None:
-        occurrences = occurrences[:limit]
-    return occurrences
+    return (context.occurrences_of(site_id) or [1])[:limit]
 
 
 class _StaticOrderStrategy(Strategy):
@@ -174,6 +170,7 @@ class MultiplyFeedback(Strategy):
 
     def next_window(self) -> list[FaultInstance]:
         observables = self.context.observables
+        trace = self.context.normal_run.trace
         entries = []
         for info in self.context.candidates:
             reachable = self.context.index.observables_reachable_from(info.node_id)
@@ -189,17 +186,20 @@ class MultiplyFeedback(Strategy):
             if best == INFINITY:
                 continue
             positions = observables.positions(best_key)
-            for event in self.context.instances_of(info.site_id) or []:
-                key = (info.site_id, info.exception, event.occurrence)
+            for occurrence, request in enumerate(
+                trace.positions(info.site_id), start=1
+            ):
+                key = (info.site_id, info.exception, occurrence)
                 if key in self.tried:
                     continue
                 temporal = temporal_distance(
-                    self.context.timeline.to_failure(event.log_index), positions
+                    self.context.timeline.to_failure(trace.log_indices[request]),
+                    positions,
                 )
                 # The ablated combination: one flat rank per instance.
                 combined = best * (1.0 + temporal)
                 entries.append(
-                    (combined, info.site_id, info.exception, event.occurrence)
+                    (combined, info.site_id, info.exception, occurrence)
                 )
         entries.sort()
         return [

@@ -352,9 +352,9 @@ class RunCache:
                 return
             name = self._name(self._verdict_key(key, monitor_key))
         try:
-            # Flattened first: pickling thousands of small LogRecord and
-            # TraceEvent dataclasses one by one costs ~10x the row codec
-            # (shared with fork frames, see sim.checkpoint).
+            # Flattened first: pickling thousands of small LogRecord
+            # dataclasses one by one costs ~10x the row codec (shared
+            # with fork frames, see sim.checkpoint).
             record = pickle.dumps(_encode_result(result), pickle.HIGHEST_PROTOCOL)
         except Exception:
             # Not something the codec can pack (a test double, state

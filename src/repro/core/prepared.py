@@ -12,8 +12,9 @@ strategy, so the ten cells a campaign runs on one case — ANDURIL's
 **Immutability contract.**  A :class:`PreparedCase` and everything
 reachable from it is read-only once built; what a search mutates —
 observable priorities, the priority pool, coverage — is made fresh per
-search (:meth:`PreparedCase.observables`).  The two memos inside it (the
-comparator's edit scripts, the matcher's message keys) are pure caches.
+search (:meth:`PreparedCase.observables`).  The three memos inside it
+(the comparator's edit scripts, the matcher's message keys, the probe
+trace's per-site index) are pure caches.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ..analysis.model import (
     graph_fault_candidates,
 )
 from ..analysis.system_model import SystemModel
-from ..injection.fir import InjectionPlan, TraceEvent
+from ..injection.fir import InjectionPlan
 from ..logs.diff import CompareResult, LogComparator, PreparedComparator
 from ..logs.record import LogFile
 from ..obs.coverage import enumerate_fault_space
@@ -52,6 +53,8 @@ class PreparedCase:
     """The strategy-independent product of the Explorer's steps 1–2."""
 
     failure_log: LogFile
+    #: The probe.  Its trace's per-site index (``ProbeTrace.positions``)
+    #: is the one grouping by site that every search reads.
     normal_run: RunResult
     #: The failure side, grouped once for every search's feedback.
     comparator: PreparedComparator
@@ -62,7 +65,6 @@ class PreparedCase:
     index: DistanceIndex
     candidates: tuple[SourceInfo, ...]
     timeline: TimelineMap
-    instances_by_site: Mapping[str, tuple[TraceEvent, ...]]
     #: Times the probe executed each site, and from that every
     #: injectable ``(site, spec, occurrence)`` (no per-site cap).
     occurrences: Mapping[str, int]
@@ -138,9 +140,6 @@ def _build(model, failure_log, fault_dims, base_faults, pipeline) -> PreparedCas
     candidates = tuple(
         filter_candidates_by_dims(graph_fault_candidates(graph), fault_dims)
     )
-    by_site: dict[str, list[TraceEvent]] = {}
-    for event in normal_run.trace:
-        by_site.setdefault(event.site_id, []).append(event)
     occurrences = normal_run.site_counts
     return PreparedCase(
         failure_log=failure_log,
@@ -153,9 +152,6 @@ def _build(model, failure_log, fault_dims, base_faults, pipeline) -> PreparedCas
         candidates=candidates,
         timeline=TimelineMap(
             initial.matched, len(normal_run.log), len(failure_log)
-        ),
-        instances_by_site=types.MappingProxyType(
-            {site: tuple(events) for site, events in by_site.items()}
         ),
         occurrences=types.MappingProxyType(occurrences),
         fault_space=enumerate_fault_space(candidates, occurrences),

@@ -23,7 +23,7 @@ from typing import Optional
 
 from ..analysis.causal import DistanceIndex
 from ..analysis.model import SourceInfo
-from ..injection.fir import TraceEvent
+from ..injection.fir import ProbeTrace
 from ..injection.sites import FaultInstance
 from .alignment import TimelineMap, temporal_distance
 from .observables import ObservableSet
@@ -81,7 +81,7 @@ class FaultPriorityPool:
         candidates: list[SourceInfo],
         index: DistanceIndex,
         observables: ObservableSet,
-        trace: list[TraceEvent],
+        trace: ProbeTrace,
         timeline: TimelineMap,
         max_instances_per_site: Optional[int] = None,
         aggregate: str = "min",
@@ -110,10 +110,7 @@ class FaultPriorityPool:
         self._temporal_mode = temporal_mode
         self._observables = observables
         self._index = index
-        # Group the normal-run trace by site: occurrence -> log position.
-        events_by_site: dict[str, list[TraceEvent]] = {}
-        for event in trace:
-            events_by_site.setdefault(event.site_id, []).append(event)
+        log_indices = trace.log_indices
 
         self._candidates: list[CandidateState] = []
         for info in candidates:
@@ -126,13 +123,15 @@ class FaultPriorityPool:
             }
             if not reachable:
                 continue
-            events = events_by_site.get(info.site_id, [])
+            # The site's probe requests: occurrence -> log position.
             instances = [
                 InstanceEntry(
-                    occurrence=event.occurrence,
-                    mapped_position=timeline.to_failure(event.log_index),
+                    occurrence=occurrence,
+                    mapped_position=timeline.to_failure(log_indices[position]),
                 )
-                for event in events
+                for occurrence, position in enumerate(
+                    trace.positions(info.site_id), start=1
+                )
             ]
             if not instances:
                 # The workload did not exercise the site in the probe run;

@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from ..analysis.flow import PropagationGraph
+from ..injection.fir import ProbeTrace
 from ..injection.sites import is_corruption_spec
 
 #: Default temporal radius in probe-run log messages.  Committed
@@ -55,7 +56,7 @@ class StaticPruner:
         index,
         observables,
         timeline,
-        trace: Iterable,
+        trace: ProbeTrace,
         radius: float = DEFAULT_RADIUS,
     ) -> None:
         self._radius = float(radius)
@@ -76,10 +77,7 @@ class StaticPruner:
             self._pair_positions[(candidate.site_id, candidate.exception)] = tuple(
                 positions
             )
-        # Per (site, occurrence): the probe run's log index.
-        self._event_index: dict[tuple[str, int], int] = {}
-        for event in trace:
-            self._event_index[(event.site_id, event.occurrence)] = event.log_index
+        self._trace = trace
 
     @property
     def radius(self) -> float:
@@ -96,14 +94,15 @@ class StaticPruner:
             pass
         elif (site_id, exception) in self._dead_pairs:
             return False
-        log_index = self._event_index.get((site_id, occurrence))
-        if log_index is None:
+        ordinal = self._trace.ordinal(site_id, occurrence)
+        if ordinal is None:
             # Speculative occurrence — no probe timestamp to reason from.
             return True
         positions = self._pair_positions.get((site_id, exception))
         if not positions:
             # Unknown pair, or no reachable relevant observable: keep.
             return True
+        log_index = self._trace.log_indices[ordinal - 1]
         return min(
             abs(log_index - position) for position in positions
         ) <= self._radius

@@ -1,6 +1,6 @@
 """Fault-injection runtime: site identity, plans, and the FIR."""
 
-from .fir import FIR, InjectionPlan, TraceEvent, is_injected
+from .fir import FIR, InjectionPlan, ProbeTrace, TraceEvent, is_injected
 from .sites import FaultCandidate, FaultInstance, SiteRef, normalize_path
 
 __all__ = [
@@ -8,6 +8,7 @@ __all__ = [
     "FaultCandidate",
     "FaultInstance",
     "InjectionPlan",
+    "ProbeTrace",
     "SiteRef",
     "TraceEvent",
     "is_injected",

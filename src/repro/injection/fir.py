@@ -3,9 +3,9 @@
 Every environment-boundary call in system code funnels through
 :meth:`FIR.on_site`, which plays both instrumented roles from the paper:
 
-* ``traceSite`` — record (site, occurrence, virtual time, logical log
-  index) so the feedback algorithm can compute temporal distances
-  (§5.2.3); and
+* ``traceSite`` — record (site, virtual time, logical log index) in the
+  run's :class:`ProbeTrace` so the feedback algorithm can compute
+  temporal distances (§5.2.3); and
 * ``throwIfEnabled`` — consult the active injection plan and, when this
   site's current occurrence matches, either raise the planned exception
   (``raise`` specs) or hand the caller a value-corruption applier
@@ -19,9 +19,13 @@ fires per run.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import dataclasses
+import functools
 import time
-from typing import Any, Callable, Iterable, Optional
+from array import array
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..obs import VIRTUAL
 from .corruptions import corruption_for
@@ -49,20 +53,126 @@ def dedupe_instances(instances: Iterable[FaultInstance]) -> list[FaultInstance]:
     return unique
 
 
-@dataclasses.dataclass(slots=True, unsafe_hash=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class TraceEvent:
-    """One dynamic execution of a fault site.
-
-    Immutable by convention, not by ``frozen=True``: one is built per
-    site execution and per decoded cache or fork row, and a frozen
-    ``__init__`` pays four ``object.__setattr__`` calls for it.  Nothing
-    assigns to an event after construction.
-    """
+    """One dynamic execution of a fault site: a row of a
+    :class:`ProbeTrace`, built only when someone reads the trace row by
+    row (tests, tools); the search reads the columns."""
 
     site_id: str
     occurrence: int
     time: float       # virtual seconds
     log_index: int    # number of log records emitted before this event
+
+
+class ProbeTrace:
+    """The FIR trace of one run, as columns: one entry per request.
+
+    Request ``i`` (0-based) executed site ``sites[i]`` at virtual time
+    ``times[i]``, after ``log_indices[i]`` log records.  The FIR appends
+    to the three columns and builds nothing per request.  Occurrences
+    are not stored, because a site's ``j``-th request *is* its
+    occurrence ``j``: the per-site index (:meth:`positions`, built on
+    first read, extended if the trace has grown since, and shared by
+    every reader) is the one place that maps one to the other.
+
+    As a sequence (``len``, iteration, ``trace[i]``, ``trace[a:b]``) it
+    reads as :class:`TraceEvent` rows, built on demand.
+    """
+
+    __slots__ = ("sites", "times", "log_indices", "_by_site", "_indexed")
+
+    def __init__(
+        self,
+        sites: Optional[list] = None,
+        times: Optional[array] = None,
+        log_indices: Optional[array] = None,
+    ) -> None:
+        self.sites: list[str] = [] if sites is None else sites
+        self.times = array("d") if times is None else times
+        self.log_indices = array("q") if log_indices is None else log_indices
+        self._by_site: collections.defaultdict = collections.defaultdict(
+            functools.partial(array, "q")
+        )
+        self._indexed = 0
+
+    @classmethod
+    def of(cls, events: Iterable[TraceEvent]) -> "ProbeTrace":
+        """The trace whose rows are ``events``, in request order; each
+        site's occurrences must count up from 1, as the FIR's do."""
+        events = list(events)
+        trace = cls(
+            [event.site_id for event in events],
+            array("d", [event.time for event in events]),
+            array("q", [event.log_index for event in events]),
+        )
+        if list(trace) != events:
+            raise ValueError("each site's occurrences must count up from 1")
+        return trace
+
+    # ------------------------------------------------------------ the index
+
+    def positions(self, site_id: str) -> Sequence[int]:
+        """0-based positions of ``site_id``'s requests, in occurrence
+        order: occurrence ``j`` is ``positions(site_id)[j - 1]``."""
+        sites, by_site = self.sites, self._by_site
+        if self._indexed != len(sites):
+            for position in range(self._indexed, len(sites)):
+                by_site[sites[position]].append(position)
+            self._indexed = len(sites)
+        return by_site.get(site_id, ())
+
+    def ordinal(self, site_id: str, occurrence: int) -> Optional[int]:
+        """The 1-based request ordinal (the unit of
+        :meth:`FIR.set_trigger`) of ``site_id``'s ``occurrence``-th
+        execution, or ``None`` if the run never reached it."""
+        positions = self.positions(site_id)
+        if 0 < occurrence <= len(positions):
+            return positions[occurrence - 1] + 1
+        return None
+
+    # ----------------------------------------------------------- row access
+
+    def __len__(self) -> int:
+        return len(self.sites)
+
+    def __iter__(self):
+        counts: dict[str, int] = {}
+        for site_id, when, log_index in zip(
+            self.sites, self.times, self.log_indices
+        ):
+            occurrence = counts[site_id] = counts.get(site_id, 0) + 1
+            yield TraceEvent(site_id, occurrence, when, log_index)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return [self[i] for i in range(*item.indices(len(self)))]
+        position = range(len(self))[item]
+        site_id = self.sites[position]
+        occurrence = bisect.bisect_left(self.positions(site_id), position) + 1
+        return TraceEvent(
+            site_id, occurrence, self.times[position], self.log_indices[position]
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ProbeTrace):
+            return (
+                self.sites == other.sites
+                and self.times == other.times
+                and self.log_indices == other.log_indices
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # mutable while its run records it
+
+    def __reduce__(self):
+        # The three columns, never the index (rebuilt on first read).
+        return ProbeTrace, (self.sites, self.times, self.log_indices)
+
+    def __repr__(self) -> str:
+        return f"ProbeTrace({len(self)} requests)"
 
 
 @dataclasses.dataclass
@@ -192,7 +302,7 @@ class FIR:
         self.tracing = True
         self.plan: Optional[InjectionPlan] = None
         self.counts: dict[str, int] = {}
-        self.trace: list[TraceEvent] = []
+        self.trace = ProbeTrace()
         self.fired: Optional[FaultInstance] = None
         self.always_fired: list[FaultInstance] = []
         self.request_count = 0
@@ -277,11 +387,10 @@ class FIR:
         counts[site_id] = occurrence
         self.request_count += 1
         if self.tracing:
-            self.trace.append(
-                TraceEvent(
-                    site_id, occurrence, self._clock(), self._log_index_fn()
-                )
-            )
+            trace = self.trace
+            trace.sites.append(site_id)
+            trace.times.append(self._clock())
+            trace.log_indices.append(self._log_index_fn())
         if self._trigger is not None and self.request_count == self._trigger_at:
             # One-shot checkpoint hook: the holder process parks here (its
             # trigger loop never returns); a forked child returns with the

@@ -59,7 +59,7 @@ import time
 import warnings
 from typing import Optional
 
-from ..injection.fir import InjectionPlan, TraceEvent
+from ..injection.fir import InjectionPlan, ProbeTrace
 from ..logs.record import Level, LogFile, LogRecord, SourceRef
 from ..obs import metrics as obs_metrics
 from .cluster import Cluster, RunResult, execute_workload, request_price
@@ -229,21 +229,15 @@ def _encode_result(result: RunResult) -> tuple:
     and — on a result cut down to its post-fork suffix — the fork pipe).
 
     Generic pickling of a result spends most of its time reducing the
-    thousands of small ``LogRecord``/``TraceEvent`` dataclass instances
-    one by one; flattening them to primitive tuples first makes the
-    frame several times cheaper to serialize.  The trace is rows too, or
-    ``None`` for an armed run, which records none.  The remaining fields
-    are small and ship as-is.
+    thousands of small ``LogRecord`` dataclass instances one by one;
+    flattening them to primitive tuples first makes the frame several
+    times cheaper to serialize.  The trace (``None`` for an armed run,
+    which records none) already is three flat columns and pickles as
+    them.  The remaining fields are small and ship as-is.
     """
-    trace = result.trace
     return (
         _log_rows(result.log),
-        None
-        if trace is None
-        else [
-            (event.site_id, event.occurrence, event.time, event.log_index)
-            for event in trace
-        ],
+        result.trace,
         result.injected,
         result.injected_instance,
         result.stuck,
@@ -279,7 +273,7 @@ def _decode_result(payload: tuple, log_prefix=()) -> RunResult:
     records = _log_records(records)
     return RunResult(
         log=LogFile(log_prefix + records if log_prefix else records),
-        trace=None if trace is None else [TraceEvent(*row) for row in trace],
+        trace=trace,
         injected=injected,
         injected_instance=injected_instance,
         stuck=stuck,
@@ -609,7 +603,7 @@ class CheckpointPool:
         workload,
         horizon: float,
         seed: int,
-        probe_trace: list[TraceEvent],
+        probe_trace: ProbeTrace,
         base_faults=(),
         monitor_factory=None,
     ) -> None:
@@ -627,9 +621,7 @@ class CheckpointPool:
             for inst in self._base_faults
         )
         self._base_plan = InjectionPlan.of([], always=self._base_faults)
-        self._order: dict[tuple[str, int], int] = {}
-        for position, event in enumerate(probe_trace, start=1):
-            self._order.setdefault((event.site_id, event.occurrence), position)
+        self._trace = probe_trace
         self._total_requests = len(probe_trace)
         self._rungs: dict[int, Checkpoint] = {}
         self._opens_left = OPEN_BUDGET
@@ -665,9 +657,9 @@ class CheckpointPool:
             return None
         first = self._total_requests
         for instance in plan.instances:
-            position = self._order.get((instance.site_id, instance.occurrence))
-            if position is not None and position < first:
-                first = position
+            ordinal = self._trace.ordinal(instance.site_id, instance.occurrence)
+            if ordinal is not None and ordinal < first:
+                first = ordinal
         return first
 
     # ----------------------------------------------------------------- running

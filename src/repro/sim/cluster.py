@@ -14,7 +14,7 @@ import math
 import time
 from typing import Any, Callable, Generator, Optional
 
-from ..injection.fir import FIR, InjectionPlan, TraceEvent
+from ..injection.fir import FIR, InjectionPlan, ProbeTrace
 from ..logs.record import LogFile
 from ..obs import VIRTUAL
 from ..obs import metrics as obs_metrics
@@ -50,7 +50,7 @@ class RunResult:
     """
 
     log: LogFile
-    trace: Optional[list[TraceEvent]]
+    trace: Optional[ProbeTrace]
     injected: bool
     injected_instance: Optional[Any]
     stuck: list[TaskSummary]

@@ -33,10 +33,16 @@ class TestContext:
             assert info.node_id.startswith("extexc:")
 
     def test_instances_recorded_from_probe(self, f1_context):
-        assert f1_context.instances_by_site
-        for events in f1_context.instances_by_site.values():
-            occurrences = [event.occurrence for event in events]
-            assert occurrences == sorted(occurrences)
+        assert f1_context.occurrences
+        trace = f1_context.normal_run.trace
+        for site_id, count in f1_context.occurrences.items():
+            assert list(f1_context.occurrences_of(site_id)) == list(
+                range(1, count + 1)
+            )
+            positions = trace.positions(site_id)
+            assert len(positions) == count
+            assert list(positions) == sorted(positions)
+        assert not f1_context.occurrences_of("never:ran:0:op")
 
 
 class TestQueueShapes:

@@ -361,14 +361,14 @@ def test_damaged_entry_is_skipped_and_removed(tmp_path, damage):
     data = segment.read_bytes()
     _magic, name_size, length, _crc = _FIELDS.unpack_from(data)
     assert len(data) == _HEAD_SIZE + name_size + length  # one record
-    log_rows, trace_rows, *_rest = pickle.loads(data[-length:])
+    log_rows, trace, *_rest = pickle.loads(data[-length:])
     if damage == "truncated":
         data = data[: len(data) // 2]
     elif damage == "trace blob":
-        # A site id in the probe's trace rows: a flip that still
+        # A site id in the probe's trace columns: a flip that still
         # unpickles, so only the checksum stands between it and a wrong
-        # occurrence index.
-        data = _flip_bit(data, trace_rows[0][0].encode())
+        # per-site index.
+        data = _flip_bit(data, trace.sites[0].encode())
     elif damage == "log text":
         data = _flip_bit(data, log_rows[0][3].encode())
     elif damage == "header":

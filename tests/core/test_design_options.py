@@ -7,7 +7,7 @@ from repro.core.alignment import TimelineMap
 from repro.core.observables import Observable, ObservableSet
 from repro.core.priority import FaultPriorityPool
 from repro.failures import get_case
-from repro.injection.fir import TraceEvent
+from repro.injection.fir import ProbeTrace, TraceEvent
 from repro.logs.diff import LogComparator
 from repro.logs.record import LogFile
 from repro.logs.sanitize import TemplateMatcher
@@ -46,11 +46,13 @@ def two_candidate_pool(aggregate="min", temporal_mode="messages"):
         SourceInfo("extexc:s1:IOException", "s1", "IOException"),
         SourceInfo("extexc:s2:IOException", "s2", "IOException"),
     ]
-    trace = [
-        TraceEvent("s1", 1, 0.0, 50),
-        TraceEvent("s2", 1, 0.0, 9),
-        TraceEvent("s2", 2, 0.0, 70),
-    ]
+    trace = ProbeTrace.of(
+        [
+            TraceEvent("s1", 1, 0.0, 50),
+            TraceEvent("s2", 1, 0.0, 9),
+            TraceEvent("s2", 2, 0.0, 70),
+        ]
+    )
     return FaultPriorityPool(
         candidates,
         index,

@@ -5,7 +5,7 @@ from repro.core.alignment import TimelineMap
 from repro.core.observables import Observable, ObservableSet
 from repro.core.priority import FaultPriorityPool
 from repro.failures import get_case
-from repro.injection.fir import TraceEvent
+from repro.injection.fir import ProbeTrace, TraceEvent
 from repro.logs.diff import LogComparator
 from repro.logs.record import LogFile
 from repro.logs.sanitize import TemplateMatcher
@@ -32,11 +32,13 @@ def candidate(site, exc="IOException"):
     return SourceInfo(node_id=f"extexc:{site}:{exc}", site_id=site, exception=exc)
 
 
-def trace_for(site, positions):
-    return [
+def trace_for(**positions_by_site):
+    """A probe trace that runs each site at the given log positions."""
+    return ProbeTrace.of(
         TraceEvent(site_id=site, occurrence=j + 1, time=float(j), log_index=pos)
+        for site, positions in positions_by_site.items()
         for j, pos in enumerate(positions)
-    ]
+    )
 
 
 IDENTITY = TimelineMap([(i, i) for i in range(100)], 100, 100)
@@ -50,7 +52,7 @@ def make_pool(**kwargs):
             "extexc:s2:IOException": {"o1": 2},
         }
     )
-    trace = trace_for("s1", [9]) + trace_for("s2", [9])
+    trace = trace_for(s1=[9], s2=[9])
     return FaultPriorityPool(
         [candidate("s1"), candidate("s2")],
         index,

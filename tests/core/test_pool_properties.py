@@ -7,7 +7,7 @@ from repro.analysis.model import SourceInfo
 from repro.core.alignment import TimelineMap
 from repro.core.observables import Observable, ObservableSet
 from repro.core.priority import FaultPriorityPool
-from repro.injection.fir import TraceEvent
+from repro.injection.fir import ProbeTrace, TraceEvent
 from repro.logs.diff import LogComparator
 from repro.logs.record import LogFile
 from repro.logs.sanitize import TemplateMatcher
@@ -31,11 +31,11 @@ def build_pool(site_specs, observable_positions):
         SourceInfo(f"extexc:{site}:IOException", site, "IOException")
         for site in site_specs
     ]
-    trace = [
+    trace = ProbeTrace.of(
         TraceEvent(site, j + 1, float(j), pos)
         for site, (_d, positions) in site_specs.items()
         for j, pos in enumerate(positions)
-    ]
+    )
     return FaultPriorityPool(candidates, Index(), observables, trace, IDENTITY)
 
 

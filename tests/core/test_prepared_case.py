@@ -238,11 +238,13 @@ def test_prepared_case_is_read_only():
     with pytest.raises(dataclasses.FrozenInstanceError):
         prepared.graph = None
     with pytest.raises(TypeError):
-        prepared.instances_by_site["x"] = ()
-    with pytest.raises(TypeError):
         prepared.occurrences["x"] = 1
     assert isinstance(prepared.candidates, tuple)
-    assert all(isinstance(v, tuple) for v in prepared.instances_by_site.values())
+    # The probe trace's per-site index agrees with the probe's counts.
+    trace = prepared.normal_run.trace
+    assert {
+        site: len(trace.positions(site)) for site in prepared.occurrences
+    } == dict(prepared.occurrences)
 
 
 def test_cases_per_model_are_bounded():

@@ -4,7 +4,7 @@ from repro.analysis.model import SourceInfo
 from repro.core.alignment import TimelineMap
 from repro.core.observables import ObservableSet
 from repro.core.priority import FaultPriorityPool
-from repro.injection.fir import TraceEvent
+from repro.injection.fir import ProbeTrace, TraceEvent
 from repro.logs.diff import LogComparator
 from repro.logs.record import Level, LogFile, LogRecord
 from repro.logs.sanitize import TemplateMatcher
@@ -39,11 +39,13 @@ def candidate(site, exc="IOException"):
     return SourceInfo(node_id=f"extexc:{site}:{exc}", site_id=site, exception=exc)
 
 
-def trace_for(site, positions):
-    return [
+def trace_for(**positions_by_site):
+    """A probe trace that runs each site at the given log positions."""
+    return ProbeTrace.of(
         TraceEvent(site_id=site, occurrence=j + 1, time=float(j), log_index=pos)
+        for site, positions in positions_by_site.items()
         for j, pos in enumerate(positions)
-    ]
+    )
 
 
 IDENTITY = TimelineMap([(i, i) for i in range(100)], 100, 100)
@@ -54,7 +56,7 @@ class TestSitePriority:
         observables = make_observables({"o1": [10], "o2": [20]})
         index = FakeIndex({"extexc:s1:IOException": {"o1": 5, "o2": 1}})
         pool = FaultPriorityPool(
-            [candidate("s1")], index, observables, trace_for("s1", [9]), IDENTITY
+            [candidate("s1")], index, observables, trace_for(s1=[9]), IDENTITY
         )
         entries = pool.ranked_entries()
         assert entries[0].site_priority == 1  # min(5+0, 1+0)
@@ -64,7 +66,7 @@ class TestSitePriority:
         observables = make_observables({"o1": [10], "o2": [20]})
         index = FakeIndex({"extexc:s1:IOException": {"o1": 3, "o2": 2}})
         pool = FaultPriorityPool(
-            [candidate("s1")], index, observables, trace_for("s1", [9]), IDENTITY
+            [candidate("s1")], index, observables, trace_for(s1=[9]), IDENTITY
         )
         assert pool.ranked_entries()[0].chosen_observable == "o2"
         # Deprioritize o2 heavily: o1 becomes the target.
@@ -75,7 +77,7 @@ class TestSitePriority:
         observables = make_observables({"o1": [10]})
         index = FakeIndex({"extexc:s1:IOException": {"other": 1}})
         pool = FaultPriorityPool(
-            [candidate("s1")], index, observables, [], IDENTITY
+            [candidate("s1")], index, observables, ProbeTrace(), IDENTITY
         )
         assert pool.candidate_count == 0
 
@@ -88,7 +90,7 @@ class TestInstancePriority:
             [candidate("s1")],
             index,
             observables,
-            trace_for("s1", [10, 48, 90]),
+            trace_for(s1=[10, 48, 90]),
             IDENTITY,
         )
         first = pool.ranked_entries()[0]
@@ -107,7 +109,7 @@ class TestInstancePriority:
             [candidate("s1"), candidate("s2")],
             index,
             observables,
-            trace_for("s1", [49, 51, 53]) + trace_for("s2", [50]),
+            trace_for(s1=[49, 51, 53], s2=[50]),
             IDENTITY,
         )
         # Strictly better site priority wins even after being tried.
@@ -129,7 +131,7 @@ class TestInstancePriority:
             [candidate("s1"), candidate("s2")],
             index,
             observables,
-            trace_for("s1", [49, 51]) + trace_for("s2", [48, 52]),
+            trace_for(s1=[49, 51], s2=[48, 52]),
             IDENTITY,
         )
         order = []
@@ -143,7 +145,7 @@ class TestInstancePriority:
     def test_unexecuted_site_gets_speculative_instance(self):
         observables = make_observables({"o1": [50]})
         index = FakeIndex({"extexc:s1:IOException": {"o1": 1}})
-        pool = FaultPriorityPool([candidate("s1")], index, observables, [], IDENTITY)
+        pool = FaultPriorityPool([candidate("s1")], index, observables, ProbeTrace(), IDENTITY)
         entries = pool.ranked_entries()
         assert len(entries) == 1
         assert entries[0].instance.occurrence == 1
@@ -156,7 +158,7 @@ class TestInstancePriority:
             [candidate("s1")],
             index,
             observables,
-            trace_for("s1", list(range(0, 100, 10))),
+            trace_for(s1=list(range(0, 100, 10))),
             IDENTITY,
             max_instances_per_site=3,
         )
@@ -173,11 +175,7 @@ class TestWindowAndRanks:
                 "extexc:s3:IOException": {"o2": 2},
             }
         )
-        trace = (
-            trace_for("s1", [49])
-            + trace_for("s2", [50])
-            + trace_for("s3", [11])
-        )
+        trace = trace_for(s1=[49], s2=[50], s3=[11])
         return FaultPriorityPool(
             [candidate("s1"), candidate("s2"), candidate("s3")],
             index,

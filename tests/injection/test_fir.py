@@ -1,8 +1,19 @@
 """Unit tests for fault-site identity, plans, and the FIR runtime."""
 
-import pytest
+import pickle
 
-from repro.injection.fir import FIR, InjectionPlan, dedupe_instances, is_injected
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.injection.fir import (
+    FIR,
+    InjectionPlan,
+    ProbeTrace,
+    TraceEvent,
+    dedupe_instances,
+    is_injected,
+)
 from repro.injection.sites import (
     FaultCandidate,
     FaultInstance,
@@ -228,6 +239,92 @@ class TestFir:
         fir.on_site(make_site(line=1))
         assert fir.occurrences_of("repro/systems/x/y.py:1:write:disk_write") == 2
         assert fir.occurrences_of("repro/systems/x/y.py:2:write:disk_write") == 1
+
+
+def recorded(lines):
+    """The trace a FIR records for sites at ``lines``: request ``i`` runs
+    at time ``i / 2`` after ``10 * i`` log records."""
+    fir = FIR()
+    clock = iter(range(len(lines)))
+    ticks = iter(range(len(lines)))
+    fir.bind(log_index_fn=lambda: 10 * next(ticks), clock=lambda: next(clock) / 2)
+    for line in lines:
+        fir.on_site(make_site(line=line))
+    return fir.trace
+
+
+def site_id(line):
+    return make_site(line=line).site_id
+
+
+class TestProbeTrace:
+    def test_the_fir_records_three_columns(self):
+        trace = recorded([1, 2, 1, 3, 1])
+        assert trace.sites == [site_id(line) for line in (1, 2, 1, 3, 1)]
+        assert list(trace.times) == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert list(trace.log_indices) == [0, 10, 20, 30, 40]
+
+    def test_rows_number_each_sites_occurrences(self):
+        trace = recorded([1, 2, 1, 3, 1])
+        rows = [(event.site_id, event.occurrence) for event in trace]
+        assert rows == [
+            (site_id(1), 1), (site_id(2), 1), (site_id(1), 2),
+            (site_id(3), 1), (site_id(1), 3),
+        ]
+        assert trace[2] == TraceEvent(site_id(1), 2, 1.0, 20)
+        assert trace[-1] == TraceEvent(site_id(1), 3, 2.0, 40)
+        assert trace[3:] == [trace[3], trace[4]]
+        with pytest.raises(IndexError):
+            trace[5]
+
+    def test_the_per_site_index_places_each_occurrence(self):
+        trace = recorded([1, 2, 1, 3, 1])
+        assert list(trace.positions(site_id(1))) == [0, 2, 4]
+        assert trace.ordinal(site_id(1), 2) == 3
+        assert trace.ordinal(site_id(3), 1) == 4
+        assert trace.ordinal(site_id(1), 4) is None
+        assert trace.ordinal(site_id(1), 0) is None
+        assert trace.ordinal(site_id(9), 1) is None
+        assert not trace.positions(site_id(9))
+
+    def test_the_index_follows_a_trace_that_grew_after_a_read(self):
+        fir = FIR()
+        fir.on_site(make_site(line=1))
+        assert fir.trace.ordinal(site_id(1), 2) is None
+        fir.on_site(make_site(line=2))
+        fir.on_site(make_site(line=1))
+        assert fir.trace.ordinal(site_id(1), 2) == 3
+
+    def test_pickles_as_its_columns(self):
+        trace = recorded([1, 2, 1])
+        trace.positions(site_id(1))  # build the index before pickling
+        copy = pickle.loads(pickle.dumps(trace, pickle.HIGHEST_PROTOCOL))
+        assert copy == trace and copy is not trace
+        assert copy.ordinal(site_id(1), 2) == 3
+
+    def test_equality(self):
+        trace = recorded([1, 2, 1])
+        assert trace == recorded([1, 2, 1])
+        assert trace != recorded([1, 1, 2])
+        assert trace == list(trace)
+        assert ProbeTrace() == []
+
+    def test_of_round_trips_rows_and_rejects_misnumbered_ones(self):
+        trace = recorded([1, 2, 1])
+        assert ProbeTrace.of(trace) == trace
+        with pytest.raises(ValueError):
+            ProbeTrace.of([TraceEvent(site_id(1), 2, 0.0, 0)])
+
+
+@given(st.lists(st.integers(1, 5), max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_ordinal_matches_a_linear_scan(lines):
+    trace = recorded(lines)
+    for line in set(lines) | {6}:
+        seen = [i + 1 for i, other in enumerate(lines) if other == line]
+        for occurrence in range(len(seen) + 2):
+            expected = seen[occurrence - 1] if 0 < occurrence <= len(seen) else None
+            assert trace.ordinal(site_id(line), occurrence) == expected
 
 
 class TestPlanSerialization:

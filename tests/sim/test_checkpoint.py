@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.core.oracle import LogMessageOracle, Oracle
 from repro.core.verdict import compile_cutoff
 from repro.failures import get_case
-from repro.injection.fir import InjectionPlan, TraceEvent
+from repro.injection.fir import InjectionPlan, ProbeTrace, TraceEvent
 from repro.injection.sites import FaultInstance
 from repro.logs.record import LogFile
 from repro.obs import metrics
@@ -394,7 +394,9 @@ class FakeHost:
         )
         self.pool = CheckpointPool(
             self.workload, 10.0, 0,
-            [TraceEvent(f"s{i}", 1, 0.0, 0) for i in range(1, requests + 1)],
+            ProbeTrace.of(
+                TraceEvent(f"s{i}", 1, 0.0, 0) for i in range(1, requests + 1)
+            ),
         )
 
     @staticmethod
