@@ -43,8 +43,8 @@ from .model import (
 )
 from .system_model import SystemModel, analyze_package
 
-# The lint pass and its rule catalog load only for `repro lint`, the
-# lint prior, or a caller naming them.
+# The lint pass and its rule catalog load only for `repro lint` or a
+# caller naming them.
 __getattr__ = lazy_exports(
     __name__,
     {

@@ -6,11 +6,9 @@ rule catalog (see :mod:`repro.analysis.rules`) scans the model plus the
 interprocedural :class:`ExceptionAnalysis` and emits structured findings
 (rule id, severity, file:line, implicated fault sites, message).
 
-Two consumers:
-
-* the ``python -m repro lint`` CLI renders a report in text or JSON;
-* the Explorer's *lint prior* boosts the site priority ``F_i`` of fault
-  sites implicated by findings, warm-starting the search.
+The ``python -m repro lint`` CLI renders a report in text or JSON.  The
+search does not read findings: ANDURIL's site priority is feedback and
+static distance alone (§5.2).
 """
 
 from __future__ import annotations
@@ -70,38 +68,6 @@ class LintReport:
         for finding in self.findings:
             counts[finding.severity] = counts.get(finding.severity, 0) + 1
         return counts
-
-    def implicated_sites(self) -> set[str]:
-        """Union of fault-site ids any finding implicates."""
-        return {
-            site_id for finding in self.findings for site_id in finding.site_ids
-        }
-
-    def site_weights(self) -> dict[str, float]:
-        """Evidence weight per implicated site, max-normalized to (0, 1].
-
-        Each rule spreads one unit of weight uniformly over the sites it
-        implicates, so a selective rule (few sites) counts for more than
-        a broad one, and a site named by several independent rules
-        accumulates their shares.  This is the shape the Explorer's lint
-        prior consumes: ground-truth defect sites concentrate evidence
-        from the rare rules while benign log-and-continue noise is
-        diluted across the whole system.
-        """
-        rule_sites: dict[str, set[str]] = {}
-        for finding in self.findings:
-            rule_sites.setdefault(finding.rule, set()).update(finding.site_ids)
-        weights: dict[str, float] = {}
-        for sites in rule_sites.values():
-            if not sites:
-                continue
-            share = 1.0 / len(sites)
-            for site_id in sites:
-                weights[site_id] = weights.get(site_id, 0.0) + share
-        top = max(weights.values(), default=0.0)
-        if top > 0.0:
-            weights = {site: weight / top for site, weight in weights.items()}
-        return weights
 
     def min_severity(self, severity: str) -> "LintReport":
         floor = severity_rank(severity)

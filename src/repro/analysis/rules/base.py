@@ -70,8 +70,8 @@ class Finding:
     line: int
     function: str            # enclosing function qualname
     message: str
-    #: Fault-site ids implicated by the finding (used by the Explorer's
-    #: lint prior and by the ground-truth validation benchmark).
+    #: Fault-site ids implicated by the finding (shown in the report and
+    #: read by the ground-truth validation benchmark).
     site_ids: tuple[str, ...] = ()
     exception: str = ""      # primary exception type, "" when several
 

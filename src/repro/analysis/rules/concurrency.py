@@ -20,7 +20,7 @@ Lock identity is the receiver name of ``acquire()``/``release()`` calls
 name-based and conservative like the rest of the catalog.  None of the
 rules implicate fault sites (``site_ids`` is always empty): deadlocks
 and races are not injectable env faults, so these findings inform the
-human report without perturbing the Explorer's lint prior.
+human report without naming a site a fault could be injected at.
 """
 
 from __future__ import annotations

@@ -167,12 +167,9 @@ class StrategyRunner:
         track_coverage: bool = False,
         checkpoint: bool = False,
         early_verdict: bool = False,
-        bus=None,
     ) -> None:
         self.max_rounds = max_rounds
         self.max_seconds = max_seconds
-        #: Live event bus; ``None`` means "the process-active bus".
-        self._bus = bus
         #: Fault-space coverage accounting (off by default; the shared
         #: NULL_COVERAGE no-op tracker keeps the default path unchanged).
         self.track_coverage = track_coverage
@@ -220,7 +217,6 @@ class StrategyRunner:
                 max_rounds=self.max_rounds,
                 max_seconds=self.max_seconds,
                 started=started,
-                bus=self._bus,
                 coverage=coverage,
             )
         return StrategyResult(

@@ -28,7 +28,7 @@ from typing import Optional
 from ..analysis.causal import DistanceIndex
 from ..analysis.flow import PropagationGraph
 from ..analysis.model import CausalGraph
-from ..analysis.system_model import SystemModel, analyze_package
+from ..analysis.system_model import SystemModel
 from ..cache.flowcache import cached_propagation_graph
 from ..injection.sites import FaultInstance
 from ..obs import NULL_RECORDER, WALL
@@ -120,7 +120,8 @@ class PreparedSearch:
     normal_run: RunResult
     prepare_seconds: float
     timeline: Optional[TimelineMap] = None
-    #: The flow pass's result; built only for static pruning.
+    #: The flow pass's result; built only for static pruning with
+    #: coverage tracked, its one reader.
     flow_graph: Optional[PropagationGraph] = None
 
 
@@ -175,8 +176,7 @@ class Explorer:
         horizon: float,
         failure_log: LogFile,
         oracle: Oracle,
-        package: Optional[str] = None,
-        model: Optional[SystemModel] = None,
+        model: SystemModel,
         seed: int = 0,
         initial_window: int = 10,
         adjustment: int = 1,
@@ -191,11 +191,8 @@ class Explorer:
         aggregate: str = "min",
         temporal_mode: str = "messages",
         runs_per_round: int = 1,
-        lint_prior: bool = False,
-        lint_bonus: float = 2.0,
         jobs: int = 1,
         recorder=None,
-        bus=None,
         track_coverage: bool = False,
         prune: str = "none",
         prune_radius: float = DEFAULT_RADIUS,
@@ -214,10 +211,6 @@ class Explorer:
                 "a search runs its rounds serially (jobs must be 1); "
                 "parallelism lives in campaign fan-out: compare --jobs"
             )
-        if model is None:
-            if package is None:
-                raise ValueError("either package or model is required")
-            model = analyze_package(package)
         self.model = model
         self.workload = workload
         self.horizon = horizon
@@ -242,11 +235,6 @@ class Explorer:
         #: Faults injected unconditionally in every round — the iterative
         #: multi-fault workflow fixes already-found faults here.
         self.base_faults = tuple(base_faults)
-        #: Warm-start the site ranking from the static lint pass: sites
-        #: implicated by fault-handling defect findings get an F_i bonus
-        #: of ``lint_bonus * weight`` (see ``LintReport.site_weights``).
-        self.lint_prior = lint_prior
-        self.lint_bonus = lint_bonus
         #: Static fault-space pruning (accounting-only; see
         #: ``repro.core.pruning``).  With ``prune="static"`` the coverage
         #: tracker additionally carries the pruned space and records any
@@ -263,13 +251,6 @@ class Explorer:
         #: path records nothing, samples no clocks, and leaves the search
         #: byte-identical to an untraced one (see the equivalence tests).
         self._obs = recorder if recorder is not None else NULL_RECORDER
-        #: ``repro.obs.bus`` live event stream.  ``None`` (the default)
-        #: means "whatever bus is process-active", resolved per explore
-        #: so campaign workers that install a capture bus after the
-        #: Explorer is built still stream events.  The NULL_BUS path
-        #: emits nothing and leaves signatures byte-identical (see
-        #: tests/core/test_bus_equivalence.py).
-        self._bus = bus
         #: Fault-space coverage accounting.  Off by default: the shared
         #: NULL_COVERAGE no-op tracker keeps the untracked path free of
         #: set bookkeeping (same pattern as NULL_RECORDER).
@@ -314,16 +295,6 @@ class Explorer:
         index, timeline = case.index, case.timeline
         observables = case.observables(self.adjustment, obs)
 
-        prior_weights = None
-        if self.lint_prior:
-            from ..analysis.lint import run_lint
-
-            prior_weights = run_lint(self.model).site_weights()
-        flow_graph = None
-        if self.prune == "static":
-            flow_graph = cached_propagation_graph(
-                self.model, workload=self.workload
-            )
         pool = FaultPriorityPool(
             candidates,
             index,
@@ -333,9 +304,8 @@ class Explorer:
             max_instances_per_site=self.max_instances_per_site,
             aggregate=self.aggregate,
             temporal_mode=self.temporal_mode,
-            prior_weights=prior_weights,
-            prior_scale=self.lint_bonus,
         )
+        flow_graph = None
         if self.track_coverage:
             # The full injectable fault space comes from the same inputs
             # the pool uses (graph candidates x probe occurrences), so
@@ -351,7 +321,12 @@ class Explorer:
                 )
             )
             pruned_space = None
-            if self.prune == "static" and flow_graph is not None:
+            if self.prune == "static":
+                # Pruning is accounting-only: the flow pass feeds the
+                # coverage tracker and nothing else.
+                flow_graph = cached_propagation_graph(
+                    self.model, workload=self.workload
+                )
                 pruner = StaticPruner(
                     graph=flow_graph,
                     candidates=candidates,
@@ -417,7 +392,6 @@ class Explorer:
                 runs_per_round=self.runs_per_round,
                 base_faults=self.base_faults,
                 recorder=self._obs,
-                bus=self._bus,
                 coverage=self._coverage,
             )
         script = None

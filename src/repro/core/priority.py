@@ -86,19 +86,11 @@ class FaultPriorityPool:
         max_instances_per_site: Optional[int] = None,
         aggregate: str = "min",
         temporal_mode: str = "messages",
-        prior_weights: Optional[dict[str, float]] = None,
-        prior_scale: float = 2.0,
     ) -> None:
         if aggregate not in ("min", "sum"):
             raise ValueError("aggregate must be 'min' or 'sum'")
         if temporal_mode not in ("messages", "order"):
             raise ValueError("temporal_mode must be 'messages' or 'order'")
-        #: Static-analysis prior: per-site evidence weights in [0, 1]
-        #: (e.g. ``LintReport.site_weights()``).  A site's F_i is reduced
-        #: by ``prior_scale * weight`` so statically-suspicious sites are
-        #: explored earlier; feedback still dominates once I_k grows.
-        self._prior_weights = dict(prior_weights) if prior_weights else {}
-        self._prior_scale = prior_scale
         #: §5.2.4: ``min`` maximizes the chance to trigger one observable
         #: per run (the paper's choice); ``sum`` tries to trigger them all
         #: and is less sensitive to feedback.
@@ -155,9 +147,9 @@ class FaultPriorityPool:
             ).append(candidate)
 
         # site_ranking() cache: site priorities depend only on observable
-        # priorities (plus static distances and the lint prior), so the
-        # ranking is recomputed only when the observable set's version
-        # moves — not on every per-round rank_of_site query.
+        # priorities and static distances, so the ranking is recomputed
+        # only when the observable set's version moves — not on every
+        # per-round rank_of_site query.
         self._ranking_version: Optional[int] = None
         self._ranking: list[str] = []
         self._rank_by_site: dict[str, int] = {}
@@ -180,7 +172,6 @@ class FaultPriorityPool:
         with ``sum`` it is the total over all reachable observables (the
         §5.2.4 alternative).  The chosen observable k* is the argmin term
         in both modes — instance selection still targets one observable.
-        A lint-prior weight, when configured, subtracts a bonus from F_i.
         """
         best = INFINITY
         best_key = ""
@@ -191,10 +182,9 @@ class FaultPriorityPool:
             if value < best:
                 best = value
                 best_key = key
-        bonus = self._prior_scale * self._prior_weights.get(candidate.site_id, 0.0)
         if self._aggregate == "sum":
-            return total - bonus, best_key
-        return best - bonus, best_key
+            return total, best_key
+        return best, best_key
 
     def ranked_entries(self) -> list[WindowEntry]:
         """All candidates' best untried instances in exploration order."""

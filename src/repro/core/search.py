@@ -95,20 +95,19 @@ def search(
     runs_per_round: int = 1,
     base_faults: tuple = (),
     recorder=NULL_RECORDER,
-    bus=None,
     coverage=NULL_COVERAGE,
 ) -> SearchOutcome:
     """Run rounds of ``policy`` through ``pipeline`` until ``oracle`` is
     satisfied, the policy runs dry, or a budget is spent.
 
     ``started`` is the ``perf_counter`` reading the time budget and
-    ``elapsed_seconds`` count from (default: now); ``bus=None`` means the
-    process-active bus.
+    ``elapsed_seconds`` count from (default: now).  Round events go to the
+    process-active bus (``repro.obs.bus.set_active_bus``).
     """
     if started is None:
         started = time.perf_counter()
     seed = pipeline.seed
-    reporter = RoundReporter(bus, case_id, policy.name)
+    reporter = RoundReporter(None, case_id, policy.name)
     records: list[RoundRecord] = []
 
     def outcome(success: bool, message: str, **found) -> SearchOutcome:

@@ -160,11 +160,11 @@ _ACTIVE_BUS = NULL_BUS
 
 
 def active_bus():
-    """The process-wide bus emission sites fall back to.
+    """The process-wide bus every emission site reads.
 
-    Components take an explicit ``bus`` parameter for tests; production
-    wiring sets one active bus per process (the CLI in the parent, the
-    pool initializer + task setup in campaign workers).
+    One active bus per process, installed with :func:`set_active_bus`:
+    by the CLI in the parent, by the pool initializer and task setup in
+    campaign workers, and by tests that capture a search's events.
     """
     return _ACTIVE_BUS
 

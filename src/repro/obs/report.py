@@ -35,7 +35,6 @@ _TABLE_FILES = [
     ("Table 7 — static analysis", "table7_static_analysis.txt"),
     ("Figure 6 — rank trajectory", "figure6_rank_trajectory.txt"),
     ("Ablation — design choices", "ablation_design_choices.txt"),
-    ("Ablation — lint prior", "ablation_lint_prior.txt"),
     ("Lint detectors", "table_lint_detectors.txt"),
 ]
 

@@ -470,11 +470,3 @@ class TestRunLint:
         assert tuple(grouped) == report.rule_ids + ("unknown",)
         # Known findings are unaffected by the stray one.
         assert sum(len(group) for group in grouped.values()) == len(report)
-
-    def test_site_weights_normalized(self):
-        report = lint_package("repro.systems.minizk")
-        weights = report.site_weights()
-        assert weights
-        assert max(weights.values()) == pytest.approx(1.0)
-        assert all(0.0 < weight <= 1.0 for weight in weights.values())
-        assert set(weights) == report.implicated_sites()

@@ -1,5 +1,5 @@
 """The event bus is purely observational: ``explore()`` with a bus
-attached must produce the same search as ``explore()`` without one.
+active must produce the same search as ``explore()`` without one.
 
 The bus emits round lifecycle events and heartbeats, but it never feeds
 back into the pool, the plans, or the simulator — turning it on (or
@@ -23,13 +23,22 @@ def reset_active_bus():
     set_active_bus(None)
 
 
+def capture_events(**bus_options) -> MemorySink:
+    """Make a bus over a fresh memory sink the process-active one."""
+    capture = MemorySink()
+    set_active_bus(EventBus([capture], **bus_options))
+    return capture
+
+
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_explore_with_bus_matches_busless(case_id):
     case = get_case(case_id)
     plain = case.explorer(max_rounds=120).explore()
-    capture = MemorySink()
-    bus = EventBus([capture], heartbeat_interval=0.0)
-    busy = case.explorer(max_rounds=120, bus=bus).explore()
+    # Built before the bus is installed: the search reads the active bus
+    # when it runs, as in a campaign worker.
+    explorer = case.explorer(max_rounds=120)
+    capture = capture_events(heartbeat_interval=0.0)
+    busy = explorer.explore()
     assert busy.signature() == plain.signature()
     assert busy.success == plain.success
     assert busy.rounds == plain.rounds
@@ -41,13 +50,13 @@ def test_explore_with_bus_matches_busless(case_id):
     ends = [e for e in capture.events if e["type"] == "round.end"]
     assert len(begins) == busy.rounds
     assert len(ends) == busy.rounds
+    assert any(e["type"] == "round.end" for e in capture.events)
 
 
 def test_active_bus_is_as_invisible_as_an_explicit_one():
     case = get_case("f17")
     plain = case.explorer(max_rounds=120).explore()
-    capture = MemorySink()
-    set_active_bus(EventBus([capture], heartbeat_interval=0.0))
+    capture = capture_events(heartbeat_interval=0.0)
     try:
         busy = case.explorer(max_rounds=120).explore()
     finally:
@@ -58,9 +67,8 @@ def test_active_bus_is_as_invisible_as_an_explicit_one():
 
 def test_round_end_events_carry_the_rank_trajectory():
     case = get_case("f17")
-    capture = MemorySink()
-    bus = EventBus([capture], heartbeat_interval=0.0)
-    result = case.explorer(max_rounds=120, bus=bus).explore()
+    capture = capture_events(heartbeat_interval=0.0)
+    result = case.explorer(max_rounds=120).explore()
     assert result.success
     ends = [e for e in capture.events if e["type"] == "round.end"]
     trajectory = [
@@ -100,10 +108,9 @@ def test_every_round_begin_is_closed_by_a_round_end(budget):
     window — must not announce a round it will never run, or the live
     view shows one round more than the result."""
     case = get_case("f1")
-    capture = MemorySink()
-    bus = EventBus([capture])
-    anduril = case.explorer(bus=bus, **budget).explore()
-    baseline = StrategyRunner(bus=bus, **budget).run(
+    capture = capture_events()
+    anduril = case.explorer(**budget).explore()
+    baseline = StrategyRunner(**budget).run(
         ALL_STRATEGIES["exhaustive"](), case
     )
     assert _open_rounds(capture.events) == []

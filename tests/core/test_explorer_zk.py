@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.explorer import Explorer
 from repro.core.oracle import LogMessageOracle
 from repro.failures import all_cases, get_case
 
@@ -38,16 +37,6 @@ class TestZkReproduction:
 
 
 class TestExplorerMechanics:
-    def test_explorer_requires_model_or_package(self):
-        case = get_case("f1")
-        with pytest.raises(ValueError):
-            Explorer(
-                workload=case.workload,
-                horizon=1.0,
-                failure_log=case.failure_log(),
-                oracle=case.oracle,
-            )
-
     def test_unsatisfiable_oracle_exhausts_space(self):
         case = get_case("f3")
         explorer = case.explorer(

@@ -18,7 +18,7 @@ from repro.core.search import search
 from repro.failures import get_case
 from repro.injection.sites import FaultInstance
 from repro.logs.record import LogFile
-from repro.obs.bus import EventBus, MemorySink
+from repro.obs.bus import EventBus, MemorySink, set_active_bus
 from repro.sim.cluster import RunResult
 
 
@@ -81,14 +81,20 @@ class QueuePolicy:
         return 0
 
 
+@pytest.fixture(autouse=True)
+def reset_active_bus():
+    yield
+    set_active_bus(None)
+
+
 def drive(sites, oracle_site, **budget):
     capture = MemorySink()
+    set_active_bus(EventBus([capture]))
     pipeline, policy = StubPipeline(), QueuePolicy(sites)
     budget.setdefault("max_rounds", 10)
     budget.setdefault("max_seconds", None)
     found = search(
-        pipeline, SatisfiedBy(oracle_site), policy, case_id="stub",
-        bus=EventBus([capture]), **budget,
+        pipeline, SatisfiedBy(oracle_site), policy, case_id="stub", **budget,
     )
     return found, pipeline, policy, capture.events
 

@@ -12,6 +12,7 @@ committed case:
 
 import pytest
 
+from repro.core import explorer as explorer_module
 from repro.core.pruning import DEFAULT_RADIUS, pruner_from_prepared
 from repro.cache import flowcache
 from repro.failures import get_case
@@ -107,3 +108,15 @@ class TestStaticPruner:
             for occ in (1, 2, 3)
         }
         assert narrow.prune(space) <= wide.prune(space)
+
+
+def test_untracked_search_skips_the_flow_pass(monkeypatch):
+    """Pruning only feeds coverage accounting, so a search that tracks no
+    coverage builds no flow graph, whatever ``prune`` says."""
+
+    def no_flow_pass(*args, **kwargs):
+        raise AssertionError("flow pass built for an untracked search")
+
+    monkeypatch.setattr(explorer_module, "cached_propagation_graph", no_flow_pass)
+    explorer = get_case("f1").explorer(track_coverage=False, prune="static")
+    assert explorer.prepare().flow_graph is None

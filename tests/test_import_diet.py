@@ -9,8 +9,8 @@ the hot path; they must stay out of ``sys.modules`` until used — while
 every public import path keeps resolving.  ``DENIED`` is what ``list``,
 ``--help`` and ``import repro`` must not load at all: the search stack,
 the campaign engine and every case module (the catalog index answers
-them).  The bench job in ``ci.yml`` greps ``-X importtime`` for the same
-list.
+them).  This module is that gate; CI's bench job only prints the ten
+most expensive imports of ``list``.
 """
 
 import importlib

@@ -1,0 +1,129 @@
+"""Names a refactor retired may not come back.
+
+Each row of ``RETIRED`` is (pattern, paths, allowed files, the DESIGN.md
+section that retired it).  The pattern is a regular expression matched
+line by line against every file under the paths (a ``*`` path is a
+glob), except the allowed files, which are the one place the name still
+belongs.  ``tests/`` is never scanned, so a row spells its pattern
+plainly.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+RETIRED = [
+    pytest.param(
+        r"REPRO_(CACHE|CACHE_DIR|EARLY_VERDICT|FAULT_DIMS|EVENTS)"
+        r"|worker_counters|worker_histograms|worker_events"
+        r"|_cache_delta|_checkpoint_delta|_verdict_delta"
+        r"|_calibrate|CALIBRATION_RUNS|CALIBRATION_MIN_FRACTION"
+        r"|checkpoint\.retired"
+        r"|SpeculativeExecutor|core\.speculate|_predict_plans|speculation_hits"
+        r"|PackedTrace|_unpacked_trace|_trace_rows|_trace_events|_trace_prefix"
+        r"|occurrences_from_trace",
+        ("src", "tools"),
+        (),
+        # Workers get a pickled RunConfig and return one telemetry
+        # envelope; the pool's cost model replaced calibrate-then-retire;
+        # one serial round loop; only unarmed runs record a trace.
+        "§5.3, §12.5, §10.3, §5.5",
+        id="env-relays-telemetry-plumbing-calibration-speculation-packed-traces",
+    ),
+    pytest.param(
+        r"def cancel\(|def cleanup\(|unregister=lambda|def (capture|restore)\(",
+        ("src/repro/sim", "src/repro/injection"),
+        (),
+        # A wakeup's handle is its heap entry, a park record is two
+        # fields, and the fork checkpoint replaced in-process snapshots.
+        "§2.1",
+        id="per-wakeup-closures-snapshot-api",
+    ),
+    pytest.param(
+        r"instances_by_site|events_by_site|instances_of\(|_event_index",
+        ("src", "tools"),
+        (),
+        # The probe trace's one per-site index serves every reader.
+        "§5.3",
+        id="private-trace-groupings",
+    ),
+    pytest.param(
+        r"TraceEvent\(",
+        ("src", "tools"),
+        ("src/repro/injection/fir.py",),
+        # Only the trace's row view builds a TraceEvent.
+        "§5.3",
+        id="trace-event-rows",
+    ),
+    pytest.param(
+        r"check_bench_regression|bench_baseline"
+        r"|BENCH_(simkernel|verdict|runcache|parallel)"
+        r"|ckpt_sweep|verdict_sweep|reachability_prior|REPRO_JOBS",
+        ("src", "tools", "benchmarks/*.py", ".github"),
+        (),
+        # One perf gate, the e2e benchmark; no reachability prior; the
+        # default job count reads no variable.
+        "§5.2, §5.3",
+        id="bench-zoo-reachability-prior-job-count-env",
+    ),
+    pytest.param(
+        r"dedupe_instances\(|RoundReporter\(",
+        ("src/repro/core", "src/repro/baselines"),
+        ("src/repro/core/search.py",),
+        # Plans and round lifecycle events are built in one round loop.
+        "§5.5",
+        id="second-round-loop",
+    ),
+    pytest.param(
+        r"_tried",
+        ("src/repro/baselines",),
+        (),
+        # The baselines keep one tried set, Strategy.tried.
+        "§5.5",
+        id="private-tried-sets",
+    ),
+    pytest.param(
+        r"mkstemp|_entry_name|os\.replace",
+        ("src/repro/cache",),
+        (),
+        # Records are appended to per-writer segments, not per-entry files.
+        "§8.1",
+        id="per-entry-cache-files",
+    ),
+    pytest.param(
+        r"lint_prior|lint_bonus|prior_weights|prior_scale|site_weights"
+        r"|ablation_lint_prior",
+        ("src", "tools", "benchmarks/*.py", ".github"),
+        (),
+        # The site priority is the paper's F_i = min_k(L_ik + I_k), with
+        # no static prior term; lint findings feed `repro lint` alone.
+        "§2, §5.3",
+        id="lint-prior",
+    ),
+]
+
+
+def files_under(paths):
+    for path in paths:
+        found = ROOT.glob(path) if "*" in path else (ROOT / path).rglob("*")
+        for file in sorted(found):
+            if file.is_file() and "__pycache__" not in file.parts:
+                yield file
+
+
+@pytest.mark.parametrize("pattern, paths, allowed, section", RETIRED)
+def test_a_retired_name_stays_retired(pattern, paths, allowed, section):
+    regex = re.compile(pattern)
+    hits = []
+    for file in files_under(paths):
+        name = file.relative_to(ROOT).as_posix()
+        if name in allowed:
+            continue
+        text = file.read_text(encoding="utf-8", errors="replace")
+        for number, line in enumerate(text.splitlines(), start=1):
+            if regex.search(line):
+                hits.append(f"{name}:{number}: {line.strip()}")
+    assert not hits, f"retired by DESIGN.md {section}:\n" + "\n".join(hits)
