@@ -94,11 +94,6 @@ class SystemModel:
         self._trys_by_function: dict[str, list[TryFact]] = {}
         for try_fact in self.trys:
             self._trys_by_function.setdefault(try_fact.function, []).append(try_fact)
-        self._returns_by_function: dict[str, list[ReturnFact]] = {}
-        for return_fact in self.returns:
-            self._returns_by_function.setdefault(return_fact.function, []).append(
-                return_fact
-            )
 
     def memo(self, key, build: Callable[[], object]):
         """``build()``, once per model and hashable ``key``.
@@ -130,12 +125,6 @@ class SystemModel:
 
     def raises_in(self, qualname: str) -> list[RaiseFact]:
         return self._raises_by_function.get(qualname, [])
-
-    def trys_in(self, qualname: str) -> list[TryFact]:
-        return self._trys_by_function.get(qualname, [])
-
-    def returns_in(self, qualname: str) -> list[ReturnFact]:
-        return self._returns_by_function.get(qualname, [])
 
     def assigns_to(self, variable: str) -> list[AssignFact]:
         return self._assigns_by_target.get(variable, [])

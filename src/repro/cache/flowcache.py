@@ -65,9 +65,7 @@ def _disk_store(tier, fingerprint: str, graph: PropagationGraph) -> None:
     )
 
 
-def cached_propagation_graph(
-    model, workload=None, package: str = ""
-) -> PropagationGraph:
+def cached_propagation_graph(model, workload=None) -> PropagationGraph:
     """The flow pass's result for ``model``, served from cache when possible.
 
     ``workload`` supplies the cache key; when it is ``None`` or cannot
@@ -77,8 +75,7 @@ def cached_propagation_graph(
     fingerprint = workload_fingerprint(workload) if workload is not None else None
     if fingerprint is None:
         return model.memo(
-            PropagationGraph,
-            lambda: build_propagation_graph(model, package=package),
+            PropagationGraph, lambda: build_propagation_graph(model)
         )
 
     graph = _MEMO.get(fingerprint)
@@ -88,7 +85,7 @@ def cached_propagation_graph(
     if tier is not None:
         graph = _disk_get(tier, fingerprint)
     if graph is None:
-        graph = build_propagation_graph(model, package=package)
+        graph = build_propagation_graph(model)
         if tier is not None:
             _disk_store(tier, fingerprint, graph)
     _MEMO[fingerprint] = graph

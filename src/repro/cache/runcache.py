@@ -9,8 +9,9 @@ to every consumer of ``execute_workload`` — the Explorer's rounds, the
 baseline strategy runner, and (through both) the iterative multi-fault
 workflow and the campaign engine.
 
-Two tiers, one representation — the packed record of a run (the
-``sim.checkpoint`` row codec, pickled once), never a live object graph:
+Two tiers, one representation — the record of a run, its
+``RunResult`` pickled once (the log and the trace pickle as their
+columns), never a live object graph:
 
 * an in-process LRU of records (always on when the cache is active),
   decoded afresh on every hit; and
@@ -63,7 +64,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ..obs import metrics as obs_metrics
-from ..sim.checkpoint import _decode_result, _encode_result
 from .disk import DiskTier
 
 #: Lookup/served outcomes reported by :meth:`RunCache.execute`.
@@ -285,10 +285,10 @@ class RunCache:
         record = self._memory.get(name)
         if record is not None:
             self._memory.move_to_end(name)
-            return _decode_result(pickle.loads(record)), False
+            return pickle.loads(record), False
         if self._disk is not None:
             found = self._disk.read(
-                name, lambda data: (data, _decode_result(pickle.loads(data)))
+                name, lambda data: (data, pickle.loads(data))
             )
             if found is not None:
                 self._memory_store(name, found[0])
@@ -352,13 +352,10 @@ class RunCache:
                 return
             name = self._name(self._verdict_key(key, monitor_key))
         try:
-            # Flattened first: pickling thousands of small LogRecord
-            # dataclasses one by one costs ~10x the row codec (shared
-            # with fork frames, see sim.checkpoint).
-            record = pickle.dumps(_encode_result(result), pickle.HIGHEST_PROTOCOL)
+            record = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
         except Exception:
-            # Not something the codec can pack (a test double, state
-            # that does not pickle): counted, and simply not cached.
+            # A result whose state does not pickle: counted, and simply
+            # not cached.
             self._disk_error()
             return
         self.stats.stores += 1

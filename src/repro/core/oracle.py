@@ -42,12 +42,13 @@ class LogMessageOracle(Oracle):
         self.description = f"log matches /{pattern}/"
 
     def satisfied(self, result: RunResult) -> bool:
-        for record in result.log:
-            if self._level is not None and record.level.name != self._level:
-                continue
-            if self._regex.search(record.message):
-                return True
-        return False
+        log, search = result.log, self._regex.search
+        if self._level is None:
+            return any(map(search, log.texts))
+        return any(
+            level.name == self._level and search(message)
+            for level, message in zip(log.levels, log.texts)
+        )
 
 
 class StuckTaskOracle(Oracle):

@@ -72,9 +72,6 @@ class LogComparator:
     def __init__(self, matcher: Optional[TemplateMatcher] = None) -> None:
         self._matcher = matcher or TemplateMatcher()
 
-    def key_for(self, record: LogRecord) -> str:
-        return self._matcher.key_for(record.message)
-
     def compare(self, run_log: LogFile, failure_log: LogFile) -> CompareResult:
         """Find failure-log-only messages and matched anchors.
 
@@ -91,17 +88,21 @@ class LogComparator:
 
         for thread, failure_entries in failure_groups.items():
             run_entries = run_groups.get(thread, [])
-            failure_keys = [key for key, _index, _rec in failure_entries]
+            failure_keys = [key for key, _index in failure_entries]
             if not run_entries:
                 # Thread absent from the run log: every message is relevant.
-                for key, index, record in failure_entries:
-                    failure_only.append(Occurrence(key, thread, index, record))
+                for key, index in failure_entries:
+                    failure_only.append(
+                        Occurrence(key, thread, index, failure_log[index])
+                    )
                 continue
-            run_keys = [key for key, _index, _rec in run_entries]
+            run_keys = [key for key, _index in run_entries]
             for edit in myers.diff(run_keys, failure_keys):
                 if edit.op is myers.Op.INSERT:
-                    key, index, record = failure_entries[edit.right_index]
-                    failure_only.append(Occurrence(key, thread, index, record))
+                    key, index = failure_entries[edit.right_index]
+                    failure_only.append(
+                        Occurrence(key, thread, index, failure_log[index])
+                    )
                 elif edit.op is myers.Op.KEEP:
                     matched.append(
                         (
@@ -114,15 +115,17 @@ class LogComparator:
         matched.sort(key=lambda pair: pair[1])
         return CompareResult(failure_only=failure_only, matched=matched)
 
-    def _group(
-        self, log: LogFile
-    ) -> dict[str, list[tuple[str, int, LogRecord]]]:
-        """Group (key, global index, record) triples by sanitized thread."""
-        groups: dict[str, list[tuple[str, int, LogRecord]]] = {}
-        for index, record in enumerate(log):
-            thread = sanitize_thread_name(record.thread)
-            key = self.key_for(record)
-            groups.setdefault(thread, []).append((key, index, record))
+    def _group(self, log: LogFile) -> dict[str, list[tuple[str, int]]]:
+        """Group (key, global index) pairs by sanitized thread, reading
+        the log's thread and message columns."""
+        groups: dict[str, list[tuple[str, int]]] = {}
+        key_for = self._matcher.key_for
+        for index, (thread, message) in enumerate(
+            zip(log.thread_names, log.texts)
+        ):
+            groups.setdefault(sanitize_thread_name(thread), []).append(
+                (key_for(message), index)
+            )
         return groups
 
 
@@ -156,13 +159,14 @@ class PreparedComparator:
         self, comparator: LogComparator, failure_log: LogFile
     ) -> None:
         self._comparator = comparator
-        self._failure_log = failure_log
+        #: The failure log's rows, built once: what an occurrence carries.
+        self._failure_records = failure_log.records
         self._intern: dict[str, int] = {}
-        #: thread -> (interned key ids, (key, global index, record) triples),
-        #: in failure-log first-appearance order (LogComparator's order).
+        #: thread -> (interned key ids, (key, global index) pairs), in
+        #: failure-log first-appearance order (LogComparator's order).
         self._failure: dict[str, tuple[tuple[int, ...], list]] = {}
         for thread, entries in comparator._group(failure_log).items():
-            ids = tuple(self._id(key) for key, _index, _record in entries)
+            ids = tuple(self._id(key) for key, _index in entries)
             self._failure[thread] = (ids, entries)
         #: (thread, run-side id sequence) -> (INSERT right-locals,
         #: KEEP (left-local, right-local) pairs).
@@ -175,24 +179,22 @@ class PreparedComparator:
             self._intern[key] = interned
         return interned
 
-    def key_for(self, record: LogRecord) -> str:
-        return self._comparator.key_for(record)
-
     def compare(self, run_log: LogFile) -> CompareResult:
         """``COMPARE(run_log, failure_log)`` — see :meth:`LogComparator.compare`."""
         run_groups = self._comparator._group(run_log)
+        records = self._failure_records
         failure_only: list[Occurrence] = []
         matched: list[tuple[int, int]] = []
 
         for thread, (failure_ids, failure_entries) in self._failure.items():
             run_entries = run_groups.get(thread)
             if not run_entries:
-                for key, index, record in failure_entries:
-                    failure_only.append(Occurrence(key, thread, index, record))
+                for key, index in failure_entries:
+                    failure_only.append(
+                        Occurrence(key, thread, index, records[index])
+                    )
                 continue
-            run_ids = tuple(
-                self._id(key) for key, _index, _record in run_entries
-            )
+            run_ids = tuple(self._id(key) for key, _index in run_entries)
             memo_key = (thread, run_ids)
             script = self._memo.get(memo_key)
             if script is None:
@@ -209,8 +211,10 @@ class PreparedComparator:
                 self._memo[memo_key] = script
             inserts, keeps = script
             for right in inserts:
-                key, index, record = failure_entries[right]
-                failure_only.append(Occurrence(key, thread, index, record))
+                key, index = failure_entries[right]
+                failure_only.append(
+                    Occurrence(key, thread, index, records[index])
+                )
             for left, right in keeps:
                 matched.append(
                     (run_entries[left][1], failure_entries[right][1])

@@ -83,23 +83,13 @@ class LogParser:
 
     def parse_text(self, text: str) -> LogFile:
         log = LogFile()
-        last: Optional[LogRecord] = None
         for line in text.splitlines():
             record = self._parse_line(line)
             if record is not None:
                 log.append(record)
-                last = record
-            elif line.strip() and last is not None:
-                merged = dataclasses.replace(
-                    last, message=last.message + "\n" + line.rstrip()
-                )
-                log._records[-1] = merged  # noqa: SLF001 - owned container
-                last = merged
+            elif line.strip() and log.texts:
+                log.texts[-1] += "\n" + line.rstrip()
         return log
-
-    def parse_file(self, path: str) -> LogFile:
-        with open(path, encoding="utf-8") as handle:
-            return self.parse_text(handle.read())
 
     def _parse_line(self, line: str) -> Optional[LogRecord]:
         for fmt in self._formats:

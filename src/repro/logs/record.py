@@ -6,12 +6,17 @@ emitted them, a severity level, and the rendered message text.  Records
 emitted by the simulator additionally carry the source location of the
 logging statement, which the Explorer never uses (production logs do not
 have it) but which tests use to validate template matching.
+
+A :class:`LogFile` stores those five fields as columns, from the
+simulator's logger through the run cache and the fork pipe to the
+comparator; a :class:`LogRecord` is the row view built on read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+from array import array
 from typing import Iterable, Iterator, Optional
 
 
@@ -51,14 +56,14 @@ class SourceRef:
 
 @dataclasses.dataclass(slots=True, unsafe_hash=True)
 class LogRecord:
-    """One log line.
+    """One log line: a row of a :class:`LogFile`, built when read.
 
     ``time`` is virtual seconds since the start of the run.  ``thread`` is
     the emitting task's name.  ``message`` is the fully rendered text.
     ``source`` is only present for records produced in-process by the
     simulator's logger, one shared object per call site.  Immutable by
     convention, not by ``frozen=True``, whose ``__init__`` would pay five
-    ``object.__setattr__`` calls per line; nothing assigns to a record.
+    ``object.__setattr__`` calls per row; nothing assigns to a record.
     """
 
     time: float
@@ -74,10 +79,18 @@ class LogRecord:
         first, bracketed timestamp) — the two real-world formats the
         parser ships configurations for.
         """
-        stamp = format_timestamp(self.time)
-        if style == "kafka":
-            return f"[{stamp}] {self.level.name} [{self.thread}] {self.message}"
-        return f"{stamp} [{self.thread}] {self.level.name} - {self.message}"
+        return _format_line(
+            style, self.time, self.thread, self.level, self.message
+        )
+
+
+def _format_line(
+    style: str, time: float, thread: str, level: Level, message: str
+) -> str:
+    stamp = format_timestamp(time)
+    if style == "kafka":
+        return f"[{stamp}] {level.name} [{thread}] {message}"
+    return f"{stamp} [{thread}] {level.name} - {message}"
 
 
 def format_timestamp(time_s: float) -> str:
@@ -95,51 +108,112 @@ def format_timestamp(time_s: float) -> str:
 
 
 class LogFile:
-    """An ordered collection of :class:`LogRecord` with helpers.
+    """A run's log, as columns: one entry per record.
 
-    The Explorer treats a run's log as an immutable sequence; this class
-    provides grouping by thread and text serialization.
+    Record ``i`` was emitted at virtual time ``times[i]`` by thread
+    ``thread_names[i]`` at ``levels[i]``, reads ``texts[i]``, and came
+    from the logging line ``sources[i]`` (``None`` for a parsed log).
+    The simulator's logger appends one value per column and builds
+    nothing per record; readers on the search's hot path read the
+    columns.  A log pickles as its columns, so pickle's memo stores a
+    repeated thread name, level or source once per blob.
+
+    As a sequence (``len``, iteration, ``log[i]``, :attr:`records`) it
+    reads as :class:`LogRecord` rows, built on demand; ``log[a:b]`` is a
+    :class:`LogFile`, and ``prefix + suffix`` concatenates two.  Equality
+    and hashing are by identity: a log is the identity of the run (or
+    the failure) it came from.
     """
 
+    __slots__ = (
+        "times", "thread_names", "levels", "texts", "sources", "__weakref__"
+    )
+
     def __init__(self, records: Iterable[LogRecord] = ()) -> None:
-        self._records: list[LogRecord] = list(records)
+        self.times = array("d")
+        self.thread_names: list[str] = []
+        self.levels: list[Level] = []
+        self.texts: list[str] = []
+        self.sources: list[Optional[SourceRef]] = []
+        for record in records:
+            self.append(record)
+
+    def _columns(self) -> tuple:
+        return (
+            self.times, self.thread_names, self.levels, self.texts,
+            self.sources,
+        )
+
+    #: A pickle stores the five columns.
+    __getstate__ = _columns
+
+    def __setstate__(self, columns: tuple) -> None:
+        (
+            self.times, self.thread_names, self.levels, self.texts,
+            self.sources,
+        ) = columns
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.times)
 
     def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self._records)
+        return map(LogRecord, *self._columns())
 
-    def __getitem__(self, index):
-        """The record at an ``int`` index, or a list of them for a slice."""
-        return self._records[index]
+    def __getitem__(self, item):
+        """The record at an ``int`` index, or a :class:`LogFile` of a slice."""
+        if isinstance(item, slice):
+            log = LogFile()
+            log.__setstate__(
+                tuple(column[item] for column in self._columns())
+            )
+            return log
+        # Spelled out: the early-verdict listener reads ``log[-1]`` per
+        # emitted line.
+        return LogRecord(
+            self.times[item], self.thread_names[item], self.levels[item],
+            self.texts[item], self.sources[item],
+        )
+
+    def __add__(self, other: "LogFile") -> "LogFile":
+        log = LogFile()
+        log.__setstate__(
+            tuple(
+                mine + theirs
+                for mine, theirs in zip(self._columns(), other._columns())
+            )
+        )
+        return log
 
     def append(self, record: LogRecord) -> None:
-        self._records.append(record)
+        self.times.append(record.time)
+        self.thread_names.append(record.thread)
+        self.levels.append(record.level)
+        self.texts.append(record.message)
+        self.sources.append(record.source)
 
     @property
     def records(self) -> list[LogRecord]:
-        return list(self._records)
+        return list(self)
 
     def threads(self) -> list[str]:
         """All thread names in first-appearance order."""
-        seen: dict[str, None] = {}
-        for record in self._records:
-            seen.setdefault(record.thread, None)
-        return list(seen)
+        return list(dict.fromkeys(self.thread_names))
 
     def by_thread(self) -> dict[str, list[LogRecord]]:
         """Group records by thread name, preserving per-thread order."""
         groups: dict[str, list[LogRecord]] = {}
-        for record in self._records:
+        for record in self:
             groups.setdefault(record.thread, []).append(record)
         return groups
 
     def to_text(self, style: str = "log4j") -> str:
         """Serialize to text, one line per record, in the given style."""
         return "".join(
-            record.format_line(style) + "\n" for record in self._records
+            _format_line(style, time, thread, level, message) + "\n"
+            for time, thread, level, message in zip(
+                self.times, self.thread_names, self.levels, self.texts
+            )
         )
 
     def messages(self) -> list[str]:
-        return [record.message for record in self._records]
+        return list(self.texts)

@@ -60,7 +60,6 @@ import warnings
 from typing import Optional
 
 from ..injection.fir import InjectionPlan, ProbeTrace
-from ..logs.record import Level, LogFile, LogRecord, SourceRef
 from ..obs import metrics as obs_metrics
 from .cluster import Cluster, RunResult, execute_workload, request_price
 
@@ -174,120 +173,6 @@ def _read_message(fd: int) -> tuple:
     return pickle.loads(_read_exact(fd, length))
 
 
-def _log_rows(records) -> list:
-    return [
-        (
-            record.time,
-            record.thread,
-            int(record.level),
-            record.message,
-            None
-            if record.source is None
-            else (
-                record.source.file,
-                record.source.line,
-                record.source.function,
-            ),
-        )
-        for record in records
-    ]
-
-
-#: Decoded row -> the one (frozen) record built for it: a campaign's
-#: runs repeat each other's logs (a warm ``compare`` decodes 18,873 rows,
-#: 2,262 distinct).  Bounded by wholesale clearing, like the comparator memo.
-_RECORDS: dict[tuple, LogRecord] = {}
-_SOURCES: dict[tuple, SourceRef] = {}
-_LEVELS = {int(level): level for level in Level}
-_INTERN_LIMIT = 1 << 16
-
-
-def _log_records(rows) -> list[LogRecord]:
-    records = _RECORDS
-    if len(records) > _INTERN_LIMIT:
-        records.clear()
-        _SOURCES.clear()
-    out = []
-    for row in rows:
-        record = records.get(row)
-        if record is None:
-            when, thread, level, message, source = row
-            if source is not None:
-                ref = _SOURCES.get(source)
-                if ref is None:
-                    ref = _SOURCES[source] = SourceRef(*source)
-                source = ref
-            record = records[row] = LogRecord(
-                when, thread, _LEVELS[level], message, source
-            )
-        out.append(record)
-    return out
-
-
-def _encode_result(result: RunResult) -> tuple:
-    """Flatten a :class:`RunResult` to primitives (run cache disk tier,
-    and — on a result cut down to its post-fork suffix — the fork pipe).
-
-    Generic pickling of a result spends most of its time reducing the
-    thousands of small ``LogRecord`` dataclass instances one by one;
-    flattening them to primitive tuples first makes the frame several
-    times cheaper to serialize.  The trace (``None`` for an armed run,
-    which records none) already is three flat columns and pickles as
-    them.  The remaining fields are small and ship as-is.
-    """
-    return (
-        _log_rows(result.log),
-        result.trace,
-        result.injected,
-        result.injected_instance,
-        result.stuck,
-        result.crashed,
-        result.state,
-        result.end_time,
-        result.site_counts,
-        result.injection_requests,
-        result.decision_seconds,
-        result.base_faults_fired,
-        result.truncated_at,
-    )
-
-
-def _decode_result(payload: tuple, log_prefix=()) -> RunResult:
-    """Rebuild the :class:`RunResult` flattened by :func:`_encode_result`,
-    behind a fork rung's already-decoded prefix when there is one."""
-    (
-        records,
-        trace,
-        injected,
-        injected_instance,
-        stuck,
-        crashed,
-        state,
-        end_time,
-        site_counts,
-        injection_requests,
-        decision_seconds,
-        base_faults_fired,
-        truncated_at,
-    ) = payload
-    records = _log_records(records)
-    return RunResult(
-        log=LogFile(log_prefix + records if log_prefix else records),
-        trace=trace,
-        injected=injected,
-        injected_instance=injected_instance,
-        stuck=stuck,
-        crashed=crashed,
-        state=state,
-        end_time=end_time,
-        site_counts=site_counts,
-        injection_requests=injection_requests,
-        decision_seconds=decision_seconds,
-        base_faults_fired=base_faults_fired,
-        truncated_at=truncated_at,
-    )
-
-
 def _fork() -> int:
     """``os.fork`` with the multi-threaded-process warning suppressed.
 
@@ -375,7 +260,7 @@ def _holder_main(
         # every tracked object, which IS that wholesale copy.)
         gc.disable()
         fir, log = cluster.fir, cluster.collector.log
-        _write_message(resp_w, ("ready", _log_rows(log)))
+        _write_message(resp_w, ("ready", log))
         while True:
             try:
                 message = _read_message(req_r)
@@ -417,10 +302,10 @@ def _holder_main(
         if obs_metrics.get(name) != verdict_base[name]
     }
     total = len(result.log)
-    result.log = LogFile(result.log[forked[0]:])
+    result.log = result.log[forked[0]:]
     try:
         blob = pickle.dumps(
-            ("ok", _encode_result(result), verdict_deltas, total),
+            ("ok", result, verdict_deltas, total),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
     except Exception:
@@ -470,13 +355,13 @@ class Checkpoint:
         # Wait for the holder to finish the prefix and park in the trigger,
         # so open cost stays in open() and run() times pure fork+suffix —
         # the pool's cost model depends on that separation.  The ready
-        # frame carries the prefix's log, decoded once here and shared
-        # (records are frozen) by every result forked off this rung.
+        # frame carries the prefix's log, which every result forked off
+        # this rung puts in front of its own suffix.
         try:
             ready = _read_message(self._resp_r)
             if ready[0] != "ready":
                 raise ValueError(ready)
-            self._log_prefix = _log_records(ready[1])
+            self._log_prefix = ready[1]
         except (OSError, EOFError, pickle.PickleError, TypeError, ValueError,
                 IndexError):
             self.close()
@@ -487,10 +372,10 @@ class Checkpoint:
             return None
         try:
             _write_message(self._req_w, ("run", plan.to_payload()))
-            status, payload, verdict_deltas, total = _read_message(self._resp_r)
+            status, result, verdict_deltas, total = _read_message(self._resp_r)
             if status != "ok":
                 raise ValueError(status)
-            result = _decode_result(payload, self._log_prefix)
+            result.log = self._log_prefix + result.log
             # A frame that does not add up to the run the grandchild
             # finished is torn, whatever its pickle says.
             if len(result.log) != total:

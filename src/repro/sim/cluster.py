@@ -76,9 +76,6 @@ class RunResult:
             if summary.name.startswith(task_prefix)
         )
 
-    def log_contains(self, fragment: str) -> bool:
-        return any(fragment in record.message for record in self.log)
-
 
 class Cluster:
     """One simulated deployment plus its observation and injection plumbing."""
@@ -93,7 +90,7 @@ class Cluster:
         # Bound straight to the two objects that hold the answers, with no
         # Python frame in between; both live as long as the cluster.
         self.fir.bind(
-            log_index_fn=self.collector.records.__len__,
+            log_index_fn=self.collector.log.times.__len__,
             clock=functools.partial(getattr, self.sim, "now"),
         )
         self.env = Env(self)

@@ -355,9 +355,6 @@ class Simulator:
     def blocked_tasks(self) -> list[Task]:
         return [task for task in self.tasks if task.state is TaskState.BLOCKED]
 
-    def failed_tasks(self) -> list[Task]:
-        return [task for task in self.tasks if task.state is TaskState.FAILED]
-
     # --------------------------------------------------------------- internals
 
     def _resume(

@@ -17,36 +17,31 @@ import sys
 import traceback
 from typing import Any, Optional
 
-from ..logs.record import Level, LogFile, LogRecord, SourceRef
+from ..logs.record import Level, LogFile, SourceRef
 from .env import _SITE_CACHE
 from .scheduler import Simulator
 
 
 class LogCollector:
-    """Accumulates the records of one run."""
+    """Accumulates the records of one run.
+
+    ``log`` is the same :class:`LogFile` for the collector's whole life,
+    and so are its columns: the FIR binds one column's ``__len__`` as
+    its log-index reader.
+    """
 
     def __init__(self) -> None:
         self.log = LogFile()
-        #: The log's backing list: the same object for the collector's
-        #: whole life, so the FIR can bind its ``__len__`` as the
-        #: log-index reader.
-        self.records = self.log._records  # noqa: SLF001 - owned container
         #: Emission watchpoints (e.g. the early-verdict monitor's log
-        #: leaves); empty on the common path so ``append`` stays cheap.
+        #: leaves); empty on the common path, which builds no record.
         self._listeners: list = []
 
     def __len__(self) -> int:
         return len(self.log)
 
     def add_listener(self, listener) -> None:
-        """Call ``listener(record)`` on every appended record."""
+        """Call ``listener(record)`` on every emitted record."""
         self._listeners.append(listener)
-
-    def append(self, record: LogRecord) -> None:
-        self.records.append(record)
-        if self._listeners:
-            for listener in self._listeners:
-                listener(record)
 
 
 def render_stack_trace(exc: BaseException, limit: int = 12) -> str:
@@ -78,7 +73,8 @@ class SimLogger:
         default_thread: str = "main",
     ) -> None:
         self._sim = sim
-        self._collector = collector
+        self._log = collector.log
+        self._listeners = collector._listeners
         self._default_thread = default_thread
 
     def _emit(self, level: Level, template: str, args: tuple[Any, ...]) -> None:
@@ -93,8 +89,18 @@ class SimLogger:
             source = _SITE_CACHE[key] = SourceRef(*key, code.co_name)
         sim = self._sim
         task = sim.current_task
-        thread = self._default_thread if task is None else task.name
-        self._collector.append(LogRecord(sim.now, thread, level, message, source))
+        log = self._log
+        log.times.append(sim.now)
+        log.thread_names.append(
+            self._default_thread if task is None else task.name
+        )
+        log.levels.append(level)
+        log.texts.append(message)
+        log.sources.append(source)
+        if self._listeners:
+            record = log[-1]
+            for listener in self._listeners:
+                listener(record)
 
     def debug(self, template: str, *args: Any) -> None:
         self._emit(Level.DEBUG, template, args)

@@ -304,19 +304,6 @@ def test_entry_round_trip_equals_the_original_result(tmp_path, with_plan):
     assert shipped.trace == original.trace
 
 
-def test_decoded_log_records_are_interned(tmp_path):
-    case = get_case("f11")
-    truth = case.ground_truth_instance()
-    _, noop = _stored_then_read(tmp_path / "noop", case, None)
-    _, faulty = _stored_then_read(tmp_path / "fault", case, InjectionPlan.single(truth))
-    shared = {id(record) for record in noop.log} & {id(record) for record in faulty.log}
-    # The two runs log the same prefix: one record object serves both.
-    assert shared
-    assert all(record.level.name for record in faulty.log)
-    sources = {id(r.source): r.source for r in noop.log if r.source is not None}
-    assert len(sources) == len(set(sources.values()))
-
-
 def test_alias_prediction_from_a_lazily_decoded_noop_entry(tmp_path):
     case = get_case("f1")
     truth = case.ground_truth_instance()
@@ -361,16 +348,16 @@ def test_damaged_entry_is_skipped_and_removed(tmp_path, damage):
     data = segment.read_bytes()
     _magic, name_size, length, _crc = _FIELDS.unpack_from(data)
     assert len(data) == _HEAD_SIZE + name_size + length  # one record
-    log_rows, trace, *_rest = pickle.loads(data[-length:])
+    stored = pickle.loads(data[-length:])
     if damage == "truncated":
         data = data[: len(data) // 2]
     elif damage == "trace blob":
         # A site id in the probe's trace columns: a flip that still
         # unpickles, so only the checksum stands between it and a wrong
         # per-site index.
-        data = _flip_bit(data, trace.sites[0].encode())
+        data = _flip_bit(data, stored.trace.sites[0].encode())
     elif damage == "log text":
-        data = _flip_bit(data, log_rows[0][3].encode())
+        data = _flip_bit(data, stored.log.texts[0].encode())
     elif damage == "header":
         data = _flip_bit(data, data[4:_HEAD_SIZE])
     elif damage == "half a header":
@@ -549,10 +536,10 @@ def test_alias_decisions_decode_the_noop_record_once(monkeypatch):
     cache = RunCache()
     cache.execute(case.workload, case.horizon, case.seed, None, execute_workload)
     decoded = []
-    real = runcache._decode_result
+    real = runcache.pickle.loads
     monkeypatch.setattr(
-        runcache, "_decode_result",
-        lambda payload: decoded.append(1) or real(payload),
+        runcache.pickle, "loads",
+        lambda record: decoded.append(1) or real(record),
     )
     for occurrence in (10**6, 10**6 + 1, 10**6 + 2):
         ghost = plan_of((truth.site_id, truth.exception, occurrence))

@@ -21,6 +21,7 @@ on platforms without ``os.fork``.
 
 import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,6 @@ from repro.sim import (
     execute_workload,
     snapshot_fingerprint,
 )
-from repro.sim.checkpoint import _decode_result, _encode_result
 from repro.sim.cluster import RunResult
 from repro.sim.errors import IOException
 from tests.bench_xl import xl_case
@@ -101,6 +101,11 @@ class TestFingerprint:
 # -------------------------------------------------------------------- codec
 
 
+def pickled(result):
+    """``result`` after the trip every cache record and fork frame makes."""
+    return pickle.loads(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+
+
 class TestResultCodec:
     def test_roundtrip_preserves_signature(self):
         case = get_case("f1")
@@ -108,7 +113,7 @@ class TestResultCodec:
         result = execute_workload(
             case.workload, horizon=case.horizon, seed=case.seed, plan=plan
         )
-        decoded = _decode_result(_encode_result(result))
+        decoded = pickled(result)
         assert run_signature(decoded) == run_signature(result)
         assert decoded.state == result.state
         assert decoded.decision_seconds == result.decision_seconds
@@ -118,7 +123,7 @@ class TestResultCodec:
         result = execute_workload(
             case.workload, horizon=case.horizon, seed=case.seed
         )
-        decoded = _decode_result(_encode_result(result))
+        decoded = pickled(result)
         assert run_signature(decoded) == run_signature(result)
 
 
@@ -294,7 +299,7 @@ class TestCheckpointPool:
         with pool:
             pool.runner(case.workload, **run)  # opens the rung, forks
             (rung,) = pool._rungs.values()
-            rung._log_prefix.pop()
+            rung._log_prefix = rung._log_prefix[:-1]
             served = pool.runner(case.workload, **run)
             assert rung.closed and not pool._rungs
         assert run_signature(served) == run_signature(inline)

@@ -120,14 +120,21 @@ class TestTrace:
     )
     def test_chrome_trace_carries_rank_trajectory(self, capsys, case):
         """One case per mini system: the exported Chrome trace is valid
-        trace_event JSON whose per-round rerank events carry the
-        ground-truth site's rank (the Figure 6 trajectory)."""
+        trace_event JSON on both clock lanes whose per-round rerank
+        events carry the ground-truth site's rank (the Figure 6
+        trajectory)."""
         code, out = run_cli(capsys, "trace", case.case_id)
         assert code == 0
         document = json.loads(out)
         assert "traceEvents" in document
         events = document["traceEvents"]
-        assert all({"name", "ph", "pid"} <= set(e) for e in events)
+        assert events
+        assert all({"name", "ph", "pid", "tid"} <= set(e) for e in events)
+        timed = [e for e in events if e["ph"] != "M"]
+        assert all("ts" in e for e in timed)
+        # Spans on the wall-clock lane (pid 1) and the virtual-clock lane
+        # (pid 2), not just the two lanes' metadata rows.
+        assert {e["pid"] for e in timed} >= {1, 2}
         reranks = [e for e in events if e["name"] == "explorer.rerank"]
         assert reranks, "every committed round emits a rerank event"
         for event in reranks:
