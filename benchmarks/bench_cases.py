@@ -113,9 +113,6 @@ def _zk_clients_done(state) -> int:
 _ZK_GATE = StatePredicateOracle(
     lambda state: _zk_clients_done(state) >= 26,
     "outage hit after most bulk clients had finished",
-    # Audited: per-client done counters only ever increase, so the count
-    # of clients over the threshold is nondecreasing.
-    monotone=True,
 )
 
 
@@ -165,8 +162,6 @@ def _hdfs_scaled(cluster: Cluster) -> None:
 _DFS_GATE = StatePredicateOracle(
     lambda state: state.get("loads_at_roll_failure", 0) >= 14,
     "edit roll failed late in the bulk-load window",
-    # Audited: the watcher writes the snapshot key exactly once.
-    monotone=True,
 )
 
 
@@ -232,8 +227,6 @@ def _kafka_scaled(cluster: Cluster) -> None:
 _KAFKA_GATE = StatePredicateOracle(
     lambda state: state.get("emits_at_restart", 0) >= 104,
     "flush failed late in the feed",
-    # Audited: the watcher writes the snapshot key exactly once.
-    monotone=True,
 )
 
 
@@ -319,8 +312,6 @@ def _cass_scaled(cluster: Cluster) -> None:
 _CASS_GATE = StatePredicateOracle(
     lambda state: state.get("streams_completed", 0) >= 38,
     "channel wedged after most files had streamed",
-    # Audited: the completed-file counter only ever increases.
-    monotone=True,
 )
 
 

@@ -42,16 +42,14 @@ and both memoize deterministic runs through :mod:`repro.cache` unless
 ``--no-cache`` (``--cache-dir`` relocates the shared disk tier).  Round
 runs fork off a parked prefix snapshot (:mod:`repro.sim.checkpoint`)
 unless ``--no-checkpoint`` — outcome-invariant either way, and a no-op
-where ``os.fork`` is unavailable.  Round runs stop the moment the
-oracle's verdict is decided (:mod:`repro.core.verdict`) unless
-``--no-early-verdict`` — also outcome-invariant: only satisfied runs can
-truncate, so feedback always sees full logs and exploration signatures
-are byte-identical either way.  Both stream live progress events to
-``benchmarks/out/events.jsonl`` for ``repro watch`` unless
-``--no-events`` (``--events-out`` relocates the stream); the bus is
-outcome-invariant — signatures are byte-identical with events on or
-off.  ``compare`` also takes a comma-separated case-id list and
-``--summary-out PATH`` for the machine-readable campaign summary.
+where ``os.fork`` is unavailable.  Every run goes to its horizon
+(``compare`` still accepts ``--[no-]early-verdict`` and ignores it).
+Both stream live progress events to ``benchmarks/out/events.jsonl``
+for ``repro watch`` unless ``--no-events`` (``--events-out`` relocates
+the stream); the bus is outcome-invariant — signatures are
+byte-identical with events on or off.  ``compare`` also takes a
+comma-separated case-id list and ``--summary-out PATH`` for the
+machine-readable campaign summary.
 """
 
 from __future__ import annotations
@@ -119,7 +117,6 @@ def _run_config(args, jobs: int = 1):
         cache=cache,
         cache_dir=cache_dir if cache else None,
         checkpoint=getattr(args, "checkpoint", False),
-        early_verdict=getattr(args, "early_verdict", False),
         events=getattr(args, "events", False),
         jobs=jobs,
     )
@@ -167,9 +164,6 @@ _STATS_LINES = {
     "checkpoint": "[checkpoint: {opens} snapshot(s), {forks} fork(s), "
     "{declined} run(s) kept inline by the cost model, "
     "{requests_saved} prefix request(s) skipped]",
-    "verdict": "[early-verdict: {cutoffs} cutoff(s), "
-    "{virtual_seconds_saved} virtual second(s) and "
-    "{events_saved} event(s) saved]",
 }
 
 #: What the end-of-run ``[degraded: ...]`` line lists: (counter, label).
@@ -248,7 +242,6 @@ def _cmd_reproduce_body(args, config) -> int:
         track_coverage=True,
         prune=args.prune,
         checkpoint=config.checkpoint,
-        early_verdict=config.early_verdict,
     )
     # A single reproduce is a one-cell campaign to the event stream, so
     # the same watch view covers both commands.
@@ -315,21 +308,34 @@ def _cmd_reproduce_body(args, config) -> int:
 
 
 def cmd_replay(args) -> int:
-    from .core.pipeline import RunPipeline
     from .core.report import ReproductionScript
     from .failures import get_case
 
     case = get_case(args.case_id)
-    with open(args.script, encoding="utf-8") as handle:
-        script = ReproductionScript.from_json(handle.read())
-    pipeline = RunPipeline(
-        case.workload, script.horizon, script.seed, case.oracle,
-        _run_config(args),
-    )
-    result = script.replay(case.workload, monitor=pipeline.monitor())
-    # A truncated replay is oracle-equivalent to the full run: cutoff
-    # fires only once the verdict is decided TRUE independent of the
-    # remainder, so the post-hoc check below reads the same either way.
+    try:
+        with open(args.script, encoding="utf-8") as handle:
+            script = ReproductionScript.from_json(handle.read())
+    except OSError as error:
+        print(
+            f"error: cannot read {args.script}: {error.strerror or error}",
+            file=sys.stderr,
+        )
+        return 2
+    except (ValueError, KeyError, TypeError) as error:
+        print(
+            f"error: {args.script} is not a reproduction script "
+            f"({type(error).__name__}: {error})",
+            file=sys.stderr,
+        )
+        return 2
+    if script.case_id != case.case_id:
+        print(
+            f"error: {args.script} reproduces {script.case_id}, "
+            f"not {case.case_id}",
+            file=sys.stderr,
+        )
+        return 2
+    result = script.replay(case.workload)
     satisfied = case.oracle.satisfied(result)
     print(f"injected: {result.injected}  oracle satisfied: {satisfied}")
     return 0 if satisfied else 1
@@ -381,7 +387,6 @@ def _cmd_compare_body(args, config, cases: list) -> int:
     cell_options = dict(
         max_rounds=args.max_rounds,
         checkpoint=config.checkpoint,
-        early_verdict=config.early_verdict,
     )
     if args.fault_dims:
         cell_options["fault_dims"] = args.fault_dims
@@ -834,17 +839,6 @@ def _add_checkpoint_options(subparser) -> None:
     )
 
 
-def _add_early_verdict_options(subparser) -> None:
-    subparser.add_argument(
-        "--early-verdict",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="stop round runs the moment the oracle's verdict is decided "
-        "(default on; --no-early-verdict runs every round to the horizon; "
-        "outcome-invariant)",
-    )
-
-
 def _add_events_options(subparser) -> None:
     subparser.add_argument(
         "--events",
@@ -900,14 +894,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_dims_option(reproduce)
     _add_cache_options(reproduce)
     _add_checkpoint_options(reproduce)
-    _add_early_verdict_options(reproduce)
     _add_ledger_options(reproduce)
     _add_events_options(reproduce)
 
     replay = commands.add_parser("replay", help="replay a reproduction script")
     replay.add_argument("case_id")
     replay.add_argument("script")
-    _add_early_verdict_options(replay)
 
     compare = commands.add_parser("compare", help="compare all strategies")
     compare.add_argument(
@@ -933,7 +925,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_dims_option(compare)
     _add_cache_options(compare)
     _add_checkpoint_options(compare)
-    _add_early_verdict_options(compare)
+    compare.add_argument(
+        "--early-verdict",
+        action=argparse.BooleanOptionalAction,
+        help="ignored: every run goes to its horizon (kept for old scripts)",
+    )
     _add_ledger_options(compare)
     _add_events_options(compare)
 

@@ -166,7 +166,6 @@ class StrategyRunner:
         max_seconds: Optional[float] = 60.0,
         track_coverage: bool = False,
         checkpoint: bool = False,
-        early_verdict: bool = False,
     ) -> None:
         self.max_rounds = max_rounds
         self.max_seconds = max_seconds
@@ -177,11 +176,6 @@ class StrategyRunner:
         #: instead of replaying from t=0.  Outcome-invariant, opt-in, and
         #: a no-op where ``os.fork`` is unavailable.
         self.checkpoint = bool(checkpoint)
-        #: Early-verdict cutoff: round runs are verdict-monitored and
-        #: stop once the oracle's outcome is decided.  Only satisfied
-        #: runs can truncate, and a satisfied round ends the search, so
-        #: strategies' feedback hooks always see full-run results.
-        self.early_verdict = bool(early_verdict)
 
     def run(
         self,
@@ -203,10 +197,7 @@ class StrategyRunner:
             case.workload,
             case.horizon,
             case.seed,
-            case.oracle,
-            RunConfig.here(
-                checkpoint=self.checkpoint, early_verdict=self.early_verdict
-            ),
+            RunConfig.here(checkpoint=self.checkpoint),
         ) as pipeline:
             pipeline.arm(context.normal_run.trace)
             found = search(

@@ -152,15 +152,15 @@ def run_baseline(
     max_seconds: Optional[float] = 8.0,
     coverage: bool = True,
     checkpoint: bool = False,
-    early_verdict: bool = False,
+    early_verdict: bool = False,  # ignored: see DESIGN §5.3
     **strategy_kwargs,
 ) -> StrategyOutcome:
     """Run one baseline strategy on one case under the table budgets.
 
-    ``checkpoint`` and ``early_verdict`` are runner knobs (prefix-fork
-    execution and oracle-decided cutoff, both outcome-invariant), not
-    strategy knobs, so they are named parameters here; everything in
-    ``strategy_kwargs`` goes to the strategy constructor.
+    ``checkpoint`` is a runner knob (prefix-fork execution,
+    outcome-invariant), not a strategy knob, so it is a named parameter
+    here; everything in ``strategy_kwargs`` goes to the strategy
+    constructor.
     """
     strategy = ALL_STRATEGIES[name](**strategy_kwargs)
     runner = StrategyRunner(
@@ -168,7 +168,6 @@ def run_baseline(
         max_seconds=max_seconds,
         track_coverage=coverage,
         checkpoint=checkpoint,
-        early_verdict=early_verdict,
     )
     result = runner.run(strategy, case, case_id=case.case_id)
     obs_metrics.increment("campaign.baseline_runs")

@@ -183,20 +183,11 @@ def _plan_key(plan) -> tuple:
     return plan.key() if plan is not None else ((), ())
 
 
-def _run(runner, workload, horizon, seed, plan, monitor_factory):
-    """Execute for real, under a fresh monitor when the caller has one.
-
-    ``monitor=`` is passed only then, so unmonitored runners (and test
-    doubles of ``execute_workload``) keep their plain signature.
-    """
+def _run(runner, workload, horizon, seed, plan):
+    """Execute for real."""
     if runner is None:
         from ..sim.cluster import execute_workload as runner
-    if monitor_factory is None:
-        return runner(workload, horizon=horizon, seed=seed, plan=plan)
-    return runner(
-        workload, horizon=horizon, seed=seed, plan=plan,
-        monitor=monitor_factory(),
-    )
+    return runner(workload, horizon=horizon, seed=seed, plan=plan)
 
 
 # -------------------------------------------------------------------- cache
@@ -260,18 +251,6 @@ class RunCache:
         return (fingerprint, seed, horizon, ((), always))
 
     @staticmethod
-    def _verdict_key(key: tuple, monitor_key: str) -> tuple:
-        """The truncation-aware extension of a plain key.
-
-        Truncated results are oracle-equivalent to the full run but carry
-        a shorter log, so they live only under this extended key: a
-        plain-key (full-run) consumer can never be served one, while
-        monitored consumers probe the plain key *first* — a full result
-        is valid for everyone.
-        """
-        return key + (("verdict", monitor_key),)
-
-    @staticmethod
     def _name(key: tuple) -> str:
         """What both tiers call ``key``'s record; callers derive it once
         per key and pass it on."""
@@ -333,24 +312,13 @@ class RunCache:
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
 
-    def put(self, workload, horizon, seed, plan, result, monitor_key=None) -> None:
-        """Store a completed run under its key.
-
-        Truncated results require ``monitor_key`` and are stored only
-        under the extended key; without one they are dropped rather than
-        poisoning the plain entry.
-        """
+    def put(self, workload, horizon, seed, plan, result) -> None:
+        """Store a completed run under its key."""
         key = self._key(workload, horizon, seed, plan)
         if key is not None:
-            self._put(key, self._name(key), result, monitor_key)
+            self._put(self._name(key), result)
 
-    def _put(self, key: tuple, name: str, result, monitor_key) -> None:
-        if getattr(result, "truncated_at", None) is not None:
-            # Under the extended key only, never the plain key (a
-            # truncated run's log and counters are monitor-specific).
-            if not monitor_key:
-                return
-            name = self._name(self._verdict_key(key, monitor_key))
+    def _put(self, name: str, result) -> None:
         try:
             record = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
         except Exception:
@@ -373,8 +341,6 @@ class RunCache:
         seed=0,
         plan=None,
         runner=None,
-        monitor_factory=None,
-        monitor_key=None,
     ):
         """The run for ``(workload, horizon, seed, plan)``.
 
@@ -384,24 +350,12 @@ class RunCache:
         the caller's own ``execute_workload`` reference keeps
         monkeypatched test doubles in charge of actual execution.  A hit
         is decoded for this call; the cache keeps no reference to it.
-
-        ``monitor_factory``/``monitor_key`` enable early-verdict cutoff:
-        a miss runs under a fresh monitor, and a truncated result is
-        stored under — and may later be served from — the
-        monitor-extended key.  The plain key is always probed first.
         """
         key = self._key(workload, horizon, seed, plan)
         if key is None:
-            return (
-                _run(runner, workload, horizon, seed, plan, monitor_factory),
-                UNCACHED,
-            )
+            return _run(runner, workload, horizon, seed, plan), UNCACHED
         name = self._name(key)
         result, from_disk = self._lookup(name)
-        if result is None and monitor_factory is not None and monitor_key:
-            result, from_disk = self._lookup(
-                self._name(self._verdict_key(key, monitor_key))
-            )
         if result is not None:
             self.stats.hits += 1
             obs_metrics.increment("cache.hits")
@@ -416,8 +370,8 @@ class RunCache:
             return result, ALIAS
         self.stats.misses += 1
         obs_metrics.increment("cache.misses")
-        result = _run(runner, workload, horizon, seed, plan, monitor_factory)
-        self._put(key, name, result, monitor_key)
+        result = _run(runner, workload, horizon, seed, plan)
+        self._put(name, result)
         return result, MISS
 
 
@@ -465,20 +419,12 @@ def cached_execute(
     seed=0,
     plan=None,
     runner=None,
-    monitor_factory=None,
-    monitor_key=None,
 ):
     """Run through the active cache, or directly when no cache is active."""
     cache = active()
     if cache is None:
-        return _run(runner, workload, horizon, seed, plan, monitor_factory)
+        return _run(runner, workload, horizon, seed, plan)
     result, _outcome = cache.execute(
-        workload,
-        horizon=horizon,
-        seed=seed,
-        plan=plan,
-        runner=runner,
-        monitor_factory=monitor_factory,
-        monitor_key=monitor_key,
+        workload, horizon=horizon, seed=seed, plan=plan, runner=runner
     )
     return result

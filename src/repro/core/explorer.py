@@ -78,13 +78,10 @@ class ExplorationResult:
         """Semantic identity of the search outcome, excluding wall times.
 
         A pure function of (case, seed, search parameters): no runner
-        knob may move it.  Early-verdict cutoff may truncate a satisfied
-        round's run, shrinking its ``injection_requests`` count, so that
-        one field is masked on satisfied rounds (unconditionally, keeping
-        cutoff on and off byte-identical).
-        Every other round field is cutoff-invariant: feedback — and so
-        ``present_observables`` — only runs on unsatisfied rounds, which
-        never truncate.
+        knob may move it.  A satisfied round's ``injection_requests`` is
+        masked as ``-1``: a retired runner knob could shorten that run,
+        and the committed signature baselines were captured with the
+        mask, so it stays to keep them byte-identical.
         """
         return (
             self.success,
@@ -197,7 +194,7 @@ class Explorer:
         prune: str = "none",
         prune_radius: float = DEFAULT_RADIUS,
         checkpoint: bool = False,
-        early_verdict: bool = False,
+        early_verdict: bool = False,  # ignored: see DESIGN §5.3
         fault_dims: str = "exceptions",
     ) -> None:
         if runs_per_round < 1:
@@ -258,21 +255,13 @@ class Explorer:
         self._coverage = NULL_COVERAGE
         self._prepared: Optional[PreparedSearch] = None
         #: Every run of this search goes through here (DESIGN §5.3).
-        #: Both runner knobs are outcome-invariant:
-        #: ``checkpoint`` forks each round's run off a holder parked at
-        #: the plan's first possible firing position instead of replaying
-        #: the fault-free prefix (``repro.sim.checkpoint``);
-        #: ``early_verdict`` stops a round run the moment the oracle's
-        #: outcome is decided (``repro.core.verdict``) — only *satisfied*
-        #: runs can truncate, so the log-diff feedback loop always sees
-        #: full logs, and the masked ``injection_requests`` field above
-        #: is the sole truncation-visible round field.
+        #: ``checkpoint`` is outcome-invariant: it forks each round's run
+        #: off a holder parked at the plan's first possible firing
+        #: position instead of replaying the fault-free prefix
+        #: (``repro.sim.checkpoint``).
         self._pipeline = RunPipeline(
-            workload, horizon, seed, oracle,
-            RunConfig.here(
-                checkpoint=bool(checkpoint),
-                early_verdict=bool(early_verdict),
-            ),
+            workload, horizon, seed,
+            RunConfig.here(checkpoint=bool(checkpoint)),
             recorder=self._obs, base_faults=self.base_faults,
         )
 

@@ -92,25 +92,15 @@ class StatePredicateOracle(Oracle):
 
     Used for external-state symptoms such as "the data file is corrupted"
     or "the keyspace was never created".
-
-    ``monotone=True`` declares that once the predicate holds on a prefix
-    of the run it holds on every extension — a set-once failure flag or a
-    threshold on an increasing counter.  The early-verdict compiler
-    (:mod:`repro.core.verdict`) may then latch the oracle mid-run and cut
-    the run short.  Declare it only for audited predicates: a false
-    declaration can truncate a run whose final state would *not* satisfy
-    the oracle, breaking cutoff on/off equivalence.
     """
 
     def __init__(
         self,
         predicate: Callable[[dict], bool],
         description: str = "state predicate",
-        monotone: bool = False,
     ) -> None:
         self._predicate = predicate
         self.description = description
-        self.monotone = monotone
 
     def satisfied(self, result: RunResult) -> bool:
         return bool(self._predicate(result.state))

@@ -5,14 +5,12 @@ ANDURIL's loop has one primitive — "run the workload under this plan"
 accelerator stacked behind it, in one fixed order::
 
     recorder attached?  yes -> execute_workload(recorder=...), nothing else
-                        no  -> run cache -> checkpoint pool -> verdict monitor
-                                         -> execute_workload
+                        no  -> run cache -> checkpoint pool -> execute_workload
 
-The Explorer, the baseline ``StrategyRunner`` and the CLI's confirmation
-replay all call it; none of them names a cache, a pool or a monitor.
-:class:`RunConfig` says *how* to run — the six runner knobs, none of
-which may change a search's outcome — and is all a worker process needs
-from its parent.
+The Explorer and the baseline ``StrategyRunner`` both call it; neither
+names a cache or a pool.  :class:`RunConfig` says *how* to run — the
+five runner knobs, none of which may change a search's outcome — and is
+all a worker process needs from its parent.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from ..injection.fir import InjectionPlan
 from ..obs.bus import active_bus
 from ..sim.checkpoint import CheckpointPool, checkpoint_supported
 from ..sim.cluster import RunResult, execute_workload
-from .verdict import compile_cutoff
 
 
 def default_jobs() -> int:
@@ -49,7 +46,6 @@ class RunConfig:
     cache: bool = False
     cache_dir: Optional[str] = None
     checkpoint: bool = False
-    early_verdict: bool = False
     events: bool = False
     jobs: int = 1
 
@@ -75,10 +71,10 @@ class RunConfig:
 
 
 class RunPipeline:
-    """Every run of one ``(workload, horizon, seed, oracle)`` context."""
+    """Every run of one ``(workload, horizon, seed)`` context."""
 
     def __init__(
-        self, workload, horizon: float, seed: int, oracle,
+        self, workload, horizon: float, seed: int,
         config: RunConfig = RunConfig(), *, recorder=None, base_faults=(),
     ) -> None:
         self.workload = workload
@@ -92,14 +88,9 @@ class RunPipeline:
         self.traced = recorder is not None and recorder.enabled
         self._recorder = recorder
         self._base_faults = tuple(base_faults)
-        # ``compile_cutoff`` yields None for an oracle that can never
-        # decide mid-run; its runs are then not monitored at all.
-        verdict = compile_cutoff(oracle) if config.early_verdict else None
-        self._monitor_factory = None if verdict is None else verdict.factory
-        self._monitor_key = None if verdict is None else verdict.key
         self._pool: Optional[CheckpointPool] = None
 
-    def _execute(self, seed, plan, runner, monitor_factory=None, monitor_key=None):
+    def _execute(self, seed, plan, runner):
         if self.traced:
             return execute_workload(
                 self.workload, horizon=self.horizon, seed=seed, plan=plan,
@@ -107,13 +98,12 @@ class RunPipeline:
             )
         return runcache.cached_execute(
             self.workload, horizon=self.horizon, seed=seed, plan=plan,
-            runner=runner, monitor_factory=monitor_factory,
-            monitor_key=monitor_key,
+            runner=runner,
         )
 
     def probe(self, plan: Optional[InjectionPlan] = None) -> RunResult:
-        """The fault-free reference run: never monitored, never forked —
-        observables and fork points need its full log and trace."""
+        """The fault-free reference run: never forked — observables and
+        fork points need its full log and trace."""
         return self._execute(self.seed, plan, execute_workload)
 
     def run(self, seed: int, plan: Optional[InjectionPlan]) -> RunResult:
@@ -122,14 +112,7 @@ class RunPipeline:
         return self._execute(
             seed, plan,
             execute_workload if pool is None or pool.broken else pool.runner,
-            self._monitor_factory, self._monitor_key,
         )
-
-    def monitor(self):
-        """A fresh verdict monitor for a run made outside :meth:`run`
-        (a confirmation replay), or ``None`` when runs are unmonitored."""
-        factory = self._monitor_factory
-        return None if factory is None else factory()
 
     def arm(self, probe_trace) -> None:
         """Open the checkpoint pool over the probe trace — iff checkpointing
@@ -144,7 +127,6 @@ class RunPipeline:
             self._pool = CheckpointPool(
                 self.workload, self.horizon, self.seed, probe_trace,
                 base_faults=self._base_faults,
-                monitor_factory=self._monitor_factory,
             )
 
     def close(self) -> None:

@@ -101,7 +101,7 @@ def prepared_case(
     """
     base_faults = tuple(base_faults)
     if pipeline is None:
-        pipeline = RunPipeline(workload, horizon, seed, None)
+        pipeline = RunPipeline(workload, horizon, seed)
     # The executor is part of the identity: a test double installed over
     # ``pipeline.execute_workload`` neither sees nor leaves real cases.
     key = (

@@ -42,13 +42,8 @@ class ReproductionScript:
             f"{extras} with seed={self.seed} over {self.horizon:g}s"
         )
 
-    def replay(self, workload: WorkloadFn, monitor=None) -> RunResult:
-        """Re-run the workload injecting exactly the pinned fault(s).
-
-        ``monitor`` (a fresh ``repro.core.verdict.VerdictMonitor``) opts
-        the replay into early-verdict cutoff: confirmation replays only
-        need the verdict, so they may stop the moment it is decided.
-        """
+    def replay(self, workload: WorkloadFn) -> RunResult:
+        """Re-run the workload injecting exactly the pinned fault(s)."""
         return execute_workload(
             workload,
             horizon=self.horizon,
@@ -56,7 +51,6 @@ class ReproductionScript:
             plan=InjectionPlan.of(
                 [self.instance], always=list(self.extra_instances)
             ),
-            monitor=monitor,
         )
 
     # ------------------------------------------------------------ serialization

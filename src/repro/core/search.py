@@ -168,9 +168,6 @@ def search(
         result = pipeline.run(run_seed, plan)
         # §6: retry the round under perturbed seeds when nothing in the
         # window occurred (only useful in nondeterministic setups).
-        # Truncated runs always carry a fired instance (the cutoff
-        # waits for the injection when the window is armed), so the
-        # retry condition reads the same under cutoff.
         sub_run = 0
         while result.injected_instance is None and sub_run + 1 < runs_per_round:
             sub_run += 1

@@ -135,8 +135,6 @@ register(
             & StatePredicateOracle(
                 lambda state: state.get("hint_short_delivery", 0) > 0,
                 "short hint delivery acknowledged",
-                # Audited: only ever assigned a positive shortfall.
-                monotone=True,
             )
         ),
         ground_truth=GroundTruth(

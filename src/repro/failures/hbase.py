@@ -115,8 +115,6 @@ register(
             & StatePredicateOracle(
                 lambda state: state.get("replication_stuck") is True,
                 "replication pinned on an empty WAL",
-                # Audited: set-once flag (replication.py writes only True).
-                monotone=True,
             )
         ),
         ground_truth=GroundTruth(
@@ -277,8 +275,6 @@ register(
             & StatePredicateOracle(
                 lambda state: bool(state.get("trim_lost_active")),
                 "active WAL segment deleted",
-                # Audited: only ever assigned a (truthy) segment name.
-                monotone=True,
             )
         ),
         ground_truth=GroundTruth(

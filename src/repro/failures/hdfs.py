@@ -101,9 +101,6 @@ register(
                 lambda state: state.get("backup_valid") is False
                 and state.get("nn_serving") is True,
                 "backup invalid while still serving",
-                # Audited: both conjuncts are set-once (the namenode only
-                # ever writes backup_valid=False and nn_serving=True).
-                monotone=True,
             )
         ),
         ground_truth=GroundTruth(
@@ -302,8 +299,6 @@ register(
             & StatePredicateOracle(
                 lambda state: state.get("aud_truncated_txid", -1) > 0,
                 "truncated image advertised",
-                # Audited: only ever assigned a positive txid on detection.
-                monotone=True,
             )
         ),
         ground_truth=GroundTruth(

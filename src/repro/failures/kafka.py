@@ -206,8 +206,6 @@ register(
             & StatePredicateOracle(
                 lambda state: state.get("relay_regressed") is True,
                 "committed offset regressed",
-                # Audited: set-once flag (offset_relay writes only True).
-                monotone=True,
             )
         ),
         ground_truth=GroundTruth(

@@ -77,9 +77,6 @@ register(
             & StatePredicateOracle(
                 lambda state: state.get("zk_serving") is False,
                 "service stopped serving",
-                # Audited: the quorum never re-elects (lead() runs once per
-                # node), so once the flag drops it never rises again.
-                monotone=True,
             )
         ),
         ground_truth=GroundTruth(
@@ -108,8 +105,6 @@ register(
             & StatePredicateOracle(
                 lambda state: state.get("client_failed") is True,
                 "client gave up its session",
-                # Audited: set-once flag (client.py writes only True).
-                monotone=True,
             )
         ),
         ground_truth=GroundTruth(
@@ -190,8 +185,6 @@ register(
             & StatePredicateOracle(
                 lambda state: state.get("snapld_epoch_skew") is True,
                 "served epoch diverged from quorum epoch",
-                # Audited: set-once flag (snapshot_loader writes only True).
-                monotone=True,
             )
         ),
         ground_truth=GroundTruth(

@@ -167,8 +167,6 @@ class LogFile:
                 tuple(column[item] for column in self._columns())
             )
             return log
-        # Spelled out: the early-verdict listener reads ``log[-1]`` per
-        # emitted line.
         return LogRecord(
             self.times[item], self.thread_names[item], self.levels[item],
             self.texts[item], self.sources[item],

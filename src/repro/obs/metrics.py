@@ -66,14 +66,13 @@ def _number(value: float):
 RUNNER_SECTIONS = {
     "cache": "cache.",
     "checkpoint": "sim.checkpoint.",
-    "verdict": "verdict.",
 }
 
 
 def runner_stats(counters: Optional[dict[str, float]] = None) -> dict:
     """Reduce counters (default: this registry) to the runner sections.
 
-    ``{"cache": {...}, "checkpoint": {...}, "verdict": {...}}`` with the
+    ``{"cache": {...}, "checkpoint": {...}}`` with the
     prefix stripped, keys in the order given, integral values as
     ``int`` and the rest rounded to microseconds.  A section whose knob
     never moved a counter is omitted, so on/off documents differ only

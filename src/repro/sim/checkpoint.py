@@ -70,17 +70,6 @@ __all__ = [
     "snapshot_fingerprint",
 ]
 
-#: Early-verdict counters a grandchild accumulates in its own process
-#: (``Cluster.run`` increments them at the cutoff).  The grandchild dies
-#: with its metrics, so the ok frame carries the deltas and the parent
-#: replays them — otherwise a checkpointed search would report zero
-#: cutoffs while truncating runs all along.
-_VERDICT_METRICS = (
-    "verdict.cutoffs",
-    "verdict.virtual_seconds_saved",
-    "verdict.events_saved",
-)
-
 #: Rungs held live per pool.  Each rung is one parked holder process,
 #: opened at the fork point of the plan that asked for it; a plan forks
 #: only from a rung less than one step (1/this of the trace) below its
@@ -197,37 +186,17 @@ def _run_with_trigger(
     plan: Optional[InjectionPlan],
     at_request: int,
     trigger,
-    monitor_factory=None,
 ) -> RunResult:
     """``execute_workload`` with ``trigger(cluster)`` armed at a request,
     untraced: the trigger counts requests, and every run forked off it
     is armed.
-
-    With ``monitor_factory``, the run is verdict-monitored — but cutoff
-    stays *disabled* until the trigger has returned.  The holder runs
-    under the base-only plan, whose empty window would let a
-    prefix-latching oracle stop the run before it ever reaches the park
-    point; watchpoints keep latching through the prefix, and only the
-    grandchild (post plan-swap, where injection accounting gates cutoff)
-    may actually stop early.
     """
     cluster = Cluster(seed=seed)
     cluster.fir.tracing = False
     cluster.fir.set_plan(plan)
-    monitor = None
-    if monitor_factory is not None:
-        monitor = monitor_factory()
-        monitor.disable_cutoff()
-        monitor.attach(cluster)
-
-    def at_trigger(_fir) -> None:
-        trigger(cluster)
-        if monitor is not None:
-            monitor.enable_cutoff()
-
-    cluster.fir.set_trigger(at_request, at_trigger)
+    cluster.fir.set_trigger(at_request, lambda _fir: trigger(cluster))
     workload(cluster)
-    return cluster.run(horizon, monitor=monitor)
+    return cluster.run(horizon)
 
 
 def _holder_main(
@@ -238,7 +207,6 @@ def _holder_main(
     seed: int,
     base_plan: Optional[InjectionPlan],
     at_request: int,
-    monitor_factory=None,
 ) -> None:
     """Body of the holder process; every path ends in ``os._exit``.
 
@@ -282,11 +250,9 @@ def _holder_main(
                     resp_w, ("err", f"fork child exited with status {status}")
                 )
 
-    verdict_base = {name: obs_metrics.get(name) for name in _VERDICT_METRICS}
     try:
         result = _run_with_trigger(
-            workload, horizon, seed, base_plan, at_request, trigger,
-            monitor_factory=monitor_factory,
+            workload, horizon, seed, base_plan, at_request, trigger
         )
     except BaseException:
         os._exit(3 if forked else 4)
@@ -296,16 +262,11 @@ def _holder_main(
         # handshake fails and the checkpoint is born closed.
         _write_message(resp_w, ("err", "checkpoint trigger never reached"))
         os._exit(0)
-    verdict_deltas = {
-        name: obs_metrics.get(name) - verdict_base[name]
-        for name in _VERDICT_METRICS
-        if obs_metrics.get(name) != verdict_base[name]
-    }
     total = len(result.log)
     result.log = result.log[forked[0]:]
     try:
         blob = pickle.dumps(
-            ("ok", result, verdict_deltas, total),
+            ("ok", result, total),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
     except Exception:
@@ -330,7 +291,6 @@ class Checkpoint:
         seed: int,
         base_plan: Optional[InjectionPlan],
         at_request: int,
-        monitor_factory=None,
     ) -> None:
         self.at_request = at_request
         self.closed = False
@@ -342,8 +302,7 @@ class Checkpoint:
             os.close(resp_r)
             try:
                 _holder_main(
-                    req_r, resp_w, workload, horizon, seed, base_plan,
-                    at_request, monitor_factory=monitor_factory,
+                    req_r, resp_w, workload, horizon, seed, base_plan, at_request
                 )
             finally:  # pragma: no cover - _holder_main always exits
                 os._exit(4)
@@ -372,7 +331,7 @@ class Checkpoint:
             return None
         try:
             _write_message(self._req_w, ("run", plan.to_payload()))
-            status, result, verdict_deltas, total = _read_message(self._resp_r)
+            status, result, total = _read_message(self._resp_r)
             if status != "ok":
                 raise ValueError(status)
             result.log = self._log_prefix + result.log
@@ -383,12 +342,6 @@ class Checkpoint:
         except (OSError, EOFError, pickle.PickleError, TypeError, ValueError):
             self.close()
             return None
-        # Replay the grandchild's early-verdict counters here: they were
-        # incremented in a process that has already exited.
-        for name in _VERDICT_METRICS:
-            delta = verdict_deltas.get(name, 0.0)
-            if delta:
-                obs_metrics.increment(name, delta)
         return result
 
     def close(self) -> None:
@@ -490,16 +443,10 @@ class CheckpointPool:
         seed: int,
         probe_trace: ProbeTrace,
         base_faults=(),
-        monitor_factory=None,
     ) -> None:
         self.workload = workload
         self.horizon = horizon
         self.seed = seed
-        #: Early-verdict monitor factory inherited by every holder (and
-        #: so, via fork, by every grandchild).  When set, fork-served
-        #: runs may come back truncated — callers opt in by constructing
-        #: the pool with the same factory they pass to the cache.
-        self._monitor_factory = monitor_factory
         self._base_faults = list(base_faults)
         self._base_key = tuple(
             (inst.site_id, inst.exception, inst.occurrence)
@@ -556,16 +503,8 @@ class CheckpointPool:
         seed: int = 0,
         plan: Optional[InjectionPlan] = None,
         recorder=None,
-        monitor=None,
     ) -> RunResult:
-        """Drop-in for ``execute_workload``; forks when it pays, else inline.
-
-        A grandchild carries the *pool's* monitor (inherited through the
-        holder fork with its prefix latches intact), so a caller-supplied
-        ``monitor`` is only used on the inline path.  A monitored pool
-        never serves an unmonitored call from a fork: the grandchild
-        could truncate, and this caller expects a full run.
-        """
+        """Drop-in for ``execute_workload``; forks when it pays, else inline."""
         fork_point = None
         if (
             not self.broken
@@ -575,7 +514,6 @@ class CheckpointPool:
             and seed == self.seed
             and plan is not None
             and plan.instances
-            and (self._monitor_factory is None or monitor is not None)
         ):
             fork_point = self.fork_point(plan)
         if fork_point is not None:
@@ -589,12 +527,7 @@ class CheckpointPool:
                 obs_metrics.increment("sim.checkpoint.fallbacks")
         started = _clock()
         result = execute_workload(
-            workload,
-            horizon=horizon,
-            seed=seed,
-            plan=plan,
-            recorder=recorder,
-            monitor=monitor,
+            workload, horizon=horizon, seed=seed, plan=plan, recorder=recorder
         )
         if fork_point is not None:
             self._price(
@@ -674,8 +607,7 @@ class CheckpointPool:
         obs_metrics.increment("sim.checkpoint.opens")
         started = _clock()
         rung = Checkpoint(
-            self.workload, self.horizon, self.seed, self._base_plan,
-            fork_point, monitor_factory=self._monitor_factory,
+            self.workload, self.horizon, self.seed, self._base_plan, fork_point
         )
         seconds = _clock() - started
         obs_metrics.increment("sim.checkpoint.open_seconds", seconds)

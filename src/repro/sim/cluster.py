@@ -17,7 +17,6 @@ from typing import Any, Callable, Generator, Optional
 from ..injection.fir import FIR, InjectionPlan, ProbeTrace
 from ..logs.record import LogFile
 from ..obs import VIRTUAL
-from ..obs import metrics as obs_metrics
 from .env import Env
 from .network import Network
 from .scheduler import Simulator, Sleep, Task, TaskState
@@ -61,12 +60,6 @@ class RunResult:
     injection_requests: int = 0
     decision_seconds: float = 0.0
     base_faults_fired: list = dataclasses.field(default_factory=list)
-    #: Virtual time at which the early-verdict monitor cut the run short
-    #: (``None`` = the run executed to its horizon).  Truncated results
-    #: are oracle-equivalent to the full run but carry a shorter log and
-    #: smaller counters, so full-run consumers must never receive one —
-    #: the run cache segregates them by monitor key.
-    truncated_at: Optional[float] = None
 
     def stuck_in(self, function: str, task_prefix: str = "") -> bool:
         """Whether some (matching) task ended the run blocked in ``function``."""
@@ -130,16 +123,9 @@ class Cluster:
 
     # -------------------------------------------------------------------- runs
 
-    def run(self, horizon: float, monitor=None) -> RunResult:
-        """Run to the horizon (or the monitor's cutoff) and summarize."""
-        truncated_at: Optional[float] = None
-        if self.sim.run(until=horizon, monitor=monitor):
-            truncated_at = self.sim.now
-            obs_metrics.increment("verdict.cutoffs")
-            obs_metrics.increment(
-                "verdict.virtual_seconds_saved", horizon - self.sim.now
-            )
-            obs_metrics.increment("verdict.events_saved", self.sim.pending_events())
+    def run(self, horizon: float) -> RunResult:
+        """Run to the horizon and summarize."""
+        self.sim.run(until=horizon)
         recorder = self.fir.recorder
         if recorder is not None and recorder.enabled:
             # The whole run is one virtual-clock span (deterministic per
@@ -183,7 +169,6 @@ class Cluster:
             injection_requests=self.fir.request_count,
             decision_seconds=self.fir.decision_seconds,
             base_faults_fired=list(self.fir.always_fired),
-            truncated_at=truncated_at,
         )
 
     def _summarize(self, task: Task) -> TaskSummary:
@@ -223,7 +208,6 @@ def execute_workload(
     seed: int = 0,
     plan: Optional[InjectionPlan] = None,
     recorder=None,
-    monitor=None,
 ) -> RunResult:
     """Run ``workload`` in a fresh cluster with an optional injection plan.
 
@@ -234,10 +218,7 @@ def execute_workload(
     ``recorder`` (a ``repro.obs.TraceRecorder``) enables run-level
     profiling: FIR decision timing, injection-decision events, and the
     scheduler/network counters.  ``None`` (the default) keeps the run on
-    the timing-free path.  ``monitor`` (a fresh
-    ``repro.core.verdict.VerdictMonitor``) attaches before the workload
-    builds the system and may cut the run short once the oracle's
-    verdict is decided.  Every run folds its wall seconds per request
+    the timing-free path.  Every run folds its wall seconds per request
     into :func:`request_price`.
     """
     global _request_seconds
@@ -247,10 +228,8 @@ def execute_workload(
     if recorder is not None and recorder.enabled:
         cluster.fir.recorder = recorder
     cluster.fir.set_plan(plan)
-    if monitor is not None:
-        monitor.attach(cluster)
     workload(cluster)
-    result = cluster.run(horizon, monitor=monitor)
+    result = cluster.run(horizon)
     if result.injection_requests:
         spent = (time.perf_counter() - started) / result.injection_requests
         _request_seconds = min(_request_seconds, spent)

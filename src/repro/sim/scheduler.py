@@ -283,13 +283,8 @@ class Simulator:
 
     # -------------------------------------------------------------------- run
 
-    def run(self, until: float, monitor=None) -> bool:
+    def run(self, until: float) -> None:
         """Run events until the queue drains or virtual ``until`` is reached.
-
-        ``monitor`` (a :class:`repro.core.verdict.VerdictMonitor`) is
-        polled after each dispatched event; when it reports the verdict
-        decided, the loop exits *without* advancing ``now`` to ``until``
-        and returns ``True``.
 
         A task wakeup is dispatched in the loop body itself — undo the
         park record, ``send`` into the generator, let the yielded effect
@@ -300,12 +295,11 @@ class Simulator:
         ready queue is empty, and the heap's entries due then join it.
         """
         if self.now > until:
-            return False
+            return
         heap = self._heap
         ready = self._ready
         pop = heapq.heappop
         popleft = ready.popleft
-        should_stop = None if monitor is None else monitor.should_stop
         while True:
             if ready:
                 entry = popleft()
@@ -347,10 +341,7 @@ class Simulator:
                         else:
                             subscribe(self, task)
                     self.current_task = None
-            if should_stop is not None and should_stop():
-                return True
         self.now = max(self.now, until)
-        return False
 
     def blocked_tasks(self) -> list[Task]:
         return [task for task in self.tasks if task.state is TaskState.BLOCKED]

@@ -32,16 +32,9 @@ class LogCollector:
 
     def __init__(self) -> None:
         self.log = LogFile()
-        #: Emission watchpoints (e.g. the early-verdict monitor's log
-        #: leaves); empty on the common path, which builds no record.
-        self._listeners: list = []
 
     def __len__(self) -> int:
         return len(self.log)
-
-    def add_listener(self, listener) -> None:
-        """Call ``listener(record)`` on every emitted record."""
-        self._listeners.append(listener)
 
 
 def render_stack_trace(exc: BaseException, limit: int = 12) -> str:
@@ -74,7 +67,6 @@ class SimLogger:
     ) -> None:
         self._sim = sim
         self._log = collector.log
-        self._listeners = collector._listeners
         self._default_thread = default_thread
 
     def _emit(self, level: Level, template: str, args: tuple[Any, ...]) -> None:
@@ -97,10 +89,6 @@ class SimLogger:
         log.levels.append(level)
         log.texts.append(message)
         log.sources.append(source)
-        if self._listeners:
-            record = log[-1]
-            for listener in self._listeners:
-                listener(record)
 
     def debug(self, template: str, *args: Any) -> None:
         self._emit(Level.DEBUG, template, args)

@@ -84,9 +84,7 @@ class TestRunnerStatsViews:
         ("sim.checkpoint.opens", 26),
         ("sim.checkpoint.open_seconds", 0.0312345678),
         ("sim.checkpoint.fork_seconds", 0.4123456789),
-        ("sim.checkpoint.forks", 133), ("verdict.cutoffs", 8),
-        ("verdict.virtual_seconds_saved", 79.5573734),
-        ("verdict.events_saved", 171), ("campaign.rounds", 42),
+        ("sim.checkpoint.forks", 133), ("campaign.rounds", 42),
     ]
 
     def setup_method(self):
@@ -96,8 +94,8 @@ class TestRunnerStatsViews:
     teardown_method = setup_method
 
     def test_sections_keep_their_committed_shape(self):
-        """cache/verdict exactly as every summary so far has had them;
-        checkpoint too, except that its seconds are no longer 0."""
+        """cache exactly as every summary so far has had it; checkpoint
+        too, except that its seconds are no longer 0."""
         import json
 
         for name, value in self.COUNTERS:
@@ -106,10 +104,6 @@ class TestRunnerStatsViews:
         assert json.dumps(document["cache"]) == (
             '{"alias_hits": 7, "hits": 70, "misses": 538, "stores": 530, '
             '"hit_rate": 0.125203}'
-        )
-        assert json.dumps(document["verdict"]) == (
-            '{"cutoffs": 8, "events_saved": 171, '
-            '"virtual_seconds_saved": 79.557373}'
         )
         assert json.dumps(document["checkpoint"]) == (
             '{"fallbacks": 69, "fork_seconds": 0.412346, "forks": 133, '
@@ -127,9 +121,7 @@ class TestRunnerStatsViews:
         from repro.sim.checkpoint import checkpoint_supported
 
         outcome = execute_task(
-            CampaignTask.anduril(
-                "f11", max_rounds=40, checkpoint=True, early_verdict=True
-            )
+            CampaignTask.anduril("f11", max_rounds=40, checkpoint=True)
         )
         bench_summary.record_outcome(outcome)
         document = bench_summary.summarize()

@@ -1,7 +1,7 @@
 """The run pipeline: one layer stack, one owner of the pool, one config.
 
-``RunPipeline`` is *recorder-bypass | cache → checkpoint pool → verdict
-monitor → execute_workload*; these tests pin the order of those layers,
+``RunPipeline`` is *recorder-bypass | cache → checkpoint pool →
+execute_workload*; these tests pin the order of those layers,
 what a traced pipeline skips, who reaps the checkpoint holders, and that
 a worker process needs nothing but the pickled ``RunConfig``.
 """
@@ -17,7 +17,6 @@ import pytest
 
 import repro.core.pipeline as pipeline_module
 from repro.cache import runcache
-from repro.core.oracle import LogMessageOracle
 from repro.core.pipeline import RunConfig, RunPipeline
 from repro.failures import get_case
 from repro.injection.fir import InjectionPlan
@@ -27,9 +26,6 @@ from repro.sim.checkpoint import checkpoint_supported
 
 LEGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pipeline_legs.py")
 SRC = os.path.join(os.path.dirname(LEGS), "..", "..", "src")
-
-BOOM = LogMessageOracle("boom happened")
-
 
 def boom_workload(cluster):
     """Logs the symptom at t=0.5, writes disk at t=2.0, idles on."""
@@ -68,7 +64,7 @@ def runs(monkeypatch):
 
 
 def boom_pipeline(**knobs):
-    return RunPipeline(boom_workload, 10.0, 1, BOOM, RunConfig.here(**knobs))
+    return RunPipeline(boom_workload, 10.0, 1, RunConfig.here(**knobs))
 
 
 class FakePool:
@@ -94,9 +90,9 @@ def fake_pool(monkeypatch):
 # ------------------------------------------------------------------ config
 
 
-def test_run_config_is_the_six_runner_knobs_and_pickles():
+def test_run_config_is_the_five_runner_knobs_and_pickles():
     assert [field.name for field in dataclasses.fields(RunConfig)] == [
-        "cache", "cache_dir", "checkpoint", "early_verdict", "events", "jobs",
+        "cache", "cache_dir", "checkpoint", "events", "jobs",
     ]
     config = RunConfig(cache=True, cache_dir="/somewhere", jobs=3)
     assert pickle.loads(pickle.dumps(config)) == config
@@ -135,34 +131,14 @@ def test_hit_serves_without_running_and_miss_runs_once(runs):
     assert (stats.misses, stats.hits) == (1, 1)
 
 
-def test_truncated_result_is_stored_only_under_the_verdict_key(runs):
-    runcache.configure(enabled=True)
-    monitored = boom_pipeline(early_verdict=True)
-    cut = monitored.run(1, None)
-    assert cut.truncated_at is not None
-    assert "monitor" in runs[0]
-    assert same_run(monitored.run(1, None), cut)
-    assert len(runs) == 1
-    # A full-run consumer can never be served the truncated entry ...
-    full = boom_pipeline().run(1, None)
-    assert full.truncated_at is None
-    assert len(runs) == 2 and "monitor" not in runs[1]
-    # ... while the plain key is probed first, for everyone.
-    assert same_run(monitored.run(1, None), full)
-    assert len(runs) == 2
-
-
 @pytest.mark.skipif(not checkpoint_supported(), reason="requires os.fork (POSIX)")
 def test_probe_is_never_monitored_and_never_fork_served(runs, monkeypatch):
     case = get_case("f12")
     with RunPipeline(
-        case.workload, case.horizon, case.seed, case.oracle,
-        RunConfig(checkpoint=True, early_verdict=True),
+        case.workload, case.horizon, case.seed, RunConfig(checkpoint=True),
     ) as pipeline:
-        assert pipeline.monitor() is not None
         probe = pipeline.probe()
         assert runs == [{}]
-        assert probe.truncated_at is None
         pipeline.arm(probe.trace)
 
         def never(*args, **kwargs):
@@ -180,7 +156,7 @@ def test_probe_is_never_monitored_and_never_fork_served(runs, monkeypatch):
 def test_arm_is_a_noop_when_disabled_traced_or_unsupported(fake_pool, monkeypatch):
     disabled = boom_pipeline()
     traced = RunPipeline(
-        boom_workload, 10.0, 1, BOOM, RunConfig(checkpoint=True),
+        boom_workload, 10.0, 1, RunConfig(checkpoint=True),
         recorder=TraceRecorder(),
     )
     for pipeline in (disabled, traced):
@@ -223,7 +199,7 @@ def test_traced_pipeline_bypasses_the_cache(runs):
     runcache.configure(enabled=True)
     recorder = TraceRecorder()
     pipeline = RunPipeline(
-        boom_workload, 10.0, 1, BOOM, RunConfig.here(early_verdict=True),
+        boom_workload, 10.0, 1, RunConfig.here(checkpoint=True),
         recorder=recorder,
     )
     pipeline.probe()

@@ -188,7 +188,6 @@ def test_heartbeat_stats_reflects_counters_and_histograms():
     assert stats["cache"] == {"hits": 3, "misses": 1, "hit_rate": 0.75}
     assert isinstance(stats["cache"]["hits"], int)
     assert stats["checkpoint"] == {"forks": 5}
-    assert "verdict" not in stats
     assert stats["latency"]["latency.round_seconds"]["count"] == 1
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.bench.parallel import CampaignTask, run_tasks
 from repro.obs import metrics
-from repro.obs.bus import EventBus, MemorySink, set_active_bus
+from repro.obs.bus import EventBus, MemorySink, set_active_bus, validate_event
 
 
 @pytest.fixture(autouse=True)
@@ -127,7 +127,7 @@ def _campaign_leg(jobs: int):
             [
                 CampaignTask.anduril("f1", max_rounds=50, checkpoint=True),
                 CampaignTask.baseline("exhaustive", "f1", max_rounds=50),
-                CampaignTask.anduril("f3", max_rounds=50, early_verdict=True),
+                CampaignTask.anduril("f3", max_rounds=50),
             ],
             jobs=jobs,
         )
@@ -146,6 +146,14 @@ def _campaign_leg(jobs: int):
     }
     # Heartbeats sample the emitting process's registry on a timer.
     lifecycle = [e for e in capture.events if e["type"] != "heartbeat"]
+    # The stream is well formed: every event validates, the campaign
+    # brackets it, each cell that opens closes, and rounds report.
+    for event in lifecycle:
+        assert validate_event(event) == [], event
+    types = [event["type"] for event in lifecycle]
+    assert types[0] == "campaign.start" and types[-1] == "campaign.done"
+    assert types.count("case.start") == types.count("case.done") == 3
+    assert "round.end" in types and "plan.fired" in types
     events = collections.Counter(
         json.dumps(
             {k: v for k, v in event.items() if k not in ("t", "seconds", "jobs")},

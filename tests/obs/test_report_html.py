@@ -242,7 +242,6 @@ class TestRunnerStats:
         summary = {
             "cache": {"hits": 10, "misses": 5, "hit_rate": 0.666667},
             "checkpoint": {"forks": 12, "declined": 140, "fallbacks": 0},
-            "verdict": {"cutoffs": 3, "virtual_seconds_saved": 1.5},
             "latency": {
                 "latency.round_seconds": {
                     "count": 40, "mean": 0.012,
@@ -259,7 +258,6 @@ class TestRunnerStats:
         assert "<h3>checkpoint</h3>" in html_text
         assert '<td class="name">declined</td><td>140</td>' in html_text
         assert '<td class="name">fallbacks</td><td>0</td>' in html_text
-        assert "<h3>verdict</h3>" in html_text and "cutoffs" in html_text
         assert "Latency histograms" in html_text
         assert "latency.round_seconds" in html_text
 

@@ -27,8 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.oracle import LogMessageOracle, Oracle
-from repro.core.verdict import compile_cutoff
+from repro.core.oracle import Oracle
 from repro.failures import get_case
 from repro.injection.fir import InjectionPlan, ProbeTrace, TraceEvent
 from repro.injection.sites import FaultInstance
@@ -368,8 +367,7 @@ class FakeHost:
         class Rung:
             closed = False
 
-            def __init__(self, workload, horizon, seed, base_plan, at_request,
-                         monitor_factory=None):
+            def __init__(self, workload, horizon, seed, base_plan, at_request):
                 self.at_request = at_request
                 host.opened.append(at_request)
                 host.now += floor + at_request / host.requests * host.run_seconds
@@ -609,10 +607,8 @@ ACTIONS = st.lists(
 
 #: What kind of plan forks: a raised exception; the same on top of an
 #: always-on base fault; a soft fault (the op succeeds with a corrupted
-#: value); a raise under a verdict monitor that cuts the run short the
-#: moment the fault's log line appears — right after the fork point.
-PLAN_KINDS = ("raise", "always", "corrupt", "verdict")
-FAULT_LOGGED = compile_cutoff(LogMessageOracle("failed|dropped"))
+#: value).
+PLAN_KINDS = ("raise", "always", "corrupt")
 
 
 @needs_fork
@@ -642,16 +638,10 @@ def test_fork_suffix_equals_full_replay(spec, seed, depth, kind):
     plan = InjectionPlan.of(
         [FaultInstance(target.site_id, fault, target.occurrence)], always=base
     )
-    factory = FAULT_LOGGED.factory if kind == "verdict" else None
-    checkpoint = Checkpoint(
-        workload, 5.0, seed, base_plan, fork_point, monitor_factory=factory
-    )
+    checkpoint = Checkpoint(workload, 5.0, seed, base_plan, fork_point)
     try:
         forked = checkpoint.run(plan)
-        inline = execute_workload(
-            workload, horizon=5.0, seed=seed, plan=plan,
-            monitor=factory and factory(),
-        )
+        inline = execute_workload(workload, horizon=5.0, seed=seed, plan=plan)
         assert forked is not None
         # Both armed, so both untraced: the fork is checked on its log,
         # state, site counts and request count, field by field.

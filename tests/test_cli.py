@@ -86,6 +86,42 @@ class TestReproduceAndReplay:
         assert "oracle satisfied: True" in out
 
 
+class TestReplayRefusesBadScripts:
+    """A script that cannot be read, parsed or matched to the case exits
+    2 with one ``error:`` line and replays nothing."""
+
+    F4_SCRIPT = {
+        "case_id": "f4", "system": "hdfs", "site_id": "somewhere",
+        "exception": "IOException", "occurrence": 1, "seed": 0,
+        "horizon": 1.0,
+    }
+
+    def assert_refused(self, capsys, *argv):
+        code = main(["replay", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("error: ")
+        return line
+
+    def test_script_of_another_case(self, capsys, tmp_path):
+        path = tmp_path / "f4.json"
+        path.write_text(json.dumps(self.F4_SCRIPT))
+        line = self.assert_refused(capsys, "f1", str(path))
+        assert "f4" in line and "f1" in line
+
+    def test_missing_script(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        assert str(path) in self.assert_refused(capsys, "f4", str(path))
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"case_id": "f4"}'])
+    def test_malformed_script(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert str(path) in self.assert_refused(capsys, "f4", str(path))
+
+
 class TestReproduceHasNoJobs:
     def test_jobs_is_an_unrecognised_argument(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -262,14 +298,11 @@ class TestRunnerStatsLines:
         clean_registry.increment("cache.misses", 1)
         clean_registry.increment("sim.checkpoint.forks", 2)
         clean_registry.increment("sim.checkpoint.declined", 5)
-        clean_registry.increment("verdict.virtual_seconds_saved", 1.5)
         assert self._lines(capsys) == [
             "[cache: 3 hit(s), 0 alias(es), 1 miss(es), hit rate 75.0%]",
             "[checkpoint: 0 snapshot(s), 2 fork(s), "
             "5 run(s) kept inline by the cost model, "
             "0 prefix request(s) skipped]",
-            "[early-verdict: 0 cutoff(s), 1.5 virtual second(s) and "
-            "0 event(s) saved]",
         ]
 
     def test_degraded_line_names_every_fallback(self, capsys, clean_registry):
@@ -562,6 +595,12 @@ class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("flag", ["--early-verdict", "--no-early-verdict"])
+    def test_compare_still_parses_the_retired_early_verdict_flag(self, flag):
+        from repro.__main__ import build_parser
+
+        build_parser().parse_args(["compare", "f1", flag])
 
 
 class TestEvents:

@@ -121,6 +121,29 @@ RETIRED = [
         "§2, §5.3",
         id="lint-prior",
     ),
+    pytest.param(
+        r"compile_cutoff|VerdictMonitor|CompiledVerdict|monitor_factory"
+        r"|monitor_key|_verdict_key|truncated_at|add_listener|_listeners"
+        r"|verdict\.(cutoffs|virtual_seconds_saved|events_saved)|monotone=",
+        ("src", "tools", "benchmarks/*.py", ".github"),
+        (),
+        # Every run goes to its horizon: no oracle monitor rides through
+        # the cache, the checkpoint pool, the scheduler or the logger.
+        "§13",
+        id="early-verdict-cutoff",
+    ),
+    pytest.param(
+        r"early[_-]verdict",
+        ("src", "tools", "benchmarks/*.py", ".github"),
+        (
+            "src/repro/core/explorer.py",
+            "src/repro/bench/harness.py",
+            "src/repro/__main__.py",
+        ),
+        # Accepted and ignored where the frozen benchmark still passes it.
+        "§5.3, §13",
+        id="early-verdict-shims",
+    ),
 ]
 
 

@@ -64,7 +64,7 @@ def canonical_signature(result) -> dict:
     }
 
 
-def capture(case_ids=None, early_verdict: bool = False) -> dict:
+def capture(case_ids=None) -> dict:
     from repro.cache import runcache
     from repro.failures import paper_cases
 
@@ -73,9 +73,7 @@ def capture(case_ids=None, early_verdict: bool = False) -> dict:
     for case in paper_cases():
         if case_ids is not None and case.case_id not in case_ids:
             continue
-        result = case.explorer(
-            checkpoint=False, early_verdict=early_verdict
-        ).explore()
+        result = case.explorer(checkpoint=False).explore()
         signatures[case.case_id] = canonical_signature(result)
         print(
             f"{case.case_id}: rounds={result.rounds} "
@@ -105,16 +103,10 @@ def main(argv=None) -> int:
         action="store_true",
         help="re-capture and write the baseline instead of checking",
     )
-    parser.add_argument(
-        "--early-verdict",
-        action="store_true",
-        help="capture with early-verdict cutoff enabled; signatures must "
-        "match the cutoff-off baseline byte for byte (DESIGN.md §13)",
-    )
     args = parser.parse_args(argv)
 
     case_ids = set(args.cases.split(",")) if args.cases else None
-    current = capture(case_ids, early_verdict=args.early_verdict)
+    current = capture(case_ids)
     if not current:
         print("no exception-only cases matched", file=sys.stderr)
         return 2

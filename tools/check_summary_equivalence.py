@@ -36,8 +36,8 @@ from repro.obs.metrics import RUNNER_SECTIONS  # noqa: E402
 #: quantiles; and the runner knobs' bookkeeping sections — whatever the
 #: reducer names them, so a new knob's section is volatile the day it is
 #: added — exist only when their knob is on and record exactly what may
-#: differ between knob-on and knob-off campaigns (fork counts, simulated
-#: time the cutoff saved).  Everything else must match exactly.
+#: differ between knob-on and knob-off campaigns (hit and fork counts).
+#: Everything else must match exactly.
 VOLATILE_KEYS = frozenset(
     {
         "seconds",
