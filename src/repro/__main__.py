@@ -10,7 +10,7 @@ Commands:
   row) or the whole dataset, fanned out over ``--jobs`` worker processes.
 * ``watch [EVENTS.jsonl]`` — render a campaign's live event stream
   (``repro.obs.bus``): per-cell status and rounds, ground-truth rank
-  movement, cache/checkpoint/worker rates, and an ETA from the run
+  movement, cache/worker rates, and an ETA from the run
   ledger.  ``--follow`` tails a concurrently running campaign until its
   ``campaign.done`` event; ``--format jsonl`` re-emits validated events.
 * ``inspect <case_id>`` — show the prepared search state (observables,
@@ -39,11 +39,10 @@ accept ``--profile`` to sample run-level metrics (FIR decision latency,
 scheduler counters) without changing the search outcome.  Both append one entry per (strategy, case) cell to the
 run ledger (``benchmarks/out/ledger.jsonl``) unless ``--no-ledger``,
 and both memoize deterministic runs through :mod:`repro.cache` unless
-``--no-cache`` (``--cache-dir`` relocates the shared disk tier).  Round
-runs fork off a parked prefix snapshot (:mod:`repro.sim.checkpoint`)
-unless ``--no-checkpoint`` — outcome-invariant either way, and a no-op
-where ``os.fork`` is unavailable.  Every run goes to its horizon
-(``compare`` still accepts ``--[no-]early-verdict`` and ignores it).
+``--no-cache`` (``--cache-dir`` relocates the shared disk tier).  Every
+run replays the workload from t=0 to its horizon (``compare`` still
+accepts ``--[no-]checkpoint`` and ``--[no-]early-verdict`` and ignores
+both).
 Both stream live progress events to ``benchmarks/out/events.jsonl``
 for ``repro watch`` unless ``--no-events`` (``--events-out`` relocates
 the stream); the bus is outcome-invariant — signatures are
@@ -103,7 +102,7 @@ def _append_ledger(entries: list, args) -> None:
     print(f"[ledger: {len(entries)} entr(ies) -> {path}]", file=sys.stderr)
 
 
-def _run_config(args, jobs: int = 1):
+def _run_config(args):
     """This invocation's one :class:`~repro.core.pipeline.RunConfig`, from
     its flags (a command without a knob's flag runs with that knob off).
     Nothing is exported to the environment: worker processes receive the
@@ -116,9 +115,7 @@ def _run_config(args, jobs: int = 1):
     return RunConfig(
         cache=cache,
         cache_dir=cache_dir if cache else None,
-        checkpoint=getattr(args, "checkpoint", False),
         events=getattr(args, "events", False),
-        jobs=jobs,
     )
 
 
@@ -161,15 +158,11 @@ def _event_stream(config, args):
 _STATS_LINES = {
     "cache": "[cache: {hits} hit(s), {alias_hits} alias(es), "
     "{misses} miss(es), hit rate {hit_rate:.1%}]",
-    "checkpoint": "[checkpoint: {opens} snapshot(s), {forks} fork(s), "
-    "{declined} run(s) kept inline by the cost model, "
-    "{requests_saved} prefix request(s) skipped]",
 }
 
 #: What the end-of-run ``[degraded: ...]`` line lists: (counter, label).
 _DEGRADED = (
     ("campaign.inline_fallbacks", "cell(s) re-run inline after worker failures"),
-    ("sim.checkpoint.fallbacks", "failed checkpoint fork(s) re-run inline"),
     ("cache.disk_errors", "cache disk error(s)"),
 )
 
@@ -220,10 +213,10 @@ def cmd_reproduce(args) -> int:
     config = _run_config(args)
     config.install()
     with _event_stream(config, args):
-        return _cmd_reproduce_body(args, config)
+        return _cmd_reproduce_body(args)
 
 
-def _cmd_reproduce_body(args, config) -> int:
+def _cmd_reproduce_body(args) -> int:
     from .failures import get_case
     from .obs import bus as event_bus
     from .obs import ledger
@@ -241,13 +234,12 @@ def _cmd_reproduce_body(args, config) -> int:
         recorder=recorder,
         track_coverage=True,
         prune=args.prune,
-        checkpoint=config.checkpoint,
     )
     # A single reproduce is a one-cell campaign to the event stream, so
     # the same watch view covers both commands.
     bus = event_bus.active_bus()
     reporter = event_bus.RoundReporter(bus, case.case_id, "anduril")
-    event_bus.campaign_start(bus, [(case.case_id, "anduril")], config.jobs)
+    event_bus.campaign_start(bus, [(case.case_id, "anduril")], 1)
     reporter.start()
     result = explorer.explore()
     reporter.done(result.success, result.rounds, result.elapsed_seconds)
@@ -283,7 +275,6 @@ def _cmd_reproduce_body(args, config) -> int:
                 rounds=result.rounds,
                 seconds=result.elapsed_seconds,
                 seed=case.seed,
-                jobs=config.jobs,
                 coverage=coverage,
                 metrics=recorder.metrics() if recorder is not None else None,
             )
@@ -366,28 +357,24 @@ def cmd_compare(args) -> int:
     from .bench.parallel import resolve_jobs
     from .core import explorer  # noqa: F401
 
-    config = _run_config(args, resolve_jobs(args.jobs))
+    config = _run_config(args)
     config.install()
     # The campaign engine (repro.bench.parallel.run_tasks) emits the
     # campaign/case lifecycle events and forwards worker-captured round
     # events through the active bus installed here.
     with _event_stream(config, args):
-        return _cmd_compare_body(args, config, cases)
+        return _cmd_compare_body(args, resolve_jobs(args.jobs), cases)
 
 
-def _cmd_compare_body(args, config, cases: list) -> int:
+def _cmd_compare_body(args, jobs: int, cases: list) -> int:
     from .baselines import ALL_STRATEGIES
     from .bench.parallel import run_compare_campaign
     from .bench.tables import format_table
     from .obs import ledger
 
-    jobs = config.jobs
-    # Cells address cases by id, so every per-cell setting — the runner
-    # knobs and a --fault-dims override alike — rides in the task options.
-    cell_options = dict(
-        max_rounds=args.max_rounds,
-        checkpoint=config.checkpoint,
-    )
+    # Cells address cases by id, so every per-cell setting — the budget
+    # and a --fault-dims override alike — rides in the task options.
+    cell_options = dict(max_rounds=args.max_rounds)
     if args.fault_dims:
         cell_options["fault_dims"] = args.fault_dims
     strategies = list(ALL_STRATEGIES)
@@ -829,16 +816,6 @@ def _add_cache_options(subparser) -> None:
     )
 
 
-def _add_checkpoint_options(subparser) -> None:
-    subparser.add_argument(
-        "--checkpoint",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="fork round runs off a parked prefix snapshot (default on; "
-        "--no-checkpoint replays every run from t=0; outcome-invariant)",
-    )
-
-
 def _add_events_options(subparser) -> None:
     subparser.add_argument(
         "--events",
@@ -893,7 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_dims_option(reproduce)
     _add_cache_options(reproduce)
-    _add_checkpoint_options(reproduce)
     _add_ledger_options(reproduce)
     _add_events_options(reproduce)
 
@@ -924,12 +900,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_dims_option(compare)
     _add_cache_options(compare)
-    _add_checkpoint_options(compare)
-    compare.add_argument(
-        "--early-verdict",
-        action=argparse.BooleanOptionalAction,
-        help="ignored: every run goes to its horizon (kept for old scripts)",
-    )
+    for retired in ("--checkpoint", "--early-verdict"):
+        compare.add_argument(
+            retired,
+            action=argparse.BooleanOptionalAction,
+            help="ignored: every run replays from t=0 to its horizon "
+            "(kept for old scripts)",
+        )
     _add_ledger_options(compare)
     _add_events_options(compare)
 

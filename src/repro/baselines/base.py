@@ -24,7 +24,7 @@ from ..analysis.system_model import SystemModel
 from ..core.alignment import TimelineMap
 from ..core.observables import ObservableSet
 from ..core.oracle import Oracle
-from ..core.pipeline import RunConfig, RunPipeline
+from ..core.pipeline import RunPipeline
 from ..core.prepared import prepared_case
 from ..core.search import search
 from ..injection.sites import FaultInstance
@@ -165,17 +165,12 @@ class StrategyRunner:
         max_rounds: int = 400,
         max_seconds: Optional[float] = 60.0,
         track_coverage: bool = False,
-        checkpoint: bool = False,
     ) -> None:
         self.max_rounds = max_rounds
         self.max_seconds = max_seconds
         #: Fault-space coverage accounting (off by default; the shared
         #: NULL_COVERAGE no-op tracker keeps the default path unchanged).
         self.track_coverage = track_coverage
-        #: Fork round runs off a parked prefix (``repro.sim.checkpoint``)
-        #: instead of replaying from t=0.  Outcome-invariant, opt-in, and
-        #: a no-op where ``os.fork`` is unavailable.
-        self.checkpoint = bool(checkpoint)
 
     def run(
         self,
@@ -193,23 +188,16 @@ class StrategyRunner:
         coverage = NULL_COVERAGE
         if self.track_coverage:
             coverage = CoverageTracker(context.fault_space)
-        with RunPipeline(
-            case.workload,
-            case.horizon,
-            case.seed,
-            RunConfig.here(checkpoint=self.checkpoint),
-        ) as pipeline:
-            pipeline.arm(context.normal_run.trace)
-            found = search(
-                pipeline,
-                case.oracle,
-                strategy,
-                case_id=case_id,
-                max_rounds=self.max_rounds,
-                max_seconds=self.max_seconds,
-                started=started,
-                coverage=coverage,
-            )
+        found = search(
+            RunPipeline(case.workload, case.horizon, case.seed),
+            case.oracle,
+            strategy,
+            case_id=case_id,
+            max_rounds=self.max_rounds,
+            max_seconds=self.max_seconds,
+            started=started,
+            coverage=coverage,
+        )
         return StrategyResult(
             strategy.name, case_id, found.success, len(found.records),
             found.elapsed_seconds, found.injected, found.message,

@@ -151,23 +151,19 @@ def run_baseline(
     max_rounds: int = 300,
     max_seconds: Optional[float] = 8.0,
     coverage: bool = True,
-    checkpoint: bool = False,
+    checkpoint: bool = False,  # ignored: see DESIGN §5.3
     early_verdict: bool = False,  # ignored: see DESIGN §5.3
     **strategy_kwargs,
 ) -> StrategyOutcome:
     """Run one baseline strategy on one case under the table budgets.
 
-    ``checkpoint`` is a runner knob (prefix-fork execution,
-    outcome-invariant), not a strategy knob, so it is a named parameter
-    here; everything in ``strategy_kwargs`` goes to the strategy
-    constructor.
+    Everything in ``strategy_kwargs`` goes to the strategy constructor.
     """
     strategy = ALL_STRATEGIES[name](**strategy_kwargs)
     runner = StrategyRunner(
         max_rounds=max_rounds,
         max_seconds=max_seconds,
         track_coverage=coverage,
-        checkpoint=checkpoint,
     )
     result = runner.run(strategy, case, case_id=case.case_id)
     obs_metrics.increment("campaign.baseline_runs")

@@ -188,7 +188,7 @@ def run_tasks(
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(tasks)),
                 initializer=_pool_worker_init,
-                initargs=(RunConfig.here(jobs=jobs),),
+                initargs=(RunConfig.here(),),
             ) as pool:
                 futures = {
                     pool.submit(execute_task, task): index

@@ -44,7 +44,7 @@ from .alignment import TimelineMap
 from .observables import ObservableSet
 from .oracle import Oracle
 from .priority import FaultPriorityPool
-from .pipeline import RunConfig, RunPipeline
+from .pipeline import RunPipeline
 from .prepared import prepared_case
 from .pruning import DEFAULT_RADIUS, StaticPruner
 from .report import ReproductionScript
@@ -193,7 +193,7 @@ class Explorer:
         track_coverage: bool = False,
         prune: str = "none",
         prune_radius: float = DEFAULT_RADIUS,
-        checkpoint: bool = False,
+        checkpoint: bool = False,  # ignored: see DESIGN §5.3
         early_verdict: bool = False,  # ignored: see DESIGN §5.3
         fault_dims: str = "exceptions",
     ) -> None:
@@ -255,15 +255,7 @@ class Explorer:
         self._coverage = NULL_COVERAGE
         self._prepared: Optional[PreparedSearch] = None
         #: Every run of this search goes through here (DESIGN §5.3).
-        #: ``checkpoint`` is outcome-invariant: it forks each round's run
-        #: off a holder parked at the plan's first possible firing
-        #: position instead of replaying the fault-free prefix
-        #: (``repro.sim.checkpoint``).
-        self._pipeline = RunPipeline(
-            workload, horizon, seed,
-            RunConfig.here(checkpoint=bool(checkpoint)),
-            recorder=self._obs, base_faults=self.base_faults,
-        )
+        self._pipeline = RunPipeline(workload, horizon, seed, recorder=self._obs)
 
     # ----------------------------------------------------------------- prepare
 
@@ -369,20 +361,17 @@ class Explorer:
             prepared.pool, prepared.observables,
             self.initial_window, self.ground_truth_site,
         )
-        with self._pipeline as pipeline:
-            # The fork points come from the probe trace.
-            pipeline.arm(prepared.normal_run.trace)
-            found = search(
-                pipeline, self.oracle, policy,
-                case_id=self.case_id,
-                max_rounds=self.max_rounds,
-                max_seconds=self.max_seconds,
-                vary_seed=self.vary_seed,
-                runs_per_round=self.runs_per_round,
-                base_faults=self.base_faults,
-                recorder=self._obs,
-                coverage=self._coverage,
-            )
+        found = search(
+            self._pipeline, self.oracle, policy,
+            case_id=self.case_id,
+            max_rounds=self.max_rounds,
+            max_seconds=self.max_seconds,
+            vary_seed=self.vary_seed,
+            runs_per_round=self.runs_per_round,
+            base_faults=self.base_faults,
+            recorder=self._obs,
+            coverage=self._coverage,
+        )
         script = None
         if found.success:
             script = ReproductionScript(

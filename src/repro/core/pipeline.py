@@ -1,16 +1,17 @@
 """The run pipeline: the one way to run a workload under a plan (DESIGN §5.3).
 
 ANDURIL's loop has one primitive — "run the workload under this plan"
-(§3, step 3).  :class:`RunPipeline` is that primitive with every runner
-accelerator stacked behind it, in one fixed order::
+(§3, step 3).  :class:`RunPipeline` is that primitive, one rule deep::
 
     recorder attached?  yes -> execute_workload(recorder=...), nothing else
-                        no  -> run cache -> checkpoint pool -> execute_workload
+                        no  -> run cache -> execute_workload
 
-The Explorer and the baseline ``StrategyRunner`` both call it; neither
-names a cache or a pool.  :class:`RunConfig` says *how* to run — the
-five runner knobs, none of which may change a search's outcome — and is
-all a worker process needs from its parent.
+Every run, the probe included, replays the workload from t=0 to its
+horizon, as the paper's Explorer does.  The Explorer and the baseline
+``StrategyRunner`` both call it; neither names a cache.
+:class:`RunConfig` says *how* a process runs — the cache tier and the
+event stream, none of which may change a search's outcome — and is all
+a worker process needs from its parent.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Optional
 from ..cache import runcache
 from ..injection.fir import InjectionPlan
 from ..obs.bus import active_bus
-from ..sim.checkpoint import CheckpointPool, checkpoint_supported
 from ..sim.cluster import RunResult, execute_workload
 
 
@@ -45,13 +45,11 @@ class RunConfig:
 
     cache: bool = False
     cache_dir: Optional[str] = None
-    checkpoint: bool = False
     events: bool = False
-    jobs: int = 1
 
     @classmethod
-    def here(cls, **knobs) -> "RunConfig":
-        """The config this process runs under, plus ``knobs``.
+    def here(cls) -> "RunConfig":
+        """The config this process runs under.
 
         The cache tier and the bus are read back from the process, so a
         pool started by library code that called ``runcache.configure``
@@ -62,7 +60,6 @@ class RunConfig:
             cache=cache is not None,
             cache_dir=cache.disk_dir if cache is not None else None,
             events=active_bus().enabled,
-            **knobs,
         )
 
     def install(self) -> None:
@@ -73,24 +70,19 @@ class RunConfig:
 class RunPipeline:
     """Every run of one ``(workload, horizon, seed)`` context."""
 
-    def __init__(
-        self, workload, horizon: float, seed: int,
-        config: RunConfig = RunConfig(), *, recorder=None, base_faults=(),
-    ) -> None:
+    def __init__(self, workload, horizon: float, seed: int, *, recorder=None) -> None:
         self.workload = workload
         self.horizon = horizon
         self.seed = seed
-        self.config = config
         #: The recorder rule, stated once: a traced pipeline executes
         #: every run in this process with the recorder attached, so the
         #: recorder observes real execution — such a pipeline is never
-        #: cached or forked.
+        #: cached.
         self.traced = recorder is not None and recorder.enabled
         self._recorder = recorder
-        self._base_faults = tuple(base_faults)
-        self._pool: Optional[CheckpointPool] = None
 
-    def _execute(self, seed, plan, runner):
+    def run(self, seed: int, plan: Optional[InjectionPlan]) -> RunResult:
+        """One run: the probe (a window-less ``plan``) or a round's."""
         if self.traced:
             return execute_workload(
                 self.workload, horizon=self.horizon, seed=seed, plan=plan,
@@ -98,45 +90,5 @@ class RunPipeline:
             )
         return runcache.cached_execute(
             self.workload, horizon=self.horizon, seed=seed, plan=plan,
-            runner=runner,
+            runner=execute_workload,
         )
-
-    def probe(self, plan: Optional[InjectionPlan] = None) -> RunResult:
-        """The fault-free reference run: never forked — observables and
-        fork points need its full log and trace."""
-        return self._execute(self.seed, plan, execute_workload)
-
-    def run(self, seed: int, plan: Optional[InjectionPlan]) -> RunResult:
-        """One round run, through every enabled layer."""
-        pool = self._pool
-        return self._execute(
-            seed, plan,
-            execute_workload if pool is None or pool.broken else pool.runner,
-        )
-
-    def arm(self, probe_trace) -> None:
-        """Open the checkpoint pool over the probe trace — iff checkpointing
-        is enabled, the platform can fork, and the pipeline is untraced.
-        The pipeline owns the pool from here until :meth:`close`."""
-        if (
-            self._pool is None
-            and self.config.checkpoint
-            and not self.traced
-            and checkpoint_supported()
-        ):
-            self._pool = CheckpointPool(
-                self.workload, self.horizon, self.seed, probe_trace,
-                base_faults=self._base_faults,
-            )
-
-    def close(self) -> None:
-        """Reap the checkpoint pool's holders; idempotent."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
-
-    def __enter__(self) -> "RunPipeline":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -129,8 +129,9 @@ def _build(model, failure_log, fault_dims, base_faults, pipeline) -> PreparedCas
     # The probe includes any fixed base faults: in the iterative
     # multi-fault workflow they are part of the workload now, so their
     # log footprint must not be re-chased as "missing" observables.
-    normal_run = pipeline.probe(
-        InjectionPlan.of([], always=base_faults) if base_faults else None
+    normal_run = pipeline.run(
+        pipeline.seed,
+        InjectionPlan.of([], always=base_faults) if base_faults else None,
     )
     initial = comparator.compare(normal_run.log)
     template_ids = frozenset(t.template_id for t in matcher.templates)

@@ -6,8 +6,8 @@ cell, the bus streams typed progress events *while a campaign runs*:
 
 * lifecycle — ``campaign.start`` / ``case.start`` / ``round.begin`` /
   ``round.end`` / ``plan.fired`` / ``case.done`` / ``campaign.done``;
-* ``heartbeat`` — periodic operational stats (cache hit rate, checkpoint
-  pool counters, worker liveness, and streaming latency histograms from
+* ``heartbeat`` — periodic operational stats (cache hit rate, worker
+  liveness, and streaming latency histograms from
   :mod:`repro.obs.metrics`).
 
 Events are plain dicts stamped with ``schema`` (the versioning rules of

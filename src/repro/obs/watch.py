@@ -4,7 +4,7 @@
 ``--follow`` tail against a concurrently running campaign — through a
 :class:`WatchState` reducer and renders a compact TTY table: per-cell
 status and round counts, rank-of-ground-truth movement, the operational
-rates carried by heartbeats (cache/checkpoint/workers), and an ETA
+rates carried by heartbeats (cache/workers), and an ETA
 estimated from the rolling ledger history.
 
 Like the rest of ``repro.obs``, this module imports nothing from
@@ -226,7 +226,7 @@ def _heartbeat_line(state: WatchState) -> Optional[str]:
     parts: list[str] = []
     merged: dict[str, dict] = {}
     for event in state.heartbeats.values():
-        for section in ("cache", "checkpoint", "workers"):
+        for section in ("cache", "workers"):
             if isinstance(event.get(section), dict):
                 merged[section] = event[section]
     cache = merged.get("cache")
@@ -234,11 +234,6 @@ def _heartbeat_line(state: WatchState) -> Optional[str]:
         rate = _rate(cache)
         if rate is not None:
             parts.append(f"cache {rate} hit")
-    checkpoint = merged.get("checkpoint")
-    if checkpoint:
-        forks = checkpoint.get("forks")
-        if isinstance(forks, (int, float)):
-            parts.append(f"checkpoint forks {int(forks)}")
     workers = merged.get("workers")
     if workers and isinstance(workers.get("jobs"), int):
         live = f"workers {workers['jobs']}"

@@ -7,12 +7,7 @@ primitives; all of their external I/O goes through :class:`repro.sim.env.Env`,
 whose call sites are the fault space ANDURIL searches.
 """
 
-from .checkpoint import (
-    Checkpoint,
-    CheckpointPool,
-    checkpoint_supported,
-    snapshot_fingerprint,
-)
+from .._lazy import lazy_exports
 from .cluster import Cluster, RunResult, TaskSummary, execute_workload
 from .env import ENV_OPS, Env
 from .errors import (
@@ -35,6 +30,19 @@ from .scheduler import Simulator, Sleep, Task, TaskState, Join, stuck_report
 from .slog import LogCollector, SimLogger, render_stack_trace
 from .storage import Disk
 from .sync import Condition, Executor, Future, Lock, Queue, SerialExecutor
+
+# The fork machinery loads on first use: no search forks, so only a
+# caller that drives a CheckpointPool itself compiles it.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".checkpoint": (
+            "Checkpoint", "CheckpointPool", "checkpoint_supported",
+            "snapshot_fingerprint",
+        ),
+    },
+    submodules=("checkpoint",),
+)
 
 __all__ = [
     "Checkpoint",

@@ -1,10 +1,15 @@
-"""Process-level checkpoint/fork: kill the fault-free prefix of a round.
+"""Process-level checkpoint/fork: kill the fault-free prefix of a replay.
 
-Every plan the Explorer tries in one round shares a long fault-free
-prefix — before the first armed instance fires, the run replays the
-probe trace exactly (§5.2.5 single-shot window semantics).  Replaying
-that prefix from t=0 for each candidate is the dominant cost on a
-single-CPU box, and it is pure waste.
+Every plan armed against one ``(workload, horizon, seed)`` shares a long
+fault-free prefix — before the first armed instance fires, the run
+replays the probe trace exactly (§5.2.5 single-shot window semantics).
+For long, late-failing runs, replaying that prefix from t=0 for each
+plan is the dominant cost.
+
+This module is a library: searches run every round inline (DESIGN
+§10), and :class:`CheckpointPool` is driven directly — by the e2e
+benchmark's replay leg and by its own tests.  ``repro.sim`` exports it
+lazily, so a process that never forks never compiles it.
 
 Generators cannot be pickled or deep-copied, so an in-process snapshot
 of the scheduler cannot resume tasks.  What *can* clone a pile of live

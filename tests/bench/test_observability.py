@@ -6,6 +6,7 @@ import dataclasses
 from repro.bench import summary as bench_summary
 from repro.bench.harness import run_anduril, run_baseline
 from repro.bench.parallel import CampaignTask, execute_task, run_anduril_many
+from repro.cache import runcache
 from repro.failures import get_case
 from repro.obs import metrics as obs_metrics
 
@@ -80,11 +81,7 @@ class TestRunnerStatsViews:
     #: A fixed registry state, in bump order (the summary sorts it).
     COUNTERS = [
         ("cache.misses", 538), ("cache.stores", 530), ("cache.hits", 70),
-        ("cache.alias_hits", 7), ("sim.checkpoint.fallbacks", 69),
-        ("sim.checkpoint.opens", 26),
-        ("sim.checkpoint.open_seconds", 0.0312345678),
-        ("sim.checkpoint.fork_seconds", 0.4123456789),
-        ("sim.checkpoint.forks", 133), ("campaign.rounds", 42),
+        ("cache.alias_hits", 7), ("campaign.rounds", 42),
     ]
 
     def setup_method(self):
@@ -94,8 +91,7 @@ class TestRunnerStatsViews:
     teardown_method = setup_method
 
     def test_sections_keep_their_committed_shape(self):
-        """cache exactly as every summary so far has had it; checkpoint
-        too, except that its seconds are no longer 0."""
+        """cache exactly as every summary so far has had it."""
         import json
 
         for name, value in self.COUNTERS:
@@ -105,10 +101,6 @@ class TestRunnerStatsViews:
             '{"alias_hits": 7, "hits": 70, "misses": 538, "stores": 530, '
             '"hit_rate": 0.125203}'
         )
-        assert json.dumps(document["checkpoint"]) == (
-            '{"fallbacks": 69, "fork_seconds": 0.412346, "forks": 133, '
-            '"open_seconds": 0.031235, "opens": 26}'
-        )
         assert document["counters"] == {"campaign.rounds": 42.0}
         # Per-cell blocks keep the cell's own bump order.
         cell = obs_metrics.runner_stats(obs_metrics.capture()["counters"])
@@ -116,13 +108,11 @@ class TestRunnerStatsViews:
             "misses", "stores", "hits", "alias_hits", "hit_rate"
         ]
 
-    def test_views_agree_after_a_fork_served_search(self, free_forks):
+    def test_views_agree_after_a_cached_search(self):
         from repro.obs.bus import heartbeat_stats
-        from repro.sim.checkpoint import checkpoint_supported
 
-        outcome = execute_task(
-            CampaignTask.anduril("f11", max_rounds=40, checkpoint=True)
-        )
+        runcache.configure(enabled=True)
+        outcome = execute_task(CampaignTask.anduril("f11", max_rounds=40))
         bench_summary.record_outcome(outcome)
         document = bench_summary.summarize()
         heartbeat = heartbeat_stats()
@@ -131,12 +121,8 @@ class TestRunnerStatsViews:
             assert all(
                 view.get(section) == heartbeat.get(section) for view in views
             ), section
-        if checkpoint_supported():
-            checkpoint = document["checkpoint"]
-            assert checkpoint["forks"] > 0
-            assert isinstance(checkpoint["forks"], int)
-            assert checkpoint["fork_seconds"] > 0
-            assert checkpoint["open_seconds"] > 0
+        cache = document["cache"]
+        assert cache["misses"] > 0 and isinstance(cache["misses"], int)
 
 
 class TestHarnessCoverage:

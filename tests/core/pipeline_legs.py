@@ -4,10 +4,12 @@ Run as a script so that what is asserted — no child process left behind,
 a worker configured by nothing but its pickled ``RunConfig`` — cannot be
 helped or hidden by whatever else the test process has running.
 
-* ``leak-explorer`` / ``leak-strategy`` — raise out of the round loop
-  while a checkpoint holder is parked, then look for surviving children.
-  On a late-failing ``-xl`` case: the pool's cost model parks no holder
-  for the millisecond runs of the catalog.
+* ``leak-explorer`` / ``leak-strategy`` — search a late-failing ``-xl``
+  case, whose runs are long enough for a checkpoint pool's cost model
+  to park a holder, while asking for checkpointing the ways the frozen
+  benchmark still does (``Explorer(checkpoint=True)``,
+  ``run_baseline(checkpoint=True)``); count the holders opened and look
+  for surviving children.  No search forks, so both must be none.
 * ``worker-config DIR`` — a two-cell campaign over *spawn*-started pool
   workers, which share nothing with this process but their arguments.
 """
@@ -20,7 +22,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", ".."))
 
-from repro.baselines import ALL_STRATEGIES, StrategyRunner
+from repro.bench.harness import run_baseline
 from repro.bench.parallel import CampaignTask, inline_fallback_count, run_tasks
 from repro.core.oracle import Oracle
 from repro.core.pipeline import RunConfig
@@ -34,7 +36,8 @@ class Boom(Exception):
 
 
 class ExplodesOnceForked(Oracle):
-    """Unsatisfied until a checkpoint holder exists, then raises."""
+    """Unsatisfied until a checkpoint holder exists, then raises out of
+    the round loop."""
 
     description = "raises mid-search"
 
@@ -72,9 +75,9 @@ def leak_explorer(case, oracle) -> None:
 
 
 def leak_strategy(case, oracle) -> None:
-    StrategyRunner(max_rounds=20, checkpoint=True).run(
-        ALL_STRATEGIES["multiply-feedback"](),
-        dataclasses.replace(case, oracle=oracle),
+    run_baseline(
+        "multiply-feedback", dataclasses.replace(case, oracle=oracle),
+        max_rounds=20, checkpoint=True,
     )
 
 

@@ -1,9 +1,9 @@
-"""The run pipeline: one layer stack, one owner of the pool, one config.
+"""The run pipeline: one rule, one config.
 
-``RunPipeline`` is *recorder-bypass | cache → checkpoint pool →
-execute_workload*; these tests pin the order of those layers,
-what a traced pipeline skips, who reaps the checkpoint holders, and that
-a worker process needs nothing but the pickled ``RunConfig``.
+``RunPipeline`` is *recorder-bypass | cache → execute_workload*; these
+tests pin that a hit never runs, what a traced pipeline skips, that no
+search forks, and that a worker process needs nothing but the pickled
+``RunConfig``.
 """
 
 import dataclasses
@@ -19,10 +19,7 @@ import repro.core.pipeline as pipeline_module
 from repro.cache import runcache
 from repro.core.pipeline import RunConfig, RunPipeline
 from repro.failures import get_case
-from repro.injection.fir import InjectionPlan
-from repro.injection.sites import FaultInstance
 from repro.obs import TraceRecorder
-from repro.sim.checkpoint import checkpoint_supported
 
 LEGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pipeline_legs.py")
 SRC = os.path.join(os.path.dirname(LEGS), "..", "..", "src")
@@ -63,52 +60,26 @@ def runs(monkeypatch):
     return seen
 
 
-def boom_pipeline(**knobs):
-    return RunPipeline(boom_workload, 10.0, 1, RunConfig.here(**knobs))
-
-
-class FakePool:
-    opened = []
-
-    def __init__(self, *args, **kwargs):
-        self.broken = False
-        self.closes = 0
-        FakePool.opened.append(self)
-
-    def close(self):
-        self.closes += 1
-
-
-@pytest.fixture()
-def fake_pool(monkeypatch):
-    FakePool.opened = []
-    monkeypatch.setattr(pipeline_module, "CheckpointPool", FakePool)
-    monkeypatch.setattr(pipeline_module, "checkpoint_supported", lambda: True)
-    return FakePool
-
-
 # ------------------------------------------------------------------ config
 
 
-def test_run_config_is_the_five_runner_knobs_and_pickles():
+def test_run_config_is_the_three_runner_knobs_and_pickles():
     assert [field.name for field in dataclasses.fields(RunConfig)] == [
-        "cache", "cache_dir", "checkpoint", "events", "jobs",
+        "cache", "cache_dir", "events",
     ]
-    config = RunConfig(cache=True, cache_dir="/somewhere", jobs=3)
+    config = RunConfig(cache=True, cache_dir="/somewhere", events=True)
     assert pickle.loads(pickle.dumps(config)) == config
     with pytest.raises(dataclasses.FrozenInstanceError):
-        config.jobs = 4
+        config.cache = False
 
 
 def test_here_reads_the_cache_tier_back_from_the_process(tmp_path):
     assert RunConfig.here() == RunConfig()
     RunConfig(cache=True, cache_dir=str(tmp_path)).install()
-    assert RunConfig.here(checkpoint=True) == RunConfig(
-        cache=True, cache_dir=str(tmp_path), checkpoint=True
-    )
+    assert RunConfig.here() == RunConfig(cache=True, cache_dir=str(tmp_path))
 
 
-# ------------------------------------------------------------- layer order
+# ------------------------------------------------------------- the cache
 
 
 def same_run(served, original) -> bool:
@@ -123,65 +94,12 @@ def same_run(served, original) -> bool:
 
 def test_hit_serves_without_running_and_miss_runs_once(runs):
     runcache.configure(enabled=True)
-    pipeline = boom_pipeline()
+    pipeline = RunPipeline(boom_workload, 10.0, 1)
     first = pipeline.run(1, None)
     assert same_run(pipeline.run(1, None), first)
     assert len(runs) == 1
     stats = runcache.active().stats
     assert (stats.misses, stats.hits) == (1, 1)
-
-
-@pytest.mark.skipif(not checkpoint_supported(), reason="requires os.fork (POSIX)")
-def test_probe_is_never_monitored_and_never_fork_served(runs, monkeypatch):
-    case = get_case("f12")
-    with RunPipeline(
-        case.workload, case.horizon, case.seed, RunConfig(checkpoint=True),
-    ) as pipeline:
-        probe = pipeline.probe()
-        assert runs == [{}]
-        pipeline.arm(probe.trace)
-
-        def never(*args, **kwargs):
-            raise AssertionError("the probe went to the checkpoint pool")
-
-        monkeypatch.setattr(pipeline_module.CheckpointPool, "runner", never)
-        event = probe.trace[len(probe.trace) // 2]
-        armed = InjectionPlan.single(
-            FaultInstance(event.site_id, "IOException", event.occurrence)
-        )
-        assert pipeline.probe(armed).injected
-        assert runs == [{}, {}]
-
-
-def test_arm_is_a_noop_when_disabled_traced_or_unsupported(fake_pool, monkeypatch):
-    disabled = boom_pipeline()
-    traced = RunPipeline(
-        boom_workload, 10.0, 1, RunConfig(checkpoint=True),
-        recorder=TraceRecorder(),
-    )
-    for pipeline in (disabled, traced):
-        pipeline.arm([])
-    monkeypatch.setattr(pipeline_module, "checkpoint_supported", lambda: False)
-    boom_pipeline(checkpoint=True).arm([])
-    assert fake_pool.opened == []
-
-
-def test_close_is_idempotent_and_arm_opens_one_pool(fake_pool):
-    pipeline = boom_pipeline(checkpoint=True)
-    pipeline.arm([])
-    pipeline.arm([])
-    (pool,) = fake_pool.opened
-    pipeline.close()
-    pipeline.close()
-    assert pool.closes == 1
-
-
-def test_a_retired_pool_is_bypassed(fake_pool, runs):
-    pipeline = boom_pipeline(checkpoint=True)
-    pipeline.arm([])
-    fake_pool.opened[0].broken = True
-    pipeline.run(1, None)
-    assert len(runs) == 1
 
 
 def test_a_search_runs_its_rounds_serially():
@@ -198,11 +116,8 @@ def test_a_search_runs_its_rounds_serially():
 def test_traced_pipeline_bypasses_the_cache(runs):
     runcache.configure(enabled=True)
     recorder = TraceRecorder()
-    pipeline = RunPipeline(
-        boom_workload, 10.0, 1, RunConfig.here(checkpoint=True),
-        recorder=recorder,
-    )
-    pipeline.probe()
+    pipeline = RunPipeline(boom_workload, 10.0, 1, recorder=recorder)
+    pipeline.run(1, None)
     pipeline.run(1, None)
     assert runs == [{"recorder": recorder}] * 2
     assert runcache.active().stats.lookups == 0
@@ -227,11 +142,12 @@ def run_leg(*argv):
     return json.loads(finished.stdout.splitlines()[-1])
 
 
-@pytest.mark.skipif(not checkpoint_supported(), reason="requires os.fork (POSIX)")
 @pytest.mark.parametrize("leg", ["leak-explorer", "leak-strategy"])
 def test_a_raising_round_loop_leaves_no_child_behind(leg):
+    """Asked for checkpointing on a case whose runs are long enough to
+    fork, a search still runs every round inline."""
     document = run_leg(leg)
-    assert document["holders_opened"] >= 1
+    assert document["holders_opened"] == 0
     assert document["children"] is False
 
 

@@ -46,7 +46,7 @@ class TestSoftFaultCases:
         )
 
         case = get_case(case_id)
-        soft = case.explorer(checkpoint=False).prepare()
+        soft = case.explorer().prepare()
         all_dims = filter_candidates_by_dims(
             graph_fault_candidates(soft.graph), "all"
         )
@@ -63,7 +63,7 @@ class TestSoftFaultCases:
 
     def test_explorer_reproduces_with_a_corruption(self, case_id):
         case = get_case(case_id)
-        result = case.explorer(max_rounds=800, checkpoint=False).explore()
+        result = case.explorer(max_rounds=800).explore()
         assert result.success, f"{case_id}: {result.message}"
         assert is_corruption_spec(result.injected.spec), (
             f"{case_id}: reproduced via {result.injected.spec}, "

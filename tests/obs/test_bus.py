@@ -181,13 +181,11 @@ def test_heartbeat_stats_reflects_counters_and_histograms():
     assert heartbeat_stats() == {}
     metrics.increment("cache.hits", 3)
     metrics.increment("cache.misses", 1)
-    metrics.increment("sim.checkpoint.forks", 5)
     metrics.observe("latency.round_seconds", 0.01)
     stats = heartbeat_stats()
     # Counts are ints, exactly as summaries report them.
     assert stats["cache"] == {"hits": 3, "misses": 1, "hit_rate": 0.75}
     assert isinstance(stats["cache"]["hits"], int)
-    assert stats["checkpoint"] == {"forks": 5}
     assert stats["latency"]["latency.round_seconds"]["count"] == 1
 
 

@@ -125,7 +125,7 @@ def _campaign_leg(jobs: int):
     try:
         run_tasks(
             [
-                CampaignTask.anduril("f1", max_rounds=50, checkpoint=True),
+                CampaignTask.anduril("f1", max_rounds=50),
                 CampaignTask.baseline("exhaustive", "f1", max_rounds=50),
                 CampaignTask.anduril("f3", max_rounds=50),
             ],

@@ -226,7 +226,7 @@ class TestWriteReport:
 
 
 class TestRunnerStats:
-    """Cache, checkpoint-pool, and latency sections in the report."""
+    """Cache and latency sections in the report."""
 
     def _inputs(self, summary):
         return report_mod.ReportInputs(
@@ -241,6 +241,7 @@ class TestRunnerStats:
     def test_sections_render_as_tables(self):
         summary = {
             "cache": {"hits": 10, "misses": 5, "hit_rate": 0.666667},
+            # Older summaries carry a checkpoint section: not rendered.
             "checkpoint": {"forks": 12, "declined": 140, "fallbacks": 0},
             "latency": {
                 "latency.round_seconds": {
@@ -253,15 +254,11 @@ class TestRunnerStats:
         assert "Runner stats" in html_text
         # One block per reducer section, named as the reducer names it.
         assert "<h3>cache</h3>" in html_text and "66.7%" in html_text
-        # Policy decisions (declined) and failed forks (fallbacks) are
-        # separate rows: a healthy run shows the first and a zero second.
-        assert "<h3>checkpoint</h3>" in html_text
-        assert '<td class="name">declined</td><td>140</td>' in html_text
-        assert '<td class="name">fallbacks</td><td>0</td>' in html_text
+        assert "<h3>checkpoint</h3>" not in html_text
         assert "Latency histograms" in html_text
         assert "latency.round_seconds" in html_text
 
     def test_absent_sections_render_an_empty_note(self):
         html_text = render_report(self._inputs({"case_count": 1}))
         assert "no runner-stats or latency sections" in html_text
-        assert "<h3>checkpoint</h3>" not in html_text
+        assert "<h3>cache</h3>" not in html_text

@@ -32,8 +32,8 @@ def _campaign_stream():
                window_size=4),
         _event("heartbeat", t=10.7, source="explorer",
                cache={"hits": 3, "misses": 1, "hit_rate": 0.75},
+               # Sections only older builds' streams carry: not rendered.
                checkpoint={"forks": 4},
-               # A section only older builds' streams carry: not rendered.
                speculation={"hits": 3, "misses": 2, "hit_rate": 0.6},
                workers={"jobs": 2},
                latency={"latency.round_seconds":
@@ -166,7 +166,7 @@ def test_render_full_campaign():
     assert "f1/anduril" in text and "7->1" in text
     assert "ok 2r/0.6s" in text and "fail 5r" in text
     assert "cache 75% hit" in text
-    assert "checkpoint forks 4" in text
+    assert "checkpoint" not in text
     assert "speculation" not in text
     assert "workers 2" in text
     assert "round p50 200ms p90 300ms" in text

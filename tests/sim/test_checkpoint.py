@@ -8,10 +8,11 @@ Three layers of guarantees, bottom up:
   field — fixed cases, plus a hypothesis sweep over random workloads,
   seeds, fork depths and plan kinds;
 * the ``CheckpointPool`` cost model forks exactly when a fork pays
-  (driven here by a fake clock), and its runner composes with the
-  Explorer without changing any outcome: ``ExplorationResult.
-  signature()`` matches checkpoint on/off.
+  (driven here by a fake clock), and a pool-served run equals the same
+  run inline.
 
+No search forks (DESIGN §10): the pool is the library the e2e
+benchmark's replay leg drives, and these tests drive it the same way.
 Catalog cases are too cheap for the model to fork, so the equivalence
 tests on them run under ``free_forks`` (``tests/conftest.py``) and the
 ``xl`` tests run the real model on a late-failing bench case; each
@@ -27,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.oracle import Oracle
 from repro.failures import get_case
 from repro.injection.fir import InjectionPlan, ProbeTrace, TraceEvent
 from repro.injection.sites import FaultInstance
@@ -649,50 +649,3 @@ def test_fork_suffix_equals_full_replay(spec, seed, depth, kind):
         assert run_signature(forked) == run_signature(inline)
     finally:
         checkpoint.close()
-
-
-# ----------------------------------------------------------------- explorer
-
-
-class NeverSatisfied(Oracle):
-    """Keeps a search going for its whole round budget.
-
-    Most catalog cases reproduce in round one; a search has to last for
-    its rounds to fork from more than one rung.
-    """
-
-    description = "never satisfied"
-
-    def satisfied(self, result) -> bool:
-        return False
-
-
-@needs_fork
-class TestExplorerEquivalence:
-    def assert_signature_identical(self, case, **search):
-        case.failure_log()  # generated (and cached per id) under the real oracle
-        plain = case.explorer(**search).explore()
-        before = forks()
-        forked = case.explorer(checkpoint=True, **search).explore()
-        assert forks() > before, "no run was fork-served"
-        assert forked.signature() == plain.signature()
-
-    @pytest.mark.parametrize(
-        "case_id",
-        ["f1", "f9", "f13", "f19", "f22", "f23", "f24", "f25", "f26", "f27"],
-    )
-    def test_signature_identical_checkpoint_on_off(self, case_id, free_forks):
-        self.assert_signature_identical(
-            get_case(case_id), max_rounds=12, oracle=NeverSatisfied()
-        )
-
-    def test_reproducing_run_is_fork_served(self, free_forks):
-        """f9 reproduces in round two: the run the script is cut from."""
-        self.assert_signature_identical(get_case("f9"), max_rounds=40)
-
-    def test_xl_signature_identical_checkpoint_on_off(self):
-        """The measured model, unaided: each round forks off a rung
-        three quarters into a 90 ms run, priced by the probe."""
-        self.assert_signature_identical(
-            xl_case("f1-xl"), max_rounds=5, oracle=NeverSatisfied()
-        )

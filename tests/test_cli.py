@@ -296,23 +296,16 @@ class TestRunnerStatsLines:
     ):
         clean_registry.increment("cache.hits", 3)
         clean_registry.increment("cache.misses", 1)
-        clean_registry.increment("sim.checkpoint.forks", 2)
-        clean_registry.increment("sim.checkpoint.declined", 5)
         assert self._lines(capsys) == [
             "[cache: 3 hit(s), 0 alias(es), 1 miss(es), hit rate 75.0%]",
-            "[checkpoint: 0 snapshot(s), 2 fork(s), "
-            "5 run(s) kept inline by the cost model, "
-            "0 prefix request(s) skipped]",
         ]
 
     def test_degraded_line_names_every_fallback(self, capsys, clean_registry):
         clean_registry.increment("campaign.inline_fallbacks", 2)
-        clean_registry.increment("sim.checkpoint.fallbacks")
         clean_registry.increment("cache.disk_errors", 4)
         lines = self._lines(capsys)
         assert lines[-1] == (
             "[degraded: 2 cell(s) re-run inline after worker failures, "
-            "1 failed checkpoint fork(s) re-run inline, "
             "4 cache disk error(s)]"
         )
 
@@ -545,6 +538,28 @@ class TestLint:
         assert rules == {"lock-order-inversion", "await-under-lock"}
         # Race findings never implicate fault sites (prior stays intact).
         assert all(f["site_ids"] == [] for f in payload["findings"])
+
+    @pytest.mark.parametrize(
+        "system", ["minizk", "minidfs", "minihbase", "minikafka", "minicass"]
+    )
+    def test_strict_race_rules_flag_every_mini_system(self, capsys, tmp_path, system):
+        """Each mini system seeds a maintenance-path module with a known
+        lock-order inversion and an await-under-lock, so strict mode
+        restricted to the race rules fails on every one of them.  A
+        deadlock or race is not an injectable fault: no site ids."""
+        out_path = tmp_path / f"races_{system}.json"
+        code = main([
+            "lint", f"repro.systems.{system}",
+            "--rules", "lock-order-inversion,await-under-lock",
+            "--strict", "--format", "json", "--out", str(out_path),
+        ])
+        capsys.readouterr()
+        assert code == 1
+        findings = json.loads(out_path.read_text())["findings"]
+        rules = [finding["rule"] for finding in findings]
+        assert rules.count("lock-order-inversion") >= 2, rules
+        assert rules.count("await-under-lock") >= 1, rules
+        assert all(not finding["site_ids"] for finding in findings)
 
 
 class TestAnalyze:

@@ -4,8 +4,8 @@ Every ``python -m repro`` process compiles the modules it imports from
 source (the bench host sets ``PYTHONDONTWRITEBYTECODE=1``), so what
 ``import repro.__main__`` drags in is a fixed cost under every campaign.
 The modules in ``LAZY`` serve single commands (``report``, ``watch``,
-``trace``/``explain``, ``lint``), the ``--jobs N`` pools, or nothing on
-the hot path; they must stay out of ``sys.modules`` until used — while
+``trace``/``explain``, ``lint``), the ``--jobs N`` pools, the fork
+machinery no search uses, or nothing on the hot path; they must stay out of ``sys.modules`` until used — while
 every public import path keeps resolving.  ``DENIED`` is what ``list``,
 ``--help`` and ``import repro`` must not load at all: the search stack,
 the campaign engine and every case module (the catalog index answers
@@ -34,6 +34,7 @@ LAZY = [
     "repro.analysis.rules.base",
     "repro.core.iterative",
     "repro.bench.summary",
+    "repro.sim.checkpoint",
     "concurrent.futures",
     "html",
     "statistics",
@@ -98,7 +99,11 @@ def test_public_import_paths_still_resolve():
         "from repro.core import IterativeResult\n"
         "from repro.analysis import lint_package, registered_rules, Finding\n"
         "from repro.bench import record_outcome, write_bench_summary\n"
-        "missing = [n for m in (repro, repro.obs, repro.core, repro.analysis, repro.bench)\n"
+        "import repro.sim\n"
+        "from repro.sim import CheckpointPool, snapshot_fingerprint\n"
+        "from repro.sim.checkpoint import CheckpointPool as pool, checkpoint_supported\n"
+        "missing = [n for m in (repro, repro.obs, repro.core, repro.analysis, repro.bench,\n"
+        "                       repro.sim)\n"
         "           for n in m.__all__ if not hasattr(m, n)]\n"
         "try:\n"
         "    repro.obs.no_such_name\n"
@@ -107,7 +112,8 @@ def test_public_import_paths_still_resolve():
         "print(json.dumps({'missing': missing, 'same': same is NULL_RECORDER,\n"
         "    'direct': direct is TraceRecorder is repro.obs.TraceRecorder,\n"
         "    'rules': len(registered_rules()) > 0, 'message': message,\n"
-        "    'submodule': repro.obs.trace.__name__}))"
+        "    'submodule': repro.obs.trace.__name__,\n"
+        "    'pool': pool is CheckpointPool is repro.sim.CheckpointPool}))"
     )
     assert resolved == {
         "missing": [],
@@ -116,6 +122,7 @@ def test_public_import_paths_still_resolve():
         "rules": True,
         "message": "module 'repro.obs' has no attribute 'no_such_name'",
         "submodule": "repro.obs.trace",
+        "pool": True,
     }
 
 

@@ -144,6 +144,35 @@ RETIRED = [
         "§5.3, §13",
         id="early-verdict-shims",
     ),
+    pytest.param(
+        r"CheckpointPool",
+        ("src",),
+        ("src/repro/sim/",),
+        # No search forks: the pool is a library of the simulator.
+        "§10",
+        id="checkpoint-pool-outside-sim",
+    ),
+    pytest.param(
+        r"\.arm\(|config\.checkpoint|_add_checkpoint_options"
+        r"|RunConfig\.here\(checkpoint",
+        ("src", "tools", "benchmarks/*.py", ".github"),
+        (),
+        # The pipeline runs inline and RunConfig has no checkpoint knob.
+        "§5.3, §10",
+        id="search-path-checkpoint-knob",
+    ),
+    pytest.param(
+        r"checkpoint(: bool|=)|--(\[no-\])?(no-)?checkpoint",
+        ("src", "tools", "benchmarks/*.py", ".github"),
+        (
+            "src/repro/core/explorer.py",
+            "src/repro/bench/harness.py",
+            "src/repro/__main__.py",
+        ),
+        # Accepted and ignored where the frozen benchmark still passes it.
+        "§5.3, §10",
+        id="checkpoint-shims",
+    ),
 ]
 
 

@@ -12,8 +12,7 @@ a committed baseline:
     PYTHONPATH=src python tools/check_signature_baselines.py --cases f1,f9
     PYTHONPATH=src python tools/check_signature_baselines.py --update
 
-Signatures are captured in the canonical configuration (checkpointing
-off, run cache off).  Only cases whose ``fault_dims`` is
+Signatures are captured with the run cache off.  Only cases whose ``fault_dims`` is
 ``exceptions`` (the pre-spec default) are gated — soft-fault cases
 explore a strictly larger space by design and are covered by their own
 reproduction tests instead.
@@ -73,7 +72,7 @@ def capture(case_ids=None) -> dict:
     for case in paper_cases():
         if case_ids is not None and case.case_id not in case_ids:
             continue
-        result = case.explorer(checkpoint=False).explore()
+        result = case.explorer().explore()
         signatures[case.case_id] = canonical_signature(result)
         print(
             f"{case.case_id}: rounds={result.rounds} "

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Assert campaign summaries are equivalent modulo timing and cache.
 
-The run cache (``repro.cache``), the checkpoint/fork runner
-(``repro.sim.checkpoint``), and the parallel campaign engine all
-promise *outcome invariance*: turning the cache or checkpointing on or
-off, or changing ``--jobs``, may only move wall-clock numbers and
-cache/checkpoint bookkeeping — never rounds, successes, or coverage.
+The run cache (``repro.cache``), the event bus and the parallel
+campaign engine all promise *outcome invariance*: turning the cache or
+the event stream on or off, or changing ``--jobs``, may only move
+wall-clock numbers and cache bookkeeping — never rounds, successes, or
+coverage.
 This gate makes that promise testable in CI:
 
     python tools/check_summary_equivalence.py a.json b.json [c.json ...]
@@ -36,7 +36,7 @@ from repro.obs.metrics import RUNNER_SECTIONS  # noqa: E402
 #: quantiles; and the runner knobs' bookkeeping sections — whatever the
 #: reducer names them, so a new knob's section is volatile the day it is
 #: added — exist only when their knob is on and record exactly what may
-#: differ between knob-on and knob-off campaigns (hit and fork counts).
+#: differ between knob-on and knob-off campaigns (hit counts).
 #: Everything else must match exactly.
 VOLATILE_KEYS = frozenset(
     {
