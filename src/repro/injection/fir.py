@@ -345,7 +345,7 @@ class FIR:
 
         Unlike :meth:`set_plan` this keeps ``fired``, ``always_fired``,
         counts, and the trace — the contract a checkpoint fork needs: the
-        prefix ran under the base-only plan, and the candidate plan takes
+        prefix ran fault-free, and the candidate plan takes
         over for the suffix as if it had been active all along (it could
         not have fired earlier by construction of the fork point).
         """

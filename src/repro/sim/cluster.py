@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
-import time
 from typing import Any, Callable, Generator, Optional
 
 from ..injection.fir import FIR, InjectionPlan, ProbeTrace
@@ -191,16 +189,6 @@ class Cluster:
 
 WorkloadFn = Callable[[Cluster], Any]
 
-#: The least wall seconds one FIR request has cost in any
-#: :func:`execute_workload` of this process (``inf`` before the first
-#: run that made one): the checkpoint cost model's prior (DESIGN §10.3).
-_request_seconds = math.inf
-
-
-def request_price() -> float:
-    """The process-wide prior price of a request, in wall seconds."""
-    return _request_seconds
-
 
 def execute_workload(
     workload: WorkloadFn,
@@ -218,19 +206,12 @@ def execute_workload(
     ``recorder`` (a ``repro.obs.TraceRecorder``) enables run-level
     profiling: FIR decision timing, injection-decision events, and the
     scheduler/network counters.  ``None`` (the default) keeps the run on
-    the timing-free path.  Every run folds its wall seconds per request
-    into :func:`request_price`.
+    the timing-free path.
     """
-    global _request_seconds
-    started = time.perf_counter()
     cluster = Cluster(seed=seed)
     cluster.fir.tracing = plan is None or not plan.instances
     if recorder is not None and recorder.enabled:
         cluster.fir.recorder = recorder
     cluster.fir.set_plan(plan)
     workload(cluster)
-    result = cluster.run(horizon)
-    if result.injection_requests:
-        spent = (time.perf_counter() - started) / result.injection_requests
-        _request_seconds = min(_request_seconds, spent)
-    return result
+    return cluster.run(horizon)

@@ -1,8 +1,9 @@
 """The late-failing ``-xl`` cases of ``benchmarks/bench_cases.py``, for tests.
 
-Catalog cases replay in under 10 ms, where the checkpoint pool's cost
-model (DESIGN §10.3) rightly never forks.  Tests that must see the *real*
-model fork run on these 90–250 ms cases instead.
+Catalog cases replay in under 10 ms; these run 90–250 ms and fail late,
+the regime the checkpoint pool serves (DESIGN §10.2).  Tests that fork
+the benchmark's replay leg, or search a case whose runs are long, use
+them.
 """
 
 import os
@@ -16,9 +17,8 @@ _BENCHMARKS = os.path.join(
 def xl_case(case_id: str):
     """The bench case ``case_id`` (``f1-xl``, ``f5-xl``, ``f16-xl``, ...).
 
-    Their ground truth sits 70–95 % deep and the search's windows follow
-    it there, so under an oracle that keeps the search going every round
-    after the first forks off a deep rung with a wide margin.
+    Their ground truth sits 70–95 % deep, so a replay of it forks off a
+    deep rung.
     """
     if _BENCHMARKS not in sys.path:
         sys.path.insert(0, _BENCHMARKS)

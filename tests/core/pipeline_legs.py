@@ -5,11 +5,11 @@ a worker configured by nothing but its pickled ``RunConfig`` — cannot be
 helped or hidden by whatever else the test process has running.
 
 * ``leak-explorer`` / ``leak-strategy`` — search a late-failing ``-xl``
-  case, whose runs are long enough for a checkpoint pool's cost model
-  to park a holder, while asking for checkpointing the ways the frozen
-  benchmark still does (``Explorer(checkpoint=True)``,
-  ``run_baseline(checkpoint=True)``); count the holders opened and look
-  for surviving children.  No search forks, so both must be none.
+  case, the kind of run the replay leg forks, while asking for
+  checkpointing the ways the frozen benchmark still does
+  (``Explorer(checkpoint=True)``, ``run_baseline(checkpoint=True)``);
+  count the holders opened and look for surviving children.  No search
+  forks, so both must be none.
 * ``worker-config DIR`` — a two-cell campaign over *spawn*-started pool
   workers, which share nothing with this process but their arguments.
 """

@@ -42,7 +42,7 @@ def registry_state() -> dict:
 #: Dyadic values: sums of them are exact in floating point, so "exactly"
 #: below means ``==`` even for the float-valued counters and sums.
 _VALUES = st.integers(min_value=1, max_value=4096).map(lambda n: n / 64)
-_NAMES = st.sampled_from(["a", "b", "cache.hits", "sim.checkpoint.fork_seconds"])
+_NAMES = st.sampled_from(["a", "b", "cache.hits", "sim.checkpoint.forks"])
 _OPERATIONS = st.one_of(
     st.tuples(st.just("increment"), _NAMES, _VALUES),
     st.tuples(st.just("observe"), _NAMES, _VALUES),

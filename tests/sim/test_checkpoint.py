@@ -7,21 +7,20 @@ Three layers of guarantees, bottom up:
 * a ``Checkpoint`` fork-served run equals a full inline replay field by
   field — fixed cases, plus a hypothesis sweep over random workloads,
   seeds, fork depths and plan kinds;
-* the ``CheckpointPool`` cost model forks exactly when a fork pays
-  (driven here by a fake clock), and a pool-served run equals the same
-  run inline.
+* a ``CheckpointPool`` forks every eligible plan from one live rung at
+  exactly its fork point, and a pool-served run equals the same run
+  inline; whatever cannot fork, or fails to, runs inline.
 
 No search forks (DESIGN §10): the pool is the library the e2e
-benchmark's replay leg drives, and these tests drive it the same way.
-Catalog cases are too cheap for the model to fork, so the equivalence
-tests on them run under ``free_forks`` (``tests/conftest.py``) and the
-``xl`` tests run the real model on a late-failing bench case; each
-asserts that forks actually happened.  Everything process-level skips
-on platforms without ``os.fork``.
+benchmark's replay leg drives, and these tests drive it the same way,
+on catalog cases and on a late-failing ``xl`` bench case; each asserts
+that forks actually happened.  Everything process-level skips on
+platforms without ``os.fork``.
 """
 
 import dataclasses
-import math
+import errno
+import os
 import pickle
 
 import pytest
@@ -29,9 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.failures import get_case
-from repro.injection.fir import InjectionPlan, ProbeTrace, TraceEvent
+from repro.injection.fir import InjectionPlan
 from repro.injection.sites import FaultInstance
-from repro.logs.record import LogFile
 from repro.obs import metrics
 from repro.sim import checkpoint as checkpoint_module
 from repro.sim import (
@@ -41,7 +39,6 @@ from repro.sim import (
     execute_workload,
     snapshot_fingerprint,
 )
-from repro.sim.cluster import RunResult
 from repro.sim.errors import IOException
 from tests.bench_xl import xl_case
 
@@ -143,9 +140,7 @@ class TestCheckpointFork:
             )
             for event in probe.trace[fork_point - 1 : fork_point + 2]
         ]
-        checkpoint = Checkpoint(
-            case.workload, case.horizon, case.seed, None, fork_point
-        )
+        checkpoint = Checkpoint(case.workload, case.horizon, case.seed, fork_point)
         try:
             for plan in with_plans:
                 forked = checkpoint.run(plan)
@@ -167,8 +162,7 @@ class TestCheckpointFork:
             case.workload, horizon=case.horizon, seed=case.seed
         )
         checkpoint = Checkpoint(
-            case.workload, case.horizon, case.seed, None,
-            len(probe.trace) + 1000,
+            case.workload, case.horizon, case.seed, len(probe.trace) + 1000
         )
         try:
             target = probe.trace[-1]
@@ -181,7 +175,7 @@ class TestCheckpointFork:
 
     def test_closed_checkpoint_returns_none(self):
         case = get_case("f1")
-        checkpoint = Checkpoint(case.workload, case.horizon, case.seed, None, 8)
+        checkpoint = Checkpoint(case.workload, case.horizon, case.seed, 8)
         checkpoint.close()
         plan = InjectionPlan.single(
             FaultInstance("any-site", "IOException", 1)
@@ -217,7 +211,7 @@ class TestCheckpointPool:
                 FaultInstance("no-such-site", "IOException", 1)
             )
             assert pool.fork_point(ghost) == len(probe.trace)
-            # Foreign base faults make the probe trace inapplicable.
+            # The holder runs fault-free: any always-on fault is foreign.
             foreign = InjectionPlan.of(
                 [FaultInstance(target.site_id, "IOException", 1)],
                 always=[FaultInstance("base-site", "IOException", 1)],
@@ -225,19 +219,21 @@ class TestCheckpointPool:
             assert pool.fork_point(foreign) is None
             assert pool.fork_point(None) is None
 
+    @staticmethod
+    def plan_at(probe, depth):
+        """A plan first firing ``depth`` of the way into the probe trace."""
+        event = probe.trace[int(len(probe.trace) * depth) - 1]
+        return InjectionPlan.single(
+            FaultInstance(event.site_id, "IOException", event.occurrence)
+        )
+
     def assert_runner_matches_inline(self, case, depths):
-        """Every plan equals inline and is fork-served: the probe priced
-        a request, so the first plan opens its rung at once."""
+        """Every plan equals inline and is fork-served."""
         pool, probe = self.make_pool(case)
         before = forks()
         with pool:
             for depth in depths:
-                event = probe.trace[int(len(probe.trace) * depth) - 1]
-                plan = InjectionPlan.single(
-                    FaultInstance(
-                        event.site_id, "IOException", event.occurrence
-                    )
-                )
+                plan = self.plan_at(probe, depth)
                 served = pool.runner(
                     case.workload,
                     case.horizon,
@@ -253,19 +249,16 @@ class TestCheckpointPool:
                 assert run_signature(served) == run_signature(inline)
         assert forks() - before == len(depths)
 
-    def test_runner_matches_inline(self, free_forks):
+    def test_runner_matches_inline(self):
         self.assert_runner_matches_inline(get_case("f1"), (0.5, 0.5, 1.0))
 
     def test_xl_runner_matches_inline(self):
-        """The measured model, unaided, forks a late-failing case."""
         self.assert_runner_matches_inline(xl_case("f1-xl"), (0.9, 0.8, 0.95))
 
-    def test_benchmark_replay_leg_stays_fork_served(self, free_forks):
+    def test_benchmark_replay_leg_stays_fork_served(self):
         """``benchmarks/e2e/leg.py``'s replay leg, call for call: a pool
         over a default probe's trace serves every ground-truth replay
-        from a fork, the first included (the probe priced a request).  A
-        window-less call that came back untraced would leave the pool
-        ``broken`` and the leg's fork half inline."""
+        from a fork, the first included."""
         case = xl_case("f1-xl")
         w, h, s = case.workload, case.horizon, case.seed
         plan = InjectionPlan.single(case.ground_truth_instance())
@@ -284,7 +277,7 @@ class TestCheckpointPool:
             assert result_digest(result) == result_digest(inline)
             assert case.oracle.satisfied(result)
 
-    def test_inconsistent_frame_is_rejected_and_rerun_inline(self, free_forks):
+    def test_inconsistent_frame_is_rejected_and_rerun_inline(self):
         """Prefix + suffix must add up to the run the grandchild finished."""
         case = get_case("f1")
         pool, probe = self.make_pool(case)
@@ -306,6 +299,60 @@ class TestCheckpointPool:
         assert moved["sim.checkpoint.forks"] == 1
         assert moved["sim.checkpoint.errors"] == 1
         assert moved["sim.checkpoint.fallbacks"] == 1
+
+    def test_alternating_fork_points_keep_one_live_rung(self):
+        """Each call forks from a rung at exactly its own fork point; a
+        new fork point replaces the rung, and every holder is reaped.
+        (Holders are checked by pid: the test process may have other
+        children, such as multiprocessing's resource tracker.)"""
+        case = get_case("f1")
+        pool, probe = self.make_pool(case)
+        plans = [self.plan_at(probe, depth) for depth in (0.5, 0.9)] * 3
+        holders = set()
+        before = forks()
+        with pool:
+            for plan in plans:
+                served = pool.runner(
+                    case.workload, case.horizon, seed=case.seed, plan=plan
+                )
+                inline = execute_workload(
+                    case.workload, horizon=case.horizon, seed=case.seed, plan=plan
+                )
+                assert run_signature(served) == run_signature(inline)
+                assert list(pool._rungs) == [pool.fork_point(plan)]
+                holders.update(rung._pid for rung in pool._rungs.values())
+        assert forks() - before == len(plans)
+        assert len(holders) == len(plans)
+        for pid in holders:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="requires /proc/self/fd"
+    )
+    def test_a_holder_that_fails_to_open_falls_back_inline(self, monkeypatch):
+        """No fork for the holder: the plan runs inline, and no pipe
+        descriptor outlives the attempt."""
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        case = get_case("f1")
+        pool, probe = self.make_pool(case)
+        plan = self.plan_at(probe, 0.5)
+        run = dict(horizon=case.horizon, seed=case.seed, plan=plan)
+        inline = execute_workload(case.workload, **run)
+        monkeypatch.setattr(checkpoint_module, "_fork", no_fork)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        before = metrics.capture()
+        with pool:
+            served = pool.runner(case.workload, **run)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert run_signature(served) == run_signature(inline)
+        moved = metrics.capture(since=before)["counters"]
+        assert moved["sim.checkpoint.errors"] == 1
+        assert moved["sim.checkpoint.fallbacks"] == 1
+        assert moved.get("sim.checkpoint.forks", 0) == 0
 
     def test_runner_falls_back_on_foreign_context(self):
         case = get_case("f1")
@@ -334,218 +381,63 @@ class TestCheckpointPool:
             assert run_signature(free) == run_signature(probe_again)
 
 
-# ---------------------------------------------------------------- cost model
-
-
-class FakeHost:
-    """A clock, an inline run and rungs whose costs the test dictates.
-
-    Stands in for everything the pool's cost model measures: a run of
-    ``requests`` requests takes ``run_seconds`` inline; opening a rung
-    costs a bare fork (``floor``) plus its prefix at that rate; a fork
-    replays the requests past its rung at the same rate plus
-    ``fork_overhead``.  ``prior`` is the process-wide price of a request
-    the pool starts from (``None``: nothing has priced one yet).
-    Nothing real runs, so every decision is a function of these numbers.
-    """
-
-    def __init__(
-        self, monkeypatch, run_seconds, floor, fork_overhead=None,
-        requests=1000, prior=None,
-    ):
-        self.now = 0.0
-        self.requests = requests
-        self.run_seconds = run_seconds
-        self.fork_overhead = floor if fork_overhead is None else fork_overhead
-        self.inline_runs = 0
-        self.opened = []
-        self.forked_from = []
-        #: Per fork: requests between the rung and the plan's fork point.
-        self.gaps = []
-        host = self
-
-        class Rung:
-            closed = False
-
-            def __init__(self, workload, horizon, seed, base_plan, at_request):
-                self.at_request = at_request
-                host.opened.append(at_request)
-                host.now += floor + at_request / host.requests * host.run_seconds
-
-            def run(self, plan):
-                host.forked_from.append(self.at_request)
-                host.gaps.append(int(plan.instances[0].site_id[1:]) - self.at_request)
-                replayed = (host.requests - self.at_request) / host.requests
-                host.now += host.fork_overhead + replayed * host.run_seconds
-                return host.result()
-
-            def close(self):
-                self.closed = True
-
-        monkeypatch.setattr(checkpoint_module, "_clock", lambda: self.now)
-        monkeypatch.setattr(checkpoint_module, "execute_workload", self.execute)
-        monkeypatch.setattr(checkpoint_module, "Checkpoint", Rung)
-        monkeypatch.setattr(
-            checkpoint_module, "request_price",
-            lambda: math.inf if prior is None else prior,
-        )
-        monkeypatch.setattr(
-            checkpoint_module.ForkCost, "_bare_fork", staticmethod(lambda: floor)
-        )
-        monkeypatch.setattr(
-            checkpoint_module, "_fork_cost", checkpoint_module.ForkCost()
-        )
-        self.pool = CheckpointPool(
-            self.workload, 10.0, 0,
-            ProbeTrace.of(
-                TraceEvent(f"s{i}", 1, 0.0, 0) for i in range(1, requests + 1)
-            ),
-        )
-
-    @staticmethod
-    def workload(cluster):
-        raise AssertionError("the fake host never builds a cluster")
-
-    def result(self):
-        return RunResult(
-            log=LogFile(), trace=[], injected=False, injected_instance=None,
-            stuck=[], crashed=[], state={}, end_time=0.0, site_counts={},
-            injection_requests=self.requests,
-        )
-
-    def execute(self, workload, **kwargs):
-        self.inline_runs += 1
-        self.now += self.run_seconds
-        return self.result()
-
-    def run(self, depth):
-        """One runner call for a plan first firing at request ``depth``."""
-        plan = InjectionPlan.single(FaultInstance(f"s{depth}", "IOException", 1))
-        return self.pool.runner(self.workload, 10.0, seed=0, plan=plan)
-
-
-#: 0.1 s runs of 1,000 requests: 100 µs a request, so a 2 ms fork
-#: breaks even at 20 requests.
-PRICE = 0.100 / 1000
+# ------------------------------------------------------------ fork or inline
 
 
 @needs_fork
 class TestCostModel:
-    def test_with_a_prior_a_run_cheaper_than_a_fork_never_forks(
-        self, monkeypatch
-    ):
-        host = FakeHost(
-            monkeypatch, run_seconds=0.001, floor=0.002, prior=0.001 / 1000
-        )
-        assert host.pool.broken  # decided at construction
-        for depth in (900, 950, 1000):
-            host.run(depth)
-        assert host.opened == [] and host.forked_from == []
-        assert host.inline_runs == 3
-
-    def test_run_cheaper_than_a_fork_never_forks(self, monkeypatch):
-        host = FakeHost(monkeypatch, run_seconds=0.001, floor=0.002)  # no prior
-        assert not host.pool.broken
-        host.run(900)  # prices a request, which breaks the pool
-        assert host.pool.broken
-        for depth in (900, 950, 1000):
-            host.run(depth)
-        assert host.opened == [] and host.forked_from == []
-        assert host.inline_runs == 4
-
-    def test_with_a_prior_a_long_run_forks_from_its_first_eligible_plan(
-        self, monkeypatch
-    ):
-        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002, prior=PRICE)
-        for depth in (900, 900, 910, 1000):
-            host.run(depth)
-        # One rung at the first plan's own depth serves all four: the
-        # others lie less than a step (125 requests) above it.
-        assert host.inline_runs == 0
-        assert host.opened == [900]
-        assert host.forked_from == [900, 900, 900, 900]
-        assert not host.pool.broken
-
-    def test_long_run_forks_from_the_second_eligible_plan_on(self, monkeypatch):
-        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002)  # no prior
-        for depth in (900, 900, 910, 1000):
-            host.run(depth)
-        # The first eligible plan is the measurement, never a duplicate:
-        # one inline run, and every later plan fork-served.
-        assert host.inline_runs == 1
-        assert host.forked_from == [900, 900, 900]
-        assert not host.pool.broken
+    """Where a runner call goes: a fork from a rung at exactly the plan's
+    fork point, or one inline run — never both, never neither."""
 
     def test_a_repeated_fork_point_forks_from_a_rung_at_exactly_that_depth(
-        self, monkeypatch
+        self,
     ):
-        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002, prior=PRICE)
-        for depth in (640, 900, 640, 900):
-            host.run(depth)
-        assert host.opened == [640, 900]
-        assert host.forked_from == [640, 900, 640, 900]
-        assert host.gaps == [0, 0, 0, 0]
-
-    def test_the_open_prices_the_workload_not_the_prior(self, monkeypatch):
-        # The prior is a tenth of this workload's price, as when another
-        # workload's requests came cheaper.  Judged by it, each fork's
-        # 100 replayed requests would read as 9 ms of overhead and break
-        # the pool; the open's own price reads the true 2 ms.
-        host = FakeHost(
-            monkeypatch, run_seconds=0.100, floor=0.002, prior=PRICE / 10
-        )
-        for depth in (900, 800, 950, 900):
-            host.run(depth)
-        assert host.inline_runs == 0
-        assert host.forked_from == [900, 800, 900, 900]
-        assert not host.pool.broken
+        case = get_case("f1")
+        pool, probe = TestCheckpointPool().make_pool(case)
+        plans = [
+            TestCheckpointPool.plan_at(probe, depth)
+            for depth in (0.5, 0.5, 0.9, 0.9, 0.9)
+        ]
+        before = metrics.capture()
+        with pool:
+            for plan in plans:
+                pool.runner(case.workload, case.horizon, seed=case.seed, plan=plan)
+                assert list(pool._rungs) == [pool.fork_point(plan)]
+        moved = metrics.capture(since=before)["counters"]
+        # A repeated fork point reuses its rung; a new one opens a rung.
+        assert moved["sim.checkpoint.opens"] == 2
+        assert moved["sim.checkpoint.forks"] == len(plans)
 
     def test_every_run_not_fork_served_executes_exactly_once(self, monkeypatch):
-        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002, prior=PRICE)
-        depths = (900, 10, 900, 5, 640, 10, 1000, 900)
-        for depth in depths:
-            host.run(depth)
-        host.pool.runner(host.workload, 10.0, seed=1, plan=None)  # foreign
-        assert host.inline_runs + len(host.forked_from) == len(depths) + 1
-        # Break-even at 20 requests: the plans firing at requests 5 and
-        # 10 stay inline, and so does the foreign run.
-        assert host.inline_runs == 3 + 1
+        inline_runs = []
 
-    def test_a_losing_rung_is_dropped_and_deeper_rungs_live_on(self, monkeypatch):
-        # Forks turn out to cost 40 ms, not the 2 ms floor: worth 400 of
-        # this run's requests.
-        host = FakeHost(
-            monkeypatch, run_seconds=0.100, floor=0.002, fork_overhead=0.040,
-            prior=PRICE,
+        def counted(workload, **kwargs):
+            inline_runs.append(kwargs)
+            return execute_workload(workload, **kwargs)
+
+        monkeypatch.setattr(checkpoint_module, "execute_workload", counted)
+        case = get_case("f1")
+        pool, probe = TestCheckpointPool().make_pool(case)
+        plan = TestCheckpointPool.plan_at(probe, 0.5)
+        always = InjectionPlan.of(
+            list(plan.instances),
+            always=[FaultInstance("base-site", "IOException", 1)],
         )
-        host.run(300)                     # rung 300 opens; its fork shows 40 ms
-        assert host.forked_from == [300]
-        host.run(300)                     # 300 requests no longer pay
-        host.run(260)
-        assert host.forked_from == [300] and host.inline_runs == 2
-        host.run(900)                     # 900 still do
-        host.run(900)
-        assert host.forked_from == [300, 900, 900]
-        assert host.opened == [300, 900] and not host.pool.broken
+        w, h, s = case.workload, case.horizon, case.seed
+        calls = [
+            dict(seed=s, plan=plan),
+            dict(seed=s + 1, plan=plan),  # foreign seed
+            dict(seed=s, plan=None),  # nothing armed
+            dict(seed=s, plan=always),  # the holder runs fault-free
+            dict(seed=s, plan=TestCheckpointPool.plan_at(probe, 0.9)),
+        ]
+        before = forks()
+        with pool:
+            for call in calls:
+                pool.runner(w, h, **call)
+        assert len(inline_runs) + forks() - before == len(calls)
+        assert len(inline_runs) == 3
 
-
-@needs_fork
-@given(
-    depths=st.lists(st.integers(1, 1000), min_size=1, max_size=30),
-    prior=st.sampled_from([None, PRICE, PRICE / 10]),
-)
-@settings(max_examples=60, deadline=None)
-def test_no_served_plan_replays_a_grid_step_or_more(depths, prior):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        host = FakeHost(monkeypatch, run_seconds=0.100, floor=0.002, prior=prior)
-        for depth in depths:
-            host.run(depth)
-    step = host.requests // checkpoint_module.MAX_RUNGS
-    assert all(0 <= gap < step for gap in host.gaps)
-    assert host.inline_runs + len(host.gaps) == len(depths)
-
-
-# ------------------------------------------------------- hypothesis property
 
 
 def make_workload(spec):
@@ -605,10 +497,9 @@ ACTIONS = st.lists(
 )
 
 
-#: What kind of plan forks: a raised exception; the same on top of an
-#: always-on base fault; a soft fault (the op succeeds with a corrupted
-#: value).
-PLAN_KINDS = ("raise", "always", "corrupt")
+#: What kind of plan forks: a raised exception, or a soft fault (the op
+#: succeeds with a corrupted value).
+PLAN_KINDS = ("raise", "corrupt")
 
 
 @needs_fork
@@ -624,21 +515,16 @@ def test_fork_suffix_equals_full_replay(spec, seed, depth, kind):
     """For any workload, seed, fork depth and plan kind: prefix + shipped
     suffix == the inline run, field by field."""
     workload = make_workload(spec)
-    base = []
-    if kind == "always":
-        first = execute_workload(workload, horizon=5.0, seed=seed).trace[:1]
-        base = [FaultInstance(e.site_id, "IOException", e.occurrence) for e in first]
-    base_plan = InjectionPlan.of([], always=base)
-    probe = execute_workload(workload, horizon=5.0, seed=seed, plan=base_plan)
+    probe = execute_workload(workload, horizon=5.0, seed=seed)
     if len(probe.trace) < 2:
         return
     fork_point = max(1, min(len(probe.trace), int(len(probe.trace) * depth)))
     target = probe.trace[fork_point - 1]
     fault = "corrupt:bitflip_field" if kind == "corrupt" else "IOException"
-    plan = InjectionPlan.of(
-        [FaultInstance(target.site_id, fault, target.occurrence)], always=base
+    plan = InjectionPlan.single(
+        FaultInstance(target.site_id, fault, target.occurrence)
     )
-    checkpoint = Checkpoint(workload, 5.0, seed, base_plan, fork_point)
+    checkpoint = Checkpoint(workload, 5.0, seed, fork_point)
     try:
         forked = checkpoint.run(plan)
         inline = execute_workload(workload, horizon=5.0, seed=seed, plan=plan)

@@ -86,6 +86,24 @@ class TestReproduceAndReplay:
         assert "oracle satisfied: True" in out
 
 
+class TestSoftFaultCases:
+    """The seeded soft-fault cases reproduce via a corruption spec, and
+    the script each writes replays."""
+
+    @pytest.mark.parametrize("case_id", ["f23", "f24", "f25", "f26", "f27"])
+    def test_reproduce_via_a_corruption_and_replay(self, capsys, tmp_path, case_id):
+        script_path = tmp_path / f"{case_id}.json"
+        code, _ = run_cli(
+            capsys, "reproduce", case_id, "--no-ledger", "--no-cache",
+            "--output", str(script_path),
+        )
+        assert code == 0
+        script = json.loads(script_path.read_text())
+        assert script["exception"].startswith("corrupt:"), script["exception"]
+        code, _ = run_cli(capsys, "replay", case_id, str(script_path))
+        assert code == 0
+
+
 class TestReplayRefusesBadScripts:
     """A script that cannot be read, parsed or matched to the case exits
     2 with one ``error:`` line and replays nothing."""
@@ -582,6 +600,21 @@ class TestAnalyze:
         # f17's dense space is where pruning pays: the acceptance floor.
         assert coverage["pruned_fraction"] >= 0.25
         assert case["graph"]["pairs"] >= case["graph"]["live_pairs"]
+
+    def test_one_case_per_system_is_sound(self, capsys):
+        """No dynamic contradiction, and pruning stays inside a non-empty
+        graph's space, on one case per mini system."""
+        code, out = run_cli(
+            capsys, "analyze", "f1,f9,f13,f19,f22", "--format", "json"
+        )
+        assert code == 0
+        document = json.loads(out)
+        assert document["contradictions"] == 0
+        assert document["case_count"] == 5
+        for case_id, case in document["cases"].items():
+            coverage = case["coverage"]
+            assert coverage["pruned_space"] <= coverage["space"], case_id
+            assert case["graph"]["pairs"] > 0, case_id
 
     def test_out_writes_file_and_creates_parents(self, capsys, tmp_path):
         out_path = tmp_path / "analysis" / "nested" / "f1.json"

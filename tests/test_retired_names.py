@@ -28,9 +28,10 @@ RETIRED = [
         ("src", "tools"),
         (),
         # Workers get a pickled RunConfig and return one telemetry
-        # envelope; the pool's cost model replaced calibrate-then-retire;
-        # one serial round loop; only unarmed runs record a trace.
-        "§5.3, §12.5, §10.3, §5.5",
+        # envelope; the pool forks every eligible plan, with nothing to
+        # calibrate or retire; one serial round loop; only unarmed runs
+        # record a trace.
+        "§5.3, §12.5, §10.2, §5.5",
         id="env-relays-telemetry-plumbing-calibration-speculation-packed-traces",
     ),
     pytest.param(
@@ -151,6 +152,16 @@ RETIRED = [
         # No search forks: the pool is a library of the simulator.
         "§10",
         id="checkpoint-pool-outside-sim",
+    ),
+    pytest.param(
+        r"ForkCost|_fork_cost|request_price|_request_seconds|MAX_RUNGS|OPEN_BUDGET"
+        r"|_pick_rung|_break_even|checkpoint\.declined|requests_saved|free_forks",
+        ("src", "tools", ".github"),
+        (),
+        # The pool forks every eligible plan from one rung at the plan's
+        # exact depth: no cost model, no request-price prior.
+        "§10.2",
+        id="fork-cost-model-request-price",
     ),
     pytest.param(
         r"\.arm\(|config\.checkpoint|_add_checkpoint_options"
