@@ -45,7 +45,7 @@ def compute_table7():
         model = system_model(case.package)
         builder = CausalGraphBuilder(model)
         # Build from this case's relevant observables, like the Explorer.
-        explorer = case.explorer(prune="static", track_coverage=True)
+        explorer = case.explorer(prune="static")
         prepared = explorer.prepare()
         builder.build(prepared.observables.mapped_keys())
         timings = builder.timings

@@ -27,13 +27,14 @@ from ._lazy import lazy_exports
 __version__ = "1.0.0"
 
 _EXPORTS = {
-    ".core.explorer": ("ExplorationResult", "Explorer"),
+    ".core.explorer": ("Explorer",),
     ".core.iterative": ("IterativeExplorer", "IterativeResult"),
     ".core.oracle": (
         "AllOf", "AnyOf", "CrashedTaskOracle", "LogMessageOracle", "Oracle",
         "StatePredicateOracle", "StuckTaskOracle",
     ),
     ".core.report": ("ReproductionScript",),
+    ".core.search": ("ExplorationResult",),
     ".injection.fir": ("FIR", "InjectionPlan"),
     ".injection.sites": ("FaultCandidate", "FaultInstance", "SiteRef"),
     ".obs.trace": ("TraceRecorder",),

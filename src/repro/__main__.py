@@ -232,7 +232,6 @@ def _cmd_reproduce_body(args) -> int:
     explorer = case.explorer(
         max_rounds=args.max_rounds,
         recorder=recorder,
-        track_coverage=True,
         prune=args.prune,
     )
     # A single reproduce is a one-cell campaign to the event stream, so
@@ -248,24 +247,19 @@ def _cmd_reproduce_body(args) -> int:
     )
     if recorder is not None:
         _print_profile(recorder)
-    coverage = result.coverage.to_dict() if result.coverage else None
-    if result.coverage is not None:
-        pruned = ""
-        if result.coverage.pruned_space_size is not None:
-            dropped = (
-                result.coverage.space_size - result.coverage.pruned_space_size
-            )
-            pruned = (
-                f", statically pruned {dropped} "
-                f"({len(result.coverage.contradictions)} contradiction(s))"
-            )
-        print(
-            f"[coverage: planned {result.coverage.planned}/"
-            f"{result.coverage.space_size} "
-            f"({result.coverage.planned_fraction:.1%}), "
-            f"fired {result.coverage.fired}{pruned}]",
-            file=sys.stderr,
+    summary = result.coverage
+    pruned = ""
+    if summary.pruned_space_size is not None:
+        dropped = summary.space_size - summary.pruned_space_size
+        pruned = (
+            f", statically pruned {dropped} "
+            f"({len(summary.contradictions)} contradiction(s))"
         )
+    print(
+        f"[coverage: planned {summary.planned}/{summary.space_size} "
+        f"({summary.planned_fraction:.1%}), fired {summary.fired}{pruned}]",
+        file=sys.stderr,
+    )
     _append_ledger(
         [
             ledger.make_entry(
@@ -275,7 +269,7 @@ def _cmd_reproduce_body(args) -> int:
                 rounds=result.rounds,
                 seconds=result.elapsed_seconds,
                 seed=case.seed,
-                coverage=coverage,
+                coverage=summary.to_dict(),
                 metrics=recorder.metrics() if recorder is not None else None,
             )
         ],
@@ -503,9 +497,7 @@ def cmd_explain(args) -> int:
 
     case = get_case(args.case_id)
     recorder = TraceRecorder()
-    explorer = case.explorer(
-        max_rounds=args.max_rounds, recorder=recorder, track_coverage=True
-    )
+    explorer = case.explorer(max_rounds=args.max_rounds, recorder=recorder)
     result = explorer.explore()
     if not result.success:
         print(
@@ -521,13 +513,12 @@ def cmd_explain(args) -> int:
         print(result.script.describe())
         print()
         print(provenance.to_text())
-        if result.coverage is not None:
-            print(
-                f"\nsearch touched {result.coverage.planned} of "
-                f"{result.coverage.space_size} injectable instances "
-                f"({result.coverage.planned_fraction:.1%}) over "
-                f"{result.rounds} round(s)"
-            )
+        print(
+            f"\nsearch touched {result.coverage.planned} of "
+            f"{result.coverage.space_size} injectable instances "
+            f"({result.coverage.planned_fraction:.1%}) over "
+            f"{result.rounds} round(s)"
+        )
     return 0
 
 
@@ -682,13 +673,12 @@ def cmd_analyze(args) -> int:
     for case in cases:
         explorer = case.explorer(
             max_rounds=args.max_rounds,
-            track_coverage=True,
             prune="static",
             prune_radius=radius,
         )
         result = explorer.explore()
         prepared = explorer.prepare()
-        coverage = result.coverage.to_dict() if result.coverage else {}
+        coverage = result.coverage.to_dict()
         contradictions = coverage.get("contradictions", 0)
         total_contradictions += contradictions
         case_docs[case.case_id] = {
@@ -753,6 +743,24 @@ def cmd_analyze(args) -> int:
         )
         return 1
     return 0
+
+
+def _at_least_zero(parse, what: str):
+    """An argparse ``type`` parsing ``what`` that is zero or more (NaN is
+    neither, so it is refused too)."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= 0:
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, zero or more, got {text!r}"
+            )
+        return value
+
+    return convert
 
 
 def _add_fault_dims_option(subparser) -> None:
@@ -843,6 +851,10 @@ def _add_ledger_options(subparser) -> None:
     )
 
 
+#: ``--max-rounds`` on every searching command.
+_ROUNDS = _at_least_zero(int, "an integer")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="feedback-driven failure reproduction"
@@ -853,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     reproduce = commands.add_parser("reproduce", help="search for the root cause")
     reproduce.add_argument("case_id")
-    reproduce.add_argument("--max-rounds", type=int, default=800)
+    reproduce.add_argument("--max-rounds", type=_ROUNDS, default=800)
     reproduce.add_argument("--output", "-o", help="write the script to a file")
     reproduce.add_argument(
         "--profile",
@@ -882,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
         "case_id",
         help="failure case id, a comma-separated id list, or 'all'",
     )
-    compare.add_argument("--max-rounds", type=int, default=400)
+    compare.add_argument("--max-rounds", type=_ROUNDS, default=400)
     compare.add_argument(
         "--summary-out",
         help="also write the machine-readable campaign summary JSON here",
@@ -954,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run the search with tracing and export the trace"
     )
     trace.add_argument("case_id")
-    trace.add_argument("--max-rounds", type=int, default=800)
+    trace.add_argument("--max-rounds", type=_ROUNDS, default=800)
     trace.add_argument(
         "--format",
         choices=("chrome", "json", "text"),
@@ -969,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
         "entered the plan",
     )
     explain.add_argument("case_id")
-    explain.add_argument("--max-rounds", type=int, default=800)
+    explain.add_argument("--max-rounds", type=_ROUNDS, default=800)
     explain.add_argument("--format", choices=("text", "json"), default="text")
 
     report = commands.add_parser(
@@ -1026,12 +1038,12 @@ def build_parser() -> argparse.ArgumentParser:
         "case_id",
         help="failure case id, a comma-separated id list, or 'all'",
     )
-    analyze.add_argument("--max-rounds", type=int, default=800)
+    analyze.add_argument("--max-rounds", type=_ROUNDS, default=800)
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--out", "-o", help="write the analysis to a file")
     analyze.add_argument(
         "--radius",
-        type=float,
+        type=_at_least_zero(float, "a number"),
         help=_LazyHelp(
             "temporal pruning radius in normal-run log lines (default %(radius)g)",
             radius=_default_radius,

@@ -1,6 +1,6 @@
 """Baseline and ablation injection strategies (§8.3–§8.4)."""
 
-from .base import SearchContext, Strategy, StrategyResult, StrategyRunner, build_context
+from .base import SearchContext, Strategy, StrategyRunner, build_context
 from .external import (
     CrashTunerStrategy,
     FateStrategy,
@@ -41,7 +41,6 @@ __all__ = [
     "SiteFeedback",
     "StacktraceInjector",
     "Strategy",
-    "StrategyResult",
     "StrategyRunner",
     "build_context",
 ]

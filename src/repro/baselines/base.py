@@ -5,7 +5,7 @@ first one that occurs is injected, mirroring the FIR semantics).  It is a
 policy of the one round loop, :func:`repro.core.search.search` — the same
 loop ANDURIL's Explorer runs under, so both are measured alike (rounds,
 wall time); :class:`StrategyRunner` builds a case's context and pipeline
-and wraps the loop's outcome as a :class:`StrategyResult`.
+and returns the loop's :class:`~repro.core.search.ExplorationResult`.
 
 Strategies receive a :class:`SearchContext` with everything ANDURIL's
 Explorer also builds in its prepare step, so ablations can reuse exactly
@@ -26,10 +26,10 @@ from ..core.observables import ObservableSet
 from ..core.oracle import Oracle
 from ..core.pipeline import RunPipeline
 from ..core.prepared import prepared_case
-from ..core.search import search
+from ..core.search import ExplorationResult, search
 from ..injection.sites import FaultInstance
 from ..logs.record import LogFile
-from ..obs.coverage import NULL_COVERAGE, CoverageSummary, CoverageTracker
+from ..obs.coverage import CoverageTracker
 from ..sim.cluster import RunResult, WorkloadFn
 
 
@@ -144,40 +144,21 @@ class Strategy:
         return 0
 
 
-@dataclasses.dataclass
-class StrategyResult:
-    strategy: str
-    case_id: str
-    success: bool
-    rounds: int
-    elapsed_seconds: float
-    injected: Optional[FaultInstance]
-    message: str = ""
-    #: Fault-space coverage accounting (``None`` unless the runner was
-    #: built with ``track_coverage=True``).  The space is enumerated from
-    #: the same inputs ANDURIL's Explorer uses, so fractions compare.
-    coverage: Optional[CoverageSummary] = None
-
-
 class StrategyRunner:
     def __init__(
         self,
         max_rounds: int = 400,
         max_seconds: Optional[float] = 60.0,
-        track_coverage: bool = False,
     ) -> None:
         self.max_rounds = max_rounds
         self.max_seconds = max_seconds
-        #: Fault-space coverage accounting (off by default; the shared
-        #: NULL_COVERAGE no-op tracker keeps the default path unchanged).
-        self.track_coverage = track_coverage
 
     def run(
         self,
         strategy: Strategy,
         case: CaseLike,
         case_id: Optional[str] = None,
-    ) -> StrategyResult:
+    ) -> ExplorationResult:
         if case_id is None:
             # Campaign workers address cases by id; default to the case's
             # own id so parallel sweeps need not thread it separately.
@@ -185,21 +166,15 @@ class StrategyRunner:
         started = time.perf_counter()
         context = build_context(case)
         strategy.prepare(context)
-        coverage = NULL_COVERAGE
-        if self.track_coverage:
-            coverage = CoverageTracker(context.fault_space)
-        found = search(
+        return search(
             RunPipeline(case.workload, case.horizon, case.seed),
             case.oracle,
             strategy,
             case_id=case_id,
             max_rounds=self.max_rounds,
             max_seconds=self.max_seconds,
+            # The space is enumerated from the same inputs ANDURIL's
+            # Explorer uses, so coverage fractions compare.
+            coverage=CoverageTracker(context.fault_space),
             started=started,
-            coverage=coverage,
-        )
-        return StrategyResult(
-            strategy.name, case_id, found.success, len(found.records),
-            found.elapsed_seconds, found.injected, found.message,
-            coverage=found.coverage,
         )

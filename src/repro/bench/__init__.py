@@ -5,7 +5,7 @@ Every export loads its module on first use."""
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    ".harness": ("AndurilOutcome", "StrategyOutcome", "run_anduril", "run_baseline"),
+    ".harness": ("CellOutcome", "run_anduril", "run_baseline"),
     ".parallel": (
         "CampaignTask", "inline_fallback_count", "resolve_jobs", "run_anduril_many",
         "run_baseline_many", "run_compare_campaign", "run_tasks",

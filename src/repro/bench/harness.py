@@ -10,6 +10,7 @@ import dataclasses
 from typing import Optional
 
 from ..baselines import ALL_STRATEGIES, StrategyRunner
+from ..core.search import ExplorationResult
 from ..failures.case import FailureCase
 from ..obs import metrics as obs_metrics
 
@@ -24,23 +25,27 @@ def _median(values: list) -> float:
 
 
 @dataclasses.dataclass
-class AndurilOutcome:
+class CellOutcome:
+    """One campaign cell: a strategy (``"anduril"`` for ANDURIL) on a case."""
+
+    strategy: str
     case_id: str
     success: bool
     rounds: int
     seconds: float
-    prepare_seconds: float
     rank_trajectory: list[tuple[int, int]]
     median_requests: int
-    #: Mean FIR decision latency in µs, reported by the ``repro.obs``
-    #: metrics layer; 0.0 unless the run was profiled (see ``profile``).
-    mean_decision_us: float
     median_init_ms: float
     median_workload_ms: float
+    #: Fault-space coverage accounting dict.
+    coverage: dict
+    #: ANDURIL's prepare step (Tables 4/8); 0.0 on baseline cells.
+    prepare_seconds: float = 0.0
+    #: Mean FIR decision latency in µs, reported by the ``repro.obs``
+    #: metrics layer; 0.0 unless the run was profiled (see ``profile``).
+    mean_decision_us: float = 0.0
     #: Flat ``repro.obs`` metrics dict (empty unless profiled).
     metrics: dict = dataclasses.field(default_factory=dict)
-    #: Fault-space coverage accounting dict (``None`` when disabled).
-    coverage: Optional[dict] = None
     #: This cell's :func:`repro.obs.metrics.capture` envelope — counter
     #: and histogram movement, plus the bus events captured when a pool
     #: worker ran it — attached by ``execute_task`` in whatever process
@@ -58,26 +63,33 @@ class AndurilOutcome:
         return str(self.rounds) if self.success else "-"
 
 
-@dataclasses.dataclass
-class StrategyOutcome:
-    strategy: str
-    case_id: str
-    success: bool
-    rounds: int
-    seconds: float
-    #: Fault-space coverage accounting dict (``None`` when disabled).
-    coverage: Optional[dict] = None
-    #: See :attr:`AndurilOutcome.telemetry`.
-    telemetry: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def cell(self) -> str:
-        return f"{self.rounds}/{self.seconds:.1f}s" if self.success else "-"
-
-    @property
-    def deterministic_cell(self) -> str:
-        """Wall-clock-free cell — byte-identical across runs and job counts."""
-        return str(self.rounds) if self.success else "-"
+def _cell_outcome(
+    strategy: str, case_id: str, result: ExplorationResult, **measured
+) -> CellOutcome:
+    """The cell a search result makes; ``measured`` holds what only
+    ANDURIL's cells report."""
+    records = result.round_records
+    requests = [r.injection_requests for r in records] or [0]
+    inits = [r.init_seconds for r in records] or [0.0]
+    workloads = [r.workload_seconds for r in records] or [0.0]
+    obs_metrics.increment(
+        "campaign.anduril_runs" if strategy == "anduril"
+        else "campaign.baseline_runs"
+    )
+    obs_metrics.increment("campaign.rounds", result.rounds)
+    return CellOutcome(
+        strategy=strategy,
+        case_id=case_id,
+        success=result.success,
+        rounds=result.rounds,
+        seconds=result.elapsed_seconds,
+        rank_trajectory=result.rank_trajectory,
+        median_requests=int(_median(requests)),
+        median_init_ms=_median(inits) * 1e3,
+        median_workload_ms=_median(workloads) * 1e3,
+        coverage=result.coverage.to_dict(),
+        **measured,
+    )
 
 
 def run_anduril(
@@ -85,21 +97,18 @@ def run_anduril(
     max_rounds: int = 600,
     max_seconds: Optional[float] = 60.0,
     profile: bool = False,
-    coverage: bool = True,
     prune: str = "static",
     **overrides,
-) -> AndurilOutcome:
+) -> CellOutcome:
     """Run the feedback-driven search on one case under the table budgets.
 
     ``profile=True`` attaches a ``repro.obs`` recorder: FIR decision
     timing is sampled, per-round spans and rerank events are captured,
-    and the flat metrics dict lands in :attr:`AndurilOutcome.metrics`.
-    ``coverage`` (default on — campaign accounting is this harness's
-    job) tracks fault-space coverage, with ``prune="static"`` (the
-    default) folding the flow pass's statically-dead triples out of the
-    denominator; pruning is accounting-only, so the search outcome is
-    invariant in all three knobs (``prune="none"`` restores the raw
-    space).
+    and the flat metrics dict lands in :attr:`CellOutcome.metrics`.
+    ``prune="static"`` (the default) folds the flow pass's
+    statically-dead triples out of the coverage denominator; pruning is
+    accounting-only, so the search outcome is invariant in both knobs
+    (``prune="none"`` restores the raw space).
     """
     recorder = None
     if profile:
@@ -110,16 +119,11 @@ def run_anduril(
         max_rounds=max_rounds,
         max_seconds=max_seconds,
         recorder=recorder,
-        track_coverage=coverage,
         prune=prune,
         **overrides,
     )
     prepared = explorer.prepare()
     result = explorer.explore()
-    records = result.round_records
-    requests = [r.injection_requests for r in records] or [0]
-    inits = [r.init_seconds for r in records] or [0.0]
-    workloads = [r.workload_seconds for r in records] or [0.0]
     metrics = recorder.metrics() if recorder is not None else {}
     decision_requests = metrics.get("fir.requests", 0.0)
     mean_decision_us = (
@@ -127,21 +131,11 @@ def run_anduril(
         if decision_requests
         else 0.0
     )
-    obs_metrics.increment("campaign.anduril_runs")
-    obs_metrics.increment("campaign.rounds", result.rounds)
-    return AndurilOutcome(
-        case_id=case.case_id,
-        success=result.success,
-        rounds=result.rounds,
-        seconds=result.elapsed_seconds,
+    return _cell_outcome(
+        "anduril", case.case_id, result,
         prepare_seconds=prepared.prepare_seconds,
-        rank_trajectory=result.rank_trajectory,
-        median_requests=int(_median(requests)),
         mean_decision_us=mean_decision_us,
-        median_init_ms=_median(inits) * 1e3,
-        median_workload_ms=_median(workloads) * 1e3,
         metrics=metrics,
-        coverage=result.coverage.to_dict() if result.coverage else None,
     )
 
 
@@ -150,29 +144,15 @@ def run_baseline(
     case: FailureCase,
     max_rounds: int = 300,
     max_seconds: Optional[float] = 8.0,
-    coverage: bool = True,
     checkpoint: bool = False,  # ignored: see DESIGN §5.3
     early_verdict: bool = False,  # ignored: see DESIGN §5.3
     **strategy_kwargs,
-) -> StrategyOutcome:
+) -> CellOutcome:
     """Run one baseline strategy on one case under the table budgets.
 
     Everything in ``strategy_kwargs`` goes to the strategy constructor.
     """
     strategy = ALL_STRATEGIES[name](**strategy_kwargs)
-    runner = StrategyRunner(
-        max_rounds=max_rounds,
-        max_seconds=max_seconds,
-        track_coverage=coverage,
-    )
+    runner = StrategyRunner(max_rounds=max_rounds, max_seconds=max_seconds)
     result = runner.run(strategy, case, case_id=case.case_id)
-    obs_metrics.increment("campaign.baseline_runs")
-    obs_metrics.increment("campaign.rounds", result.rounds)
-    return StrategyOutcome(
-        strategy=name,
-        case_id=case.case_id,
-        success=result.success,
-        rounds=result.rounds,
-        seconds=result.elapsed_seconds,
-        coverage=result.coverage.to_dict() if result.coverage else None,
-    )
+    return _cell_outcome(name, case.case_id, result)

@@ -36,7 +36,7 @@ from ..obs.bus import (
     heartbeat_stats,
     set_active_bus,
 )
-from .harness import AndurilOutcome, StrategyOutcome, run_anduril, run_baseline
+from .harness import CellOutcome, run_anduril, run_baseline
 
 #: The parent's config in campaign pool worker processes (set by the
 #: pool initializer); ``None`` in every other process.
@@ -80,13 +80,14 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 class CampaignTask:
     """One independent cell of a campaign: a strategy applied to a case.
 
-    ``strategy`` is ``None`` for ANDURIL itself.  ``options`` holds the
-    keyword arguments as a sorted tuple of items so the task is hashable
-    and cheaply picklable.
+    ``strategy`` is ``"anduril"`` for ANDURIL itself, as on the
+    :class:`~repro.bench.harness.CellOutcome` it makes.  ``options``
+    holds the keyword arguments as a sorted tuple of items so the task is
+    hashable and cheaply picklable.
     """
 
     case_id: str
-    strategy: Optional[str] = None
+    strategy: str = "anduril"
     options: tuple = ()
 
     @classmethod
@@ -126,7 +127,7 @@ def execute_task(task: CampaignTask):
         set_active_bus(EventBus([capture]))
     before = obs_metrics.capture()
     try:
-        if task.strategy is None:
+        if task.strategy == "anduril":
             outcome = run_anduril(case, **options)
         else:
             outcome = run_baseline(task.strategy, case, **options)
@@ -163,7 +164,7 @@ def run_tasks(
     bus = active_bus()
     campaign_started = time.perf_counter()
     last_heartbeat = 0.0
-    cells = [(task.case_id, task.strategy or "anduril") for task in tasks]
+    cells = [(task.case_id, task.strategy) for task in tasks]
     reporters = [RoundReporter(bus, *cell) for cell in cells]
     if tasks:
         campaign_start(bus, cells, jobs)
@@ -262,7 +263,7 @@ def run_tasks(
 
 def run_anduril_many(
     cases: Sequence, jobs: Optional[int] = None, **overrides
-) -> list[AndurilOutcome]:
+) -> list[CellOutcome]:
     """ANDURIL outcomes for many cases, in case order."""
     tasks = [CampaignTask.anduril(case.case_id, **overrides) for case in cases]
     return run_tasks(tasks, jobs=jobs)
@@ -270,7 +271,7 @@ def run_anduril_many(
 
 def run_baseline_many(
     name: str, cases: Sequence, jobs: Optional[int] = None, **options
-) -> list[StrategyOutcome]:
+) -> list[CellOutcome]:
     """One baseline strategy's outcomes for many cases, in case order."""
     tasks = [
         CampaignTask.baseline(name, case.case_id, **options) for case in cases
@@ -301,11 +302,11 @@ def run_compare_campaign(
             for case in cases
         )
     results = run_tasks(tasks, jobs=jobs)
-    anduril_by_case: dict[str, AndurilOutcome] = {}
-    by_cell: dict[tuple[str, str], StrategyOutcome] = {}
-    for task, outcome in zip(tasks, results):
-        if task.strategy is None:
-            anduril_by_case[task.case_id] = outcome
+    anduril_by_case: dict[str, CellOutcome] = {}
+    by_cell: dict[tuple[str, str], CellOutcome] = {}
+    for outcome in results:
+        if outcome.strategy == "anduril":
+            anduril_by_case[outcome.case_id] = outcome
         else:
-            by_cell[(task.strategy, task.case_id)] = outcome
+            by_cell[(outcome.strategy, outcome.case_id)] = outcome
     return anduril_by_case, by_cell

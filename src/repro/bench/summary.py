@@ -26,9 +26,9 @@ _STRATEGY_OUTCOMES: dict[tuple[str, str], dict] = {}
 
 
 def record_outcome(outcome) -> None:
-    """Record one cell's outcome — ANDURIL per case, a baseline strategy
-    (anything with a ``strategy`` attribute) per (strategy, case);
-    latest write wins."""
+    """Record one cell's outcome — ANDURIL (``strategy == "anduril"``, or
+    no ``strategy`` attribute) per case, a baseline strategy per
+    (strategy, case); latest write wins."""
     entry = {
         "success": bool(outcome.success),
         "rounds": int(outcome.rounds),
@@ -50,8 +50,8 @@ def record_outcome(outcome) -> None:
     # summaries compare.
     telemetry = getattr(outcome, "telemetry", None) or {}
     entry.update(obs_metrics.runner_stats(telemetry.get("counters", {})))
-    strategy = getattr(outcome, "strategy", None)
-    if strategy is None:
+    strategy = getattr(outcome, "strategy", "anduril")
+    if strategy == "anduril":
         _OUTCOMES[outcome.case_id] = entry
     else:
         _STRATEGY_OUTCOMES[(strategy, outcome.case_id)] = entry

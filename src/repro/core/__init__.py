@@ -10,7 +10,7 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     ".alignment": ("TimelineMap", "temporal_distance"),
-    ".explorer": ("ExplorationResult", "Explorer", "PreparedSearch", "RoundRecord"),
+    ".explorer": ("Explorer", "PreparedSearch"),
     ".iterative": ("IterativeExplorer", "IterativeResult"),
     ".observables": ("Observable", "ObservableSet"),
     ".oracle": (
@@ -19,6 +19,7 @@ _EXPORTS = {
     ),
     ".priority": ("FaultPriorityPool", "WindowEntry"),
     ".report": ("ReproductionScript",),
+    ".search": ("ExplorationResult", "RoundRecord"),
 }
 __getattr__ = lazy_exports(__name__, _EXPORTS, submodules=("iterative",))
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -32,12 +32,7 @@ from ..analysis.system_model import SystemModel
 from ..cache.flowcache import cached_propagation_graph
 from ..injection.sites import FaultInstance
 from ..obs import NULL_RECORDER, WALL
-from ..obs.coverage import (
-    NULL_COVERAGE,
-    CoverageSummary,
-    CoverageTracker,
-    enumerate_fault_space,
-)
+from ..obs.coverage import CoverageTracker, enumerate_fault_space
 from ..logs.record import LogFile
 from ..sim.cluster import RunResult, WorkloadFn
 from .alignment import TimelineMap
@@ -48,60 +43,7 @@ from .pipeline import RunPipeline
 from .prepared import prepared_case
 from .pruning import DEFAULT_RADIUS, StaticPruner
 from .report import ReproductionScript
-from .search import RoundRecord, search
-
-
-@dataclasses.dataclass
-class ExplorationResult:
-    success: bool
-    rounds: int
-    elapsed_seconds: float
-    script: Optional[ReproductionScript]
-    injected: Optional[FaultInstance]
-    round_records: list[RoundRecord]
-    message: str = ""
-    final_run: Optional[RunResult] = None
-    #: Fault-space coverage accounting (``None`` unless the search ran
-    #: with ``track_coverage=True``).
-    coverage: Optional[CoverageSummary] = None
-
-    @property
-    def rank_trajectory(self) -> list[tuple[int, int]]:
-        """(round, root-cause site rank) pairs — the Figure 6 series."""
-        return [
-            (record.round_number, record.root_site_rank)
-            for record in self.round_records
-            if record.root_site_rank is not None
-        ]
-
-    def signature(self) -> tuple:
-        """Semantic identity of the search outcome, excluding wall times.
-
-        A pure function of (case, seed, search parameters): no runner
-        knob may move it.  A satisfied round's ``injection_requests`` is
-        masked as ``-1``: a retired runner knob could shorten that run,
-        and the committed signature baselines were captured with the
-        mask, so it stays to keep them byte-identical.
-        """
-        return (
-            self.success,
-            self.rounds,
-            self.message,
-            self.injected,
-            self.script,
-            tuple(
-                (
-                    record.round_number,
-                    record.window_size,
-                    record.injected,
-                    record.satisfied,
-                    record.root_site_rank,
-                    -1 if record.satisfied else record.injection_requests,
-                    record.present_observables,
-                )
-                for record in self.round_records
-            ),
-        )
+from .search import ExplorationResult, search
 
 
 @dataclasses.dataclass
@@ -117,8 +59,8 @@ class PreparedSearch:
     normal_run: RunResult
     prepare_seconds: float
     timeline: Optional[TimelineMap] = None
-    #: The flow pass's result; built only for static pruning with
-    #: coverage tracked, its one reader.
+    #: The flow pass's result; built only for static pruning, whose
+    #: coverage accounting is its one reader.
     flow_graph: Optional[PropagationGraph] = None
 
 
@@ -182,7 +124,6 @@ class Explorer:
         ground_truth_site: Optional[str] = None,
         case_id: str = "",
         system: str = "",
-        vary_seed: bool = False,
         max_instances_per_site: Optional[int] = None,
         base_faults: tuple = (),
         aggregate: str = "min",
@@ -190,7 +131,7 @@ class Explorer:
         runs_per_round: int = 1,
         jobs: int = 1,
         recorder=None,
-        track_coverage: bool = False,
+        track_coverage: bool = True,  # ignored: see DESIGN §5.3
         prune: str = "none",
         prune_radius: float = DEFAULT_RADIUS,
         checkpoint: bool = False,  # ignored: see DESIGN §5.3
@@ -221,7 +162,6 @@ class Explorer:
         self.ground_truth_site = ground_truth_site
         self.case_id = case_id
         self.system = system
-        self.vary_seed = vary_seed
         self.max_instances_per_site = max_instances_per_site
         self.aggregate = aggregate
         self.temporal_mode = temporal_mode
@@ -248,11 +188,8 @@ class Explorer:
         #: path records nothing, samples no clocks, and leaves the search
         #: byte-identical to an untraced one (see the equivalence tests).
         self._obs = recorder if recorder is not None else NULL_RECORDER
-        #: Fault-space coverage accounting.  Off by default: the shared
-        #: NULL_COVERAGE no-op tracker keeps the untracked path free of
-        #: set bookkeeping (same pattern as NULL_RECORDER).
-        self.track_coverage = track_coverage
-        self._coverage = NULL_COVERAGE
+        #: Fault-space coverage accounting, built by :meth:`prepare`.
+        self._coverage: Optional[CoverageTracker] = None
         self._prepared: Optional[PreparedSearch] = None
         #: Every run of this search goes through here (DESIGN §5.3).
         self._pipeline = RunPipeline(workload, horizon, seed, recorder=self._obs)
@@ -286,45 +223,43 @@ class Explorer:
             aggregate=self.aggregate,
             temporal_mode=self.temporal_mode,
         )
-        flow_graph = None
-        if self.track_coverage:
-            # The full injectable fault space comes from the same inputs
-            # the pool uses (graph candidates x probe occurrences), so
-            # coverage fractions are comparable across strategies.
-            occurrences = case.occurrences
-            space = (
-                case.fault_space
-                if self.max_instances_per_site is None
-                else enumerate_fault_space(
-                    candidates,
-                    occurrences,
-                    max_instances_per_site=self.max_instances_per_site,
-                )
+        # The full injectable fault space comes from the same inputs the
+        # pool uses (graph candidates x probe occurrences), so coverage
+        # fractions are comparable across strategies.
+        occurrences = case.occurrences
+        space = (
+            case.fault_space
+            if self.max_instances_per_site is None
+            else enumerate_fault_space(
+                candidates,
+                occurrences,
+                max_instances_per_site=self.max_instances_per_site,
             )
-            pruned_space = None
-            if self.prune == "static":
-                # Pruning is accounting-only: the flow pass feeds the
-                # coverage tracker and nothing else.
-                flow_graph = cached_propagation_graph(
-                    self.model, workload=self.workload
-                )
-                pruner = StaticPruner(
-                    graph=flow_graph,
-                    candidates=candidates,
-                    index=index,
-                    observables=observables,
-                    timeline=timeline,
-                    trace=normal_run.trace,
-                    radius=self.prune_radius,
-                )
-                pruned_space = enumerate_fault_space(
-                    candidates,
-                    occurrences,
-                    max_instances_per_site=self.max_instances_per_site,
-                    prune="static",
-                    pruner=pruner,
-                )
-            self._coverage = CoverageTracker(space, pruned_space=pruned_space)
+        )
+        flow_graph = pruned_space = None
+        if self.prune == "static":
+            # Pruning is accounting-only: the flow pass feeds the
+            # coverage tracker and nothing else.
+            flow_graph = cached_propagation_graph(
+                self.model, workload=self.workload
+            )
+            pruner = StaticPruner(
+                graph=flow_graph,
+                candidates=candidates,
+                index=index,
+                observables=observables,
+                timeline=timeline,
+                trace=normal_run.trace,
+                radius=self.prune_radius,
+            )
+            pruned_space = enumerate_fault_space(
+                candidates,
+                occurrences,
+                max_instances_per_site=self.max_instances_per_site,
+                prune="static",
+                pruner=pruner,
+            )
+        self._coverage = CoverageTracker(space, pruned_space=pruned_space)
         # Tables 4/8 report what preparing this search costs: a shared
         # case counts at its recorded build time, not at the memo hit's.
         prepare_seconds = case.build_seconds + time.perf_counter() - obtained
@@ -355,7 +290,7 @@ class Explorer:
 
     def explore(self) -> ExplorationResult:
         """Run the search: ANDURIL's policy under the shared round loop,
-        wrapped as a result plus, on success, a reproduction script."""
+        plus, on success, a reproduction script."""
         prepared = self.prepare()
         policy = FeedbackPolicy(
             prepared.pool, prepared.observables,
@@ -366,25 +301,20 @@ class Explorer:
             case_id=self.case_id,
             max_rounds=self.max_rounds,
             max_seconds=self.max_seconds,
-            vary_seed=self.vary_seed,
             runs_per_round=self.runs_per_round,
             base_faults=self.base_faults,
             recorder=self._obs,
             coverage=self._coverage,
         )
-        script = None
-        if found.success:
-            script = ReproductionScript(
-                case_id=self.case_id,
-                system=self.system,
-                instance=found.injected,
-                seed=found.run_seed,
-                horizon=self.horizon,
-                oracle_description=self.oracle.description,
-                extra_instances=self.base_faults,
-            )
-        return ExplorationResult(
-            found.success, len(found.records), found.elapsed_seconds,
-            script, found.injected, found.records, found.message,
-            found.final_run, found.coverage,
+        if not found.success:
+            return found
+        script = ReproductionScript(
+            case_id=self.case_id,
+            system=self.system,
+            instance=found.injected,
+            seed=found.run_seed,
+            horizon=self.horizon,
+            oracle_description=self.oracle.description,
+            extra_instances=self.base_faults,
         )
+        return dataclasses.replace(found, script=script)

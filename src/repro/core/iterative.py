@@ -20,7 +20,8 @@ import time
 from typing import Optional
 
 from ..injection.sites import FaultInstance
-from .explorer import ExplorationResult, Explorer
+from .explorer import Explorer
+from .search import ExplorationResult
 
 
 @dataclasses.dataclass

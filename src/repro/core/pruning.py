@@ -60,6 +60,8 @@ class StaticPruner:
         radius: float = DEFAULT_RADIUS,
     ) -> None:
         self._radius = float(radius)
+        if not self._radius >= 0.0:  # NaN fails this too
+            raise ValueError(f"radius must be zero or more, got {radius!r}")
         self._dead_pairs = graph.dead_pairs()
         # Per (site, exception): normal-axis positions of every relevant
         # observable the causal graph says the candidate can reach.

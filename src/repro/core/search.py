@@ -32,8 +32,9 @@ from ..injection.fir import InjectionPlan, dedupe_instances
 from ..injection.sites import FaultInstance
 from ..obs import NULL_RECORDER, WALL
 from ..obs.bus import RoundReporter
-from ..obs.coverage import NULL_COVERAGE, CoverageSummary
+from ..obs.coverage import CoverageSummary, CoverageTracker
 from ..sim.cluster import RunResult
+from .report import ReproductionScript
 
 
 @dataclasses.dataclass
@@ -51,18 +52,62 @@ class RoundRecord:
 
 
 @dataclasses.dataclass
-class SearchOutcome:
-    """What a search came to; its callers wrap it in their result types.
-    ``injected``, ``final_run`` and ``run_seed`` are set on success only."""
+class ExplorationResult:
+    """What a search came to, for ANDURIL and every baseline alike.
+    ``injected``, ``final_run`` and ``run_seed`` are set on success only;
+    ``script`` is the Explorer's reproduction script, attached on success."""
 
     success: bool
     message: str
-    records: list[RoundRecord]
+    round_records: list[RoundRecord]
     elapsed_seconds: float
-    coverage: Optional[CoverageSummary]
+    coverage: CoverageSummary
     injected: Optional[FaultInstance] = None
     final_run: Optional[RunResult] = None
     run_seed: Optional[int] = None
+    script: Optional[ReproductionScript] = None
+
+    @property
+    def rounds(self) -> int:
+        return len(self.round_records)
+
+    @property
+    def rank_trajectory(self) -> list[tuple[int, int]]:
+        """(round, root-cause site rank) pairs — the Figure 6 series."""
+        return [
+            (record.round_number, record.root_site_rank)
+            for record in self.round_records
+            if record.root_site_rank is not None
+        ]
+
+    def signature(self) -> tuple:
+        """Semantic identity of the search outcome, excluding wall times.
+
+        A pure function of (case, seed, search parameters): no runner
+        knob may move it.  A satisfied round's ``injection_requests`` is
+        masked as ``-1``: a retired runner knob could shorten that run,
+        and the committed signature baselines were captured with the
+        mask, so it stays to keep them byte-identical.
+        """
+        return (
+            self.success,
+            self.rounds,
+            self.message,
+            self.injected,
+            self.script,
+            tuple(
+                (
+                    record.round_number,
+                    record.window_size,
+                    record.injected,
+                    record.satisfied,
+                    record.root_site_rank,
+                    -1 if record.satisfied else record.injection_requests,
+                    record.present_observables,
+                )
+                for record in self.round_records
+            ),
+        )
 
 
 def window_entry_for(entries, injected):
@@ -90,15 +135,15 @@ def search(
     case_id: str,
     max_rounds: int,
     max_seconds: Optional[float],
+    coverage: CoverageTracker,
     started: Optional[float] = None,
-    vary_seed: bool = False,
     runs_per_round: int = 1,
     base_faults: tuple = (),
     recorder=NULL_RECORDER,
-    coverage=NULL_COVERAGE,
-) -> SearchOutcome:
+) -> ExplorationResult:
     """Run rounds of ``policy`` through ``pipeline`` until ``oracle`` is
-    satisfied, the policy runs dry, or a budget is spent.
+    satisfied, the policy runs dry, or a budget is spent; ``coverage``
+    accounts every committed round.
 
     ``started`` is the ``perf_counter`` reading the time budget and
     ``elapsed_seconds`` count from (default: now).  Round events go to the
@@ -110,8 +155,8 @@ def search(
     reporter = RoundReporter(None, case_id, policy.name)
     records: list[RoundRecord] = []
 
-    def outcome(success: bool, message: str, **found) -> SearchOutcome:
-        return SearchOutcome(
+    def outcome(success: bool, message: str, **found) -> ExplorationResult:
+        return ExplorationResult(
             success, message, records, time.perf_counter() - started,
             coverage.summary(), **found,
         )
@@ -159,7 +204,7 @@ def search(
             return outcome(False, "fault space exhausted")
         reporter.begin(round_number)
 
-        run_seed = seed + round_number if vary_seed else seed
+        run_seed = seed
         # A window can offer the same (site, occurrence) under different
         # exceptions; only the highest-priority one is armable in a
         # single-shot window (the plan rejects the rest).

@@ -114,7 +114,6 @@ class FailureCase:
     #: the Explorer's probe runs exactly — as in real deployments — so the
     #: temporal alignment (§5.2.3) is genuinely approximate.
     failure_seed: int | None = None
-    vary_seed: bool = False
     max_rounds: int = 2000
     #: Deeper/alternative root causes that also satisfy the oracle
     #: (the Table 6 phenomenon), if any.
@@ -197,7 +196,6 @@ class FailureCase:
             ground_truth_site=self.ground_truth.resolve_site(self.model()),
             case_id=self.case_id,
             system=self.system,
-            vary_seed=self.vary_seed,
             fault_dims=self.fault_dims,
         )
         settings.update(overrides)

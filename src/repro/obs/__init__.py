@@ -21,10 +21,8 @@ from .bus import (
     validate_event,
 )
 from .coverage import (
-    NULL_COVERAGE,
     CoverageSummary,
     CoverageTracker,
-    NullCoverageTracker,
     RoundCoverage,
     enumerate_fault_space,
 )
@@ -53,10 +51,8 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "NULL_BUS",
-    "NULL_COVERAGE",
     "NULL_RECORDER",
     "NullBus",
-    "NullCoverageTracker",
     "NullRecorder",
     "PlanProvenance",
     "ProvenanceChain",

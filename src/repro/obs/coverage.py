@@ -17,13 +17,10 @@ measurable:
   **fired** (actually injected), and **no-op'd** (armed in a round whose
   run injected nothing — under a fixed seed those instances never fire).
 
-Tracking is **off by default** and follows the ``NULL_RECORDER`` pattern:
-call sites hold either a real :class:`CoverageTracker` or the shared
-:data:`NULL_COVERAGE` singleton whose methods return immediately, so the
-untracked hot path allocates nothing and the ``(seed, plan)`` determinism
-is untouched.  All recorded quantities derive from the search path only
-(window contents and the injected instance), so the accounting is
-byte-identical under every runner knob.
+Every search accounts its coverage: :func:`repro.core.search.search`
+takes a tracker.  All recorded quantities derive from the search path
+only (window contents and the injected instance), so the accounting
+never moves the search and is byte-identical under every runner knob.
 """
 
 from __future__ import annotations
@@ -165,26 +162,8 @@ class CoverageSummary:
         return document
 
 
-class NullCoverageTracker:
-    """The disabled tracker: every method is a no-op (shared instance)."""
-
-    __slots__ = ()
-    enabled = False
-
-    def record_round(self, round_number, planned, fired) -> None:
-        return None
-
-    def summary(self) -> Optional[CoverageSummary]:
-        return None
-
-
-NULL_COVERAGE = NullCoverageTracker()
-
-
 class CoverageTracker:
     """Accumulates planned/fired/no-op coverage over one search's rounds."""
-
-    enabled = True
 
     def __init__(
         self,

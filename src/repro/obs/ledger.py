@@ -146,8 +146,8 @@ def entry_from_outcome(
     jobs: int = 1,
     sha: Optional[str] = None,
 ) -> dict:
-    """Build an entry from an ``AndurilOutcome``/``StrategyOutcome``-like
-    object (anything with ``case_id``/``success``/``rounds``/``seconds``)."""
+    """Build an entry from a ``CellOutcome``-like object (anything with
+    ``case_id``/``success``/``rounds``/``seconds``)."""
     return make_entry(
         case_id=outcome.case_id,
         strategy=strategy,

@@ -26,7 +26,7 @@ the cost profile of the search are unchanged when tracing is disabled.
 Exports: Chrome ``trace_event``-format JSON (:meth:`TraceRecorder.to_chrome`,
 loadable in ``chrome://tracing`` / Perfetto), a structured JSON document
 (:meth:`to_json`), a flat metrics dict (:meth:`metrics`) that flows into
-``AndurilOutcome`` and ``bench_summary.json``, and a human-readable text
+``CellOutcome`` and ``bench_summary.json``, and a human-readable text
 summary (:meth:`to_text`).
 """
 

@@ -119,3 +119,16 @@ class TestRunner:
         runner = StrategyRunner(max_rounds=300, max_seconds=60)
         result = runner.run(DistanceInstanceLimit(), case, case_id="f17")
         assert not result.success
+
+    @pytest.mark.parametrize("name", sorted(ALL_STRATEGIES))
+    def test_a_baseline_result_carries_its_rounds_and_signature(self, name):
+        """A baseline's result is ANDURIL's: its round records back
+        ``rounds``, and its signature is a pure function of the case."""
+        case = get_case("f1")
+        runner = StrategyRunner(max_rounds=40, max_seconds=None)
+        first, second = (
+            runner.run(ALL_STRATEGIES[name](), case) for _ in range(2)
+        )
+        assert len(first.round_records) == first.rounds
+        assert len(first.coverage.rounds) == first.rounds
+        assert first.signature() == second.signature()

@@ -394,9 +394,7 @@ def test_cache_dir_relocates_every_persistent_tier(tmp_path):
     clear_facts_cache()
     configure(enabled=True, disk_dir=str(tmp_path))
     analyze_package("repro.systems.minizk")
-    get_case("f1").explorer(
-        prune="static", track_coverage=True, max_rounds=2
-    ).explore()
+    get_case("f1").explorer(prune="static", max_rounds=2).explore()
     # One segment per tier for this one writing process, and nothing else:
     # no per-entry file, no temp file.
     files = sorted(str(p.relative_to(tmp_path).parent) for p in tmp_path.rglob("*") if p.is_file())

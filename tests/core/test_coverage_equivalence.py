@@ -1,25 +1,12 @@
-"""Coverage accounting is deterministic and purely observational.
-
-Tracking coverage does not change the search itself (same signature as
-an untracked run), mirroring the traced-vs-untraced equivalence, and the
-accounting covers exactly the rounds the search ran.
-"""
+"""Coverage accounting is deterministic and covers exactly the rounds
+the search ran."""
 
 from repro.failures import get_case
 
 
-def test_coverage_tracking_leaves_the_search_unchanged():
-    case = get_case("f17")
-    plain = case.explorer(max_rounds=120).explore()
-    tracked = case.explorer(max_rounds=120, track_coverage=True).explore()
-    assert tracked.signature() == plain.signature()
-    assert plain.coverage is None
-    assert tracked.coverage is not None
-
-
 def test_coverage_accounts_the_committed_rounds():
     case = get_case("f17")
-    result = case.explorer(max_rounds=120, track_coverage=True).explore()
+    result = case.explorer(max_rounds=120).explore()
     assert result.success
     coverage = result.coverage
     assert len(coverage.rounds) == result.rounds

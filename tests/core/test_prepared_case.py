@@ -44,13 +44,12 @@ def run_cell(name: str):
     """One cell's outcome with every wall-clock field removed."""
     case = get_case(CASE_ID)
     if name == "anduril":
-        explorer = case.explorer(max_rounds=MAX_ROUNDS, track_coverage=True)
-        result = explorer.explore()
-        return result.signature(), result.coverage
-    result = StrategyRunner(
-        max_rounds=MAX_ROUNDS, max_seconds=None, track_coverage=True
-    ).run(ALL_STRATEGIES[name](), case)
-    return dataclasses.replace(result, elapsed_seconds=0.0)
+        result = case.explorer(max_rounds=MAX_ROUNDS).explore()
+    else:
+        result = StrategyRunner(max_rounds=MAX_ROUNDS, max_seconds=None).run(
+            ALL_STRATEGIES[name](), case
+        )
+    return result.signature(), result.coverage
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ from repro.failures import get_case
 from repro.injection.sites import FaultInstance
 from repro.logs.record import LogFile
 from repro.obs.bus import EventBus, MemorySink, set_active_bus
+from repro.obs.coverage import CoverageTracker
 from repro.sim.cluster import RunResult
 
 
@@ -94,7 +95,8 @@ def drive(sites, oracle_site, **budget):
     budget.setdefault("max_rounds", 10)
     budget.setdefault("max_seconds", None)
     found = search(
-        pipeline, SatisfiedBy(oracle_site), policy, case_id="stub", **budget,
+        pipeline, SatisfiedBy(oracle_site), policy, case_id="stub",
+        coverage=CoverageTracker(()), **budget,
     )
     return found, pipeline, policy, capture.events
 
@@ -111,7 +113,8 @@ class TestExits:
     def test_an_empty_window_exhausts_the_space_without_beginning_a_round(self):
         found, pipeline, _policy, events = drive(["a", "b"], "never")
         assert (found.success, found.message) == (False, "fault space exhausted")
-        assert len(found.records) == len(pipeline.runs) == 2
+        assert len(found.round_records) == len(pipeline.runs) == 2
+        assert found.rounds == len(found.coverage.rounds) == 2
         assert found.injected is None and found.final_run is None
         # Round 3 asked for a window, got none, and was never announced.
         assert lifecycle(events) == [
@@ -124,7 +127,7 @@ class TestExits:
             ["a", "b", "c"], "never", max_rounds=2
         )
         assert (found.success, found.message) == (False, "round budget exhausted")
-        assert [record.round_number for record in found.records] == [1, 2]
+        assert [record.round_number for record in found.round_records] == [1, 2]
         assert len(pipeline.runs) == 2 and len(policy.queue) == 1
         assert lifecycle(events)[-1] == ("round.end", 2)
 
@@ -134,7 +137,7 @@ class TestExits:
         assert found.injected == FaultInstance("b", "IOError", 1)
         assert found.final_run.injected_instance == found.injected
         assert found.run_seed == StubPipeline.seed
-        assert [record.satisfied for record in found.records] == [False, True]
+        assert [record.satisfied for record in found.round_records] == [False, True]
         # The policy heard about both rounds, oracle verdict included.
         assert [(fed[1].site_id, fed[2]) for fed in policy.fed] == [
             ("a", False), ("b", True),
@@ -203,7 +206,7 @@ class TestStrategyPolicy:
         pipeline = StubPipeline()
         found = search(
             pipeline, SatisfiedBy("never"), strategy, case_id="stub",
-            max_rounds=10, max_seconds=None,
+            max_rounds=10, max_seconds=None, coverage=CoverageTracker(()),
         )
         assert found.message == "fault space exhausted"
         assert [armed for _seed, armed in pipeline.runs] == [

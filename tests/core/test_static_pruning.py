@@ -30,7 +30,7 @@ def fresh_flow_cache():
 
 
 def explore(case_id, prune):
-    explorer = get_case(case_id).explorer(track_coverage=True, prune=prune)
+    explorer = get_case(case_id).explorer(prune=prune)
     return explorer, explorer.explore()
 
 
@@ -109,14 +109,22 @@ class TestStaticPruner:
         }
         assert narrow.prune(space) <= wide.prune(space)
 
+    @pytest.mark.parametrize("radius", [-1.0, float("nan")])
+    def test_a_negative_or_nan_radius_is_refused(self, radius):
+        explorer = get_case("f1").explorer(prune="static", max_rounds=0)
+        prepared = explorer.prepare()
+        with pytest.raises(ValueError, match="radius"):
+            pruner_from_prepared(prepared.flow_graph, prepared, radius=radius)
 
-def test_untracked_search_skips_the_flow_pass(monkeypatch):
-    """Pruning only feeds coverage accounting, so a search that tracks no
-    coverage builds no flow graph, whatever ``prune`` says."""
+
+def test_an_unpruned_search_builds_no_flow_graph(monkeypatch):
+    """The flow pass feeds static pruning alone, so a ``prune="none"``
+    search never builds it, though its coverage is still accounted."""
 
     def no_flow_pass(*args, **kwargs):
-        raise AssertionError("flow pass built for an untracked search")
+        raise AssertionError("flow pass built for an unpruned search")
 
     monkeypatch.setattr(explorer_module, "cached_propagation_graph", no_flow_pass)
-    explorer = get_case("f1").explorer(track_coverage=False, prune="static")
+    explorer = get_case("f1").explorer(prune="none", max_rounds=5)
     assert explorer.prepare().flow_graph is None
+    assert explorer.explore().coverage.pruned_space_size is None

@@ -5,12 +5,7 @@ import json
 
 import pytest
 
-from repro.obs.coverage import (
-    NULL_COVERAGE,
-    CoverageTracker,
-    NullCoverageTracker,
-    enumerate_fault_space,
-)
+from repro.obs.coverage import CoverageTracker, enumerate_fault_space
 
 
 @dataclasses.dataclass(frozen=True)
@@ -218,12 +213,3 @@ class TestStaticPruning:
         tracker.record_round(1, [fired], fired)
         assert tracker.summary().contradictions == ()
 
-
-class TestNullCoverage:
-    def test_singleton_is_disabled(self):
-        assert NULL_COVERAGE.enabled is False
-        assert isinstance(NULL_COVERAGE, NullCoverageTracker)
-
-    def test_all_operations_are_noops(self):
-        NULL_COVERAGE.record_round(1, [Instance("a", "IOError", 1)], None)
-        assert NULL_COVERAGE.summary() is None

@@ -508,9 +508,16 @@ class TestLint:
         payload = json.loads(out)
         assert all(f["severity"] == "error" for f in payload["findings"])
 
-    def test_strict_mode_fails_on_errors(self, capsys):
+    @pytest.mark.parametrize(
+        "system", ["minizk", "minidfs", "minihbase", "minikafka", "minicass"]
+    )
+    def test_strict_mode_fails_on_errors(self, capsys, system):
+        """Every mini system carries the dataset's seeded fault-handling
+        defects, so the full rule set must fail strict mode: exit 1.  Exit
+        0 would mean missed defects, exit 2 a crash."""
         code, _out = run_cli(
-            capsys, "lint", "repro.systems.minihbase", "--strict"
+            capsys, "lint", f"repro.systems.{system}", "--format", "json",
+            "--strict",
         )
         assert code == 1
 
@@ -643,6 +650,26 @@ class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "f1", "--radius", "-1"],
+            ["analyze", "f1", "--radius", "nan"],
+            *(
+                [command, "f1", "--max-rounds", "-3"]
+                for command in (
+                    "reproduce", "compare", "trace", "explain", "analyze",
+                )
+            ),
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[2:]),
+    )
+    def test_an_out_of_range_number_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "zero or more" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--early-verdict", "--no-early-verdict"])
     def test_compare_still_parses_the_retired_early_verdict_flag(self, flag):
