@@ -29,6 +29,7 @@ from .flow import (
     PropagationGraph,
     PropagationPath,
     build_propagation_graph,
+    propagation_graph,
     task_root_closure,
 )
 from .model import (
@@ -90,6 +91,7 @@ __all__ = [
     "filter_candidates_by_dims",
     "graph_fault_candidates",
     "lint_package",
+    "propagation_graph",
     "registered_rules",
     "run_lint",
     "task_root_closure",

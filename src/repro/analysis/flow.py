@@ -27,12 +27,12 @@ exception analysis), ``queue`` (a ``put`` paired with a ``get`` on the
 same receiver name), and ``message`` (an env-boundary ``sock_send``
 paired with the functions that ``sock_recv``).
 
-The result is a serializable :class:`PropagationGraph`; consumers are the
-static fault-space pruner (:mod:`repro.core.pruning`) and the concurrency
-rule pack (:mod:`repro.analysis.rules`).  The graph is a pure function
-of the analyzed package's source,
-so it caches cleanly under the PR 5 workload fingerprint
-(:mod:`repro.cache.flowcache`).
+The result is a :class:`PropagationGraph`; consumers are the static
+fault-space pruner (:mod:`repro.core.pruning`) and the concurrency rule
+pack (:mod:`repro.analysis.rules`).  The graph is a pure function of its
+:class:`SystemModel` and cheap to build (milliseconds per mini system),
+so :func:`propagation_graph` memoises it on the model and nothing
+persists it.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ import time
 from typing import Iterable, Mapping, Optional
 
 from .system_model import SystemModel
-
-SCHEMA_VERSION = 1
 
 #: Call names that enqueue into / dequeue from a ``repro.sim`` queue.
 QUEUE_PUT_CALLEES = frozenset({"put", "put_nowait"})
@@ -73,14 +71,6 @@ class CrossEdge:
     target: str
     channel: str = ""
 
-    def to_list(self) -> list:
-        return [self.kind, self.file, self.line, self.source, self.target, self.channel]
-
-    @classmethod
-    def from_list(cls, data: Iterable) -> "CrossEdge":
-        kind, file, line, source, target, channel = data
-        return cls(kind, file, int(line), source, target, channel)
-
 
 @dataclasses.dataclass(frozen=True)
 class PropagationPath:
@@ -103,42 +93,15 @@ class PropagationPath:
     def all_logs(self) -> frozenset[str]:
         return frozenset(self.logs) | frozenset(self.callee_logs)
 
-    def to_dict(self) -> dict:
-        return {
-            "site": self.site_id,
-            "exception": self.exception,
-            "handlers": [list(entry) for entry in self.handlers],
-            "logs": list(self.logs),
-            "callee_logs": list(self.callee_logs),
-            "mutations": [list(entry) for entry in self.mutations],
-            "crash": self.crash,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PropagationPath":
-        return cls(
-            site_id=data["site"],
-            exception=data["exception"],
-            handlers=tuple(
-                (entry[0], int(entry[1]), entry[2]) for entry in data["handlers"]
-            ),
-            logs=tuple(data["logs"]),
-            callee_logs=tuple(data["callee_logs"]),
-            mutations=tuple(
-                (entry[0], int(entry[1]), entry[2]) for entry in data["mutations"]
-            ),
-            crash=bool(data["crash"]),
-        )
-
 
 class PropagationGraph:
-    """The serializable product of the flow pass for one package.
+    """The product of the flow pass for one package.
 
     ``paths`` maps every ``(site_id, exception)`` pair drawn from the env
     catalog to its :class:`PropagationPath`.  ``condition_variables`` is
     the set of variables that appear in branch/loop conditions anywhere
     in the package, baked in at build time so :meth:`pair_live` is
-    self-contained after deserialization.
+    self-contained.
     """
 
     def __init__(
@@ -185,42 +148,6 @@ class PropagationGraph:
 
     def edges_of(self, kind: str) -> tuple[CrossEdge, ...]:
         return tuple(edge for edge in self.cross_edges if edge.kind == kind)
-
-    # -------------------------------------------------------- serialization
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "package": self.package,
-            "pairs": [
-                self.paths[key].to_dict() for key in sorted(self.paths)
-            ],
-            "cross_edges": [
-                edge.to_list() for edge in self.cross_edges
-            ],
-            "condition_variables": sorted(self.condition_variables),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PropagationGraph":
-        schema = int(data.get("schema", 0))
-        if schema > SCHEMA_VERSION:
-            raise ValueError(
-                f"propagation graph schema {schema} is newer than "
-                f"supported {SCHEMA_VERSION}"
-            )
-        paths = {}
-        for entry in data["pairs"]:
-            path = PropagationPath.from_dict(entry)
-            paths[(path.site_id, path.exception)] = path
-        return cls(
-            paths=paths,
-            cross_edges=[
-                CrossEdge.from_list(entry) for entry in data["cross_edges"]
-            ],
-            condition_variables=data["condition_variables"],
-            package=data.get("package", ""),
-        )
 
     def summary(self) -> dict:
         """Compact counts for CLI / report output."""
@@ -489,8 +416,20 @@ class FlowAnalysis:
 def build_propagation_graph(
     model: SystemModel, package: str = ""
 ) -> PropagationGraph:
-    """Convenience entry point: run the flow pass over ``model``."""
+    """Run the flow pass over ``model`` (uncached)."""
     return FlowAnalysis(model).build(package=package)
+
+
+def propagation_graph(model: SystemModel) -> PropagationGraph:
+    """The flow pass's result for ``model``, built once per model.
+
+    Every reader goes through here, so a model's graph is built at most
+    once per process; :func:`~repro.analysis.system_model.clear_facts_cache`
+    forgets it with the model's other memos.  Import it by name at
+    module level: the e2e tracer rebinds every module global that is
+    this function.
+    """
+    return model.memo(PropagationGraph, lambda: build_propagation_graph(model))
 
 
 def task_root_closure(model: SystemModel, graph: PropagationGraph) -> dict[str, frozenset[str]]:

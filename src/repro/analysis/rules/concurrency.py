@@ -25,7 +25,7 @@ human report without naming a site a fault could be injected at.
 
 from __future__ import annotations
 
-from ..flow import FlowAnalysis, task_root_closure
+from ..flow import propagation_graph, task_root_closure
 from .base import Finding, LintContext, rule
 
 RELEASE_CALLEES = frozenset({"release", "force_release"})
@@ -155,7 +155,7 @@ def check_await_under_lock(ctx: LintContext) -> list[Finding]:
 )
 def check_handler_unsync_write(ctx: LintContext) -> list[Finding]:
     model = ctx.model
-    graph = FlowAnalysis(model).build()
+    graph = propagation_graph(model)
     closures = task_root_closure(model, graph)
     # function qualname -> the task roots it can run under.
     roots_of: dict[str, set[str]] = {}

@@ -19,6 +19,7 @@ import warnings
 import weakref
 from typing import Callable, Iterable, Optional
 
+from ..cache import runcache
 from ..logs.sanitize import LogTemplate, TemplateMatcher
 from ..sim import errors as sim_errors
 from .ast_facts import (
@@ -38,8 +39,8 @@ from .ast_facts import (
 
 
 #: model -> {key: value}: everything memoised per :class:`SystemModel`
-#: (exception analysis, template matcher, prepared cases).  A table dies
-#: with its model; :func:`clear_facts_cache` drops them all.
+#: (exception analysis, flow graph, template matcher, prepared cases).
+#: A table dies with its model; :func:`clear_facts_cache` drops them all.
 _MODEL_MEMOS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -341,9 +342,6 @@ def _facts_for_module(module_name: str) -> Optional[ModuleFacts]:
     cached = _FACTS_CACHE.get(module_name)
     if cached is not None and cached[0] == digest:
         return cached[1]
-    # Not at module top: repro.cache imports repro.analysis.flow.
-    from ..cache import runcache
-
     cache = runcache.active()
     tier = None if cache is None else cache.tier("facts")
     # Facts embed the file path and are only as good as the extractor

@@ -7,9 +7,7 @@ the search stack never pays twice for the same run.  See
 keying and determinism argument.
 """
 
-from .flowcache import cached_propagation_graph
 from .runcache import (
-    CacheStats,
     RunCache,
     active,
     cached_execute,
@@ -20,11 +18,9 @@ from .runcache import (
 )
 
 __all__ = [
-    "CacheStats",
     "RunCache",
     "active",
     "cached_execute",
-    "cached_propagation_graph",
     "configure",
     "default_disk_dir",
     "reset",

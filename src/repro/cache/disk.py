@@ -1,5 +1,5 @@
 """One directory of persistent records: the append-only segment store
-every tier (run results, flow graphs, module facts) shares (DESIGN §8.1).
+both tiers (run results, module facts) share (DESIGN §8.1).
 
 Each writing process owns one segment file and appends whole records —
 checksummed header, entry name, payload — with one ``os.write``.  A

@@ -18,9 +18,10 @@ columns), never a live object graph:
 * an optional on-disk tier, ``benchmarks/out/runcache/`` by default,
   shared between campaign worker processes: each process appends its
   records to a segment file of its own (:class:`~repro.cache.disk.
-  DiskTier`, DESIGN §8.1).  The other artefacts that go stale with the
-  code (flow graphs, module facts) persist in sub-tiers of the same
-  directory (:meth:`RunCache.tier`), so ``--cache-dir`` relocates all.
+  DiskTier`, DESIGN §8.1).  The one other artefact that goes stale
+  with the code, module facts, persists in the ``facts/`` sub-tier of
+  the same directory (:meth:`RunCache.tier`), so ``--cache-dir``
+  relocates both.
 
 A record carries a trace iff its run armed nothing, because
 ``execute_workload`` traces exactly those runs.
@@ -47,9 +48,10 @@ layer), so entries written by any other code — another commit, an
 uncommitted edit — can never be served.
 
 Counters (``cache.hits`` / ``cache.misses`` / ``cache.alias_hits`` /
-``cache.disk_hits`` / ``cache.stores`` / ``cache.disk_errors``) are
-mirrored into :mod:`repro.obs.metrics` so they aggregate across
-campaign worker processes like every other operational counter.
+``cache.disk_hits`` / ``cache.stores`` / ``cache.disk_errors``) live in
+:mod:`repro.obs.metrics` only, so they aggregate across campaign worker
+processes like every other operational counter; every report reads
+them through :func:`~repro.obs.metrics.runner_stats`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ import pickle
 import sys
 import weakref
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ..obs import metrics as obs_metrics
@@ -146,39 +147,6 @@ def workload_fingerprint(workload) -> Optional[str]:
     return fingerprint or None
 
 
-# ------------------------------------------------------------------- stats
-
-
-@dataclass
-class CacheStats:
-    """Served/stored counters for one :class:`RunCache`."""
-
-    hits: int = 0          # memory or disk entry served
-    misses: int = 0        # executed for real
-    alias_hits: int = 0    # served via noop-plan aliasing
-    disk_hits: int = 0     # subset of ``hits`` that came off disk
-    stores: int = 0        # entries written (memory tier)
-    disk_errors: int = 0   # corrupt/unwritable/unpicklable disk entries
-
-    @property
-    def served(self) -> int:
-        return self.hits + self.alias_hits
-
-    @property
-    def lookups(self) -> int:
-        return self.served + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.lookups
-        return self.served / lookups if lookups else 0.0
-
-    def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["hit_rate"] = round(self.hit_rate, 6)
-        return payload
-
-
 def _plan_key(plan) -> tuple:
     return plan.key() if plan is not None else ((), ())
 
@@ -204,7 +172,6 @@ class RunCache:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.disk_dir = disk_dir
-        self.stats = CacheStats()
         self._memory: "OrderedDict[str, bytes]" = OrderedDict()
         #: noop entry name -> that noop run's ``site_counts``, decoded
         #: once; the alias-prediction index.
@@ -212,15 +179,14 @@ class RunCache:
         self._tiers: dict[str, DiskTier] = {}
         self._disk = self.tier("")  # run records: in the directory itself
 
-    def _disk_error(self) -> None:
-        self.stats.disk_errors += 1
+    @staticmethod
+    def _disk_error() -> None:
         obs_metrics.increment("cache.disk_errors")
 
     def tier(self, name: str) -> Optional[DiskTier]:
         """The persistent tier ``<disk_dir>/<name>/`` of another artefact
-        that is stale under the same conditions as a run (the flow graph,
-        module facts), or ``None`` without a disk tier.  Its failures
-        count as this cache's ``disk_errors``."""
+        kept beside the runs (module facts), or ``None`` without a disk
+        tier.  Its failures count as ``cache.disk_errors``."""
         if self.disk_dir is None:
             return None
         tier = self._tiers.get(name)
@@ -326,7 +292,6 @@ class RunCache:
             # not cached.
             self._disk_error()
             return
-        self.stats.stores += 1
         obs_metrics.increment("cache.stores")
         self._memory_store(name, record)
         if self._disk is not None:
@@ -357,18 +322,14 @@ class RunCache:
         name = self._name(key)
         result, from_disk = self._lookup(name)
         if result is not None:
-            self.stats.hits += 1
             obs_metrics.increment("cache.hits")
             if from_disk:
-                self.stats.disk_hits += 1
                 obs_metrics.increment("cache.disk_hits")
             return result, HIT
         result = self._alias_lookup(key, name, plan)
         if result is not None:
-            self.stats.alias_hits += 1
             obs_metrics.increment("cache.alias_hits")
             return result, ALIAS
-        self.stats.misses += 1
         obs_metrics.increment("cache.misses")
         result = _run(runner, workload, horizon, seed, plan)
         self._put(name, result)

@@ -26,10 +26,9 @@ import time
 from typing import Optional
 
 from ..analysis.causal import DistanceIndex
-from ..analysis.flow import PropagationGraph
+from ..analysis.flow import PropagationGraph, propagation_graph
 from ..analysis.model import CausalGraph
 from ..analysis.system_model import SystemModel
-from ..cache.flowcache import cached_propagation_graph
 from ..injection.sites import FaultInstance
 from ..obs import NULL_RECORDER, WALL
 from ..obs.coverage import CoverageTracker, enumerate_fault_space
@@ -240,9 +239,7 @@ class Explorer:
         if self.prune == "static":
             # Pruning is accounting-only: the flow pass feeds the
             # coverage tracker and nothing else.
-            flow_graph = cached_propagation_graph(
-                self.model, workload=self.workload
-            )
+            flow_graph = propagation_graph(self.model)
             pruner = StaticPruner(
                 graph=flow_graph,
                 candidates=candidates,

@@ -38,6 +38,7 @@ import warnings
 from typing import Callable, Iterator, Optional
 
 from . import metrics
+from .ledger import parse_jsonl_line, read_jsonl
 
 SCHEMA_VERSION = 1
 
@@ -225,57 +226,12 @@ class CallbackSink:
         self._callback(event)
 
 
-def _parse_line(line: str) -> Optional[dict]:
-    """One tolerant-reader step: the event dict, or ``None`` to skip."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        event = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(event, dict):
-        return None
-    try:
-        schema = int(event.get("schema", 0))
-    except (TypeError, ValueError):
-        return None
-    if schema > SCHEMA_VERSION:
-        return None
-    return event
-
-
 def read_events(path: Optional[str] = None) -> list[dict]:
-    """Load an event stream tolerantly (ledger reader rules).
-
-    Blank lines, malformed JSON, non-object lines, and newer-schema
-    events are skipped with one aggregate warning; a missing file reads
-    as an empty stream.
-    """
-    if path is None:
-        path = DEFAULT_PATH
-    events: list[dict] = []
-    skipped = 0
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                event = _parse_line(line)
-                if event is None:
-                    skipped += 1
-                else:
-                    events.append(event)
-    except OSError:
-        return []
-    if skipped:
-        warnings.warn(
-            f"{path}: skipped {skipped} unreadable or newer-schema event "
-            f"line(s)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return events
+    """Load an event stream tolerantly, by the ledger's reader rules
+    (:func:`~repro.obs.ledger.read_jsonl`)."""
+    return read_jsonl(
+        DEFAULT_PATH if path is None else path, SCHEMA_VERSION, "event"
+    )
 
 
 def tail_events(
@@ -314,7 +270,7 @@ def tail_events(
                 buffer += chunk
                 while "\n" in buffer:
                     line, buffer = buffer.split("\n", 1)
-                    event = _parse_line(line)
+                    event = parse_jsonl_line(line, SCHEMA_VERSION)
                     if event is None:
                         continue
                     yield event

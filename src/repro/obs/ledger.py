@@ -228,19 +228,10 @@ def rewrite_entries(entries: Iterable[dict], path: Optional[str] = None) -> str:
     return path
 
 
-def append_entries(
-    entries: Iterable[dict],
-    path: Optional[str] = None,
-    max_entries: Optional[int] = None,
-) -> str:
+def append_entries(entries: Iterable[dict], path: Optional[str] = None) -> str:
     """Append entries (one JSON line each), creating parent directories.
 
-    With ``max_entries``, the file is compacted in place after the
-    append whenever it holds more than that many readable entries:
-    first keep-last-N per :func:`compaction_key` (N shrinking until the
-    budget fits), then — if one entry per key still overflows — drop the
-    oldest lines.  This is the growth guard for ledgers that survive CI
-    cache restores forever.
+    Growth is capped offline, by ``tools/compact_ledger.py``.
     """
     if path is None:
         path = default_path()
@@ -250,60 +241,61 @@ def append_entries(
     with open(path, "a", encoding="utf-8") as handle:
         for entry in entries:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    if max_entries is not None and max_entries > 0:
-        existing = read_entries(path)
-        if len(existing) > max_entries:
-            keys = {compaction_key(entry) for entry in existing}
-            keep_last = max(max_entries // max(len(keys), 1), 1)
-            compacted = compact_entries(existing, keep_last=keep_last)
-            if len(compacted) > max_entries:
-                compacted = compacted[-max_entries:]
-            rewrite_entries(compacted, path=path)
     return path
 
 
-def read_entries(path: Optional[str] = None) -> list[dict]:
-    """Load ledger entries tolerantly.
+def parse_jsonl_line(line: str, schema_version: int) -> Optional[dict]:
+    """One tolerant-reader step: the object on ``line``, or ``None`` when
+    it is malformed JSON, not an object, or carries an unusable or newer
+    ``schema`` than ``schema_version``."""
+    try:
+        entry = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(entry, dict):
+        return None
+    try:
+        schema = int(entry.get("schema", 0))
+    except (TypeError, ValueError):
+        # valid JSON, unusable schema tag (null, "two", ...)
+        return None
+    return entry if schema <= schema_version else None
 
-    Blank lines, malformed JSON, non-object lines, and entries from a
-    *newer* schema are skipped (with one aggregate warning), per the
-    versioning rules above.  A missing file reads as an empty history.
+
+def read_jsonl(path: str, schema_version: int, noun: str) -> list[dict]:
+    """Load a schema-versioned JSONL file tolerantly.
+
+    Blank lines are skipped silently; lines :func:`parse_jsonl_line`
+    rejects are skipped and counted, with one aggregate warning naming
+    them ``noun`` lines.  A missing file reads as empty.
     """
-    if path is None:
-        path = default_path()
     entries: list[dict] = []
     skipped = 0
     try:
         with open(path, encoding="utf-8") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
+                entry = parse_jsonl_line(line, schema_version)
+                if entry is None:
                     skipped += 1
-                    continue
-                if not isinstance(entry, dict):
-                    skipped += 1
-                    continue
-                try:
-                    schema = int(entry.get("schema", 0))
-                except (TypeError, ValueError):
-                    # valid JSON, unusable schema tag (null, "two", ...)
-                    skipped += 1
-                    continue
-                if schema > SCHEMA_VERSION:
-                    skipped += 1
-                    continue
-                entries.append(entry)
+                else:
+                    entries.append(entry)
     except OSError:
         return []
     if skipped:
         warnings.warn(
-            f"{path}: skipped {skipped} unreadable or newer-schema ledger "
+            f"{path}: skipped {skipped} unreadable or newer-schema {noun} "
             f"line(s)",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return entries
+
+
+def read_entries(path: Optional[str] = None) -> list[dict]:
+    """Load ledger entries tolerantly (:func:`read_jsonl`), per the
+    versioning rules above."""
+    return read_jsonl(
+        default_path() if path is None else path, SCHEMA_VERSION, "ledger"
+    )

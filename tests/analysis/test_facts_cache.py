@@ -161,7 +161,7 @@ class TestFactsDiskTier:
         assert extractions == []
 
     def test_corrupt_entry_degrades_with_one_warning(
-        self, temp_package, disk_cache, extractions
+        self, temp_package, disk_cache, extractions, cache_counters
     ):
         first = facts_by_module(analyze_package("factscachepkg"))
         (segment,) = facts_segments(disk_cache)
@@ -170,12 +170,13 @@ class TestFactsDiskTier:
         clear_facts_cache()
         disk_cache.close()
         del extractions[:]
+        cache_counters.mark()
         with pytest.warns(RuntimeWarning, match="skipping facts-cache entry") as caught:
             second = facts_by_module(analyze_package("factscachepkg"))
         assert len([w for w in caught if "facts-cache" in str(w.message)]) == 1
         assert sorted(extractions) == ["factscachepkg.alpha", "factscachepkg.beta"]
         assert second == first
-        assert disk_cache.stats.disk_errors == 2
+        assert cache_counters["disk_errors"] == 2
 
     def test_no_disk_cache_no_files(self, temp_package, tmp_path, extractions):
         analyze_package("factscachepkg")

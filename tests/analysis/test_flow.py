@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.ast_facts import extract_module_facts
 from repro.analysis.flow import (
-    PropagationGraph,
     build_propagation_graph,
     task_root_closure,
 )
@@ -213,21 +212,6 @@ class TestCrossEdges:
 
 
 class TestSerialization:
-    def test_round_trip(self, worker):
-        _model, graph = worker
-        restored = PropagationGraph.from_dict(graph.to_dict())
-        assert restored.paths == graph.paths
-        assert restored.cross_edges == graph.cross_edges
-        assert restored.condition_variables == graph.condition_variables
-        assert restored.dead_pairs() == graph.dead_pairs()
-
-    def test_newer_schema_rejected(self, worker):
-        _model, graph = worker
-        payload = graph.to_dict()
-        payload["schema"] = 999
-        with pytest.raises(ValueError, match="newer"):
-            PropagationGraph.from_dict(payload)
-
     def test_summary_shape(self, worker):
         _model, graph = worker
         summary = graph.summary()

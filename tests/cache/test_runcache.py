@@ -117,7 +117,7 @@ def test_unfingerprintable_workload_bypasses_the_cache():
 # -------------------------------------------------------------- key hygiene
 
 
-def test_same_inputs_hit_different_inputs_miss():
+def test_same_inputs_hit_different_inputs_miss(cache_counters):
     cache = RunCache()
     runner, calls = counting_runner()
     case_args = dict(runner=runner)
@@ -134,8 +134,8 @@ def test_same_inputs_hit_different_inputs_miss():
     cache.execute(workload_a, 1.0, seed=4, **case_args)
     cache.execute(workload_b, 1.0, seed=3, **case_args)
     assert len(calls) == 4
-    assert cache.stats.hits == 1
-    assert cache.stats.misses == 4
+    assert cache_counters["hits"] == 1
+    assert cache_counters["misses"] == 4
 
 
 def test_distinct_plans_never_collide():
@@ -160,7 +160,7 @@ def test_distinct_plans_never_collide():
     assert len(names) == len(plans)
 
 
-def test_base_fault_changes_miss():
+def test_base_fault_changes_miss(cache_counters):
     # Same window, different ``always`` faults: a different run.
     cache = RunCache()
     case = get_case("f1")
@@ -171,26 +171,27 @@ def test_base_fault_changes_miss():
     cache.execute(case.workload, case.horizon, case.seed, window, runner)
     cache.execute(case.workload, case.horizon, case.seed, with_base, runner)
     assert len(calls) == 2
-    assert cache.stats.misses == 2
+    assert cache_counters["misses"] == 2
 
 
 # ---------------------------------------------------------------- disk tier
 
 
-def test_disk_tier_shared_between_cache_instances(tmp_path):
+def test_disk_tier_shared_between_cache_instances(tmp_path, cache_counters):
     writer = RunCache(disk_dir=str(tmp_path))
     runner, calls = counting_runner()
     writer.execute(workload_a, 1.0, seed=1, runner=runner)
     assert len(calls) == 1
 
     reader = RunCache(disk_dir=str(tmp_path))
+    cache_counters.mark()
     _result, outcome = reader.execute(workload_a, 1.0, seed=1, runner=runner)
     assert outcome == HIT
-    assert reader.stats.disk_hits == 1
+    assert cache_counters["disk_hits"] == 1
     assert len(calls) == 1  # never re-executed
 
 
-def test_corrupt_disk_entry_is_skipped_with_one_warning(tmp_path):
+def test_corrupt_disk_entry_is_skipped_with_one_warning(tmp_path, cache_counters):
     cache = RunCache(disk_dir=str(tmp_path))
     runner, calls = counting_runner()
     cache.execute(workload_a, 1.0, seed=1, runner=runner)
@@ -198,10 +199,11 @@ def test_corrupt_disk_entry_is_skipped_with_one_warning(tmp_path):
     segment.write_bytes(b"not a segment record, whatever this file once was" * 8)
 
     fresh = RunCache(disk_dir=str(tmp_path))
+    cache_counters.mark()
     with pytest.warns(RuntimeWarning, match="skipping run-cache entry"):
         _result, outcome = fresh.execute(workload_a, 1.0, seed=1, runner=runner)
     assert outcome == MISS  # corrupt entry never served
-    assert fresh.stats.disk_errors == 1
+    assert cache_counters["disk_errors"] == 1
     # The miss re-executed and appended a valid record to its own segment.
     (_corpse, own) = segments(tmp_path)
     with pytest.warns(RuntimeWarning):  # a third process skips the corpse too
@@ -215,11 +217,12 @@ def test_corrupt_disk_entry_is_skipped_with_one_warning(tmp_path):
     data[-1] ^= 0x01
     own.write_bytes(bytes(data))
     fresh._memory.clear()
+    cache_counters.mark()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _result, outcome = fresh.execute(workload_a, 1.0, seed=1, runner=runner)
     assert outcome == MISS
-    assert fresh.stats.disk_errors == 2
+    assert cache_counters["disk_errors"] == 1
 
 
 def _flip(path, at: int) -> None:
@@ -228,7 +231,7 @@ def _flip(path, at: int) -> None:
     path.write_bytes(bytes(data))
 
 
-def test_key_mismatch_entry_rejected(tmp_path):
+def test_key_mismatch_entry_rejected(tmp_path, cache_counters):
     # A record's name sits in its checksummed header: one whose name no
     # longer matches what was written (here: a flipped bit) must not be
     # served under either name.
@@ -239,13 +242,14 @@ def test_key_mismatch_entry_rejected(tmp_path):
     _flip(segment, _HEAD_SIZE + 3)
 
     fresh = RunCache(disk_dir=str(tmp_path))
+    cache_counters.mark()
     with pytest.warns(RuntimeWarning):
         _result, outcome = fresh.execute(workload_a, 1.0, seed=1, runner=runner)
     assert outcome == MISS and len(calls) == 2
-    assert fresh.stats.disk_errors == 1
+    assert cache_counters["disk_errors"] == 1
 
 
-def test_stale_version_entry_rejected(tmp_path):
+def test_stale_version_entry_rejected(tmp_path, cache_counters):
     cache = RunCache(disk_dir=str(tmp_path))
     runner, _calls = counting_runner()
     cache.execute(workload_a, 1.0, seed=1, runner=runner)
@@ -260,17 +264,18 @@ def test_stale_version_entry_rejected(tmp_path):
     data[2] = 8
     segment.write_bytes(bytes(data))
     fresh = RunCache(disk_dir=str(tmp_path))
+    cache_counters.mark()
     with pytest.warns(RuntimeWarning):
         _result, outcome = fresh.execute(workload_a, 1.0, seed=1, runner=runner)
     assert outcome == MISS
-    assert fresh.stats.disk_errors == 1
+    assert cache_counters["disk_errors"] == 1
     assert other.name not in fresh._disk._segments
 
 
 # ------------------------------------------------------------ entry codec
 
 
-def _stored_then_read(tmp_path, case, plan):
+def _stored_then_read(tmp_path, case, plan, counters):
     """``(original, decoded)``: a real run, and what a cold process reads
     back from the entry that run wrote."""
     writer = RunCache(disk_dir=str(tmp_path))
@@ -279,18 +284,19 @@ def _stored_then_read(tmp_path, case, plan):
     )
     assert outcome == MISS
     reader = RunCache(disk_dir=str(tmp_path))
+    counters.mark()
     decoded, outcome = reader.execute(
         case.workload, case.horizon, case.seed, plan, execute_workload
     )
-    assert outcome == HIT and reader.stats.disk_hits == 1
+    assert outcome == HIT and counters["disk_hits"] == 1
     return original, decoded
 
 
 @pytest.mark.parametrize("with_plan", [False, True])
-def test_entry_round_trip_equals_the_original_result(tmp_path, with_plan):
+def test_entry_round_trip_equals_the_original_result(tmp_path, with_plan, cache_counters):
     case = get_case("f11")
     plan = InjectionPlan.single(case.ground_truth_instance()) if with_plan else None
-    original, decoded = _stored_then_read(tmp_path, case, plan)
+    original, decoded = _stored_then_read(tmp_path, case, plan, cache_counters)
     assert decoded is not original
     # A record carries a trace iff its run armed nothing.
     if with_plan:
@@ -337,7 +343,7 @@ DAMAGE = {
 
 
 @pytest.mark.parametrize("damage", list(DAMAGE))
-def test_damaged_entry_is_skipped_and_removed(tmp_path, damage):
+def test_damaged_entry_is_skipped_and_removed(tmp_path, damage, cache_counters):
     """Whatever happened to a record, it is a miss — dropped from the
     index, never an exception — and the writer after it is unaffected."""
     case = get_case("f1")
@@ -368,13 +374,14 @@ def test_damaged_entry_is_skipped_and_removed(tmp_path, damage):
 
     runner, calls = counting_runner()
     cold = RunCache(disk_dir=str(tmp_path))
+    cache_counters.mark()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         _result, outcome = cold.execute(
             case.workload, case.horizon, case.seed, None, runner
         )
     assert outcome == MISS and len(calls) == 1
-    assert cold.stats.disk_errors == DAMAGE[damage]
+    assert cache_counters["disk_errors"] == DAMAGE[damage]
     assert [w.category for w in caught] == [RuntimeWarning] * DAMAGE[damage]
     # The miss appended the run, whole, to its own segment.
     later = RunCache(disk_dir=str(tmp_path))
@@ -388,17 +395,15 @@ def test_damaged_entry_is_skipped_and_removed(tmp_path, damage):
 
 def test_cache_dir_relocates_every_persistent_tier(tmp_path):
     from repro.analysis.system_model import analyze_package, clear_facts_cache
-    from repro.cache import flowcache
 
-    flowcache.reset()
     clear_facts_cache()
     configure(enabled=True, disk_dir=str(tmp_path))
     analyze_package("repro.systems.minizk")
     get_case("f1").explorer(prune="static", max_rounds=2).explore()
     # One segment per tier for this one writing process, and nothing else:
-    # no per-entry file, no temp file.
+    # no per-entry file, no temp file, no flow graph.
     files = sorted(str(p.relative_to(tmp_path).parent) for p in tmp_path.rglob("*") if p.is_file())
-    assert files == [".", "facts", "flow"]
+    assert files == [".", "facts"]
     assert all(p.name.endswith(_SUFFIX) for p in tmp_path.rglob("*") if p.is_file())
     assert b"repro.systems.minizk.node" in segments(tmp_path / "facts")[0].read_bytes()
 
@@ -406,7 +411,7 @@ def test_cache_dir_relocates_every_persistent_tier(tmp_path):
 # ------------------------------------------------------------ noop aliasing
 
 
-def test_never_firing_plan_served_from_noop_run():
+def test_never_firing_plan_served_from_noop_run(cache_counters):
     cache = RunCache()
     case = get_case("f1")
     truth = case.ground_truth_instance()
@@ -425,7 +430,7 @@ def test_never_firing_plan_served_from_noop_run():
     assert outcome == ALIAS
     assert same_run(result, noop)
     assert len(calls) == 1
-    assert cache.stats.alias_hits == 1
+    assert cache_counters["alias_hits"] == 1
 
     # The aliased key is now a plain memory hit.
     _result, outcome = cache.execute(
@@ -601,15 +606,15 @@ def test_configured_cache_serves_cached_execute():
 
 
 @pytest.mark.parametrize("case_id", ["f1", "f13"])
-def test_search_outcome_invariant_under_cache(case_id, tmp_path):
+def test_search_outcome_invariant_under_cache(case_id, tmp_path, cache_counters):
     case = get_case(case_id)
     reset()
     baseline = case.explorer(max_rounds=60).explore()
     configure(enabled=True, disk_dir=str(tmp_path))
     cold = case.explorer(max_rounds=60).explore()
+    cache_counters.mark()
     warm = case.explorer(max_rounds=60).explore()
     assert cold.signature() == baseline.signature()
     assert warm.signature() == baseline.signature()
-    cache = active()
-    assert cache is not None
-    assert cache.stats.hits > 0  # the warm pass was actually served
+    assert active() is not None
+    assert cache_counters["hits"] > 0  # the warm pass was actually served

@@ -295,7 +295,7 @@ def test_reconfiguring_leaks_no_descriptor(tmp_path):
     assert _open_fds() == before
 
 
-def test_unwritable_directory_leaves_the_memory_tier_working(tmp_path):
+def test_unwritable_directory_leaves_the_memory_tier_working(tmp_path, cache_counters):
     blocked = tmp_path / "blocked"
     blocked.write_text("a file where the cache directory should be")
     cache = RunCache(disk_dir=str(blocked))
@@ -306,4 +306,4 @@ def test_unwritable_directory_leaves_the_memory_tier_working(tmp_path):
         assert outcome == HIT
         cache.execute(workload, 1.0, seed=1, runner=execute_workload)
     assert len(caught) == 1  # once per tier
-    assert cache.stats.disk_errors >= 2 and cache.stats.disk_hits == 0
+    assert cache_counters["disk_errors"] >= 2 and cache_counters["disk_hits"] == 0

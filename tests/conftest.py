@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache import runcache
+from repro.obs import metrics as obs_metrics
 
 
 @pytest.fixture(autouse=True)
@@ -15,3 +16,24 @@ def isolated_run_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(runcache, "_REPO_ROOT", str(tmp_path))
     yield
     runcache.reset()
+
+
+class CacheCounters:
+    """The run cache's ``cache.*`` counters moved since :meth:`mark` (or
+    since the test began): ``counters["hits"]``; an unmoved one reads 0.
+    The registry is process-wide, so a test reads deltas, never totals."""
+
+    def __init__(self):
+        self.mark()
+
+    def mark(self) -> None:
+        self._since = obs_metrics.capture()
+
+    def __getitem__(self, name: str) -> float:
+        moved = obs_metrics.capture(since=self._since)["counters"]
+        return moved.get("cache." + name, 0)
+
+
+@pytest.fixture
+def cache_counters():
+    return CacheCounters()

@@ -12,9 +12,9 @@ committed case:
 
 import pytest
 
+from repro.analysis.system_model import clear_facts_cache
 from repro.core import explorer as explorer_module
 from repro.core.pruning import DEFAULT_RADIUS, pruner_from_prepared
-from repro.cache import flowcache
 from repro.failures import get_case
 
 #: One case per mini system (the CI dogfood set) plus f17, the densest
@@ -23,10 +23,10 @@ CASES = ["f1", "f9", "f13", "f19", "f22", "f17"]
 
 
 @pytest.fixture(autouse=True)
-def fresh_flow_cache():
-    flowcache.reset()
+def fresh_flow_graphs():
+    clear_facts_cache()
     yield
-    flowcache.reset()
+    clear_facts_cache()
 
 
 def explore(case_id, prune):
@@ -124,7 +124,7 @@ def test_an_unpruned_search_builds_no_flow_graph(monkeypatch):
     def no_flow_pass(*args, **kwargs):
         raise AssertionError("flow pass built for an unpruned search")
 
-    monkeypatch.setattr(explorer_module, "cached_propagation_graph", no_flow_pass)
+    monkeypatch.setattr(explorer_module, "propagation_graph", no_flow_pass)
     explorer = get_case("f1").explorer(prune="none", max_rounds=5)
     assert explorer.prepare().flow_graph is None
     assert explorer.explore().coverage.pruned_space_size is None

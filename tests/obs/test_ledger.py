@@ -356,25 +356,3 @@ class TestCompaction:
         (entry,) = ledger.read_entries(path)
         assert entry["case_id"] == "f2"
         assert not (tmp_path / "ledger.jsonl.tmp").exists()
-
-    def test_append_guard_compacts_past_max_entries(self, tmp_path):
-        path = str(tmp_path / "ledger.jsonl")
-        for sha in ("a", "b", "c"):
-            ledger.append_entries(
-                [self._entry("f1", sha), self._entry("f2", sha)],
-                path=path,
-            )
-        ledger.append_entries(
-            [self._entry("f3", "d")], path=path, max_entries=4
-        )
-        entries = ledger.read_entries(path)
-        assert len(entries) <= 4
-        # The newest batch always survives.
-        assert any(e["case_id"] == "f3" for e in entries)
-
-    def test_append_guard_inactive_below_cap(self, tmp_path):
-        path = str(tmp_path / "ledger.jsonl")
-        ledger.append_entries(
-            [self._entry("f1", "a")], path=path, max_entries=100
-        )
-        assert len(ledger.read_entries(path)) == 1

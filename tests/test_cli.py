@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +12,8 @@ from repro.__main__ import main
 from repro.failures import all_cases, get_case
 from repro.obs import bus as event_bus
 from repro.obs import ledger
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(autouse=True)
@@ -622,6 +626,24 @@ class TestAnalyze:
             coverage = case["coverage"]
             assert coverage["pruned_space"] <= coverage["space"], case_id
             assert case["graph"]["pairs"] > 0, case_id
+
+    def test_a_warm_cache_dir_still_reports_the_flow_build_time(self, tmp_path):
+        """The flow graph is built in every process and persisted nowhere,
+        so a run over a warm ``--cache-dir`` reports a real build time."""
+        command = [
+            sys.executable, "-m", "repro", "analyze", "f1", "--format", "json",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        for _ in range(2):
+            finished = subprocess.run(
+                command, env=env, capture_output=True, text=True, check=True,
+                timeout=120,
+            )
+            graph = json.loads(finished.stdout)["cases"]["f1"]["graph"]
+            assert graph["build_seconds"] > 0
+        assert sorted(path.name for path in (tmp_path / "cache").iterdir()
+                      if path.is_dir()) == ["facts"]
 
     def test_out_writes_file_and_creates_parents(self, capsys, tmp_path):
         out_path = tmp_path / "analysis" / "nested" / "f1.json"

@@ -203,6 +203,23 @@ RETIRED = [
         "§5.3, §7.1",
         id="track-coverage-shim",
     ),
+    pytest.param(
+        r"CacheStats|tier\(.flow.\)|_disk_get|_disk_store|flowcache\.(reset|_MEMO)",
+        ("src", "tools", ".github"),
+        (),
+        # A flow graph is memoised on its model and persisted nowhere; the
+        # cache counters live in the metrics registry alone.
+        "§8.1, §9.1",
+        id="flow-disk-tier-cache-stats",
+    ),
+    pytest.param(
+        r"cached_propagation_graph",
+        ("src", "tools", ".github"),
+        ("src/repro/cache/flowcache.py",),
+        # Kept as an alias of propagation_graph for the frozen tracer.
+        "§5.3",
+        id="flow-accessor-alias",
+    ),
 ]
 
 
