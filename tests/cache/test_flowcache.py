@@ -6,14 +6,25 @@ from repro.analysis.flow import FlowAnalysis, propagation_graph
 from repro.analysis.lint import run_lint
 from repro.analysis.system_model import clear_facts_cache
 from repro.cache import flowcache
+from repro.cache.flowcache import cached_propagation_graph
 from repro.failures import get_case
+
+
+def test_fingerprinted_builds_are_memoized():
+    # The memo key is now the model object rather than a workload
+    # fingerprint; a repeat read is still the memoised build, and that
+    # build equals an uncached one.
+    model = analyze_package("repro.systems.minizk")
+    first = cached_propagation_graph(model)
+    assert cached_propagation_graph(model) is first
+    assert first.paths == build_propagation_graph(model).paths
+    assert first.dead_pairs() == build_propagation_graph(model).dead_pairs()
 
 
 def test_no_workload_memoizes_per_model_object():
     model = analyze_package("repro.systems.minizk")
     first = propagation_graph(model)
     assert propagation_graph(model) is first
-    assert first.paths == build_propagation_graph(model).paths
     other = analyze_package("repro.systems.minizk")
     assert propagation_graph(other) is not first
     clear_facts_cache()
