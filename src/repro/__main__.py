@@ -156,8 +156,8 @@ def _event_stream(config, args):
 #: One stderr line per runner section that moved; missing keys render
 #: as 0.
 _STATS_LINES = {
-    "cache": "[cache: {hits} hit(s), {alias_hits} alias(es), "
-    "{misses} miss(es), hit rate {hit_rate:.1%}]",
+    "cache": "[cache: {hits} hit(s), {misses} miss(es), "
+    "hit rate {hit_rate:.1%}]",
 }
 
 #: What the end-of-run ``[degraded: ...]`` line lists: (counter, label).

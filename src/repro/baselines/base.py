@@ -73,8 +73,8 @@ def build_context(case: CaseLike) -> SearchContext:
     write to.
 
     The probe run is identical across every strategy sharing a case — it
-    is also the noop run that alias-serves never-firing windows — so it
-    is made once, with the prepared case, through the run cache.
+    is also the run a window that never fires executes as — so it is
+    made once, with the prepared case, through the run cache.
     """
     model = case.model()
     # Strategies search the same fault dimensions as the case's Explorer
@@ -176,5 +176,6 @@ class StrategyRunner:
             # The space is enumerated from the same inputs ANDURIL's
             # Explorer uses, so coverage fractions compare.
             coverage=CoverageTracker(context.fault_space),
+            probe=context.normal_run.trace,
             started=started,
         )

@@ -24,30 +24,17 @@ columns), never a live object graph:
   relocates both.
 
 A record carries a trace iff its run armed nothing, because
-``execute_workload`` traces exactly those runs.
-
-Noop-plan aliasing
-------------------
-
-A plan whose window never fires leaves the run byte-identical to the
-run with an *empty* window (the FIR only perturbs execution when an
-instance actually raises).  Whether a window will fire is decidable
-*before running*: execution is identical up to the first injection, so
-an armed ``(site, occurrence)`` fires iff the noop run (same workload/
-seed/horizon, empty window, same base-fault set — its *noop key*)
-executed ``site`` at least ``occurrence`` times.  When the noop entry is
-cached and no armed pair passes that test against its ``site_counts``,
-the lookup is served as an **alias hit** without executing anything.
-Baselines that keep regenerating never-firing windows stop paying for
-them.  Nothing but a window-less run writes under a noop key, so the
-record a later probe reads there always carries its trace.
+``execute_workload`` traces exactly those runs.  A lookup is a hit or a
+miss, nothing else: that windows which fire alike share a run is
+decided before the cache is asked, by running each window as the
+instance it fires (DESIGN §8.2).
 
 Staleness: the workload fingerprint digests the source a run executes
 (the workload's module, the mini systems, the simulator, the injection
 layer), so entries written by any other code — another commit, an
 uncommitted edit — can never be served.
 
-Counters (``cache.hits`` / ``cache.misses`` / ``cache.alias_hits`` /
+Counters (``cache.hits`` / ``cache.misses`` /
 ``cache.disk_hits`` / ``cache.stores`` / ``cache.disk_errors``) live in
 :mod:`repro.obs.metrics` only, so they aggregate across campaign worker
 processes like every other operational counter; every report reads
@@ -69,7 +56,6 @@ from .disk import DiskTier
 
 #: Lookup/served outcomes reported by :meth:`RunCache.execute`.
 HIT = "hit"
-ALIAS = "alias"
 MISS = "miss"
 UNCACHED = "uncached"
 
@@ -173,9 +159,6 @@ class RunCache:
         self.capacity = capacity
         self.disk_dir = disk_dir
         self._memory: "OrderedDict[str, bytes]" = OrderedDict()
-        #: noop entry name -> that noop run's ``site_counts``, decoded
-        #: once; the alias-prediction index.
-        self._noop_counts: dict[str, dict] = {}
         self._tiers: dict[str, DiskTier] = {}
         self._disk = self.tier("")  # run records: in the directory itself
 
@@ -211,12 +194,6 @@ class RunCache:
         return (fingerprint, int(seed), float(horizon), _plan_key(plan))
 
     @staticmethod
-    def _noop_key(key: tuple) -> tuple:
-        """The same run with an empty window (base faults preserved)."""
-        fingerprint, seed, horizon, (_window, always) = key
-        return (fingerprint, seed, horizon, ((), always))
-
-    @staticmethod
     def _name(key: tuple) -> str:
         """What both tiers call ``key``'s record; callers derive it once
         per key and pass it on."""
@@ -239,36 +216,6 @@ class RunCache:
                 self._memory_store(name, found[0])
                 return found[1], True
         return None, False
-
-    def _alias_lookup(self, key: tuple, name: str, plan):
-        """Serve a never-firing plan from the cached noop run, if decidable.
-
-        An armed instance fires iff the noop run executed its site at
-        least ``occurrence`` times — before the first injection the
-        perturbed run replays the noop run exactly.  No instance reached
-        means no injection ever happens, so the noop result *is* this
-        plan's result.
-        """
-        if plan is None or not plan.instances:
-            return None
-        noop_name = self._name(self._noop_key(key))
-        counts = self._noop_counts.get(noop_name)
-        if counts is None:
-            noop_result, _ = self._lookup(noop_name)
-            if noop_result is None:
-                return None
-            counts = self._noop_counts[noop_name] = noop_result.site_counts
-        if any(
-            0 < instance.occurrence <= counts.get(instance.site_id, 0)
-            for instance in plan.instances
-        ):
-            return None
-        noop_result, _ = self._lookup(noop_name)
-        if noop_result is not None:
-            # Remember the alias (the noop run's record, shared) so the
-            # next identical lookup is a plain memory hit.
-            self._memory_store(name, self._memory[noop_name])
-        return noop_result
 
     # ----------------------------------------------------------------- store
 
@@ -310,8 +257,8 @@ class RunCache:
         """The run for ``(workload, horizon, seed, plan)``.
 
         Returns ``(result, outcome)`` with ``outcome`` one of ``"hit"``,
-        ``"alias"``, ``"miss"``, or ``"uncached"`` (unfingerprintable
-        workload).  ``runner`` is the executor used on a miss; passing
+        ``"miss"``, or ``"uncached"`` (unfingerprintable workload).
+        ``runner`` is the executor used on a miss; passing
         the caller's own ``execute_workload`` reference keeps
         monkeypatched test doubles in charge of actual execution.  A hit
         is decoded for this call; the cache keeps no reference to it.
@@ -326,10 +273,6 @@ class RunCache:
             if from_disk:
                 obs_metrics.increment("cache.disk_hits")
             return result, HIT
-        result = self._alias_lookup(key, name, plan)
-        if result is not None:
-            obs_metrics.increment("cache.alias_hits")
-            return result, ALIAS
         obs_metrics.increment("cache.misses")
         result = _run(runner, workload, horizon, seed, plan)
         self._put(name, result)

@@ -302,6 +302,7 @@ class Explorer:
             base_faults=self.base_faults,
             recorder=self._obs,
             coverage=self._coverage,
+            probe=prepared.normal_run.trace,
         )
         if not found.success:
             return found

@@ -28,7 +28,7 @@ import dataclasses
 import time
 from typing import Optional
 
-from ..injection.fir import InjectionPlan, dedupe_instances
+from ..injection.fir import InjectionPlan, ProbeTrace, dedupe_instances
 from ..injection.sites import FaultInstance
 from ..obs import NULL_RECORDER, WALL
 from ..obs.bus import RoundReporter
@@ -136,6 +136,7 @@ def search(
     max_rounds: int,
     max_seconds: Optional[float],
     coverage: CoverageTracker,
+    probe: ProbeTrace,
     started: Optional[float] = None,
     runs_per_round: int = 1,
     base_faults: tuple = (),
@@ -143,7 +144,8 @@ def search(
 ) -> ExplorationResult:
     """Run rounds of ``policy`` through ``pipeline`` until ``oracle`` is
     satisfied, the policy runs dry, or a budget is spent; ``coverage``
-    accounts every committed round.
+    accounts every committed round.  ``probe`` is the trace of the
+    window-less run at ``pipeline.seed`` with ``base_faults``.
 
     ``started`` is the ``perf_counter`` reading the time budget and
     ``elapsed_seconds`` count from (default: now).  Round events go to the
@@ -209,10 +211,19 @@ def search(
         # exceptions; only the highest-priority one is armable in a
         # single-shot window (the plan rejects the rest).
         plan = InjectionPlan.of(dedupe_instances(window), always=base_faults)
+        # At the probe's seed the window runs as the one instance it
+        # fires (DESIGN §8.2), so windows that fire alike share one run
+        # and a dry window is the probe itself.
+        first = plan.first_firing(probe)
+        reduced = (
+            InjectionPlan.of([first] if first else [], always=base_faults)
+            if first or base_faults else None
+        )
         workload_started = time.perf_counter()
-        result = pipeline.run(run_seed, plan)
+        result = pipeline.run(run_seed, reduced)
         # §6: retry the round under perturbed seeds when nothing in the
-        # window occurred (only useful in nondeterministic setups).
+        # window occurred (only useful in nondeterministic setups).  The
+        # probe says nothing about another seed: these run the window.
         sub_run = 0
         while result.injected_instance is None and sub_run + 1 < runs_per_round:
             sub_run += 1

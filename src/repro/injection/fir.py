@@ -223,6 +223,31 @@ class InjectionPlan:
     def match_always(self, site_id: str, occurrence: int) -> Optional[FaultInstance]:
         return self._always_by_key.get((site_id, occurrence))
 
+    def first_firing(self, probe: ProbeTrace) -> Optional[FaultInstance]:
+        """The window instance a run that replays ``probe`` injects, or
+        ``None`` if the window stays dry (DESIGN §8.2).
+
+        ``probe`` is the window-less run of the same workload, seed,
+        horizon and base faults, which every run replays request for
+        request until its first injection.  The instance to fire is
+        therefore the one at the earliest probe request, skipping pairs
+        :meth:`FIR.on_site` never fires: one a base fault shadows, and a
+        corruption its op cannot carry.
+        """
+        first, first_at = None, None
+        for instance in self.instances:
+            if (instance.site_id, instance.occurrence) in self._always_by_key:
+                continue
+            op = instance.site_id.rsplit(":", 1)[-1]  # a site id ends in its op
+            if instance.is_corruption and corruption_for(
+                instance.fault_spec.name, op
+            ) is None:
+                continue
+            at = probe.ordinal(instance.site_id, instance.occurrence)
+            if at is not None and (first_at is None or at < first_at):
+                first, first_at = instance, at
+        return first
+
     @classmethod
     def single(cls, instance: FaultInstance) -> "InjectionPlan":
         return cls([instance])

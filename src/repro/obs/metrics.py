@@ -90,9 +90,9 @@ def runner_stats(counters: Optional[dict[str, float]] = None) -> dict:
             stats[section] = values
     cache = stats.get("cache")
     if cache:
-        served = cache.get("hits", 0) + cache.get("alias_hits", 0)
-        lookups = served + cache.get("misses", 0)
-        cache["hit_rate"] = round(served / lookups, 6) if lookups else 0.0
+        hits = cache.get("hits", 0)
+        lookups = hits + cache.get("misses", 0)
+        cache["hit_rate"] = round(hits / lookups, 6) if lookups else 0.0
     return stats
 
 

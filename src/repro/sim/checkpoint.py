@@ -351,13 +351,12 @@ class Checkpoint:
 class CheckpointPool:
     """One live checkpoint for one (workload, horizon, seed) context.
 
-    Fork points come from the probe trace: a plan's earliest possible
-    firing position is the minimum probe-trace position over its armed
-    ``(site, occurrence)`` pairs — pairs absent from the probe cannot
-    fire before the run diverges, and the run only diverges at the first
-    fire.  An eligible plan forks from the pool's one rung, parked at
-    exactly that position; a plan with another fork point replaces the
-    rung with one at its own, so at most one holder is alive per pool.
+    Fork points come from the probe trace: a run replays the probe until
+    its first injection, so a plan forks at the probe position of the
+    instance it fires (:meth:`fork_point`).  An eligible plan forks from
+    the pool's one rung, parked at exactly that position; a plan with
+    another fork point replaces the rung with one at its own, so at most
+    one holder is alive per pool.
 
     ``runner`` matches the executor contract of
     :func:`repro.cache.runcache.cached_execute`: a fork-served run is
@@ -386,19 +385,18 @@ class CheckpointPool:
     def fork_point(self, plan: Optional[InjectionPlan]) -> Optional[int]:
         """Latest safe fork request for ``plan``, or ``None`` if ineligible.
 
-        Plans whose armed pairs never occur in the probe trace can never
-        fire, so the deepest point of the trace is safe.  The holder runs
-        the fault-free prefix, so a plan with ``always`` faults is
-        foreign, and so is every plan against an empty trace.
+        That is the probe ordinal of the instance the plan fires
+        (:meth:`InjectionPlan.first_firing`); a plan that never fires
+        can fork at the deepest point of the trace.  The holder runs the
+        fault-free prefix, so a plan with ``always`` faults is foreign,
+        and so is every plan against an empty trace.
         """
         if plan is None or plan.always or not self._total_requests:
             return None
-        first = self._total_requests
-        for instance in plan.instances:
-            ordinal = self._trace.ordinal(instance.site_id, instance.occurrence)
-            if ordinal is not None and ordinal < first:
-                first = ordinal
-        return first
+        first = plan.first_firing(self._trace)
+        if first is None:
+            return self._total_requests
+        return self._trace.ordinal(first.site_id, first.occurrence)
 
     # ----------------------------------------------------------------- running
 

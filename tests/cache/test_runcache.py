@@ -1,4 +1,4 @@
-"""The run cache: key hygiene, disk-tier robustness, noop aliasing,
+"""The run cache: key hygiene, disk-tier robustness, one run per key,
 that no tier retains a live result, and the hard invariant that caching
 never changes a search outcome.  (The segment store's own failure
 surface — torn tails, killed and concurrent writers, forks — is
@@ -22,7 +22,7 @@ from repro.cache import (
     workload_fingerprint,
 )
 from repro.cache.disk import _FIELDS, _HEAD_SIZE, _SUFFIX
-from repro.cache.runcache import ALIAS, HIT, MISS, UNCACHED
+from repro.cache.runcache import HIT, MISS, UNCACHED
 from repro.failures import get_case
 from repro.injection.fir import InjectionPlan
 from repro.injection.sites import FaultInstance
@@ -310,24 +310,6 @@ def test_entry_round_trip_equals_the_original_result(tmp_path, with_plan, cache_
     assert shipped.trace == original.trace
 
 
-def test_alias_prediction_from_a_lazily_decoded_noop_entry(tmp_path):
-    case = get_case("f1")
-    truth = case.ground_truth_instance()
-    RunCache(disk_dir=str(tmp_path)).execute(
-        case.workload, case.horizon, case.seed, None, execute_workload
-    )
-    runner, calls = counting_runner()
-    cold = RunCache(disk_dir=str(tmp_path))
-    ghost = plan_of((truth.site_id, truth.exception, 10**6))
-    result, outcome = cold.execute(case.workload, case.horizon, case.seed, ghost, runner)
-    assert outcome == ALIAS and not calls
-    firing = plan_of((truth.site_id, truth.exception, truth.occurrence))
-    _result, outcome = cold.execute(case.workload, case.horizon, case.seed, firing, runner)
-    assert outcome == MISS and len(calls) == 1
-    reference = execute_workload(case.workload, case.horizon, case.seed)
-    assert result.trace == reference.trace
-
-
 def _flip_bit(data: bytes, needle: bytes) -> bytes:
     """``data`` with one bit flipped in the middle of ``needle``."""
     at = data.index(needle) + len(needle) // 2
@@ -408,38 +390,13 @@ def test_cache_dir_relocates_every_persistent_tier(tmp_path):
     assert b"repro.systems.minizk.node" in segments(tmp_path / "facts")[0].read_bytes()
 
 
-# ------------------------------------------------------------ noop aliasing
+# ------------------------------------------------------ one key, one run
 
 
-def test_never_firing_plan_served_from_noop_run(cache_counters):
-    cache = RunCache()
-    case = get_case("f1")
-    truth = case.ground_truth_instance()
-    runner, calls = counting_runner()
-
-    noop, outcome = cache.execute(
-        case.workload, case.horizon, case.seed, None, runner
-    )
-    assert outcome == MISS
-    # Arm an occurrence far beyond anything the trace contains: the
-    # window can never fire, so the noop result answers without a run.
-    ghost = plan_of((truth.site_id, truth.exception, 10**6))
-    result, outcome = cache.execute(
-        case.workload, case.horizon, case.seed, ghost, runner
-    )
-    assert outcome == ALIAS
-    assert same_run(result, noop)
-    assert len(calls) == 1
-    assert cache_counters["alias_hits"] == 1
-
-    # The aliased key is now a plain memory hit.
-    _result, outcome = cache.execute(
-        case.workload, case.horizon, case.seed, ghost, runner
-    )
-    assert outcome == HIT
-
-
-def test_firing_plan_is_not_aliased():
+def test_firing_plan_is_not_aliased(cache_counters):
+    """With the probe cached, an armed plan still misses and runs,
+    whether it fires or not: which runs windows share is the search's
+    decision (DESIGN §8.2), never the cache's."""
     cache = RunCache()
     case = get_case("f1")
     truth = case.ground_truth_instance()
@@ -452,6 +409,13 @@ def test_firing_plan_is_not_aliased():
     assert outcome == MISS
     assert len(calls) == 2
     assert result.injected_instance is not None
+    ghost = plan_of((truth.site_id, truth.exception, 10**6))
+    result, outcome = cache.execute(
+        case.workload, case.horizon, case.seed, ghost, runner
+    )
+    assert outcome == MISS and len(calls) == 3
+    assert result.injected_instance is None and result.trace is None
+    assert (cache_counters["hits"], cache_counters["misses"]) == (0, 3)
 
 
 def test_a_probe_is_never_served_an_armed_run():
@@ -472,36 +436,6 @@ def test_a_probe_is_never_served_an_armed_run():
     assert outcome == MISS and len(calls) == 2
     uncached = execute_workload(case.workload, case.horizon, seed)
     assert probe.trace == uncached.trace and len(uncached.trace) > 0
-
-
-@pytest.mark.parametrize("case_id", ["f1", "f11"])
-def test_alias_decision_from_site_counts_equals_the_noop_trace(case_id):
-    """A pair ``(site, occurrence)`` is in the noop run's trace iff
-    ``0 < occurrence <= site_counts[site]``: for every candidate of the
-    case's fault space, armed as it is (firing) and shifted past the
-    noop run's count (ghost), the cache aliases exactly the plans whose
-    pair the noop trace lacks."""
-    from repro.core.prepared import prepared_case
-
-    case = get_case(case_id)
-    space = prepared_case(
-        case.model(), case.workload, case.horizon, case.seed, case.failure_log()
-    ).fault_space
-    cache = RunCache(capacity=1 << 16)
-    noop, _ = cache.execute(
-        case.workload, case.horizon, case.seed, None, execute_workload
-    )
-    in_trace = {(event.site_id, event.occurrence) for event in noop.trace}
-    decisions = []
-    for site, spec, occurrence in sorted(space):
-        ghost = occurrence + noop.site_counts.get(site, 0)
-        for armed in (occurrence, ghost):
-            plan = plan_of((site, spec, armed))
-            key = cache._key(case.workload, case.horizon, case.seed, plan)
-            aliased = cache._alias_lookup(key, cache._name(key), plan) is not None
-            assert aliased == ((site, armed) not in in_trace), (site, armed)
-            decisions.append(aliased)
-    assert True in decisions and False in decisions
 
 
 # ------------------------------------------------------------- no retention
@@ -526,32 +460,6 @@ def test_the_cache_retains_no_live_result(tmp_path, disk):
         gc.collect()
         assert result_ref() is None and log_ref() is None
     assert all(type(record) is bytes for record in cache._memory.values())
-
-
-def test_alias_decisions_decode_the_noop_record_once(monkeypatch):
-    """``_noop_counts`` remembers the noop run's ``site_counts``: the
-    first never-firing window decodes the noop record to learn them,
-    and every alias hit after that decodes only the result it serves."""
-    from repro.cache import runcache
-
-    case = get_case("f1")
-    truth = case.ground_truth_instance()
-    cache = RunCache()
-    cache.execute(case.workload, case.horizon, case.seed, None, execute_workload)
-    decoded = []
-    real = runcache.pickle.loads
-    monkeypatch.setattr(
-        runcache.pickle, "loads",
-        lambda record: decoded.append(1) or real(record),
-    )
-    for occurrence in (10**6, 10**6 + 1, 10**6 + 2):
-        ghost = plan_of((truth.site_id, truth.exception, occurrence))
-        result, outcome = cache.execute(
-            case.workload, case.horizon, case.seed, ghost, execute_workload
-        )
-        assert outcome == ALIAS
-    assert len(decoded) == 1 + 3
-    assert list(cache._noop_counts.values()) == [result.site_counts]
 
 
 # --------------------------------------------------------------- LRU bounds

@@ -119,8 +119,8 @@ def test_traced_pipeline_bypasses_the_cache(runs, cache_counters):
     pipeline.run(1, None)
     pipeline.run(1, None)
     assert runs == [{"recorder": recorder}] * 2
-    lookups = ("hits", "alias_hits", "misses")
-    assert [cache_counters[name] for name in lookups] == [0, 0, 0]
+    lookups = ("hits", "misses")
+    assert [cache_counters[name] for name in lookups] == [0, 0]
 
 
 # ------------------------------------------------- across a process boundary

@@ -12,15 +12,19 @@ import pytest
 
 from repro.baselines import Strategy, build_context
 from repro.baselines.variants import _StaticOrderStrategy
+from repro.cache import runcache
+from repro.core import pipeline as pipeline_module
 from repro.core.explorer import FeedbackPolicy
 from repro.core.oracle import Oracle
+from repro.core.pipeline import RunPipeline
 from repro.core.search import search
 from repro.failures import get_case
+from repro.injection.fir import ProbeTrace, TraceEvent
 from repro.injection.sites import FaultInstance
 from repro.logs.record import LogFile
 from repro.obs.bus import EventBus, MemorySink, set_active_bus
 from repro.obs.coverage import CoverageTracker
-from repro.sim.cluster import RunResult
+from repro.sim.cluster import RunResult, execute_workload
 
 
 def run_result(fired=None):
@@ -35,6 +39,14 @@ def run_result(fired=None):
         end_time=0.0,
         site_counts={},
     )
+
+
+#: The stub probe: each stub site executes once, in this order, so a
+#: window runs as its instance of the earliest site here.
+PROBE = ProbeTrace.of(
+    TraceEvent(site, 1, float(at), 0)
+    for at, site in enumerate(["a", "b", "c", "s1", "s2"])
+)
 
 
 class StubPipeline:
@@ -96,7 +108,7 @@ def drive(sites, oracle_site, **budget):
     budget.setdefault("max_seconds", None)
     found = search(
         pipeline, SatisfiedBy(oracle_site), policy, case_id="stub",
-        coverage=CoverageTracker(()), **budget,
+        coverage=CoverageTracker(()), probe=PROBE, **budget,
     )
     return found, pipeline, policy, capture.events
 
@@ -207,10 +219,12 @@ class TestStrategyPolicy:
         found = search(
             pipeline, SatisfiedBy("never"), strategy, case_id="stub",
             max_rounds=10, max_seconds=None, coverage=CoverageTracker(()),
+            probe=PROBE,
         )
         assert found.message == "fault space exhausted"
+        # Each round runs as the window's first-firing instance.
         assert [armed for _seed, armed in pipeline.runs] == [
-            list(Stubborn.offers), Stubborn.offers[1:],
+            Stubborn.offers[:1], Stubborn.offers[1:],
         ]
 
 
@@ -274,3 +288,80 @@ class TestFeedbackPolicy:
         pool = FakePool()
         assert FeedbackPolicy(pool, None, 1).rank() is None
         assert FeedbackPolicy(pool, None, 1, "s1").rank() == 3
+
+
+# ------------------------------------------- a window runs as what it fires
+
+
+class FixedWindows:
+    """Offers each of its windows once, in order."""
+
+    name = "fixed"
+    entries = ()
+
+    def __init__(self, *windows):
+        self.windows = list(windows)
+
+    def window(self):
+        return self.windows[0] if self.windows else []
+
+    def rank(self):
+        return None
+
+    def feedback(self, window, result, injected, satisfied):
+        self.windows.pop(0)
+        return 0
+
+
+class TestAWindowRunsAsItsFirstFiringInstance:
+    """On a real case, through the run cache: what a round executes
+    depends only on the instance its window fires (DESIGN §8.2)."""
+
+    @pytest.fixture
+    def executed(self, monkeypatch):
+        """The plans of every run actually executed."""
+        runcache.configure(enabled=True)
+        real, plans = pipeline_module.execute_workload, []
+
+        def counting(workload, **kwargs):
+            plans.append(kwargs.get("plan"))
+            return real(workload, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "execute_workload", counting)
+        return plans
+
+    @staticmethod
+    def searched(case, policy):
+        pipeline = RunPipeline(case.workload, case.horizon, case.seed)
+        probe = pipeline.run(case.seed, None).trace
+        return search(
+            pipeline, case.oracle, policy, case_id="f1", max_rounds=10,
+            max_seconds=None, coverage=CoverageTracker(()), probe=probe,
+        )
+
+    def test_a_window_that_cannot_fire_executes_nothing(self, executed):
+        case = get_case("f1")
+        truth = case.ground_truth_instance()
+        dry = [
+            FaultInstance(truth.site_id, truth.exception, 10**6),
+            FaultInstance("no-such-site", "IOException", 1),
+        ]
+        found = self.searched(case, FixedWindows(dry))
+        assert found.message == "fault space exhausted"
+        assert found.round_records[0].injected is None
+        assert found.round_records[0].window_size == len(dry)
+        assert executed == [None]  # the probe, and nothing after it
+
+    def test_windows_that_fire_alike_share_one_run(self, executed):
+        case = get_case("f1")
+        probe = execute_workload(case.workload, case.horizon, case.seed).trace
+        truth = case.ground_truth_instance()
+        assert probe.ordinal(truth.site_id, truth.occurrence) < len(probe)
+        last = probe[len(probe) - 1]
+        later = FaultInstance(last.site_id, "IOException", last.occurrence)
+        ghost = FaultInstance(truth.site_id, truth.exception, 10**6)
+        for window in ([truth, ghost], [later, truth]):
+            found = self.searched(case, FixedWindows(window))
+            assert found.success and found.injected == truth
+        assert len(executed) == 2  # the probe, then one run of ``truth``
+        assert executed[1].instances == [truth]

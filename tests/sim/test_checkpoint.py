@@ -219,6 +219,35 @@ class TestCheckpointPool:
             assert pool.fork_point(foreign) is None
             assert pool.fork_point(None) is None
 
+    def test_the_fork_point_is_the_first_firing_instance(self):
+        """A window whose earliest pair is a corruption its op cannot
+        carry forks where the instance it does fire sits, not earlier."""
+        case = get_case("f1")
+        pool, probe = self.make_pool(case)
+        trace = probe.trace
+        early = next(
+            i for i, site in enumerate(trace.sites) if site.endswith(":disk_write")
+        )
+        later = early + 1 + (len(trace) - early - 1) // 2
+        uncarried = FaultInstance(
+            trace[early].site_id, "corrupt:truncate_read", trace[early].occurrence
+        )
+        fired = FaultInstance(
+            trace[later].site_id, "IOException", trace[later].occurrence
+        )
+        plan = InjectionPlan.of([uncarried, fired])
+        assert plan.first_firing(trace) == fired
+        with pool:
+            assert pool.fork_point(plan) == later + 1
+            served = pool.runner(
+                case.workload, case.horizon, seed=case.seed, plan=plan
+            )
+        inline = execute_workload(
+            case.workload, horizon=case.horizon, seed=case.seed, plan=plan
+        )
+        assert served.injected_instance == fired
+        assert run_signature(served) == run_signature(inline)
+
     @staticmethod
     def plan_at(probe, depth):
         """A plan first firing ``depth`` of the way into the probe trace."""

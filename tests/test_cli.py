@@ -319,7 +319,7 @@ class TestRunnerStatsLines:
         clean_registry.increment("cache.hits", 3)
         clean_registry.increment("cache.misses", 1)
         assert self._lines(capsys) == [
-            "[cache: 3 hit(s), 0 alias(es), 1 miss(es), hit rate 75.0%]",
+            "[cache: 3 hit(s), 1 miss(es), hit rate 75.0%]",
         ]
 
     def test_degraded_line_names_every_fallback(self, capsys, clean_registry):

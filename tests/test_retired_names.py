@@ -220,6 +220,15 @@ RETIRED = [
         "§5.3",
         id="flow-accessor-alias",
     ),
+    pytest.param(
+        r"_alias_lookup|_noop_counts|_noop_key|alias_hits|\bALIAS\b",
+        ("src", "tools", ".github"),
+        (),
+        # A window runs as its first-firing instance, so the run cache
+        # serves what a key names and nothing else.
+        "§8.2",
+        id="run-cache-alias-path",
+    ),
 ]
 
 
