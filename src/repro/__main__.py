@@ -169,7 +169,8 @@ _DEGRADED = (
 
 def _print_runner_stats() -> None:
     """The run's bookkeeping on stderr, from the one reducer: a line per
-    runner section that moved, then one ``[degraded: ...]`` line naming
+    runner section that moved, the campaign cells served whole from the
+    cache when there were any, then one ``[degraded: ...]`` line naming
     every fallback the run took (silent when clean)."""
     from .obs import metrics as obs_metrics
 
@@ -178,6 +179,9 @@ def _print_runner_stats() -> None:
             _STATS_LINES[section].format_map(collections.defaultdict(int, values)),
             file=sys.stderr,
         )
+    served = int(obs_metrics.get("cache.cells_served"))
+    if served:
+        print(f"[cells: {served} served from the cache]", file=sys.stderr)
     degraded = [
         f"{int(obs_metrics.get(counter))} {label}"
         for counter, label in _DEGRADED

@@ -39,6 +39,8 @@ class CellOutcome:
     median_workload_ms: float
     #: Fault-space coverage accounting dict.
     coverage: dict
+    #: Why the search stopped (``ExplorationResult.message``).
+    message: str = ""
     #: ANDURIL's prepare step (Tables 4/8); 0.0 on baseline cells.
     prepare_seconds: float = 0.0
     #: Mean FIR decision latency in µs, reported by the ``repro.obs``
@@ -88,6 +90,7 @@ def _cell_outcome(
         median_init_ms=_median(inits) * 1e3,
         median_workload_ms=_median(workloads) * 1e3,
         coverage=result.coverage.to_dict(),
+        message=result.message,
         **measured,
     )
 

@@ -14,17 +14,25 @@ case from the registry and rebuilds its own model / failure-log caches.
 Oracles (which may close over lambdas) and workload state therefore
 never cross a process boundary, and nothing travels through the
 environment.
+
+A cell is a pure function of its task and the code, so with a disk
+tier the run cache keeps finished cells in its ``cells`` sub-tier and
+:func:`execute_task` serves them back (DESIGN §8.1).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import pickle
 import time
 import warnings
 from typing import Optional, Sequence
 
+from ..cache import runcache
 from ..core.pipeline import RunConfig, default_jobs
-from ..failures import get_case
+from ..core.search import OUT_OF_TIME
+from ..failures import INDEX, get_case
 from ..obs import metrics as obs_metrics
 from ..obs.bus import (
     EventBus,
@@ -103,17 +111,33 @@ class CampaignTask:
         )
 
 
-def execute_task(task: CampaignTask):
-    """Run one campaign cell (also the process-pool entry point).
+#: ``repro.obs.metrics`` counter bumped once per campaign cell served
+#: from the run cache's ``cells`` tier instead of computed.
+CELLS_SERVED_COUNTER = "cache.cells_served"
 
-    The cell's ``repro.obs.metrics`` movement — and, in a pool worker
-    of an events-on campaign, the bus events it emitted — is captured as
-    one envelope and attached to the outcome (``telemetry``), so a parent
-    that receives the pickled result can merge it into its own registry
-    and sinks without double counting when a worker process runs several
-    cells.  Inline cells carry the same envelope (it is what per-cell
-    stats are read from); the parent just never merges it.
-    """
+
+def _cell_name(task: CampaignTask) -> Optional[str]:
+    """The record name of ``task``'s cell in the run cache's ``cells``
+    tier: a digest of the task and of every source file of the package,
+    so any edit misses.  ``None`` when the cell is never stored or
+    served: no disk tier, a profiled cell (its metrics are wall-clock
+    samples), or a case outside the catalog index (a run-time
+    registration's module is not in the digest)."""
+    cache = runcache.active()
+    if (
+        cache is None
+        or cache.disk_dir is None
+        or task.case_id not in INDEX
+        or dict(task.options).get("profile")
+    ):
+        return None
+    digest = hashlib.blake2b(repr(task).encode(), digest_size=20)
+    digest.update(runcache.package_digest())
+    return digest.hexdigest()
+
+
+def _compute(task: CampaignTask):
+    """Run ``task``'s search."""
     case = get_case(task.case_id)
     options = dict(task.options)
     # A fault-dims override is a search parameter of this cell, not a
@@ -121,16 +145,44 @@ def execute_task(task: CampaignTask):
     dims = options.pop("fault_dims", None)
     if dims:
         case = dataclasses.replace(case, fault_dims=dims)
+    if task.strategy == "anduril":
+        return run_anduril(case, **options)
+    return run_baseline(task.strategy, case, **options)
+
+
+def execute_task(task: CampaignTask):
+    """Run one campaign cell (also the process-pool entry point), or
+    serve it from the run cache's ``cells`` tier.
+
+    A served cell is the stored outcome, its wall-clock fields included;
+    a computed one is stored unless its search ran out of time, which
+    depends on the host (see :func:`_cell_name` for what else bypasses
+    the tier).  The cell's ``repro.obs.metrics`` movement — and, in a
+    pool worker of an events-on campaign, the bus events it emitted — is
+    captured as one envelope and attached to the outcome
+    (``telemetry``), so a parent that receives the pickled result can
+    merge it into its own registry and sinks without double counting
+    when a worker process runs several cells.  Inline cells carry the
+    same envelope (it is what per-cell stats are read from); the parent
+    just never merges it.
+    """
+    name = _cell_name(task)
+    cells = runcache.active().tier("cells") if name else None
     capture = None
     if _worker_config is not None and _worker_config.events:
         capture = MemorySink()
         set_active_bus(EventBus([capture]))
     before = obs_metrics.capture()
     try:
-        if task.strategy == "anduril":
-            outcome = run_anduril(case, **options)
+        outcome = cells.read(name, pickle.loads) if cells is not None else None
+        if outcome is not None:
+            obs_metrics.increment(CELLS_SERVED_COUNTER)
         else:
-            outcome = run_baseline(task.strategy, case, **options)
+            outcome = _compute(task)
+            if cells is not None and outcome.message != OUT_OF_TIME:
+                cells.write(
+                    name, lambda: pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+                )
     finally:
         if capture is not None:
             set_active_bus(None)
@@ -182,6 +234,10 @@ def run_tasks(
     else:
         # The pool machinery loads only for a campaign that fans out.
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+        # Workers inherit the package digest that names cells instead of
+        # each reading the whole package again.
+        _cell_name(tasks[0])
 
         results = [None] * len(tasks)
         failed: list[int] = []

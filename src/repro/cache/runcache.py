@@ -18,10 +18,10 @@ columns), never a live object graph:
 * an optional on-disk tier, ``benchmarks/out/runcache/`` by default,
   shared between campaign worker processes: each process appends its
   records to a segment file of its own (:class:`~repro.cache.disk.
-  DiskTier`, DESIGN §8.1).  The one other artefact that goes stale
-  with the code, module facts, persists in the ``facts/`` sub-tier of
-  the same directory (:meth:`RunCache.tier`), so ``--cache-dir``
-  relocates both.
+  DiskTier`, DESIGN §8.1).  The other artefacts that go stale with
+  the code, module facts and whole campaign cells, persist in the
+  ``facts/`` and ``cells/`` sub-tiers of the same directory
+  (:meth:`RunCache.tier`), so ``--cache-dir`` relocates all three.
 
 A record carries a trace iff its run armed nothing, because
 ``execute_workload`` traces exactly those runs.  A lookup is a hit or a
@@ -99,6 +99,12 @@ def source_digest(path: str) -> bytes:
     return digest
 
 
+def package_digest() -> bytes:
+    """Digest of every source file of the ``repro`` package: what a
+    campaign cell executes (its key in the ``cells`` tier)."""
+    return source_digest(_PACKAGE)
+
+
 def workload_fingerprint(workload) -> Optional[str]:
     """Content fingerprint of a workload callable, or ``None`` if unsafe.
 
@@ -168,7 +174,7 @@ class RunCache:
 
     def tier(self, name: str) -> Optional[DiskTier]:
         """The persistent tier ``<disk_dir>/<name>/`` of another artefact
-        kept beside the runs (module facts), or ``None`` without a disk
+        kept beside the runs (module facts, campaign cells), or ``None`` without a disk
         tier.  Its failures count as ``cache.disk_errors``."""
         if self.disk_dir is None:
             return None

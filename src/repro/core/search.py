@@ -37,6 +37,11 @@ from ..sim.cluster import RunResult
 from .report import ReproductionScript
 
 
+#: The message of a search stopped by its time budget: the one outcome
+#: that depends on the host, not only on (case, seed, search parameters).
+OUT_OF_TIME = "time budget exhausted"
+
+
 @dataclasses.dataclass
 class RoundRecord:
     round_number: int
@@ -172,7 +177,7 @@ def search(
     for round_number in range(1, max_rounds + 1):
         init_started = time.perf_counter()
         if max_seconds is not None and init_started - started > max_seconds:
-            return outcome(False, "time budget exhausted")
+            return outcome(False, OUT_OF_TIME)
         window = policy.window()
         rerank_started = time.perf_counter()
         rank = policy.rank()

@@ -232,6 +232,18 @@ class TestFir:
         assert event.args["exception"] == "IOException"
         assert event.time == 1.5  # virtual clock bound in make_fir
 
+    def test_trigger_ordinals_start_at_one(self):
+        """``set_trigger`` takes a 1-based request ordinal: 0 is refused,
+        and 1 is accepted and fires, once, at the first request."""
+        fir = self.make_fir()
+        with pytest.raises(ValueError):
+            fir.set_trigger(0, lambda _fir: None)
+        reached = []
+        fir.set_trigger(1, lambda hooked: reached.append(hooked.request_count))
+        fir.on_site(make_site())
+        fir.on_site(make_site())
+        assert reached == [1]
+
     def test_different_sites_count_independently(self):
         fir = self.make_fir()
         fir.on_site(make_site(line=1))

@@ -322,6 +322,13 @@ class TestRunnerStatsLines:
             "[cache: 3 hit(s), 1 miss(es), hit rate 75.0%]",
         ]
 
+    def test_served_cells_get_their_own_line(self, capsys, clean_registry):
+        clean_registry.increment("cache.cells_served", 50)
+        assert self._lines(capsys) == [
+            "[cache: 0 hit(s), 0 miss(es), hit rate 0.0%]",
+            "[cells: 50 served from the cache]",
+        ]
+
     def test_degraded_line_names_every_fallback(self, capsys, clean_registry):
         clean_registry.increment("campaign.inline_fallbacks", 2)
         clean_registry.increment("cache.disk_errors", 4)

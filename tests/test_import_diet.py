@@ -232,3 +232,28 @@ def test_a_campaign_cell_imports_nothing_the_parent_did_not_load(tmp_path):
         f"          '--events-out', {str(tmp_path / 'events.jsonl')!r}, '--no-ledger'])"
     )
     assert [name for name in new if name.startswith("repro")] == []
+
+
+def test_a_pool_forks_after_the_parent_loaded_what_its_cells_run(tmp_path):
+    """``compare --jobs 2`` builds its pool only once the parent holds the
+    Explorer, every listed case's module and the package digest that
+    names served cells: each forked worker inherits them instead of
+    compiling or reading them again."""
+    preloaded = fresh_interpreter(
+        "import concurrent.futures, json, sys\n"
+        "import repro.__main__ as cli\n"
+        "from repro.cache import runcache\n"
+        "class Pool:\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        wanted = ['repro.core.explorer', 'repro.failures.zk', 'repro.failures.kafka']\n"
+        "        print(json.dumps({'loaded': [n for n in wanted if n in sys.modules],\n"
+        "            'digest': runcache._PACKAGE in runcache._DIGESTS}))\n"
+        "        raise SystemExit(0)\n"
+        "concurrent.futures.ProcessPoolExecutor = Pool\n"
+        f"cli.main(['compare', 'f1,f24', '--jobs', '2', '--cache-dir', {str(tmp_path)!r},\n"
+        "          '--no-events', '--no-ledger'])"
+    )
+    assert preloaded == {
+        "loaded": ["repro.core.explorer", "repro.failures.zk", "repro.failures.kafka"],
+        "digest": True,
+    }
