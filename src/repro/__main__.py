@@ -38,8 +38,8 @@ both; default: each case's own setting).  ``reproduce`` and ``compare``
 accept ``--profile`` to sample run-level metrics (FIR decision latency,
 scheduler counters) without changing the search outcome.  Both append one entry per (strategy, case) cell to the
 run ledger (``benchmarks/out/ledger.jsonl``) unless ``--no-ledger``,
-and both memoize deterministic runs through :mod:`repro.cache` unless
-``--no-cache`` (``--cache-dir`` relocates the shared disk tier).  Every
+and both memoize deterministic runs through :mod:`repro.cache`, on disk
+too unless ``--no-cache`` (``--cache-dir`` relocates the disk tier).  Every
 run replays the workload from t=0 to its horizon (``compare`` still
 accepts ``--[no-]checkpoint`` and ``--[no-]early-verdict`` and ignores
 both).
@@ -110,11 +110,9 @@ def _run_config(args):
     from . import cache as runcache
     from .core.pipeline import RunConfig
 
-    cache = getattr(args, "cache", False)
     cache_dir = getattr(args, "cache_dir", None) or runcache.default_disk_dir()
     return RunConfig(
-        cache=cache,
-        cache_dir=cache_dir if cache else None,
+        cache_dir=cache_dir if getattr(args, "cache", False) else None,
         events=getattr(args, "events", False),
     )
 
@@ -167,25 +165,27 @@ _DEGRADED = (
 )
 
 
-def _print_runner_stats() -> None:
+def _print_runner_stats(since=None) -> None:
     """The run's bookkeeping on stderr, from the one reducer: a line per
     runner section that moved, the campaign cells served whole from the
     cache when there were any, then one ``[degraded: ...]`` line naming
-    every fallback the run took (silent when clean)."""
+    every fallback the run took (silent when clean).  ``since`` is the
+    registry's capture when this call began (default: everything)."""
     from .obs import metrics as obs_metrics
 
-    for section, values in obs_metrics.runner_stats().items():
+    counters = obs_metrics.capture(since)["counters"]
+    for section, values in obs_metrics.runner_stats(counters).items():
         print(
             _STATS_LINES[section].format_map(collections.defaultdict(int, values)),
             file=sys.stderr,
         )
-    served = int(obs_metrics.get("cache.cells_served"))
+    served = int(counters.get("cache.cells_served", 0))
     if served:
         print(f"[cells: {served} served from the cache]", file=sys.stderr)
     degraded = [
-        f"{int(obs_metrics.get(counter))} {label}"
+        f"{int(counters[counter])} {label}"
         for counter, label in _DEGRADED
-        if obs_metrics.get(counter)
+        if counters.get(counter)
     ]
     if degraded:
         print(f"[degraded: {', '.join(degraded)}]", file=sys.stderr)
@@ -279,7 +279,7 @@ def _cmd_reproduce_body(args) -> int:
         ],
         args,
     )
-    _print_runner_stats()
+    _print_runner_stats(args.metrics_since)
     if not result.success:
         print(f"NOT reproduced: {result.message} ({result.rounds} rounds)")
         return 1
@@ -438,7 +438,7 @@ def _cmd_compare_body(args, jobs: int, cases: list) -> int:
         for case in cases
     )
     _append_ledger(entries, args)
-    _print_runner_stats()
+    _print_runner_stats(args.metrics_since)
     if args.summary_out:
         from .bench import summary as bench_summary
 
@@ -446,7 +446,9 @@ def _cmd_compare_body(args, jobs: int, cases: list) -> int:
         for outcome in (*anduril_by_case.values(), *cells.values()):
             bench_summary.record_outcome(outcome)
         try:
-            path = bench_summary.write_bench_summary(args.summary_out)
+            path = bench_summary.write_bench_summary(
+                args.summary_out, since=args.metrics_since
+            )
         except OSError as error:
             print(
                 f"error: cannot write summary to {args.summary_out}: {error}",
@@ -738,7 +740,7 @@ def cmd_analyze(args) -> int:
         print(f"analysis written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(payload)
-    _print_runner_stats()
+    _print_runner_stats(args.metrics_since)
     if total_contradictions:
         print(
             f"error: {total_contradictions} dynamic contradiction(s) — the "
@@ -820,7 +822,7 @@ def _add_cache_options(subparser) -> None:
         "--cache",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="memoize deterministic runs (default on; --no-cache disables)",
+        help="keep runs and campaign cells on disk, not only in memory (default on)",
     )
     subparser.add_argument(
         "--cache-dir",
@@ -1062,6 +1064,12 @@ def main(argv=None) -> int:
     from .failures import UnknownCaseError
 
     args = build_parser().parse_args(argv)
+    if args.command in ("reproduce", "compare", "analyze"):
+        from .obs import metrics as obs_metrics
+
+        # What _print_runner_stats reports from: the registry is
+        # process-wide, and a call reports only its own movement.
+        args.metrics_since = obs_metrics.capture()
     handler = {
         "list": cmd_list,
         "reproduce": cmd_reproduce,

@@ -342,8 +342,7 @@ def _facts_for_module(module_name: str) -> Optional[ModuleFacts]:
     cached = _FACTS_CACHE.get(module_name)
     if cached is not None and cached[0] == digest:
         return cached[1]
-    cache = runcache.active()
-    tier = None if cache is None else cache.tier("facts")
+    tier = runcache.active().tier("facts")
     # Facts embed the file path and are only as good as the extractor
     # that made them: a record stamped otherwise is stale, and superseded
     # by the one appended after it.

@@ -123,10 +123,8 @@ def _cell_name(task: CampaignTask) -> Optional[str]:
     served: no disk tier, a profiled cell (its metrics are wall-clock
     samples), or a case outside the catalog index (a run-time
     registration's module is not in the digest)."""
-    cache = runcache.active()
     if (
-        cache is None
-        or cache.disk_dir is None
+        runcache.active().disk_dir is None
         or task.case_id not in INDEX
         or dict(task.options).get("profile")
     ):

@@ -66,8 +66,12 @@ def collected_case_count() -> int:
     return len(_OUTCOMES)
 
 
-def summarize(outcomes: Optional[dict[str, dict]] = None) -> dict:
-    """Aggregate per-case records into the bench-summary document."""
+def summarize(
+    outcomes: Optional[dict[str, dict]] = None, since: Optional[dict] = None
+) -> dict:
+    """Aggregate per-case records into the bench-summary document; its
+    counters and latency are the registry's movement after ``since``
+    (an earlier :func:`~repro.obs.metrics.capture`; default: all)."""
     outcomes = _OUTCOMES if outcomes is None else outcomes
     ordered = dict(
         sorted(outcomes.items(), key=lambda item: (len(item[0]), item[0]))
@@ -83,7 +87,8 @@ def summarize(outcomes: Optional[dict[str, dict]] = None) -> dict:
         "median_rounds": statistics.median(rounds) if rounds else 0,
         "total_seconds": round(sum(seconds), 6),
     }
-    counters = dict(sorted(obs_metrics.snapshot().items()))
+    moved = obs_metrics.capture(since)
+    counters = dict(sorted(moved["counters"].items()))
     # Operational counters (e.g. campaign.inline_fallbacks) for post-hoc
     # inspection.  The runner knobs' counters get their own sections
     # (this process plus merged workers), each absent when its knob never
@@ -101,19 +106,12 @@ def summarize(outcomes: Optional[dict[str, dict]] = None) -> dict:
     coverage = coverage_section(ordered)
     if coverage:
         document["coverage"] = coverage
-    latency = latency_section()
+    # Round/run/feedback latency quantiles: wall-clock, so the
+    # equivalence checker strips them.
+    latency = obs_metrics.histograms_snapshot(moved["histograms"])
     if latency:
         document["latency"] = latency
     return document
-
-
-def latency_section() -> dict:
-    """Streaming latency quantiles (p50/p90/p99 of round/run/feedback
-    seconds) from the ``repro.obs.metrics`` histograms — this process
-    plus merged campaign workers.  Empty when nothing was observed;
-    wall-clock-dependent, so the equivalence checker strips it.
-    """
-    return obs_metrics.histograms_snapshot()
 
 
 def coverage_section(anduril_cases: Optional[dict[str, dict]] = None) -> dict:
@@ -192,13 +190,16 @@ def _compact_dumps(document) -> str:
     return text + "\n"
 
 
-def write_bench_summary(path: Optional[str] = None) -> str:
-    """Write the summary JSON under ``benchmarks/out/`` and return its path."""
+def write_bench_summary(
+    path: Optional[str] = None, since: Optional[dict] = None
+) -> str:
+    """Write the summary JSON (:func:`summarize`'s, ``since`` as there)
+    under ``benchmarks/out/`` and return its path."""
     if path is None:
         path = os.path.join(OUT_DIR, "bench_summary.json")
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_compact_dumps(summarize()))
+        handle.write(_compact_dumps(summarize(since=since)))
     return path

@@ -13,8 +13,9 @@ Two tiers, one representation — the record of a run, its
 ``RunResult`` pickled once (the log and the trace pickle as their
 columns), never a live object graph:
 
-* an in-process LRU of records (always on when the cache is active),
-  decoded afresh on every hit; and
+* an in-process LRU of records, always on (what skips it is a run
+  with a recorder attached, DESIGN §5.3, and an unfingerprintable
+  workload), decoded afresh on every hit; and
 * an optional on-disk tier, ``benchmarks/out/runcache/`` by default,
   shared between campaign worker processes: each process appends its
   records to a segment file of its own (:class:`~repro.cache.disk.
@@ -105,6 +106,11 @@ def package_digest() -> bytes:
     return source_digest(_PACKAGE)
 
 
+#: What a callable can carry that its module's source does not show: two
+#: closures made by one factory share a name and a source.
+_HIDDEN_STATE = ("__closure__", "__defaults__", "__kwdefaults__", "__self__")
+
+
 def workload_fingerprint(workload) -> Optional[str]:
     """Content fingerprint of a workload callable, or ``None`` if unsafe.
 
@@ -112,7 +118,8 @@ def workload_fingerprint(workload) -> Optional[str]:
     that defines it (workload, oracle and ground truth live there) and
     the source of :data:`_RUN_CODE` — so an edit to anything a run
     executes, committed or not, misses.  Callables without a qualified
-    name are uncacheable and yield ``None``.
+    name, or with state of their own (:data:`_HIDDEN_STATE`), are
+    uncacheable and yield ``None``.
     """
     try:
         cached = _FINGERPRINTS.get(workload)
@@ -123,7 +130,8 @@ def workload_fingerprint(workload) -> Optional[str]:
     module = getattr(workload, "__module__", "")
     qualname = getattr(workload, "__qualname__", "")
     fingerprint = ""
-    if module and qualname:
+    hidden = any(getattr(workload, name, None) is not None for name in _HIDDEN_STATE)
+    if module and qualname and not hidden:
         digest = hashlib.sha256(f"{module}:{qualname}".encode())
         paths = [os.path.join(_PACKAGE, part) for part in _RUN_CODE]
         for path in (*paths, getattr(sys.modules.get(module), "__file__", None)):
@@ -287,54 +295,34 @@ class RunCache:
 
 # ---------------------------------------------------------- process global
 
-_active: Optional[RunCache] = None
+#: The process-wide cache: a memory tier from import on, because a run
+#: is a pure function of its key whoever asks for it.
+_active = RunCache()
 
 
-def configure(
-    enabled: bool = True,
-    disk_dir: Optional[str] = None,
-    capacity: int = 1024,
-) -> Optional[RunCache]:
-    """Install (or remove) the process-wide cache and return it.
-
-    Worker processes are configured the same way: the pools ship a
-    :class:`repro.core.pipeline.RunConfig` as their initializer argument
-    and each worker installs it.
-    """
+def configure(enabled: bool = True, disk_dir: Optional[str] = None) -> RunCache:
+    """Install a fresh process-wide cache, with its disk tier at
+    ``disk_dir`` (``None``: memory only), and return it; a pool worker
+    installs the :class:`repro.core.pipeline.RunConfig` its parent ships.
+    ``enabled`` is ignored, the memory tier being always on (a shim for
+    the frozen benchmark, DESIGN §5.3)."""
     global _active
-    reset()
-    _active = RunCache(capacity=capacity, disk_dir=disk_dir) if enabled else None
+    _active.close()
+    _active = RunCache(disk_dir=disk_dir)
     return _active
 
 
-def active() -> Optional[RunCache]:
-    """The process-wide cache; ``None`` until :func:`configure` enables
-    one, so library consumers and tests that stub out
-    ``execute_workload`` must opt in explicitly."""
+def active() -> RunCache:
+    """The process-wide cache."""
     return _active
 
 
 def reset() -> None:
-    """Drop the process-wide cache and close its descriptors."""
-    global _active
-    if _active is not None:
-        _active.close()
-    _active = None
+    """Install a fresh memory-only cache (closing the previous one)."""
+    configure()
 
 
-def cached_execute(
-    workload,
-    *,
-    horizon,
-    seed=0,
-    plan=None,
-    runner=None,
-):
-    """Run through the active cache, or directly when no cache is active."""
-    cache = active()
-    if cache is None:
-        return _run(runner, workload, horizon, seed, plan)
-    result, _outcome = cache.execute(
-        workload, horizon=horizon, seed=seed, plan=plan, runner=runner
-    )
+def cached_execute(workload, *, horizon, seed=0, plan=None, runner=None):
+    """Run through the process-wide cache."""
+    result, _outcome = _active.execute(workload, horizon, seed, plan, runner)
     return result

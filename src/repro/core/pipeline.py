@@ -9,9 +9,9 @@ ANDURIL's loop has one primitive — "run the workload under this plan"
 Every run, the probe included, replays the workload from t=0 to its
 horizon, as the paper's Explorer does.  The Explorer and the baseline
 ``StrategyRunner`` both call it; neither names a cache.
-:class:`RunConfig` says *how* a process runs — the cache tier and the
-event stream, none of which may change a search's outcome — and is all
-a worker process needs from its parent.
+:class:`RunConfig` says *how* a process runs — the run cache's disk
+tier and the event stream, neither of which may change a search's
+outcome — and is all a worker process needs from its parent.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class RunConfig:
     initializer's argument, and the worker calls :meth:`install`.
     """
 
-    cache: bool = False
+    #: The run cache's disk tier; ``None`` keeps it in memory only.
     cache_dir: Optional[str] = None
     events: bool = False
 
@@ -55,16 +55,13 @@ class RunConfig:
         pool started by library code that called ``runcache.configure``
         or ``set_active_bus`` itself is configured like the CLI's.
         """
-        cache = runcache.active()
         return cls(
-            cache=cache is not None,
-            cache_dir=cache.disk_dir if cache is not None else None,
-            events=active_bus().enabled,
+            cache_dir=runcache.active().disk_dir, events=active_bus().enabled
         )
 
     def install(self) -> None:
         """Run this process under the config (also the pool initializer)."""
-        runcache.configure(enabled=self.cache, disk_dir=self.cache_dir)
+        runcache.configure(disk_dir=self.cache_dir)
 
 
 class RunPipeline:

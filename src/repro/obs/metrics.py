@@ -133,14 +133,17 @@ def _quantile(buckets: dict[int, int], count: int, q: float) -> float:
     return _bucket_upper(max(buckets)) if buckets else 0.0
 
 
-def histograms_snapshot() -> dict[str, dict]:
-    """Quantile summaries of every histogram (for heartbeats/summaries).
+def histograms_snapshot(histograms: Optional[dict] = None) -> dict[str, dict]:
+    """Quantile summaries of every histogram (for heartbeats/summaries):
+    this registry's, or the raw ``histograms`` of a :func:`capture`.
 
     Returns ``{name: {count, mean, p50, p90, p99}}`` with quantiles
     rounded to the bucket resolution.
     """
+    if histograms is None:
+        histograms = _histograms
     summary: dict[str, dict] = {}
-    for name, histogram in sorted(_histograms.items()):
+    for name, histogram in sorted(histograms.items()):
         count = histogram["count"]
         if not count:
             continue

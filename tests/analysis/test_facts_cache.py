@@ -105,7 +105,7 @@ class TestFactsDiskTier:
     def disk_cache(self, tmp_path):
         from repro.cache import runcache
 
-        cache = runcache.configure(enabled=True, disk_dir=str(tmp_path / "cache"))
+        cache = runcache.configure(disk_dir=str(tmp_path / "cache"))
         yield cache
         runcache.reset()
 

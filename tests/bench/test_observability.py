@@ -6,7 +6,6 @@ import dataclasses
 from repro.bench import summary as bench_summary
 from repro.bench.harness import run_anduril, run_baseline
 from repro.bench.parallel import CampaignTask, execute_task, run_anduril_many
-from repro.cache import runcache
 from repro.failures import get_case
 from repro.obs import metrics as obs_metrics
 
@@ -112,7 +111,6 @@ class TestRunnerStatsViews:
     def test_views_agree_after_a_cached_search(self):
         from repro.obs.bus import heartbeat_stats
 
-        runcache.configure(enabled=True)
         outcome = execute_task(CampaignTask.anduril("f11", max_rounds=40))
         bench_summary.record_outcome(outcome)
         document = bench_summary.summarize()
@@ -234,7 +232,7 @@ class TestLatencySection:
     def test_section_absent_without_observations(self):
         obs_metrics.reset()
         try:
-            assert bench_summary.latency_section() == {}
+            assert obs_metrics.histograms_snapshot() == {}
             assert "latency" not in bench_summary.summarize()
         finally:
             obs_metrics.reset()
@@ -243,7 +241,7 @@ class TestLatencySection:
         obs_metrics.reset()
         try:
             run_anduril(get_case("f1"), max_rounds=120)
-            section = bench_summary.latency_section()
+            section = obs_metrics.histograms_snapshot()
             assert "latency.round_seconds" in section
             quantiles = section["latency.round_seconds"]
             assert quantiles["count"] >= 1

@@ -177,7 +177,6 @@ class TestWhatBypassesTheTier:
         assert main(argv) == 0
         assert cell_files(tmp_path)
         capsys.readouterr()
-        obs_metrics.reset()  # the registry is process-wide
         assert main(argv) == 0
         assert capsys.readouterr().err.splitlines()[1:] == [
             "[cache: 0 hit(s), 0 miss(es), hit rate 0.0%]",

@@ -22,10 +22,13 @@ from repro.cache import (
     workload_fingerprint,
 )
 from repro.cache.disk import _FIELDS, _HEAD_SIZE, _SUFFIX
-from repro.cache.runcache import HIT, MISS, UNCACHED
+from repro.cache.runcache import HIT, MISS, UNCACHED, _plan_key as plan_key
+from repro.core import pipeline as pipeline_module
+from repro.core.pipeline import RunPipeline
 from repro.failures import get_case
 from repro.injection.fir import InjectionPlan
 from repro.injection.sites import FaultInstance
+from repro.obs import TraceRecorder
 from repro.sim.cluster import execute_workload
 
 
@@ -112,6 +115,30 @@ def test_unfingerprintable_workload_bypasses_the_cache():
     )
     assert outcome == UNCACHED
     assert runs == [1]
+
+
+def make_workload(text, closed=True):
+    """Workloads that differ only in state their source does not show."""
+    if closed:
+        def workload(cluster):
+            cluster.logger().info(text)
+    else:
+        def workload(cluster, text=text):
+            cluster.logger().info(text)
+    return workload
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closure", "default"])
+def test_a_workload_with_state_of_its_own_bypasses_the_cache(closed):
+    # One factory's workloads share a name and a source; keyed on those
+    # alone, the second would be served the first one's run.
+    alpha, beta = make_workload("alpha", closed), make_workload("beta", closed)
+    assert workload_fingerprint(alpha) is None
+    runs = [
+        cached_execute(workload, horizon=1.0, runner=execute_workload)
+        for workload in (alpha, beta, alpha)
+    ]
+    assert [run.log.texts for run in runs] == [["alpha"], ["beta"], ["alpha"]]
 
 
 # -------------------------------------------------------------- key hygiene
@@ -379,7 +406,7 @@ def test_cache_dir_relocates_every_persistent_tier(tmp_path):
     from repro.analysis.system_model import analyze_package, clear_facts_cache
 
     clear_facts_cache()
-    configure(enabled=True, disk_dir=str(tmp_path))
+    configure(disk_dir=str(tmp_path))
     analyze_package("repro.systems.minizk")
     get_case("f1").explorer(prune="static", max_rounds=2).explore()
     # One segment per tier for this one writing process, and nothing else:
@@ -483,26 +510,19 @@ def test_memory_tier_evicts_least_recently_used():
 # --------------------------------------------------- process-global wiring
 
 
-def test_active_defaults_to_off_and_ignores_the_environment(monkeypatch):
-    """Only ``configure`` turns the cache on: worker processes get their
-    configuration as a pickled RunConfig, never from ``REPRO_CACHE``."""
-    assert active() is None
+def test_active_is_a_memory_only_cache_and_ignores_the_environment(monkeypatch):
+    """The memory tier is always on and only ``configure`` adds a disk
+    tier: worker processes get their configuration as a pickled
+    RunConfig, never from ``REPRO_CACHE``."""
+    assert type(active()) is RunCache and active().disk_dir is None
     monkeypatch.setenv("REPRO_CACHE", "1")
     reset()
-    assert active() is None
-    assert configure(enabled=True) is active()
-
-
-def test_cached_execute_without_cache_uses_runner_directly():
-    sentinel = object()
-    result = cached_execute(
-        workload_a, horizon=1.0, runner=lambda *a, **k: sentinel
-    )
-    assert result is sentinel
+    assert type(active()) is RunCache and active().disk_dir is None
+    assert configure(disk_dir="/nowhere") is active()
+    assert active().disk_dir == "/nowhere"
 
 
 def test_configured_cache_serves_cached_execute():
-    configure(enabled=True)
     runner, calls = counting_runner()
     first = cached_execute(workload_a, horizon=1.0, seed=7, runner=runner)
     second = cached_execute(workload_a, horizon=1.0, seed=7, runner=runner)
@@ -513,16 +533,56 @@ def test_configured_cache_serves_cached_execute():
 # ------------------------------------------------------ outcome invariance
 
 
+def run_fields(result) -> dict:
+    """``result`` field by field, its log as its columns.  A recorder
+    times the FIR's decisions (``decision_seconds``), wall clock that a
+    run without one leaves at zero, so that field is left out."""
+    fields = {
+        field.name: getattr(result, field.name)
+        for field in dataclasses.fields(result)
+        if field.name != "decision_seconds"
+    }
+    fields["log"] = fields["log"]._columns()
+    return fields
+
+
 @pytest.mark.parametrize("case_id", ["f1", "f13"])
-def test_search_outcome_invariant_under_cache(case_id, tmp_path, cache_counters):
+def test_search_outcome_invariant_under_cache(
+    case_id, tmp_path, monkeypatch, cache_counters
+):
+    """The oracle is a search with a recorder attached, which the
+    pipeline never caches: memo and disk tier change no signature, and
+    every run a cached search is handed is the run the recorder-attached
+    search executed for the same (seed, plan)."""
     case = get_case(case_id)
-    reset()
-    baseline = case.explorer(max_rounds=60).explore()
-    configure(enabled=True, disk_dir=str(tmp_path))
+    executed, handed = {}, []
+    real_execute, real_run = pipeline_module.execute_workload, RunPipeline.run
+
+    def executing(workload, **kwargs):
+        result = real_execute(workload, **kwargs)
+        if kwargs.get("recorder") is not None:
+            executed[kwargs["seed"], plan_key(kwargs["plan"])] = result
+        return result
+
+    def handing(pipeline, seed, plan):
+        result = real_run(pipeline, seed, plan)
+        if not pipeline.traced:
+            handed.append(((seed, plan_key(plan)), result))
+        return result
+
+    monkeypatch.setattr(pipeline_module, "execute_workload", executing)
+    monkeypatch.setattr(RunPipeline, "run", handing)
+    case.failure_log()  # the case's own run, outside any search
+    cache_counters.mark()
+    baseline = case.explorer(max_rounds=60, recorder=TraceRecorder()).explore()
+    assert cache_counters["hits"] == cache_counters["misses"] == 0
+    configure(disk_dir=str(tmp_path))
     cold = case.explorer(max_rounds=60).explore()
     cache_counters.mark()
     warm = case.explorer(max_rounds=60).explore()
     assert cold.signature() == baseline.signature()
     assert warm.signature() == baseline.signature()
-    assert active() is not None
     assert cache_counters["hits"] > 0  # the warm pass was actually served
+    assert handed and all(
+        run_fields(result) == run_fields(executed[key]) for key, result in handed
+    )

@@ -282,13 +282,13 @@ def _open_fds() -> int:
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 def test_reconfiguring_leaks_no_descriptor(tmp_path):
     for index in range(3):  # two older segments for every later open to find
-        configure(enabled=True, disk_dir=str(tmp_path)).execute(
+        configure(disk_dir=str(tmp_path)).execute(
             workload, 1.0, seed=index, runner=execute_workload
         )
     reset()
     before = _open_fds()
     for index in range(200):
-        cache = configure(enabled=True, disk_dir=str(tmp_path))
+        cache = configure(disk_dir=str(tmp_path))
         _result, outcome = cache.execute(workload, 1.0, seed=0, runner=execute_workload)
         assert outcome == HIT and cache._disk._segments
     reset()

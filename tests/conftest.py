@@ -12,7 +12,8 @@ def isolated_run_cache(tmp_path, monkeypatch):
     the next test: an in-process ``main([...])`` installs a disk-backed
     cache over ``default_disk_dir()`` and leaves it active, so root that
     default (whichever module's binding of it is called) under a temp
-    dir and drop whatever cache the test installed."""
+    dir, and replace whatever cache the test installed by a fresh
+    memory-only one, so no memoized run outlives its test."""
     monkeypatch.setattr(runcache, "_REPO_ROOT", str(tmp_path))
     yield
     runcache.reset()

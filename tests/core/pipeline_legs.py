@@ -83,7 +83,7 @@ def leak_strategy(case, oracle) -> None:
 
 def worker_config(cache_dir: str) -> dict:
     multiprocessing.set_start_method("spawn")
-    RunConfig(cache=True, cache_dir=cache_dir, events=True).install()
+    RunConfig(cache_dir=cache_dir, events=True).install()
     capture = MemorySink()
     set_active_bus(EventBus([capture]))
     try:

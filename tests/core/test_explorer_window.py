@@ -13,6 +13,7 @@ import repro.core.pipeline as pipeline_module
 from repro.core.search import window_entry_for
 from repro.failures import get_case
 from repro.logs.record import LogFile
+from repro.obs import TraceRecorder
 from repro.sim.cluster import RunResult
 
 
@@ -71,7 +72,12 @@ class TestWindowShrink:
 
     def test_window_resets_after_fired_round(self, monkeypatch):
         case = get_case("f1")
-        explorer = case.explorer(max_rounds=3, initial_window=1)
+        # The scripted executor answers by call order, not by plan, so
+        # the search must ask it every round: a traced pipeline executes
+        # every run and memoizes none.
+        explorer = case.explorer(
+            max_rounds=3, initial_window=1, recorder=TraceRecorder()
+        )
         prepared = explorer.prepare()
         fired_instance = prepared.pool.window(1)[0].instance
 
@@ -92,7 +98,7 @@ class TestWindowShrink:
         # configured window, not the doubled one.
         script = iter([empty_run_result(), fired_result, empty_run_result()])
 
-        def stubbed_execute(workload, horizon, seed=0, plan=None):
+        def stubbed_execute(workload, horizon, seed=0, plan=None, recorder=None):
             return next(script)
 
         monkeypatch.setattr(pipeline_module, "execute_workload", stubbed_execute)

@@ -63,20 +63,22 @@ def runs(monkeypatch):
 # ------------------------------------------------------------------ config
 
 
-def test_run_config_is_the_three_runner_knobs_and_pickles():
+def test_run_config_is_the_two_runner_knobs_and_pickles():
     assert [field.name for field in dataclasses.fields(RunConfig)] == [
-        "cache", "cache_dir", "events",
+        "cache_dir", "events",
     ]
-    config = RunConfig(cache=True, cache_dir="/somewhere", events=True)
+    config = RunConfig(cache_dir="/somewhere", events=True)
     assert pickle.loads(pickle.dumps(config)) == config
     with pytest.raises(dataclasses.FrozenInstanceError):
-        config.cache = False
+        config.cache_dir = None
 
 
 def test_here_reads_the_cache_tier_back_from_the_process(tmp_path):
     assert RunConfig.here() == RunConfig()
-    RunConfig(cache=True, cache_dir=str(tmp_path)).install()
-    assert RunConfig.here() == RunConfig(cache=True, cache_dir=str(tmp_path))
+    RunConfig(cache_dir=str(tmp_path)).install()
+    assert RunConfig.here() == RunConfig(cache_dir=str(tmp_path))
+    RunConfig().install()
+    assert runcache.active().disk_dir is None
 
 
 # ------------------------------------------------------------- the cache
@@ -93,7 +95,6 @@ def same_run(served, original) -> bool:
 
 
 def test_hit_serves_without_running_and_miss_runs_once(runs, cache_counters):
-    runcache.configure(enabled=True)
     pipeline = RunPipeline(boom_workload, 10.0, 1)
     first = pipeline.run(1, None)
     assert same_run(pipeline.run(1, None), first)
@@ -113,7 +114,6 @@ def test_a_search_runs_its_rounds_serially():
 
 
 def test_traced_pipeline_bypasses_the_cache(runs, cache_counters):
-    runcache.configure(enabled=True)
     recorder = TraceRecorder()
     pipeline = RunPipeline(boom_workload, 10.0, 1, recorder=recorder)
     pipeline.run(1, None)

@@ -208,6 +208,7 @@ def test_a_stubbed_executor_neither_sees_nor_leaves_real_cases(monkeypatch):
 
     case = get_case("f1")
     real = _prepared(case)
+    runcache.reset()  # nor is it served the real probe from the run memo
     with monkeypatch.context() as patch:
         patch.setattr(
             pipeline_module, "execute_workload",

@@ -12,7 +12,6 @@ import pytest
 
 from repro.baselines import Strategy, build_context
 from repro.baselines.variants import _StaticOrderStrategy
-from repro.cache import runcache
 from repro.core import pipeline as pipeline_module
 from repro.core.explorer import FeedbackPolicy
 from repro.core.oracle import Oracle
@@ -320,7 +319,6 @@ class TestAWindowRunsAsItsFirstFiringInstance:
     @pytest.fixture
     def executed(self, monkeypatch):
         """The plans of every run actually executed."""
-        runcache.configure(enabled=True)
         real, plans = pipeline_module.execute_workload, []
 
         def counting(workload, **kwargs):

@@ -338,6 +338,31 @@ class TestRunnerStatsLines:
             "4 cache disk error(s)]"
         )
 
+    def test_each_in_process_call_reports_only_itself(self, capsys, tmp_path):
+        """The registry is process-wide, yet a call's stderr lines and
+        summary are its own movement: calls that do the same work report
+        alike.  (The process keeps the case's failure log and prepared
+        case, so the calls compared follow one that built them.)"""
+        summary = tmp_path / "summary.json"
+        argv = ["compare", "f1", "--max-rounds", "20", "--jobs", "1",
+                "--no-cache", "--no-ledger", "--no-events",
+                "--summary-out", str(summary)]
+        reports = []
+        for _ in range(3):
+            assert main(argv) == 0
+            lines = capsys.readouterr().err.splitlines()
+            reports.append((
+                [line for line in lines if not line.startswith("[campaign:")],
+                json.loads(summary.read_text())["cache"],
+            ))
+        assert reports[1] == reports[2]
+        lines, cache = reports[2]
+        assert lines[0] == (
+            f"[cache: {cache['hits']} hit(s), {cache['misses']} miss(es), "
+            f"hit rate {cache['hit_rate']:.1%}]"
+        )
+        assert cache["misses"] > 0
+
 
 class TestExplain:
     def test_prints_a_chain_for_the_injected_instance(self, capsys):

@@ -229,6 +229,16 @@ RETIRED = [
         "§8.2",
         id="run-cache-alias-path",
     ),
+    pytest.param(
+        r"RunConfig\([^)]*\bcache=|configure\([^)]*\b(enabled|capacity)=",
+        ("src", "tools", ".github"),
+        (),
+        # The run cache's memory tier is always on: RunConfig says only
+        # where its disk tier is, and configure's `enabled` is a shim for
+        # the frozen benchmark.
+        "§5.3, §8.1",
+        id="run-cache-off-switch",
+    ),
 ]
 
 

@@ -12,10 +12,10 @@ a committed baseline:
     PYTHONPATH=src python tools/check_signature_baselines.py --cases f1,f9
     PYTHONPATH=src python tools/check_signature_baselines.py --update
 
-Signatures are captured with the run cache off.  Only cases whose ``fault_dims`` is
-``exceptions`` (the pre-spec default) are gated — soft-fault cases
-explore a strictly larger space by design and are covered by their own
-reproduction tests instead.
+Signatures are captured with the run cache in memory only.  Only cases
+whose ``fault_dims`` is ``exceptions`` (the pre-spec default) are gated —
+soft-fault cases explore a strictly larger space by design and are
+covered by their own reproduction tests instead.
 
 ``--update`` re-captures the baseline file; commit the result when a
 deliberate search-behavior change (new prior, new ranking term) moves
@@ -64,10 +64,8 @@ def canonical_signature(result) -> dict:
 
 
 def capture(case_ids=None) -> dict:
-    from repro.cache import runcache
     from repro.failures import paper_cases
 
-    runcache.configure(enabled=False)
     signatures = {}
     for case in paper_cases():
         if case_ids is not None and case.case_id not in case_ids:

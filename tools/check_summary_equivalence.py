@@ -35,8 +35,8 @@ from repro.obs.metrics import RUNNER_SECTIONS  # noqa: E402
 #: that varies with scheduling; ``latency`` holds wall-clock histogram
 #: quantiles; and the runner knobs' bookkeeping sections — whatever the
 #: reducer names them, so a new knob's section is volatile the day it is
-#: added — exist only when their knob is on and record exactly what may
-#: differ between knob-on and knob-off campaigns (hit counts).
+#: added — record exactly what may differ between knob-on and knob-off
+#: campaigns (hit counts).
 #: Everything else must match exactly.
 VOLATILE_KEYS = frozenset(
     {
