@@ -56,7 +56,7 @@ def compute_table7():
         space = enumerate_fault_space(
             graph_fault_candidates(prepared.graph),
             prepared.normal_run.site_counts,
-            max_instances_per_site=explorer.max_instances_per_site,
+            max_instances_per_site=explorer.params.max_instances_per_site,
         )
         pruner = pruner_from_prepared(prepared.flow_graph, prepared)
         kept = pruner.prune(space)

@@ -56,7 +56,6 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -225,7 +224,7 @@ def _cmd_reproduce_body(args) -> int:
     from .obs import bus as event_bus
     from .obs import ledger
 
-    case = _with_fault_dims(args, get_case(args.case_id))
+    case = get_case(args.case_id)
     print(f"{case.issue}: {case.title}")
     print(f"oracle: {case.oracle.description}")
     recorder = None
@@ -237,6 +236,7 @@ def _cmd_reproduce_body(args) -> int:
         max_rounds=args.max_rounds,
         recorder=recorder,
         prune=args.prune,
+        fault_dims=args.fault_dims,
     )
     # A single reproduce is a one-cell campaign to the event stream, so
     # the same watch view covers both commands.
@@ -370,11 +370,8 @@ def _cmd_compare_body(args, jobs: int, cases: list) -> int:
     from .bench.tables import format_table
     from .obs import ledger
 
-    # Cells address cases by id, so every per-cell setting — the budget
-    # and a --fault-dims override alike — rides in the task options.
-    cell_options = dict(max_rounds=args.max_rounds)
-    if args.fault_dims:
-        cell_options["fault_dims"] = args.fault_dims
+    # Cells address cases by id: every per-cell setting rides in the task.
+    cell_options = dict(max_rounds=args.max_rounds, fault_dims=args.fault_dims)
     strategies = list(ALL_STRATEGIES)
     started = time.perf_counter()
     anduril_by_case, cells = run_compare_campaign(
@@ -613,8 +610,8 @@ def cmd_report(args) -> int:
 def cmd_inspect(args) -> int:
     from .failures import get_case
 
-    case = _with_fault_dims(args, get_case(args.case_id))
-    prepared = case.explorer().prepare()
+    case = get_case(args.case_id)
+    prepared = case.explorer(fault_dims=args.fault_dims).prepare()
     print(f"{case.issue}: {case.title}")
     print(f"failure log lines: {len(case.failure_log())}")
     print(f"relevant observables: {sorted(prepared.observables.keys())}")
@@ -665,10 +662,7 @@ def cmd_lint(args) -> int:
 def cmd_analyze(args) -> int:
     from .bench.tables import format_table
 
-    cases = [
-        _with_fault_dims(args, case)
-        for case in _resolve_compare_cases(args.case_id)
-    ]
+    cases = _resolve_compare_cases(args.case_id)
     if not cases:
         print(f"error: no case ids in {args.case_id!r}", file=sys.stderr)
         return 2
@@ -681,6 +675,7 @@ def cmd_analyze(args) -> int:
             max_rounds=args.max_rounds,
             prune="static",
             prune_radius=radius,
+            fault_dims=args.fault_dims,
         )
         result = explorer.explore()
         prepared = explorer.prepare()
@@ -780,16 +775,6 @@ def _add_fault_dims_option(subparser) -> None:
     )
 
 
-def _with_fault_dims(args, case):
-    """``case`` under this run's ``--fault-dims`` override, if any.
-
-    The override is a parameter of this search, so it goes on a copy;
-    the catalog's case keeps its own setting.
-    """
-    dims = getattr(args, "fault_dims", None)
-    return dataclasses.replace(case, fault_dims=dims) if dims else case
-
-
 class _LazyHelp(str):
     """Help text whose ``%(name)s`` fields are computed only when argparse
     renders it (``lint --help``, ``analyze --help``): building the parser
@@ -812,7 +797,7 @@ def _rule_ids() -> str:
 
 
 def _default_radius() -> float:
-    from .core.pruning import DEFAULT_RADIUS
+    from .core.params import DEFAULT_RADIUS
 
     return DEFAULT_RADIUS
 

@@ -24,6 +24,7 @@ from ..analysis.system_model import SystemModel
 from ..core.alignment import TimelineMap
 from ..core.observables import ObservableSet
 from ..core.oracle import Oracle
+from ..core.params import SearchParams
 from ..core.pipeline import RunPipeline
 from ..core.prepared import prepared_case
 from ..core.search import ExplorationResult, search
@@ -40,6 +41,8 @@ class CaseLike(Protocol):
     horizon: float
     oracle: Oracle
     seed: int
+    case_id: str
+    fault_dims: str
 
     def model(self) -> SystemModel: ...
     def failure_log(self) -> LogFile: ...
@@ -67,21 +70,20 @@ class SearchContext:
         return range(1, self.occurrences.get(site_id, 0) + 1)
 
 
-def build_context(case: CaseLike) -> SearchContext:
+def build_context(case: CaseLike, params: Optional[SearchParams] = None) -> SearchContext:
     """The case's shared prepared artefact (Explorer steps 1–2) plus a
     fresh observable set, the one piece of it a strategy's feedback may
     write to.
 
     The probe run is identical across every strategy sharing a case — it
     is also the run a window that never fires executes as — so it is
-    made once, with the prepared case, through the run cache.
+    made once, with the prepared case, through the run cache.  Its fault
+    dimensions are those of ``params``, by default the case's own.
     """
     model = case.model()
-    # Strategies search the same fault dimensions as the case's Explorer
-    # would (CaseLike is a Protocol, so reach for the attribute politely).
     prepared = prepared_case(
         model, case.workload, case.horizon, case.seed, case.failure_log(),
-        fault_dims=getattr(case, "fault_dims", "exceptions"),
+        params=(params or SearchParams()).resolve(case.fault_dims),
     )
     return SearchContext(
         case=case,
@@ -144,14 +146,11 @@ class Strategy:
         return 0
 
 
+@dataclasses.dataclass
 class StrategyRunner:
-    def __init__(
-        self,
-        max_rounds: int = 400,
-        max_seconds: Optional[float] = 60.0,
-    ) -> None:
-        self.max_rounds = max_rounds
-        self.max_seconds = max_seconds
+    max_rounds: int = 400
+    max_seconds: Optional[float] = 60.0
+    params: Optional[SearchParams] = None
 
     def run(
         self,
@@ -160,11 +159,9 @@ class StrategyRunner:
         case_id: Optional[str] = None,
     ) -> ExplorationResult:
         if case_id is None:
-            # Campaign workers address cases by id; default to the case's
-            # own id so parallel sweeps need not thread it separately.
-            case_id = getattr(case, "case_id", "")
+            case_id = case.case_id
         started = time.perf_counter()
-        context = build_context(case)
+        context = build_context(case, self.params)
         strategy.prepare(context)
         return search(
             RunPipeline(case.workload, case.horizon, case.seed),

@@ -8,7 +8,7 @@ _EXPORTS = {
     ".harness": ("CellOutcome", "run_anduril", "run_baseline"),
     ".parallel": (
         "CampaignTask", "inline_fallback_count", "resolve_jobs", "run_anduril_many",
-        "run_baseline_many", "run_compare_campaign", "run_tasks",
+        "run_compare_campaign", "run_tasks",
     ),
     ".summary": ("record_outcome", "write_bench_summary"),
     ".tables": ("format_table", "write_table"),

@@ -10,6 +10,7 @@ import dataclasses
 from typing import Optional
 
 from ..baselines import ALL_STRATEGIES, StrategyRunner
+from ..core.params import SearchParams
 from ..core.search import ExplorationResult
 from ..failures.case import FailureCase
 from ..obs import metrics as obs_metrics
@@ -95,23 +96,27 @@ def _cell_outcome(
     )
 
 
+#: ``run_anduril``'s search: coverage also over the statically pruned space.
+ANDURIL_PARAMS = SearchParams(prune="static")
+
+
 def run_anduril(
     case: FailureCase,
     max_rounds: int = 600,
     max_seconds: Optional[float] = 60.0,
     profile: bool = False,
-    prune: str = "static",
-    **overrides,
+    params: SearchParams = ANDURIL_PARAMS,
+    checkpoint: bool = False,  # ignored: see DESIGN §5.3
+    early_verdict: bool = False,  # ignored: see DESIGN §5.3
+    **options,
 ) -> CellOutcome:
     """Run the feedback-driven search on one case under the table budgets.
 
-    ``profile=True`` attaches a ``repro.obs`` recorder: FIR decision
-    timing is sampled, per-round spans and rerank events are captured,
-    and the flat metrics dict lands in :attr:`CellOutcome.metrics`.
-    ``prune="static"`` (the default) folds the flow pass's
-    statically-dead triples out of the coverage denominator; pruning is
-    accounting-only, so the search outcome is invariant in both knobs
-    (``prune="none"`` restores the raw space).
+    The search is ``params`` under any of its fields in ``options``; the
+    rest of ``options`` go to the Explorer.  ``profile=True`` attaches a
+    ``repro.obs`` recorder: FIR decision timing is sampled, per-round
+    spans and rerank events are captured, and the flat metrics dict lands
+    in :attr:`CellOutcome.metrics`; the outcome is invariant in it.
     """
     recorder = None
     if profile:
@@ -119,11 +124,11 @@ def run_anduril(
 
         recorder = TraceRecorder()
     explorer = case.explorer(
+        params,
         max_rounds=max_rounds,
         max_seconds=max_seconds,
         recorder=recorder,
-        prune=prune,
-        **overrides,
+        **options,
     )
     prepared = explorer.prepare()
     result = explorer.explore()
@@ -149,13 +154,16 @@ def run_baseline(
     max_seconds: Optional[float] = 8.0,
     checkpoint: bool = False,  # ignored: see DESIGN §5.3
     early_verdict: bool = False,  # ignored: see DESIGN §5.3
-    **strategy_kwargs,
+    params: SearchParams = SearchParams(),
+    **options,
 ) -> CellOutcome:
     """Run one baseline strategy on one case under the table budgets.
 
-    Everything in ``strategy_kwargs`` goes to the strategy constructor.
+    It searches the fault dimensions of ``params`` under ``options``' search
+    parameters; the rest of ``options`` go to the strategy constructor.
     """
-    strategy = ALL_STRATEGIES[name](**strategy_kwargs)
-    runner = StrategyRunner(max_rounds=max_rounds, max_seconds=max_seconds)
+    params, options = SearchParams.split(options, params)
+    strategy = ALL_STRATEGIES[name](**options)
+    runner = StrategyRunner(max_rounds, max_seconds, params)
     result = runner.run(strategy, case, case_id=case.case_id)
     return _cell_outcome(name, case.case_id, result)

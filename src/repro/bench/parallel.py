@@ -7,8 +7,8 @@ module distributes those cells over a :class:`ProcessPoolExecutor` and
 reassembles results **in submission order**, so every table a campaign
 renders is byte-identical regardless of worker count.
 
-Workers receive only case *ids* and primitive options, plus — once per
-worker, as the pool initializer's argument — the parent's
+Workers receive only tasks (case *ids*, budgets, search parameters), plus —
+once per worker, as the pool initializer's argument — the parent's
 :class:`~repro.core.pipeline.RunConfig`; each worker process resolves the
 case from the registry and rebuilds its own model / failure-log caches.
 Oracles (which may close over lambdas) and workload state therefore
@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import pickle
 import time
 import warnings
 from typing import Optional, Sequence
 
 from ..cache import runcache
+from ..core.params import SearchParams
 from ..core.pipeline import RunConfig, default_jobs
 from ..core.search import OUT_OF_TIME
 from ..failures import INDEX, get_case
@@ -89,25 +91,40 @@ class CampaignTask:
     """One independent cell of a campaign: a strategy applied to a case.
 
     ``strategy`` is ``"anduril"`` for ANDURIL itself, as on the
-    :class:`~repro.bench.harness.CellOutcome` it makes.  ``options``
-    holds the keyword arguments as a sorted tuple of items so the task is
-    hashable and cheaply picklable.
+    :class:`~repro.bench.harness.CellOutcome` it makes.  A task spells the
+    ``run_anduril``/``run_baseline`` call it stands for one way, defaults
+    filled in and other keywords sorted: one search, one cell (DESIGN §8.1).
     """
 
     case_id: str
-    strategy: str = "anduril"
+    strategy: str
+    params: SearchParams
+    max_rounds: int
+    max_seconds: Optional[float]
+    profile: bool = False
     options: tuple = ()
 
     @classmethod
     def anduril(cls, case_id: str, **options) -> "CampaignTask":
-        return cls(case_id=case_id, options=tuple(sorted(options.items())))
+        return cls._of(case_id, "anduril", run_anduril, None, **options)
 
     @classmethod
     def baseline(cls, name: str, case_id: str, **options) -> "CampaignTask":
+        return cls._of(case_id, name, run_baseline, name, None, **options)
+
+    @classmethod
+    def _of(cls, case_id, strategy, run, *args, **options) -> "CampaignTask":
+        """The task for ``run(*args, **options)``: its arguments with every
+        default filled in, and the keywords ``run`` ignores dropped."""
+        call = inspect.signature(run).bind(*args, **options)
+        call.apply_defaults()
+        given = call.arguments
+        params, rest = SearchParams.split(given["options"], given["params"])
+        seconds = given["max_seconds"]  # a budget of 60 and of 60.0 is one
         return cls(
-            case_id=case_id,
-            strategy=name,
-            options=tuple(sorted(options.items())),
+            case_id, strategy, params, given["max_rounds"],
+            None if seconds is None else float(seconds),
+            given.get("profile", False), tuple(sorted(rest.items())),
         )
 
 
@@ -126,7 +143,7 @@ def _cell_name(task: CampaignTask) -> Optional[str]:
     if (
         runcache.active().disk_dir is None
         or task.case_id not in INDEX
-        or dict(task.options).get("profile")
+        or task.profile
     ):
         return None
     digest = hashlib.blake2b(repr(task).encode(), digest_size=20)
@@ -137,15 +154,13 @@ def _cell_name(task: CampaignTask) -> Optional[str]:
 def _compute(task: CampaignTask):
     """Run ``task``'s search."""
     case = get_case(task.case_id)
-    options = dict(task.options)
-    # A fault-dims override is a search parameter of this cell, not a
-    # property of the catalog: apply it to a copy of the case.
-    dims = options.pop("fault_dims", None)
-    if dims:
-        case = dataclasses.replace(case, fault_dims=dims)
+    call = dict(
+        task.options, max_rounds=task.max_rounds, max_seconds=task.max_seconds,
+        params=task.params,
+    )
     if task.strategy == "anduril":
-        return run_anduril(case, **options)
-    return run_baseline(task.strategy, case, **options)
+        return run_anduril(case, profile=task.profile, **call)
+    return run_baseline(task.strategy, case, **call)
 
 
 def execute_task(task: CampaignTask):
@@ -320,16 +335,6 @@ def run_anduril_many(
 ) -> list[CellOutcome]:
     """ANDURIL outcomes for many cases, in case order."""
     tasks = [CampaignTask.anduril(case.case_id, **overrides) for case in cases]
-    return run_tasks(tasks, jobs=jobs)
-
-
-def run_baseline_many(
-    name: str, cases: Sequence, jobs: Optional[int] = None, **options
-) -> list[CellOutcome]:
-    """One baseline strategy's outcomes for many cases, in case order."""
-    tasks = [
-        CampaignTask.baseline(name, case.case_id, **options) for case in cases
-    ]
     return run_tasks(tasks, jobs=jobs)
 
 

@@ -38,9 +38,10 @@ from .alignment import TimelineMap
 from .observables import ObservableSet
 from .oracle import Oracle
 from .priority import FaultPriorityPool
+from .params import SearchParams
 from .pipeline import RunPipeline
 from .prepared import prepared_case
-from .pruning import DEFAULT_RADIUS, StaticPruner
+from .pruning import StaticPruner
 from .report import ReproductionScript
 from .search import ExplorationResult, search
 
@@ -116,73 +117,42 @@ class Explorer:
         oracle: Oracle,
         model: SystemModel,
         seed: int = 0,
-        initial_window: int = 10,
-        adjustment: int = 1,
         max_rounds: int = 2000,
         max_seconds: Optional[float] = None,
         ground_truth_site: Optional[str] = None,
         case_id: str = "",
         system: str = "",
-        max_instances_per_site: Optional[int] = None,
         base_faults: tuple = (),
-        aggregate: str = "min",
-        temporal_mode: str = "messages",
-        runs_per_round: int = 1,
-        jobs: int = 1,
         recorder=None,
+        params: Optional[SearchParams] = None,
+        jobs: int = 1,
         track_coverage: bool = True,  # ignored: see DESIGN §5.3
-        prune: str = "none",
-        prune_radius: float = DEFAULT_RADIUS,
         checkpoint: bool = False,  # ignored: see DESIGN §5.3
         early_verdict: bool = False,  # ignored: see DESIGN §5.3
-        fault_dims: str = "exceptions",
+        **knobs,
     ) -> None:
-        if runs_per_round < 1:
-            raise ValueError("runs_per_round must be at least 1")
-        if prune not in ("none", "static"):
-            raise ValueError("prune must be 'none' or 'static'")
-        if fault_dims not in ("exceptions", "soft", "all"):
-            raise ValueError("fault_dims must be 'exceptions', 'soft', or 'all'")
         if jobs != 1:
             raise ValueError(
                 "a search runs its rounds serially (jobs must be 1); "
                 "parallelism lives in campaign fan-out: compare --jobs"
             )
+        #: ``params`` under any of its fields given as keywords; fault
+        #: dimensions left to the case are ``exceptions`` here.
+        self.params = dataclasses.replace(params or SearchParams(), **knobs).resolve()
         self.model = model
         self.workload = workload
         self.horizon = horizon
         self.failure_log = failure_log
         self.oracle = oracle
         self.seed = seed
-        self.initial_window = initial_window
-        self.adjustment = adjustment
         self.max_rounds = max_rounds
         self.max_seconds = max_seconds
         self.ground_truth_site = ground_truth_site
         self.case_id = case_id
         self.system = system
-        self.max_instances_per_site = max_instances_per_site
-        self.aggregate = aggregate
-        self.temporal_mode = temporal_mode
-        #: §6: against nondeterministic systems, a round may re-run the
-        #: workload under perturbed seeds until some armed instance occurs,
-        #: improving the chance that crucial log messages materialize.
-        self.runs_per_round = runs_per_round
         #: Faults injected unconditionally in every round — the iterative
         #: multi-fault workflow fixes already-found faults here.
         self.base_faults = tuple(base_faults)
-        #: Static fault-space pruning (accounting-only; see
-        #: ``repro.core.pruning``).  With ``prune="static"`` the coverage
-        #: tracker additionally carries the pruned space and records any
-        #: fired triple outside it as a contradiction.  The search path
-        #: itself is byte-identical with pruning on or off.
-        self.prune = prune
-        self.prune_radius = prune_radius
-        #: Fault dimensions the search enumerates candidates over:
-        #: ``exceptions`` (legacy raise specs only — the default, which
-        #: keeps pre-existing campaigns byte-identical), ``soft`` (value
-        #: corruptions only), or ``all``.
-        self.fault_dims = fault_dims
         #: ``repro.obs`` recorder.  Default off: the NULL_RECORDER no-op
         #: path records nothing, samples no clocks, and leaves the search
         #: byte-identical to an untraced one (see the equivalence tests).
@@ -202,59 +172,43 @@ class Explorer:
             return self._prepared
         obs = self._obs
         started = time.perf_counter()
+        params = self.params
         case = prepared_case(
             self.model, self.workload, self.horizon, self.seed,
-            self.failure_log, fault_dims=self.fault_dims,
+            self.failure_log, params=params,
             base_faults=self.base_faults, pipeline=self._pipeline,
         )
         obtained = time.perf_counter()
         normal_run, candidates = case.normal_run, case.candidates
         index, timeline = case.index, case.timeline
-        observables = case.observables(self.adjustment, obs)
+        observables = case.observables(params.adjustment, obs)
 
         pool = FaultPriorityPool(
-            candidates,
-            index,
-            observables,
-            normal_run.trace,
-            timeline,
-            max_instances_per_site=self.max_instances_per_site,
-            aggregate=self.aggregate,
-            temporal_mode=self.temporal_mode,
+            candidates, index, observables, normal_run.trace, timeline, params
         )
         # The full injectable fault space comes from the same inputs the
         # pool uses (graph candidates x probe occurrences), so coverage
         # fractions are comparable across strategies.
         occurrences = case.occurrences
+        cap = params.max_instances_per_site
         space = (
             case.fault_space
-            if self.max_instances_per_site is None
+            if cap is None
             else enumerate_fault_space(
-                candidates,
-                occurrences,
-                max_instances_per_site=self.max_instances_per_site,
+                candidates, occurrences, max_instances_per_site=cap
             )
         )
         flow_graph = pruned_space = None
-        if self.prune == "static":
+        if params.prune == "static":
             # Pruning is accounting-only: the flow pass feeds the
             # coverage tracker and nothing else.
             flow_graph = propagation_graph(self.model)
             pruner = StaticPruner(
-                graph=flow_graph,
-                candidates=candidates,
-                index=index,
-                observables=observables,
-                timeline=timeline,
-                trace=normal_run.trace,
-                radius=self.prune_radius,
+                flow_graph, candidates, index, observables, timeline,
+                normal_run.trace, params.prune_radius,
             )
             pruned_space = enumerate_fault_space(
-                candidates,
-                occurrences,
-                max_instances_per_site=self.max_instances_per_site,
-                prune="static",
-                pruner=pruner,
+                candidates, occurrences, max_instances_per_site=cap, pruner=pruner
             )
         self._coverage = CoverageTracker(space, pruned_space=pruned_space)
         # Tables 4/8 report what preparing this search costs: a shared
@@ -291,14 +245,14 @@ class Explorer:
         prepared = self.prepare()
         policy = FeedbackPolicy(
             prepared.pool, prepared.observables,
-            self.initial_window, self.ground_truth_site,
+            self.params.initial_window, self.ground_truth_site,
         )
         found = search(
             self._pipeline, self.oracle, policy,
             case_id=self.case_id,
             max_rounds=self.max_rounds,
             max_seconds=self.max_seconds,
-            runs_per_round=self.runs_per_round,
+            runs_per_round=self.params.runs_per_round,
             base_faults=self.base_faults,
             recorder=self._obs,
             coverage=self._coverage,

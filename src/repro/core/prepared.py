@@ -39,6 +39,7 @@ from ..obs.coverage import enumerate_fault_space
 from ..sim.cluster import RunResult
 from .alignment import TimelineMap
 from .observables import ObservableSet
+from .params import SearchParams
 from . import pipeline as _pipeline
 from .pipeline import RunPipeline
 
@@ -90,15 +91,17 @@ def prepared_case(
     horizon: float,
     seed: int,
     failure_log: LogFile,
-    fault_dims: str = "exceptions",
+    params: Optional[SearchParams] = None,
     base_faults: tuple = (),
     pipeline: Optional[RunPipeline] = None,
 ) -> PreparedCase:
     """The prepared case for these inputs, built on first request.
 
-    ``pipeline`` makes the probe run.  A *traced* one's recorder must
-    observe a real probe, so that search gets a private, unshared case.
+    Of ``params`` it reads the fault dimensions alone.  ``pipeline`` makes
+    the probe run.  A *traced* one's recorder must observe a real probe,
+    so that search gets a private, unshared case.
     """
+    fault_dims = (params or SearchParams()).resolve().fault_dims
     base_faults = tuple(base_faults)
     if pipeline is None:
         pipeline = RunPipeline(workload, horizon, seed)

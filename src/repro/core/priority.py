@@ -27,6 +27,7 @@ from ..injection.fir import ProbeTrace
 from ..injection.sites import FaultInstance
 from .alignment import TimelineMap, temporal_distance
 from .observables import ObservableSet
+from .params import SearchParams
 
 INFINITY = float("inf")
 
@@ -83,23 +84,15 @@ class FaultPriorityPool:
         observables: ObservableSet,
         trace: ProbeTrace,
         timeline: TimelineMap,
-        max_instances_per_site: Optional[int] = None,
-        aggregate: str = "min",
-        temporal_mode: str = "messages",
+        params: Optional[SearchParams] = None,
     ) -> None:
-        if aggregate not in ("min", "sum"):
-            raise ValueError("aggregate must be 'min' or 'sum'")
-        if temporal_mode not in ("messages", "order"):
-            raise ValueError("temporal_mode must be 'messages' or 'order'")
-        #: §5.2.4: ``min`` maximizes the chance to trigger one observable
-        #: per run (the paper's choice); ``sum`` tries to trigger them all
-        #: and is less sensitive to feedback.
-        self._aggregate = aggregate
-        #: §5.2.3: ``messages`` counts log messages between instance and
-        #: observable (the paper's choice); ``order`` uses the instance's
-        #: relative occurrence index, which over-penalizes early instances
-        #: of frequently executed sites.
-        self._temporal_mode = temporal_mode
+        #: The search's parameters: the instance cap, the F_i aggregate
+        #: (§5.2.4: the paper's ``min`` maximizes the chance to trigger one
+        #: observable per run; ``sum`` tries for all, less sensitive to
+        #: feedback) and T's mode (§5.2.3: the paper's log ``messages``
+        #: between instance and observable; occurrence ``order``
+        #: over-penalizes early instances of frequently executed sites).
+        self._params = params = params or SearchParams()
         self._observables = observables
         self._index = index
         log_indices = trace.log_indices
@@ -131,8 +124,8 @@ class FaultPriorityPool:
                 # lowest priority so nondeterministic executions still get
                 # a chance.
                 instances = [InstanceEntry(occurrence=1, mapped_position=None)]
-            if max_instances_per_site is not None:
-                instances = instances[:max_instances_per_site]
+            if params.max_instances_per_site is not None:
+                instances = instances[: params.max_instances_per_site]
             self._candidates.append(
                 CandidateState(info=info, reachable=reachable, instances=instances)
             )
@@ -182,20 +175,21 @@ class FaultPriorityPool:
             if value < best:
                 best = value
                 best_key = key
-        if self._aggregate == "sum":
+        if self._params.aggregate == "sum":
             return total, best_key
         return best, best_key
 
     def ranked_entries(self) -> list[WindowEntry]:
         """All candidates' best untried instances in exploration order."""
         entries: list[tuple[tuple, WindowEntry]] = []
+        by_order = self._params.temporal_mode == "order"
         for candidate in self._candidates:
             untried = candidate.untried()
             if not untried:
                 continue
             site_priority, chosen = self.site_priority(candidate)
             positions = self._observables.positions(chosen)
-            if self._temporal_mode == "order":
+            if by_order:
                 # §5.2.3 alternative: rank instances by occurrence order
                 # alone; earliest untried first, T = occurrence index.
                 best_instance = min(untried, key=lambda entry: entry.occurrence)

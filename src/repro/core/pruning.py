@@ -38,12 +38,7 @@ from typing import Iterable, Mapping
 from ..analysis.flow import PropagationGraph
 from ..injection.fir import ProbeTrace
 from ..injection.sites import is_corruption_spec
-
-#: Default temporal radius in probe-run log messages.  Committed
-#: explorations fire within ~2 messages of a relevant observable's
-#: inverse-mapped position; 8 keeps a ~4x safety margin while still
-#: pruning the far tails of hot-loop sites.
-DEFAULT_RADIUS = 8.0
+from .params import DEFAULT_RADIUS, SearchParams
 
 
 class StaticPruner:
@@ -59,9 +54,8 @@ class StaticPruner:
         trace: ProbeTrace,
         radius: float = DEFAULT_RADIUS,
     ) -> None:
-        self._radius = float(radius)
-        if not self._radius >= 0.0:  # NaN fails this too
-            raise ValueError(f"radius must be zero or more, got {radius!r}")
+        # A radius is range-checked in one place, as a search parameter.
+        self._radius = SearchParams(prune_radius=radius).prune_radius
         self._dead_pairs = graph.dead_pairs()
         # Per (site, exception): normal-axis positions of every relevant
         # observable the causal graph says the candidate can reach.

@@ -15,9 +15,10 @@ it would be for a real production log).
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from ..core.oracle import Oracle
+from ..core.params import SearchParams
 from ..injection.fir import InjectionPlan
 from ..injection.sites import FaultInstance
 from ..logs.parser import KAFKA_FORMAT, LOG4J_FORMAT, LogParser
@@ -182,9 +183,12 @@ class FailureCase:
             _FAILURE_LOG_CACHE[self.case_id] = cached
         return cached
 
-    def explorer(self, **overrides) -> Explorer:
+    def explorer(self, params: Optional[SearchParams] = None, **overrides) -> Explorer:
+        """An Explorer searching ``params`` under any of its fields in
+        ``overrides``; the rest of ``overrides`` go to the Explorer."""
         from ..core.explorer import Explorer
 
+        params, overrides = SearchParams.split(overrides, params)
         settings = dict(
             workload=self.workload,
             horizon=self.horizon,
@@ -196,7 +200,7 @@ class FailureCase:
             ground_truth_site=self.ground_truth.resolve_site(self.model()),
             case_id=self.case_id,
             system=self.system,
-            fault_dims=self.fault_dims,
+            params=params.resolve(self.fault_dims),
         )
         settings.update(overrides)
         return Explorer(**settings)

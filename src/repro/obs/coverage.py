@@ -36,7 +36,6 @@ def enumerate_fault_space(
     candidates: Iterable,
     occurrences_by_site: Mapping[str, int],
     max_instances_per_site: Optional[int] = None,
-    prune: str = "none",
     pruner=None,
 ) -> frozenset[Triple]:
     """The full injectable fault space for one case.
@@ -48,18 +47,13 @@ def enumerate_fault_space(
     probe never exercised still contributes one speculative first
     occurrence, mirroring the priority pool's construction.
 
-    With ``prune="static"`` the space is filtered through ``pruner`` — an
-    object with a ``live(site_id, exception, occurrence)`` predicate (see
-    :class:`repro.core.pruning.StaticPruner`) — dropping the triples the
-    flow pass rules out.  Pruning changes the *accounting* space only;
-    strategies still arm whatever they like, and a fired triple outside
-    the pruned space is recorded as a contradiction by
-    :class:`CoverageTracker`.
+    A ``pruner`` — an object with a ``live(site_id, exception,
+    occurrence)`` predicate (see :class:`repro.core.pruning.StaticPruner`)
+    — filters the space, dropping the triples the flow pass rules out.
+    Pruning changes the *accounting* space only; strategies still arm
+    whatever they like, and a fired triple outside the pruned space is
+    recorded as a contradiction by :class:`CoverageTracker`.
     """
-    if prune not in ("none", "static"):
-        raise ValueError("prune must be 'none' or 'static'")
-    if prune == "static" and pruner is None:
-        raise ValueError("prune='static' requires a pruner")
     space: set[Triple] = set()
     for candidate in candidates:
         count = max(int(occurrences_by_site.get(candidate.site_id, 0)), 1)
@@ -67,7 +61,7 @@ def enumerate_fault_space(
             count = min(count, max_instances_per_site)
         for occurrence in range(1, count + 1):
             triple = (candidate.site_id, candidate.exception, occurrence)
-            if prune == "static" and not pruner.live(*triple):
+            if pruner is not None and not pruner.live(*triple):
                 continue
             space.add(triple)
     return frozenset(space)

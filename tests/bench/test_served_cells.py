@@ -134,6 +134,37 @@ class TestServedCells:
         assert served_since(before) == 0
 
 
+class TestOneSearchOneCell:
+    def test_every_spelling_of_one_search_names_one_cell(self, tmp_path):
+        runcache.configure(disk_dir=str(tmp_path))
+        anduril = [
+            CampaignTask.anduril("f1", max_rounds=400),
+            CampaignTask.anduril("f1", max_rounds=400, profile=False),
+            CampaignTask.anduril(
+                "f1", max_rounds=400, max_seconds=60, prune="static",
+                initial_window=10, fault_dims=None,
+            ),
+            # The frozen benchmark's spelling: two ignored keywords.
+            CampaignTask.anduril(
+                "f1", max_rounds=400, checkpoint=False, early_verdict=False
+            ),
+        ]
+        baseline = [
+            CampaignTask.baseline("stacktrace", "f1"),
+            CampaignTask.baseline(
+                "stacktrace", "f1", max_rounds=300, max_seconds=8.0,
+                fault_dims=None, checkpoint=False,
+            ),
+        ]
+        for spellings, changed in (
+            (anduril, CampaignTask.anduril("f1", max_rounds=400, initial_window=3)),
+            (baseline, CampaignTask.baseline("stacktrace", "f1", fault_dims="all")),
+        ):
+            names = {_cell_name(task) for task in spellings}
+            assert len(names) == 1 and None not in names
+            assert _cell_name(changed) not in names
+
+
 class TestWhatBypassesTheTier:
     def computed_twice(self, task, tmp_path) -> list:
         runcache.configure(disk_dir=str(tmp_path))

@@ -21,6 +21,7 @@ from repro.analysis.system_model import clear_facts_cache
 from repro.baselines import ALL_STRATEGIES, StrategyRunner, build_context
 from repro.bench.parallel import CampaignTask, run_tasks
 from repro.cache import runcache
+from repro.core.params import SearchParams
 from repro.core.prepared import CASES_PER_MODEL, PreparedCase, prepared_case
 from repro.failures import get_case
 from repro.obs import TraceRecorder
@@ -173,7 +174,7 @@ def _prepared(case, **overrides):
     settings = dict(
         model=case.model(), workload=case.workload, horizon=case.horizon,
         seed=case.seed, failure_log=case.failure_log(),
-        fault_dims=case.fault_dims,
+        params=SearchParams(fault_dims=case.fault_dims),
     )
     settings.update(overrides)
     return prepared_case(**settings)
@@ -197,7 +198,9 @@ def test_the_key_is_every_input_of_steps_one_and_two():
     base = _prepared(case)
     assert _prepared(case) is base
     assert _prepared(case, seed=case.seed + 1) is not base
-    assert _prepared(case, fault_dims="all") is not base
+    assert _prepared(case, params=SearchParams(fault_dims="all")) is not base
+    # Of the search parameters, only the fault dimensions are an input.
+    assert _prepared(case, params=SearchParams(initial_window=1, prune="static")) is base
     assert _prepared(case, base_faults=(case.ground_truth_instance(),)) is not base
     other_log = type(case.failure_log())(case.failure_log().records)
     assert _prepared(case, failure_log=other_log) is not base

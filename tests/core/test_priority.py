@@ -3,6 +3,7 @@
 from repro.analysis.model import SourceInfo
 from repro.core.alignment import TimelineMap
 from repro.core.observables import ObservableSet
+from repro.core.params import SearchParams
 from repro.core.priority import FaultPriorityPool
 from repro.injection.fir import ProbeTrace, TraceEvent
 from repro.logs.diff import LogComparator
@@ -160,7 +161,7 @@ class TestInstancePriority:
             observables,
             trace_for(s1=list(range(0, 100, 10))),
             IDENTITY,
-            max_instances_per_site=3,
+            SearchParams(max_instances_per_site=3),
         )
         assert pool.remaining_instances() == 3
 

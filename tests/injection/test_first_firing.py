@@ -16,6 +16,7 @@ import functools
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.params import SearchParams
 from repro.core.prepared import prepared_case
 from repro.failures import get_case
 from repro.injection.corruptions import CORRUPTIONS, corruption_kinds_for_op
@@ -38,7 +39,7 @@ def fault_space(case_id):
     case = get_case(case_id)
     prepared = prepared_case(
         case.model(), case.workload, case.horizon, case.seed,
-        case.failure_log(), fault_dims=case.fault_dims,
+        case.failure_log(), params=SearchParams(fault_dims=case.fault_dims),
     )
     return sorted(prepared.fault_space)
 

@@ -153,16 +153,9 @@ class TestStaticPruning:
         space = enumerate_fault_space(
             [Candidate("a", "IOError"), Candidate("b", "Timeout")],
             {"a": 2, "b": 2},
-            prune="static",
             pruner=pruner,
         )
         assert space == {("a", "IOError", 1), ("b", "Timeout", 2)}
-
-    def test_static_prune_requires_a_pruner(self):
-        with pytest.raises(ValueError, match="requires a pruner"):
-            enumerate_fault_space([Candidate("a", "IOError")], {}, prune="static")
-        with pytest.raises(ValueError, match="'none' or 'static'"):
-            enumerate_fault_space([Candidate("a", "IOError")], {}, prune="bogus")
 
     def test_pruned_space_must_be_subset(self):
         with pytest.raises(ValueError, match="subset"):

@@ -239,6 +239,24 @@ RETIRED = [
         "§5.3, §8.1",
         id="run-cache-off-switch",
     ),
+    pytest.param(
+        r"_with_fault_dims|options\.pop\(\"fault_dims\"|getattr\(case, \"fault_dims\"",
+        ("src", "tools", ".github"),
+        (),
+        # A search's fault dimensions are a field of its SearchParams,
+        # resolved against the case's own: no case copy carries them.
+        "§5.3",
+        id="fault-dims-case-copies",
+    ),
+    pytest.param(
+        r"run_baseline_many",
+        ("src", "tools", "benchmarks/*.py", "examples", ".github"),
+        (),
+        # It had no caller: a baseline sweep is CampaignTask.baseline
+        # tasks through run_tasks, as run_compare_campaign builds them.
+        "§5.1",
+        id="baseline-sweep-wrapper",
+    ),
 ]
 
 
