@@ -78,6 +78,10 @@ class TestAggregation:
         assert by_site_sum["s2"] == 4
         assert by_site_min["s1"] == by_site_sum["s1"] == 1
 
+    def test_invalid_aggregate_rejected(self):
+        with pytest.raises(ValueError):
+            two_candidate_pool(aggregate="max")
+
 
 class TestTemporalMode:
     def test_messages_mode_picks_nearest_instance(self):
@@ -96,6 +100,10 @@ class TestTemporalMode:
         )
         assert entry.instance.occurrence == 1
         assert entry.temporal == 1.0
+
+    def test_invalid_mode_rejected(self):
+        with pytest.raises(ValueError):
+            two_candidate_pool(temporal_mode="wallclock")
 
 
 class TestExplorerIntegration:

@@ -123,3 +123,8 @@ class TestRunsPerRound:
             # If the sparse seed still allowed success, multi must not be
             # worse — but the interesting configuration is the one above.
             assert multi_result.rounds <= single_result.rounds + 40
+
+    def test_invalid_runs_per_round_rejected(self, model, failure_log):
+        log, _ = failure_log
+        with pytest.raises(ValueError):
+            make_explorer(model, log, 0, runs_per_round=0)

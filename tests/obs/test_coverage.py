@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core.params import SearchParams
 from repro.obs.coverage import CoverageTracker, enumerate_fault_space
 
 
@@ -156,6 +157,17 @@ class TestStaticPruning:
             pruner=pruner,
         )
         assert space == {("a", "IOError", 1), ("b", "Timeout", 2)}
+
+    def test_static_prune_requires_a_pruner(self):
+        # Only a pruner drops triples: without one the space is whole.
+        # The prune mode itself is checked where the search knobs are.
+        candidates = [Candidate("a", "IOError")]
+        assert enumerate_fault_space(candidates, {"a": 2}, pruner=None) == {
+            ("a", "IOError", 1),
+            ("a", "IOError", 2),
+        }
+        with pytest.raises(ValueError, match="'none' or 'static'"):
+            SearchParams(prune="bogus")
 
     def test_pruned_space_must_be_subset(self):
         with pytest.raises(ValueError, match="subset"):
