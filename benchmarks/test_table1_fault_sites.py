@@ -34,13 +34,15 @@ def loc_of_package(package: str) -> int:
 def compute_table1():
     per_system: dict[str, dict] = {}
     for case in paper_cases():
-        prepared = case.explorer().prepare()
+        explorer = case.explorer()
+        probe = explorer.prepare().prepared.normal_run
         # Inferred static sites and their dynamic occurrences in the probe.
         candidate_sites = {
-            entry.instance.site_id for entry in prepared.pool.ranked_entries()
+            entry.instance.site_id
+            for entry in explorer.policy.pool.ranked_entries()
         }
         dynamic = sum(
-            prepared.normal_run.site_counts.get(site, 0)
+            probe.site_counts.get(site, 0)
             for site in candidate_sites
         )
         bucket = per_system.setdefault(

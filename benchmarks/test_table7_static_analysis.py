@@ -46,19 +46,20 @@ def compute_table7():
         builder = CausalGraphBuilder(model)
         # Build from this case's relevant observables, like the Explorer.
         explorer = case.explorer(prune="static")
-        prepared = explorer.prepare()
-        builder.build(prepared.observables.mapped_keys())
+        context = explorer.prepare()
+        flow_graph = context.flow_graph
+        builder.build(context.observables.mapped_keys())
         timings = builder.timings
-        observables = max(len(prepared.observables.mapped_keys()), 1)
+        observables = max(len(context.observables.mapped_keys()), 1)
         chaining_per_observable = timings.chaining_seconds / observables
         totals.append(timings.total_seconds)
-        flow_totals.append(prepared.flow_graph.build_seconds)
+        flow_totals.append(flow_graph.build_seconds)
         space = enumerate_fault_space(
-            graph_fault_candidates(prepared.graph),
-            prepared.normal_run.site_counts,
+            graph_fault_candidates(context.prepared.graph),
+            context.prepared.normal_run.site_counts,
             max_instances_per_site=explorer.params.max_instances_per_site,
         )
-        pruner = pruner_from_prepared(prepared.flow_graph, prepared)
+        pruner = pruner_from_prepared(flow_graph, context)
         kept = pruner.prune(space)
         pruned = len(space) - len(kept)
         by_system[case.system][0] += len(space)
@@ -71,7 +72,7 @@ def compute_table7():
                 f"{timings.slicing_seconds * 1e3:.2f}ms",
                 f"{chaining_per_observable * 1e3:.2f}ms",
                 f"{timings.total_seconds * 1e3:.1f}ms",
-                f"{prepared.flow_graph.build_seconds * 1e3:.1f}ms",
+                f"{flow_graph.build_seconds * 1e3:.1f}ms",
                 len(space),
                 f"{pruned} ({pruned / len(space):.0%})" if space else "0",
             )

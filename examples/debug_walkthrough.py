@@ -29,14 +29,15 @@ def main() -> None:
     print()
 
     explorer = case.explorer(max_rounds=300)
-    prepared = explorer.prepare()
-    print(f"--- probe run: {len(prepared.normal_log)} log lines, "
+    context = explorer.prepare()
+    prepared = context.prepared
+    print(f"--- probe run: {len(prepared.normal_run.log)} log lines, "
           f"{len(prepared.normal_run.trace)} fault-site executions ---")
     print()
 
     print("--- relevant observables (failure-log-only messages) ---")
-    for key in sorted(prepared.observables.keys()):
-        observable = prepared.observables.get(key)
+    for key in sorted(context.observables.keys()):
+        observable = context.observables.get(key)
         print(f"  {key}  (at failure-log positions {observable.failure_positions})")
     print()
 
@@ -50,7 +51,7 @@ def main() -> None:
     print()
 
     print("--- ranked fault candidates (first window) ---")
-    for entry in prepared.pool.window(5):
+    for entry in explorer.policy.pool.window(5):
         print(f"  F_i={entry.site_priority:<4} T={entry.temporal:<8.1f} "
               f"{entry.instance}")
     print()

@@ -26,12 +26,12 @@ def main() -> None:
     print()
 
     explorer = case.explorer(max_rounds=800)
-    prepared = explorer.prepare()
-    print(f"Relevant observables: {len(prepared.observables)}")
-    print(f"Causal graph: {prepared.graph.node_count} nodes, "
-          f"{prepared.graph.edge_count} edges")
-    print(f"Injectable fault candidates: {prepared.pool.candidate_count} "
-          f"({prepared.pool.remaining_instances()} dynamic instances)")
+    context = explorer.prepare()
+    graph, pool = context.prepared.graph, explorer.policy.pool
+    print(f"Relevant observables: {len(context.observables)}")
+    print(f"Causal graph: {graph.node_count} nodes, {graph.edge_count} edges")
+    print(f"Injectable fault candidates: {pool.candidate_count} "
+          f"({pool.remaining_instances()} dynamic instances)")
     print()
 
     print("Searching (each round = one workload run with one injection)...")

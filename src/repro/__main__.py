@@ -220,6 +220,8 @@ def cmd_reproduce(args) -> int:
 
 
 def _cmd_reproduce_body(args) -> int:
+    import dataclasses
+
     from .failures import get_case
     from .obs import bus as event_bus
     from .obs import ledger
@@ -275,6 +277,7 @@ def _cmd_reproduce_body(args) -> int:
                 seed=case.seed,
                 coverage=summary.to_dict(),
                 metrics=recorder.metrics() if recorder is not None else None,
+                params=dataclasses.asdict(explorer.params),
             )
         ],
         args,
@@ -611,17 +614,16 @@ def cmd_inspect(args) -> int:
     from .failures import get_case
 
     case = get_case(args.case_id)
-    prepared = case.explorer(fault_dims=args.fault_dims).prepare()
+    explorer = case.explorer(fault_dims=args.fault_dims)
+    context, pool = explorer.prepare(), explorer.policy.pool
+    graph = context.prepared.graph
     print(f"{case.issue}: {case.title}")
     print(f"failure log lines: {len(case.failure_log())}")
-    print(f"relevant observables: {sorted(prepared.observables.keys())}")
-    print(
-        f"causal graph: {prepared.graph.node_count} nodes / "
-        f"{prepared.graph.edge_count} edges"
-    )
-    print(f"candidates: {prepared.pool.candidate_count} "
-          f"({prepared.pool.remaining_instances()} instances)")
-    for entry in prepared.pool.window(args.top):
+    print(f"relevant observables: {sorted(context.observables.keys())}")
+    print(f"causal graph: {graph.node_count} nodes / {graph.edge_count} edges")
+    print(f"candidates: {pool.candidate_count} "
+          f"({pool.remaining_instances()} instances)")
+    for entry in pool.window(args.top):
         print(f"  F={entry.site_priority:<4} T={entry.temporal:<8.1f} "
               f"{entry.instance}")
     return 0
@@ -678,7 +680,7 @@ def cmd_analyze(args) -> int:
             fault_dims=args.fault_dims,
         )
         result = explorer.explore()
-        prepared = explorer.prepare()
+        flow_graph = explorer.prepare().flow_graph
         coverage = result.coverage.to_dict()
         contradictions = coverage.get("contradictions", 0)
         total_contradictions += contradictions
@@ -688,11 +690,7 @@ def cmd_analyze(args) -> int:
             "reproduced": result.success,
             "rounds": result.rounds,
             "coverage": coverage,
-            "graph": (
-                prepared.flow_graph.summary()
-                if prepared.flow_graph is not None
-                else {}
-            ),
+            "graph": flow_graph.summary() if flow_graph is not None else {},
         }
     document = {
         "radius": radius,

@@ -4,34 +4,36 @@ A strategy produces, per round, a window of fault instances to arm (the
 first one that occurs is injected, mirroring the FIR semantics).  It is a
 policy of the one round loop, :func:`repro.core.search.search` — the same
 loop ANDURIL's Explorer runs under, so both are measured alike (rounds,
-wall time); :class:`StrategyRunner` builds a case's context and pipeline
-and returns the loop's :class:`~repro.core.search.ExplorationResult`.
+wall time); :class:`StrategyRunner` sets the search up and returns the
+loop's :class:`~repro.core.search.ExplorationResult`.
 
-Strategies receive a :class:`SearchContext` with everything ANDURIL's
-Explorer also builds in its prepare step, so ablations can reuse exactly
-the pieces they keep and drop the ones they ablate.
+Strategies prepare from the :class:`~repro.core.prepared.SearchContext`
+that ANDURIL's Explorer also builds, through the same
+:func:`~repro.core.prepared.build_context`, so ablations can reuse
+exactly the pieces they keep and drop the ones they ablate.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
-from ..analysis.causal import DistanceIndex
-from ..analysis.model import SourceInfo
 from ..analysis.system_model import SystemModel
-from ..core.alignment import TimelineMap
-from ..core.observables import ObservableSet
 from ..core.oracle import Oracle
 from ..core.params import SearchParams
-from ..core.pipeline import RunPipeline
-from ..core.prepared import prepared_case
+from ..core.prepared import SearchContext, build_context
 from ..core.search import ExplorationResult, search
 from ..injection.sites import FaultInstance
 from ..logs.record import LogFile
-from ..obs.coverage import CoverageTracker
 from ..sim.cluster import RunResult, WorkloadFn
+
+#: What only ANDURIL's policy reads.  A baseline runs a fixed seed and
+#: keeps its own order (DESIGN §5.5), so it refuses these off default.
+POLICY_FIELDS = (
+    "initial_window", "aggregate", "temporal_mode", "max_instances_per_site",
+    "runs_per_round",
+)
 
 
 class CaseLike(Protocol):
@@ -46,56 +48,6 @@ class CaseLike(Protocol):
 
     def model(self) -> SystemModel: ...
     def failure_log(self) -> LogFile: ...
-
-
-@dataclasses.dataclass
-class SearchContext:
-    """Artifacts shared by all strategies for one case."""
-
-    case: CaseLike
-    model: SystemModel
-    observables: ObservableSet
-    candidates: Sequence[SourceInfo]
-    index: DistanceIndex
-    timeline: TimelineMap
-    #: The probe; its trace's per-site index places each occurrence.
-    normal_run: RunResult
-    #: Times the probe executed each site.
-    occurrences: Mapping[str, int]
-    #: Every injectable triple of the case (coverage's denominator).
-    fault_space: frozenset
-
-    def occurrences_of(self, site_id: str) -> range:
-        """The site's probe occurrences, 1 … n (empty if it never ran)."""
-        return range(1, self.occurrences.get(site_id, 0) + 1)
-
-
-def build_context(case: CaseLike, params: Optional[SearchParams] = None) -> SearchContext:
-    """The case's shared prepared artefact (Explorer steps 1–2) plus a
-    fresh observable set, the one piece of it a strategy's feedback may
-    write to.
-
-    The probe run is identical across every strategy sharing a case — it
-    is also the run a window that never fires executes as — so it is
-    made once, with the prepared case, through the run cache.  Its fault
-    dimensions are those of ``params``, by default the case's own.
-    """
-    model = case.model()
-    prepared = prepared_case(
-        model, case.workload, case.horizon, case.seed, case.failure_log(),
-        params=(params or SearchParams()).resolve(case.fault_dims),
-    )
-    return SearchContext(
-        case=case,
-        model=model,
-        observables=prepared.observables(),
-        candidates=prepared.candidates,
-        index=prepared.index,
-        timeline=prepared.timeline,
-        normal_run=prepared.normal_run,
-        occurrences=prepared.occurrences,
-        fault_space=prepared.fault_space,
-    )
 
 
 def _key(instance: FaultInstance) -> tuple[str, str, int]:
@@ -152,27 +104,40 @@ class StrategyRunner:
     max_seconds: Optional[float] = 60.0
     params: Optional[SearchParams] = None
 
+    def __post_init__(self) -> None:
+        default = SearchParams()
+        moved = [
+            name for name in POLICY_FIELDS
+            if getattr(self.params or default, name) != getattr(default, name)
+        ]
+        if moved:
+            raise ValueError(
+                f"a baseline does not read {', '.join(moved)}: "
+                "only ANDURIL's policy does"
+            )
+
+    def context(self, case: CaseLike) -> SearchContext:
+        """The search's setup on ``case``, whose fault dimensions fill in
+        what ``params`` leaves open."""
+        return build_context(
+            case.model(), case.workload, case.horizon, case.seed,
+            case.failure_log(),
+            (self.params or SearchParams()).resolve(case.fault_dims),
+        )
+
     def run(
         self,
         strategy: Strategy,
         case: CaseLike,
         case_id: Optional[str] = None,
     ) -> ExplorationResult:
-        if case_id is None:
-            case_id = case.case_id
         started = time.perf_counter()
-        context = build_context(case, self.params)
+        context = self.context(case)
         strategy.prepare(context)
         return search(
-            RunPipeline(case.workload, case.horizon, case.seed),
-            case.oracle,
-            strategy,
-            case_id=case_id,
+            context, case.oracle, strategy,
+            case_id=case.case_id if case_id is None else case_id,
             max_rounds=self.max_rounds,
             max_seconds=self.max_seconds,
-            # The space is enumerated from the same inputs ANDURIL's
-            # Explorer uses, so coverage fractions compare.
-            coverage=CoverageTracker(context.fault_space),
-            probe=context.normal_run.trace,
             started=started,
         )

@@ -113,7 +113,7 @@ class StacktraceInjector(_StaticOrderStrategy):
     name = "stacktrace"
 
     def build_queue(self, context: SearchContext):
-        failure_log = context.case.failure_log()
+        failure_log = context.prepared.failure_log
         logged_frames: set[tuple[str, str]] = set()
         exception_types: set[str] = set()
         for record in failure_log:

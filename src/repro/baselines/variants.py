@@ -74,7 +74,7 @@ class ExhaustiveInstances(_StaticOrderStrategy):
 
     def build_queue(self, context: SearchContext) -> list[FaultInstance]:
         queue: list[FaultInstance] = []
-        for info in context.candidates:
+        for info in context.prepared.candidates:
             for occurrence in _instances(context, info.site_id):
                 queue.append(
                     FaultInstance(info.site_id, info.exception, occurrence)
@@ -90,8 +90,8 @@ class DistanceOnly(_StaticOrderStrategy):
 
     def build_queue(self, context: SearchContext) -> list[FaultInstance]:
         ranked = []
-        for info in context.candidates:
-            reachable = context.index.observables_reachable_from(info.node_id)
+        for info in context.prepared.candidates:
+            reachable = context.prepared.index.observables_reachable_from(info.node_id)
             relevant = [
                 distance
                 for key, distance in reachable.items()
@@ -123,7 +123,7 @@ class SiteFeedback(Strategy):
     name = "fault-site-feedback"
 
     def _site_priority(self, info) -> float:
-        reachable = self.context.index.observables_reachable_from(info.node_id)
+        reachable = self.context.prepared.index.observables_reachable_from(info.node_id)
         best = INFINITY
         for key, distance in reachable.items():
             observable = self.context.observables.get(key)
@@ -134,7 +134,7 @@ class SiteFeedback(Strategy):
 
     def next_window(self) -> list[FaultInstance]:
         entries = []
-        for info in self.context.candidates:
+        for info in self.context.prepared.candidates:
             priority = self._site_priority(info)
             if priority == INFINITY:
                 continue
@@ -169,11 +169,11 @@ class MultiplyFeedback(Strategy):
     name = "multiply-feedback"
 
     def next_window(self) -> list[FaultInstance]:
-        observables = self.context.observables
-        trace = self.context.normal_run.trace
+        observables, case = self.context.observables, self.context.prepared
+        trace = case.normal_run.trace
         entries = []
-        for info in self.context.candidates:
-            reachable = self.context.index.observables_reachable_from(info.node_id)
+        for info in case.candidates:
+            reachable = case.index.observables_reachable_from(info.node_id)
             best = INFINITY
             best_key = ""
             for key, distance in sorted(reachable.items()):
@@ -193,7 +193,7 @@ class MultiplyFeedback(Strategy):
                 if key in self.tried:
                     continue
                 temporal = temporal_distance(
-                    self.context.timeline.to_failure(trace.log_indices[request]),
+                    case.timeline.to_failure(trace.log_indices[request]),
                     positions,
                 )
                 # The ablated combination: one flat rank per instance.

@@ -44,6 +44,8 @@ class CellOutcome:
     message: str = ""
     #: ANDURIL's prepare step (Tables 4/8); 0.0 on baseline cells.
     prepare_seconds: float = 0.0
+    #: The search's resolved ``SearchParams`` as a dict.
+    params: dict = dataclasses.field(default_factory=dict)
     #: Mean FIR decision latency in µs, reported by the ``repro.obs``
     #: metrics layer; 0.0 unless the run was profiled (see ``profile``).
     mean_decision_us: float = 0.0
@@ -67,10 +69,11 @@ class CellOutcome:
 
 
 def _cell_outcome(
-    strategy: str, case_id: str, result: ExplorationResult, **measured
+    strategy: str, case_id: str, params: SearchParams, result: ExplorationResult,
+    **measured,
 ) -> CellOutcome:
-    """The cell a search result makes; ``measured`` holds what only
-    ANDURIL's cells report."""
+    """The cell a search under ``params`` makes; ``measured`` holds what
+    only ANDURIL's cells report."""
     records = result.round_records
     requests = [r.injection_requests for r in records] or [0]
     inits = [r.init_seconds for r in records] or [0.0]
@@ -92,6 +95,7 @@ def _cell_outcome(
         median_workload_ms=_median(workloads) * 1e3,
         coverage=result.coverage.to_dict(),
         message=result.message,
+        params=dataclasses.asdict(params),
         **measured,
     )
 
@@ -130,7 +134,7 @@ def run_anduril(
         recorder=recorder,
         **options,
     )
-    prepared = explorer.prepare()
+    context = explorer.prepare()
     result = explorer.explore()
     metrics = recorder.metrics() if recorder is not None else {}
     decision_requests = metrics.get("fir.requests", 0.0)
@@ -140,8 +144,8 @@ def run_anduril(
         else 0.0
     )
     return _cell_outcome(
-        "anduril", case.case_id, result,
-        prepare_seconds=prepared.prepare_seconds,
+        "anduril", case.case_id, context.params, result,
+        prepare_seconds=context.prepare_seconds,
         mean_decision_us=mean_decision_us,
         metrics=metrics,
     )
@@ -159,11 +163,13 @@ def run_baseline(
 ) -> CellOutcome:
     """Run one baseline strategy on one case under the table budgets.
 
-    It searches the fault dimensions of ``params`` under ``options``' search
-    parameters; the rest of ``options`` go to the strategy constructor.
+    It searches ``params`` under ``options``' search parameters, which
+    must leave what only ANDURIL reads at its default
+    (:class:`~repro.baselines.base.StrategyRunner`); the rest of
+    ``options`` go to the strategy constructor.
     """
     params, options = SearchParams.split(options, params)
-    strategy = ALL_STRATEGIES[name](**options)
     runner = StrategyRunner(max_rounds, max_seconds, params)
+    strategy = ALL_STRATEGIES[name](**options)
     result = runner.run(strategy, case, case_id=case.case_id)
-    return _cell_outcome(name, case.case_id, result)
+    return _cell_outcome(name, case.case_id, strategy.context.params, result)

@@ -10,13 +10,14 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     ".alignment": ("TimelineMap", "temporal_distance"),
-    ".explorer": ("Explorer", "PreparedSearch"),
+    ".explorer": ("Explorer",),
     ".iterative": ("IterativeExplorer", "IterativeResult"),
     ".observables": ("Observable", "ObservableSet"),
     ".oracle": (
         "AllOf", "AnyOf", "CrashedTaskOracle", "LogMessageOracle", "Not", "Oracle",
         "StatePredicateOracle", "StuckTaskOracle",
     ),
+    ".prepared": ("SearchContext", "build_context"),
     ".priority": ("FaultPriorityPool", "WindowEntry"),
     ".report": ("ReproductionScript",),
     ".search": ("ExplorationResult", "RoundRecord"),

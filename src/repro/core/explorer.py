@@ -25,43 +25,17 @@ import dataclasses
 import time
 from typing import Optional
 
-from ..analysis.causal import DistanceIndex
-from ..analysis.flow import PropagationGraph, propagation_graph
-from ..analysis.model import CausalGraph
 from ..analysis.system_model import SystemModel
 from ..injection.sites import FaultInstance
 from ..obs import NULL_RECORDER, WALL
-from ..obs.coverage import CoverageTracker, enumerate_fault_space
 from ..logs.record import LogFile
-from ..sim.cluster import RunResult, WorkloadFn
-from .alignment import TimelineMap
-from .observables import ObservableSet
+from ..sim.cluster import WorkloadFn
 from .oracle import Oracle
 from .priority import FaultPriorityPool
 from .params import SearchParams
-from .pipeline import RunPipeline
-from .prepared import prepared_case
-from .pruning import StaticPruner
+from .prepared import SearchContext, build_context
 from .report import ReproductionScript
 from .search import ExplorationResult, search
-
-
-@dataclasses.dataclass
-class PreparedSearch:
-    """Everything assembled before the first injection round."""
-
-    model: SystemModel
-    graph: CausalGraph
-    index: DistanceIndex
-    observables: ObservableSet
-    pool: FaultPriorityPool
-    normal_log: LogFile
-    normal_run: RunResult
-    prepare_seconds: float
-    timeline: Optional[TimelineMap] = None
-    #: The flow pass's result; built only for static pruning, whose
-    #: coverage accounting is its one reader.
-    flow_graph: Optional[PropagationGraph] = None
 
 
 class FeedbackPolicy:
@@ -70,19 +44,20 @@ class FeedbackPolicy:
     feedback.  The pool owns what was tried (``mark_tried``)."""
 
     name = "anduril"
+    entries = ()
 
-    def __init__(
-        self,
-        pool: FaultPriorityPool,
-        observables: ObservableSet,
-        initial_window: int,
-        ground_truth_site: Optional[str] = None,
-    ) -> None:
-        self.pool = pool
-        self.observables = observables
-        self.initial_window = self.size = initial_window
+    def __init__(self, ground_truth_site: Optional[str] = None) -> None:
         self.ground_truth_site = ground_truth_site
-        self.entries = ()
+
+    def prepare(self, context: SearchContext) -> None:
+        """This search's priority pool, over the context's observables."""
+        case = context.prepared
+        self.observables = context.observables
+        self.pool = FaultPriorityPool(
+            case.candidates, case.index, context.observables,
+            case.normal_run.trace, case.timeline, context.params,
+        )
+        self.initial_window = self.size = context.params.initial_window
 
     def window(self) -> list[FaultInstance]:
         self.entries = self.pool.window(self.size)
@@ -157,106 +132,48 @@ class Explorer:
         #: path records nothing, samples no clocks, and leaves the search
         #: byte-identical to an untraced one (see the equivalence tests).
         self._obs = recorder if recorder is not None else NULL_RECORDER
-        #: Fault-space coverage accounting, built by :meth:`prepare`.
-        self._coverage: Optional[CoverageTracker] = None
-        self._prepared: Optional[PreparedSearch] = None
-        #: Every run of this search goes through here (DESIGN §5.3).
-        self._pipeline = RunPipeline(workload, horizon, seed, recorder=self._obs)
+        #: ANDURIL's policy; :meth:`prepare` builds its pool.
+        self.policy = FeedbackPolicy(ground_truth_site)
+        self._context: Optional[SearchContext] = None
 
     # ----------------------------------------------------------------- prepare
 
-    def prepare(self) -> PreparedSearch:
-        """Steps 1–2: the shared prepared case (probe run, observables,
-        causal graph), then this search's own priorities."""
-        if self._prepared is not None:
-            return self._prepared
+    def prepare(self) -> SearchContext:
+        """Steps 1–2: the one search setup, then ANDURIL's pool over it."""
+        if self._context is not None:
+            return self._context
         obs = self._obs
         started = time.perf_counter()
-        params = self.params
-        case = prepared_case(
+        context = build_context(
             self.model, self.workload, self.horizon, self.seed,
-            self.failure_log, params=params,
-            base_faults=self.base_faults, pipeline=self._pipeline,
+            self.failure_log, self.params, base_faults=self.base_faults,
+            recorder=obs,
         )
-        obtained = time.perf_counter()
-        normal_run, candidates = case.normal_run, case.candidates
-        index, timeline = case.index, case.timeline
-        observables = case.observables(params.adjustment, obs)
-
-        pool = FaultPriorityPool(
-            candidates, index, observables, normal_run.trace, timeline, params
-        )
-        # The full injectable fault space comes from the same inputs the
-        # pool uses (graph candidates x probe occurrences), so coverage
-        # fractions are comparable across strategies.
-        occurrences = case.occurrences
-        cap = params.max_instances_per_site
-        space = (
-            case.fault_space
-            if cap is None
-            else enumerate_fault_space(
-                candidates, occurrences, max_instances_per_site=cap
-            )
-        )
-        flow_graph = pruned_space = None
-        if params.prune == "static":
-            # Pruning is accounting-only: the flow pass feeds the
-            # coverage tracker and nothing else.
-            flow_graph = propagation_graph(self.model)
-            pruner = StaticPruner(
-                flow_graph, candidates, index, observables, timeline,
-                normal_run.trace, params.prune_radius,
-            )
-            pruned_space = enumerate_fault_space(
-                candidates, occurrences, max_instances_per_site=cap, pruner=pruner
-            )
-        self._coverage = CoverageTracker(space, pruned_space=pruned_space)
-        # Tables 4/8 report what preparing this search costs: a shared
-        # case counts at its recorded build time, not at the memo hit's.
-        prepare_seconds = case.build_seconds + time.perf_counter() - obtained
+        pooled = time.perf_counter()
+        self.policy.prepare(context)
+        context.prepare_seconds += time.perf_counter() - pooled
         obs.add_span(
             "prepare",
             "explorer",
             clock=WALL,
             start=obs.rel(started),
-            duration=prepare_seconds,
-            observables=len(observables),
-            candidates=pool.candidate_count,
+            duration=context.prepare_seconds,
+            observables=len(context.observables),
+            candidates=self.policy.pool.candidate_count,
         )
-        self._prepared = PreparedSearch(
-            model=self.model,
-            graph=case.graph,
-            index=index,
-            observables=observables,
-            pool=pool,
-            normal_log=normal_run.log,
-            normal_run=normal_run,
-            prepare_seconds=prepare_seconds,
-            timeline=timeline,
-            flow_graph=flow_graph,
-        )
-        return self._prepared
+        self._context = context
+        return context
 
     # ----------------------------------------------------------------- explore
 
     def explore(self) -> ExplorationResult:
         """Run the search: ANDURIL's policy under the shared round loop,
         plus, on success, a reproduction script."""
-        prepared = self.prepare()
-        policy = FeedbackPolicy(
-            prepared.pool, prepared.observables,
-            self.params.initial_window, self.ground_truth_site,
-        )
         found = search(
-            self._pipeline, self.oracle, policy,
+            self.prepare(), self.oracle, self.policy,
             case_id=self.case_id,
             max_rounds=self.max_rounds,
             max_seconds=self.max_seconds,
-            runs_per_round=self.params.runs_per_round,
-            base_faults=self.base_faults,
-            recorder=self._obs,
-            coverage=self._coverage,
-            probe=prepared.normal_run.trace,
         )
         if not found.success:
             return found

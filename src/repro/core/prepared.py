@@ -25,6 +25,7 @@ import types
 from typing import Mapping, Optional
 
 from ..analysis.causal import CausalGraphBuilder, DistanceIndex
+from ..analysis.flow import PropagationGraph, propagation_graph
 from ..analysis.model import (
     CausalGraph,
     SourceInfo,
@@ -35,13 +36,15 @@ from ..analysis.system_model import SystemModel
 from ..injection.fir import InjectionPlan
 from ..logs.diff import CompareResult, LogComparator, PreparedComparator
 from ..logs.record import LogFile
-from ..obs.coverage import enumerate_fault_space
+from ..obs import NULL_RECORDER
+from ..obs.coverage import CoverageTracker, enumerate_fault_space
 from ..sim.cluster import RunResult
 from .alignment import TimelineMap
 from .observables import ObservableSet
 from .params import SearchParams
 from . import pipeline as _pipeline
 from .pipeline import RunPipeline
+from .pruning import StaticPruner
 
 #: Cases kept per model before the table is cleared wholesale.  A campaign
 #: is strategy-major, so a system's cases must all survive to the last
@@ -160,4 +163,90 @@ def _build(model, failure_log, fault_dims, base_faults, pipeline) -> PreparedCas
         occurrences=types.MappingProxyType(occurrences),
         fault_space=enumerate_fault_space(candidates, occurrences),
         build_seconds=time.perf_counter() - started,
+    )
+
+
+@dataclasses.dataclass
+class SearchContext:
+    """One search's state: the shared case plus what this search alone
+    writes to.  ANDURIL's policy and every baseline strategy prepare
+    from it, and :func:`~repro.core.search.search` runs on it."""
+
+    prepared: PreparedCase
+    model: SystemModel
+    #: The search's parameters, fault dimensions resolved.
+    params: SearchParams
+    #: Every run of this search goes through here (DESIGN §5.3).
+    pipeline: RunPipeline
+    #: Fresh, at ``params.adjustment``: what feedback writes to.
+    observables: ObservableSet
+    #: Over the case's fault space, capped and pruned as ``params`` say.
+    coverage: CoverageTracker
+    #: Faults armed in every run, the probe's included: the iterative
+    #: multi-fault workflow fixes already-found faults here.
+    base_faults: tuple = ()
+    recorder: object = NULL_RECORDER
+    #: The flow pass, built for ``prune="static"`` alone.
+    flow_graph: Optional[PropagationGraph] = None
+    #: The shared case at its recorded build time plus this search's own
+    #: set-up, whether it built the case or was handed it (Tables 4/8).
+    prepare_seconds: float = 0.0
+
+    def occurrences_of(self, site_id: str) -> range:
+        """The site's probe occurrences, 1 … n (empty if it never ran)."""
+        return range(1, self.prepared.occurrences.get(site_id, 0) + 1)
+
+
+def build_context(
+    model: SystemModel,
+    workload,
+    horizon: float,
+    seed: int,
+    failure_log: LogFile,
+    params: Optional[SearchParams] = None,
+    *,
+    base_faults: tuple = (),
+    recorder=None,
+) -> SearchContext:
+    """The one search setup, ANDURIL's and every baseline's: the shared
+    prepared case, a fresh observable set, and the coverage tracker.
+
+    ``params`` leaves the fault dimensions to ``exceptions``; a
+    ``recorder`` observes every run, so its search gets a private case.
+    """
+    params = (params or SearchParams()).resolve()
+    recorder = NULL_RECORDER if recorder is None else recorder
+    base_faults = tuple(base_faults)
+    pipeline = RunPipeline(workload, horizon, seed, recorder=recorder)
+    case = prepared_case(
+        model, workload, horizon, seed, failure_log, params=params,
+        base_faults=base_faults, pipeline=pipeline,
+    )
+    obtained = time.perf_counter()
+    observables = case.observables(params.adjustment, recorder)
+    # Every strategy's space comes from the same inputs (graph candidates
+    # x probe occurrences), so coverage fractions compare.
+    cap = params.max_instances_per_site
+    space = case.fault_space if cap is None else enumerate_fault_space(
+        case.candidates, case.occurrences, max_instances_per_site=cap
+    )
+    flow_graph = pruned_space = None
+    if params.prune == "static":
+        # Pruning is accounting-only: the flow pass feeds the coverage
+        # tracker and nothing else.
+        flow_graph = propagation_graph(model)
+        pruner = StaticPruner(
+            flow_graph, case.candidates, case.index, observables,
+            case.timeline, case.normal_run.trace, params.prune_radius,
+        )
+        pruned_space = enumerate_fault_space(
+            case.candidates, case.occurrences, max_instances_per_site=cap,
+            pruner=pruner,
+        )
+    return SearchContext(
+        prepared=case, model=model, params=params, pipeline=pipeline,
+        observables=observables,
+        coverage=CoverageTracker(space, pruned_space=pruned_space),
+        base_faults=base_faults, recorder=recorder, flow_graph=flow_graph,
+        prepare_seconds=case.build_seconds + time.perf_counter() - obtained,
     )

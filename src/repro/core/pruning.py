@@ -111,17 +111,18 @@ class StaticPruner:
 
 
 def pruner_from_prepared(
-    graph: PropagationGraph, prepared, radius: float = DEFAULT_RADIUS
+    graph: PropagationGraph, context, radius: float = DEFAULT_RADIUS
 ) -> StaticPruner:
-    """Build a pruner from a :class:`~repro.core.explorer.PreparedSearch`."""
+    """Build a pruner over a :class:`~repro.core.prepared.SearchContext`."""
     from ..analysis.model import graph_fault_candidates
 
+    case = context.prepared
     return StaticPruner(
         graph=graph,
-        candidates=graph_fault_candidates(prepared.graph),
-        index=prepared.index,
-        observables=prepared.observables,
-        timeline=prepared.timeline,
-        trace=prepared.normal_run.trace,
+        candidates=graph_fault_candidates(case.graph),
+        index=case.index,
+        observables=context.observables,
+        timeline=case.timeline,
+        trace=case.normal_run.trace,
         radius=radius,
     )

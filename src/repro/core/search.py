@@ -28,11 +28,11 @@ import dataclasses
 import time
 from typing import Optional
 
-from ..injection.fir import InjectionPlan, ProbeTrace, dedupe_instances
+from ..injection.fir import InjectionPlan, dedupe_instances
 from ..injection.sites import FaultInstance
-from ..obs import NULL_RECORDER, WALL
+from ..obs import WALL
 from ..obs.bus import RoundReporter
-from ..obs.coverage import CoverageSummary, CoverageTracker
+from ..obs.coverage import CoverageSummary
 from ..sim.cluster import RunResult
 from .report import ReproductionScript
 
@@ -133,24 +133,20 @@ def window_entry_for(entries, injected):
 
 
 def search(
-    pipeline,
+    context,
     oracle,
     policy,
     *,
     case_id: str,
     max_rounds: int,
     max_seconds: Optional[float],
-    coverage: CoverageTracker,
-    probe: ProbeTrace,
     started: Optional[float] = None,
-    runs_per_round: int = 1,
-    base_faults: tuple = (),
-    recorder=NULL_RECORDER,
 ) -> ExplorationResult:
-    """Run rounds of ``policy`` through ``pipeline`` until ``oracle`` is
-    satisfied, the policy runs dry, or a budget is spent; ``coverage``
-    accounts every committed round.  ``probe`` is the trace of the
-    window-less run at ``pipeline.seed`` with ``base_faults``.
+    """Run rounds of ``policy`` until ``oracle`` is satisfied, the policy
+    runs dry, or a budget is spent.  Of the search's
+    :class:`~repro.core.prepared.SearchContext` it reads the pipeline,
+    the probe, the base faults, the recorder, ``runs_per_round`` and the
+    coverage tracker, which accounts every committed round.
 
     ``started`` is the ``perf_counter`` reading the time budget and
     ``elapsed_seconds`` count from (default: now).  Round events go to the
@@ -158,6 +154,10 @@ def search(
     """
     if started is None:
         started = time.perf_counter()
+    pipeline, coverage = context.pipeline, context.coverage
+    recorder, base_faults = context.recorder, context.base_faults
+    probe = context.prepared.normal_run.trace
+    runs_per_round = context.params.runs_per_round
     seed = pipeline.seed
     reporter = RoundReporter(None, case_id, policy.name)
     records: list[RoundRecord] = []

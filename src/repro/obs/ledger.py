@@ -112,8 +112,10 @@ def make_entry(
     coverage: Optional[dict] = None,
     metrics: Optional[dict] = None,
     sha: Optional[str] = None,
+    params: Optional[dict] = None,
 ) -> dict:
-    """One schema-versioned ledger entry (a plain JSON-able dict)."""
+    """One schema-versioned ledger entry (a plain JSON-able dict);
+    ``params`` is the search's resolved ``SearchParams`` as a dict."""
     entry = {
         "schema": SCHEMA_VERSION,
         "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -135,6 +137,8 @@ def make_entry(
             key: round(value, 9) if isinstance(value, float) else value
             for key, value in sorted(metrics.items())
         }
+    if params:
+        entry["params"] = params
     return entry
 
 
@@ -159,6 +163,7 @@ def entry_from_outcome(
         coverage=getattr(outcome, "coverage", None),
         metrics=getattr(outcome, "metrics", None),
         sha=sha,
+        params=getattr(outcome, "params", None),
     )
 
 

@@ -11,31 +11,30 @@ from repro.baselines import (
     RandomInjector,
     StacktraceInjector,
     StrategyRunner,
-    build_context,
 )
 from repro.failures import get_case
 
 
 @pytest.fixture(scope="module")
 def f1_context():
-    return build_context(get_case("f1"))
+    return StrategyRunner().context(get_case("f1"))
 
 
 @pytest.fixture(scope="module")
 def f17_context():
-    return build_context(get_case("f17"))
+    return StrategyRunner().context(get_case("f17"))
 
 
 class TestContext:
     def test_candidates_are_causal_graph_sources(self, f1_context):
-        assert f1_context.candidates
-        for info in f1_context.candidates:
+        assert f1_context.prepared.candidates
+        for info in f1_context.prepared.candidates:
             assert info.node_id.startswith("extexc:")
 
     def test_instances_recorded_from_probe(self, f1_context):
-        assert f1_context.occurrences
-        trace = f1_context.normal_run.trace
-        for site_id, count in f1_context.occurrences.items():
+        assert f1_context.prepared.occurrences
+        trace = f1_context.prepared.normal_run.trace
+        for site_id, count in f1_context.prepared.occurrences.items():
             assert list(f1_context.occurrences_of(site_id)) == list(
                 range(1, count + 1)
             )
@@ -50,7 +49,7 @@ class TestQueueShapes:
         strategy = ExhaustiveInstances()
         queue = strategy.build_queue(f17_context)
         sites = {instance.site_id for instance in queue}
-        assert sites == {info.site_id for info in f17_context.candidates}
+        assert sites == {info.site_id for info in f17_context.prepared.candidates}
         # Hundreds of instances for the WAL workload.
         assert len(queue) > 300
 
@@ -67,7 +66,7 @@ class TestQueueShapes:
         strategy = FateStrategy()
         queue = strategy.build_queue(f17_context)
         fate_sites = {instance.site_id for instance in queue}
-        causal_sites = {info.site_id for info in f17_context.candidates}
+        causal_sites = {info.site_id for info in f17_context.prepared.candidates}
         assert causal_sites < fate_sites  # strictly more (coverage-first)
 
     def test_fate_failure_ids_deduplicate(self, f17_context):
@@ -84,7 +83,7 @@ class TestQueueShapes:
     def test_stacktrace_sites_appear_in_failure_log(self, f17_context):
         queue = StacktraceInjector().build_queue(f17_context)
         assert queue, "failure log contains stack traces; queue must be non-empty"
-        failure_text = f17_context.case.failure_log().to_text()
+        failure_text = f17_context.prepared.failure_log.to_text()
         for instance in queue[:5]:
             function = instance.site_id.rsplit(":", 2)[-2]
             assert f"at {function}(" in failure_text

@@ -1,6 +1,6 @@
 """Behavioral tests for the feedback-carrying ablation variants."""
 
-from repro.baselines import MultiplyFeedback, SiteFeedback, build_context
+from repro.baselines import MultiplyFeedback, SiteFeedback, StrategyRunner
 from repro.failures import get_case
 from repro.logs.record import Level, LogFile, LogRecord
 from repro.sim.cluster import RunResult
@@ -25,7 +25,7 @@ def fake_result(messages):
 
 class TestSiteFeedback:
     def test_window_contains_one_instance_per_site(self):
-        context = build_context(get_case("f17"))
+        context = StrategyRunner().context(get_case("f17"))
         strategy = SiteFeedback()
         strategy.prepare(context)
         window = strategy.next_window()
@@ -34,7 +34,7 @@ class TestSiteFeedback:
         assert len(sites) == len(set(sites))
 
     def test_observe_marks_injected_as_tried(self):
-        context = build_context(get_case("f17"))
+        context = StrategyRunner().context(get_case("f17"))
         strategy = SiteFeedback()
         strategy.prepare(context)
         window = strategy.window()
@@ -47,7 +47,7 @@ class TestSiteFeedback:
         assert (first.site_id, first.exception, first.occurrence) not in keys
 
     def test_feedback_changes_priorities(self):
-        context = build_context(get_case("f17"))
+        context = StrategyRunner().context(get_case("f17"))
         strategy = SiteFeedback()
         strategy.prepare(context)
         before = [observable for observable in context.observables.keys()]
@@ -57,7 +57,7 @@ class TestSiteFeedback:
         # A failed round whose log reproduces the failure log's content
         # (same threads, same messages) deprioritizes every observable.
         mimic = fake_result([])
-        mimic.log = context.case.failure_log()
+        mimic.log = context.prepared.failure_log
         strategy.observe(mimic, strategy.next_window()[0], False)
         priorities_after = {
             key: context.observables.priority(key) for key in before
@@ -67,7 +67,7 @@ class TestSiteFeedback:
 
 class TestMultiplyFeedback:
     def test_window_is_flat_instance_ranking(self):
-        context = build_context(get_case("f17"))
+        context = StrategyRunner().context(get_case("f17"))
         strategy = MultiplyFeedback()
         strategy.prepare(context)
         window = strategy.next_window()
@@ -77,7 +77,7 @@ class TestMultiplyFeedback:
         assert len({i.site_id for i in window}) <= len(window)
 
     def test_exhaustion(self):
-        context = build_context(get_case("f13"))
+        context = StrategyRunner().context(get_case("f13"))
         strategy = MultiplyFeedback()
         strategy.prepare(context)
         for _ in range(2000):

@@ -54,7 +54,7 @@ class TestWindowDoubling:
         assert sizes[-1] > 1  # doubling kicked in
 
     def test_growth_is_capped_by_candidate_count(self, no_injection_explorer):
-        pool = no_injection_explorer.prepare().pool
+        pool = no_injection_explorer.policy.pool
         result = no_injection_explorer.explore()
         for record in result.round_records:
             assert record.window_size <= max(pool.candidate_count, 1)
@@ -78,17 +78,18 @@ class TestWindowShrink:
         explorer = case.explorer(
             max_rounds=3, initial_window=1, recorder=TraceRecorder()
         )
-        prepared = explorer.prepare()
-        fired_instance = prepared.pool.window(1)[0].instance
+        explorer.prepare()
+        pool = explorer.policy.pool
+        fired_instance = pool.window(1)[0].instance
 
         requested_sizes = []
-        real_window = prepared.pool.window
+        real_window = pool.window
 
         def spying_window(size):
             requested_sizes.append(size)
             return real_window(size)
 
-        monkeypatch.setattr(prepared.pool, "window", spying_window)
+        monkeypatch.setattr(pool, "window", spying_window)
 
         fired_result = dataclasses.replace(
             empty_run_result(), injected=True, injected_instance=fired_instance

@@ -31,9 +31,10 @@ class TestZkReproduction:
         assert case.oracle.satisfied(replay)
 
     def test_root_site_in_causal_graph(self, case):
-        prepared = case.explorer().prepare()
+        explorer = case.explorer()
+        explorer.prepare()
         gt_site = case.ground_truth.resolve_site(case.model())
-        assert prepared.pool.rank_of_site(gt_site) is not None
+        assert explorer.policy.pool.rank_of_site(gt_site) is not None
 
 
 class TestExplorerMechanics:

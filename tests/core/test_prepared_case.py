@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.analysis.causal import CausalGraphBuilder
 from repro.analysis.exceptions import ExceptionAnalysis
 from repro.analysis.system_model import clear_facts_cache
-from repro.baselines import ALL_STRATEGIES, StrategyRunner, build_context
+from repro.baselines import ALL_STRATEGIES, StrategyRunner
 from repro.bench.parallel import CampaignTask, run_tasks
 from repro.cache import runcache
 from repro.core.params import SearchParams
@@ -103,8 +103,8 @@ def test_campaign_cells_agree_with_fresh_builds_at_any_job_count(jobs):
 
 def test_feedback_writes_stay_in_their_own_observable_set():
     case = get_case(CASE_ID)
-    writer = build_context(case)
-    reader = build_context(case)
+    writer = StrategyRunner().context(case)
+    reader = StrategyRunner().context(case)
     assert writer.observables is not reader.observables
     before = {key: reader.observables.priority(key) for key in reader.observables.keys()}
     # A run that logged everything the failure did: every key is present.
@@ -112,7 +112,7 @@ def test_feedback_writes_stay_in_their_own_observable_set():
     assert writer.observables.version > 0
     after = {key: reader.observables.priority(key) for key in reader.observables.keys()}
     assert after == before
-    assert build_context(case).observables.version == 0
+    assert StrategyRunner().context(case).observables.version == 0
 
 
 # ------------------------------------------------------------- build counts
@@ -160,10 +160,10 @@ def test_one_fixpoint_per_model_and_one_graph_per_case_and_dims(build_counts):
 
 def test_clear_facts_cache_forgets_memos_and_prepared_cases(build_counts):
     case = get_case("f1")
-    first = build_context(case)
-    assert build_context(case).normal_run is first.normal_run
+    first = StrategyRunner().context(case).prepared
+    assert StrategyRunner().context(case).prepared is first
     clear_facts_cache()
-    assert build_context(case).normal_run is not first.normal_run
+    assert StrategyRunner().context(case).prepared is not first
     assert build_counts == {"fixpoints": 2, "graphs": 2}
 
 
@@ -182,15 +182,10 @@ def _prepared(case, **overrides):
 
 def test_explorer_and_baselines_share_one_artefact():
     case = get_case("f1")
-    prepared = case.explorer().prepare()
-    context = build_context(case)
-    shared = _prepared(case)
-    assert prepared.normal_run is context.normal_run is shared.normal_run
-    assert prepared.graph is shared.graph
-    assert prepared.index is context.index is shared.index
-    assert prepared.timeline is context.timeline
-    assert context.candidates is shared.candidates
-    assert prepared.observables is not context.observables
+    explored = case.explorer().prepare()
+    context = StrategyRunner().context(case)
+    assert explored.prepared is context.prepared is _prepared(case)
+    assert explored.observables is not context.observables
 
 
 def test_the_key_is_every_input_of_steps_one_and_two():
@@ -230,9 +225,9 @@ def test_a_traced_search_gets_a_private_artefact():
     shared = case.explorer().prepare()
     recorder = TraceRecorder()
     traced = case.explorer(recorder=recorder).prepare()
-    assert traced.normal_run is not shared.normal_run
+    assert traced.prepared is not shared.prepared
     assert recorder.metrics()["runs"] == 1
-    assert case.explorer().prepare().normal_run is shared.normal_run
+    assert case.explorer().prepare().prepared is shared.prepared
 
 
 def test_prepared_case_is_read_only():

@@ -6,16 +6,19 @@ simulator; the policy classes are then driven by hand through the same
 four members the loop calls.
 """
 
+import dataclasses
 import time
+import types
 
 import pytest
 
-from repro.baselines import Strategy, build_context
+from repro.baselines import Strategy, StrategyRunner
 from repro.baselines.variants import _StaticOrderStrategy
 from repro.core import pipeline as pipeline_module
 from repro.core.explorer import FeedbackPolicy
 from repro.core.oracle import Oracle
-from repro.core.pipeline import RunPipeline
+from repro.core.params import SearchParams
+from repro.core.prepared import SearchContext
 from repro.core.search import search
 from repro.failures import get_case
 from repro.injection.fir import ProbeTrace, TraceEvent
@@ -46,6 +49,15 @@ PROBE = ProbeTrace.of(
     TraceEvent(site, 1, float(at), 0)
     for at, site in enumerate(["a", "b", "c", "s1", "s2"])
 )
+
+
+def stub_context(pipeline, probe=PROBE):
+    """A search context with nothing in it but a pipeline and a probe."""
+    return SearchContext(
+        prepared=types.SimpleNamespace(normal_run=types.SimpleNamespace(trace=probe)),
+        model=None, params=SearchParams().resolve(), pipeline=pipeline,
+        observables=None, coverage=CoverageTracker(()),
+    )
 
 
 class StubPipeline:
@@ -106,8 +118,8 @@ def drive(sites, oracle_site, **budget):
     budget.setdefault("max_rounds", 10)
     budget.setdefault("max_seconds", None)
     found = search(
-        pipeline, SatisfiedBy(oracle_site), policy, case_id="stub",
-        coverage=CoverageTracker(()), probe=PROBE, **budget,
+        stub_context(pipeline), SatisfiedBy(oracle_site), policy,
+        case_id="stub", **budget,
     )
     return found, pipeline, policy, capture.events
 
@@ -178,7 +190,7 @@ class RepeatingQueue(_StaticOrderStrategy):
 
 @pytest.fixture(scope="module")
 def context():
-    return build_context(get_case("f1"))
+    return StrategyRunner().context(get_case("f1"))
 
 
 class TestStrategyPolicy:
@@ -216,9 +228,8 @@ class TestStrategyPolicy:
         strategy.prepare(context)
         pipeline = StubPipeline()
         found = search(
-            pipeline, SatisfiedBy("never"), strategy, case_id="stub",
-            max_rounds=10, max_seconds=None, coverage=CoverageTracker(()),
-            probe=PROBE,
+            stub_context(pipeline), SatisfiedBy("never"), strategy,
+            case_id="stub", max_rounds=10, max_seconds=None,
         )
         assert found.message == "fault space exhausted"
         # Each round runs as the window's first-firing instance.
@@ -253,10 +264,18 @@ class FakeObservables:
         return {"k1", "k2"}
 
 
+def feedback_policy(pool, observables, initial_window, site=None):
+    """ANDURIL's policy over a stub pool, as its ``prepare`` leaves it."""
+    policy = FeedbackPolicy(site)
+    policy.pool, policy.observables = pool, observables
+    policy.initial_window = policy.size = initial_window
+    return policy
+
+
 class TestFeedbackPolicy:
     def test_dry_rounds_double_up_to_the_candidate_count(self):
         pool = FakePool()
-        policy = FeedbackPolicy(pool, FakeObservables(), initial_window=1)
+        policy = feedback_policy(pool, FakeObservables(), initial_window=1)
         for _ in range(5):
             window = policy.window()
             assert policy.feedback(window, run_result(), None, False) == 0
@@ -266,7 +285,7 @@ class TestFeedbackPolicy:
 
     def test_a_fire_resets_the_window_marks_it_tried_and_feeds_back(self):
         pool, observables = FakePool(), FakeObservables()
-        policy = FeedbackPolicy(pool, observables, initial_window=2)
+        policy = feedback_policy(pool, observables, initial_window=2)
         fired = FaultInstance("s1", "IOError", 1)
         policy.feedback(policy.window(), run_result(), None, False)
         result = run_result(fired)
@@ -278,15 +297,24 @@ class TestFeedbackPolicy:
 
     def test_a_satisfied_fire_is_not_fed_back(self):
         pool, observables = FakePool(), FakeObservables()
-        policy = FeedbackPolicy(pool, observables, initial_window=2)
+        policy = feedback_policy(pool, observables, initial_window=2)
         fired = FaultInstance("s1", "IOError", 1)
         assert policy.feedback([], run_result(fired), fired, True) == 0
         assert pool.tried == [fired] and not observables.logs
 
     def test_rank_needs_a_ground_truth_site(self):
         pool = FakePool()
-        assert FeedbackPolicy(pool, None, 1).rank() is None
-        assert FeedbackPolicy(pool, None, 1, "s1").rank() == 3
+        assert feedback_policy(pool, None, 1).rank() is None
+        assert feedback_policy(pool, None, 1, "s1").rank() == 3
+
+    def test_prepare_builds_the_pool_over_the_context(self, context):
+        policy = FeedbackPolicy()
+        policy.prepare(dataclasses.replace(
+            context, params=dataclasses.replace(context.params, initial_window=3)
+        ))
+        assert policy.observables is context.observables
+        assert policy.size == policy.initial_window == 3
+        assert len(policy.window()) == 3
 
 
 # ------------------------------------------- a window runs as what it fires
@@ -330,11 +358,9 @@ class TestAWindowRunsAsItsFirstFiringInstance:
 
     @staticmethod
     def searched(case, policy):
-        pipeline = RunPipeline(case.workload, case.horizon, case.seed)
-        probe = pipeline.run(case.seed, None).trace
         return search(
-            pipeline, case.oracle, policy, case_id="f1", max_rounds=10,
-            max_seconds=None, coverage=CoverageTracker(()), probe=probe,
+            StrategyRunner().context(case), case.oracle, policy, case_id="f1",
+            max_rounds=10, max_seconds=None,
         )
 
     def test_a_window_that_cannot_fire_executes_nothing(self, executed):

@@ -13,7 +13,7 @@ committed case:
 import pytest
 
 from repro.analysis.system_model import clear_facts_cache
-from repro.core import explorer as explorer_module
+from repro.core import prepared as prepared_module
 from repro.core.pruning import DEFAULT_RADIUS, pruner_from_prepared
 from repro.failures import get_case
 
@@ -124,7 +124,7 @@ def test_an_unpruned_search_builds_no_flow_graph(monkeypatch):
     def no_flow_pass(*args, **kwargs):
         raise AssertionError("flow pass built for an unpruned search")
 
-    monkeypatch.setattr(explorer_module, "propagation_graph", no_flow_pass)
+    monkeypatch.setattr(prepared_module, "propagation_graph", no_flow_pass)
     explorer = get_case("f1").explorer(prune="none", max_rounds=5)
     assert explorer.prepare().flow_graph is None
     assert explorer.explore().coverage.pruned_space_size is None

@@ -76,9 +76,10 @@ class TestPerCase:
         assert len(failure_log.threads()) >= 2
 
     def test_ground_truth_site_is_inferred_by_causal_graph(self, case):
-        prepared = case.explorer().prepare()
+        explorer = case.explorer()
+        explorer.prepare()
         gt_site = case.ground_truth.resolve_site(case.model())
-        assert prepared.pool.rank_of_site(gt_site) is not None
+        assert explorer.policy.pool.rank_of_site(gt_site) is not None
 
     def test_fault_spec_valid_for_env_op(self, case):
         # The ground-truth site's op must actually support the declared

@@ -46,7 +46,7 @@ class TestSoftFaultCases:
         )
 
         case = get_case(case_id)
-        soft = case.explorer().prepare()
+        soft = case.explorer().prepare().prepared
         all_dims = filter_candidates_by_dims(
             graph_fault_candidates(soft.graph), "all"
         )

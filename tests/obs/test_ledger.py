@@ -16,6 +16,7 @@ class Outcome:
     seconds: float
     coverage: dict = None
     metrics: dict = None
+    params: dict = None
 
 
 class TestMakeEntry:
@@ -64,6 +65,21 @@ class TestMakeEntry:
         assert entry["strategy"] == "random"
         assert entry["success"] is False
         assert entry["coverage"] == {"space": 3}
+
+    def test_params_say_which_search_without_changing_its_keys(self):
+        narrow, wide = (
+            ledger.entry_from_outcome(
+                Outcome("f1", True, 3, 0.5, params={"fault_dims": dims}),
+                strategy="anduril", sha="abc1234",
+            )
+            for dims in ("exceptions", "all")
+        )
+        assert (narrow["params"], wide["params"]) == (
+            {"fault_dims": "exceptions"}, {"fault_dims": "all"},
+        )
+        assert ledger.entry_key(narrow) == ledger.entry_key(wide)
+        assert ledger.compaction_key(narrow) == ledger.compaction_key(wide)
+        assert narrow["schema"] == ledger.SCHEMA_VERSION == 1
 
     def test_entry_key_identity(self):
         entry = ledger.make_entry(

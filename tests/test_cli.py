@@ -256,6 +256,16 @@ class TestLedger:
         assert entry["success"] is True
         assert entry["coverage"]["space"] > 0
 
+    def test_reproduce_entries_say_which_search_they_were(
+        self, capsys, isolated_ledger
+    ):
+        for dims in ("exceptions", "all"):
+            run_cli(capsys, "reproduce", "f4", "--fault-dims", dims)
+        narrow, wide = ledger.read_entries(str(isolated_ledger))
+        assert ledger.entry_key(narrow) == ledger.entry_key(wide)
+        assert narrow["params"]["fault_dims"] == "exceptions"
+        assert wide["params"] == dict(narrow["params"], fault_dims="all")
+
     def test_no_ledger_flag_skips_the_append(self, capsys, isolated_ledger):
         code, _ = run_cli(capsys, "reproduce", "f4", "--no-ledger")
         assert code == 0
@@ -279,6 +289,12 @@ class TestLedger:
         assert "anduril" in strategies
         assert len(strategies) >= 3  # anduril + the baseline strategies
         assert all(entry["case_id"] == "f1" for entry in entries)
+        # Each row names its resolved search: ANDURIL's prunes statically.
+        assert {
+            (entry["strategy"] == "anduril", entry["params"]["prune"],
+             entry["params"]["fault_dims"])
+            for entry in entries
+        } == {(True, "static", "exceptions"), (False, "none", "exceptions")}
 
 
     def test_compare_rows_all_carry_the_campaign_jobs(

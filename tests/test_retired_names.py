@@ -257,6 +257,15 @@ RETIRED = [
         "§5.1",
         id="baseline-sweep-wrapper",
     ),
+    pytest.param(
+        r"PreparedSearch",
+        ("src", "tools", ".github", "examples"),
+        (),
+        # Every search, ANDURIL's and each baseline's, is set up by
+        # build_context into one SearchContext over the shared case.
+        "§5.4",
+        id="prepared-search-copy",
+    ),
 ]
 
 
