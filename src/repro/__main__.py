@@ -102,12 +102,12 @@ def _append_ledger(entries: list, args) -> None:
 
 
 def _run_config(args):
-    """This invocation's one :class:`~repro.core.pipeline.RunConfig`, from
-    its flags (a command without a knob's flag runs with that knob off).
-    Nothing is exported to the environment: worker processes receive the
-    config as their pool initializer's argument (DESIGN §5.3)."""
-    from . import cache as runcache
-    from .core.pipeline import RunConfig
+    """This invocation's one :class:`~repro.cache.runcache.RunConfig`,
+    from its flags (a command without a knob's flag runs with that knob
+    off).  Nothing is exported to the environment: worker processes
+    receive the config as their pool initializer's argument (DESIGN §5.3)."""
+    from .cache import runcache
+    from .cache.runcache import RunConfig
 
     cache_dir = getattr(args, "cache_dir", None) or runcache.default_disk_dir()
     return RunConfig(
@@ -333,30 +333,27 @@ def cmd_replay(args) -> int:
     return 0 if satisfied else 1
 
 
-def _resolve_compare_cases(spec: str) -> list:
-    """``all``, one case id, or a comma-separated id list (order kept).
-    Every id is checked against the catalog index before the first case
-    module loads."""
-    from .failures import all_cases, check_case_ids, get_case
+def _compare_case_ids(spec: str) -> list:
+    """``all``, one case id, or a comma-separated id list (order kept),
+    each checked against the catalog: no case module loads."""
+    from .failures import CATALOG, INDEX, check_case_ids
 
     if spec == "all":
-        return all_cases()
+        return sorted({*INDEX, *CATALOG}, key=lambda case_id: int(case_id[1:]))
     case_ids = [case_id.strip() for case_id in spec.split(",") if case_id.strip()]
     check_case_ids(case_ids)
-    return [get_case(case_id) for case_id in case_ids]
+    return case_ids
 
 
 def cmd_compare(args) -> int:
-    cases = _resolve_compare_cases(args.case_id)
-    if not cases:
+    case_ids = _compare_case_ids(args.case_id)
+    if not case_ids:
         print(f"error: no case ids in {args.case_id!r}", file=sys.stderr)
         return 2
-    # What a cell executes is loaded before --jobs forks the pool, or
-    # each worker would compile it again: the case modules are in now,
-    # bench.parallel brings the harness, baselines, pipeline and cache,
-    # and the Explorer is the rest.
+    # A campaign is cells named by case id: it reads the stored ones and
+    # loads a case, the search stack and the simulator only for the
+    # cells it must compute (repro.bench.parallel.run_tasks).
     from .bench.parallel import resolve_jobs
-    from .core import explorer  # noqa: F401
 
     config = _run_config(args)
     config.install()
@@ -364,35 +361,37 @@ def cmd_compare(args) -> int:
     # campaign/case lifecycle events and forwards worker-captured round
     # events through the active bus installed here.
     with _event_stream(config, args):
-        return _cmd_compare_body(args, resolve_jobs(args.jobs), cases)
+        return _cmd_compare_body(args, resolve_jobs(args.jobs), case_ids)
 
 
-def _cmd_compare_body(args, jobs: int, cases: list) -> int:
-    from .baselines import ALL_STRATEGIES
+def _cmd_compare_body(args, jobs: int, case_ids: list) -> int:
+    from .bench.cell import STRATEGIES
     from .bench.parallel import run_compare_campaign
     from .bench.tables import format_table
+    from .failures import CATALOG, INDEX
     from .obs import ledger
+
+    def title(case_id: str) -> str:
+        issue = INDEX[case_id][0] if case_id in INDEX else CATALOG[case_id].issue
+        return f"{case_id} ({issue})"
 
     # Cells address cases by id: every per-cell setting rides in the task.
     cell_options = dict(max_rounds=args.max_rounds, fault_dims=args.fault_dims)
-    strategies = list(ALL_STRATEGIES)
+    strategies = list(STRATEGIES)
     started = time.perf_counter()
     anduril_by_case, cells = run_compare_campaign(
-        cases,
+        case_ids,
         strategies,
         jobs=jobs,
         anduril_options=dict(cell_options, profile=args.profile),
         strategy_options=dict(cell_options, max_seconds=60.0),
     )
     elapsed = time.perf_counter() - started
-    if len(cases) == 1:
-        case = cases[0]
-        rows = [("anduril", anduril_by_case[case.case_id].cell)]
-        rows.extend(
-            (name, cells[(name, case.case_id)].cell) for name in strategies
-        )
-        print(format_table(["strategy", "rounds/time"], rows,
-                           title=f"{case.case_id} ({case.issue})"))
+    if len(case_ids) == 1:
+        (case_id,) = case_ids
+        rows = [("anduril", anduril_by_case[case_id].cell)]
+        rows.extend((name, cells[(name, case_id)].cell) for name in strategies)
+        print(format_table(["strategy", "rounds/time"], rows, title=title(case_id)))
     else:
         # Campaign table cells show rounds only (no wall clock) so the
         # stdout table is byte-identical regardless of --jobs; timing goes
@@ -400,43 +399,34 @@ def _cmd_compare_body(args, jobs: int, cases: list) -> int:
         headers = ["case", "anduril", *strategies]
         rows = [
             [
-                f"{case.case_id} ({case.issue})",
-                anduril_by_case[case.case_id].deterministic_cell,
+                title(case_id),
+                anduril_by_case[case_id].deterministic_cell,
                 *(
-                    cells[(name, case.case_id)].deterministic_cell
+                    cells[(name, case_id)].deterministic_cell
                     for name in strategies
                 ),
             ]
-            for case in cases
+            for case_id in case_ids
         ]
         print(format_table(
             headers, rows,
             title="strategy comparison (rounds to reproduce; '-' = failed)",
         ))
     print(
-        f"[campaign: {len(cases)} case(s) x {1 + len(strategies)} strategies, "
+        f"[campaign: {len(case_ids)} case(s) x {1 + len(strategies)} strategies, "
         f"jobs={jobs}, {elapsed:.1f}s]",
         file=sys.stderr,
     )
+    outcomes = [anduril_by_case[case_id] for case_id in case_ids]
+    outcomes.extend(
+        cells[(name, case_id)] for name in strategies for case_id in case_ids
+    )
     entries = [
         ledger.entry_from_outcome(
-            anduril_by_case[case.case_id],
-            strategy="anduril",
-            seed=case.seed,
-            jobs=jobs,
+            outcome, strategy=outcome.strategy, seed=outcome.seed, jobs=jobs
         )
-        for case in cases
+        for outcome in outcomes
     ]
-    entries.extend(
-        ledger.entry_from_outcome(
-            cells[(name, case.case_id)],
-            strategy=name,
-            seed=case.seed,
-            jobs=jobs,
-        )
-        for name in strategies
-        for case in cases
-    )
     _append_ledger(entries, args)
     _print_runner_stats(args.metrics_since)
     if args.summary_out:
@@ -457,11 +447,11 @@ def _cmd_compare_body(args, jobs: int, cases: list) -> int:
             return 2
         print(f"[summary -> {path}]", file=sys.stderr)
     if args.profile:
-        for case in cases:
-            outcome = anduril_by_case[case.case_id]
+        for case_id in case_ids:
+            outcome = anduril_by_case[case_id]
             decision = outcome.mean_decision_us
             print(
-                f"[profile {case.case_id}: mean FIR decision "
+                f"[profile {case_id}: mean FIR decision "
                 f"{decision:.1f}us, {len(outcome.metrics)} metric(s)]",
                 file=sys.stderr,
             )
@@ -663,8 +653,9 @@ def cmd_lint(args) -> int:
 
 def cmd_analyze(args) -> int:
     from .bench.tables import format_table
+    from .failures import get_case
 
-    cases = _resolve_compare_cases(args.case_id)
+    cases = [get_case(case_id) for case_id in _compare_case_ids(args.case_id)]
     if not cases:
         print(f"error: no case ids in {args.case_id!r}", file=sys.stderr)
         return 2

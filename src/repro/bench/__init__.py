@@ -5,9 +5,10 @@ Every export loads its module on first use."""
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    ".harness": ("CellOutcome", "run_anduril", "run_baseline"),
+    ".cell": ("CampaignTask", "CellOutcome"),
+    ".harness": ("run_anduril", "run_baseline"),
     ".parallel": (
-        "CampaignTask", "inline_fallback_count", "resolve_jobs", "run_anduril_many",
+        "inline_fallback_count", "resolve_jobs", "run_anduril_many",
         "run_compare_campaign", "run_tasks",
     ),
     ".summary": ("record_outcome", "write_bench_summary"),

@@ -14,6 +14,8 @@ from ..core.params import SearchParams
 from ..core.search import ExplorationResult
 from ..failures.case import FailureCase
 from ..obs import metrics as obs_metrics
+from .cell import ANDURIL_DEFAULTS, BASELINE_DEFAULTS, CellOutcome
+from .cell import ANDURIL_PARAMS  # noqa: F401 (re-export)
 
 
 def _median(values: list) -> float:
@@ -25,52 +27,9 @@ def _median(values: list) -> float:
     return (ordered[middle - 1] + ordered[middle]) / 2
 
 
-@dataclasses.dataclass
-class CellOutcome:
-    """One campaign cell: a strategy (``"anduril"`` for ANDURIL) on a case."""
-
-    strategy: str
-    case_id: str
-    success: bool
-    rounds: int
-    seconds: float
-    rank_trajectory: list[tuple[int, int]]
-    median_requests: int
-    median_init_ms: float
-    median_workload_ms: float
-    #: Fault-space coverage accounting dict.
-    coverage: dict
-    #: Why the search stopped (``ExplorationResult.message``).
-    message: str = ""
-    #: ANDURIL's prepare step (Tables 4/8); 0.0 on baseline cells.
-    prepare_seconds: float = 0.0
-    #: The search's resolved ``SearchParams`` as a dict.
-    params: dict = dataclasses.field(default_factory=dict)
-    #: Mean FIR decision latency in µs, reported by the ``repro.obs``
-    #: metrics layer; 0.0 unless the run was profiled (see ``profile``).
-    mean_decision_us: float = 0.0
-    #: Flat ``repro.obs`` metrics dict (empty unless profiled).
-    metrics: dict = dataclasses.field(default_factory=dict)
-    #: This cell's :func:`repro.obs.metrics.capture` envelope — counter
-    #: and histogram movement, plus the bus events captured when a pool
-    #: worker ran it — attached by ``execute_task`` in whatever process
-    #: ran the cell so a campaign parent can merge it.  Per-cell runner
-    #: stats are ``runner_stats(telemetry["counters"])``.
-    telemetry: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def cell(self) -> str:
-        return f"{self.rounds}/{self.seconds:.1f}s" if self.success else "-"
-
-    @property
-    def deterministic_cell(self) -> str:
-        """Wall-clock-free cell — byte-identical across runs and job counts."""
-        return str(self.rounds) if self.success else "-"
-
-
 def _cell_outcome(
-    strategy: str, case_id: str, params: SearchParams, result: ExplorationResult,
-    **measured,
+    strategy: str, case: FailureCase, params: SearchParams,
+    result: ExplorationResult, **measured,
 ) -> CellOutcome:
     """The cell a search under ``params`` makes; ``measured`` holds what
     only ANDURIL's cells report."""
@@ -85,7 +44,7 @@ def _cell_outcome(
     obs_metrics.increment("campaign.rounds", result.rounds)
     return CellOutcome(
         strategy=strategy,
-        case_id=case_id,
+        case_id=case.case_id,
         success=result.success,
         rounds=result.rounds,
         seconds=result.elapsed_seconds,
@@ -96,22 +55,19 @@ def _cell_outcome(
         coverage=result.coverage.to_dict(),
         message=result.message,
         params=dataclasses.asdict(params),
+        seed=case.seed,
         **measured,
     )
 
 
-#: ``run_anduril``'s search: coverage also over the statically pruned space.
-ANDURIL_PARAMS = SearchParams(prune="static")
-
-
 def run_anduril(
     case: FailureCase,
-    max_rounds: int = 600,
-    max_seconds: Optional[float] = 60.0,
-    profile: bool = False,
-    params: SearchParams = ANDURIL_PARAMS,
-    checkpoint: bool = False,  # ignored: see DESIGN §5.3
-    early_verdict: bool = False,  # ignored: see DESIGN §5.3
+    max_rounds: int = ANDURIL_DEFAULTS["max_rounds"],
+    max_seconds: Optional[float] = ANDURIL_DEFAULTS["max_seconds"],
+    profile: bool = ANDURIL_DEFAULTS["profile"],
+    params: SearchParams = ANDURIL_DEFAULTS["params"],
+    checkpoint: bool = ANDURIL_DEFAULTS["checkpoint"],  # ignored: see DESIGN §5.3
+    early_verdict: bool = ANDURIL_DEFAULTS["early_verdict"],  # ignored: see DESIGN §5.3
     **options,
 ) -> CellOutcome:
     """Run the feedback-driven search on one case under the table budgets.
@@ -144,7 +100,7 @@ def run_anduril(
         else 0.0
     )
     return _cell_outcome(
-        "anduril", case.case_id, context.params, result,
+        "anduril", case, context.params, result,
         prepare_seconds=context.prepare_seconds,
         mean_decision_us=mean_decision_us,
         metrics=metrics,
@@ -154,11 +110,11 @@ def run_anduril(
 def run_baseline(
     name: str,
     case: FailureCase,
-    max_rounds: int = 300,
-    max_seconds: Optional[float] = 8.0,
-    checkpoint: bool = False,  # ignored: see DESIGN §5.3
-    early_verdict: bool = False,  # ignored: see DESIGN §5.3
-    params: SearchParams = SearchParams(),
+    max_rounds: int = BASELINE_DEFAULTS["max_rounds"],
+    max_seconds: Optional[float] = BASELINE_DEFAULTS["max_seconds"],
+    checkpoint: bool = BASELINE_DEFAULTS["checkpoint"],  # ignored: see DESIGN §5.3
+    early_verdict: bool = BASELINE_DEFAULTS["early_verdict"],  # ignored: see DESIGN §5.3
+    params: SearchParams = BASELINE_DEFAULTS["params"],
     **options,
 ) -> CellOutcome:
     """Run one baseline strategy on one case under the table budgets.
@@ -172,4 +128,4 @@ def run_baseline(
     runner = StrategyRunner(max_rounds, max_seconds, params)
     strategy = ALL_STRATEGIES[name](**options)
     result = runner.run(strategy, case, case_id=case.case_id)
-    return _cell_outcome(name, case.case_id, strategy.context.params, result)
+    return _cell_outcome(name, case, strategy.context.params, result)

@@ -9,31 +9,32 @@ renders is byte-identical regardless of worker count.
 
 Workers receive only tasks (case *ids*, budgets, search parameters), plus —
 once per worker, as the pool initializer's argument — the parent's
-:class:`~repro.core.pipeline.RunConfig`; each worker process resolves the
-case from the registry and rebuilds its own model / failure-log caches.
-Oracles (which may close over lambdas) and workload state therefore
-never cross a process boundary, and nothing travels through the
-environment.
+:class:`~repro.cache.runcache.RunConfig`; each worker process resolves
+the case from the registry and rebuilds its own model / failure-log
+caches.  Oracles (which may close over lambdas) and workload state
+therefore never cross a process boundary, and nothing travels through
+the environment.
 
 A cell is a pure function of its task and the code, so with a disk
-tier the run cache keeps finished cells in its ``cells`` sub-tier and
-:func:`execute_task` serves them back (DESIGN §8.1).
+tier the run cache keeps finished cells in its ``cells`` sub-tier.
+:func:`run_tasks` looks every task's cell up there first, in the
+calling process, whatever ``jobs`` is (DESIGN §8.1).  A campaign served
+whole imports no case, search or simulator module and starts no pool:
+this module and :mod:`repro.bench.cell` load only what names, reads and
+reports a cell, and only the misses load what computes one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import inspect
+import os
 import pickle
 import time
 import warnings
 from typing import Optional, Sequence
 
 from ..cache import runcache
-from ..core.params import SearchParams
-from ..core.pipeline import RunConfig, default_jobs
-from ..core.search import OUT_OF_TIME
+from ..cache.runcache import RunConfig
 from ..failures import INDEX, get_case
 from ..obs import metrics as obs_metrics
 from ..obs.bus import (
@@ -46,7 +47,7 @@ from ..obs.bus import (
     heartbeat_stats,
     set_active_bus,
 )
-from .harness import CellOutcome, run_anduril, run_baseline
+from .cell import CampaignTask, CellOutcome
 
 #: The parent's config in campaign pool worker processes (set by the
 #: pool initializer); ``None`` in every other process.
@@ -80,52 +81,14 @@ def inline_fallback_count() -> int:
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Normalize a ``--jobs`` value: ``None``/``0`` means one per CPU."""
-    if jobs is None or jobs < 1:
-        return default_jobs()
-    return int(jobs)
-
-
-@dataclasses.dataclass(frozen=True)
-class CampaignTask:
-    """One independent cell of a campaign: a strategy applied to a case.
-
-    ``strategy`` is ``"anduril"`` for ANDURIL itself, as on the
-    :class:`~repro.bench.harness.CellOutcome` it makes.  A task spells the
-    ``run_anduril``/``run_baseline`` call it stands for one way, defaults
-    filled in and other keywords sorted: one search, one cell (DESIGN §8.1).
-    """
-
-    case_id: str
-    strategy: str
-    params: SearchParams
-    max_rounds: int
-    max_seconds: Optional[float]
-    profile: bool = False
-    options: tuple = ()
-
-    @classmethod
-    def anduril(cls, case_id: str, **options) -> "CampaignTask":
-        return cls._of(case_id, "anduril", run_anduril, None, **options)
-
-    @classmethod
-    def baseline(cls, name: str, case_id: str, **options) -> "CampaignTask":
-        return cls._of(case_id, name, run_baseline, name, None, **options)
-
-    @classmethod
-    def _of(cls, case_id, strategy, run, *args, **options) -> "CampaignTask":
-        """The task for ``run(*args, **options)``: its arguments with every
-        default filled in, and the keywords ``run`` ignores dropped."""
-        call = inspect.signature(run).bind(*args, **options)
-        call.apply_defaults()
-        given = call.arguments
-        params, rest = SearchParams.split(given["options"], given["params"])
-        seconds = given["max_seconds"]  # a budget of 60 and of 60.0 is one
-        return cls(
-            case_id, strategy, params, given["max_rounds"],
-            None if seconds is None else float(seconds),
-            given.get("profile", False), tuple(sorted(rest.items())),
-        )
+    """Normalize a ``--jobs`` value: ``None``/``0`` means one per core
+    this process may run on (under ``taskset`` or a cgroup cpuset that is
+    fewer than are installed)."""
+    if jobs is not None and jobs >= 1:
+        return int(jobs)
+    if hasattr(os, "sched_getaffinity"):
+        return max(len(os.sched_getaffinity(0)), 1)
+    return max(os.cpu_count() or 1, 1)
 
 
 #: ``repro.obs.metrics`` counter bumped once per campaign cell served
@@ -151,8 +114,37 @@ def _cell_name(task: CampaignTask) -> Optional[str]:
     return digest.hexdigest()
 
 
-def _compute(task: CampaignTask):
+def _serve(task: CampaignTask) -> Optional[CellOutcome]:
+    """``task``'s stored cell, marked ``served`` and carrying its
+    envelope, or ``None`` when the ``cells`` tier does not hold it."""
+    name = _cell_name(task)
+    if name is None:
+        return None
+    before = obs_metrics.capture()
+    outcome = runcache.active().tier("cells").read(name, pickle.loads)
+    if outcome is None:
+        return None
+    obs_metrics.increment(CELLS_SERVED_COUNTER)
+    outcome.served = True
+    outcome.telemetry = obs_metrics.capture(since=before)
+    return outcome
+
+
+def _load(tasks: Sequence[CampaignTask]) -> None:
+    """Import what computing ``tasks`` executes — the Explorer, the
+    harness and each listed case's module — before a pool forks, or each
+    worker would compile it again."""
+    from ..core import explorer  # noqa: F401
+    from . import harness  # noqa: F401
+
+    for case_id in dict.fromkeys(task.case_id for task in tasks):
+        get_case(case_id)
+
+
+def _compute(task: CampaignTask) -> CellOutcome:
     """Run ``task``'s search."""
+    from .harness import run_anduril, run_baseline
+
     case = get_case(task.case_id)
     call = dict(
         task.options, max_rounds=task.max_rounds, max_seconds=task.max_seconds,
@@ -163,39 +155,34 @@ def _compute(task: CampaignTask):
     return run_baseline(task.strategy, case, **call)
 
 
-def execute_task(task: CampaignTask):
-    """Run one campaign cell (also the process-pool entry point), or
-    serve it from the run cache's ``cells`` tier.
+def execute_task(task: CampaignTask) -> CellOutcome:
+    """Compute one campaign cell (also the process-pool entry point) and
+    store it in the run cache's ``cells`` tier, unless its search ran out
+    of time, which depends on the host (see :func:`_cell_name` for what
+    else bypasses the tier).  Serving is :func:`run_tasks`' job.
 
-    A served cell is the stored outcome, its wall-clock fields included;
-    a computed one is stored unless its search ran out of time, which
-    depends on the host (see :func:`_cell_name` for what else bypasses
-    the tier).  The cell's ``repro.obs.metrics`` movement — and, in a
-    pool worker of an events-on campaign, the bus events it emitted — is
-    captured as one envelope and attached to the outcome
-    (``telemetry``), so a parent that receives the pickled result can
-    merge it into its own registry and sinks without double counting
-    when a worker process runs several cells.  Inline cells carry the
-    same envelope (it is what per-cell stats are read from); the parent
-    just never merges it.
+    The cell's ``repro.obs.metrics`` movement — and, in a pool worker of
+    an events-on campaign, the bus events it emitted — is captured as one
+    envelope and attached to the outcome (``telemetry``), so a parent
+    that receives the pickled result can merge it into its own registry
+    and sinks without double counting when a worker process runs several
+    cells.  Inline cells carry the same envelope (it is what per-cell
+    stats are read from); the parent just never merges it.
     """
+    from ..core.search import OUT_OF_TIME
+
     name = _cell_name(task)
-    cells = runcache.active().tier("cells") if name else None
     capture = None
     if _worker_config is not None and _worker_config.events:
         capture = MemorySink()
         set_active_bus(EventBus([capture]))
     before = obs_metrics.capture()
     try:
-        outcome = cells.read(name, pickle.loads) if cells is not None else None
-        if outcome is not None:
-            obs_metrics.increment(CELLS_SERVED_COUNTER)
-        else:
-            outcome = _compute(task)
-            if cells is not None and outcome.message != OUT_OF_TIME:
-                cells.write(
-                    name, lambda: pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-                )
+        outcome = _compute(task)
+        if name is not None and outcome.message != OUT_OF_TIME:
+            runcache.active().tier("cells").write(
+                name, lambda: pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            )
     finally:
         if capture is not None:
             set_active_bus(None)
@@ -208,7 +195,15 @@ def execute_task(task: CampaignTask):
 def run_tasks(
     tasks: Sequence[CampaignTask], jobs: Optional[int] = None
 ) -> list:
-    """Execute campaign tasks, fanning out across processes.
+    """Execute campaign tasks: serve every stored cell, compute the rest,
+    fanning the computed ones out across processes.
+
+    The one lookup: every task's cell is read from the ``cells`` tier
+    here, before anything is computed, and a served cell is reported at
+    once.  Only when some miss does this process load what the misses
+    run (:func:`_load`); two or more misses under ``jobs`` > 1 go to a
+    pool forked after that, one goes inline, and a campaign served whole
+    starts no pool.
 
     Results come back in task order (deterministic regardless of worker
     count or completion order).  Any task whose worker fails — an
@@ -221,8 +216,9 @@ def run_tasks(
     Telemetry from *inside* worker processes is not dropped: every
     result returned by a pool future carries its cell's envelope (see
     :func:`execute_task`), which is merged into this process's registry
-    and forwarded to its bus here.  Inline cells bump the registry and
-    stream directly, so their envelopes are deliberately not merged.
+    and forwarded to its bus here.  Served and inline cells bump the
+    registry and stream directly, so their envelopes are deliberately
+    not merged.
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
@@ -233,53 +229,55 @@ def run_tasks(
     reporters = [RoundReporter(bus, *cell) for cell in cells]
     if tasks:
         campaign_start(bus, cells, jobs)
+    results: list = [None] * len(tasks)
 
-    def run_inline(index: int):
-        outcome = execute_task(tasks[index])
+    def finish(index: int, outcome: CellOutcome) -> None:
+        results[index] = outcome
         reporters[index].done(outcome.success, outcome.rounds, outcome.seconds)
-        return outcome
 
-    if jobs <= 1 or len(tasks) <= 1:
-        results = []
-        for index, reporter in enumerate(reporters):
-            reporter.start()
-            results.append(run_inline(index))
+    misses = []
+    for index, task in enumerate(tasks):
+        outcome = _serve(task)
+        if outcome is None:
+            misses.append(index)
+        else:
+            reporters[index].start()
+            finish(index, outcome)
+    if misses:
+        _load([tasks[index] for index in misses])
+    failed: list[int] = []
+    if jobs <= 1 or len(misses) <= 1:
+        for index in misses:
+            reporters[index].start()
+            finish(index, execute_task(tasks[index]))
     else:
         # The pool machinery loads only for a campaign that fans out.
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-        # Workers inherit the package digest that names cells instead of
-        # each reading the whole package again.
-        _cell_name(tasks[0])
-
-        results = [None] * len(tasks)
-        failed: list[int] = []
         try:
             with ProcessPoolExecutor(
-                max_workers=min(jobs, len(tasks)),
+                max_workers=min(jobs, len(misses)),
                 initializer=_pool_worker_init,
                 initargs=(RunConfig.here(),),
             ) as pool:
                 futures = {
-                    pool.submit(execute_task, task): index
-                    for index, task in enumerate(tasks)
+                    pool.submit(execute_task, tasks[index]): index
+                    for index in misses
                 }
                 # Submission is the pool-side "start" moment; workers
                 # capture their round events and ship them in the
                 # outcome's envelope, so case.start is emitted here.
-                for reporter in reporters:
-                    reporter.start()
+                for index in misses:
+                    reporters[index].start()
                 pending = set(futures)
                 while pending:
                     done, pending = wait(pending, return_when=FIRST_COMPLETED)
                     for future in done:
                         index = futures[future]
                         try:
-                            outcome = results[index] = future.result()
+                            outcome = future.result()
                             obs_metrics.merge(outcome.telemetry, bus.forward)
-                            reporters[index].done(
-                                outcome.success, outcome.rounds, outcome.seconds
-                            )
+                            finish(index, outcome)
                         except Exception as error:
                             failed.append(index)
                             warnings.warn(
@@ -305,7 +303,7 @@ def run_tasks(
                             )
         except OSError as error:
             # No subprocess support at all: fall back to a serial sweep.
-            failed = [i for i, result in enumerate(results) if result is None]
+            failed = [index for index in misses if results[index] is None]
             warnings.warn(
                 f"campaign process pool unavailable "
                 f"({type(error).__name__}: {error}); running all "
@@ -316,7 +314,7 @@ def run_tasks(
         if failed:
             obs_metrics.increment(INLINE_FALLBACK_COUNTER, len(failed))
         for index in failed:
-            results[index] = run_inline(index)
+            finish(index, execute_task(tasks[index]))
     if tasks:
         campaign_done(
             bus,
@@ -347,18 +345,21 @@ def run_compare_campaign(
 ) -> tuple[dict, dict]:
     """The full comparison sweep: ANDURIL plus every strategy on every case.
 
-    Returns ``(anduril_by_case, outcome_by_strategy_and_case)`` keyed by
-    ``case_id`` and ``(strategy, case_id)`` respectively.
+    ``cases`` are failure cases or their ids: a cell names its case by
+    id, so a campaign given ids loads a case only to compute one of its
+    cells.  Returns ``(anduril_by_case, outcome_by_strategy_and_case)``
+    keyed by ``case_id`` and ``(strategy, case_id)`` respectively.
     """
+    case_ids = [getattr(case, "case_id", case) for case in cases]
     anduril_options = dict(anduril_options or {})
     strategy_options = dict(strategy_options or {})
     tasks: list[CampaignTask] = [
-        CampaignTask.anduril(case.case_id, **anduril_options) for case in cases
+        CampaignTask.anduril(case_id, **anduril_options) for case_id in case_ids
     ]
     for name in strategies:
         tasks.extend(
-            CampaignTask.baseline(name, case.case_id, **strategy_options)
-            for case in cases
+            CampaignTask.baseline(name, case_id, **strategy_options)
+            for case_id in case_ids
         )
     results = run_tasks(tasks, jobs=jobs)
     anduril_by_case: dict[str, CellOutcome] = {}

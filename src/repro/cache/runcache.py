@@ -44,6 +44,7 @@ them through :func:`~repro.obs.metrics.runner_stats`.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -53,6 +54,7 @@ from collections import OrderedDict
 from typing import Optional
 
 from ..obs import metrics as obs_metrics
+from ..obs.bus import active_bus
 from .disk import DiskTier
 
 #: Lookup/served outcomes reported by :meth:`RunCache.execute`.
@@ -303,7 +305,7 @@ _active = RunCache()
 def configure(enabled: bool = True, disk_dir: Optional[str] = None) -> RunCache:
     """Install a fresh process-wide cache, with its disk tier at
     ``disk_dir`` (``None``: memory only), and return it; a pool worker
-    installs the :class:`repro.core.pipeline.RunConfig` its parent ships.
+    installs the :class:`RunConfig` its parent ships.
     ``enabled`` is ignored, the memory tier being always on (a shim for
     the frozen benchmark, DESIGN §5.3)."""
     global _active
@@ -320,6 +322,34 @@ def active() -> RunCache:
 def reset() -> None:
     """Install a fresh memory-only cache (closing the previous one)."""
     configure()
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """How a process runs, picklable as one value: the disk tier and
+    the event stream, neither of which may change a search's outcome.
+
+    A process pool ships it to each worker once, as the pool
+    initializer's argument, and the worker calls :meth:`install`.
+    """
+
+    #: The run cache's disk tier; ``None`` keeps it in memory only.
+    cache_dir: Optional[str] = None
+    events: bool = False
+
+    @classmethod
+    def here(cls) -> "RunConfig":
+        """The config this process runs under.
+
+        The cache tier and the bus are read back from the process, so a
+        pool started by library code that called :func:`configure` or
+        ``set_active_bus`` itself is configured like the CLI's.
+        """
+        return cls(cache_dir=_active.disk_dir, events=active_bus().enabled)
+
+    def install(self) -> None:
+        """Run this process under the config (also the pool initializer)."""
+        configure(disk_dir=self.cache_dir)
 
 
 def cached_execute(workload, *, horizon, seed=0, plan=None, runner=None):

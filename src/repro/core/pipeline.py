@@ -8,60 +8,19 @@ ANDURIL's loop has one primitive — "run the workload under this plan"
 
 Every run, the probe included, replays the workload from t=0 to its
 horizon, as the paper's Explorer does.  The Explorer and the baseline
-``StrategyRunner`` both call it; neither names a cache.
-:class:`RunConfig` says *how* a process runs — the run cache's disk
-tier and the event stream, neither of which may change a search's
-outcome — and is all a worker process needs from its parent.
+``StrategyRunner`` both call it; neither names a cache.  It re-exports
+:class:`~repro.cache.runcache.RunConfig`, which says *how* a process
+runs.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import os
 from typing import Optional
 
 from ..cache import runcache
+from ..cache.runcache import RunConfig  # noqa: F401 (re-export)
 from ..injection.fir import InjectionPlan
-from ..obs.bus import active_bus
 from ..sim.cluster import RunResult, execute_workload
-
-
-def default_jobs() -> int:
-    """Worker count when the user asked for parallelism without a number:
-    one per core this process may run on (under ``taskset`` or a cgroup
-    cpuset that is fewer than are installed)."""
-    if hasattr(os, "sched_getaffinity"):
-        return max(len(os.sched_getaffinity(0)), 1)
-    return max(os.cpu_count() or 1, 1)
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """The runner knobs, picklable as one value.
-
-    A process pool ships it to each worker once, as the pool
-    initializer's argument, and the worker calls :meth:`install`.
-    """
-
-    #: The run cache's disk tier; ``None`` keeps it in memory only.
-    cache_dir: Optional[str] = None
-    events: bool = False
-
-    @classmethod
-    def here(cls) -> "RunConfig":
-        """The config this process runs under.
-
-        The cache tier and the bus are read back from the process, so a
-        pool started by library code that called ``runcache.configure``
-        or ``set_active_bus`` itself is configured like the CLI's.
-        """
-        return cls(
-            cache_dir=runcache.active().disk_dir, events=active_bus().enabled
-        )
-
-    def install(self) -> None:
-        """Run this process under the config (also the pool initializer)."""
-        runcache.configure(disk_dir=self.cache_dir)
 
 
 class RunPipeline:

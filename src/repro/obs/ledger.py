@@ -113,9 +113,12 @@ def make_entry(
     metrics: Optional[dict] = None,
     sha: Optional[str] = None,
     params: Optional[dict] = None,
+    served: bool = False,
 ) -> dict:
     """One schema-versioned ledger entry (a plain JSON-able dict);
-    ``params`` is the search's resolved ``SearchParams`` as a dict."""
+    ``params`` is the search's resolved ``SearchParams`` as a dict.
+    ``served`` marks a cell read back from the run cache: its
+    ``seconds`` are the computing run's, not a new measurement."""
     entry = {
         "schema": SCHEMA_VERSION,
         "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -139,6 +142,8 @@ def make_entry(
         }
     if params:
         entry["params"] = params
+    if served:
+        entry["served"] = True
     return entry
 
 
@@ -164,6 +169,7 @@ def entry_from_outcome(
         metrics=getattr(outcome, "metrics", None),
         sha=sha,
         params=getattr(outcome, "params", None),
+        served=getattr(outcome, "served", False),
     )
 
 

@@ -159,8 +159,9 @@ class WatchState:
         Each unfinished cell costs the median ledger ``seconds`` of its
         ``(case_id, strategy)`` across past campaigns (campaign median
         across all cells when that cell has no history); the total is
-        divided by the campaign's worker count.  ``None`` without any
-        usable history or with nothing left to run.
+        divided by the campaign's worker count.  Served entries repeat a
+        computed one's ``seconds`` and are skipped.  ``None`` without
+        any usable history or with nothing left to run.
         """
         unfinished = [
             cell for cell in self.cells.values() if cell.status != DONE
@@ -180,7 +181,7 @@ class WatchState:
         everything: list[float] = []
         for entry in history:
             seconds = entry.get("seconds")
-            if not isinstance(seconds, (int, float)):
+            if not isinstance(seconds, (int, float)) or entry.get("served"):
                 continue
             key = (entry.get("case_id"), entry.get("strategy"))
             by_cell.setdefault(key, []).append(float(seconds))

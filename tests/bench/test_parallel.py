@@ -1,12 +1,15 @@
 """Tests for the campaign-level parallel runner and the bench summary."""
 
 import concurrent.futures
+import inspect
 import json
 import os
 
 import pytest
 
-from repro.bench import summary
+from repro.baselines import ALL_STRATEGIES
+from repro.bench import cell, summary
+from repro.bench.harness import run_anduril, run_baseline
 from repro.bench.parallel import INLINE_FALLBACK_COUNTER, inline_fallback_count
 from repro.obs import metrics as obs_metrics
 from repro.bench.parallel import (
@@ -64,6 +67,26 @@ class TestCampaignTask:
         assert hash(task) == hash(CampaignTask.anduril(
             "f3", max_rounds=10, max_seconds=2.0
         ))
+
+
+class TestCellModule:
+    """The leaf module a served campaign loads holds the runners'
+    defaults and the strategy names; these say it agrees with them."""
+
+    @staticmethod
+    def defaults(run) -> dict:
+        return {
+            name: parameter.default
+            for name, parameter in inspect.signature(run).parameters.items()
+            if parameter.default is not parameter.empty
+        }
+
+    def test_it_holds_the_runners_defaults(self):
+        assert cell.ANDURIL_DEFAULTS == self.defaults(run_anduril)
+        assert cell.BASELINE_DEFAULTS == self.defaults(run_baseline)
+
+    def test_it_names_every_strategy_in_table_order(self):
+        assert list(cell.STRATEGIES) == list(ALL_STRATEGIES)
 
 
 class TestRunTasksOrdering:

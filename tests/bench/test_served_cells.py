@@ -1,10 +1,12 @@
 """Campaign cells served whole from the run cache's ``cells`` tier.
 
 A cell is a pure function of its task and the code (DESIGN §8.1), so
-with a disk tier ``execute_task`` stores each finished cell and serves
-it back to the next campaign that asks for the same task.
+with a disk tier ``execute_task`` stores each finished cell and
+``run_tasks`` serves it back, before computing anything, to the next
+campaign that asks for the same task.
 """
 
+import concurrent.futures
 import dataclasses
 import os
 import shutil
@@ -21,7 +23,10 @@ from repro.bench.parallel import (
 )
 from repro.cache import runcache
 from repro.failures import CATALOG, get_case
+from repro.obs import ledger
 from repro.obs import metrics as obs_metrics
+from repro.obs.bus import EventBus, MemorySink, set_active_bus
+from repro.obs.watch import WatchState
 
 TASKS = [
     CampaignTask.anduril("f1", max_rounds=120, profile=False),
@@ -39,6 +44,13 @@ WALL_CLOCK = dict(
 
 def without_wall_clock(outcome):
     return dataclasses.replace(outcome, **WALL_CLOCK)
+
+
+def serve(task):
+    """``task``'s cell through the campaign engine: served when the
+    ``cells`` tier holds it, else computed and stored."""
+    (outcome,) = run_tasks([task], jobs=1)
+    return outcome
 
 
 def served_since(before) -> int:
@@ -65,8 +77,10 @@ class TestServedCells:
     def test_a_served_cell_is_the_stored_cell(self, cold, cache_counters):
         cache_counters.mark()
         before = obs_metrics.capture()
-        served = [execute_task(task) for task in TASKS]
+        served = run_tasks(TASKS, jobs=1)
         assert served_since(before) == len(TASKS)
+        assert all(cell.served for cell in served)
+        assert not any(cell.served for cell in cold)
         # Nothing was looked up, let alone run.
         assert cache_counters["hits"] == cache_counters["misses"] == 0
         for got, stored in zip(served, cold):
@@ -76,7 +90,7 @@ class TestServedCells:
             assert got.telemetry["counters"] == {CELLS_SERVED_COUNTER: 1}
 
     def test_a_served_cell_equals_a_fresh_computation(self, cold):
-        served = [execute_task(task) for task in TASKS]
+        served = run_tasks(TASKS, jobs=1)
         runcache.reset()
         fresh = [execute_task(task) for task in TASKS]
         assert [without_wall_clock(cell) for cell in served] == [
@@ -94,7 +108,7 @@ class TestServedCells:
         cache_counters.mark()
         before = obs_metrics.capture()
         with pytest.warns(RuntimeWarning, match="cells-cache"):
-            outcome = execute_task(TASKS[-1])
+            outcome = serve(TASKS[-1])
         assert cache_counters["disk_errors"] == 1
         assert served_since(before) == 0
         assert cache_counters["hits"] > 0  # the search ran, off the run tier
@@ -102,7 +116,7 @@ class TestServedCells:
         # The recomputed record supersedes the torn one.
         runcache.configure(disk_dir=str(tmp_path))
         before = obs_metrics.capture()
-        execute_task(TASKS[-1])
+        serve(TASKS[-1])
         assert served_since(before) == 1
 
     def test_any_source_edit_misses_every_cell(self, cold, tmp_path, monkeypatch):
@@ -114,8 +128,7 @@ class TestServedCells:
         monkeypatch.setattr(runcache, "_DIGESTS", {})
         # An untouched copy names the cells as the package does.
         before = obs_metrics.capture()
-        for task in TASKS:
-            execute_task(task)
+        run_tasks(TASKS, jobs=1)
         assert served_since(before) == len(TASKS)
         sources = sorted(copy.rglob("*.py"))
         assert len(sources) > 100
@@ -130,7 +143,7 @@ class TestServedCells:
         sources[0].write_bytes(sources[0].read_bytes() + b"\n# edited\n")
         runcache._DIGESTS.clear()
         before = obs_metrics.capture()
-        execute_task(TASKS[0])
+        serve(TASKS[0])
         assert served_since(before) == 0
 
 
@@ -169,7 +182,7 @@ class TestWhatBypassesTheTier:
     def computed_twice(self, task, tmp_path) -> list:
         runcache.configure(disk_dir=str(tmp_path))
         before = obs_metrics.capture()
-        outcomes = [execute_task(task), execute_task(task)]
+        outcomes = [serve(task), serve(task)]
         assert served_since(before) == 0
         assert cell_files(tmp_path) == []
         return outcomes
@@ -195,8 +208,8 @@ class TestWhatBypassesTheTier:
     def test_no_disk_tier(self, tmp_path):
         runcache.configure(disk_dir=None)
         before = obs_metrics.capture()
-        execute_task(TASKS[0])
-        execute_task(TASKS[0])
+        serve(TASKS[0])
+        serve(TASKS[0])
         assert served_since(before) == 0
 
     def test_no_cache_writes_no_cells_directory(self, tmp_path, capsys):
@@ -215,8 +228,51 @@ class TestWhatBypassesTheTier:
         ]
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool ``run_tasks`` builds, each a real one that
+    records its worker count and the tasks submitted to it."""
+    built = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, max_workers, **kwargs):
+            super().__init__(*args, max_workers=max_workers, **kwargs)
+            self.workers = max_workers
+            self.tasks = []
+            built.append(self)
+
+        def submit(self, fn, task):
+            self.tasks.append(task)
+            return super().submit(fn, task)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return built
+
+
+def campaign_record(tasks, jobs) -> dict:
+    """What a campaign of ``tasks`` counts and reports, wall clock aside."""
+    sink = MemorySink()
+    set_active_bus(EventBus([sink]))
+    before = obs_metrics.capture()
+    try:
+        outcomes = run_tasks(tasks, jobs=jobs)
+    finally:
+        set_active_bus(None)
+    return {
+        "counters": obs_metrics.capture(since=before)["counters"],
+        "cases": sorted(
+            (event["type"], event["case_id"], event["strategy"],
+             event.get("success"), event.get("rounds"))
+            for event in sink.events
+            if event["type"] in ("case.start", "case.done")
+        ),
+        "served": [outcome.served for outcome in outcomes],
+        "outcomes": [without_wall_clock(outcome) for outcome in outcomes],
+    }
+
+
 class TestServedCellsInAPool:
-    def test_served_cells_merge_like_computed_ones(self, tmp_path):
+    def test_served_cells_merge_like_computed_ones(self, tmp_path, pools):
         tasks = TASKS * 2  # a task repeated within one campaign
         runcache.configure(disk_dir=str(tmp_path))
         computed = run_tasks(tasks, jobs=2)
@@ -224,6 +280,7 @@ class TestServedCellsInAPool:
         before = obs_metrics.capture()
         served = run_tasks(tasks, jobs=2)
         assert served_since(before) == len(tasks)
+        assert len(pools) == 1  # the cold campaign's: serving forks nothing
         # Which of a repeated task's two records is served depends on
         # which worker wrote last.
         assert [without_wall_clock(cell) for cell in served] == [
@@ -233,3 +290,69 @@ class TestServedCellsInAPool:
             cell.telemetry["counters"] == {CELLS_SERVED_COUNTER: 1}
             for cell in served
         )
+        # Partly served: only the first task's cell is stored.  The pool
+        # forks for the two misses alone, and the campaign counts and
+        # reports what the same campaign does at --jobs 1.
+        partial = tmp_path / "partial"
+        runcache.configure(disk_dir=str(partial))
+        run_tasks(TASKS[:1], jobs=1)
+        records = {}
+        for jobs in (1, 2):
+            shutil.copytree(partial, tmp_path / f"j{jobs}")
+            runcache.configure(disk_dir=str(tmp_path / f"j{jobs}"))
+            records[jobs] = campaign_record(TASKS, jobs)
+        assert [(pool.workers, pool.tasks) for pool in pools[1:]] == [
+            (2, TASKS[1:])
+        ]
+        assert records[2]["served"] == [True, False, False]
+        assert records[2] == records[1]
+
+    def test_a_campaign_served_whole_starts_no_pool(self, cold, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a served campaign built a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        before = obs_metrics.capture()
+        served = run_tasks(TASKS * 2, jobs=2)
+        assert served_since(before) == 2 * len(TASKS)
+        assert [without_wall_clock(cell) for cell in served] == [
+            without_wall_clock(cell) for cell in cold * 2
+        ]
+
+
+class TestServedLedgerEntries:
+    def test_a_warm_campaign_marks_its_entries_served(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        argv = ["compare", "f21", "--jobs", "1", "--no-events",
+                "--cache-dir", str(tmp_path / "cache"), "--ledger", str(path)]
+        assert main(argv) == 0
+        cold = ledger.read_entries(str(path))
+        assert main(argv) == 0
+        warm = ledger.read_entries(str(path))[len(cold):]
+        capsys.readouterr()
+        assert len(cold) == len(warm) == 10
+        assert not any("served" in entry for entry in cold)
+        assert [entry.get("served") for entry in warm] == [True] * 10
+
+        def unstamped(entry):
+            return {
+                key: value for key, value in entry.items()
+                if key not in ("recorded_at", "served")
+            }
+
+        assert [unstamped(entry) for entry in warm] == [
+            unstamped(entry) for entry in cold
+        ]
+        assert [ledger.entry_key(entry) for entry in warm] == [
+            ledger.entry_key(entry) for entry in cold
+        ]
+        # watch's ETA reads only what a cell cost when it was computed.
+        state = WatchState()
+        state.apply({
+            "schema": 1, "t": 1.0, "type": "campaign.start", "cases": ["f21"],
+            "strategies": [entry["strategy"] for entry in cold], "jobs": 1,
+            "cells": 10,
+        })
+        assert state.eta_seconds(cold + warm) == state.eta_seconds(cold) > 0
+        assert state.eta_seconds(warm) is None

@@ -144,6 +144,16 @@ def test_eta_counts_announced_but_unstarted_cells():
     assert state.eta_seconds(_history("f1", 2.0)) == pytest.approx(6.0)
 
 
+def test_eta_skips_served_entries():
+    """A served cell's entry repeats the seconds of the run that computed
+    it: it is no new sample of what the cell costs."""
+    state = WatchState()
+    state.apply(_event("case.start", case_id="f1", strategy="anduril"))
+    served = [dict(entry, served=True) for entry in _history("f1", 0.5)]
+    assert state.eta_seconds(_history("f1", 4.0) + served) == pytest.approx(4.0)
+    assert state.eta_seconds(served) is None
+
+
 def test_eta_none_without_history_and_zero_when_done():
     state = WatchState()
     state.apply(_event("case.start", case_id="f1", strategy="anduril"))

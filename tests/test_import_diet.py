@@ -9,8 +9,11 @@ machinery no search uses, or nothing on the hot path; they must stay out of ``sy
 every public import path keeps resolving.  ``DENIED`` is what ``list``,
 ``--help`` and ``import repro`` must not load at all: the search stack,
 the campaign engine and every case module (the catalog index answers
-them).  This module is that gate; CI's bench job only prints the ten
-most expensive imports of ``list``.
+them).  ``SERVED_DENIED`` is what a ``compare`` whose every cell the
+run cache serves must not load, at any ``--jobs``: it reads cells
+through the catalog index, ``core.params``, the run cache, ``obs`` and
+the table printer, and computes nothing.  This module is that gate;
+CI's bench job only prints the ten most expensive imports of ``list``.
 """
 
 import importlib
@@ -47,6 +50,11 @@ DENIED = re.compile(
     r"|bench\.(harness|parallel)$|failures\.(case|zk|hdfs|hbase|kafka|cassandra)$)"
 )
 CASE_MODULES = [f"repro.failures.{name}" for name in ("zk", "hdfs", "hbase", "kafka", "cassandra")]
+SERVED_DENIED = re.compile(
+    r"repro\.((sim|systems|analysis|baselines|injection|logs)(\.|$)"
+    r"|core\.explorer$|bench\.harness$|failures\.(case|zk|hdfs|hbase|kafka|cassandra)$)"
+    r"|concurrent\.futures(\.|$)"
+)
 
 
 def fresh_interpreter(code: str) -> dict:
@@ -217,17 +225,19 @@ def test_a_case_registered_at_run_time_resolves():
 def test_a_campaign_cell_imports_nothing_the_parent_did_not_load(tmp_path):
     """``compare --jobs 2`` forks its workers after its set-up: a module a
     cell imported first would be compiled once per worker.  Run the
-    command up to the fan-out, then one cell inline in its place."""
+    command up to the fan-out — the pool ``run_tasks`` builds for the
+    cells it could not serve — then one cell inline in its place."""
     new = fresh_interpreter(
-        "import json, sys\n"
+        "import concurrent.futures, json, sys\n"
         "import repro.__main__ as cli\n"
         "from repro.bench import parallel\n"
-        "def fan_out(tasks, jobs=None):\n"
-        "    before = set(sys.modules)\n"
-        "    parallel.execute_task(parallel.CampaignTask.anduril('f1', max_rounds=1))\n"
-        "    print(json.dumps(sorted(set(sys.modules) - before)))\n"
-        "    raise SystemExit(0)\n"
-        "parallel.run_tasks = fan_out\n"
+        "class Pool:\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        before = set(sys.modules)\n"
+        "        parallel.execute_task(parallel.CampaignTask.anduril('f1', max_rounds=1))\n"
+        "        print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "        raise SystemExit(0)\n"
+        "concurrent.futures.ProcessPoolExecutor = Pool\n"
         f"cli.main(['compare', 'f1,f24', '--jobs', '2', '--cache-dir', {str(tmp_path)!r},\n"
         f"          '--events-out', {str(tmp_path / 'events.jsonl')!r}, '--no-ledger'])"
     )
@@ -257,3 +267,50 @@ def test_a_pool_forks_after_the_parent_loaded_what_its_cells_run(tmp_path):
         "loaded": ["repro.core.explorer", "repro.failures.zk", "repro.failures.kafka"],
         "digest": True,
     }
+
+
+SERVED_CASES = "f1,f11,f14,f24,f21"
+
+
+@pytest.fixture(scope="module")
+def served_cache(tmp_path_factory):
+    """A cache directory holding every cell of ``compare SERVED_CASES``."""
+    directory = tmp_path_factory.mktemp("served")
+    subprocess.run(
+        [sys.executable, "-m", "repro", "compare", SERVED_CASES, "--jobs", "1",
+         "--no-events", "--no-ledger", "--cache-dir", str(directory)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        cwd=ROOT, check=True, capture_output=True, timeout=600,
+    )
+    return directory
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("cases", ["f21", SERVED_CASES], ids=["one-case", "five-case"])
+def test_a_served_campaign_loads_no_case_search_or_kernel_module(
+    served_cache, cases, jobs
+):
+    """Every cell served: the campaign is an index read, at any --jobs."""
+    loaded = fresh_interpreter(
+        "import contextlib, io, json, sys\n"
+        "import repro.__main__ as cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        f"    assert cli.main(['compare', {cases!r}, '--jobs', {jobs!r}, '--no-events',\n"
+        f"                     '--no-ledger', '--cache-dir', {str(served_cache)!r}]) == 0\n"
+        "print(json.dumps({'served': err.getvalue().splitlines()[-1],\n"
+        "                  'modules': sorted(sys.modules)}))"
+    )
+    cells = 10 * len(cases.split(","))
+    assert loaded["served"] == f"[cells: {cells} served from the cache]"
+    assert [name for name in loaded["modules"] if SERVED_DENIED.match(name)] == []
+
+
+def test_the_cell_module_alone_loads_only_the_search_parameters():
+    loaded = fresh_interpreter(
+        "import json, sys\n"
+        "import repro.bench.cell\n"
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('repro'))))"
+    )
+    packages = ["repro", "repro._lazy", "repro.bench", "repro.core"]
+    assert loaded == sorted([*packages, "repro.bench.cell", "repro.core.params"])

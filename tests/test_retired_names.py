@@ -138,6 +138,7 @@ RETIRED = [
         ("src", "tools", "benchmarks/*.py", ".github"),
         (
             "src/repro/core/explorer.py",
+            "src/repro/bench/cell.py",
             "src/repro/bench/harness.py",
             "src/repro/__main__.py",
         ),
@@ -177,6 +178,7 @@ RETIRED = [
         ("src", "tools", "benchmarks/*.py", ".github"),
         (
             "src/repro/core/explorer.py",
+            "src/repro/bench/cell.py",
             "src/repro/bench/harness.py",
             "src/repro/__main__.py",
         ),
