@@ -4,7 +4,10 @@ Commands:
 
 * ``list`` — show the failure dataset (the catalog index alone).
 * ``reproduce <case_id>`` — run the feedback-driven search on one case
-  and print the reproduction script.
+  and print the reproduction script.  It is a one-cell campaign on
+  ``compare``'s engine: re-run with the same flags on the same cache
+  directory and unedited source, it is served from the cache, prints
+  ``[cells: 1 served from the cache]`` and writes the same script.
 * ``replay <case_id> <script.json>`` — replay a saved reproduction script.
 * ``compare <case_id>|all`` — run every strategy on one case (Table-2
   row) or the whole dataset, fanned out over ``--jobs`` worker processes.
@@ -38,8 +41,9 @@ both; default: each case's own setting).  ``reproduce`` and ``compare``
 accept ``--profile`` to sample run-level metrics (FIR decision latency,
 scheduler counters) without changing the search outcome.  Both append one entry per (strategy, case) cell to the
 run ledger (``benchmarks/out/ledger.jsonl``) unless ``--no-ledger``,
-and both memoize deterministic runs through :mod:`repro.cache`, on disk
-too unless ``--no-cache`` (``--cache-dir`` relocates the disk tier).  Every
+and both memoize deterministic runs and whole cells through
+:mod:`repro.cache`, on disk too unless ``--no-cache`` (``--cache-dir``
+relocates the disk tier; a profiled cell is never served).  Every
 run replays the workload from t=0 to its horizon (``compare`` still
 accepts ``--[no-]checkpoint`` and ``--[no-]early-verdict`` and ignores
 both).
@@ -199,9 +203,18 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def _print_profile(recorder) -> None:
+def _issue_and_title(case_id: str) -> tuple:
+    """A case's issue and title, from the catalog index when it is there."""
+    from .failures import CATALOG, INDEX
+
+    if case_id in INDEX:
+        issue, _, title = INDEX[case_id]
+        return issue, title
+    return CATALOG[case_id].issue, CATALOG[case_id].title
+
+
+def _print_profile(metrics: dict) -> None:
     """Render the flat metrics dict of a profiled run to stderr."""
-    metrics = recorder.metrics()
     if not metrics:
         print("[profile: no metrics recorded]", file=sys.stderr)
         return
@@ -213,6 +226,9 @@ def _print_profile(recorder) -> None:
 
 
 def cmd_reproduce(args) -> int:
+    from .failures import check_case_ids
+
+    check_case_ids([args.case_id])
     config = _run_config(args)
     config.install()
     with _event_stream(config, args):
@@ -220,80 +236,51 @@ def cmd_reproduce(args) -> int:
 
 
 def _cmd_reproduce_body(args) -> int:
-    import dataclasses
-
-    from .failures import get_case
-    from .obs import bus as event_bus
+    # A reproduction is a one-cell campaign: run_tasks serves its cell
+    # from the cache or computes and stores it, and emits its events.
+    from .bench.cell import CampaignTask
+    from .bench.parallel import run_tasks
     from .obs import ledger
 
-    case = get_case(args.case_id)
-    print(f"{case.issue}: {case.title}")
-    print(f"oracle: {case.oracle.description}")
-    recorder = None
+    issue, title = _issue_and_title(args.case_id)
+    print(f"{issue}: {title}")
+    task = CampaignTask.anduril(
+        args.case_id, max_rounds=args.max_rounds, max_seconds=None,
+        profile=args.profile, prune=args.prune, fault_dims=args.fault_dims,
+    )
+    (outcome,) = run_tasks([task], jobs=1)
+    print(f"oracle: {outcome.oracle}")
     if args.profile:
-        from .obs import TraceRecorder
-
-        recorder = TraceRecorder()
-    explorer = case.explorer(
-        max_rounds=args.max_rounds,
-        recorder=recorder,
-        prune=args.prune,
-        fault_dims=args.fault_dims,
-    )
-    # A single reproduce is a one-cell campaign to the event stream, so
-    # the same watch view covers both commands.
-    bus = event_bus.active_bus()
-    reporter = event_bus.RoundReporter(bus, case.case_id, "anduril")
-    event_bus.campaign_start(bus, [(case.case_id, "anduril")], 1)
-    reporter.start()
-    result = explorer.explore()
-    reporter.done(result.success, result.rounds, result.elapsed_seconds)
-    event_bus.campaign_done(
-        bus, 1, int(result.success), result.elapsed_seconds
-    )
-    if recorder is not None:
-        _print_profile(recorder)
-    summary = result.coverage
+        _print_profile(outcome.metrics)
+    coverage = outcome.coverage
+    planned, space = coverage["planned"], coverage["space"]
     pruned = ""
-    if summary.pruned_space_size is not None:
-        dropped = summary.space_size - summary.pruned_space_size
+    if "pruned" in coverage:
         pruned = (
-            f", statically pruned {dropped} "
-            f"({len(summary.contradictions)} contradiction(s))"
+            f", statically pruned {coverage['pruned']} "
+            f"({coverage['contradictions']} contradiction(s))"
         )
     print(
-        f"[coverage: planned {summary.planned}/{summary.space_size} "
-        f"({summary.planned_fraction:.1%}), fired {summary.fired}{pruned}]",
+        f"[coverage: planned {planned}/{space} "
+        f"({planned / space if space else 0.0:.1%}), "
+        f"fired {coverage['fired']}{pruned}]",
         file=sys.stderr,
     )
     _append_ledger(
-        [
-            ledger.make_entry(
-                case_id=case.case_id,
-                strategy="anduril",
-                success=result.success,
-                rounds=result.rounds,
-                seconds=result.elapsed_seconds,
-                seed=case.seed,
-                coverage=summary.to_dict(),
-                metrics=recorder.metrics() if recorder is not None else None,
-                params=dataclasses.asdict(explorer.params),
-            )
-        ],
+        [ledger.entry_from_outcome(outcome, strategy="anduril", seed=outcome.seed)],
         args,
     )
     _print_runner_stats(args.metrics_since)
-    if not result.success:
-        print(f"NOT reproduced: {result.message} ({result.rounds} rounds)")
+    if not outcome.success:
+        print(f"NOT reproduced: {outcome.message} ({outcome.rounds} rounds)")
         return 1
     print(
-        f"reproduced in {result.rounds} rounds "
-        f"({result.elapsed_seconds:.1f}s): {result.injected}"
+        f"reproduced in {outcome.rounds} rounds "
+        f"({outcome.seconds:.1f}s): {outcome.injected}"
     )
-    script_json = result.script.to_json()
-    print(script_json)
+    print(outcome.script_json)
     if args.output:
-        if not _write_text(args.output, script_json + "\n", what="script"):
+        if not _write_text(args.output, outcome.script_json + "\n", what="script"):
             return 2
         print(f"script written to {args.output}")
     return 0
@@ -368,12 +355,10 @@ def _cmd_compare_body(args, jobs: int, case_ids: list) -> int:
     from .bench.cell import STRATEGIES
     from .bench.parallel import run_compare_campaign
     from .bench.tables import format_table
-    from .failures import CATALOG, INDEX
     from .obs import ledger
 
     def title(case_id: str) -> str:
-        issue = INDEX[case_id][0] if case_id in INDEX else CATALOG[case_id].issue
-        return f"{case_id} ({issue})"
+        return f"{case_id} ({_issue_and_title(case_id)[0]})"
 
     # Cells address cases by id: every per-cell setting rides in the task.
     cell_options = dict(max_rounds=args.max_rounds, fault_dims=args.fault_dims)

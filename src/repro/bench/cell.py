@@ -116,6 +116,13 @@ class CellOutcome:
     mean_decision_us: float = 0.0
     #: Flat ``repro.obs`` metrics dict (empty unless profiled).
     metrics: dict = dataclasses.field(default_factory=dict)
+    #: What ``reproduce`` prints, as plain text so a served cell renders
+    #: without the search stack: the case's oracle, the injected
+    #: instance and the reproduction script's JSON ("" when not found).
+    #: Set on ANDURIL cells only.
+    oracle: str = ""
+    injected: str = ""
+    script_json: str = ""
     #: This cell's :func:`repro.obs.metrics.capture` envelope — counter
     #: and histogram movement, plus the bus events captured when a pool
     #: worker ran it — attached where the cell was computed

@@ -104,6 +104,9 @@ def run_anduril(
         prepare_seconds=context.prepare_seconds,
         mean_decision_us=mean_decision_us,
         metrics=metrics,
+        oracle=case.oracle.description,
+        injected="" if result.injected is None else str(result.injected),
+        script_json="" if result.script is None else result.script.to_json(),
     )
 
 

@@ -1,11 +1,12 @@
 """Campaign-level parallel fan-out over failure cases and strategies.
 
 The benchmark campaigns (the 22-case tables, the baseline comparisons,
-``python -m repro compare``) are embarrassingly parallel: every
-(strategy, case) cell is an independent deterministic computation.  This
-module distributes those cells over a :class:`ProcessPoolExecutor` and
-reassembles results **in submission order**, so every table a campaign
-renders is byte-identical regardless of worker count.
+``python -m repro compare``, and ``reproduce`` as a one-cell campaign)
+are embarrassingly parallel: every (strategy, case) cell is an
+independent deterministic computation.  This module distributes those
+cells over a :class:`ProcessPoolExecutor` and reassembles results **in
+submission order**, so every table a campaign renders is byte-identical
+regardless of worker count.
 
 Workers receive only tasks (case *ids*, budgets, search parameters), plus —
 once per worker, as the pool initializer's argument — the parent's
@@ -42,8 +43,6 @@ from ..obs.bus import (
     MemorySink,
     RoundReporter,
     active_bus,
-    campaign_done,
-    campaign_start,
     heartbeat_stats,
     set_active_bus,
 )
@@ -228,7 +227,13 @@ def run_tasks(
     cells = [(task.case_id, task.strategy) for task in tasks]
     reporters = [RoundReporter(bus, *cell) for cell in cells]
     if tasks:
-        campaign_start(bus, cells, jobs)
+        bus.emit(
+            "campaign.start",
+            cases=list(dict.fromkeys(case_id for case_id, _ in cells)),
+            strategies=list(dict.fromkeys(strategy for _, strategy in cells)),
+            jobs=jobs,
+            cells=len(cells),
+        )
     results: list = [None] * len(tasks)
 
     def finish(index: int, outcome: CellOutcome) -> None:
@@ -316,11 +321,11 @@ def run_tasks(
         for index in failed:
             finish(index, execute_task(tasks[index]))
     if tasks:
-        campaign_done(
-            bus,
-            len(tasks),
-            sum(1 for outcome in results if outcome.success),
-            time.perf_counter() - campaign_started,
+        bus.emit(
+            "campaign.done",
+            cells=len(tasks),
+            successes=sum(1 for outcome in results if outcome.success),
+            seconds=round(time.perf_counter() - campaign_started, 6),
         )
     return results
 

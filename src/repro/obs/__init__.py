@@ -20,26 +20,25 @@ from .bus import (
     tail_events,
     validate_event,
 )
-from .coverage import (
-    CoverageSummary,
-    CoverageTracker,
-    RoundCoverage,
-    enumerate_fault_space,
-)
-from .null import NULL_RECORDER, VIRTUAL, WALL, NullRecorder
 
-# The recorder proper, the provenance builder, the HTML report and the
-# watch view load on first use: most processes hold NULL_RECORDER only.
+# Coverage accounting, the no-op recorder, the recorder proper, the
+# provenance builder, the HTML report and the watch view load on first
+# use: a served campaign needs none of them, and most searches hold
+# NULL_RECORDER only.
 __getattr__ = lazy_exports(
     __name__,
     {
+        ".coverage": (
+            "CoverageSummary", "CoverageTracker", "RoundCoverage", "enumerate_fault_space",
+        ),
+        ".null": ("NULL_RECORDER", "VIRTUAL", "WALL", "NullRecorder"),
         ".trace": ("Event", "Span", "TraceRecorder"),
         ".provenance": (
             "PlanProvenance", "ProvenanceChain", "ProvenanceStep", "build_plan_provenance",
         ),
         ".report": ("render_report", "write_report"),
     },
-    submodules=("provenance", "report", "trace", "watch"),
+    submodules=("coverage", "null", "provenance", "report", "trace", "watch"),
 )
 
 __all__ = [

@@ -323,26 +323,6 @@ def heartbeat_stats() -> dict:
     return stats
 
 
-def campaign_start(bus, cells: list[tuple[str, str]], jobs: int) -> None:
-    """Announce a campaign of ``(case_id, strategy)`` cells, in order."""
-    bus.emit(
-        "campaign.start",
-        cases=list(dict.fromkeys(case_id for case_id, _ in cells)),
-        strategies=list(dict.fromkeys(strategy for _, strategy in cells)),
-        jobs=jobs,
-        cells=len(cells),
-    )
-
-
-def campaign_done(bus, cells: int, successes: int, seconds: float) -> None:
-    bus.emit(
-        "campaign.done",
-        cells=cells,
-        successes=successes,
-        seconds=round(seconds, 6),
-    )
-
-
 class RoundReporter:
     """One campaign cell's voice on the bus.
 

@@ -387,6 +387,8 @@ def _render_coverage_curves(coverage: dict) -> str:
 
 
 def _render_ledger(entries: list[dict]) -> str:
+    # A served cell's seconds are the computing run's, not a new run.
+    entries = [entry for entry in entries if not entry.get("served")]
     if not entries:
         return _empty(
             "ledger.jsonl not found or empty — reproduce/compare/bench runs "

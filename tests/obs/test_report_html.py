@@ -177,6 +177,16 @@ class TestRender:
         assert 'class="bar fail"' in html_text  # the failed f1 run
         assert "1/2" in html_text              # 1 success of 2 runs
 
+    def test_served_ledger_entries_are_not_runs(self, tmp_path):
+        """A warm run appends served copies of the computing run's
+        entries: the trends section neither counts nor plots them."""
+        _populate(tmp_path)
+        entries = collect_report_inputs(out_dir=str(tmp_path), systems={}).ledger_entries
+        warm = [dict(entry, served=True, git_sha="fff") for entry in entries]
+        assert report_mod._render_ledger(entries + warm) == (
+            report_mod._render_ledger(entries)
+        )
+
     def test_coverage_curve_drawn_from_round_series(self, tmp_path):
         _populate(tmp_path)
         inputs = collect_report_inputs(out_dir=str(tmp_path), systems={})

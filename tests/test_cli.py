@@ -144,6 +144,47 @@ class TestReplayRefusesBadScripts:
         assert str(path) in self.assert_refused(capsys, "f4", str(path))
 
 
+class TestServedReproduce:
+    """``reproduce`` is a one-cell campaign: a second run on the same
+    cache directory is served from the cells tier and says so, and
+    prints, writes, exits and records what the computing run did."""
+
+    def run_twice(self, capsys, tmp_path, isolated_ledger, *argv):
+        output, runs = tmp_path / "script.json", []
+        for _ in ("cold", "warm"):
+            code = main(["reproduce", *argv, "--output", str(output)])
+            captured = capsys.readouterr()
+            script = output.read_bytes() if output.exists() else None
+            output.unlink(missing_ok=True)
+            runs.append((code, captured.out, captured.err.splitlines(), script))
+        entries = ledger.read_entries(str(isolated_ledger))
+        for entry in entries:
+            del entry["recorded_at"]
+        return runs, entries
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["f4"], 0), (["f17", "--max-rounds", "1"], 1)],
+        ids=["reproduced", "not-reproduced"],
+    )
+    def test_a_served_run_matches_the_computing_one(
+        self, capsys, tmp_path, isolated_ledger, argv, code
+    ):
+        (cold, warm), (cold_entry, warm_entry) = self.run_twice(
+            capsys, tmp_path, isolated_ledger, *argv
+        )
+        assert cold[0] == warm[0] == code
+        assert warm[1] == cold[1]
+        assert warm[3] == cold[3]
+        assert (warm[3] is None) == bool(code)
+        assert "[cells: 1 served from the cache]" not in cold[2]
+        assert warm[2][-1] == "[cells: 1 served from the cache]"
+        coverage = [line for line in cold[2] if line.startswith("[coverage:")]
+        assert coverage and coverage == [
+            line for line in warm[2] if line.startswith("[coverage:")
+        ]
+        assert warm_entry == dict(cold_entry, served=True)
+
+
 class TestReproduceHasNoJobs:
     def test_jobs_is_an_unrecognised_argument(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -779,9 +820,11 @@ class TestEvents:
     def test_each_campaign_truncates_the_stream(
         self, capsys, isolated_events
     ):
-        run_cli(capsys, "reproduce", "f4")
+        # --no-cache: a second run computes again rather than being served
+        # from the cells tier, whose stream carries no round events.
+        run_cli(capsys, "reproduce", "f4", "--no-cache")
         first = len(event_bus.read_events(str(isolated_events)))
-        run_cli(capsys, "reproduce", "f4")
+        run_cli(capsys, "reproduce", "f4", "--no-cache")
         # Same campaign again: same length, not doubled.
         assert len(event_bus.read_events(str(isolated_events))) == first
 

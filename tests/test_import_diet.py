@@ -10,9 +10,10 @@ every public import path keeps resolving.  ``DENIED`` is what ``list``,
 ``--help`` and ``import repro`` must not load at all: the search stack,
 the campaign engine and every case module (the catalog index answers
 them).  ``SERVED_DENIED`` is what a ``compare`` whose every cell the
-run cache serves must not load, at any ``--jobs``: it reads cells
-through the catalog index, ``core.params``, the run cache, ``obs`` and
-the table printer, and computes nothing.  This module is that gate;
+run cache serves must not load, at any ``--jobs``, nor a ``reproduce``
+whose one cell it serves: they read cells through the catalog index,
+``core.params``, the run cache, ``obs`` and the table printer, and
+compute nothing.  This module is that gate;
 CI's bench job only prints the ten most expensive imports of ``list``.
 """
 
@@ -52,7 +53,8 @@ DENIED = re.compile(
 CASE_MODULES = [f"repro.failures.{name}" for name in ("zk", "hdfs", "hbase", "kafka", "cassandra")]
 SERVED_DENIED = re.compile(
     r"repro\.((sim|systems|analysis|baselines|injection|logs)(\.|$)"
-    r"|core\.explorer$|bench\.harness$|failures\.(case|zk|hdfs|hbase|kafka|cassandra)$)"
+    r"|core\.explorer$|bench\.harness$|obs\.(coverage|null)$"
+    r"|failures\.(case|zk|hdfs|hbase|kafka|cassandra)$)"
     r"|concurrent\.futures(\.|$)"
 )
 
@@ -303,6 +305,28 @@ def test_a_served_campaign_loads_no_case_search_or_kernel_module(
     )
     cells = 10 * len(cases.split(","))
     assert loaded["served"] == f"[cells: {cells} served from the cache]"
+    assert [name for name in loaded["modules"] if SERVED_DENIED.match(name)] == []
+
+
+def test_a_served_reproduce_loads_no_case_search_or_kernel_module(tmp_path):
+    """``reproduce`` is a one-cell campaign: run again on its cache
+    directory, it is served like ``compare`` and loads as little."""
+    argv = ["reproduce", "f1", "--no-events", "--no-ledger", "--cache-dir", str(tmp_path)]
+    subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        cwd=ROOT, check=True, capture_output=True, timeout=600,
+    )
+    loaded = fresh_interpreter(
+        "import contextlib, io, json, sys\n"
+        "import repro.__main__ as cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "print(json.dumps({'served': err.getvalue().splitlines()[-1],\n"
+        "                  'modules': sorted(sys.modules)}))"
+    )
+    assert loaded["served"] == "[cells: 1 served from the cache]"
     assert [name for name in loaded["modules"] if SERVED_DENIED.match(name)] == []
 
 
